@@ -1,17 +1,16 @@
 # Standard entry points; `make check` is the tier-1 verification gate
 # (gofmt + vet + build + race-detector test run + coverage summary,
 # including the internal/obs 85% coverage floor).
-# `make check FUZZ=1` additionally runs the fuzz smoke pass;
-# `make check BENCH=1` additionally captures a kernel bench-json snapshot.
+# `make check FUZZ=1` additionally runs the fuzz smoke pass.
 # `make fuzz-smoke` runs the fuzz pass alone. FUZZTIME tunes the
 # per-target budget.
 # `make obs-demo` boots a live gateway with the debug endpoint, scrapes
 # /metrics and /trace over HTTP, and fails unless the scrape parses.
 
-.PHONY: check test build bench bench-json fuzz-smoke obs-demo
+.PHONY: check test build bench fuzz-smoke obs-demo
 
 check:
-	FUZZ=$(FUZZ) BENCH=$(BENCH) ./scripts/check.sh
+	FUZZ=$(FUZZ) ./scripts/check.sh
 
 obs-demo:
 	go run ./cmd/approxnoc-serve -obs-demo -records 1000
@@ -27,9 +26,3 @@ test:
 
 bench:
 	go test -bench . -benchtime 1x -run '^$$'
-
-# bench-json captures the suite (with -benchmem) as a JSON snapshot for
-# the regression gate; compare two captures with scripts/bench_compare.sh.
-# `make bench-json OUT=BENCH_new.json` overrides the output path.
-bench-json:
-	./scripts/bench_json.sh $(OUT)

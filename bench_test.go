@@ -229,16 +229,15 @@ func benchBlocks(n int) []*value.Block {
 	return blocks
 }
 
-// The encode benchmarks measure the production hot path: the fabric and
-// the serve shard workers encode through CompressTransient, which rides
-// the codec's reusable scratch (zero steady-state allocations).
+// The encode benchmarks measure the production hot path: Compress into
+// the codec-owned buffers (zero steady-state allocations).
 func BenchmarkFPCompEncodeBlock(b *testing.B) {
 	c := compress.NewFPComp()
 	blocks := benchBlocks(256)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		compress.CompressTransient(c, 1, blocks[i%len(blocks)])
+		c.Compress(1, blocks[i%len(blocks)])
 	}
 }
 
@@ -251,7 +250,7 @@ func BenchmarkFPVaxxEncodeBlock(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		compress.CompressTransient(c, 1, blocks[i%len(blocks)])
+		c.Compress(1, blocks[i%len(blocks)])
 	}
 }
 
@@ -308,12 +307,11 @@ func BenchmarkNetworkCycle(b *testing.B) {
 // benchmarkGateway measures parallel gateway throughput: every bench
 // goroutine is a client issuing one synchronous transfer at a time, so
 // throughput scales with how well the shard pools absorb concurrency.
-// blocks/sec and MB/s land in BENCH_*.json next to the serial numbers.
-func benchmarkGateway(b *testing.B, shards int, locked bool) {
+func benchmarkGateway(b *testing.B, shards int) {
 	const nodes = 32
 	gw, err := serve.New(serve.Config{
 		Nodes: nodes, Scheme: compress.DIVaxx, ThresholdPct: 10,
-		Shards: shards, QueueDepth: 4096, MaxBatch: 32, Locked: locked,
+		Shards: shards, QueueDepth: 4096, MaxBatch: 32,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -353,17 +351,13 @@ func benchmarkGateway(b *testing.B, shards int, locked bool) {
 	}
 }
 
-func BenchmarkGatewayShards1(b *testing.B) { benchmarkGateway(b, 1, false) }
+func BenchmarkGatewayShards1(b *testing.B) { benchmarkGateway(b, 1) }
 
-func BenchmarkGatewayShards4(b *testing.B) { benchmarkGateway(b, 4, false) }
+func BenchmarkGatewayShards4(b *testing.B) { benchmarkGateway(b, 4) }
 
 func BenchmarkGatewayShardsMaxProcs(b *testing.B) {
-	benchmarkGateway(b, runtime.GOMAXPROCS(0), false)
+	benchmarkGateway(b, runtime.GOMAXPROCS(0))
 }
-
-// BenchmarkGatewayLocked4 is the contention comparator: the same load as
-// BenchmarkGatewayShards4 but through one mutex-guarded codec pool.
-func BenchmarkGatewayLocked4(b *testing.B) { benchmarkGateway(b, 4, true) }
 
 func BenchmarkBetweenness(b *testing.B) {
 	g, err := graph.RMAT(8, 6, 3)

@@ -43,10 +43,9 @@ func main() {
 	schemeName := flag.String("scheme", "DI-VAXX", "Baseline | DI-COMP | DI-VAXX | FP-COMP | FP-VAXX | BD-COMP | BD-VAXX")
 	threshold := flag.Int("threshold", 10, "VAXX error threshold (%)")
 	nodes := flag.Int("nodes", 32, "logical endpoints the gateway serves")
-	shards := flag.Int("shards", 0, "codec pool shards (0 = GOMAXPROCS)")
+	shards := flag.Int("shards", 0, "codec pool shards (0 = GOMAXPROCS; 1 = a single global table set)")
 	queue := flag.Int("queue", 0, "per-shard queue depth (0 = default)")
 	batch := flag.Int("batch", 0, "max coalesced batch per dispatch (0 = default)")
-	locked := flag.Bool("locked", false, "mutex-guarded single codec pool instead of shards")
 	adaptive := flag.Bool("adaptive", false, "wrap codecs with the compression on/off controller")
 	selftest := flag.Bool("selftest", false, "replay a workload through the gateway and exit")
 	loadgen := flag.Bool("loadgen", false, "measure loopback wire-path throughput and exit")
@@ -73,7 +72,7 @@ func main() {
 	cfg := serve.Config{
 		Nodes: *nodes, Scheme: compress.Baseline, ThresholdPct: *threshold,
 		Shards: *shards, QueueDepth: *queue, MaxBatch: *batch,
-		Locked: *locked, Adaptive: *adaptive,
+		Adaptive: *adaptive,
 	}
 	scheme, err := compress.ParseScheme(*schemeName)
 	if err == nil {
@@ -155,8 +154,8 @@ func runServer(cfg serve.Config, addr, debugAddr, nodeID, seedURL, advertise str
 		fmt.Printf("debug endpoints on http://%s/ (/metrics /trace /debug/pprof)\n", dbg.Addr())
 	}
 	eff := gw.Config()
-	fmt.Printf("serving %v gateway: %d nodes, %d shards (locked=%v), queue %d, batch %d, threshold %d%%\n",
-		eff.Scheme, eff.Nodes, eff.Shards, eff.Locked, eff.QueueDepth, eff.MaxBatch, eff.ThresholdPct)
+	fmt.Printf("serving %v gateway: %d nodes, %d shards, queue %d, batch %d, threshold %d%%\n",
+		eff.Scheme, eff.Nodes, eff.Shards, eff.QueueDepth, eff.MaxBatch, eff.ThresholdPct)
 	if ctl := gw.QoSController(); ctl != nil {
 		c := ctl.Config()
 		fmt.Printf("qos                 threshold %d..%d%% step %d, watermarks %.2f/%.2f, %d budgeted tenants\n",
@@ -374,8 +373,8 @@ func runSelftest(cfg serve.Config, benchmark, traceFile string, records, clients
 
 	m := gw.Metrics()
 	cs := gw.CodecStats()
-	fmt.Printf("selftest            %v, %d nodes, %d shards (locked=%v), threshold %d%%\n",
-		gw.Config().Scheme, gw.Config().Nodes, gw.Config().Shards, gw.Config().Locked, gw.Config().ThresholdPct)
+	fmt.Printf("selftest            %v, %d nodes, %d shards, threshold %d%%\n",
+		gw.Config().Scheme, gw.Config().Nodes, gw.Config().Shards, gw.Config().ThresholdPct)
 	fmt.Printf("replayed            %d data records via %d TCP clients\n", len(data), clients)
 	fmt.Println(m)
 	fmt.Printf("codec               ratio %.3f  encoded %.3f (approx %.3f)  quality %.4f\n",

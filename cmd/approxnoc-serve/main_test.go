@@ -35,9 +35,9 @@ func TestSelftestApproximate(t *testing.T) {
 	}
 }
 
-func TestSelftestLocked(t *testing.T) {
+func TestSelftestSingleShard(t *testing.T) {
 	cfg := selftestConfig(compress.DIComp, 0)
-	cfg.Locked = true
+	cfg.Shards = 1
 	if err := runSelftest(cfg, "ssca2", "", 150, 4, 3); err != nil {
 		t.Fatal(err)
 	}

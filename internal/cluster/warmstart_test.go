@@ -114,7 +114,7 @@ func maxGeneration(t *testing.T, cl *cluster.Cluster, id string) uint64 {
 	var max uint64
 	if err := gw.AuditDicts(func(pool int, fab *compress.Fabric) error {
 		for i := 0; i < fab.Nodes(); i++ {
-			if s, ok := compress.AsDictSnapshotter(fab.Codec(i)); ok && s.Generation() > max {
+			if s, ok := compress.As[compress.DictSnapshotter](fab.Codec(i)); ok && s.Generation() > max {
 				max = s.Generation()
 			}
 		}

@@ -76,35 +76,18 @@ func (a *Adaptive) On() bool { return a.on }
 func (a *Adaptive) BypassedBlocks() uint64 { return a.bypassedBlocks }
 
 // Compress encodes through the wrapped codec or bypasses it, per the
-// controller state.
+// controller state. The result belongs to whichever side encoded it and
+// lives until the next Compress on the wrapper.
 func (a *Adaptive) Compress(dst int, blk *value.Block) *Encoded {
-	return a.compress(dst, blk, false)
-}
-
-// CompressScratch implements ScratchEncoder by forwarding to whichever
-// side (wrapped codec or bypass baseline) handles the block; a wrapped
-// codec without a scratch path falls back to its allocating Compress.
-// The controller decision is identical on both entry points.
-func (a *Adaptive) CompressScratch(dst int, blk *value.Block) *Encoded {
-	return a.compress(dst, blk, true)
-}
-
-func (a *Adaptive) compress(dst int, blk *value.Block, scratch bool) *Encoded {
-	encode := func(c Codec) *Encoded {
-		if scratch {
-			return CompressTransient(c, dst, blk)
-		}
-		return c.Compress(dst, blk)
-	}
 	if !a.on {
 		a.bypassedBlocks++
 		a.epochBlocks++
 		if a.epochBlocks >= a.cfg.WindowBlocks {
 			a.endOffEpoch()
 		}
-		return encode(a.raw)
+		return a.raw.Compress(dst, blk)
 	}
-	enc := encode(a.inner)
+	enc := a.inner.Compress(dst, blk)
 	a.epochBlocks++
 	a.epochIn += uint64(32 * len(blk.Words))
 	a.epochOut += uint64(enc.Bits)

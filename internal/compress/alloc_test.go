@@ -7,9 +7,8 @@ import (
 	"approxnoc/internal/workload"
 )
 
-// Steady-state allocation gates for the scratch encode path: after a
-// warmup pass sizes every reusable buffer, CompressScratch must not
-// allocate at all. check.sh runs these without -race (the race runtime
+// Steady-state allocation gates for the encode path: after a warmup
+// pass sizes every codec-owned buffer, Compress must not allocate at all. check.sh runs these without -race (the race runtime
 // itself allocates).
 
 func allocBlocks(t testing.TB) []*value.Block {
@@ -26,37 +25,33 @@ func allocBlocks(t testing.TB) []*value.Block {
 	return blocks
 }
 
-func gateZeroAllocs(t *testing.T, name string, se ScratchEncoder, blocks []*value.Block) {
+func gateZeroAllocs(t *testing.T, name string, c Codec, blocks []*value.Block) {
 	t.Helper()
-	// Warmup: let every scratch buffer reach its steady-state capacity.
+	// Warmup: let every codec-owned buffer reach its steady-state capacity.
 	for _, blk := range blocks {
-		se.CompressScratch(1, blk)
+		c.Compress(1, blk)
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
-		se.CompressScratch(1, blocks[i%len(blocks)])
+		c.Compress(1, blocks[i%len(blocks)])
 		i++
 	})
 	if allocs != 0 {
-		t.Errorf("%s: CompressScratch allocates %.1f objects/block in steady state, want 0", name, allocs)
+		t.Errorf("%s: Compress allocates %.1f objects/block in steady state, want 0", name, allocs)
 	}
 }
 
-func TestScratchZeroAllocs(t *testing.T) {
+func TestCompressZeroAllocs(t *testing.T) {
 	blocks := allocBlocks(t)
-	for name, pair := range scratchCodecs(t) {
-		se, ok := pair[0].(ScratchEncoder)
-		if !ok {
-			t.Fatalf("%s does not implement ScratchEncoder", name)
-		}
-		t.Run(name, func(t *testing.T) { gateZeroAllocs(t, name, se, blocks) })
+	for name, mk := range staticCodecs(t) {
+		t.Run(name, func(t *testing.T) { gateZeroAllocs(t, name, mk(), blocks) })
 	}
 }
 
-// TestScratchZeroAllocsDict gates the dictionary schemes with their PMTs
+// TestCompressZeroAllocsDict gates the dictionary schemes with their PMTs
 // warmed by real traffic, so the encode path exercises CAM/TCAM hits and
 // the per-destination index vectors, not just the raw fallback.
-func TestScratchZeroAllocsDict(t *testing.T) {
+func TestCompressZeroAllocsDict(t *testing.T) {
 	blocks := allocBlocks(t)
 	for _, scheme := range []Scheme{DIComp, DIVaxx} {
 		t.Run(scheme.String(), func(t *testing.T) {
@@ -72,11 +67,7 @@ func TestScratchZeroAllocsDict(t *testing.T) {
 					f.Transfer(0, 1, blk)
 				}
 			}
-			se, ok := f.Codec(0).(ScratchEncoder)
-			if !ok {
-				t.Fatalf("%v does not implement ScratchEncoder", scheme)
-			}
-			gateZeroAllocs(t, scheme.String(), se, blocks)
+			gateZeroAllocs(t, scheme.String(), f.Codec(0), blocks)
 		})
 	}
 }

@@ -44,8 +44,7 @@ type bdiCodec struct {
 	// in flight; winners are copied out, so the buffer is safe to reuse on
 	// the next attempt (and across blocks).
 	tryScratch []WordEnc
-	// scratch backs CompressScratch (see ScratchEncoder).
-	scratch encodeScratch
+	scratch    encodeScratch
 }
 
 // NewBDComp returns the exact base-delta codec.
@@ -114,12 +113,6 @@ func (c *bdiCodec) tryWidth(blk *value.Block, base value.Word, bits uint) ([]Wor
 }
 
 func (c *bdiCodec) Compress(dst int, blk *value.Block) *Encoded {
-	return c.compress(blk, &Encoded{}, &bitWriter{}, nil)
-}
-
-// CompressScratch implements ScratchEncoder: identical encoding into
-// codec-owned buffers valid until the next CompressScratch call.
-func (c *bdiCodec) CompressScratch(dst int, blk *value.Block) *Encoded {
 	c.scratch.w.Reset()
 	enc := c.compress(blk, &c.scratch.enc, &c.scratch.w, c.scratch.words[:0])
 	c.scratch.words = enc.Words // keep the grown capacity for reuse

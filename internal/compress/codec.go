@@ -117,6 +117,16 @@ type Encoded struct {
 // PayloadBytes returns the byte-rounded payload size.
 func (e *Encoded) PayloadBytes() int { return (e.Bits + 7) / 8 }
 
+// Clone returns a deep copy that shares no memory with the codec that
+// produced e, for callers that hold an encoding past the codec's next
+// Compress (see Codec.Compress).
+func (e *Encoded) Clone() *Encoded {
+	c := *e
+	c.Payload = append([]byte(nil), e.Payload...)
+	c.Words = append([]WordEnc(nil), e.Words...)
+	return &c
+}
+
 // NotifKind distinguishes the dictionary-protocol control messages.
 type NotifKind uint8
 
@@ -259,7 +269,10 @@ func (s OpStats) DataQuality() float64 {
 type Codec interface {
 	// Scheme identifies the mechanism.
 	Scheme() Scheme
-	// Compress encodes a block departing this node for node dst.
+	// Compress encodes a block departing this node for node dst. The
+	// returned *Encoded — header, Payload and Words — is owned by the
+	// codec and valid only until the next Compress on it; a caller that
+	// keeps an encoding longer takes a Clone first.
 	Compress(dst int, blk *value.Block) *Encoded
 	// Decompress reconstructs a block that arrived from node src, possibly
 	// emitting dictionary notifications to send.
@@ -273,8 +286,7 @@ type Codec interface {
 
 // baseline is the no-compression codec.
 type baseline struct {
-	stats OpStats
-	// scratch backs CompressScratch (see ScratchEncoder).
+	stats   OpStats
 	scratch encodeScratch
 }
 
@@ -284,12 +296,6 @@ func NewBaseline() Codec { return &baseline{} }
 func (b *baseline) Scheme() Scheme { return Baseline }
 
 func (b *baseline) Compress(dst int, blk *value.Block) *Encoded {
-	return b.compress(blk, &Encoded{}, &bitWriter{}, nil)
-}
-
-// CompressScratch implements ScratchEncoder: identical encoding into
-// codec-owned buffers valid until the next CompressScratch call.
-func (b *baseline) CompressScratch(dst int, blk *value.Block) *Encoded {
 	b.scratch.w.Reset()
 	enc := b.compress(blk, &b.scratch.enc, &b.scratch.w, b.scratch.words[:0])
 	b.scratch.words = enc.Words // keep the grown capacity for reuse
@@ -339,31 +345,28 @@ func (b *baseline) HandleNotification(Notification) []Notification { return nil 
 
 func (b *baseline) Stats() OpStats { return b.stats }
 
-// ScratchEncoder is implemented by codecs that can encode into
-// codec-owned reusable scratch, making the steady-state encode path
-// allocation-free. CompressScratch produces bit-identical results to
-// Compress, but the returned *Encoded — its Payload bitstream and Words
-// slice included — is owned by the codec and only valid until the next
-// CompressScratch call on the same codec.
-//
-// Use it where the encoding is consumed before the codec encodes again:
-// the serve shard worker (decode follows compress within one request on
-// the single-writer pool) and Fabric.Transfer. Callers that retain the
-// encoding — the cycle-accurate NI keeps it in flight across cycles —
-// must use Compress, which always returns freshly allocated state.
-type ScratchEncoder interface {
-	CompressScratch(dst int, blk *value.Block) *Encoded
+// CompressTransient is c.Compress. It remains only because benchmark/
+// still calls it; remove it in the next PR that may edit benchmark/.
+func CompressTransient(c Codec, dst int, blk *value.Block) *Encoded {
+	return c.Compress(dst, blk)
 }
 
-// CompressTransient encodes through the codec's scratch path when it has
-// one and falls back to the allocating Compress otherwise. The returned
-// encoding obeys the ScratchEncoder ownership contract: consume it
-// before c encodes again.
-func CompressTransient(c Codec, dst int, blk *value.Block) *Encoded {
-	if se, ok := c.(ScratchEncoder); ok {
-		return se.CompressScratch(dst, blk)
+// As returns c as a T, looking through wrappers (e.g. Adaptive) that
+// expose Unwrap: the one capability probe for the optional codec
+// interfaces (ThresholdAdjuster, DictSnapshotter, DictIntrospector).
+func As[T any](c Codec) (T, bool) {
+	for c != nil {
+		if t, ok := c.(T); ok {
+			return t, true
+		}
+		u, ok := c.(interface{ Unwrap() Codec })
+		if !ok {
+			break
+		}
+		c = u.Unwrap()
 	}
-	return c.Compress(dst, blk)
+	var zero T
+	return zero, false
 }
 
 // ThresholdAdjuster is implemented by codecs whose error threshold can be

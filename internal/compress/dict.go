@@ -249,7 +249,6 @@ type dictCodec struct {
 	// tell stale state from fresh (see DictSnapshotter).
 	gen uint64
 
-	// scratch backs CompressScratch (see ScratchEncoder).
 	scratch encodeScratch
 
 	stats          OpStats
@@ -332,12 +331,6 @@ func (d *dictCodec) Scheme() Scheme { return d.scheme }
 // --- Encoder ---------------------------------------------------------------
 
 func (d *dictCodec) Compress(dst int, blk *value.Block) *Encoded {
-	return d.compress(dst, blk, &Encoded{}, &bitWriter{}, nil)
-}
-
-// CompressScratch implements ScratchEncoder: identical encoding into
-// codec-owned buffers valid until the next CompressScratch call.
-func (d *dictCodec) CompressScratch(dst int, blk *value.Block) *Encoded {
 	d.scratch.w.Reset()
 	enc := d.compress(dst, blk, &d.scratch.enc, &d.scratch.w, d.scratch.words[:0])
 	d.scratch.words = enc.Words // keep the grown capacity for reuse

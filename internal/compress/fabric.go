@@ -31,11 +31,10 @@ func (f *Fabric) Nodes() int { return len(f.codecs) }
 
 // Transfer compresses blk at src, decompresses it at dst, and drains all
 // resulting dictionary notifications to quiescence. The returned block is
-// what the destination observes (possibly approximated). The encoding is
-// consumed within the call, so Transfer rides the codec's zero-alloc
-// scratch path when it has one.
+// what the destination observes (possibly approximated). The codec-owned
+// encoding is consumed within the call, so no Clone is needed.
 func (f *Fabric) Transfer(src, dst int, blk *value.Block) *value.Block {
-	enc := CompressTransient(f.codecs[src], dst, blk)
+	enc := f.codecs[src].Compress(dst, blk)
 	out, notifs := f.codecs[dst].Decompress(src, enc)
 	f.deliver(notifs)
 	return out

@@ -105,14 +105,14 @@ type fpCodec struct {
 	// budget check's RelError computation is not repeated for stats.
 	runScratch    []WordEnc
 	runErrScratch []float64
-	// scratch backs CompressScratch: the bit writer, the Words slice and
-	// the Encoded header are reused across calls (see ScratchEncoder).
-	scratch encodeScratch
+	scratch       encodeScratch
 }
 
-// encodeScratch is the per-codec reusable encode state every scheme
-// threads through its scratch path. One codec is single-writer by the
-// Codec concurrency contract, so no locking is needed.
+// encodeScratch is the per-codec encode state behind every Compress: the
+// bit writer, the Words slice and the Encoded header are reused across
+// calls, which is why a returned *Encoded is codec-owned (see
+// Codec.Compress). One codec is single-writer by the Codec concurrency
+// contract, so no locking is needed.
 type encodeScratch struct {
 	w     bitWriter
 	words []WordEnc
@@ -193,13 +193,6 @@ func (c *fpCodec) wordMask(w value.Word, blk *value.Block) uint32 {
 }
 
 func (c *fpCodec) Compress(dst int, blk *value.Block) *Encoded {
-	return c.compress(blk, &Encoded{}, &bitWriter{}, nil)
-}
-
-// CompressScratch implements ScratchEncoder: identical encoding, but the
-// bitstream, Words slice and Encoded header live in codec-owned scratch
-// valid until the next CompressScratch call.
-func (c *fpCodec) CompressScratch(dst int, blk *value.Block) *Encoded {
 	c.scratch.w.Reset()
 	enc := c.compress(blk, &c.scratch.enc, &c.scratch.w, c.scratch.words[:0])
 	c.scratch.words = enc.Words // keep the grown capacity for reuse

@@ -162,7 +162,7 @@ func dictSnapSeed(divaxx bool) []byte {
 		_, notifs := fab.Codec(1).Decompress(0, enc)
 		fab.Deliver(notifs)
 	}
-	s, _ := compress.AsDictSnapshotter(fab.Codec(0))
+	s, _ := compress.As[compress.DictSnapshotter](fab.Codec(0))
 	img, err := s.Marshal()
 	if err != nil {
 		panic(err)
@@ -191,7 +191,7 @@ func FuzzDictSnapshot(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, ok := compress.AsDictSnapshotter(codec)
+		s, ok := compress.As[compress.DictSnapshotter](codec)
 		if !ok {
 			t.Fatal("dictionary codec lost its snapshot interface")
 		}

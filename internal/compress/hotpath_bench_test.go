@@ -10,9 +10,9 @@ import (
 
 // BenchmarkCodecHotPath is the codec hot-path grid: dictionary transfers
 // across PMT sizes, error thresholds, and workload value distributions.
-// It drives Fabric.Transfer — the production offline path, scratch encode
-// included — so the numbers in BENCH_*.json price exactly what the serve
-// gateway and the cache-simulator substrate execute per block.
+// It drives Fabric.Transfer — the production offline path — so the
+// numbers price exactly what the serve gateway and the cache-simulator
+// substrate execute per block.
 func BenchmarkCodecHotPath(b *testing.B) {
 	distBlocks := func(name string) []*value.Block {
 		m, err := workload.ByName(name)
@@ -54,10 +54,8 @@ func BenchmarkCodecHotPath(b *testing.B) {
 	}
 }
 
-// BenchmarkScratchEncode prices the encode half alone, scratch vs the
-// allocating Compress, per scheme — the direct measure of the zero-alloc
-// pass.
-func BenchmarkScratchEncode(b *testing.B) {
+// BenchmarkEncode prices the encode half alone, per scheme.
+func BenchmarkEncode(b *testing.B) {
 	m, err := workload.ByName("ssca2")
 	if err != nil {
 		b.Fatal(err)
@@ -89,25 +87,13 @@ func BenchmarkScratchEncode(b *testing.B) {
 		}
 	}
 	for _, name := range []string{"fpcomp", "fpvaxx", "bdvaxx"} {
-		for _, mode := range []string{"scratch", "alloc"} {
-			b.Run(fmt.Sprintf("codec=%s/mode=%s", name, mode), func(b *testing.B) {
-				c := mk(name)
-				scratch := mode == "scratch"
-				var se ScratchEncoder
-				if scratch {
-					se = c.(ScratchEncoder)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					blk := blocks[i%len(blocks)]
-					if scratch {
-						se.CompressScratch(1, blk)
-					} else {
-						c.Compress(1, blk)
-					}
-				}
-			})
-		}
+		b.Run("codec="+name, func(b *testing.B) {
+			c := mk(name)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Compress(1, blocks[i%len(blocks)])
+			}
+		})
 	}
 }

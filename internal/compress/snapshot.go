@@ -739,35 +739,3 @@ func SnapshotGeneration(data []byte) (uint64, error) {
 	}
 	return binary.BigEndian.Uint64(data[snapGenOffset:]), nil
 }
-
-// AsDictSnapshotter returns the snapshot interface behind c, looking
-// through wrappers (e.g. Adaptive) that expose Unwrap.
-func AsDictSnapshotter(c Codec) (DictSnapshotter, bool) {
-	for c != nil {
-		if s, ok := c.(DictSnapshotter); ok {
-			return s, true
-		}
-		u, ok := c.(interface{ Unwrap() Codec })
-		if !ok {
-			return nil, false
-		}
-		c = u.Unwrap()
-	}
-	return nil, false
-}
-
-// AsDictIntrospector returns the introspection interface behind c,
-// looking through wrappers that expose Unwrap.
-func AsDictIntrospector(c Codec) (DictIntrospector, bool) {
-	for c != nil {
-		if s, ok := c.(DictIntrospector); ok {
-			return s, true
-		}
-		u, ok := c.(interface{ Unwrap() Codec })
-		if !ok {
-			return nil, false
-		}
-		c = u.Unwrap()
-	}
-	return nil, false
-}

@@ -84,7 +84,7 @@ func drive(fab *compress.Fabric, rng *sim.Rand, n int) {
 
 func snapshotOf(t *testing.T, c compress.Codec) ([]byte, compress.DictSnapshotter) {
 	t.Helper()
-	s, ok := compress.AsDictSnapshotter(c)
+	s, ok := compress.As[compress.DictSnapshotter](c)
 	if !ok {
 		t.Fatalf("%T does not snapshot", c)
 	}
@@ -107,7 +107,7 @@ func TestSnapshotRoundTripByteIdentical(t *testing.T) {
 				for node := 0; node < 2; node++ {
 					img, _ := snapshotOf(t, src.Codec(node))
 					fresh := sc.make(node)
-					restored, ok := compress.AsDictSnapshotter(fresh)
+					restored, ok := compress.As[compress.DictSnapshotter](fresh)
 					if !ok {
 						t.Fatalf("%T does not snapshot", fresh)
 					}
@@ -141,11 +141,11 @@ func TestSnapshotBehavioralIdentity(t *testing.T) {
 				clone := compress.NewFabric(2, sc.make)
 				for node := 0; node < 2; node++ {
 					img, _ := snapshotOf(t, orig.Codec(node))
-					s, _ := compress.AsDictSnapshotter(clone.Codec(node))
+					s, _ := compress.As[compress.DictSnapshotter](clone.Codec(node))
 					if err := s.Unmarshal(img); err != nil {
 						t.Fatalf("seed %d node %d: restore: %v", seed, node, err)
 					}
-					if s2, _ := compress.AsDictSnapshotter(orig.Codec(node)); s.Generation() != s2.Generation() {
+					if s2, _ := compress.As[compress.DictSnapshotter](orig.Codec(node)); s.Generation() != s2.Generation() {
 						t.Fatalf("seed %d node %d: generation %d != %d after restore",
 							seed, node, s.Generation(), s2.Generation())
 					}
@@ -290,13 +290,13 @@ func TestSnapshotThroughAdaptive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := compress.AsDictSnapshotter(a); !ok {
-		t.Fatal("AsDictSnapshotter does not unwrap Adaptive")
+	if _, ok := compress.As[compress.DictSnapshotter](a); !ok {
+		t.Fatal("As[DictSnapshotter] does not unwrap Adaptive")
 	}
-	if _, ok := compress.AsDictIntrospector(a); !ok {
-		t.Fatal("AsDictIntrospector does not unwrap Adaptive")
+	if _, ok := compress.As[compress.DictIntrospector](a); !ok {
+		t.Fatal("As[DictIntrospector] does not unwrap Adaptive")
 	}
-	if _, ok := compress.AsDictSnapshotter(compress.NewBaseline()); ok {
+	if _, ok := compress.As[compress.DictSnapshotter](compress.NewBaseline()); ok {
 		t.Fatal("baseline codec claims to snapshot")
 	}
 }

@@ -114,9 +114,11 @@ func (ni *NI) buildFlits(p *Packet) {
 // enqueueData packetizes and compresses a cache block bound for dst.
 // Compression happens at enqueue: the NI queue is FIFO and delivery is
 // per-pair in-order, so dictionary state seen by the encoder stays
-// consistent with what the decoder will hold at decode time.
+// consistent with what the decoder will hold at decode time. The packet
+// stays in flight across later encodes at this NI, so it carries a Clone
+// of the codec-owned encoding.
 func (ni *NI) enqueueData(dst int, blk *value.Block, now sim.Cycle) *Packet {
-	enc := ni.codec.Compress(dst, blk)
+	enc := ni.codec.Compress(dst, blk).Clone()
 	p := ni.net.newPacket(ni.tile, dst, DataPacket, now)
 	if ni.net.tracer != nil {
 		ni.net.trace(obs.EvCompress, ni.tile, p.ID, uint64(enc.Bits))

@@ -206,6 +206,52 @@ func TestPerPairInOrderDelivery(t *testing.T) {
 	}
 }
 
+// Several blocks enqueued at one NI in the same cycle are all in flight
+// together while the NI's codec has already encoded the later ones. The
+// packets must carry their own copy of the codec-owned encoding
+// (compress.Encoded.Clone in enqueueData), or every delivery decodes the
+// last block.
+func TestInFlightEncodingsSurviveLaterEncodes(t *testing.T) {
+	blocks := []*value.Block{
+		value.BlockFromI32([]int32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, false),
+		value.BlockFromI32([]int32{1 << 20, -1 << 20, 77777, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, false),
+		value.BlockFromI32([]int32{-1, -2, -3, 0x7FFFFFFF, 300, 300, 300, 300}, false),
+		value.BlockFromF32([]float32{1.5, -2.25, 1e30, 0}, false),
+	}
+	for _, scheme := range []compress.Scheme{compress.FPComp, compress.DIComp} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			n := schemeNet(t, 4, 4, 1, scheme, 0)
+			factory, err := compress.FactoryFor(scheme, n.Topology().Tiles(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fab := compress.NewFabric(n.Topology().Tiles(), factory)
+			var got []*value.Block
+			n.SetDeliveryHandler(func(p *Packet, blk *value.Block) {
+				if p.Kind == DataPacket {
+					got = append(got, blk)
+				}
+			})
+			for _, blk := range blocks {
+				if _, err := n.SendData(0, 5, blk); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !n.Drain(10000) {
+				t.Fatal("network did not drain")
+			}
+			if len(got) != len(blocks) {
+				t.Fatalf("delivered %d data packets, want %d", len(got), len(blocks))
+			}
+			for i, blk := range blocks {
+				if want := fab.Transfer(0, 5, blk); !got[i].Equal(want) {
+					t.Fatalf("delivery %d = %v, want %v", i, got[i].Words, want.Words)
+				}
+			}
+		})
+	}
+}
+
 func TestCompressedSchemeReducesDataFlits(t *testing.T) {
 	mk := func(scheme compress.Scheme) uint64 {
 		n := schemeNet(t, 4, 4, 1, scheme, 10)

@@ -137,11 +137,11 @@ func CheckBlock(orig *value.Block, enc *compress.Encoded, decoded *value.Block, 
 // Codecs that do not expose dictionary introspection are skipped;
 // wrappers (e.g. the adaptive controller) are looked through.
 func CheckPMTSync(encoder, decoder compress.Codec, encNode, decNode int) error {
-	e, ok := compress.AsDictIntrospector(encoder)
+	e, ok := compress.As[compress.DictIntrospector](encoder)
 	if !ok {
 		return nil
 	}
-	d, ok := compress.AsDictIntrospector(decoder)
+	d, ok := compress.As[compress.DictIntrospector](decoder)
 	if !ok {
 		return nil
 	}

@@ -9,8 +9,7 @@ import (
 // 1x to 6x the baseline service rate, QoS on and off, reporting the
 // completed fraction and the mean served threshold (the quality spent
 // to get it). The sim is deterministic, so the custom metrics are
-// stable across runs — bench_json.sh records them next to the ns/op
-// numbers.
+// stable across runs.
 func BenchmarkQoS(b *testing.B) {
 	for _, mult := range []int{1, 2, 4, 6} {
 		for _, qosOff := range []bool{false, true} {

@@ -14,8 +14,8 @@ import (
 //	pools × nodes × (len u32 | snapshot bytes)
 //
 // One per-codec snapshot per pool per node, in pool-major order; codecs
-// without dictionary state serialize as a zero-length entry. Locked
-// gateways have one pool, sharded gateways one per shard.
+// without dictionary state serialize as a zero-length entry. A gateway
+// has one pool per shard.
 const (
 	dictMagic   = "APGD"
 	dictVersion = 1
@@ -25,23 +25,10 @@ const (
 // this gateway's configuration.
 var ErrDictShape = errors.New("serve: dictionary image does not match gateway shape")
 
-// pools lists the gateway's distinct codec pools: the one shared pool in
-// locked mode, one per shard otherwise.
-func (g *Gateway) pools() []*pool {
-	if g.cfg.Locked {
-		return []*pool{g.shards[0].pool}
-	}
-	ps := make([]*pool, len(g.shards))
-	for i, sh := range g.shards {
-		ps[i] = sh.pool
-	}
-	return ps
-}
-
-// withPools runs fn against every pool from a context where the pool is
-// quiescent: inside the owning worker for live sharded pools, under the
-// shared mutex in locked mode, or directly once the gateway closed. fn
-// runs once per pool, in pool order, and must not block indefinitely.
+// withPools runs fn against every shard's pool from a context where the
+// pool is quiescent: inside the owning worker while the gateway is live,
+// or directly once it closed. fn runs once per pool, in shard order, and
+// must not block indefinitely.
 func (g *Gateway) withPools(fn func(idx int, p *pool)) {
 	g.mu.RLock()
 	closed := g.closed
@@ -50,16 +37,9 @@ func (g *Gateway) withPools(fn func(idx int, p *pool)) {
 		// Workers have exited (or are exiting); wait so the access is
 		// ordered after their last fabric write.
 		g.wg.Wait()
-		for i, p := range g.pools() {
-			fn(i, p)
+		for i, sh := range g.shards {
+			fn(i, sh.pool)
 		}
-		return
-	}
-	if g.cfg.Locked {
-		p := g.shards[0].pool
-		p.mu.Lock()
-		fn(0, p)
-		p.mu.Unlock()
 		return
 	}
 	for i, sh := range g.shards {
@@ -84,16 +64,15 @@ func (g *Gateway) withPools(fn func(idx int, p *pool)) {
 // dictionary state contribute empty entries, so the call works (if
 // uselessly) on any scheme.
 func (g *Gateway) SnapshotDicts() ([]byte, error) {
-	pools := g.pools()
 	out := []byte(dictMagic)
 	out = binary.BigEndian.AppendUint16(out, dictVersion)
 	out = append(out, uint8(g.cfg.Scheme))
 	out = binary.BigEndian.AppendUint32(out, uint32(g.cfg.Nodes))
-	out = binary.BigEndian.AppendUint32(out, uint32(len(pools)))
+	out = binary.BigEndian.AppendUint32(out, uint32(len(g.shards)))
 	var ferr error
 	g.withPools(func(idx int, p *pool) {
 		for node := 0; node < g.cfg.Nodes; node++ {
-			snap, ok := compress.AsDictSnapshotter(p.fabric.Codec(node))
+			snap, ok := compress.As[compress.DictSnapshotter](p.fabric.Codec(node))
 			if !ok {
 				out = binary.BigEndian.AppendUint32(out, 0)
 				continue
@@ -137,16 +116,16 @@ func (g *Gateway) RestoreDicts(data []byte) (adopted, kept int, err error) {
 	if n := binary.BigEndian.Uint32(data[3:]); int(n) != g.cfg.Nodes {
 		return 0, 0, fmt.Errorf("%w: %d nodes, gateway has %d", ErrDictShape, n, g.cfg.Nodes)
 	}
-	pools := g.pools()
-	if np := binary.BigEndian.Uint32(data[7:]); int(np) != len(pools) {
-		return 0, 0, fmt.Errorf("%w: %d pools, gateway has %d", ErrDictShape, np, len(pools))
+	pools := len(g.shards)
+	if np := binary.BigEndian.Uint32(data[7:]); int(np) != pools {
+		return 0, 0, fmt.Errorf("%w: %d pools, gateway has %d", ErrDictShape, np, pools)
 	}
 	body := data[11:]
 
 	// Slice out each per-codec snapshot up front so a truncated image is
 	// rejected before any codec mutates.
-	chunks := make([][]byte, 0, len(pools)*g.cfg.Nodes)
-	for i := 0; i < len(pools)*g.cfg.Nodes; i++ {
+	chunks := make([][]byte, 0, pools*g.cfg.Nodes)
+	for i := 0; i < pools*g.cfg.Nodes; i++ {
 		if len(body) < 4 {
 			return 0, 0, fmt.Errorf("%w: truncated at entry %d", ErrDictShape, i)
 		}
@@ -174,7 +153,7 @@ func (g *Gateway) RestoreDicts(data []byte) (adopted, kept int, err error) {
 			if len(chunk) == 0 {
 				continue
 			}
-			snap, ok := compress.AsDictSnapshotter(p.fabric.Codec(node))
+			snap, ok := compress.As[compress.DictSnapshotter](p.fabric.Codec(node))
 			if !ok {
 				if ferr == nil {
 					ferr = fmt.Errorf("%w: pool %d node %d holds state but local codec cannot restore",

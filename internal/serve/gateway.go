@@ -69,7 +69,7 @@ func New(cfg Config) (*Gateway, error) {
 			return nil, fmt.Errorf("serve: %w", err)
 		}
 		if c := g.qosCtl.Config(); c.MaxPct > c.BaselinePct {
-			if _, ok := thresholdAdjuster(factory(0)); !ok {
+			if _, ok := compress.As[compress.ThresholdAdjuster](factory(0)); !ok {
 				return nil, fmt.Errorf("%w: QoS threshold control needs scheme %v, got %v",
 					ErrThreshold, compress.FPVaxx, cfg.Scheme)
 			}
@@ -95,16 +95,8 @@ func New(cfg Config) (*Gateway, error) {
 		}
 		g.qosLatNs = int64(q.LatencyTarget)
 	}
-	var shared *pool
-	if cfg.Locked {
-		shared = newPool(cfg, factory, &sync.Mutex{})
-	}
 	for i := range g.shards {
-		p := shared
-		if p == nil {
-			p = newPool(cfg, factory, nil)
-		}
-		g.shards[i] = newShard(i, p, cfg, g.qosCtl, g.ledger)
+		g.shards[i] = newShard(i, newPool(cfg, factory), cfg, g.qosCtl, g.ledger)
 	}
 	for _, sh := range g.shards {
 		g.wg.Add(1)
@@ -291,10 +283,6 @@ func (g *Gateway) CodecStats() compress.OpStats {
 		return g.poolStats()
 	}
 	var s compress.OpStats
-	if g.cfg.Locked {
-		// One shared pool; any worker can snapshot it under the mutex.
-		return g.shards[0].pool.stats()
-	}
 	for _, sh := range g.shards {
 		r := make(chan compress.OpStats, 1)
 		select {
@@ -310,12 +298,9 @@ func (g *Gateway) CodecStats() compress.OpStats {
 
 // poolStats sums codec stats directly; only safe once workers stopped.
 func (g *Gateway) poolStats() compress.OpStats {
-	if g.cfg.Locked {
-		return g.shards[0].pool.stats()
-	}
 	var s compress.OpStats
 	for _, sh := range g.shards {
-		s.Add(sh.pool.stats())
+		s.Add(sh.pool.fabric.Stats())
 	}
 	return s
 }

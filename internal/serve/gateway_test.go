@@ -91,25 +91,10 @@ func TestGatewayThresholdZeroBitIdentical(t *testing.T) {
 // blocks must come back untouched and every VAXX word error must respect
 // the threshold.
 func TestGatewayStress(t *testing.T) {
-	stressGateway(t, serve.Config{
+	cfg := serve.Config{
 		Nodes: 32, Scheme: compress.DIVaxx, ThresholdPct: 10,
 		Shards: 4, QueueDepth: 512, MaxBatch: 8,
-	})
-}
-
-// TestGatewayStressLocked is the shard-misuse regression test: the locked
-// fallback shares one codec fabric between every worker goroutine, so if
-// the pool's mutex discipline were broken the race detector would fire
-// here. (The sanctioned lock-free path is shard ownership; this mode
-// exists for comparison and as this tripwire.)
-func TestGatewayStressLocked(t *testing.T) {
-	stressGateway(t, serve.Config{
-		Nodes: 32, Scheme: compress.DIVaxx, ThresholdPct: 10,
-		Shards: 8, QueueDepth: 512, MaxBatch: 8, Locked: true,
-	})
-}
-
-func stressGateway(t *testing.T, cfg serve.Config) {
+	}
 	const clients = 128
 	perClient := 40
 	if testing.Short() {

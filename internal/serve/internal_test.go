@@ -12,14 +12,13 @@ import (
 func intBlock(vals ...int32) *value.Block { return value.BlockFromI32(vals, true) }
 
 // TestBackpressureDeterministic pins the bounded-queue semantics: with
-// the locked pool's mutex held from outside, the worker stalls
-// mid-transfer, the queue fills to exactly QueueDepth, and the next
-// submission is rejected with ErrOverloaded — then everything drains once
-// the lock is released.
+// the worker parked inside a control function, the queue fills to exactly
+// QueueDepth and the next submission is rejected with ErrOverloaded —
+// then everything drains once the worker is released.
 func TestBackpressureDeterministic(t *testing.T) {
 	gw, err := New(Config{
 		Nodes: 2, Scheme: compress.Baseline,
-		Shards: 1, QueueDepth: 2, MaxBatch: 1, Locked: true,
+		Shards: 1, QueueDepth: 2, MaxBatch: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -27,15 +26,14 @@ func TestBackpressureDeterministic(t *testing.T) {
 	defer gw.Close()
 	sh := gw.shards[0]
 
-	// Stall the worker: it can dequeue at most one request and then
-	// blocks inside pool.transfer on this mutex.
-	sh.pool.mu.Lock()
+	// Park the worker inside a control function so nothing drains.
+	release := make(chan struct{})
+	sh.ctl <- func(*pool) { <-release }
 	blk := intBlock(1, 2, 3, 4)
 	replies := make(chan Result, 8)
 	accepted := 0
 	sawOverload := false
-	// 1 in-process + QueueDepth queued = 3 acceptable; issue a few more —
-	// at least one must be rejected however the worker interleaves.
+	// QueueDepth submissions fit; every one after that must be rejected.
 	for i := 0; i < 6; i++ {
 		err := gw.Submit(Request{Src: 0, Dst: 1, Block: blk, Tag: uint64(i), ThresholdPct: DefaultThreshold}, replies)
 		if errors.Is(err, ErrOverloaded) {
@@ -50,10 +48,10 @@ func TestBackpressureDeterministic(t *testing.T) {
 	if !sawOverload {
 		t.Error("queue of depth 2 absorbed 6 submissions without ErrOverloaded")
 	}
-	if accepted > 3 {
-		t.Errorf("accepted %d submissions; max is 1 in-process + 2 queued", accepted)
+	if accepted != 2 {
+		t.Errorf("accepted %d submissions, want exactly the 2 queue slots", accepted)
 	}
-	sh.pool.mu.Unlock()
+	close(release)
 
 	for i := 0; i < accepted; i++ {
 		if res := <-replies; res.Err != nil {

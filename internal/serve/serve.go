@@ -12,10 +12,9 @@
 // touched by exactly one worker goroutine — the single writer — so the
 // hot path takes no locks. Because the hash is deterministic, a given
 // (src, dst) flow always lands on the same shard and its dictionary state
-// evolves as if that flow had a private NI pair. A mutex-guarded fallback
-// (Config.Locked) shares one fabric between all workers for comparison:
-// it keeps a single global PMT state — closer to the paper's per-NI
-// tables — at the cost of serializing every transfer on the lock.
+// evolves as if that flow had a private NI pair. Shards: 1 keeps a single
+// global PMT state — closest to the paper's per-NI tables — behind one
+// worker.
 //
 // Requests are coalesced: a shard worker drains up to Config.MaxBatch
 // queued requests per dispatch, amortizing scheduling overhead the way a
@@ -181,9 +180,6 @@ type Config struct {
 	// MaxBatch caps how many queued requests a shard worker coalesces
 	// into one dispatch. 0 means 16.
 	MaxBatch int
-	// Locked selects the fallback mode: one shared codec fabric guarded
-	// by a mutex instead of per-shard pools.
-	Locked bool
 	// Tracer, when non-nil, receives per-request gateway events (batch
 	// dispatches, compress/decompress, overload rejections). Recording
 	// never blocks a shard worker: contended events are counted as

@@ -14,18 +14,15 @@ import (
 
 // pool is one consistent view of a codec fabric: the fabric itself plus
 // the per-node threshold bookkeeping that must change in lockstep with
-// it. In sharded mode every shard owns a private pool and mu is nil — the
-// shard worker is the single writer and no locking happens. In locked
-// mode all shards point at one shared pool and mu serializes them.
+// it. Every shard owns a private pool; the shard worker is its single
+// writer, so no locking happens.
 type pool struct {
-	mu        *sync.Mutex // nil when exclusively owned by one shard
 	fabric    *compress.Fabric
 	threshold []int // current encoder threshold per node
 }
 
-func newPool(cfg Config, factory func(node int) compress.Codec, mu *sync.Mutex) *pool {
+func newPool(cfg Config, factory func(node int) compress.Codec) *pool {
 	p := &pool{
-		mu:        mu,
 		fabric:    compress.NewFabric(cfg.Nodes, factory),
 		threshold: make([]int, cfg.Nodes),
 	}
@@ -35,35 +32,15 @@ func newPool(cfg Config, factory func(node int) compress.Codec, mu *sync.Mutex) 
 	return p
 }
 
-// thresholdAdjuster finds the codec's threshold control, unwrapping
-// decorators (the Adaptive on/off controller) the way the dictionary
-// introspectors do, so a wrapped FP-VAXX still honors per-request and
-// QoS thresholds.
-func thresholdAdjuster(c compress.Codec) (compress.ThresholdAdjuster, bool) {
-	for {
-		if adj, ok := c.(compress.ThresholdAdjuster); ok {
-			return adj, true
-		}
-		u, ok := c.(interface{ Unwrap() compress.Codec })
-		if !ok {
-			return nil, false
-		}
-		c = u.Unwrap()
-	}
-}
-
 // transfer moves one request's block through the src/dst codec pair at
 // the already-resolved effective threshold (see EffectiveThreshold),
 // settling dictionary notifications, and returns the observed block plus
-// payload accounting. Only the pool's owning worker (or lock holder) may
-// call it.
+// payload accounting. Only the pool's owning worker may call it.
 func (p *pool) transfer(req Request, want int) Result {
-	if p.mu != nil {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-	}
 	if want != p.threshold[req.Src] {
-		adj, ok := thresholdAdjuster(p.fabric.Codec(req.Src))
+		// As looks through the Adaptive wrapper, so a wrapped FP-VAXX still
+		// honors per-request and QoS thresholds.
+		adj, ok := compress.As[compress.ThresholdAdjuster](p.fabric.Codec(req.Src))
 		if !ok {
 			return Result{Tag: req.Tag, Err: fmt.Errorf("%w: %v", ErrThreshold, p.fabric.Codec(req.Src).Scheme())}
 		}
@@ -72,10 +49,9 @@ func (p *pool) transfer(req Request, want int) Result {
 		}
 		p.threshold[req.Src] = want
 	}
-	// The encoding is consumed right here (decode + accounting) before the
-	// source codec can encode again, so the zero-alloc scratch path is
-	// safe under the pool's single-writer ownership.
-	enc := compress.CompressTransient(p.fabric.Codec(req.Src), req.Dst, req.Block)
+	// The codec-owned encoding is consumed right here (decode +
+	// accounting) before the source codec can encode again.
+	enc := p.fabric.Codec(req.Src).Compress(req.Dst, req.Block)
 	out, notifs := p.fabric.Codec(req.Dst).Decompress(req.Src, enc)
 	p.fabric.Deliver(notifs)
 	return Result{
@@ -84,15 +60,6 @@ func (p *pool) transfer(req Request, want int) Result {
 		BitsIn:  32 * len(req.Block.Words),
 		BitsOut: enc.Bits,
 	}
-}
-
-// stats snapshots the pool's codec statistics.
-func (p *pool) stats() compress.OpStats {
-	if p.mu != nil {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-	}
-	return p.fabric.Stats()
 }
 
 // pending is one queued request awaiting its shard worker.
@@ -175,7 +142,7 @@ func (s *shard) run(wg *sync.WaitGroup) {
 				return
 			}
 		case r := <-s.statsReq:
-			r <- s.pool.stats()
+			r <- s.pool.fabric.Stats()
 			continue
 		case fn := <-s.ctl:
 			fn(s.pool)

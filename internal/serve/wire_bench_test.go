@@ -11,10 +11,9 @@ import (
 // BenchmarkGatewayWire is the wire-path throughput family: a live
 // loopback gateway driven over TCP across a connections × pipeline-depth
 // × payload-size grid. records/sec is the headline metric (one record =
-// one request round trip); B/op and allocs/op come from -benchmem and
-// are what the bench-compare gate watches — the rig is built and warmed
-// outside the timer, so allocs/op is the steady-state serve-path cost
-// per request, not amortized setup.
+// one request round trip); B/op and allocs/op come from -benchmem — the
+// rig is built and warmed outside the timer, so allocs/op is the
+// steady-state serve-path cost per request, not amortized setup.
 //
 // depth=1 is the lock-step pre-pipelining shape kept as the within-run
 // baseline; the depth>=8 rows carry the >=3x pipelining speedup

@@ -13,10 +13,9 @@
 // hardware match lines do (§4.2.1, Fig. 8): the TCAM keeps bit-sliced
 // mismatch planes over 64-entry groups and evaluates a search as a fold
 // of plane words followed by a priority encode (bits.TrailingZeros64),
-// and the CAM keeps a hash index for O(1) exact lookups. Both fast paths
-// are behaviourally identical to the naive sweeps, which remain available
-// as SearchNaive/LookupNaive and serve as the differential-test oracles
-// (see DESIGN.md §14).
+// and the CAM keeps a hash index for O(1) exact lookups. Both are held
+// behaviourally identical to linear reference sweeps by the package's
+// differential tests (naive_test.go; see DESIGN.md §14).
 package tcam
 
 import "math/bits"
@@ -102,30 +101,15 @@ func (c *CAM) Stats() Stats { return c.stats }
 // Lookup searches every entry in parallel for pattern and returns the
 // matching index. A hit bumps the entry's frequency counter.
 //
-// The software fast path answers from the hash index in O(1); the result
-// and the Stats counters — the hardware performs the parallel compare
-// regardless of occupancy — are identical to LookupNaive.
+// The software model answers from the hash index in O(1); the Stats
+// counters still count one parallel compare per call, as the hardware
+// performs it regardless of occupancy.
 func (c *CAM) Lookup(pattern uint32) (idx int, ok bool) {
 	c.stats.Searches++
 	if i, ok := c.index[pattern]; ok {
 		c.freq[i]++
 		c.stats.Hits++
 		return i, true
-	}
-	return 0, false
-}
-
-// LookupNaive is the reference linear sweep with Lookup's exact side
-// effects (stats and frequency). It is retained as the differential-test
-// oracle for the indexed fast path and as the bench comparator.
-func (c *CAM) LookupNaive(pattern uint32) (idx int, ok bool) {
-	c.stats.Searches++
-	for i := 0; i < c.hi; i++ {
-		if c.valid[i] && c.pattern[i] == pattern {
-			c.freq[i]++
-			c.stats.Hits++
-			return i, true
-		}
 	}
 	return 0, false
 }
@@ -325,14 +309,7 @@ type TCAM struct {
 	valid []bool
 	ent   []TEntry
 	freq  []uint64
-	// Precomputed match-line constants: an entry matches key iff
-	// key&nm[i] == vm[i], where nm = ^Mask (care bits) and
-	// vm = Value &^ Mask. Invalid slots hold the unsatisfiable pair
-	// (nm=0, vm=1) so SearchNaive needs no per-entry validity branch.
-	// These back the naive sweep retained as the fast engine's oracle.
-	nm []uint32
-	vm []uint32
-	// groups holds the bit-sliced mismatch planes the fast Search folds.
+	// groups holds the bit-sliced mismatch planes Search folds.
 	groups []matchGroup
 	count  int // live valid entries, maintained incrementally
 	hi     int // one past the highest valid index; scans stop here
@@ -344,19 +321,13 @@ func NewTCAM(size int) *TCAM {
 	if size < 0 {
 		panic("tcam: negative TCAM size")
 	}
-	t := &TCAM{
+	return &TCAM{
 		size:   size,
 		valid:  make([]bool, size),
 		ent:    make([]TEntry, size),
 		freq:   make([]uint64, size),
-		nm:     make([]uint32, size),
-		vm:     make([]uint32, size),
 		groups: make([]matchGroup, (size+groupSize-1)/groupSize),
 	}
-	for i := range t.vm {
-		t.vm[i] = 1 // unsatisfiable with nm = 0
-	}
-	return t
 }
 
 // Size returns the entry capacity.
@@ -365,21 +336,16 @@ func (t *TCAM) Size() int { return t.size }
 // Stats returns the operation counters accumulated so far.
 func (t *TCAM) Stats() Stats { return t.stats }
 
-// setSlot installs entry e at slot i in both representations: the
-// match-line constants the naive oracle scans and the bit-sliced planes
-// the fast path folds.
+// setSlot installs entry e at slot i: the stored entry and its column in
+// the bit-sliced planes.
 func (t *TCAM) setSlot(i int, e TEntry) {
 	t.ent[i] = e
-	t.nm[i] = ^e.Mask
-	t.vm[i] = e.Value &^ e.Mask
 	t.groups[i>>groupShift].set(uint(i&(groupSize-1)), e.Value, e.Mask)
 }
 
-// clearSlot resets slot i to the unsatisfiable state in both
-// representations.
+// clearSlot empties slot i and removes its column from the planes.
 func (t *TCAM) clearSlot(i int) {
 	t.ent[i] = TEntry{}
-	t.nm[i], t.vm[i] = 0, 1 // unsatisfiable
 	t.groups[i>>groupShift].clear(uint(i & (groupSize - 1)))
 }
 
@@ -395,12 +361,12 @@ func (t *TCAM) refreshHi() {
 // Search compares key against every entry in parallel and returns the
 // lowest matching index. A hit bumps the entry's frequency counter.
 //
-// The software fast path folds the bit-sliced mismatch planes — eight
+// The software model folds the bit-sliced mismatch planes — eight
 // OR-selected words per 64-entry group — and priority-encodes the lowest
 // surviving match line. Group iteration stops at the highest valid index;
-// all of it is pure scan elimination, so the result and the Stats
-// counters — hardware compares every line each search regardless — are
-// identical to SearchNaive.
+// all of it is pure scan elimination, so the result equals a sweep over
+// TEntry.Matches and the Stats counters still count one parallel compare
+// per call, as hardware compares every line each search regardless.
 func (t *TCAM) Search(key uint32) (idx int, ok bool) {
 	t.stats.Searches++
 	for gi := range t.groups {
@@ -421,23 +387,6 @@ func (t *TCAM) Search(key uint32) (idx int, ok bool) {
 			g.miss[7][key>>28&0xF]
 		if match := g.valid &^ miss; match != 0 {
 			i := gi<<groupShift + bits.TrailingZeros64(match)
-			t.freq[i]++
-			t.stats.Hits++
-			return i, true
-		}
-	}
-	return 0, false
-}
-
-// SearchNaive is the reference linear sweep over the precomputed
-// match-line constants, with Search's exact side effects (stats and
-// frequency). It is retained as the differential-test oracle for the
-// bit-sliced fast path and as the bench comparator.
-func (t *TCAM) SearchNaive(key uint32) (idx int, ok bool) {
-	t.stats.Searches++
-	nm, vm := t.nm[:t.hi], t.vm[:t.hi]
-	for i := range nm {
-		if key&nm[i] == vm[i] {
 			t.freq[i]++
 			t.stats.Hits++
 			return i, true

@@ -180,7 +180,7 @@ func genDictSnap(w *bytes.Buffer, r *rng) {
 			fab.Deliver(notifs)
 		}
 		for node := 0; node < 2; node++ {
-			s, ok := compress.AsDictSnapshotter(fab.Codec(node))
+			s, ok := compress.As[compress.DictSnapshotter](fab.Codec(node))
 			if !ok {
 				panic("dict codec does not snapshot")
 			}

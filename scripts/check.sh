@@ -68,12 +68,12 @@ go test -run 'TestStepZeroAllocs' ./internal/noc
 echo '>> alloc budget (serve wire path)'
 go test -run 'TestReadFrameSteadyStateAllocs|TestWireReplaySteadyStateAllocs' ./internal/serve
 
-# Codec encode alloc gates: the scratch encode path every fabric Transfer
-# and serve shard worker rides must stay zero-alloc per block in steady
-# state, and the AVCL per-word mask computation must never allocate (see
-# DESIGN.md §14). Uninstrumented for the same heap-accounting reason.
-echo '>> alloc budget (codec scratch encode)'
-go test -run 'TestScratchZeroAllocs|TestScratchZeroAllocsDict|TestFabricTransferSteadyAllocs' ./internal/compress
+# Codec encode alloc gates: Compress must stay zero-alloc per block in
+# steady state on every scheme, and the AVCL per-word mask computation
+# must never allocate (see DESIGN.md §14). Uninstrumented for the same
+# heap-accounting reason.
+echo '>> alloc budget (codec encode)'
+go test -run 'TestCompressZeroAllocs|TestCompressZeroAllocsDict|TestFabricTransferSteadyAllocs' ./internal/compress
 go test -run 'TestAVCLZeroAllocs' ./internal/approx
 
 echo '>> coverage (per package)'
@@ -102,15 +102,6 @@ done
 if [ "${FUZZ:-0}" = "1" ]; then
     echo '>> fuzz smoke'
     ./scripts/fuzz_smoke.sh
-fi
-
-if [ "${BENCH:-0}" = "1" ]; then
-    # Kernel-only capture (the figure suite is minutes of wall clock):
-    # proves the bench-json pipeline end to end and leaves a comparable
-    # snapshot in /tmp for scripts/bench_compare.sh.
-    echo '>> bench-json capture (kernel benchmarks)'
-    SKIP_FIGURES=1 KERNEL_BENCHTIME=${KERNEL_BENCHTIME:-100x} \
-        ./scripts/bench_json.sh /tmp/approxnoc-bench-check.json
 fi
 
 echo 'check: all green'
