@@ -169,19 +169,26 @@ func TestViewProbeTransitions(t *testing.T) {
 	defer v.Close()
 	v.Join("a", "addr-a", StateJoining)
 
-	waitState := func(want State) {
+	// The prober publishes a transition in two steps, member state and
+	// then the rebuilt ring, so both are polled against the deadline: a
+	// state seen once says nothing yet about the ring.
+	waitFor := func(what string, cond func() bool) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
-		for {
-			st, _ := v.members.State("a")
-			if st == want {
-				return
-			}
+		for !cond() {
 			if time.Now().After(deadline) {
-				t.Fatalf("node a stuck in %v, want %v", st, want)
+				st, _ := v.members.State("a")
+				t.Fatalf("timed out waiting for %s; node a is %v, in ring: %v", what, st, v.Ring().Has("a"))
 			}
 			time.Sleep(time.Millisecond)
 		}
+	}
+	waitState := func(want State) {
+		t.Helper()
+		waitFor(want.String(), func() bool {
+			st, _ := v.members.State("a")
+			return st == want
+		})
 	}
 	// Joining node passes its first probe: healthy.
 	waitState(StateHealthy)
@@ -189,15 +196,11 @@ func TestViewProbeTransitions(t *testing.T) {
 	failing.Store(true)
 	waitState(StateSuspect)
 	waitState(StateDown)
-	if v.Ring().Has("a") {
-		t.Fatal("down node kept ring ownership")
-	}
+	waitFor("the down node to lose ring ownership", func() bool { return !v.Ring().Has("a") })
 	// Recovery: straight back to healthy, ring restored.
 	failing.Store(false)
 	waitState(StateHealthy)
-	if !v.Ring().Has("a") {
-		t.Fatal("recovered node missing from ring")
-	}
+	waitFor("the recovered node to rejoin the ring", func() bool { return v.Ring().Has("a") })
 	if s := v.Stats(); s.Probes == 0 || s.ProbeFailures == 0 {
 		t.Fatalf("probe counters not advancing: %+v", s)
 	}

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"fmt"
 	"testing"
 
 	"approxnoc/internal/compress"
@@ -8,6 +9,43 @@ import (
 	"approxnoc/internal/value"
 	"approxnoc/internal/workload"
 )
+
+// CheckRequestMasks recomputes every router's allocator request masks and
+// active-set counters from the VC state they summarize and reports the
+// first disagreement: a bit set for a slot that is not requesting is a
+// wasted probe at best, a bit missing is a flit that never moves.
+func (n *Network) CheckRequestMasks() error {
+	for _, r := range n.routers {
+		sa, va := make([]uint64, r.ports), make([]uint64, r.ports)
+		var rc uint64
+		flits, routing := 0, 0
+		for slot := range r.in {
+			ivc := &r.in[slot]
+			flits += ivc.count
+			bit := uint64(1) << uint(slot)
+			switch f := ivc.front(); {
+			case ivc.state == vcActive && f != nil:
+				sa[ivc.outPort] |= bit
+			case ivc.state == vcRouting:
+				va[ivc.outPort] |= bit
+				routing++
+			case ivc.state == vcIdle && f != nil && f.IsHead():
+				rc |= bit
+			}
+		}
+		for op := 0; op < r.ports; op++ {
+			if r.saReq[op] != sa[op] || r.vaReq[op] != va[op] {
+				return fmt.Errorf("cycle %d router %d port %d: saReq %#x want %#x, vaReq %#x want %#x",
+					n.Now(), r.id, op, r.saReq[op], sa[op], r.vaReq[op], va[op])
+			}
+		}
+		if r.rcReq != rc || r.flits != flits || r.routing != routing {
+			return fmt.Errorf("cycle %d router %d: rcReq %#x want %#x, flits %d want %d, routing %d want %d",
+				n.Now(), r.id, r.rcReq, rc, r.flits, flits, r.routing, routing)
+		}
+	}
+	return nil
+}
 
 // Conservation: after a drain, every injected flit was ejected, every
 // buffer is empty, and all credits have returned to their initial count.
@@ -31,8 +69,17 @@ func TestFlitAndCreditConservation(t *testing.T) {
 			}
 		}
 		n.Step()
+		if err := n.CheckRequestMasks(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !n.Drain(200000) {
+	for i := 0; i < 200000 && !n.Quiescent(); i++ {
+		n.Step()
+		if err := n.CheckRequestMasks(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !n.Quiescent() {
 		t.Fatalf("drain failed with %d in flight", n.InFlight())
 	}
 	s := n.Stats()
@@ -43,15 +90,14 @@ func TestFlitAndCreditConservation(t *testing.T) {
 		if rt.bufferedFlits() != 0 {
 			t.Fatalf("router %d holds %d flits after drain", ri, rt.bufferedFlits())
 		}
-		for p := range rt.out {
-			for v, ovc := range rt.out[p] {
-				if !ovc.infinite && ovc.credits != n.cfg.BufDepth {
-					t.Fatalf("router %d port %d vc %d has %d credits, want %d",
-						ri, p, v, ovc.credits, n.cfg.BufDepth)
-				}
-				if ovc.owned {
-					t.Fatalf("router %d port %d vc %d still owned after drain", ri, p, v)
-				}
+		for o, ovc := range rt.out {
+			p, v := o/rt.nvc, o%rt.nvc
+			if !ovc.infinite && ovc.credits != n.cfg.BufDepth {
+				t.Fatalf("router %d port %d vc %d has %d credits, want %d",
+					ri, p, v, ovc.credits, n.cfg.BufDepth)
+			}
+			if ovc.owned {
+				t.Fatalf("router %d port %d vc %d still owned after drain", ri, p, v)
 			}
 		}
 	}

@@ -67,7 +67,7 @@ type Network struct {
 	// so it needs no locking and stays deterministic.
 	flitPool []*Flit
 
-	seq          map[uint64]uint64
+	seq          []uint64 // next sequence number per pair, indexed src*tiles+dst
 	nextPacketID uint64
 	inFlight     int
 
@@ -90,10 +90,14 @@ func New(topo *topology.Topology, cfg Config, codecFactory func(node int) compre
 	if topo == nil {
 		return nil, fmt.Errorf("noc: nil topology")
 	}
+	if slots := topo.Ports() * cfg.VCs; slots > maxSlots {
+		return nil, fmt.Errorf("noc: %d ports x %d VCs = %d input VCs per router, more than the %d the allocators support",
+			topo.Ports(), cfg.VCs, slots, maxSlots)
+	}
 	n := &Network{
 		topo: topo,
 		cfg:  cfg,
-		seq:  make(map[uint64]uint64),
+		seq:  make([]uint64, topo.Tiles()*topo.Tiles()),
 	}
 	n.routers = make([]*router, topo.Routers())
 	for i := range n.routers {
@@ -139,7 +143,7 @@ func (n *Network) notifyDelivery(p *Packet, blk *value.Block) {
 }
 
 func (n *Network) newPacket(src, dst int, kind PacketKind, now sim.Cycle) *Packet {
-	key := uint64(src)<<32 | uint64(uint32(dst))
+	key := src*len(n.nis) + dst
 	p := &Packet{
 		ID:        n.nextPacketID,
 		Src:       src,
@@ -203,16 +207,41 @@ func shrinkStaged[T any](s []T, peak int) []T {
 
 // Step advances the simulation one cycle.
 //
-// Routers and NIs are gated on their active-set counters: a stage is only
-// entered when it has work (buffered flits, VCs awaiting allocation,
-// queued packets, pending decodes). The gates skip provable no-ops, so
+// Routers and NIs are gated on their active-set counters and request
+// masks: a stage is only entered when it has work (buffered flits, VCs
+// awaiting allocation or routing, queued packets, pending decodes). The gates skip provable no-ops, so
 // results are bit-identical to an exhaustive sweep, but near-idle cycles
 // — the common case in low-injection sweeps — cost O(active tiles)
 // instead of O(all tiles).
 func (n *Network) Step() {
 	now := n.clock.Now()
+	n.landArrivals(now)
 
-	// Arrivals staged last cycle land first (link/credit delay = 1).
+	// Router pipeline, processed back to front so a flit moves through one
+	// stage per cycle. A router with no buffered flits has nothing to
+	// switch, and routing > 0 or rcReq != 0 requires a buffered head flit.
+	for _, r := range n.routers {
+		if r.flits > 0 {
+			r.stageSA()
+		}
+	}
+	for _, r := range n.routers {
+		if r.routing > 0 {
+			r.stageVA()
+		}
+	}
+	for _, r := range n.routers {
+		if r.rcReq != 0 {
+			r.stageRC()
+		}
+	}
+
+	n.stepNIs(now)
+}
+
+// landArrivals delivers the flits and credits staged last cycle
+// (link/credit delay = 1) and runs the periodic stage-slice shrink check.
+func (n *Network) landArrivals(now sim.Cycle) {
 	if len(n.flitStage) > n.flitPeak {
 		n.flitPeak = len(n.flitStage)
 	}
@@ -224,7 +253,8 @@ func (n *Network) Step() {
 		n.creditPeak = len(n.creditStage)
 	}
 	for _, c := range n.creditStage {
-		n.routers[c.router].out[c.port][c.vc].credits++
+		r := n.routers[c.router]
+		r.out[int(c.port)*r.nvc+c.vc].credits++
 	}
 	n.creditStage = n.creditStage[:0]
 	if len(n.niCreditStage) > n.niCreditPeak {
@@ -241,27 +271,10 @@ func (n *Network) Step() {
 		n.flitPeak, n.creditPeak, n.niCreditPeak = 0, 0, 0
 		n.nextShrink = now + stageShrinkInterval
 	}
+}
 
-	// Router pipeline, processed back to front so a flit moves through one
-	// stage per cycle. A router with no buffered flits has nothing to
-	// switch or route, and routing > 0 requires a buffered head flit.
-	for _, r := range n.routers {
-		if r.flits > 0 {
-			r.stageSA()
-		}
-	}
-	for _, r := range n.routers {
-		if r.routing > 0 {
-			r.stageVA()
-		}
-	}
-	for _, r := range n.routers {
-		if r.flits > 0 {
-			r.stageRC()
-		}
-	}
-
-	// NIs inject and complete decodes.
+// stepNIs injects, completes decodes and ends the cycle.
+func (n *Network) stepNIs(now sim.Cycle) {
 	for _, ni := range n.nis {
 		if ni.cur != nil || len(ni.queue) > ni.qhead {
 			ni.inject(now)

@@ -1,6 +1,8 @@
 package noc
 
 import (
+	"math/bits"
+
 	"approxnoc/internal/compress"
 	"approxnoc/internal/obs"
 	"approxnoc/internal/sim"
@@ -11,6 +13,13 @@ import (
 type delivery struct {
 	p       *Packet
 	readyAt sim.Cycle
+}
+
+// srcFlow is the ejection-side state an NI keeps per source tile.
+type srcFlow struct {
+	expected uint64             // next sequence number
+	reorder  map[uint64]*Packet // ejected ahead of sequence; made on first use
+	q        []delivery         // in-order decode FIFO
 }
 
 // NI is a network interface: it packetizes and compresses departing
@@ -34,12 +43,12 @@ type NI struct {
 	credits []int
 	nextVC  int
 
-	// Ejection side.
-	expected map[int]uint64             // per source: next sequence number
-	reorder  map[int]map[uint64]*Packet // ejected ahead of sequence
-	deliverQ [][]delivery               // per source in-order decode FIFO
-	// pendingDeliveries counts entries across deliverQ so Step can skip
-	// the per-source scan on NIs with nothing to decode.
+	// Ejection side, indexed by source tile. decoding has one bit per
+	// source whose decode FIFO is non-empty, so processDeliveries visits
+	// only those; pendingDeliveries counts the entries across them so Step
+	// can skip NIs with nothing to decode.
+	from              []srcFlow
+	decoding          []uint64
 	pendingDeliveries int
 }
 
@@ -50,9 +59,8 @@ func newNI(net *Network, tile int, codec compress.Codec) *NI {
 		codec:    codec,
 		curVC:    -1,
 		credits:  make([]int, net.cfg.VCs),
-		expected: make(map[int]uint64),
-		reorder:  make(map[int]map[uint64]*Packet),
-		deliverQ: make([][]delivery, net.topo.Tiles()),
+		from:     make([]srcFlow, net.topo.Tiles()),
+		decoding: make([]uint64, (net.topo.Tiles()+63)/64),
 	}
 	for v := range ni.credits {
 		ni.credits[v] = net.cfg.BufDepth
@@ -241,24 +249,26 @@ func (ni *NI) receiveFlit(f *Flit) {
 	now := ni.net.clock.Now()
 	p := f.Packet
 	p.EjectedAt = now
-	src := p.Src
-	if _, ok := ni.reorder[src]; !ok {
-		ni.reorder[src] = make(map[uint64]*Packet)
-	}
-	ni.reorder[src][p.Seq] = p
-	// Release every in-sequence packet into the decode FIFO.
-	for {
-		next, ok := ni.reorder[src][ni.expected[src]]
-		if !ok {
-			break
+	fl := &ni.from[p.Src]
+	if p.Seq != fl.expected {
+		if fl.reorder == nil {
+			fl.reorder = make(map[uint64]*Packet)
 		}
-		delete(ni.reorder[src], ni.expected[src])
-		ni.expected[src]++
-		ni.deliverQ[src] = append(ni.deliverQ[src], delivery{
-			p:       next,
-			readyAt: now + ni.decodeLatency(next),
-		})
+		fl.reorder[p.Seq] = p
+		return
+	}
+	// Release p and every packet it unblocks into the decode FIFO.
+	ni.decoding[p.Src/64] |= 1 << uint(p.Src%64)
+	for {
+		fl.expected++
+		fl.q = append(fl.q, delivery{p: p, readyAt: now + ni.decodeLatency(p)})
 		ni.pendingDeliveries++
+		next, ok := fl.reorder[fl.expected]
+		if !ok {
+			return
+		}
+		delete(fl.reorder, fl.expected)
+		p = next
 	}
 }
 
@@ -276,18 +286,25 @@ func (ni *NI) decodeLatency(p *Packet) sim.Cycle {
 // per-source order. Sources are visited in index order so the simulation
 // stays deterministic.
 func (ni *NI) processDeliveries(now sim.Cycle) {
-	for src := range ni.deliverQ {
-		q := ni.deliverQ[src]
-		n := 0
-		for n < len(q) && q[n].readyAt <= now {
-			ni.deliver(q[n].p, now)
-			n++
-		}
-		if n > 0 {
-			// Compact in place so the backing array is reused instead of
-			// advancing the slice start and reallocating on append.
-			ni.deliverQ[src] = q[:copy(q, q[n:])]
-			ni.pendingDeliveries -= n
+	for w, m := range ni.decoding {
+		for ; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros64(m)
+			fl := &ni.from[w*64+b]
+			q := fl.q
+			n := 0
+			for n < len(q) && q[n].readyAt <= now {
+				ni.deliver(q[n].p, now)
+				n++
+			}
+			if n > 0 {
+				// Compact in place so the backing array is reused instead of
+				// advancing the slice start and reallocating on append.
+				fl.q = q[:copy(q, q[n:])]
+				ni.pendingDeliveries -= n
+				if len(fl.q) == 0 {
+					ni.decoding[w] &^= 1 << uint(b)
+				}
+			}
 		}
 	}
 }
@@ -324,8 +341,8 @@ func (ni *NI) pendingWork() bool {
 	if len(ni.queue) > ni.qhead || ni.cur != nil || ni.pendingDeliveries > 0 {
 		return true
 	}
-	for _, m := range ni.reorder {
-		if len(m) > 0 {
+	for i := range ni.from {
+		if len(ni.from[i].reorder) > 0 {
 			return true
 		}
 	}

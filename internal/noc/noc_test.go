@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"strings"
 	"testing"
 
 	"approxnoc/internal/compress"
@@ -476,6 +477,62 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(nil, DefaultConfig(), func(int) compress.Codec { return compress.NewBaseline() }); err == nil {
 		t.Fatal("accepted nil topology")
+	}
+}
+
+// The allocators keep one request bit per input VC in a machine word:
+// 64 per router is accepted (and stepped against the sweep oracle in
+// router_diff_test.go), 65 and up is refused at construction.
+func TestAllocatorSlotLimit(t *testing.T) {
+	baseline := func(int) compress.Codec { return compress.NewBaseline() }
+	for _, c := range []struct {
+		conc, vcs int
+		ok        bool
+	}{
+		{4, 8, true},   // 8 ports x 8 VCs = 64
+		{1, 12, true},  // 5 x 12 = 60
+		{1, 13, false}, // 5 x 13 = 65
+		{4, 9, false},  // 8 x 9 = 72
+		{2, 16, false}, // 6 x 16 = 96
+	} {
+		topo, err := topology.NewCMesh(2, 2, c.conc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig()
+		cfg.VCs = c.vcs
+		n, err := New(topo, cfg, baseline)
+		if !c.ok {
+			if err == nil || !strings.Contains(err.Error(), "input VCs per router") {
+				t.Errorf("concentration %d, %d VCs: err = %v, want the slot-limit error", c.conc, c.vcs, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("concentration %d, %d VCs refused: %v", c.conc, c.vcs, err)
+			continue
+		}
+		// Enough back-to-back packets per tile that the NI's round-robin
+		// reaches the last VC of the last local port, the top mask bit.
+		sent := 0
+		for i := 0; i < 2*c.vcs; i++ {
+			for src := 0; src < topo.Tiles(); src++ {
+				if dst := (src + 1 + i) % topo.Tiles(); dst != src {
+					n.SendData(src, dst, testBlock())
+					sent++
+				}
+			}
+		}
+		sawTop := false
+		for i := 0; i < 100000 && !n.Quiescent(); i++ {
+			n.Step()
+			for _, r := range n.routers {
+				sawTop = sawTop || r.in[len(r.in)-1].count > 0
+			}
+		}
+		if got := int(n.Stats().PacketsDelivered); got != sent || !sawTop {
+			t.Errorf("concentration %d, %d VCs: delivered %d of %d, top slot used: %v", c.conc, c.vcs, got, sent, sawTop)
+		}
 	}
 }
 

@@ -11,44 +11,63 @@ import (
 // control-packet steady state must drive Step without a single heap
 // allocation. Data packets are exempt (delivery materializes a decoded
 // block for the handler by design); everything on the control path —
-// flits, VC state, staging, credits — must recycle.
+// flits, VC state, request masks, staging, credits — must recycle. The
+// spread burst flows freely; the converging one queues every source
+// behind one ejection port, so the measured cycles arbitrate over full
+// request masks, stalled credits and busy input ports.
 func TestStepZeroAllocs(t *testing.T) {
-	n, err := newBenchNet()
-	if err != nil {
-		t.Fatal(err)
-	}
 	type pair struct{ src, dst int }
-	var pairs []pair
+	var spread, converging []pair
 	for i := 0; i < 24; i++ {
-		pairs = append(pairs, pair{src: i, dst: (i + 9) % 32})
+		spread = append(spread, pair{src: i, dst: (i + 9) % 32})
 	}
-	burst := func() {
-		for _, p := range pairs {
-			if _, err := n.SendControl(p.src, p.dst); err != nil {
+	for round := 0; round < 10; round++ { // 310 flits through one port outlast the window
+		for src := 1; src < 32; src++ {
+			converging = append(converging, pair{src: src, dst: 0})
+		}
+	}
+	for _, tc := range []struct {
+		name      string
+		pairs     []pair
+		contended bool
+	}{{"spread", spread, false}, {"converging", converging, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, err := newBenchNet()
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
-	// Warm up: identical bursts grow the flit pool, stage slices, NI
-	// queues and per-source delivery queues to their steady-state sizes.
-	for i := 0; i < 3; i++ {
-		burst()
-		if !n.Drain(100000) {
-			t.Fatal("warmup burst did not drain")
-		}
-	}
-	// Align just past a shrink boundary so the measured window cannot
-	// contain a stage-slice reallocation.
-	for n.Now()%stageShrinkInterval != 1 {
-		n.Step()
-	}
-	burst()
-	allocs := testing.AllocsPerRun(300, func() { n.Step() })
-	if allocs != 0 {
-		t.Fatalf("Step allocated %.1f times per cycle in control steady state, want 0", allocs)
-	}
-	if !n.Drain(100000) {
-		t.Fatal("measured burst did not drain")
+			burst := func() {
+				for _, p := range tc.pairs {
+					if _, err := n.SendControl(p.src, p.dst); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			// Warm up: identical bursts grow the flit pool, stage slices, NI
+			// queues and per-source delivery queues to their steady-state sizes.
+			for i := 0; i < 3; i++ {
+				burst()
+				if !n.Drain(100000) {
+					t.Fatal("warmup burst did not drain")
+				}
+			}
+			// Align just past a shrink boundary so the measured window cannot
+			// contain a stage-slice reallocation.
+			for n.Now()%stageShrinkInterval != 1 {
+				n.Step()
+			}
+			burst()
+			allocs := testing.AllocsPerRun(300, func() { n.Step() })
+			if allocs != 0 {
+				t.Fatalf("Step allocated %.1f times per cycle in control steady state, want 0", allocs)
+			}
+			if tc.contended && n.Quiescent() {
+				t.Fatal("converging burst drained inside the measured window; it measured idle cycles")
+			}
+			if !n.Drain(100000) {
+				t.Fatal("measured burst did not drain")
+			}
+		})
 	}
 }
 

@@ -1,6 +1,8 @@
 package noc
 
 import (
+	"math/bits"
+
 	"approxnoc/internal/obs"
 	"approxnoc/internal/topology"
 )
@@ -25,9 +27,6 @@ type inputVC struct {
 	state   vcState
 	outPort topology.Direction
 	outVC   int
-	// vaEpoch marks the stageVA pass that granted this VC, replacing the
-	// per-cycle granted map with an allocation-free stamp check.
-	vaEpoch uint64
 }
 
 func (v *inputVC) front() *Flit {
@@ -38,14 +37,20 @@ func (v *inputVC) front() *Flit {
 }
 
 func (v *inputVC) push(f *Flit) {
-	v.buf[(v.head+v.count)%len(v.buf)] = f
+	i := v.head + v.count
+	if i >= len(v.buf) {
+		i -= len(v.buf)
+	}
+	v.buf[i] = f
 	v.count++
 }
 
 func (v *inputVC) pop() *Flit {
 	f := v.buf[v.head]
 	v.buf[v.head] = nil
-	v.head = (v.head + 1) % len(v.buf)
+	if v.head++; v.head == len(v.buf) {
+		v.head = 0
+	}
 	v.count--
 	return f
 }
@@ -60,67 +65,89 @@ type outputVC struct {
 
 func (o *outputVC) hasCredit() bool { return o.infinite || o.credits > 0 }
 
+// maxSlots bounds ports*VCs per router: the allocators keep one request
+// bit per input slot in a single machine word.
+const maxSlots = 64
+
 // router is a canonical three-stage VC router: route computation and VC
 // allocation in stage 1 (consecutive cycles for a given head flit), switch
 // allocation in stage 2, switch + link traversal in stage 3. Per hop a
 // flit therefore spends three cycles uncontended.
 //
-// The router maintains active-set counters (flits, routing) so
-// Network.Step can skip the pipeline stages of quiescent routers entirely
-// — the dominant cost in low-injection sweeps where most of the mesh is
-// idle every cycle. The counters are bookkeeping only: they gate work
-// that would have been a no-op, so arbitration order and simulation
-// results are bit-identical to the exhaustive sweep.
+// Input and output VCs live in flat per-router arrays indexed by
+// slot = port*VCs + vc. The allocators do not scan them: each stage reads
+// a request mask with one bit per input slot, kept exact at the five
+// transitions that change what a slot is waiting for (acceptFlit into an
+// empty buffer, RC, VA grant, SA pop to empty, SA tail pop). Round-robin
+// is "first set bit at or after the pointer", so grant order is the order
+// a slot-by-slot sweep from the pointer would produce.
 type router struct {
 	id    int
 	net   *Network
 	ports int
-	in    [][]*inputVC  // [port][vc]
-	out   [][]*outputVC // [port][vc]
-	saRR  []int         // per output port: round-robin pointer over input (port*VCs+vc)
-	vaRR  [][]int       // per output port, per VC: round-robin pointer over inputs
-	// saInputBusy marks input ports that already sent a flit this cycle
-	// (one crossbar input per port per cycle).
-	saInputBusy []bool
+	nvc   int
+	in    []inputVC  // [slot]
+	out   []outputVC // [slot]
+	saRR  []int      // per output port: round-robin pointer over input slots
+	vaRR  []int      // per output slot: round-robin pointer over input slots
 
-	// Active-set counters. A VC can only hold the vcRouting state while
-	// it has a buffered head flit, so routing > 0 implies flits > 0.
+	saReq []uint64 // per output port: vcActive, non-empty slots routed to it
+	vaReq []uint64 // per output port: vcRouting slots routed to it
+	rcReq uint64   // vcIdle slots with a head flit at the front
+
+	// Active-set counters gating the stages in Network.Step. A VC can only
+	// hold the vcRouting state while it has a buffered head flit, so
+	// routing > 0 implies flits > 0.
 	flits   int // flits resident in input buffers
-	routing int // input VCs in the vcRouting state
-
-	vaEpoch uint64 // stamp for the current stageVA pass
+	routing int // input VCs in the vcRouting state (bits set across vaReq)
 }
 
 func newRouter(id int, net *Network) *router {
-	ports := net.topo.Ports()
+	ports, nvc, depth := net.topo.Ports(), net.cfg.VCs, net.cfg.BufDepth
+	slots := ports * nvc
 	r := &router{
-		id:          id,
-		net:         net,
-		ports:       ports,
-		in:          make([][]*inputVC, ports),
-		out:         make([][]*outputVC, ports),
-		saRR:        make([]int, ports),
-		vaRR:        make([][]int, ports),
-		saInputBusy: make([]bool, ports),
+		id:    id,
+		net:   net,
+		ports: ports,
+		nvc:   nvc,
+		in:    make([]inputVC, slots),
+		out:   make([]outputVC, slots),
+		saRR:  make([]int, ports),
+		vaRR:  make([]int, slots),
+		saReq: make([]uint64, ports),
+		vaReq: make([]uint64, ports),
 	}
-	for p := 0; p < ports; p++ {
-		r.in[p] = make([]*inputVC, net.cfg.VCs)
-		r.out[p] = make([]*outputVC, net.cfg.VCs)
-		r.vaRR[p] = make([]int, net.cfg.VCs)
-		isEjection := topology.Direction(p) >= topology.Local
-		for v := 0; v < net.cfg.VCs; v++ {
-			r.in[p][v] = &inputVC{buf: make([]*Flit, net.cfg.BufDepth)}
-			r.out[p][v] = &outputVC{credits: net.cfg.BufDepth, infinite: isEjection}
-		}
+	bufs := make([]*Flit, slots*depth)
+	for s := range r.in {
+		r.in[s].buf = bufs[s*depth : (s+1)*depth : (s+1)*depth]
+		r.out[s] = outputVC{credits: depth, infinite: topology.Direction(s/nvc) >= topology.Local}
 	}
 	return r
 }
 
+// firstFrom returns the lowest set bit of m at or after start, wrapping to
+// the lowest set bit overall; m must be non-zero.
+func firstFrom(m uint64, start int) int {
+	if hi := m >> uint(start) << uint(start); hi != 0 {
+		return bits.TrailingZeros64(hi)
+	}
+	return bits.TrailingZeros64(m)
+}
+
 // acceptFlit places an arriving flit into an input buffer (buffer write).
 func (r *router) acceptFlit(port topology.Direction, vc int, f *Flit) {
-	ivc := r.in[port][vc]
-	if ivc.count >= r.net.cfg.BufDepth {
+	slot := int(port)*r.nvc + vc
+	ivc := &r.in[slot]
+	if ivc.count >= len(ivc.buf) {
 		panic("noc: input buffer overflow — credit protocol violated")
+	}
+	if ivc.count == 0 {
+		switch {
+		case ivc.state == vcActive:
+			r.saReq[ivc.outPort] |= 1 << uint(slot)
+		case ivc.state == vcIdle && f.IsHead():
+			r.rcReq |= 1 << uint(slot)
+		}
 	}
 	ivc.push(f)
 	r.flits++
@@ -128,45 +155,39 @@ func (r *router) acceptFlit(port topology.Direction, vc int, f *Flit) {
 }
 
 // stageSA performs switch allocation and traversal: one flit per output
-// port and per input port per cycle.
+// port and per input port per cycle. Credit and the input-port-busy mask
+// are checked at grant time, in round-robin order from the pointer.
 func (r *router) stageSA() {
-	for p := range r.saInputBusy {
-		r.saInputBusy[p] = false
-	}
-	nvc := r.net.cfg.VCs
-	total := r.ports * nvc
-	for op := 0; op < r.ports; op++ {
-		if r.flits == 0 {
-			return // every buffered flit already granted this cycle
-		}
-		start := r.saRR[op]
-		for k := 0; k < total; k++ {
-			slot := (start + k) % total
-			ip, iv := slot/nvc, slot%nvc
-			if r.saInputBusy[ip] {
-				continue
-			}
-			ivc := r.in[ip][iv]
-			f := ivc.front()
-			if f == nil || ivc.state != vcActive || int(ivc.outPort) != op {
-				continue
-			}
-			ovc := r.out[op][ivc.outVC]
+	var busy uint64 // slots of input ports that already sent a flit this cycle
+	for op := 0; op < r.ports && r.flits > 0; op++ {
+		for cand := r.saReq[op] &^ busy; cand != 0; {
+			slot := firstFrom(cand, r.saRR[op])
+			bit := uint64(1) << uint(slot)
+			ivc := &r.in[slot]
+			ovc := &r.out[op*r.nvc+ivc.outVC]
 			if !ovc.hasCredit() {
+				cand &^= bit
 				continue
 			}
 			// Grant: pop and traverse.
-			ivc.pop()
+			f := ivc.pop()
 			r.flits--
-			r.saInputBusy[ip] = true
-			r.saRR[op] = (slot + 1) % total
+			ip := slot / r.nvc
+			busy |= (1<<uint(r.nvc) - 1) << uint(ip*r.nvc) // the whole input port
+			r.saRR[op] = (slot + 1) % len(r.in)
 			r.net.power.BufferReads++
 			r.net.power.XbarTraversals++
 			r.net.power.SwitchAllocs++
-			r.forward(topology.Direction(ip), iv, topology.Direction(op), ivc.outVC, f)
+			r.forward(topology.Direction(ip), slot-ip*r.nvc, topology.Direction(op), ivc.outVC, f)
 			if f.IsTail() {
 				ovc.owned = false
 				ivc.state = vcIdle
+				r.saReq[op] &^= bit
+				if next := ivc.front(); next != nil && next.IsHead() {
+					r.rcReq |= bit
+				}
+			} else if ivc.count == 0 {
+				r.saReq[op] &^= bit
 			}
 			break // one flit per output port per cycle
 		}
@@ -194,70 +215,55 @@ func (r *router) forward(ip topology.Direction, iv int, op topology.Direction, o
 	if !ok {
 		panic("noc: route led off the mesh")
 	}
-	r.out[op][ov].credits--
+	r.out[int(op)*r.nvc+ov].credits--
 	net.power.LinkTraversals++
 	net.stageFlit(next, op.Opposite(), ov, f)
 }
 
 // stageVA allocates free output VCs to input VCs in the routing state,
-// separable with per-(port,vc) round-robin priority. Grant bookkeeping
-// uses an epoch stamp on the input VC instead of a per-cycle map, and the
-// pass ends as soon as every routing VC has been granted.
+// separable with per-(port,vc) round-robin priority: output ports and
+// output VCs ascending, each free one taking the first requester at or
+// after its pointer. A granted slot leaves vaReq, so it cannot win twice.
 func (r *router) stageVA() {
-	nvc := r.net.cfg.VCs
-	r.vaEpoch++
-	granted := 0
-	want := r.routing
-	for op := 0; op < r.ports && granted < want; op++ {
-		for ov := 0; ov < nvc && granted < want; ov++ {
-			ovc := r.out[op][ov]
+	for op := 0; op < r.ports && r.routing > 0; op++ {
+		req := r.vaReq[op]
+		for ov := 0; ov < r.nvc && req != 0; ov++ {
+			o := op*r.nvc + ov
+			ovc := &r.out[o]
 			if ovc.owned {
 				continue
 			}
-			start := r.vaRR[op][ov]
-			total := r.ports * nvc
-			for k := 0; k < total; k++ {
-				slot := (start + k) % total
-				ip, iv := slot/nvc, slot%nvc
-				ivc := r.in[ip][iv]
-				if ivc.state != vcRouting || int(ivc.outPort) != op || ivc.vaEpoch == r.vaEpoch {
-					continue
-				}
-				ivc.outVC = ov
-				ivc.state = vcActive
-				r.routing--
-				ovc.owned = true
-				ivc.vaEpoch = r.vaEpoch
-				granted++
-				r.vaRR[op][ov] = (slot + 1) % total
-				r.net.power.VCAllocs++
-				if r.net.tracer != nil {
-					r.net.trace(obs.EvVCAlloc, r.id, ivc.front().Packet.ID, uint64(op)<<8|uint64(ov))
-				}
-				break
+			slot := firstFrom(req, r.vaRR[o])
+			bit := uint64(1) << uint(slot)
+			ivc := &r.in[slot]
+			ivc.outVC = ov
+			ivc.state = vcActive
+			r.routing--
+			ovc.owned = true
+			req &^= bit
+			r.saReq[op] |= bit // the head flit is still at the front
+			r.vaRR[o] = (slot + 1) % len(r.in)
+			r.net.power.VCAllocs++
+			if r.net.tracer != nil {
+				r.net.trace(obs.EvVCAlloc, r.id, ivc.front().Packet.ID, uint64(op)<<8|uint64(ov))
 			}
 		}
+		r.vaReq[op] = req
 	}
 }
 
 // stageRC computes the output port for head flits at the front of idle
 // input VCs.
 func (r *router) stageRC() {
-	for ip := 0; ip < r.ports; ip++ {
-		for iv := 0; iv < r.net.cfg.VCs; iv++ {
-			ivc := r.in[ip][iv]
-			if ivc.state != vcIdle {
-				continue
-			}
-			f := ivc.front()
-			if f == nil || !f.IsHead() {
-				continue
-			}
-			ivc.outPort = r.net.topo.Route(r.id, f.Packet.Dst)
-			ivc.state = vcRouting
-			r.routing++
-		}
+	for m := r.rcReq; m != 0; m &= m - 1 {
+		slot := bits.TrailingZeros64(m)
+		ivc := &r.in[slot]
+		ivc.outPort = r.net.topo.Route(r.id, ivc.front().Packet.Dst)
+		ivc.state = vcRouting
+		r.routing++
+		r.vaReq[ivc.outPort] |= 1 << uint(slot)
 	}
+	r.rcReq = 0
 }
 
 // bufferedFlits counts flits resident in the router, for drain detection.

@@ -55,10 +55,14 @@ go test -race -run 'TestMapJobs|TestDriversParallelEquivalence' -short ./interna
 echo '>> go test -race (cluster failover)'
 go test -race ./internal/cluster
 
-# Alloc-budget gate: the simulator hot path must stay allocation-free in
-# a control-packet steady state (see DESIGN.md §9).
-echo '>> alloc budget (TestStepZeroAllocs)'
-go test -run 'TestStepZeroAllocs' ./internal/noc
+# Simulator cycle-kernel gates, uninstrumented: the hot path must stay
+# allocation-free in a control-packet steady state, free-flowing and
+# under arbitration, and the request-mask allocators must match the
+# exhaustive-sweep oracle on the full VCs x concentration x pattern x
+# load grid (the -race -short pass above runs a reduced grid; see
+# DESIGN.md §9).
+echo '>> cycle kernel (TestStepZeroAllocs, TestAllocatorsMatchNaiveSweep)'
+go test -run 'TestStepZeroAllocs|TestAllocatorsMatchNaiveSweep' ./internal/noc
 
 # Wire-path alloc gates: a 10k-frame replay must reuse one read buffer
 # per connection, and the end-to-end pipelined serve path must stay
