@@ -6,8 +6,10 @@
 # per-target budget.
 # `make obs-demo` boots a live gateway with the debug endpoint, scrapes
 # /metrics and /trace over HTTP, and fails unless the scrape parses.
+# `make loc` prints non-test Go lines per package and in total,
+# benchmark/ excluded (scripts/loc.sh <rev> counts a commit).
 
-.PHONY: check test build bench fuzz-smoke obs-demo
+.PHONY: check test build bench fuzz-smoke obs-demo loc
 
 check:
 	FUZZ=$(FUZZ) ./scripts/check.sh
@@ -17,6 +19,9 @@ obs-demo:
 
 fuzz-smoke:
 	./scripts/fuzz_smoke.sh
+
+loc:
+	./scripts/loc.sh
 
 build:
 	go build ./...

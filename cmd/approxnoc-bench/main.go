@@ -353,7 +353,10 @@ func clusterGrid() ([]clusterRow, error) {
 						View: cluster.ViewConfig{HeartbeatEvery: -1},
 					},
 					cluster.ClientConfig{OverloadBackoff: -1},
-					cluster.Loadgen{Nodes: nodes, Conns: conns, Depth: depth, Words: 16, Records: clusterGridRecords},
+					cluster.Loadgen{
+						Loadgen: serve.Loadgen{Conns: conns, Depth: depth, Words: 16, Records: clusterGridRecords},
+						Nodes:   nodes,
+					},
 				)
 				if err != nil {
 					return nil, fmt.Errorf("cluster grid nodes=%d conns=%d depth=%d: %w", nodes, conns, depth, err)

@@ -107,24 +107,15 @@ func run(o options, out io.Writer, ready chan<- string) error {
 	}
 	vcfg := cluster.ViewConfig{VNodes: o.vnodes, HeartbeatEvery: o.heartbeat}
 	lg := cluster.Loadgen{
-		Nodes: o.nodes, Conns: o.conns, Depth: o.depth,
-		Words: o.words, Records: o.records, Endpoints: o.endpoints,
-		Tenant: o.tenant,
+		Loadgen: serve.Loadgen{
+			Conns: o.conns, Depth: o.depth, Words: o.words, Records: o.records,
+			Tenant: o.tenant,
+		},
+		Nodes: o.nodes, Endpoints: o.endpoints,
 	}
-	var qcfg *qos.Config
-	if o.qos || o.budgets != "" {
-		qcfg = &qos.Config{
-			Controller: qos.ControllerConfig{BaselinePct: o.threshold, MaxPct: o.qosMax},
-			Interval:   100 * time.Millisecond,
-		}
-		if !o.qos && o.qosMax == 0 {
-			qcfg.Controller.MaxPct = -1 // budgets only: pin the cap at the baseline
-		}
-		b, err := qos.ParseBudgets(o.budgets)
-		if err != nil {
-			return err
-		}
-		qcfg.Budgets = b
+	qcfg, err := qos.ParseFlags(o.qos, o.qosMax, o.threshold, 100*time.Millisecond, o.budgets)
+	if err != nil {
+		return err
 	}
 
 	// Remote modes: the view mirrors nodes someone else runs.

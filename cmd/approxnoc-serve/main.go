@@ -15,13 +15,11 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"os"
-	"runtime"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"approxnoc/internal/cluster"
@@ -34,9 +32,6 @@ import (
 	"approxnoc/internal/value"
 	"approxnoc/internal/workload"
 )
-
-// listenLoopback binds the selftest server to an ephemeral loopback port.
-func listenLoopback() (net.Listener, error) { return net.Listen("tcp", "127.0.0.1:0") }
 
 func main() {
 	addr := flag.String("addr", ":9444", "TCP listen address")
@@ -76,7 +71,7 @@ func main() {
 	}
 	scheme, err := compress.ParseScheme(*schemeName)
 	if err == nil {
-		cfg.QoS, err = qosConfig(*qosOn, *qosMax, *threshold, *qosInterval, *budgets)
+		cfg.QoS, err = qos.ParseFlags(*qosOn, *qosMax, *threshold, *qosInterval, *budgets)
 	}
 	if err == nil {
 		cfg.Scheme = scheme
@@ -95,29 +90,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "approxnoc-serve:", err)
 		os.Exit(1)
 	}
-}
-
-// qosConfig assembles the gateway QoS configuration from the -qos,
-// -qos-max, -qos-interval, and -budgets flags; nil when QoS is off.
-// -budgets without -qos enforces budgets with the threshold pinned at
-// the configured baseline (no controller movement, any scheme works).
-func qosConfig(on bool, maxPct, baselinePct int, interval time.Duration, budgetSpec string) (*qos.Config, error) {
-	if !on && budgetSpec == "" {
-		return nil, nil
-	}
-	q := &qos.Config{
-		Controller: qos.ControllerConfig{BaselinePct: baselinePct, MaxPct: maxPct},
-		Interval:   interval,
-	}
-	if !on && maxPct == 0 {
-		q.Controller.MaxPct = -1 // budgets only: pin the cap at the baseline
-	}
-	b, err := qos.ParseBudgets(budgetSpec)
-	if err != nil {
-		return nil, err
-	}
-	q.Budgets = b
-	return q, nil
 }
 
 // runServer serves the gateway until the listener fails (e.g. the
@@ -300,94 +272,64 @@ func runSelftest(cfg serve.Config, benchmark, traceFile string, records, clients
 		thr = float64(cfg.ThresholdPct) / 100
 	}
 
-	gw, err := serve.New(cfg)
+	// Lock-step clients (depth 1): each waits for its reply the way a
+	// tile's NI does. Client c replays records c, c+clients, ...; the tag
+	// carries the record index to the check.
+	rig, err := serve.NewLoadgenRig(cfg, serve.Loadgen{Conns: clients})
 	if err != nil {
 		return err
 	}
-	defer gw.Close()
-	srv := serve.NewServer(gw)
-	ln, err := listenLoopback()
+	// honoured reports whether one delivered block keeps the contract.
+	honoured := func(req serve.Request, res serve.Result) bool {
+		if thr == 0 && !res.Block.Equal(want[req.Tag]) {
+			return false // diverges from the serial path
+		}
+		if !req.Block.Approximable && !res.Block.Equal(req.Block) {
+			return false // non-approximable block altered
+		}
+		for w := range req.Block.Words {
+			if value.RelError(req.Block.Words[w], res.Block.Words[w], req.Block.DType) > thr+1e-9 {
+				return false // word error exceeds threshold
+			}
+		}
+		return true
+	}
+	var bad atomic.Int64
+	_, err = rig.Replay(len(data),
+		func(conn, seq int) serve.Request {
+			i := conn + seq*clients
+			return serve.Request{
+				Src: data[i].Src, Dst: data[i].Dst, Block: data[i].Block,
+				ThresholdPct: serve.DefaultThreshold, Tag: uint64(i),
+			}
+		},
+		func(req serve.Request, res serve.Result) {
+			if !honoured(req, res) {
+				bad.Add(1)
+			}
+		})
+	gw := rig.Gateway()
+	m, cs := gw.Metrics(), gw.CodecStats()
+	if cerr := rig.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		return err
 	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-	defer srv.Close()
-	addr := ln.Addr().String()
 
-	var wg sync.WaitGroup
-	errs := make(chan error, clients)
-	var mismatches sync.Map
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			cl, err := serve.Dial(addr)
-			if err != nil {
-				errs <- fmt.Errorf("client %d: %w", c, err)
-				return
-			}
-			defer cl.Close()
-			for i := c; i < len(data); i += clients {
-				r := data[i]
-				var res serve.Result
-				for {
-					res, err = cl.Do(serve.Request{
-						Src: r.Src, Dst: r.Dst, Block: r.Block,
-						ThresholdPct: serve.DefaultThreshold,
-					})
-					if errors.Is(err, serve.ErrOverloaded) {
-						runtime.Gosched()
-						continue
-					}
-					if err != nil {
-						errs <- fmt.Errorf("client %d record %d: %w", c, i, err)
-						return
-					}
-					break
-				}
-				if thr == 0 && !res.Block.Equal(want[i]) {
-					mismatches.Store(i, "diverges from serial path")
-					continue
-				}
-				if !r.Block.Approximable && !res.Block.Equal(r.Block) {
-					mismatches.Store(i, "non-approximable block altered")
-					continue
-				}
-				for w := range r.Block.Words {
-					if value.RelError(r.Block.Words[w], res.Block.Words[w], r.Block.DType) > thr+1e-9 {
-						mismatches.Store(i, "word error exceeds threshold")
-						break
-					}
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		return err
-	}
-	bad := 0
-	mismatches.Range(func(k, v any) bool { bad++; return true })
-
-	m := gw.Metrics()
-	cs := gw.CodecStats()
 	fmt.Printf("selftest            %v, %d nodes, %d shards, threshold %d%%\n",
 		gw.Config().Scheme, gw.Config().Nodes, gw.Config().Shards, gw.Config().ThresholdPct)
 	fmt.Printf("replayed            %d data records via %d TCP clients\n", len(data), clients)
 	fmt.Println(m)
 	fmt.Printf("codec               ratio %.3f  encoded %.3f (approx %.3f)  quality %.4f\n",
 		cs.CompressionRatio(), cs.EncodedWordFraction(), cs.ApproxWordFraction(), cs.DataQuality())
-	if bad > 0 {
-		return fmt.Errorf("%d of %d blocks failed verification", bad, len(data))
+	if n := bad.Load(); n > 0 {
+		return fmt.Errorf("%d of %d blocks failed verification", n, len(data))
 	}
 	if thr == 0 {
 		fmt.Println("verify              gateway results bit-identical to the serial fabric path")
 	} else {
 		fmt.Printf("verify              every word within the %d%% error threshold\n", cfg.ThresholdPct)
 	}
-	srv.Close()
-	gw.Close()
-	return <-serveErr
+	return nil
 }

@@ -2,10 +2,8 @@ package main
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
 	"strings"
 
 	"approxnoc/internal/obs"
@@ -13,8 +11,9 @@ import (
 )
 
 // runObsDemo boots a gateway with the obs debug endpoint, drives a short
-// workload through it in-process, scrapes /metrics and /trace over real
-// HTTP, and fails unless the scrape parses and reflects the traffic. It
+// workload through it over one loopback connection, scrapes /metrics and
+// /trace over real HTTP, and fails unless the scrape parses and reflects
+// the traffic. It
 // is the `make obs-demo` entry point and doubles as an end-to-end check
 // that a live gateway can be watched.
 func runObsDemo(cfg serve.Config, benchmark string, records int, seed uint64, debugAddr string) error {
@@ -25,12 +24,12 @@ func runObsDemo(cfg serve.Config, benchmark string, records int, seed uint64, de
 	tracer := obs.NewTracer(16, 4096)
 	cfg.Tracer = tracer
 
-	gw, err := serve.New(cfg)
+	rig, err := serve.NewLoadgenRig(cfg, serve.Loadgen{})
 	if err != nil {
 		return err
 	}
-	defer gw.Close()
-	gw.RegisterMetrics(reg)
+	defer rig.Close()
+	rig.Gateway().RegisterMetrics(reg)
 	tracer.RegisterMetrics(reg)
 
 	dbg, err := obs.StartDebugServer(debugAddr, reg, tracer)
@@ -44,23 +43,12 @@ func runObsDemo(cfg serve.Config, benchmark string, records int, seed uint64, de
 	if err != nil {
 		return err
 	}
-	done := 0
-	for _, r := range recs {
-		if !r.IsData {
-			continue
-		}
-		for {
-			_, err := gw.Do(serve.Request{Src: r.Src, Dst: r.Dst, Block: r.Block})
-			if errors.Is(err, serve.ErrOverloaded) {
-				runtime.Gosched()
-				continue
-			}
-			if err != nil {
-				return fmt.Errorf("obs-demo transfer: %w", err)
-			}
-			break
-		}
-		done++
+	// selftestRecords without a trace file yields data records only.
+	done := len(recs)
+	if _, err := rig.Replay(done, func(_, seq int) serve.Request {
+		return serve.Request{Src: recs[seq].Src, Dst: recs[seq].Dst, Block: recs[seq].Block}
+	}, nil); err != nil {
+		return fmt.Errorf("obs-demo transfer: %w", err)
 	}
 
 	resp, err := http.Get(fmt.Sprintf("http://%s/metrics", dbg.Addr()))

@@ -83,6 +83,9 @@ type Call struct {
 	tried []string // nodes that already failed this call
 }
 
+// Outcome implements serve.Settled.
+func (cc *Call) Outcome() (serve.Request, serve.Result, error) { return cc.Req, cc.Res, cc.Err }
+
 // deliver completes the call without blocking the delivering goroutine.
 func (cc *Call) deliver() {
 	select {

@@ -46,7 +46,7 @@ func BenchmarkCluster(b *testing.B) {
 					// stay coherent, so overload waste is measured rather
 					// than smoothed away by pacing.
 					cluster.ClientConfig{OverloadBackoff: -1},
-					cluster.Loadgen{Nodes: nodes, Conns: 4, Depth: depth, Words: 16},
+					cluster.Loadgen{Loadgen: serve.Loadgen{Conns: 4, Depth: depth, Words: 16}, Nodes: nodes},
 				)
 				if err != nil {
 					b.Fatal(err)

@@ -356,7 +356,7 @@ func TestClusterLoadgenSmoke(t *testing.T) {
 	res, err := cluster.RunLoopback(
 		testClusterConfig(2),
 		cluster.ClientConfig{},
-		cluster.Loadgen{Nodes: 2, Conns: 2, Depth: 8, Words: 16, Records: 400},
+		cluster.Loadgen{Loadgen: serve.Loadgen{Conns: 2, Depth: 8, Words: 16, Records: 400}, Nodes: 2},
 	)
 	if err != nil {
 		t.Fatal(err)

@@ -1,104 +1,44 @@
 package cluster
 
-import (
-	"errors"
-	"fmt"
-	"sync"
-	"time"
-
-	"approxnoc/internal/serve"
-	"approxnoc/internal/value"
-)
+import "approxnoc/internal/serve"
 
 // Loadgen parameterizes a loopback throughput measurement of the
-// cluster path: Nodes in-process gateway nodes, driven by Conns
-// cluster clients each keeping Depth calls in flight, moving
-// Words-word blocks. It is the serve.Loadgen shape lifted one layer
-// up: a "connection" here is a cluster client owning one pipelined
-// stream per node it routes to.
+// cluster path: the serve load shape, where a "connection" is a cluster
+// client owning one pipelined stream per node it routes to, plus the
+// cluster's own two knobs.
 type Loadgen struct {
+	serve.Loadgen
 	// Nodes is the cluster size (0 means 1).
 	Nodes int
-	// Conns is the number of concurrent cluster clients (0 means 1).
-	Conns int
-	// Depth is the in-flight call bound per client (0 means 1).
-	Depth int
-	// Words is the block payload size in 32-bit words (0 means 16).
-	Words int
-	// Records is the total number of requests to move summed over all
-	// clients, not per client: Run splits it evenly across Conns,
-	// spreading any remainder (0 means 10000).
-	Records int
 	// Endpoints is the logical endpoint space the generated flows walk
 	// (0 means the per-node gateway's Nodes for an in-process rig, 64
 	// for a view rig).
 	Endpoints int
-	// Tenant stamps every generated request with a QoS tenant name, so
-	// the replay spends that tenant's error budget ("" means unbudgeted).
-	Tenant string
-	// ThresholdPct is the per-request threshold override applied to
-	// every generated request (serve.DefaultThreshold uses the target
-	// gateway's, possibly QoS-raised, default).
-	ThresholdPct int
 }
 
-// withDefaults fills zero knobs and validates the load shape.
-func (lg Loadgen) withDefaults() (Loadgen, error) {
-	if lg.Nodes == 0 {
-		lg.Nodes = 1
-	}
-	if lg.Conns == 0 {
-		lg.Conns = 1
-	}
-	if lg.Depth == 0 {
-		lg.Depth = 1
-	}
-	if lg.Words == 0 {
-		lg.Words = 16
-	}
-	if lg.Records == 0 {
-		lg.Records = 10000
-	}
-	if lg.Nodes < 0 || lg.Conns < 0 || lg.Depth < 0 || lg.Words < 0 || lg.Records < 0 {
-		return lg, fmt.Errorf("cluster: loadgen knobs must be positive: %+v", lg)
-	}
-	if lg.Words > serve.MaxBlockWords {
-		return lg, fmt.Errorf("cluster: loadgen words %d exceeds wire limit %d", lg.Words, serve.MaxBlockWords)
-	}
-	return lg, nil
-}
-
-// LoadgenResult is one cluster loopback throughput measurement.
+// LoadgenResult is one cluster throughput measurement: the serve
+// measurement plus what the view counted.
 type LoadgenResult struct {
-	// Records is the number of requests completed; OverloadRetries and
-	// Failovers count the cluster client's re-issues on top of them.
-	// BudgetRefused counts records answered with ErrBudgetExhausted —
-	// settled, not retried.
-	Records         int
-	BudgetRefused   int
-	OverloadRetries uint64
-	Failovers       uint64
-	// Elapsed is the wall time of the replay (setup excluded).
-	Elapsed time.Duration
-	// RecordsPerSec is the headline throughput.
-	RecordsPerSec float64
-	// PayloadMBPerSec is uncompressed block payload moved per second.
-	PayloadMBPerSec float64
+	// Retries here counts the driver's re-issues of an ErrOverloaded the
+	// cluster client surfaced — zero unless ClientConfig.OverloadRetries
+	// bounds the client's own retrying.
+	serve.LoadgenResult
+	// OverloadRetries and Failovers count the cluster clients' own
+	// re-issues during the replay.
+	OverloadRetries, Failovers uint64
 	// PerNode is each node's routed-request count after the replay —
 	// the ring's balance, measured.
 	PerNode map[string]uint64
 }
 
-// LoadgenRig is a ready-to-drive cluster load rig: a view, Conns
-// cluster clients over it, and (for the in-process form) the cluster
-// itself — built once so benchmark iterations measure only the replay.
+// LoadgenRig is a ready-to-drive cluster load rig: the serve rig over
+// Conns cluster clients sharing a view, and (for the in-process form)
+// the cluster itself — built once so benchmark iterations measure only
+// the replay.
 type LoadgenRig struct {
-	lg        Loadgen
-	view      *View
-	cluster   *Cluster // owned in-process cluster, nil for a view rig
-	clients   []*Client
-	blocks    []*value.Block
-	endpoints int
+	*serve.Rig[*Call, *Client]
+	view    *View
+	cluster *Cluster // owned in-process cluster, nil for a view rig
 }
 
 // NewLoadgenRig launches lg.Nodes gateway nodes from cfg and builds
@@ -106,11 +46,10 @@ type LoadgenRig struct {
 // clients' retry policy; clcfg.MaxInflight bounds each node server's
 // pipeline. Close tears all of it down.
 func NewLoadgenRig(clcfg Config, ccfg ClientConfig, lg Loadgen) (*LoadgenRig, error) {
-	lg, err := lg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
 	clcfg.Nodes = lg.Nodes
+	if clcfg.Nodes == 0 {
+		clcfg.Nodes = 1
+	}
 	if clcfg.View.HeartbeatEvery == 0 {
 		// The rig's membership is static; probing adds only noise to the
 		// measurement.
@@ -120,11 +59,14 @@ func NewLoadgenRig(clcfg Config, ccfg ClientConfig, lg Loadgen) (*LoadgenRig, er
 	if err != nil {
 		return nil, err
 	}
-	endpoints := lg.Endpoints
-	if endpoints == 0 {
-		endpoints = clcfg.Serve.Nodes
+	if lg.Endpoints == 0 {
+		lg.Endpoints = clcfg.Serve.Nodes
 	}
-	rig := newRig(cl.View(), ccfg, lg, endpoints)
+	rig, err := NewViewLoadgenRig(cl.View(), ccfg, lg)
+	if err != nil {
+		cl.Close()
+		return nil, err
+	}
 	rig.cluster = cl
 	return rig, nil
 }
@@ -133,112 +75,36 @@ func NewLoadgenRig(clcfg Config, ccfg ClientConfig, lg Loadgen) (*LoadgenRig, er
 // someone else runs (approxnoc-cluster -peers / -seed drive this). The
 // rig owns its clients but not the view; lg.Nodes is ignored.
 func NewViewLoadgenRig(v *View, ccfg ClientConfig, lg Loadgen) (*LoadgenRig, error) {
-	lg, err := lg.withDefaults()
+	if lg.Endpoints == 0 {
+		lg.Endpoints = 64
+	}
+	rig, err := serve.NewRig(lg.Loadgen, lg.Endpoints, func() (*Client, error) { return NewClient(v, ccfg), nil })
 	if err != nil {
 		return nil, err
 	}
-	endpoints := lg.Endpoints
-	if endpoints == 0 {
-		endpoints = 64
-	}
-	return newRig(v, ccfg, lg, endpoints), nil
-}
-
-func newRig(v *View, ccfg ClientConfig, lg Loadgen, endpoints int) *LoadgenRig {
-	rig := &LoadgenRig{lg: lg, view: v, endpoints: endpoints}
-	for i := 0; i < lg.Conns; i++ {
-		rig.clients = append(rig.clients, NewClient(v, ccfg))
-	}
-	// The serve loadgen's deterministic block spread: enough variety to
-	// keep dictionary codecs honest, reused so generation cost never
-	// lands in the measured window.
-	rig.blocks = make([]*value.Block, 64)
-	for i := range rig.blocks {
-		blk := value.NewBlock(lg.Words, value.Int32, true)
-		for w := range blk.Words {
-			blk.Words[w] = uint32(i*2654435761 + w*40503)
-		}
-		rig.blocks[i] = blk
-	}
-	return rig
+	return &LoadgenRig{Rig: rig, view: v}, nil
 }
 
 // Cluster returns the rig's owned in-process cluster (tests kill or
 // drain nodes through it mid-replay); nil for a view rig.
 func (r *LoadgenRig) Cluster() *Cluster { return r.cluster }
 
-// Run replays records requests through the cluster, Depth in flight
-// per client, and returns the measurement. Overload and failover
+// Run replays records generated requests through the cluster (0 means
+// lg.Records) and returns the measurement. Overload and failover
 // retries happen inside the cluster client; a record counts once it
-// completes. records 0 means lg.Records.
+// completes.
 func (r *LoadgenRig) Run(records int) (LoadgenResult, error) {
-	if records <= 0 {
-		records = r.lg.Records
-	}
 	before := r.view.Stats()
-	var wg sync.WaitGroup
-	errs := make(chan error, len(r.clients))
-	refused := make([]int, len(r.clients))
-	start := time.Now()
-	for c, cl := range r.clients {
-		per := records / len(r.clients)
-		if c < records%len(r.clients) {
-			per++
-		}
-		if per == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(c int, cl *Client, per int) {
-			defer wg.Done()
-			done := make(chan *Call, r.lg.Depth)
-			outstanding, sent := 0, 0
-			for sent < per || outstanding > 0 {
-				for outstanding < r.lg.Depth && sent < per {
-					// Walk the endpoint space so flows spread across ring
-					// owners; every (src, dst) is a distinct flow.
-					src := (c + sent) % r.endpoints
-					cl.Go(serve.Request{
-						Src: src, Dst: (src + 1) % r.endpoints,
-						Block:        r.blocks[(c+sent)%len(r.blocks)],
-						ThresholdPct: r.lg.ThresholdPct,
-						Tenant:       r.lg.Tenant,
-					}, done)
-					outstanding++
-					sent++
-				}
-				call := <-done
-				outstanding--
-				if call.Err != nil && !errors.Is(call.Err, serve.ErrBudgetExhausted) {
-					// Budget refusals are definitive per-request answers,
-					// not replay failures: the record settles as refused.
-					errs <- fmt.Errorf("cluster: loadgen client %d: %w", c, call.Err)
-					return
-				}
-				if call.Err != nil {
-					refused[c]++
-				}
-			}
-		}(c, cl, per)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	close(errs)
-	for err := range errs {
+	sres, err := r.Rig.Run(records)
+	if err != nil {
 		return LoadgenResult{}, err
 	}
 	after := r.view.Stats()
 	res := LoadgenResult{
-		Records:         records,
+		LoadgenResult:   sres,
 		OverloadRetries: after.OverloadRetries - before.OverloadRetries,
 		Failovers:       after.Failovers - before.Failovers,
-		Elapsed:         elapsed,
-		RecordsPerSec:   float64(records) / elapsed.Seconds(),
 		PerNode:         make(map[string]uint64),
-	}
-	res.PayloadMBPerSec = res.RecordsPerSec * float64(4*r.lg.Words) / (1 << 20)
-	for _, n := range refused {
-		res.BudgetRefused += n
 	}
 	for _, m := range r.view.Members() {
 		res.PerNode[m.ID] = m.Requests
@@ -249,12 +115,7 @@ func (r *LoadgenRig) Run(records int) (LoadgenResult, error) {
 // Close tears down the clients and, for an in-process rig, the cluster
 // (an external view stays up — its owner closes it).
 func (r *LoadgenRig) Close() error {
-	var err error
-	for _, cl := range r.clients {
-		if cerr := cl.Close(); err == nil {
-			err = cerr
-		}
-	}
+	err := r.Rig.Close()
 	if r.cluster != nil {
 		if cerr := r.cluster.Close(); err == nil {
 			err = cerr

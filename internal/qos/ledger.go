@@ -58,6 +58,30 @@ func ParseBudgets(spec string) (map[string]BudgetConfig, error) {
 	return out, nil
 }
 
+// ParseFlags assembles a gateway QoS configuration from the flags the
+// serve and cluster CLIs share: -qos (on), -qos-max, the -threshold
+// baseline, -qos-interval and the -budgets spec. It returns nil when
+// QoS is off. Budgets without -qos are enforced with the threshold
+// pinned at the baseline (no controller movement, so any scheme works).
+func ParseFlags(on bool, maxPct, baselinePct int, interval time.Duration, budgetSpec string) (*Config, error) {
+	if !on && budgetSpec == "" {
+		return nil, nil
+	}
+	q := &Config{
+		Controller: ControllerConfig{BaselinePct: baselinePct, MaxPct: maxPct},
+		Interval:   interval,
+	}
+	if !on && maxPct == 0 {
+		q.Controller.MaxPct = -1 // budgets only: pin the cap at the baseline
+	}
+	b, err := ParseBudgets(budgetSpec)
+	if err != nil {
+		return nil, err
+	}
+	q.Budgets = b
+	return q, nil
+}
+
 // BudgetSnapshot is one tenant's ledger state at a point in time.
 type BudgetSnapshot struct {
 	// Level is the error mass currently available; Capacity its bound.

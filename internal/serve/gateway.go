@@ -273,35 +273,8 @@ func (g *Gateway) Metrics() Metrics {
 // once the gateway is closed), so it is safe to call concurrently with
 // traffic — it queues behind in-flight batches.
 func (g *Gateway) CodecStats() compress.OpStats {
-	g.mu.RLock()
-	closed := g.closed
-	g.mu.RUnlock()
-	if closed {
-		// Workers have exited (or are exiting); wait for them so the
-		// read is ordered after their last fabric write.
-		g.wg.Wait()
-		return g.poolStats()
-	}
 	var s compress.OpStats
-	for _, sh := range g.shards {
-		r := make(chan compress.OpStats, 1)
-		select {
-		case sh.statsReq <- r:
-			s.Add(<-r)
-		case <-g.done:
-			// Raced with Close; workers are gone, read directly.
-			return g.poolStats()
-		}
-	}
-	return s
-}
-
-// poolStats sums codec stats directly; only safe once workers stopped.
-func (g *Gateway) poolStats() compress.OpStats {
-	var s compress.OpStats
-	for _, sh := range g.shards {
-		s.Add(sh.pool.fabric.Stats())
-	}
+	g.withPools(func(_ int, p *pool) { s.Add(p.fabric.Stats()) })
 	return s
 }
 

@@ -164,11 +164,19 @@ func TestProtocolResponseRoundTrip(t *testing.T) {
 }
 
 func TestProtocolRejectsMalformed(t *testing.T) {
+	// The tenantless kind-1 layout old peers emit: today's frame minus
+	// the tenant-length byte.
+	kind1 := appendRequest(nil, 1, Request{Src: 0, Dst: 1, Block: intBlock(1)})
+	kind1 = append(append([]byte{1}, kind1[1:15]...), kind1[16:]...)
+	tenant := appendRequest(nil, 1, Request{Src: 0, Dst: 1, Tenant: "gold", Block: intBlock(1)})
 	cases := [][]byte{
 		nil,
 		{msgResponse},
-		{msgRequest, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, // header only, no block
-		appendRequest(nil, 1, Request{Src: 0, Dst: 1, Block: intBlock(1)})[:17],
+		{msgRequest, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, // header only, no block
+		appendRequest(nil, 1, Request{Src: 0, Dst: 1, Block: intBlock(1)})[:18],
+		kind1,
+		tenant[:18], // cut inside the tenant name
+		append(append([]byte(nil), tenant[:15]...), 200), // tenant length beyond the frame
 	}
 	for i, p := range cases {
 		if _, _, err := parseRequest(p); err == nil {

@@ -38,29 +38,6 @@ type Loadgen struct {
 	ThresholdPct int
 }
 
-// withDefaults fills zero knobs and validates the load shape.
-func (lg Loadgen) withDefaults() (Loadgen, error) {
-	if lg.Conns == 0 {
-		lg.Conns = 1
-	}
-	if lg.Depth == 0 {
-		lg.Depth = 1
-	}
-	if lg.Words == 0 {
-		lg.Words = 16
-	}
-	if lg.Records == 0 {
-		lg.Records = 10000
-	}
-	if lg.Conns < 0 || lg.Depth < 0 || lg.Words < 0 || lg.Records < 0 {
-		return lg, fmt.Errorf("serve: loadgen knobs must be positive: %+v", lg)
-	}
-	if lg.Words > MaxBlockWords {
-		return lg, fmt.Errorf("serve: loadgen words %d exceeds wire limit %d", lg.Words, MaxBlockWords)
-	}
-	return lg, nil
-}
-
 // LoadgenResult is one loopback throughput measurement.
 type LoadgenResult struct {
 	// Records is the number of requests completed; Retries counts
@@ -75,75 +52,97 @@ type LoadgenResult struct {
 	// PayloadMBPerSec is uncompressed block payload moved per second
 	// (requests only; responses double the wire traffic).
 	PayloadMBPerSec float64
-	// Wire snapshots the server's wire counters after the replay.
+	// Wire snapshots the server's wire counters after the replay (zero
+	// when no single server carried it, as in a cluster run).
 	Wire WireStats
 }
 
-// LoadgenRig is a ready-to-drive loopback gateway: server, listener,
-// and dialed clients. It separates setup from measurement so benchmark
-// iterations reuse one rig; Run may be called any number of times.
-type LoadgenRig struct {
-	lg       Loadgen
-	gw       *Gateway
-	srv      *Server
-	clients  []*Client
-	blocks   []*value.Block
-	nodes    int
-	serveErr chan error
+// Settled is a completed pipelined call as the replay driver reads it:
+// the request as submitted, its result, and the per-request or
+// transport error.
+type Settled interface {
+	Outcome() (Request, Result, error)
 }
 
-// NewLoadgenRig builds a gateway from cfg, serves it on an ephemeral
-// loopback port, and dials lg.Conns clients. Close the rig to tear all
-// of it down (the gateway included).
-func NewLoadgenRig(cfg Config, lg Loadgen) (*LoadgenRig, error) {
-	lg, err := lg.withDefaults()
-	if err != nil {
-		return nil, err
+// Pipeliner is the asynchronous request surface the replay driver runs
+// on: Go issues a request without waiting and completes the returned
+// call on done. *Client implements it with *Call, the cluster client
+// with its own call type — the driver needs nothing of a call but its
+// outcome, so neither gets wrapped in goroutines blocking in Do.
+type Pipeliner[C Settled] interface {
+	Go(req Request, done chan C) C
+	Close() error
+}
+
+// Rig is the half of a load rig that does not depend on what carries
+// the requests: the validated load shape, the block spread, the
+// connections, and the one replay loop over them. LoadgenRig and the
+// cluster's rig each embed one.
+type Rig[C Settled, P Pipeliner[C]] struct {
+	Loadgen                  // knobs, zero values filled
+	clients   []P            // Conns of them
+	endpoints int            // logical endpoint space the generated flows walk
+	blocks    []*value.Block // reused round-robin for the whole run
+}
+
+// NewRig validates lg, fills its zero knobs, generates the blocks, and
+// opens lg.Conns connections with dial.
+func NewRig[C Settled, P Pipeliner[C]](lg Loadgen, endpoints int, dial func() (P, error)) (*Rig[C, P], error) {
+	if lg.Conns == 0 {
+		lg.Conns = 1
 	}
-	gw, err := New(cfg)
-	if err != nil {
-		return nil, err
+	if lg.Depth == 0 {
+		lg.Depth = 1
 	}
-	rig := &LoadgenRig{lg: lg, gw: gw, srv: NewServer(gw), nodes: gw.Config().Nodes, serveErr: make(chan error, 1)}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		gw.Close()
-		return nil, fmt.Errorf("serve: %w", err)
+	if lg.Words == 0 {
+		lg.Words = 16
 	}
-	go func() { rig.serveErr <- rig.srv.Serve(ln) }()
-	for c := 0; c < lg.Conns; c++ {
-		cl, err := Dial(ln.Addr().String())
-		if err != nil {
-			rig.Close()
-			return nil, err
-		}
-		rig.clients = append(rig.clients, cl)
+	if lg.Records == 0 {
+		lg.Records = 10000
+	}
+	if lg.Conns < 0 || lg.Depth < 0 || lg.Words < 0 || lg.Records < 0 {
+		return nil, fmt.Errorf("serve: loadgen knobs must be positive: %+v", lg)
+	}
+	if lg.Words > MaxBlockWords {
+		return nil, fmt.Errorf("serve: loadgen words %d exceeds wire limit %d", lg.Words, MaxBlockWords)
 	}
 	// A deterministic spread of block contents: enough variety to keep
 	// dictionary codecs honest, reused across the whole run so block
 	// generation never shows up in the measurement.
-	rig.blocks = make([]*value.Block, 64)
-	for i := range rig.blocks {
+	r := &Rig[C, P]{Loadgen: lg, endpoints: endpoints, blocks: make([]*value.Block, 64)}
+	for i := range r.blocks {
 		blk := value.NewBlock(lg.Words, value.Int32, true)
 		for w := range blk.Words {
 			blk.Words[w] = uint32(i*2654435761 + w*40503)
 		}
-		rig.blocks[i] = blk
+		r.blocks[i] = blk
 	}
-	return rig, nil
+	for c := 0; c < lg.Conns; c++ {
+		cl, err := dial()
+		if err != nil {
+			r.Close()
+			return nil, err
+		}
+		r.clients = append(r.clients, cl)
+	}
+	return r, nil
 }
 
-// Run replays records requests through the rig, Depth in flight per
-// connection, retrying overloaded submissions, and returns the
-// measurement. records 0 means lg.Records.
-func (r *LoadgenRig) Run(records int) (LoadgenResult, error) {
-	if records <= 0 {
-		records = r.lg.Records
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, len(r.clients))
-	retries := make([]int, len(r.clients))
-	refused := make([]int, len(r.clients))
+// Replay is the one request driver, under both load rigs and the CLI
+// self-tests. It moves records requests through the rig's connections:
+// connection c issues next(c, 0), next(c, 1), ... for its share —
+// records split evenly, any remainder spread one extra request at a
+// time. hook, when non-nil, sees every successful result on its
+// connection's goroutine, so it must be safe for concurrent use across
+// connections. The first connection to fail aborts the run's result;
+// the others still finish their share.
+func (r *Rig[C, P]) Replay(records int, next func(conn, seq int) Request, hook func(Request, Result)) (LoadgenResult, error) {
+	var (
+		wg    sync.WaitGroup
+		mu    sync.Mutex // guards res and first
+		res   = LoadgenResult{Records: records}
+		first error
+	)
 	start := time.Now()
 	for c, cl := range r.clients {
 		// Spread the remainder so every record is issued exactly once.
@@ -151,99 +150,166 @@ func (r *LoadgenRig) Run(records int) (LoadgenResult, error) {
 		if c < records%len(r.clients) {
 			per++
 		}
-		if per == 0 {
-			continue
-		}
 		wg.Add(1)
-		go func(c int, cl *Client, per int) {
+		go func(c int, cl P, per int) {
 			defer wg.Done()
-			done := make(chan *Call, r.lg.Depth)
-			outstanding, sent := 0, 0
-			settle := func(call *Call) error {
-				outstanding--
-				if call.Err == nil {
-					return nil
-				}
-				if errors.Is(call.Err, ErrBudgetExhausted) {
-					// A definitive answer, not backpressure: the record
-					// settles as refused rather than being re-issued.
-					refused[c]++
-					return nil
-				}
-				if errors.Is(call.Err, ErrOverloaded) {
-					// Back off and re-issue: backpressure is expected
-					// under a deep pipeline, the record still counts
-					// only once it completes.
-					retries[c]++
-					runtime.Gosched()
-					cl.Go(call.Req, done)
-					outstanding++
-					return nil
-				}
-				return fmt.Errorf("serve: loadgen conn %d: %w", c, call.Err)
-			}
-			for sent < per || outstanding > 0 {
-				for outstanding < r.lg.Depth && sent < per {
-					src := (c + sent) % r.nodes
-					cl.Go(Request{
-						Src: src, Dst: (src + 1) % r.nodes,
-						Block:        r.blocks[(c+sent)%len(r.blocks)],
-						ThresholdPct: r.lg.ThresholdPct,
-						Tenant:       r.lg.Tenant,
-					}, done)
-					outstanding++
-					sent++
-				}
-				// Block for one completion, then drain everything already
-				// settled, so the refill above reissues in batches — the
-				// write arena then coalesces them into one flush.
-				if err := settle(<-done); err != nil {
-					errs <- err
-					return
-				}
-				for drained := false; !drained && outstanding > 0; {
-					select {
-					case call := <-done:
-						if err := settle(call); err != nil {
-							errs <- err
-							return
-						}
-					default:
-						drained = true
-					}
-				}
+			retries, refused, err := r.pipeline(c, cl, per, next, hook)
+			mu.Lock()
+			defer mu.Unlock()
+			res.Retries += retries
+			res.BudgetRefused += refused
+			if first == nil {
+				first = err
 			}
 		}(c, cl, per)
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
-	close(errs)
-	for err := range errs {
-		return LoadgenResult{}, err
+	if first != nil {
+		return LoadgenResult{}, first
 	}
-	res := LoadgenResult{
-		Records:       records,
-		Elapsed:       elapsed,
-		RecordsPerSec: float64(records) / elapsed.Seconds(),
-		Wire:          r.srv.WireStats(),
-	}
-	for _, n := range retries {
-		res.Retries += n
-	}
-	for _, n := range refused {
-		res.BudgetRefused += n
-	}
-	res.PayloadMBPerSec = res.RecordsPerSec * float64(4*r.lg.Words) / (1 << 20)
+	res.Elapsed = time.Since(start)
+	res.RecordsPerSec = float64(records) / res.Elapsed.Seconds()
 	return res, nil
 }
 
-// Metrics snapshots the rig's gateway counters.
-func (r *LoadgenRig) Metrics() Metrics { return r.gw.Metrics() }
+// pipeline is one connection's share of a Replay: per requests, up to
+// Depth of them in flight, each counted once it settles.
+func (r *Rig[C, P]) pipeline(c int, cl P, per int, next func(conn, seq int) Request, hook func(Request, Result)) (retries, refused int, err error) {
+	done := make(chan C, r.Depth)
+	outstanding, sent := 0, 0
+	settle := func(call C) error {
+		outstanding--
+		req, res, err := call.Outcome()
+		switch {
+		case err == nil:
+			if hook != nil {
+				hook(req, res)
+			}
+		case errors.Is(err, ErrBudgetExhausted):
+			// A definitive answer, not backpressure: the record settles
+			// as refused rather than being re-issued (the ledger charges
+			// at execution, so a re-issue could spend a budget that
+			// refilled in between).
+			refused++
+		case errors.Is(err, ErrOverloaded):
+			// Back off and re-issue: backpressure is expected under a
+			// deep pipeline, the record still counts only once it
+			// completes.
+			retries++
+			runtime.Gosched()
+			cl.Go(req, done)
+			outstanding++
+		default:
+			return fmt.Errorf("serve: loadgen conn %d: %w", c, err)
+		}
+		return nil
+	}
+	for sent < per || outstanding > 0 {
+		for outstanding < r.Depth && sent < per {
+			cl.Go(next(c, sent), done)
+			outstanding++
+			sent++
+		}
+		// Block for one completion, then drain everything already
+		// settled, so the refill above reissues in batches — the write
+		// arena then coalesces them into one flush.
+		if err = settle(<-done); err != nil {
+			return
+		}
+		for drained := false; !drained && outstanding > 0; {
+			select {
+			case call := <-done:
+				if err = settle(call); err != nil {
+					return
+				}
+			default:
+				drained = true
+			}
+		}
+	}
+	return
+}
+
+// Run replays records generated requests (0 means Records) and returns
+// the measurement. Connections walk the endpoint space from staggered
+// starts, so flows spread across shards (and ring owners); every
+// (src, dst) is a distinct flow.
+func (r *Rig[C, P]) Run(records int) (LoadgenResult, error) {
+	if records <= 0 {
+		records = r.Records
+	}
+	res, err := r.Replay(records, func(conn, seq int) Request {
+		src := (conn + seq) % r.endpoints
+		return Request{
+			Src: src, Dst: (src + 1) % r.endpoints,
+			Block:        r.blocks[(conn+seq)%len(r.blocks)],
+			ThresholdPct: r.ThresholdPct,
+			Tenant:       r.Tenant,
+		}
+	}, nil)
+	res.PayloadMBPerSec = res.RecordsPerSec * float64(4*r.Words) / (1 << 20)
+	return res, err
+}
+
+// Close closes the rig's connections.
+func (r *Rig[C, P]) Close() error {
+	var err error
+	for _, cl := range r.clients {
+		if cerr := cl.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
+}
+
+// LoadgenRig is a ready-to-drive loopback gateway: server, listener,
+// and dialed clients. It separates setup from measurement so benchmark
+// iterations reuse one rig; Run (and the embedded rig's Replay, for
+// caller-built requests) may be called any number of times.
+type LoadgenRig struct {
+	*Rig[*Call, *Client]
+	gw       *Gateway
+	srv      *Server
+	serveErr chan error
+}
+
+// NewLoadgenRig builds a gateway from cfg, serves it on an ephemeral
+// loopback port, and dials lg.Conns clients. Close the rig to tear all
+// of it down (the gateway included).
+func NewLoadgenRig(cfg Config, lg Loadgen) (*LoadgenRig, error) {
+	gw, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		gw.Close()
+		return nil, fmt.Errorf("serve: %w", err)
+	}
+	rig := &LoadgenRig{gw: gw, srv: NewServer(gw), serveErr: make(chan error, 1)}
+	go func() { rig.serveErr <- rig.srv.Serve(ln) }()
+	rig.Rig, err = NewRig(lg, gw.Config().Nodes, func() (*Client, error) { return Dial(ln.Addr().String()) })
+	if err != nil {
+		rig.Close()
+		return nil, err
+	}
+	return rig, nil
+}
+
+// Run is the embedded rig's Run plus the server's wire counters.
+func (r *LoadgenRig) Run(records int) (LoadgenResult, error) {
+	res, err := r.Rig.Run(records)
+	res.Wire = r.srv.WireStats()
+	return res, err
+}
+
+// Gateway returns the rig's gateway, for metrics and codec statistics.
+func (r *LoadgenRig) Gateway() *Gateway { return r.gw }
 
 // Close tears down clients, server, and gateway.
 func (r *LoadgenRig) Close() error {
-	for _, cl := range r.clients {
-		cl.Close()
+	if r.Rig != nil { // nil when NewLoadgenRig is unwinding a failed NewRig
+		r.Rig.Close()
 	}
 	err := r.srv.Close()
 	if serr := <-r.serveErr; err == nil {

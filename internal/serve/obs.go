@@ -89,7 +89,7 @@ func (g *Gateway) RegisterMetrics(reg *obs.Registry) {
 			return out
 		})
 
-	registerCodecMetrics(reg, "serve", g.CodecStats)
+	compress.RegisterMetrics(reg, "serve", g.CodecStats)
 }
 
 // RegisterMetrics exports the TCP server's wire-path state on reg:
@@ -122,59 +122,4 @@ func (s *Server) RegisterMetrics(reg *obs.Registry) {
 		func() uint64 { return s.wire.writeFrames.Load() })
 	counter("serve_wire_write_bytes_total", "response bytes put on the wire",
 		func() uint64 { return s.wire.writeBytes.Load() })
-}
-
-// registerCodecMetrics exports a compress.OpStats source under prefix.
-// Mirrors the NoC-side families so both layers expose the same shapes.
-func registerCodecMetrics(reg *obs.Registry, prefix string, src func() compress.OpStats) {
-	reg.Collector(prefix+"_codec_blocks_total", "blocks through the codecs, by direction",
-		obs.TypeCounter, []string{"dir"}, func() []obs.Sample {
-			s := src()
-			return []obs.Sample{
-				{LabelValues: []string{"decoded"}, Value: float64(s.BlocksDecoded)},
-				{LabelValues: []string{"encoded"}, Value: float64(s.BlocksIn)},
-			}
-		})
-	reg.Collector(prefix+"_codec_words_total", "encoder word outcomes: compressed exact/approx or raw",
-		obs.TypeCounter, []string{"kind"}, func() []obs.Sample {
-			s := src()
-			return []obs.Sample{
-				{LabelValues: []string{"approx"}, Value: float64(s.WordsApprox)},
-				{LabelValues: []string{"exact"}, Value: float64(s.WordsExact)},
-				{LabelValues: []string{"raw"}, Value: float64(s.WordsRaw)},
-			}
-		})
-	reg.Collector(prefix+"_codec_avcl_total", "approximate value compute logic outcomes",
-		obs.TypeCounter, []string{"op"}, func() []obs.Sample {
-			s := src()
-			return []obs.Sample{
-				{LabelValues: []string{"bypass"}, Value: float64(s.AVCLBypasses)},
-				{LabelValues: []string{"clip"}, Value: float64(s.AVCLClips)},
-				{LabelValues: []string{"mask_hit"}, Value: float64(s.AVCLMaskHits)},
-			}
-		})
-	reg.Collector("dict_gc_epochs_total", "decoder dictionary aging epochs completed",
-		obs.TypeCounter, nil, func() []obs.Sample {
-			return []obs.Sample{{Value: float64(src().GCEpochs)}}
-		})
-	reg.Collector("dict_gc_evictions_total", "decoder dictionary entries reclaimed by GC, by policy",
-		obs.TypeCounter, []string{"reason"}, func() []obs.Sample {
-			s := src()
-			return []obs.Sample{
-				{LabelValues: []string{"age"}, Value: float64(s.GCAgeEvictions)},
-				{LabelValues: []string{"pressure"}, Value: float64(s.GCPressureEvictions)},
-			}
-		})
-	reg.Collector("dict_gc_blocked_reclaims_total", "GC reclaims deferred by the pending-eviction cap",
-		obs.TypeCounter, nil, func() []obs.Sample {
-			return []obs.Sample{{Value: float64(src().GCBlockedReclaims)}}
-		})
-	reg.Collector(prefix+"_codec_compression_ratio", "uncompressed over encoded payload bits",
-		obs.TypeGauge, nil, func() []obs.Sample {
-			return []obs.Sample{{Value: src().CompressionRatio()}}
-		})
-	reg.Collector(prefix+"_codec_data_quality", "1 - mean relative word error",
-		obs.TypeGauge, nil, func() []obs.Sample {
-			return []obs.Sample{{Value: src().DataQuality()}}
-		})
 }

@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -8,6 +9,21 @@ import (
 	"approxnoc/internal/obs"
 	"approxnoc/internal/serve"
 )
+
+// codecFamilies lists the codec families on reg, prefix stripped and
+// sorted, so two layers' exports compare by shape.
+func codecFamilies(reg *obs.Registry, prefix string) []string {
+	var out []string
+	for _, f := range reg.Snapshot().Families {
+		if rest, ok := strings.CutPrefix(f.Name, prefix+"_codec_"); ok {
+			out = append(out, "codec_"+rest)
+		} else if strings.HasPrefix(f.Name, "dict_gc_") {
+			out = append(out, f.Name)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
 
 // TestGatewayMetricsAndTrace drives a gateway with the obs layer
 // attached and checks the scrape reflects the traffic exactly and the
@@ -62,6 +78,13 @@ func TestGatewayMetricsAndTrace(t *testing.T) {
 	cs := gw.CodecStats()
 	if got := sum("serve_codec_blocks_total"); got != float64(cs.BlocksIn+cs.BlocksDecoded) {
 		t.Fatalf("codec blocks = %g, stats say %d", got, cs.BlocksIn+cs.BlocksDecoded)
+	}
+	// The gateway exports the codec family set the NoC prefix gets: nine
+	// prefixed families and the three dict_gc ones, from the one exporter.
+	nocReg := obs.NewRegistry()
+	compress.RegisterMetrics(nocReg, "noc", func() compress.OpStats { return compress.OpStats{} })
+	if got, want := codecFamilies(reg, "serve"), codecFamilies(nocReg, "noc"); len(got) != 12 || !slices.Equal(got, want) {
+		t.Fatalf("serve codec families %v differ from the noc set %v", got, want)
 	}
 
 	kinds := make(map[obs.EventKind]int)

@@ -12,32 +12,25 @@ import (
 // Wire protocol: every message is a frame of a big-endian uint32 payload
 // length followed by that many payload bytes.
 //
-//	request v1:  kind(1)=1 id(8) src(2) dst(2) threshold(int16) dtype(1)
-//	             approx(1) nwords(2) words(4*nwords)
-//	request v2:  kind(1)=3 id(8) src(2) dst(2) threshold(int16)
-//	             tlen(1) tenant(tlen) dtype(1) approx(1) nwords(2)
-//	             words(4*nwords)
-//	response:    kind(2) id(8) status(1) then
-//	             status ok:         dtype(1) approx(1) nwords(2)
-//	                                words(4*nwords) bitsIn(4) bitsOut(4)
-//	             status overloaded: nothing
-//	             status error:      msglen(2) msg(msglen)
-//	             status budget:     nothing
+//	request:   kind(1)=3 id(8) src(2) dst(2) threshold(int16)
+//	           tlen(1) tenant(tlen) dtype(1) approx(1) nwords(2)
+//	           words(4*nwords)
+//	response:  kind(1)=2 id(8) status(1) then
+//	           status ok:         dtype(1) approx(1) nwords(2)
+//	                              words(4*nwords) bitsIn(4) bitsOut(4)
+//	           status overloaded: nothing
+//	           status error:      msglen(2) msg(msglen)
+//	           status budget:     nothing
 //
 // The threshold follows Request.ThresholdPct semantics: 0 means the
-// gateway's configured default, negative means ThresholdExact. Responses
-// may arrive out of order; clients match them to requests by id.
-//
-// The v2 request frame is the QoS version bump: it carries the tenant
-// name for budget accounting. Decoding is backward compatible — both
-// kinds are accepted and a v1 frame simply has no tenant — and the
-// encoder emits v1 whenever the tenant is empty, so tenantless traffic
-// (and every pre-QoS golden vector and fuzz seed) is byte-identical to
-// the old format and keeps working against old servers.
+// gateway's configured default, negative means ThresholdExact. The
+// tenant names the QoS budget the request spends; tlen 0 is the
+// unbudgeted request. Responses may arrive out of order; clients match
+// them to requests by id. The request kind is 3 because old peers speak
+// a tenantless kind 1; such a frame is rejected as malformed.
 const (
-	msgRequest   = 1
-	msgResponse  = 2
-	msgRequestV2 = 3
+	msgResponse = 2
+	msgRequest  = 3
 
 	statusOK         = 0
 	statusOverloaded = 1
@@ -61,8 +54,8 @@ const (
 	// FuzzProtocolFrame; seed committed under
 	// internal/serve/testdata/fuzz).
 	MaxBlockWords = 1<<16 - 1
-	// MaxTenantBytes is the longest tenant name the v2 request frame
-	// can carry: its length travels as one byte.
+	// MaxTenantBytes is the longest tenant name the request frame can
+	// carry: its length travels as one byte.
 	MaxTenantBytes = 255
 )
 
@@ -236,15 +229,9 @@ func boolByte(b bool) byte {
 	return 0
 }
 
-// appendRequest serializes a request under the given id: the v1 frame
-// when no tenant is set (byte-identical to the pre-QoS format), the v2
-// frame otherwise.
+// appendRequest serializes a request under the given id.
 func appendRequest(b []byte, id uint64, req Request) []byte {
-	kind := byte(msgRequest)
-	if req.Tenant != "" {
-		kind = msgRequestV2
-	}
-	b = append(b, kind)
+	b = append(b, msgRequest)
 	b = binary.BigEndian.AppendUint64(b, id)
 	b = binary.BigEndian.AppendUint16(b, uint16(req.Src))
 	b = binary.BigEndian.AppendUint16(b, uint16(req.Dst))
@@ -253,16 +240,14 @@ func appendRequest(b []byte, id uint64, req Request) []byte {
 		pct = -1
 	}
 	b = binary.BigEndian.AppendUint16(b, uint16(int16(pct)))
-	if kind == msgRequestV2 {
-		b = append(b, byte(len(req.Tenant)))
-		b = append(b, req.Tenant...)
-	}
+	b = append(b, byte(len(req.Tenant)))
+	b = append(b, req.Tenant...)
 	return appendBlock(b, req.Block)
 }
 
-// parseRequest decodes a request frame, either version.
+// parseRequest decodes a request frame.
 func parseRequest(p []byte) (id uint64, req Request, err error) {
-	if len(p) < 15 || (p[0] != msgRequest && p[0] != msgRequestV2) {
+	if len(p) < 16 || p[0] != msgRequest {
 		return 0, req, errors.New("serve: malformed request frame")
 	}
 	id = binary.BigEndian.Uint64(p[1:])
@@ -270,19 +255,15 @@ func parseRequest(p []byte) (id uint64, req Request, err error) {
 	req.Dst = int(binary.BigEndian.Uint16(p[11:]))
 	req.ThresholdPct = int(int16(binary.BigEndian.Uint16(p[13:])))
 	req.Tag = id
-	rest := p[15:]
-	if p[0] == msgRequestV2 {
-		if len(rest) < 1 {
-			return 0, req, errors.New("serve: truncated tenant length")
-		}
-		n := int(rest[0])
-		if len(rest)-1 < n {
-			return 0, req, errors.New("serve: truncated tenant")
-		}
-		req.Tenant = string(rest[1 : 1+n])
-		rest = rest[1+n:]
+	n := int(p[15])
+	rest := p[16:]
+	if len(rest) < n {
+		return 0, req, errors.New("serve: truncated tenant")
 	}
-	blk, rest, err := parseBlock(rest)
+	// A zero-length tenant converts to "" without allocating, so the
+	// unbudgeted request costs the server's parse path nothing extra.
+	req.Tenant = string(rest[:n])
+	blk, rest, err := parseBlock(rest[n:])
 	if err != nil {
 		return 0, req, err
 	}

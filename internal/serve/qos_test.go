@@ -1,5 +1,5 @@
 // QoS behavior of the gateway: threshold resolution, priority
-// shedding, budget enforcement, and the v2 wire frames. Internal tests
+// shedding, budget enforcement, and the tenant on the wire. Internal tests
 // — the shed test drives a shard worker by hand.
 package serve
 
@@ -287,32 +287,48 @@ func TestGatewayBudgetRefundOnFailure(t *testing.T) {
 	}
 }
 
-// TestWireTenantFrames pins the protocol version bump: tenantless
-// requests still emit byte-identical v1 frames, tenants ride the v2
-// kind, and the budget status round-trips as ErrBudgetExhausted.
+// TestWireTenantFrames pins the one request layout: every request rides
+// kind 3 with a length-prefixed tenant, a tenantless one carrying length
+// zero and parsing back to an empty Tenant without allocating for it,
+// and the budget status round-trips as ErrBudgetExhausted.
 func TestWireTenantFrames(t *testing.T) {
 	blk := value.BlockFromI32([]int32{1, -2, 3, 4}, true)
 
-	v1, err := MarshalRequest(7, Request{Src: 1, Dst: 2, ThresholdPct: 10, Block: blk})
+	bare, err := MarshalRequest(7, Request{Src: 1, Dst: 2, ThresholdPct: 10, Block: blk})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v1[0] != msgRequest {
-		t.Fatalf("tenantless request kind %d, want v1 kind %d", v1[0], msgRequest)
-	}
-	v2, err := MarshalRequest(7, Request{Src: 1, Dst: 2, ThresholdPct: 10, Tenant: "gold", Block: blk})
+	gold, err := MarshalRequest(7, Request{Src: 1, Dst: 2, ThresholdPct: 10, Tenant: "gold", Block: blk})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v2[0] != msgRequestV2 {
-		t.Fatalf("tenant request kind %d, want v2 kind %d", v2[0], msgRequestV2)
+	if bare[0] != msgRequest || gold[0] != msgRequest || bare[15] != 0 || gold[15] != 4 {
+		t.Fatalf("kind/tenant-length bytes: tenantless %d/%d, tenant %d/%d, want %d/0 and %d/4",
+			bare[0], bare[15], gold[0], gold[15], msgRequest, msgRequest)
 	}
-	id, req, err := parseRequest(v2)
-	if err != nil {
-		t.Fatal(err)
+	if len(gold) != len(bare)+4 {
+		t.Fatalf("tenant frame is %d bytes, tenantless %d: the layouts differ by more than the name", len(gold), len(bare))
 	}
-	if id != 7 || req.Tenant != "gold" || req.ThresholdPct != 10 || !req.Block.Equal(blk) {
-		t.Fatalf("v2 round trip lost fields: id %d req %+v", id, req)
+	for _, tc := range []struct {
+		frame  []byte
+		tenant string
+	}{{bare, ""}, {gold, "gold"}} {
+		id, req, err := parseRequest(tc.frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id != 7 || req.Tenant != tc.tenant || req.ThresholdPct != 10 || !req.Block.Equal(blk) {
+			t.Fatalf("tenant %q round trip lost fields: id %d req %+v", tc.tenant, id, req)
+		}
+	}
+	if !raceEnabled {
+		// The tenant string is the only allocation the two parses differ by.
+		allocs := func(frame []byte) float64 {
+			return testing.AllocsPerRun(100, func() { parseRequest(frame) })
+		}
+		if a, b := allocs(bare), allocs(gold); a != b-1 {
+			t.Fatalf("tenantless parse allocates %.0f times, tenant parse %.0f: an empty tenant must cost nothing", a, b)
+		}
 	}
 
 	// Tenant names beyond the one-byte length field are refused at
@@ -339,7 +355,7 @@ func TestWireTenantFrames(t *testing.T) {
 }
 
 // TestServerClientTenantBudget runs budget enforcement across the TCP
-// wire: the tenant rides the v2 frame out, the refusal rides the
+// wire: the tenant rides the request frame out, the refusal rides the
 // budget status back, and errors.Is still matches on the client side.
 func TestServerClientTenantBudget(t *testing.T) {
 	gw, err := New(Config{

@@ -97,9 +97,8 @@ type Request struct {
 	// tenants spend error mass per approximated request and are refused
 	// with ErrBudgetExhausted when their budget runs dry. Empty (and
 	// any tenant without a configured budget) means unbudgeted. At most
-	// MaxTenantBytes bytes; the wire protocol carries it in a
-	// version-bumped request frame, so tenantless requests stay
-	// byte-identical to the v1 format.
+	// MaxTenantBytes bytes: the request frame carries its length in
+	// one byte.
 	Tenant string
 	// Tag is opaque to the gateway and echoed in the Result; the TCP
 	// server keys in-flight requests by it.

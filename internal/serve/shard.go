@@ -76,7 +76,6 @@ type shard struct {
 	id         int
 	pool       *pool
 	queue      chan pending
-	statsReq   chan chan<- compress.OpStats
 	ctl        chan func(*pool)
 	defaultPct int
 	maxBatch   int
@@ -115,7 +114,6 @@ func newShard(id int, p *pool, cfg Config, qosCtl *qos.Controller, ledger *qos.L
 		id:         id,
 		pool:       p,
 		queue:      make(chan pending, cfg.QueueDepth),
-		statsReq:   make(chan chan<- compress.OpStats),
 		ctl:        make(chan func(*pool)),
 		defaultPct: cfg.ThresholdPct,
 		maxBatch:   cfg.MaxBatch,
@@ -141,9 +139,6 @@ func (s *shard) run(wg *sync.WaitGroup) {
 			if !ok {
 				return
 			}
-		case r := <-s.statsReq:
-			r <- s.pool.fabric.Stats()
-			continue
 		case fn := <-s.ctl:
 			fn(s.pool)
 			continue
