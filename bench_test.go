@@ -229,31 +229,6 @@ func benchBlocks(n int) []*value.Block {
 	return blocks
 }
 
-// The encode benchmarks measure the production hot path: Compress into
-// the codec-owned buffers (zero steady-state allocations).
-func BenchmarkFPCompEncodeBlock(b *testing.B) {
-	c := compress.NewFPComp()
-	blocks := benchBlocks(256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Compress(1, blocks[i%len(blocks)])
-	}
-}
-
-func BenchmarkFPVaxxEncodeBlock(b *testing.B) {
-	c, err := compress.NewFPVaxx(10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	blocks := benchBlocks(256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Compress(1, blocks[i%len(blocks)])
-	}
-}
-
 func BenchmarkDIVaxxTransfer(b *testing.B) {
 	factory, err := compress.FactoryFor(compress.DIVaxx, 2, 10)
 	if err != nil {

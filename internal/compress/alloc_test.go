@@ -72,9 +72,9 @@ func TestCompressZeroAllocsDict(t *testing.T) {
 	}
 }
 
-// TestFabricTransferSteadyAllocs bounds the whole offline transfer loop:
+// TestFabricTransferSteadyAllocs pins the whole offline transfer loop:
 // the encode side must contribute nothing, leaving only the decode-side
-// block construction (and occasional dictionary protocol churn).
+// block construction.
 func TestFabricTransferSteadyAllocs(t *testing.T) {
 	blocks := allocBlocks(t)
 	factory, err := FactoryFor(FPVaxx, 2, 10)
@@ -90,10 +90,13 @@ func TestFabricTransferSteadyAllocs(t *testing.T) {
 		f.Transfer(0, 1, blocks[i%len(blocks)])
 		i++
 	})
-	// Decompress builds one fresh *value.Block per transfer: the header,
-	// its Words array, and the decode staging. Everything beyond that
-	// small constant would mean the encode path regressed.
-	if allocs > 4 {
-		t.Errorf("Transfer allocates %.1f objects/block in steady state, want <= 4 (decode side only)", allocs)
+	// Decompress builds one fresh *value.Block per transfer: the header
+	// and its Words array, exactly. It is not 0 because the NI delivery
+	// handlers and the serve batches keep decoded blocks past the next
+	// Decompress, so the block cannot be codec-owned the way an encoding
+	// is (ROADMAP, "Codec data path"). Anything else is a kernel that
+	// started allocating.
+	if allocs != 2 {
+		t.Errorf("Transfer allocates %.1f objects/block in steady state, want exactly 2 (the decoded block and its words)", allocs)
 	}
 }

@@ -75,58 +75,93 @@ func (w *bitWriter) grow(bits int) {
 }
 
 // bitReader consumes fields written by bitWriter in order. Bytes refill
-// a 64-bit accumulator — four at a time while the buffer allows — whose
-// low nacc bits are the unconsumed lookahead (next*8 - nacc == pos bits
-// consumed, always).
+// a 64-bit accumulator whose top nacc bits are the unconsumed lookahead
+// (next*8 - nacc bits consumed, always); below them sit only bits of the
+// byte at next, which a later refill stages again in the same place, or
+// zeros. A refill stages at least 57 bits or the whole rest of the
+// buffer, so one refill serves any field — or a prefix and the field it
+// announces — and nacc is the only bound to check.
 type bitReader struct {
 	buf  []byte
-	pos  int
-	fail bool
+	next int // index of the next byte to stage into acc
 	acc  uint64
 	nacc uint
-	next int // index of the next byte to stage into acc
+	fail bool
 }
 
 func newBitReader(buf []byte) *bitReader { return &bitReader{buf: buf} }
 
-// ReadBits extracts the next width bits MSB-first. Reading past the end
-// sets the failed flag, consumes the remaining bits, and returns zero —
-// the same terminal state the bit-at-a-time formulation left behind.
+// refill tops the accumulator up with whole bytes, eight in one load
+// while the buffer allows. It is written to fit the inliner's budget
+// (go build -gcflags=-m), which puts the load inside both readers;
+// shift counts are masked to tell the compiler they are in range.
+func (r *bitReader) refill() {
+	b := r.buf[r.next:]
+	if len(b) >= 8 {
+		r.acc |= binary.BigEndian.Uint64(b) >> (r.nacc & 63)
+		n := (64 - r.nacc) >> 3
+		r.next += int(n)
+		r.nacc += n << 3
+	} else {
+		for _, x := range b {
+			if r.nacc > 56 {
+				break
+			}
+			r.acc |= uint64(x) << ((56 - r.nacc) & 63)
+			r.nacc += 8
+			r.next++
+		}
+	}
+}
+
+// overrun enters the terminal state of a read past the end: the failed
+// flag set, the remaining bits consumed, zero returned — the state the
+// bit-at-a-time formulation left behind.
+func (r *bitReader) overrun() uint32 {
+	r.next, r.acc, r.nacc, r.fail = len(r.buf), 0, 0, true
+	return 0
+}
+
+// ReadBits extracts the next width bits MSB-first.
 func (r *bitReader) ReadBits(width int) uint32 {
 	if width < 0 || width > 32 {
 		panic("compress: bit width out of range")
 	}
-	if r.pos+width > len(r.buf)*8 {
-		r.pos = len(r.buf) * 8
-		r.fail = true
-		return 0
-	}
-	r.pos += width
-	// The bounds guard above proves enough bytes remain to cover width;
-	// nacc < width <= 32 on entry to the refill, so a 32-bit stage fits.
-	if r.nacc < uint(width) {
-		if len(r.buf)-r.next >= 4 {
-			r.acc = r.acc<<32 | uint64(binary.BigEndian.Uint32(r.buf[r.next:]))
-			r.next += 4
-			r.nacc += 32
-		} else {
-			for r.nacc < uint(width) {
-				r.acc = r.acc<<8 | uint64(r.buf[r.next])
-				r.next++
-				r.nacc += 8
-			}
+	w := uint(width)
+	if r.nacc < w {
+		if r.refill(); r.nacc < w {
+			return r.overrun()
 		}
 	}
-	r.nacc -= uint(width)
-	v := uint32(r.acc >> r.nacc)
-	if width < 32 {
-		v &= 1<<uint(width) - 1
-	}
+	v := uint32(r.acc>>((64-w)&63)) & uint32(1<<w-1)
+	r.acc <<= w & 63
+	r.nacc -= w
 	return v
+}
+
+// ReadPrefixed reads a frequent-pattern prefix and the field whose width
+// it announces (fpDataBits) as one access: the same bits, values and
+// overrun state as ReadBits(fpPrefixBits) then ReadBits(width).
+func (r *bitReader) ReadPrefixed() (prefix, data uint32) {
+	if r.nacc < fpPrefixBits+32 {
+		r.refill()
+	}
+	prefix = uint32(r.acc >> (64 - fpPrefixBits))
+	width := uint(fpDataBits[prefix])
+	if r.nacc < fpPrefixBits+width {
+		if r.nacc < fpPrefixBits {
+			prefix = 0 // the prefix read itself ran over
+		}
+		return prefix, r.overrun()
+	}
+	data = uint32(r.acc<<fpPrefixBits>>((64-width)&63)) & uint32(1<<width-1)
+	r.acc <<= (fpPrefixBits + width) & 63
+	r.nacc -= fpPrefixBits + width
+	return prefix, data
 }
 
 // Failed reports whether any read ran past the buffer.
 func (r *bitReader) Failed() bool { return r.fail }
 
 // Pos returns the number of bits consumed.
-func (r *bitReader) Pos() int { return r.pos }
+func (r *bitReader) Pos() int { return r.next*8 - int(r.nacc) }

@@ -36,76 +36,23 @@ func se8to16(b uint32) uint32 {
 	return uint32(uint16(int16(int8(uint8(b)))))
 }
 
-// fpPattern describes one non-zero-run row of the Fig. 5 table.
-type fpPattern struct {
-	prefix   uint32
-	dataBits int
-	// encode extracts the adjunct data field from the word — the field is
-	// taken verbatim from the word, so approximation error can only enter
-	// through bits *outside* the field that the mask declares don't-care.
-	encode func(w value.Word) uint32
-	decode func(data uint32) value.Word
-}
-
-// fpPatterns is ordered by priority: the encoder always matches the
-// highest-priority (smallest encoding) pattern first, which is the source
-// of the paper's §5.3.1 observation that FP-VAXX may take an approximate
-// high-priority match even when an exact lower-priority match exists.
-var fpPatterns = []fpPattern{
-	{
-		prefix: fpSE4, dataBits: 4,
-		encode: func(w value.Word) uint32 { return w & 0xF },
-		decode: func(d uint32) value.Word { return signExtend(d, 4) },
-	},
-	{
-		prefix: fpSE8, dataBits: 8,
-		encode: func(w value.Word) uint32 { return w & 0xFF },
-		decode: func(d uint32) value.Word { return signExtend(d, 8) },
-	},
-	{
-		prefix: fpSE16, dataBits: 16,
-		encode: func(w value.Word) uint32 { return w & 0xFFFF },
-		decode: func(d uint32) value.Word { return signExtend(d, 16) },
-	},
-	{
-		prefix: fpHalfZero, dataBits: 16,
-		encode: func(w value.Word) uint32 { return w >> 16 },
-		decode: func(d uint32) value.Word { return d << 16 },
-	},
-	{
-		prefix: fpTwoHalfSE, dataBits: 16,
-		encode: func(w value.Word) uint32 { return (w >> 8 & 0xFF00) | (w & 0xFF) },
-		decode: func(d uint32) value.Word { return se8to16(d>>8)<<16 | se8to16(d&0xFF) },
-	},
-}
-
-// fpMatch tries pattern p against word w under a don't-care mask: the
-// decoder-side reconstruction must agree with w on every unmasked bit.
-// mask == 0 gives exact FP-COMP matching.
-func fpMatch(p fpPattern, w value.Word, mask uint32) (data uint32, decoded value.Word, ok bool) {
-	data = p.encode(w)
-	decoded = p.decode(data)
-	if (w^decoded)&^mask == 0 {
-		return data, decoded, true
-	}
-	return 0, 0, false
+// fpDataBits is the adjunct field width each prefix announces: what the
+// decoder must know before it can read the field (the unused prefix 110
+// announces none).
+var fpDataBits = [1 << fpPrefixBits]uint8{
+	fpZeroRun: fpZeroRunLenBits, fpSE4: 4, fpSE8: 8, fpSE16: 16,
+	fpHalfZero: 16, fpTwoHalfSE: 16, fpRaw: 32,
 }
 
 // fpCodec implements FP-COMP, and FP-VAXX when avcl is non-nil. The
 // budget gates every approximate match: per-word for the paper's shipped
 // design, windowed-cumulative for the §7 future-work extension.
 type fpCodec struct {
-	scheme Scheme
-	avcl   *approx.AVCL
-	budget quality.Budget
-	stats  OpStats
-	// runScratch is reused across Compress calls for zero-run staging;
-	// entries are copied into the result before the next reuse.
-	// runErrScratch holds the per-word relative error alongside it, so the
-	// budget check's RelError computation is not repeated for stats.
-	runScratch    []WordEnc
-	runErrScratch []float64
-	scratch       encodeScratch
+	scheme  Scheme
+	avcl    *approx.AVCL
+	budget  quality.Budget
+	stats   OpStats
+	scratch encodeScratch
 }
 
 // encodeScratch is the per-codec encode state behind every Compress: the
@@ -181,13 +128,9 @@ func (c *fpCodec) SetThreshold(thresholdPct int) error {
 // wordMask returns the don't-care mask the AVCL computes for this word, or
 // 0 for exact matching (non-VAXX codec, non-approximable block, special
 // floats).
-func (c *fpCodec) wordMask(w value.Word, blk *value.Block) uint32 {
-	if c.avcl == nil || !blk.Approximable {
-		return 0
-	}
-	mask, ok := c.avcl.MaskWord(w, blk.DType)
-	if !ok {
-		return 0
+func (c *fpCodec) wordMask(w value.Word, blk *value.Block) (mask uint32) {
+	if c.avcl != nil && blk.Approximable {
+		mask, _ = c.avcl.MaskWord(w, blk.DType) // a bypassed word's mask is 0
 	}
 	return mask
 }
@@ -204,8 +147,9 @@ func (c *fpCodec) compress(blk *value.Block, enc *Encoded, w *bitWriter, words [
 	// allocation up front instead of append-driven growth.
 	w.grow((fpPrefixBits+32)*len(blk.Words) + fpZeroRunLenBits)
 	if cap(words) < len(blk.Words) {
-		words = make([]WordEnc, 0, len(blk.Words))
+		words = make([]WordEnc, len(blk.Words))
 	}
+	words = words[:len(blk.Words)]
 	c.stats.BlocksIn++
 	c.stats.WordsIn += uint64(len(blk.Words))
 	c.stats.BitsIn += uint64(32 * len(blk.Words))
@@ -219,64 +163,51 @@ func (c *fpCodec) compress(blk *value.Block, enc *Encoded, w *bitWriter, words [
 
 		// Zero run: highest-priority row. A word joins the run when all its
 		// unmasked bits are zero and the error budget admits the rounding.
-		// The run loop reuses the mask already computed for the first word
-		// rather than recomputing it through the AVCL.
 		if word&^mask == 0 {
-			run := 0
-			runWords := c.runScratch[:0]
-			runErrs := c.runErrScratch[:0]
-			zw, zm := word, mask
+			start := i
 			for {
-				ok, kind, relErr := c.zeroMatch(zw, zm, blk.DType)
+				kind, relErr, ok := c.admit(word, 0, blk.DType)
 				if !ok {
 					break
 				}
 				if c.budget != nil {
 					c.budget.Advance()
 				}
-				runWords = append(runWords, WordEnc{Kind: kind, Orig: zw, Decoded: 0})
-				runErrs = append(runErrs, relErr)
-				run++
-				i++
-				if run >= fpMaxZeroRun || i >= len(blk.Words) {
+				c.record(kind, relErr)
+				words[i] = WordEnc{Kind: kind, Orig: word}
+				if i++; i-start == fpMaxZeroRun || i == len(blk.Words) {
 					break
 				}
-				zw = blk.Words[i]
-				zm = c.wordMask(zw, blk)
+				word = blk.Words[i]
+				if mask = c.wordMask(word, blk); word&^mask != 0 {
+					break
+				}
 			}
-			if run > 0 {
+			if run := i - start; run > 0 {
 				// Prefix and run length are adjacent fixed-width fields; one
 				// fused write emits both (fpZeroRun is the all-zero prefix).
 				w.WriteBits(fpZeroRun<<fpZeroRunLenBits|uint32(run-1), fpPrefixBits+fpZeroRunLenBits)
-				bitsPerWord := (fpPrefixBits + fpZeroRunLenBits + run - 1) / run
-				for j := range runWords {
-					runWords[j].Bits = bitsPerWord
-					c.record(runWords[j].Kind, runErrs[j])
+				for j := start; j < i; j++ {
+					words[j].Bits = (fpPrefixBits + fpZeroRunLenBits + run - 1) / run
 				}
-				words = append(words, runWords...)
-				c.runScratch, c.runErrScratch = runWords, runErrs
 				continue
 			}
-			c.runScratch, c.runErrScratch = runWords, runErrs
 			// The structural zero match was refused by the error budget;
 			// fall through to the regular pattern rows.
 		}
 
-		we := c.encodeWord(word, mask, blk.DType)
+		kind, bits, code, decoded, relErr := c.encodeWord(word, mask, blk.DType)
 		if c.budget != nil {
 			c.budget.Advance()
 		}
-		if we.Kind == RawWord {
+		if kind == RawWord {
 			w.WriteBits(fpRaw, fpPrefixBits)
 			w.WriteBits(word, 32)
 		} else {
-			// Pattern rows carry at most 16 data bits, so prefix and data
-			// fuse into a single sub-32-bit write.
-			dataBits := we.Bits - fpPrefixBits
-			w.WriteBits(we.prefix<<uint(dataBits)|we.data, we.Bits)
+			w.WriteBits(code, bits)
 		}
-		c.record(we.Kind, we.relErr)
-		words = append(words, we.WordEnc)
+		c.record(kind, relErr)
+		words[i] = WordEnc{Kind: kind, Bits: bits, Orig: word, Decoded: decoded}
 		i++
 	}
 
@@ -293,85 +224,55 @@ func (c *fpCodec) compress(blk *value.Block, enc *Encoded, w *bitWriter, words [
 	return enc
 }
 
-type fpWordEnc struct {
-	WordEnc
-	prefix uint32
-	data   uint32
-	// relErr is the relative error the budget check already computed for an
-	// approximate hit (0 for exact), recorded into stats without a second
-	// RelError evaluation.
-	relErr float64
-}
-
-// encodeWord matches one nonzero word against the pattern table in
-// priority order, with the online error check guarding approximate hits.
-// The rows are inlined here as straight bit arithmetic — the priority
-// order and the budget semantics are exactly those of the fpPatterns
-// table (the Decompress side and TestFPInlineRowsMatchTable keep the two
-// in lock step); the table's closure indirection was the dominant cost
-// in the per-word encode loop.
-func (c *fpCodec) encodeWord(word value.Word, mask uint32, dt value.DataType) fpWordEnc {
-	if enc, ok := c.tryPattern(word, mask, dt, fpSE4, 4, word&0xF, signExtend(word&0xF, 4)); ok {
-		return enc
-	}
-	if enc, ok := c.tryPattern(word, mask, dt, fpSE8, 8, word&0xFF, signExtend(word&0xFF, 8)); ok {
-		return enc
-	}
-	if enc, ok := c.tryPattern(word, mask, dt, fpSE16, 16, word&0xFFFF, signExtend(word&0xFFFF, 16)); ok {
-		return enc
-	}
-	if enc, ok := c.tryPattern(word, mask, dt, fpHalfZero, 16, word>>16, (word>>16)<<16); ok {
-		return enc
-	}
-	d := (word >> 8 & 0xFF00) | (word & 0xFF)
-	if enc, ok := c.tryPattern(word, mask, dt, fpTwoHalfSE, 16, d, se8to16(d>>8)<<16|se8to16(d&0xFF)); ok {
-		return enc
-	}
-	return fpWordEnc{
-		WordEnc: WordEnc{Kind: RawWord, Bits: fpPrefixBits + 32, Orig: word, Decoded: word},
-	}
-}
-
-// tryPattern commits one pre-computed pattern row if its reconstruction
-// agrees with the word on every unmasked bit and — for approximate hits —
-// the error control logic admits the final deviation against the budget
-// (§3.2; the windowed budget is the §7 extension).
-func (c *fpCodec) tryPattern(word value.Word, mask uint32, dt value.DataType, prefix uint32, dataBits int, data uint32, decoded value.Word) (fpWordEnc, bool) {
-	if (word^decoded)&^mask != 0 {
-		return fpWordEnc{}, false
-	}
-	kind, relErr := ExactWord, 0.0
-	if decoded != word {
-		relErr = value.RelError(word, decoded, dt)
-		if c.budget == nil || !c.budget.Allow(relErr) {
-			return fpWordEnc{}, false
+// encodeWord matches one word the zero run did not take against the
+// Fig. 5 rows in priority order — the smallest encoding that matches wins,
+// which is the source of the paper's §5.3.1 observation that FP-VAXX may
+// take an approximate high-priority match even when an exact
+// lower-priority match exists. A row matches when the word the decoder
+// would reconstruct from the row's field agrees with the word on every
+// bit the mask cares about (mask == 0 is exact FP-COMP matching); the
+// field is taken verbatim from the word, so error can only enter through
+// don't-care bits. code is the prefix fused with the field, bits wide; a
+// raw word's code is the word and goes out behind its prefix.
+func (c *fpCodec) encodeWord(word value.Word, mask uint32, dt value.DataType) (kind WordKind, bits int, code uint32, decoded value.Word, relErr float64) {
+	if d := signExtend(word&0xF, 4); (word^d)&^mask == 0 {
+		if kind, relErr, ok := c.admit(word, d, dt); ok {
+			return kind, fpPrefixBits + 4, fpSE4<<4 | word&0xF, d, relErr
 		}
-		kind = ApproxWord
 	}
-	return fpWordEnc{
-		WordEnc: WordEnc{Kind: kind, Bits: fpPrefixBits + dataBits, Orig: word, Decoded: decoded},
-		prefix:  prefix,
-		data:    data,
-		relErr:  relErr,
-	}, true
+	if d := signExtend(word&0xFF, 8); (word^d)&^mask == 0 {
+		if kind, relErr, ok := c.admit(word, d, dt); ok {
+			return kind, fpPrefixBits + 8, fpSE8<<8 | word&0xFF, d, relErr
+		}
+	}
+	if d := signExtend(word&0xFFFF, 16); (word^d)&^mask == 0 {
+		if kind, relErr, ok := c.admit(word, d, dt); ok {
+			return kind, fpPrefixBits + 16, fpSE16<<16 | word&0xFFFF, d, relErr
+		}
+	}
+	if d := word &^ 0xFFFF; (word^d)&^mask == 0 {
+		if kind, relErr, ok := c.admit(word, d, dt); ok {
+			return kind, fpPrefixBits + 16, fpHalfZero<<16 | word>>16, d, relErr
+		}
+	}
+	if d := se8to16(word>>16)<<16 | se8to16(word); (word^d)&^mask == 0 {
+		if kind, relErr, ok := c.admit(word, d, dt); ok {
+			return kind, fpPrefixBits + 16, fpTwoHalfSE<<16 | word>>8&0xFF00 | word&0xFF, d, relErr
+		}
+	}
+	return RawWord, fpPrefixBits + 32, word, word, 0
 }
 
-// zeroMatch decides whether a word may join a zero run: exact zeros
-// always may; structurally-zero approximations (all unmasked bits zero)
-// additionally need the error budget's consent. The relative error the
-// budget evaluated is returned so stats recording can reuse it.
-func (c *fpCodec) zeroMatch(w value.Word, mask uint32, dt value.DataType) (ok bool, kind WordKind, relErr float64) {
-	if w == 0 {
-		return true, ExactWord, 0
+// admit commits a structural match: an exact one always, an approximate
+// one when the error control logic admits the final deviation against
+// the budget (§3.2; the windowed budget is the §7 extension). The relative
+// error the budget evaluated is returned so stats recording can reuse it.
+func (c *fpCodec) admit(word, decoded value.Word, dt value.DataType) (kind WordKind, relErr float64, ok bool) {
+	if decoded == word {
+		return ExactWord, 0, true
 	}
-	if w&^mask != 0 {
-		return false, RawWord, 0
-	}
-	relErr = value.RelError(w, 0, dt)
-	if c.budget == nil || !c.budget.Allow(relErr) {
-		return false, RawWord, 0
-	}
-	return true, ApproxWord, relErr
+	relErr = value.RelError(word, decoded, dt)
+	return ApproxWord, relErr, c.budget != nil && c.budget.Allow(relErr)
 }
 
 // record folds one encoded word into the op stats; relErr is the error
@@ -388,52 +289,39 @@ func (c *fpCodec) record(kind WordKind, relErr float64) {
 	}
 }
 
-func fpPatternByPrefix(prefix uint32) fpPattern {
-	p, ok := fpPatternLookup(prefix)
-	if !ok {
-		panic("compress: unknown frequent-pattern prefix")
-	}
-	return p
-}
-
-func fpPatternLookup(prefix uint32) (fpPattern, bool) {
-	for _, p := range fpPatterns {
-		if p.prefix == prefix {
-			return p, true
-		}
-	}
-	return fpPattern{}, false
-}
-
 func (c *fpCodec) Decompress(src int, enc *Encoded) (*value.Block, []Notification) {
 	r := newBitReader(enc.Payload)
-	blk := value.NewBlock(0, enc.DType, enc.Approximable)
-	blk.Words = make([]value.Word, 0, enc.NumWords)
-	for len(blk.Words) < enc.NumWords && !r.Failed() {
+	blk := value.NewBlock(enc.NumWords, enc.DType, enc.Approximable)
+	words := blk.Words
+	// A read that runs past the payload returns a zero field, from which
+	// every row reconstructs a zero word, and prefix 0 with run length 0 —
+	// a one-word zero run — from then on: a truncated block decodes to its
+	// end with the missing words zero, and the loop needs no failure test.
+	for n := 0; n < len(words); n++ {
 		c.stats.DecodeOps++
-		prefix := r.ReadBits(fpPrefixBits)
-		switch prefix {
+		switch prefix, data := r.ReadPrefixed(); prefix {
 		case fpZeroRun:
-			run := int(r.ReadBits(fpZeroRunLenBits)) + 1
-			for j := 0; j < run && len(blk.Words) < enc.NumWords; j++ {
-				blk.Words = append(blk.Words, 0)
-			}
+			n += int(data) // the words are zero already; a run ends with the block
+		case fpSE4:
+			words[n] = signExtend(data, 4)
+		case fpSE8:
+			words[n] = signExtend(data, 8)
+		case fpSE16:
+			words[n] = signExtend(data, 16)
+		case fpHalfZero:
+			words[n] = data << 16
+		case fpTwoHalfSE:
+			words[n] = se8to16(data>>8)<<16 | se8to16(data)
 		case fpRaw:
-			blk.Words = append(blk.Words, r.ReadBits(32))
+			words[n] = data
 		default:
-			p, ok := fpPatternLookup(prefix)
-			if !ok {
-				// Damaged payload (prefix 110 is unused): stop decoding;
-				// the remaining words stay zero.
-				blk.Words = blk.Words[:cap(blk.Words)]
-				return blk, nil
-			}
-			data := r.ReadBits(p.dataBits)
-			blk.Words = append(blk.Words, p.decode(data))
+			// Damaged payload (prefix 110 is unused): stop decoding; the
+			// remaining words stay zero.
+			return blk, nil
 		}
 	}
 	c.stats.BlocksDecoded++
-	c.stats.WordsDecoded += uint64(len(blk.Words))
+	c.stats.WordsDecoded += uint64(len(words))
 	return blk, nil
 }
 

@@ -52,13 +52,13 @@ func TestFPCompPatternClasses(t *testing.T) {
 		{0x12345678, 3 + 32, RawWord},   // incompressible
 	}
 	for _, cse := range cases {
-		enc := c.encodeWord(cse.w, 0, value.Int32)
-		if enc.Kind != cse.kind || enc.Bits != cse.bits {
+		kind, bits, _, decoded, _ := c.encodeWord(cse.w, 0, value.Int32)
+		if kind != cse.kind || bits != cse.bits {
 			t.Errorf("word %#x: kind=%v bits=%d, want kind=%v bits=%d",
-				cse.w, enc.Kind, enc.Bits, cse.kind, cse.bits)
+				cse.w, kind, bits, cse.kind, cse.bits)
 		}
-		if enc.Decoded != cse.w {
-			t.Errorf("word %#x: exact path altered value to %#x", cse.w, enc.Decoded)
+		if decoded != cse.w {
+			t.Errorf("word %#x: exact path altered value to %#x", cse.w, decoded)
 		}
 	}
 }
@@ -66,9 +66,9 @@ func TestFPCompPatternClasses(t *testing.T) {
 func TestFPCompPriorityOrder(t *testing.T) {
 	c := NewFPComp().(*fpCodec)
 	// 5 matches 4-bit SE, byte SE and halfword SE; priority must pick 4-bit.
-	enc := c.encodeWord(5, 0, value.Int32)
-	if enc.Bits != 3+4 {
-		t.Fatalf("word 5 encoded with %d bits, want the 4-bit SE row", enc.Bits)
+	_, bits, _, _, _ := c.encodeWord(5, 0, value.Int32)
+	if bits != 3+4 {
+		t.Fatalf("word 5 encoded with %d bits, want the 4-bit SE row", bits)
 	}
 }
 
@@ -274,6 +274,53 @@ func TestSchemeStringsAndParse(t *testing.T) {
 	}
 }
 
+// refBitReader is the bit-at-a-time formulation (internal/oracle keeps the
+// same one) that the accumulator reader is held to: layout, values and
+// the overrun state — failed set, the rest consumed, zero returned.
+type refBitReader struct {
+	buf  []byte
+	pos  int
+	fail bool
+}
+
+func (r *refBitReader) read(width int) uint32 {
+	if r.pos+width > 8*len(r.buf) {
+		r.pos, r.fail = 8*len(r.buf), true
+		return 0
+	}
+	var v uint32
+	for i := 0; i < width; i++ {
+		v = v<<1 | uint32(r.buf[r.pos/8]>>uint(7-r.pos%8))&1
+		r.pos++
+	}
+	return v
+}
+
+// checkAgainstRef reads lead bits with ReadBits and then codes codes with
+// the fused ReadPrefixed, comparing every value and the reader state with
+// the reference reading the same buffer one bit at a time.
+func checkAgainstRef(t *testing.T, buf []byte, lead, codes int) {
+	t.Helper()
+	r, ref := newBitReader(buf), &refBitReader{buf: buf}
+	same := func(what string, got, want uint32) {
+		t.Helper()
+		if got != want || r.Failed() != ref.fail || r.Pos() != ref.pos {
+			t.Fatalf("% x, %d lead bits, %s: read %#x (failed %v, pos %d), bit-at-a-time says %#x (failed %v, pos %d)",
+				buf, lead, what, got, r.Failed(), r.Pos(), want, ref.fail, ref.pos)
+		}
+	}
+	for n := lead; n > 0; n -= min(n, 32) {
+		same("lead", r.ReadBits(min(n, 32)), ref.read(min(n, 32)))
+	}
+	for k := 0; k < codes; k++ {
+		prefix, data := r.ReadPrefixed()
+		wantPrefix := ref.read(fpPrefixBits)
+		wantData := ref.read(int(fpDataBits[wantPrefix]))
+		same("prefix", prefix, wantPrefix)
+		same("field", data, wantData)
+	}
+}
+
 func TestBitIORoundTripProperty(t *testing.T) {
 	f := func(fields []uint32, widths []uint8) bool {
 		n := len(fields)
@@ -304,6 +351,24 @@ func TestBitIORoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+	// The fused prefix+field read: a stream of codes behind 0..63 lead
+	// bits, so codes start at every alignment and straddle every refill.
+	g := func(lead uint8, prefixes []uint8, fields []uint32) bool {
+		n := min(len(prefixes), len(fields))
+		w := &bitWriter{}
+		for i := 0; i < int(lead%64); i++ {
+			w.WriteBits(uint32(i), 1)
+		}
+		for i := 0; i < n; i++ {
+			w.WriteBits(uint32(prefixes[i]), fpPrefixBits)
+			w.WriteBits(fields[i], int(fpDataBits[prefixes[i]%(1<<fpPrefixBits)]))
+		}
+		checkAgainstRef(t, w.Bytes(), int(lead%64), n)
+		return true
+	}
+	if err := quick.Check(g, nil); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestBitReaderOverrun(t *testing.T) {
@@ -314,6 +379,24 @@ func TestBitReaderOverrun(t *testing.T) {
 	}
 	if v := r.ReadBits(1); v != 0 || !r.Failed() {
 		t.Fatal("overrun not detected")
+	}
+	// The fused read, for every prefix at every alignment with the buffer
+	// cut at every byte: the code whole, its field cut, its prefix cut,
+	// and reads after the overrun.
+	for lead := 0; lead < 72; lead++ {
+		for prefix := uint32(0); prefix < 1<<fpPrefixBits; prefix++ {
+			w := &bitWriter{}
+			for i := 0; i < lead; i++ {
+				w.WriteBits(1, 1)
+			}
+			w.WriteBits(prefix, fpPrefixBits)
+			w.WriteBits(0xA5A5_A5A5, int(fpDataBits[prefix]))
+			w.WriteBits(0x2FF, 10) // a second code begins behind the first
+			full := w.Bytes()
+			for cut := 0; cut <= len(full); cut++ {
+				checkAgainstRef(t, full[:cut], lead, 4)
+			}
+		}
 	}
 }
 

@@ -84,6 +84,41 @@ func FuzzFPCRoundTrip(f *testing.F) {
 	})
 }
 
+// FuzzFPCDecodeArbitrary feeds arbitrary bytes to the production FP
+// decoder and to the oracle's: the block always has NumWords words, they
+// agree on every word of every code that decodes whole, and from the
+// first unused prefix or overrun on the production words are zero.
+func FuzzFPCDecodeArbitrary(f *testing.F) {
+	// One word per Fig. 5 row, whole, cut short, and with the unused prefix.
+	rows := &value.Block{Words: []value.Word{0, 0, 0, 5, 0x75, 0x4321, 0x4321_0000, 0x0012_0034, 0xDEAD_BEEF}}
+	whole := compress.NewFPComp().Compress(1, rows).Payload
+	f.Add(whole, uint8(len(rows.Words)))
+	f.Add(whole[:len(whole)-3], uint8(len(rows.Words)))
+	f.Add(whole, uint8(2)) // the zero run overflows the block
+	f.Add([]byte{0b110_00000}, uint8(4))
+	f.Add([]byte{}, uint8(16))
+	f.Fuzz(func(t *testing.T, payload []byte, n uint8) {
+		numWords := int(n % 65)
+		dec, _ := compress.NewFPComp().Decompress(0, &compress.Encoded{Scheme: compress.FPComp, NumWords: numWords, Payload: payload})
+		if len(dec.Words) != numWords {
+			t.Fatalf("decoded %d words from % x, want %d", len(dec.Words), payload, numWords)
+		}
+		ref, err := oracle.FPCDecode(payload, numWords)
+		if err == nil && len(ref) != numWords {
+			t.Fatalf("oracle decoded %d words without error, want %d", len(ref), numWords)
+		}
+		for i, w := range dec.Words {
+			want := value.Word(0)
+			if i < len(ref) {
+				want = ref[i]
+			}
+			if w != want {
+				t.Fatalf("word %d of % x (%d words) = %#08x, oracle says %#08x (oracle error: %v)", i, payload, numWords, w, want, err)
+			}
+		}
+	})
+}
+
 // FuzzBDIRoundTrip differential-tests BD-COMP against the reference
 // base-delta encoder/decoder and BD-VAXX against the invariants.
 func FuzzBDIRoundTrip(f *testing.F) {

@@ -14,18 +14,6 @@ import (
 // numbers price exactly what the serve gateway and the cache-simulator
 // substrate execute per block.
 func BenchmarkCodecHotPath(b *testing.B) {
-	distBlocks := func(name string) []*value.Block {
-		m, err := workload.ByName(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		src := m.NewSource(7, 0.75)
-		blocks := make([]*value.Block, 256)
-		for i := range blocks {
-			blocks[i] = src.NextBlock()
-		}
-		return blocks
-	}
 	for _, entries := range []int{8, 32} {
 		for _, threshold := range []int{5, 10} {
 			for _, dist := range []string{"ssca2", "x264", "blackscholes"} {
@@ -38,7 +26,7 @@ func BenchmarkCodecHotPath(b *testing.B) {
 						b.Fatal(err)
 					}
 					f := NewFabric(2, factory)
-					blocks := distBlocks(dist)
+					blocks := distBlocks(b, dist)
 					// Warm the dictionaries so steady-state hit rates apply.
 					for _, blk := range blocks {
 						f.Transfer(0, 1, blk)
@@ -54,9 +42,9 @@ func BenchmarkCodecHotPath(b *testing.B) {
 	}
 }
 
-// BenchmarkEncode prices the encode half alone, per scheme.
-func BenchmarkEncode(b *testing.B) {
-	m, err := workload.ByName("ssca2")
+// distBlocks draws 256 blocks from the named workload's value model.
+func distBlocks(b *testing.B, name string) []*value.Block {
+	m, err := workload.ByName(name)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -65,34 +53,44 @@ func BenchmarkEncode(b *testing.B) {
 	for i := range blocks {
 		blocks[i] = src.NextBlock()
 	}
-	mk := func(name string) Codec {
-		switch name {
-		case "fpcomp":
-			return NewFPComp()
-		case "fpvaxx":
-			c, err := NewFPVaxx(10)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return c
-		case "bdvaxx":
-			c, err := NewBDVaxx(10)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return c
-		default:
-			b.Fatalf("unknown codec %s", name)
-			return nil
-		}
-	}
-	for _, name := range []string{"fpcomp", "fpvaxx", "bdvaxx"} {
+	return blocks
+}
+
+// benchCodecs are the stateless schemes (staticCodecs names) that
+// BenchmarkEncode and BenchmarkDecode price; the dictionary schemes need
+// a warmed fabric and are priced whole by BenchmarkCodecHotPath.
+var benchCodecs = []string{"fpcomp", "fpvaxx", "bdvaxx"}
+
+// BenchmarkEncode prices the encode half alone, per scheme.
+func BenchmarkEncode(b *testing.B) {
+	blocks := distBlocks(b, "ssca2")
+	for _, name := range benchCodecs {
 		b.Run("codec="+name, func(b *testing.B) {
-			c := mk(name)
+			c := staticCodecs(b)[name]()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				c.Compress(1, blocks[i%len(blocks)])
+			}
+		})
+	}
+}
+
+// BenchmarkDecode prices the decode half alone, per scheme, over the
+// encodings BenchmarkEncode produces.
+func BenchmarkDecode(b *testing.B) {
+	blocks := distBlocks(b, "ssca2")
+	for _, name := range benchCodecs {
+		b.Run("codec="+name, func(b *testing.B) {
+			c := staticCodecs(b)[name]()
+			encs := make([]*Encoded, len(blocks))
+			for i, blk := range blocks {
+				encs[i] = c.Compress(1, blk).Clone()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Decompress(0, encs[i%len(encs)])
 			}
 		})
 	}

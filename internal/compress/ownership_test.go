@@ -7,7 +7,7 @@ import "testing"
 // keeps one longer. These tests fail if either half is broken.
 
 // staticCodecs returns a constructor for every scheme that needs no peer.
-func staticCodecs(t *testing.T) map[string]func() Codec {
+func staticCodecs(t testing.TB) map[string]func() Codec {
 	t.Helper()
 	must := func(mk func() (Codec, error)) func() Codec {
 		return func() Codec {

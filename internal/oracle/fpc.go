@@ -65,55 +65,56 @@ func FPCEncode(words []value.Word) (payload []byte, bits int) {
 
 // FPCDecode independently decodes a frequent-pattern payload back into
 // numWords words, erroring on truncation, overlong zero runs, or the
-// unused 110 prefix.
+// unused 110 prefix; beside an error it returns the words of the codes
+// that decoded whole before it (an overlong run included).
 func FPCDecode(payload []byte, numWords int) ([]value.Word, error) {
 	c := &bitcursor{buf: payload}
 	words := make([]value.Word, 0, numWords)
 	for len(words) < numWords {
 		prefix, err := c.read(3)
 		if err != nil {
-			return nil, err
+			return words, err
 		}
 		switch prefix {
 		case 0b000:
 			run, err := c.read(3)
 			if err != nil {
-				return nil, err
+				return words, err
 			}
 			for j := uint32(0); j <= run; j++ {
 				words = append(words, 0)
 			}
 			if len(words) > numWords {
-				return nil, fmt.Errorf("oracle: zero run overflows the block (%d > %d words)", len(words), numWords)
+				return words, fmt.Errorf("oracle: zero run overflows the block (%d > %d words)", len(words), numWords)
 			}
 		case 0b001:
 			d, err := c.read(4)
 			if err != nil {
-				return nil, err
+				return words, err
 			}
 			words = append(words, uint32(int32(d<<28)>>28))
 		case 0b010:
 			d, err := c.read(8)
 			if err != nil {
-				return nil, err
+				return words, err
 			}
 			words = append(words, uint32(int32(d<<24)>>24))
 		case 0b011:
 			d, err := c.read(16)
 			if err != nil {
-				return nil, err
+				return words, err
 			}
 			words = append(words, uint32(int32(d<<16)>>16))
 		case 0b100:
 			d, err := c.read(16)
 			if err != nil {
-				return nil, err
+				return words, err
 			}
 			words = append(words, d<<16)
 		case 0b101:
 			d, err := c.read(16)
 			if err != nil {
-				return nil, err
+				return words, err
 			}
 			hi := uint32(uint16(int16(int8(uint8(d >> 8)))))
 			lo := uint32(uint16(int16(int8(uint8(d)))))
@@ -121,11 +122,11 @@ func FPCDecode(payload []byte, numWords int) ([]value.Word, error) {
 		case 0b111:
 			d, err := c.read(32)
 			if err != nil {
-				return nil, err
+				return words, err
 			}
 			words = append(words, d)
 		default:
-			return nil, fmt.Errorf("oracle: unused frequent-pattern prefix %03b", prefix)
+			return words, fmt.Errorf("oracle: unused frequent-pattern prefix %03b", prefix)
 		}
 	}
 	return words, nil

@@ -18,6 +18,7 @@ run_target() {
 }
 
 run_target ./internal/compress FuzzFPCRoundTrip
+run_target ./internal/compress FuzzFPCDecodeArbitrary
 run_target ./internal/compress FuzzDictRoundTrip
 run_target ./internal/compress FuzzBDIRoundTrip
 run_target ./internal/compress FuzzDictSnapshot
