@@ -7,7 +7,8 @@
 # `make obs-demo` boots a live gateway with the debug endpoint, scrapes
 # /metrics and /trace over HTTP, and fails unless the scrape parses.
 # `make loc` prints non-test Go lines per package and in total,
-# benchmark/ excluded (scripts/loc.sh <rev> counts a commit).
+# benchmark/ excluded (scripts/loc.sh <rev> counts a commit;
+# scripts/loc.sh census lists exported names only tests mention).
 
 .PHONY: check test build bench fuzz-smoke obs-demo loc
 

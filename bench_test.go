@@ -19,7 +19,6 @@ import (
 	"approxnoc/internal/graph"
 	"approxnoc/internal/serve"
 	"approxnoc/internal/tcam"
-	"approxnoc/internal/traffic"
 	"approxnoc/internal/value"
 	"approxnoc/internal/workload"
 )
@@ -111,9 +110,13 @@ func BenchmarkFig12(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sat := experiments.SaturationThroughput(pts, "blackscholes", traffic.UniformRandom)
-		b.ReportMetric(sat[compress.Baseline], "baseline-sat-rate")
-		b.ReportMetric(sat[compress.FPVaxx], "fpvaxx-sat-rate")
+		saturated := 0
+		for _, p := range pts {
+			if p.Saturated {
+				saturated++
+			}
+		}
+		b.ReportMetric(float64(saturated), "saturated-points")
 	}
 }
 

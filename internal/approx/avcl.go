@@ -70,9 +70,6 @@ func MustNew(thresholdPct int) *AVCL {
 // Threshold returns the configured error threshold in percent.
 func (a *AVCL) Threshold() int { return a.thresholdPct }
 
-// Shift returns the precomputed shift-bit count.
-func (a *AVCL) Shift() uint { return a.shift }
-
 // Stats returns the operation counters.
 func (a *AVCL) Stats() Stats { return a.stats }
 

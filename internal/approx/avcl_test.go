@@ -35,8 +35,8 @@ func TestMustNewPanics(t *testing.T) {
 // shift of 2 = log2(100/25).
 func TestShiftMatchesPaper(t *testing.T) {
 	a := MustNew(25)
-	if a.Shift() != 2 {
-		t.Fatalf("shift for 25%% = %d, want 2", a.Shift())
+	if a.shift != 2 {
+		t.Fatalf("shift for 25%% = %d, want 2", a.shift)
 	}
 	if got := a.ErrorRange(128); got != 32 {
 		t.Fatalf("ErrorRange(128) = %d, want 32", got)
@@ -52,11 +52,11 @@ func TestShiftConservative(t *testing.T) {
 	}
 	for _, c := range cases {
 		a := MustNew(c.pct)
-		if a.Shift() != c.shift {
-			t.Errorf("shift(%d%%) = %d, want %d", c.pct, a.Shift(), c.shift)
+		if a.shift != c.shift {
+			t.Errorf("shift(%d%%) = %d, want %d", c.pct, a.shift, c.shift)
 		}
 		// Conservative property: 2^shift >= 100/e.
-		if (1<<a.Shift())*c.pct < 100 {
+		if (1<<a.shift)*c.pct < 100 {
 			t.Errorf("shift(%d%%) too small to guarantee threshold", c.pct)
 		}
 	}

@@ -107,26 +107,6 @@ func kernelRunner(a App) (func(*cachesim.System) ([]float64, error), bool) {
 	return nil, false
 }
 
-// RunCustom executes a kernel on caller-provided precise and approximate
-// cache systems and returns the generic mean-relative output error.
-// (streamcluster's own Run additionally folds in membership mismatch;
-// RunCustom applies the generic metric uniformly.)
-func RunCustom(a App, precise, approxSys *cachesim.System) (float64, error) {
-	run, ok := kernelRunner(a)
-	if !ok {
-		return 0, fmt.Errorf("apps: kernel %q has no raw runner", a.Name())
-	}
-	ref, err := run(precise)
-	if err != nil {
-		return 0, err
-	}
-	got, err := run(approxSys)
-	if err != nil {
-		return 0, err
-	}
-	return meanRelErr(ref, got), nil
-}
-
 // meanRelErr returns the mean element-wise relative difference between a
 // reference and an approximate output vector, with a magnitude floor so
 // near-zero reference elements don't blow up the metric (the treatment

@@ -59,15 +59,6 @@ type Stats struct {
 	Invalidates uint64
 }
 
-// MissRate returns misses / (loads + stores).
-func (s Stats) MissRate() float64 {
-	total := s.Loads + s.Stores
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(total)
-}
-
 // region is an annotated approximable address range.
 type region struct {
 	start, end uint32

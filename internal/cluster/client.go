@@ -21,6 +21,10 @@ var (
 	ErrClosed = errors.New("cluster: client closed")
 )
 
+// maxInflightPerNode bounds a client's outstanding requests per node:
+// the server's default per-connection pipeline bound.
+const maxInflightPerNode = 1024
+
 // ClientConfig parameterizes a cluster Client.
 type ClientConfig struct {
 	// FailoverBudget bounds how many times one call may be rerouted to
@@ -38,10 +42,6 @@ type ClientConfig struct {
 	// means no sleep — just a scheduler yield, the throughput-bench
 	// shape. Negative disables even the yield.
 	OverloadBackoff time.Duration
-	// MaxInflightPerNode bounds this client's outstanding requests per
-	// node (0 means 1024, the server's default per-connection pipeline
-	// bound).
-	MaxInflightPerNode int
 	// Dial overrides how node connections are established (default
 	// serve.Dial). Tests substitute failure injection.
 	Dial func(addr string) (*serve.Client, error)
@@ -50,9 +50,6 @@ type ClientConfig struct {
 func (c ClientConfig) withDefaults() ClientConfig {
 	if c.FailoverBudget == 0 {
 		c.FailoverBudget = 3
-	}
-	if c.MaxInflightPerNode == 0 {
-		c.MaxInflightPerNode = 1024
 	}
 	if c.Dial == nil {
 		c.Dial = serve.Dial
@@ -115,7 +112,7 @@ type link struct {
 // fail over to the ring's replacement after the stream to it is
 // established. Client is safe for concurrent use; any number of
 // goroutines may keep calls in flight, bounded per node by
-// MaxInflightPerNode tokens.
+// maxInflightPerNode tokens.
 type Client struct {
 	view *View
 	cfg  ClientConfig
@@ -283,8 +280,8 @@ func (c *Client) link(id, addr string) (*link, error) {
 	}
 	lk := &link{
 		id: id, addr: addr, cl: cl,
-		tokens: make(chan struct{}, c.cfg.MaxInflightPerNode),
-		done:   make(chan *serve.Call, c.cfg.MaxInflightPerNode),
+		tokens: make(chan struct{}, maxInflightPerNode),
+		done:   make(chan *serve.Call, maxInflightPerNode),
 	}
 	c.mu.Lock()
 	if c.closed {

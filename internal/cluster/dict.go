@@ -40,25 +40,6 @@ func (c *Cluster) RestoreDicts(id string, data []byte) (adopted, kept int, err e
 	return gw.RestoreDicts(data)
 }
 
-// ReplicateDicts copies fromID's dictionary image to its ring-adjacent
-// owned node — the member that adopts fromID's flows if it dies — and
-// returns that node's id with the restore tally. This is the manual
-// replication step a failover drill runs before killing a node, so the
-// successor serves the victim's flows from warmed dictionaries instead
-// of relearning from scratch.
-func (c *Cluster) ReplicateDicts(fromID string) (toID string, adopted, kept int, err error) {
-	toID, ok := c.view.Ring().Adjacent(fromID)
-	if !ok {
-		return "", 0, 0, fmt.Errorf("cluster: node %q has no ring neighbor", fromID)
-	}
-	snap, err := c.SnapshotDicts(fromID)
-	if err != nil {
-		return toID, 0, 0, err
-	}
-	adopted, kept, err = c.RestoreDicts(toID, snap)
-	return toID, adopted, kept, err
-}
-
 // warmStart seeds a joining node's dictionaries from its ring-adjacent
 // donor — the member whose flow arcs the newcomer inherits. Called by
 // AddNode before the node joins the view, on the pre-join ring. Nodes

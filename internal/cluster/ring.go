@@ -106,16 +106,6 @@ func (r *Ring) With(id string) *Ring {
 	return NewRing(r.vnodes, append(r.Nodes(), id))
 }
 
-// Without returns a ring with id removed (r itself when absent).
-func (r *Ring) Without(id string) *Ring {
-	if !r.Has(id) {
-		return r
-	}
-	ids := r.Nodes()
-	i := sort.SearchStrings(ids, id)
-	return NewRing(r.vnodes, append(ids[:i], ids[i+1:]...))
-}
-
 // Lookup returns the node owning flow (src, dst), false on an empty
 // ring.
 func (r *Ring) Lookup(src, dst int) (string, bool) {

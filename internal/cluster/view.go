@@ -33,8 +33,6 @@ type ViewConfig struct {
 	// changes only through explicit SetState/NodeFailed calls — the
 	// mode tests use for deterministic transitions).
 	HeartbeatEvery time.Duration
-	// ProbeTimeout bounds one probe dial (0 means DefaultProbeTimeout).
-	ProbeTimeout time.Duration
 	// FailAfter is the consecutive probe failures before a node is
 	// marked down and drops off the ring (0 means DefaultFailAfter).
 	FailAfter int
@@ -50,9 +48,6 @@ func (c ViewConfig) withDefaults() ViewConfig {
 	}
 	if c.HeartbeatEvery == 0 {
 		c.HeartbeatEvery = DefaultHeartbeat
-	}
-	if c.ProbeTimeout == 0 {
-		c.ProbeTimeout = DefaultProbeTimeout
 	}
 	if c.FailAfter == 0 {
 		c.FailAfter = DefaultFailAfter
@@ -274,7 +269,7 @@ func (v *View) probeLoop() {
 				continue
 			}
 			v.stats.probes.Add(1)
-			if err := v.cfg.Probe(m.Addr, v.cfg.ProbeTimeout); err != nil {
+			if err := v.cfg.Probe(m.Addr, DefaultProbeTimeout); err != nil {
 				v.stats.probeFailures.Add(1)
 				fails := v.members.probeFailed(m.ID)
 				switch {

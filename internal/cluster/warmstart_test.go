@@ -208,12 +208,17 @@ func TestClusterWarmStartKillMidReplay(t *testing.T) {
 	client.Close()
 
 	victim := cl.NodeIDs()[len(cl.NodeIDs())-1]
-	toID, adopted, kept, err := cl.ReplicateDicts(victim)
-	if err != nil {
-		t.Fatalf("replicate %s: %v", victim, err)
+	toID, ok := cl.View().Ring().Adjacent(victim)
+	if !ok || toID == victim {
+		t.Fatalf("ring adjacency of %s returned %q, %v", victim, toID, ok)
 	}
-	if toID == victim {
-		t.Fatalf("ring adjacency returned the victim %s itself", victim)
+	snap, err := cl.SnapshotDicts(victim)
+	if err != nil {
+		t.Fatalf("snapshot %s: %v", victim, err)
+	}
+	adopted, kept, err := cl.RestoreDicts(toID, snap)
+	if err != nil {
+		t.Fatalf("restore %s -> %s: %v", victim, toID, err)
 	}
 	if adopted+kept == 0 {
 		t.Fatal("replication reconciled nothing: no codec adopted or kept")

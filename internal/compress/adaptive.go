@@ -40,9 +40,6 @@ type Adaptive struct {
 	epochIn     uint64
 	epochOut    uint64
 	offEpochs   int
-
-	bypassedBlocks uint64
-	decisions      uint64
 }
 
 // NewAdaptive wraps inner with the on/off controller.
@@ -72,15 +69,11 @@ func (a *Adaptive) Unwrap() Codec { return a.inner }
 // On reports whether compression is currently enabled.
 func (a *Adaptive) On() bool { return a.on }
 
-// BypassedBlocks returns how many blocks skipped compression.
-func (a *Adaptive) BypassedBlocks() uint64 { return a.bypassedBlocks }
-
 // Compress encodes through the wrapped codec or bypasses it, per the
 // controller state. The result belongs to whichever side encoded it and
 // lives until the next Compress on the wrapper.
 func (a *Adaptive) Compress(dst int, blk *value.Block) *Encoded {
 	if !a.on {
-		a.bypassedBlocks++
 		a.epochBlocks++
 		if a.epochBlocks >= a.cfg.WindowBlocks {
 			a.endOffEpoch()
@@ -98,7 +91,6 @@ func (a *Adaptive) Compress(dst int, blk *value.Block) *Encoded {
 }
 
 func (a *Adaptive) endOnEpoch() {
-	a.decisions++
 	ratio := 1.0
 	if a.epochOut > 0 {
 		ratio = float64(a.epochIn) / float64(a.epochOut)
@@ -111,7 +103,6 @@ func (a *Adaptive) endOnEpoch() {
 }
 
 func (a *Adaptive) endOffEpoch() {
-	a.decisions++
 	a.offEpochs++
 	if a.offEpochs >= a.cfg.ProbeEvery {
 		a.on = true // probe epoch

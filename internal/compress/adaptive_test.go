@@ -72,9 +72,6 @@ func TestAdaptiveDisablesOnIncompressibleTraffic(t *testing.T) {
 	if !dec.Equal(blk) {
 		t.Fatal("bypassed block corrupted")
 	}
-	if a.BypassedBlocks() == 0 {
-		t.Fatal("bypass counter idle")
-	}
 }
 
 func TestAdaptiveStaysOnForCompressibleTraffic(t *testing.T) {

@@ -655,7 +655,6 @@ func (d *dictCodec) promote(src int, word value.Word, dt value.DataType, count i
 	d.pending = append(d.pending, pendingInstall{
 		slot: victim, pattern: word, dtype: dt, requester: src, awaiting: awaiting,
 	})
-	d.stats.NotificationsSent += uint64(len(out))
 	return out
 }
 

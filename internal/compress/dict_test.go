@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"approxnoc/internal/sim"
 	"approxnoc/internal/value"
 )
 
@@ -302,5 +303,75 @@ func TestFabricStatsAggregation(t *testing.T) {
 	s := f.Stats()
 	if s.BlocksIn != 1 || s.BlocksDecoded != 1 || s.WordsIn != 3 {
 		t.Fatalf("aggregate stats wrong: %+v", s)
+	}
+}
+
+// TestDictNotificationsConserved: on a closed fabric that hands over
+// every notification exactly once, Σ NotificationsSent must equal
+// Σ NotificationsRecv at quiescence — the count Fig. 15's NotifPJ term
+// and *_codec_notifications_total are read from. 2-entry PMTs under a
+// shifting hot set keep the eviction handshake (invalidate → ack →
+// deferred install) and, in the GC rows, epoch reclaims busy.
+func TestDictNotificationsConserved(t *testing.T) {
+	const nodes, transfers = 4, 4000
+	for _, tc := range []struct {
+		name   string
+		scheme Scheme
+		gc     bool
+	}{
+		{"DI-COMP", DIComp, false},
+		{"DI-VAXX", DIVaxx, false},
+		{"DI-COMP gc", DIComp, true},
+		{"DI-VAXX gc", DIVaxx, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DictConfig{Nodes: nodes, Entries: 2, CandidateCap: 16, PromoteThreshold: 2, PendingCap: 2}
+			if tc.gc {
+				cfg.AgingPeriod, cfg.GCAgeOutEpochs, cfg.GCPressureSweep = 64, 1, 1
+			}
+			f := NewFabric(nodes, func(node int) Codec {
+				var c Codec
+				var err error
+				if tc.scheme == DIVaxx {
+					c, err = NewDIVaxx(node, cfg, 10)
+				} else {
+					c, err = NewDIComp(node, cfg)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				return c
+			})
+			rng := sim.NewRand(5)
+			for i := 0; i < transfers; i++ {
+				src := rng.Intn(nodes)
+				dst := (src + 1 + rng.Intn(nodes-1)) % nodes
+				words := make([]int32, 8)
+				for w := range words {
+					// Six hot values, drifting every 500 transfers.
+					words[w] = int32(1000*(i/500) + 100*rng.Intn(6))
+				}
+				f.Transfer(src, dst, value.BlockFromI32(words, tc.scheme == DIVaxx))
+			}
+			s := f.Stats()
+			if s.NotificationsSent == 0 || (tc.gc && s.GCEpochs == 0) {
+				t.Fatalf("no protocol traffic to conserve: %+v", s)
+			}
+			var evicted bool
+			for n := 0; n < nodes; n++ {
+				d := f.Codec(n).(*dictCodec)
+				if len(d.pending) != 0 {
+					t.Fatalf("node %d: %d pending installs at quiescence", n, len(d.pending))
+				}
+				evicted = evicted || d.blockedPromotes > 0 || d.stats.TableWrites > uint64(cfg.Entries)
+			}
+			if !evicted {
+				t.Fatal("workload never put the PMTs under eviction pressure")
+			}
+			if s.NotificationsSent != s.NotificationsRecv {
+				t.Fatalf("sent %d != recv %d on a fabric that delivers every notification once",
+					s.NotificationsSent, s.NotificationsRecv)
+			}
+		})
 	}
 }

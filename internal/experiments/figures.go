@@ -259,22 +259,6 @@ func runSynthetic(cfg Config, model workload.Model, pattern traffic.Pattern, sch
 	})
 }
 
-// SaturationThroughput reports, per scheme, the highest offered rate whose
-// measured latency stays below the saturation cutoff — the §5.2.2
-// throughput improvement metric.
-func SaturationThroughput(pts []Fig12Point, benchmark string, pattern traffic.Pattern) map[compress.Scheme]float64 {
-	out := make(map[compress.Scheme]float64)
-	for _, p := range pts {
-		if p.Benchmark != benchmark || p.Pattern != pattern || p.Saturated {
-			continue
-		}
-		if p.Rate > out[p.Scheme] {
-			out[p.Scheme] = p.Rate
-		}
-	}
-	return out
-}
-
 // Fig15Row is one bar of Fig. 15: dynamic power normalized to baseline.
 type Fig15Row struct {
 	Benchmark string

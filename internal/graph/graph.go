@@ -34,18 +34,6 @@ func (g *Graph) AddEdge(u, v int) {
 	g.adj[u] = append(g.adj[u], int32(v))
 }
 
-// Neighbors returns u's out-neighbours.
-func (g *Graph) Neighbors(u int) []int32 { return g.adj[u] }
-
-// Edges returns the edge count.
-func (g *Graph) Edges() int {
-	m := 0
-	for _, a := range g.adj {
-		m += len(a)
-	}
-	return m
-}
-
 // RMAT generates a scale-free graph with 2^scale vertices and roughly
 // edgeFactor * 2^scale edges, using the (a,b,c,d) = (0.57,0.19,0.19,0.05)
 // parameters SSCA2/Graph500 specify. Edges are made symmetric so BFS

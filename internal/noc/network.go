@@ -71,9 +71,8 @@ type Network struct {
 	nextPacketID uint64
 	inFlight     int
 
-	stats      NetStats
-	power      PowerEvents
-	statsEpoch sim.Cycle
+	stats NetStats
+	power PowerEvents
 
 	tracer *obs.Tracer
 	obs    *netObs
@@ -336,25 +335,11 @@ func (n *Network) Quiescent() bool {
 // InFlight returns the number of packets sent but not yet delivered.
 func (n *Network) InFlight() int { return n.inFlight }
 
-// Stats returns a snapshot of network statistics with Cycles filled in
-// (cycles since the last ResetStats).
+// Stats returns a snapshot of network statistics with Cycles filled in.
 func (n *Network) Stats() NetStats {
 	s := n.stats
-	s.Cycles = uint64(n.clock.Now() - n.statsEpoch)
+	s.Cycles = uint64(n.clock.Now())
 	return s
-}
-
-// ResetStats zeroes the statistics and power counters without touching
-// network state — the warmup/measurement methodology: run the warmup,
-// reset, then measure the steady state. In-flight packets continue and
-// will be recorded on delivery.
-func (n *Network) ResetStats() {
-	n.stats = NetStats{}
-	// Packets already in flight will still be recorded on delivery; count
-	// them as sent in the new epoch so sent >= delivered always holds.
-	n.stats.PacketsSent = uint64(n.inFlight)
-	n.power = PowerEvents{}
-	n.statsEpoch = n.clock.Now()
 }
 
 // Power returns the accumulated microarchitectural event counts.

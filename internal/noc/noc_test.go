@@ -610,45 +610,6 @@ func TestFewerMatchUnitsIncreaseLatency(t *testing.T) {
 	}
 }
 
-func TestResetStatsEpoch(t *testing.T) {
-	n := baselineNet(t, 4, 4, 1)
-	n.SendControl(0, 15)
-	n.Drain(1000)
-	if n.Stats().PacketsDelivered != 1 {
-		t.Fatal("warmup packet missing")
-	}
-	n.ResetStats()
-	s := n.Stats()
-	if s.PacketsDelivered != 0 || s.PacketsSent != 0 || s.Cycles != 0 {
-		t.Fatalf("stats not reset: %+v", s)
-	}
-	if n.Power() != (PowerEvents{}) {
-		t.Fatal("power not reset")
-	}
-	// Post-reset traffic is measured from the epoch.
-	n.SendControl(1, 14)
-	n.Drain(1000)
-	s = n.Stats()
-	if s.PacketsDelivered != 1 || s.Cycles == 0 {
-		t.Fatalf("post-reset stats wrong: %+v", s)
-	}
-}
-
-func TestResetStatsWithInFlightPackets(t *testing.T) {
-	n := baselineNet(t, 4, 4, 1)
-	n.SendData(0, 15, testBlock())
-	n.Run(3) // packet still in flight
-	n.ResetStats()
-	if got := n.Stats().PacketsSent; got != 1 {
-		t.Fatalf("in-flight packets not carried: sent=%d", got)
-	}
-	n.Drain(5000)
-	s := n.Stats()
-	if s.PacketsDelivered != 1 || s.PacketsSent != 1 {
-		t.Fatalf("post-drain accounting: %+v", s)
-	}
-}
-
 func TestLatencyPercentiles(t *testing.T) {
 	n := baselineNet(t, 4, 4, 1)
 	for i := 0; i < 50; i++ {

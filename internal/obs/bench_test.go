@@ -3,21 +3,9 @@ package obs
 import (
 	"testing"
 	"time"
+
+	"approxnoc/internal/stats"
 )
-
-func BenchmarkCounterInc(b *testing.B) {
-	var c Counter
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-	}
-}
-
-func BenchmarkHistogramObserve(b *testing.B) {
-	var h Histogram
-	for i := 0; i < b.N; i++ {
-		h.Observe(time.Duration(i))
-	}
-}
 
 // BenchmarkTracerRecordDisabled is the cost a call site pays when
 // tracing is off: one nil check. The instrumentation-overhead criterion
@@ -38,11 +26,18 @@ func BenchmarkTracerRecordEnabled(b *testing.B) {
 
 func BenchmarkWriteText(b *testing.B) {
 	reg := NewRegistry()
-	cv := reg.CounterVec("words_total", "words", "kind")
-	for _, k := range []string{"approx", "exact", "raw"} {
-		cv.With(k).Add(1000)
-	}
-	reg.Histogram("lat_ns", "latency").Observe(time.Microsecond)
+	reg.Collector("words_total", "words", TypeCounter, []string{"kind"}, func() []Sample {
+		return []Sample{
+			{LabelValues: []string{"approx"}, Value: 1000},
+			{LabelValues: []string{"exact"}, Value: 1000},
+			{LabelValues: []string{"raw"}, Value: 1000},
+		}
+	})
+	var lat stats.LatencyHist
+	lat.Observe(time.Microsecond)
+	reg.Collector("lat_ns", "latency", TypeHistogram, nil, func() []Sample {
+		return HistogramSamples(nil, lat.Snapshot())
+	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		reg.WriteText(discard{})

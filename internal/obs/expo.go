@@ -18,10 +18,10 @@ import (
 //	serve_latency_ns_count{shard="0"} 128
 //	serve_latency_ns_p99_ns{shard="0"} 16383
 //
-// Multi-valued instruments (histograms, summaries) append a suffix to
-// the family name. Values that are exact integers render without a
-// decimal point; everything else uses Go's shortest round-trippable
-// float form, so identical state always renders byte-identically.
+// Histogram samples append a suffix to the family name. Values that are
+// exact integers render without a decimal point; everything else uses
+// Go's shortest round-trippable float form, so identical state always
+// renders byte-identically.
 
 // formatValue renders a sample value deterministically.
 func formatValue(v float64) string {

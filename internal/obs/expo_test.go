@@ -2,15 +2,24 @@ package obs
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"approxnoc/internal/stats"
 )
 
 func TestWriteTextFormat(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("reqs_total", "requests served").Add(3)
-	r.GaugeVec("ratio", "compression ratio", "scheme", "thr").With("fpc", "5").Set(1.375)
-	r.CounterVec("weird", "", "v").With(`a"b\c`).Inc()
+	var reqs atomic.Uint64
+	reqs.Add(3)
+	pullCounter(r, "reqs_total", "requests served", &reqs)
+	r.Collector("ratio", "compression ratio", TypeGauge, []string{"scheme", "thr"}, func() []Sample {
+		return []Sample{{LabelValues: []string{"fpc", "5"}, Value: 1.375}}
+	})
+	r.Collector("weird", "", TypeCounter, []string{"v"}, func() []Sample {
+		return []Sample{{LabelValues: []string{`a"b\c`}, Value: 1}}
+	})
 
 	var sb strings.Builder
 	if err := r.WriteText(&sb); err != nil {
@@ -53,10 +62,17 @@ func TestEscapeLabel(t *testing.T) {
 
 func TestParseTextRoundtrip(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("reqs_total", "requests").Add(7)
-	r.Histogram("lat_ns", "latency").Observe(100 * time.Nanosecond)
-	r.Summary("err", "error").Observe(0.25)
-	r.GaugeVec("depth", "queue depth", "shard").With("3").Set(12)
+	var reqs atomic.Uint64
+	reqs.Add(7)
+	pullCounter(r, "reqs_total", "requests", &reqs)
+	var lat stats.LatencyHist
+	lat.Observe(100 * time.Nanosecond)
+	r.Collector("lat_ns", "latency", TypeHistogram, nil, func() []Sample {
+		return HistogramSamples(nil, lat.Snapshot())
+	})
+	r.Collector("depth", "queue depth", TypeGauge, []string{"shard"}, func() []Sample {
+		return []Sample{{LabelValues: []string{"3"}, Value: 12}}
+	})
 
 	var sb strings.Builder
 	if err := r.WriteText(&sb); err != nil {
@@ -67,15 +83,15 @@ func TestParseTextRoundtrip(t *testing.T) {
 		t.Fatalf("own exposition does not parse: %v", err)
 	}
 	for name, typ := range map[string]string{
-		"reqs_total": "counter", "lat_ns": "histogram", "err": "summary", "depth": "gauge",
+		"reqs_total": "counter", "lat_ns": "histogram", "depth": "gauge",
 	} {
 		if exp.Types[name] != typ {
 			t.Errorf("type[%s] = %q, want %q", name, exp.Types[name], typ)
 		}
 	}
-	// 1 counter + 3 histogram + 3 summary + 1 gauge sample lines.
-	if exp.Samples != 8 {
-		t.Fatalf("%d samples, want 8", exp.Samples)
+	// 1 counter + 3 histogram + 1 gauge sample lines.
+	if exp.Samples != 5 {
+		t.Fatalf("%d samples, want 5", exp.Samples)
 	}
 	if exp.Values["reqs_total"] != 7 {
 		t.Fatalf("reqs_total = %g", exp.Values["reqs_total"])

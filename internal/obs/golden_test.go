@@ -12,7 +12,7 @@ import (
 )
 
 // TestGoldenVectors pins the text exposition format: the checked-in
-// scrape of a registry with every instrument kind must regenerate
+// scrape of a registry with every family type must regenerate
 // byte-identically from today's WriteText. A diff means every scrape
 // consumer (dashboards, make obs-demo, ParseText) sees a format change —
 // make it deliberate, then regenerate with `go run ./cmd/approxnoc-vectors`.
@@ -38,7 +38,6 @@ func TestGoldenVectors(t *testing.T) {
 	for name, typ := range map[string]string{
 		"demo_requests_total": "counter",
 		"demo_latency_ns":     "histogram",
-		"demo_rel_error":      "summary",
 		"demo_queue_depth":    "gauge",
 	} {
 		if exp.Types[name] != typ {

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -28,7 +29,9 @@ func TestHandlerIndex(t *testing.T) {
 
 func TestHandlerMetrics(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("reqs_total", "requests").Add(9)
+	var reqs atomic.Uint64
+	reqs.Add(9)
+	pullCounter(reg, "reqs_total", "requests", &reqs)
 	code, body := get(t, Handler(reg, nil), "/metrics")
 	if code != 200 {
 		t.Fatalf("/metrics: %d", code)
@@ -86,7 +89,7 @@ func TestHandlerPprof(t *testing.T) {
 
 func TestDebugServer(t *testing.T) {
 	reg := NewRegistry()
-	reg.Gauge("up", "").Set(1)
+	reg.GaugeFunc("up", "", func() float64 { return 1 })
 	d, err := StartDebugServer("127.0.0.1:0", reg, NewTracer(1, 4))
 	if err != nil {
 		t.Fatal(err)

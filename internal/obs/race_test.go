@@ -3,24 +3,42 @@ package obs
 import (
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"approxnoc/internal/stats"
 )
 
-// TestConcurrentUse is the race-detector contract: 100+ goroutines
-// hammer every instrument kind, the tracer, and the read paths
-// (Snapshot, WriteText, Reset) at once. `make check` runs it under
-// -race; any unsynchronized access fails the build.
+// TestConcurrentUse is the race-detector contract: 96 writer goroutines
+// move owner-side atomics (a counter, a float gauge, a latency
+// histogram, a labeled counter set) and the tracer while 16 readers
+// scrape them through collectors (Snapshot, WriteText) and walk the
+// trace rings. `make check` runs it under -race; any unsynchronized
+// access on the pull path fails the build.
 func TestConcurrentUse(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("ops_total", "")
-	g := reg.Gauge("level", "")
-	h := reg.Histogram("lat_ns", "")
-	s := reg.Summary("err", "")
-	cv := reg.CounterVec("by_kind_total", "", "kind")
-	reg.GaugeFunc("pulled", "", func() float64 { return 1 })
+	var (
+		ops    atomic.Uint64
+		level  atomic.Uint64 // float64 bits
+		lat    stats.LatencyHist
+		byKind [8]atomic.Uint64
+	)
+	pullCounter(reg, "ops_total", "", &ops)
+	reg.GaugeFunc("level", "", func() float64 { return math.Float64frombits(level.Load()) })
+	reg.Collector("lat_ns", "", TypeHistogram, nil, func() []Sample {
+		return HistogramSamples(nil, lat.Snapshot())
+	})
+	reg.Collector("by_kind_total", "", TypeCounter, []string{"kind"}, func() []Sample {
+		out := make([]Sample, len(byKind))
+		for k := range byKind {
+			out[k] = Sample{LabelValues: []string{fmt.Sprintf("k%d", k)}, Value: float64(byKind[k].Load())}
+		}
+		return out
+	})
 	tr := NewTracer(4, 64)
 	tr.RegisterMetrics(reg)
 
@@ -30,13 +48,11 @@ func TestConcurrentUse(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			kind := fmt.Sprintf("k%d", w%8)
 			for i := 0; i < iters; i++ {
-				c.Inc()
-				g.Add(0.5)
-				h.Observe(time.Duration(i) * time.Nanosecond)
-				s.Observe(float64(i))
-				cv.With(kind).Inc()
+				ops.Add(1)
+				level.Store(math.Float64bits(float64(i) / 2))
+				lat.Observe(time.Duration(i) * time.Nanosecond)
+				byKind[w%8].Add(1)
 				tr.Record(Event{Cycle: uint64(i), Kind: EvCompress, Node: int32(w)})
 			}
 		}(w)
@@ -64,33 +80,28 @@ func TestConcurrentUse(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Instruments never drop: with the readers quiesced the counters must
+	// A scrape never drops: with the writers quiesced the exposition must
 	// account for every write exactly.
-	if c.Value() != writers*iters {
-		t.Fatalf("counter = %d, want %d", c.Value(), writers*iters)
-	}
-	if h.Count() != writers*iters {
-		t.Fatalf("histogram count = %d, want %d", h.Count(), writers*iters)
-	}
-	var byKind uint64
-	for _, smp := range reg.Snapshot().Families {
-		if smp.Name != "by_kind_total" {
-			continue
-		}
-		for _, v := range smp.Samples {
-			byKind += uint64(v.Value)
-		}
-	}
-	if byKind != writers*iters {
-		t.Fatalf("labeled counters sum to %d, want %d", byKind, writers*iters)
-	}
-	// The final exposition must still parse.
 	var sb strings.Builder
 	if err := reg.WriteText(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ParseText(strings.NewReader(sb.String())); err != nil {
+	exp, err := ParseText(strings.NewReader(sb.String()))
+	if err != nil {
 		t.Fatalf("post-race exposition does not parse: %v", err)
+	}
+	if got := exp.Values["ops_total"]; got != writers*iters {
+		t.Fatalf("counter = %g, want %d", got, writers*iters)
+	}
+	if got := exp.Values["lat_ns_count"]; got != writers*iters {
+		t.Fatalf("histogram count = %g, want %d", got, writers*iters)
+	}
+	var sum float64
+	for k := range byKind {
+		sum += exp.Values[fmt.Sprintf(`by_kind_total{kind="k%d"}`, k)]
+	}
+	if sum != writers*iters {
+		t.Fatalf("labeled counters sum to %g, want %d", sum, writers*iters)
 	}
 }
 

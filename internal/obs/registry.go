@@ -2,18 +2,17 @@
 // registry and a non-blocking NoC event tracer, exposed over a text
 // exposition format and an opt-in HTTP debug server.
 //
-// The registry holds labeled metric families — counters, gauges,
-// histograms (absorbing internal/stats.LatencyHist) and summaries
-// (absorbing internal/stats.Welford) — plus func- and collector-backed
-// families that pull their samples from existing statistics structs at
-// scrape time. Hot-path instruments are single atomic operations, safe
-// for any number of goroutines; Snapshot and WriteText are safe to call
-// mid-run and observe a weakly-consistent point-in-time view.
+// Metrics are pulled. A number lives in the struct or atomic of the
+// layer that does the work (NetStats, OpStats, the shard counters, a
+// stats.LatencyHist), and registering it is a Collector or GaugeFunc
+// that reads it at scrape time; the registry holds no values of its
+// own. Snapshot and WriteText are safe to call mid-run and observe a
+// weakly-consistent point-in-time view.
 //
-// The instrumentation contract, enforced by tests: observing, tracing,
+// The instrumentation contract, enforced by tests: tracing,
 // snapshotting and scraping never change simulation results. Two
 // identically-seeded runs produce bit-identical statistics whether obs
-// is enabled or disabled, and every instrument is race-clean under the
+// is enabled or disabled, and every read path is race-clean under the
 // race detector.
 package obs
 
@@ -22,6 +21,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"approxnoc/internal/stats"
 )
 
 // Type is the kind of a metric family, fixed at registration.
@@ -34,8 +35,6 @@ const (
 	TypeGauge
 	// TypeHistogram is a log2-bucketed duration distribution.
 	TypeHistogram
-	// TypeSummary is a running mean/stddev aggregate.
-	TypeSummary
 )
 
 func (t Type) String() string {
@@ -46,8 +45,6 @@ func (t Type) String() string {
 		return "gauge"
 	case TypeHistogram:
 		return "histogram"
-	case TypeSummary:
-		return "summary"
 	default:
 		return fmt.Sprintf("Type(%d)", uint8(t))
 	}
@@ -55,8 +52,7 @@ func (t Type) String() string {
 
 // Sample is one exposition value of a family: the label values (aligned
 // with the family's label names), an optional name suffix ("_count",
-// "_p99_ns", ...), and the value. Integer marks values rendered without
-// a decimal point even when large.
+// "_p99_ns", ...), and the value.
 type Sample struct {
 	LabelValues []string
 	Suffix      string
@@ -79,30 +75,14 @@ type Snapshot struct {
 	Families []FamilySnapshot
 }
 
-// family is one registered metric family: either instrument-backed
-// (insts, keyed by joined label values) or pull-backed (collect).
+// family is one registered metric family; collect pulls its samples
+// from their owner at snapshot time.
 type family struct {
-	name   string
-	help   string
-	typ    Type
-	labels []string
-
-	mu    sync.RWMutex
-	insts map[string]*instEntry
-
-	collect func() []Sample // non-nil for func/collector families
-}
-
-// instEntry is one labeled instrument inside a family.
-type instEntry struct {
-	values []string
-	inst   instrument
-}
-
-// instrument is the common surface of Counter/Gauge/Histogram/Summary.
-type instrument interface {
-	samples() []Sample // suffixed values of this instrument
-	reset()
+	name    string
+	help    string
+	typ     Type
+	labels  []string
+	collect func() []Sample
 }
 
 // Registry is a set of metric families. All methods are safe for
@@ -142,7 +122,7 @@ func validName(s string) bool {
 }
 
 // register installs a family or panics on invalid/duplicate names.
-func (r *Registry) register(f *family) *family {
+func (r *Registry) register(f *family) {
 	if !validName(f.name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", f.name))
 	}
@@ -156,60 +136,16 @@ func (r *Registry) register(f *family) *family {
 	if _, dup := r.families[f.name]; dup {
 		panic(fmt.Sprintf("obs: metric %q registered twice", f.name))
 	}
-	if f.collect == nil {
-		f.insts = make(map[string]*instEntry)
-	}
 	r.families[f.name] = f
-	return f
 }
 
-// labelKey joins label values into a map key; \xff cannot appear in
+// labelKey joins label values into a sort key; \xff cannot appear in
 // exposition-legal label values.
 func labelKey(values []string) string { return strings.Join(values, "\xff") }
 
-// with returns the instrument for one label-value tuple, creating it on
-// first use via mk. It panics on label arity mismatch.
-func (f *family) with(values []string, mk func() instrument) instrument {
-	if len(values) != len(f.labels) {
-		panic(fmt.Sprintf("obs: metric %q wants %d label values, got %d",
-			f.name, len(f.labels), len(values)))
-	}
-	key := labelKey(values)
-	f.mu.RLock()
-	e := f.insts[key]
-	f.mu.RUnlock()
-	if e != nil {
-		return e.inst
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if e = f.insts[key]; e != nil {
-		return e.inst
-	}
-	e = &instEntry{values: append([]string(nil), values...), inst: mk()}
-	f.insts[key] = e
-	return e.inst
-}
-
 // snapshot renders the family's current samples, sorted.
 func (f *family) snapshot() FamilySnapshot {
-	s := FamilySnapshot{Name: f.name, Help: f.help, Type: f.typ, Labels: f.labels}
-	if f.collect != nil {
-		s.Samples = f.collect()
-	} else {
-		f.mu.RLock()
-		entries := make([]*instEntry, 0, len(f.insts))
-		for _, e := range f.insts {
-			entries = append(entries, e)
-		}
-		f.mu.RUnlock()
-		for _, e := range entries {
-			for _, smp := range e.inst.samples() {
-				smp.LabelValues = e.values
-				s.Samples = append(s.Samples, smp)
-			}
-		}
-	}
+	s := FamilySnapshot{Name: f.name, Help: f.help, Type: f.typ, Labels: f.labels, Samples: f.collect()}
 	sort.SliceStable(s.Samples, func(i, j int) bool {
 		a, b := s.Samples[i], s.Samples[j]
 		if k, l := labelKey(a.LabelValues), labelKey(b.LabelValues); k != l {
@@ -218,45 +154,6 @@ func (f *family) snapshot() FamilySnapshot {
 		return a.Suffix < b.Suffix
 	})
 	return s
-}
-
-// Counter registers an unlabeled counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	f := r.register(&family{name: name, help: help, typ: TypeCounter})
-	return f.with(nil, func() instrument { return &Counter{} }).(*Counter)
-}
-
-// CounterVec registers a counter family with the given label names.
-func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	return &CounterVec{r.register(&family{name: name, help: help, typ: TypeCounter, labels: labels})}
-}
-
-// Gauge registers an unlabeled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.register(&family{name: name, help: help, typ: TypeGauge})
-	return f.with(nil, func() instrument { return &Gauge{} }).(*Gauge)
-}
-
-// GaugeVec registers a gauge family with the given label names.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{r.register(&family{name: name, help: help, typ: TypeGauge, labels: labels})}
-}
-
-// Histogram registers an unlabeled duration histogram.
-func (r *Registry) Histogram(name, help string) *Histogram {
-	f := r.register(&family{name: name, help: help, typ: TypeHistogram})
-	return f.with(nil, func() instrument { return &Histogram{} }).(*Histogram)
-}
-
-// HistogramVec registers a histogram family with the given label names.
-func (r *Registry) HistogramVec(name, help string, labels ...string) *HistogramVec {
-	return &HistogramVec{r.register(&family{name: name, help: help, typ: TypeHistogram, labels: labels})}
-}
-
-// Summary registers an unlabeled mean/stddev summary.
-func (r *Registry) Summary(name, help string) *Summary {
-	f := r.register(&family{name: name, help: help, typ: TypeSummary})
-	return f.with(nil, func() instrument { return &Summary{} }).(*Summary)
 }
 
 // GaugeFunc registers a gauge whose value is pulled from fn at snapshot
@@ -293,24 +190,13 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// Reset zeroes every instrument-backed family (the warmup/measurement
-// methodology, mirroring Network.ResetStats). Func- and collector-backed
-// families are owned by their source and are left untouched.
-func (r *Registry) Reset() {
-	r.mu.RLock()
-	fams := make([]*family, 0, len(r.families))
-	for _, f := range r.families {
-		fams = append(fams, f)
-	}
-	r.mu.RUnlock()
-	for _, f := range fams {
-		if f.collect != nil {
-			continue
-		}
-		f.mu.RLock()
-		for _, e := range f.insts {
-			e.inst.reset()
-		}
-		f.mu.RUnlock()
+// HistogramSamples renders one latency snapshot as the three samples a
+// TypeHistogram family carries per label tuple: _count, _p50_ns and
+// _p99_ns.
+func HistogramSamples(labelValues []string, s stats.LatencySnapshot) []Sample {
+	return []Sample{
+		{LabelValues: labelValues, Suffix: "_count", Value: float64(s.Count())},
+		{LabelValues: labelValues, Suffix: "_p50_ns", Value: float64(s.Quantile(0.50))},
+		{LabelValues: labelValues, Suffix: "_p99_ns", Value: float64(s.Quantile(0.99))},
 	}
 }

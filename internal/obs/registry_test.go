@@ -1,92 +1,115 @@
 package obs
 
 import (
+	"math"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"approxnoc/internal/stats"
 )
+
+// pullCounter registers an unlabeled counter family that reads v at
+// scrape time — the shape every production counter has.
+func pullCounter(r *Registry, name, help string, v *atomic.Uint64) {
+	r.Collector(name, help, TypeCounter, nil, func() []Sample {
+		return []Sample{{Value: float64(v.Load())}}
+	})
+}
+
+// only returns the single sample of the single family named name.
+func only(t *testing.T, r *Registry, name string) Sample {
+	t.Helper()
+	for _, f := range r.Snapshot().Families {
+		if f.Name == name && len(f.Samples) == 1 {
+			return f.Samples[0]
+		}
+	}
+	t.Fatalf("no single-sample family %q", name)
+	return Sample{}
+}
 
 func TestCounter(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("reqs_total", "requests")
-	c.Inc()
+	var c atomic.Uint64
+	pullCounter(r, "reqs_total", "requests", &c)
+	c.Add(1)
 	c.Add(41)
-	if c.Value() != 42 {
-		t.Fatalf("counter = %d, want 42", c.Value())
+	if got := only(t, r, "reqs_total").Value; got != 42 {
+		t.Fatalf("counter = %g, want 42", got)
+	}
+	// The owner keeps the number; the next scrape sees it move.
+	c.Add(8)
+	if got := only(t, r, "reqs_total").Value; got != 50 {
+		t.Fatalf("counter = %g after the owner moved it, want 50", got)
 	}
 }
 
 func TestGauge(t *testing.T) {
 	r := NewRegistry()
-	g := r.Gauge("depth", "queue depth")
-	g.Set(3.5)
-	g.Add(-1.25)
-	if got := g.Value(); got != 2.25 {
+	var bits atomic.Uint64
+	r.GaugeFunc("depth", "queue depth", func() float64 { return math.Float64frombits(bits.Load()) })
+	bits.Store(math.Float64bits(3.5 - 1.25))
+	if got := only(t, r, "depth").Value; got != 2.25 {
 		t.Fatalf("gauge = %g, want 2.25", got)
 	}
 }
 
 func TestHistogram(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat_ns", "latency")
+	var h stats.LatencyHist
 	for i := 0; i < 100; i++ {
 		h.Observe(100 * time.Nanosecond)
 	}
-	if h.Count() != 100 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	// 100 ns has bit length 7, so the bucket's upper edge is 2^7-1.
-	if q := h.Quantile(0.99); q != 127 {
-		t.Fatalf("p99 = %d, want 127", q)
-	}
-	s := (&Histogram{}).samples()
+	s := HistogramSamples([]string{"0"}, h.Snapshot())
 	if len(s) != 3 || s[0].Suffix != "_count" || s[1].Suffix != "_p50_ns" || s[2].Suffix != "_p99_ns" {
 		t.Fatalf("histogram samples %+v", s)
 	}
-}
-
-func TestSummary(t *testing.T) {
-	r := NewRegistry()
-	s := r.Summary("err", "relative error")
-	s.Observe(1)
-	s.Observe(3)
-	if s.Mean() != 2 {
-		t.Fatalf("mean = %g", s.Mean())
+	// 100 ns has bit length 7, so the bucket's upper edge is 2^7-1.
+	if s[0].Value != 100 || s[1].Value != 127 || s[2].Value != 127 {
+		t.Fatalf("count/p50/p99 = %g/%g/%g, want 100/127/127", s[0].Value, s[1].Value, s[2].Value)
 	}
-	smp := s.samples()
-	if len(smp) != 3 || smp[0].Value != 2 || smp[1].Value != 2 {
-		t.Fatalf("summary samples %+v", smp)
+	for _, smp := range s {
+		if len(smp.LabelValues) != 1 || smp.LabelValues[0] != "0" {
+			t.Fatalf("sample %+v lost its label values", smp)
+		}
+	}
+	if z := HistogramSamples(nil, stats.LatencySnapshot{}); z[0].Value != 0 || z[2].Value != 0 {
+		t.Fatalf("empty histogram samples %+v", z)
 	}
 }
 
-func TestVecCachesPerLabelTuple(t *testing.T) {
+// TestSamplesSortByLabelValues: a collector may return its samples in
+// any order; the snapshot orders them by label values, then suffix, so
+// identical state renders identically.
+func TestSamplesSortByLabelValues(t *testing.T) {
 	r := NewRegistry()
-	cv := r.CounterVec("words_total", "words", "kind")
-	a := cv.With("approx")
-	if cv.With("approx") != a {
-		t.Fatal("same label values returned a different instrument")
-	}
-	b := cv.With("exact")
-	if a == b {
-		t.Fatal("different label values shared an instrument")
-	}
-	a.Add(2)
-	b.Inc()
-	gv := r.GaugeVec("ratio", "ratio", "scheme")
-	gv.With("fpc").Set(1.5)
-	hv := r.HistogramVec("lat_ns", "latency", "shard")
-	hv.With("0").Observe(time.Microsecond)
-
+	r.Collector("lat_ns", "latency", TypeHistogram, []string{"shard"}, func() []Sample {
+		var one, two stats.LatencySnapshot
+		one[10], two[4] = 1, 2
+		return append(HistogramSamples([]string{"1"}, one), HistogramSamples([]string{"0"}, two)...)
+	})
+	r.Collector("words_total", "words", TypeCounter, []string{"kind"}, func() []Sample {
+		return []Sample{
+			{LabelValues: []string{"exact"}, Value: 1},
+			{LabelValues: []string{"approx"}, Value: 2},
+		}
+	})
 	snap := r.Snapshot()
-	if len(snap.Families) != 3 {
+	if len(snap.Families) != 2 {
 		t.Fatalf("%d families", len(snap.Families))
 	}
-	words := snap.Families[2]
+	words := snap.Families[1]
 	if words.Name != "words_total" || len(words.Samples) != 2 {
 		t.Fatalf("words family %+v", words)
 	}
-	// Samples sort by label key: "approx" < "exact".
+	// "approx" < "exact".
 	if words.Samples[0].Value != 2 || words.Samples[1].Value != 1 {
 		t.Fatalf("words samples %+v", words.Samples)
+	}
+	lat := snap.Families[0].Samples
+	if len(lat) != 6 || lat[0].LabelValues[0] != "0" || lat[0].Suffix != "_count" || lat[0].Value != 2 ||
+		lat[2].Suffix != "_p99_ns" || lat[3].LabelValues[0] != "1" {
+		t.Fatalf("histogram samples %+v", lat)
 	}
 }
 
@@ -112,41 +135,13 @@ func TestGaugeFuncAndCollector(t *testing.T) {
 
 func TestSnapshotSortedByName(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("zebra", "")
-	r.Counter("alpha", "")
-	r.Counter("mid", "")
+	for _, name := range []string{"zebra", "alpha", "mid"} {
+		r.GaugeFunc(name, "", func() float64 { return 0 })
+	}
 	snap := r.Snapshot()
 	names := []string{snap.Families[0].Name, snap.Families[1].Name, snap.Families[2].Name}
 	if names[0] != "alpha" || names[1] != "mid" || names[2] != "zebra" {
 		t.Fatalf("family order %v", names)
-	}
-}
-
-func TestResetZeroesInstrumentsOnly(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("c_total", "")
-	g := r.Gauge("g", "")
-	h := r.Histogram("h_ns", "")
-	s := r.Summary("s", "")
-	r.Collector("pull_total", "", TypeCounter, nil, func() []Sample {
-		return []Sample{{Value: 99}}
-	})
-	c.Add(5)
-	g.Set(5)
-	h.Observe(time.Second)
-	s.Observe(5)
-	r.Reset()
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
-		t.Fatalf("instruments survived reset: c=%d g=%g h=%d", c.Value(), g.Value(), h.Count())
-	}
-	if got := s.samples()[0].Value; got != 0 {
-		t.Fatalf("summary count after reset = %g", got)
-	}
-	snap := r.Snapshot()
-	for _, f := range snap.Families {
-		if f.Name == "pull_total" && f.Samples[0].Value != 99 {
-			t.Fatal("reset touched a collector-backed family")
-		}
 	}
 }
 
@@ -161,15 +156,16 @@ func TestRegistrationPanics(t *testing.T) {
 		fn()
 	}
 	r := NewRegistry()
-	r.Counter("dup_total", "")
-	mustPanic("duplicate name", func() { r.Counter("dup_total", "") })
-	mustPanic("empty name", func() { r.Counter("", "") })
-	mustPanic("uppercase name", func() { r.Counter("BadName", "") })
-	mustPanic("leading digit", func() { r.Counter("9lives", "") })
-	mustPanic("bad label", func() { r.CounterVec("ok_total", "", "bad-label") })
+	zero := func() float64 { return 0 }
+	none := func() []Sample { return nil }
+	r.GaugeFunc("dup_total", "", zero)
+	mustPanic("duplicate name", func() { r.GaugeFunc("dup_total", "", zero) })
+	mustPanic("duplicate across kinds", func() { r.Collector("dup_total", "", TypeCounter, nil, none) })
+	mustPanic("empty name", func() { r.GaugeFunc("", "", zero) })
+	mustPanic("uppercase name", func() { r.GaugeFunc("BadName", "", zero) })
+	mustPanic("leading digit", func() { r.GaugeFunc("9lives", "", zero) })
+	mustPanic("bad label", func() { r.Collector("ok_total", "", TypeCounter, []string{"bad-label"}, none) })
 	mustPanic("nil collector", func() { r.Collector("nilc", "", TypeCounter, nil, nil) })
-	cv := r.CounterVec("arity_total", "", "a", "b")
-	mustPanic("label arity", func() { cv.With("only-one") })
 }
 
 func TestValidName(t *testing.T) {
@@ -194,7 +190,6 @@ func TestTypeString(t *testing.T) {
 		TypeCounter:   "counter",
 		TypeGauge:     "gauge",
 		TypeHistogram: "histogram",
-		TypeSummary:   "summary",
 		Type(200):     "Type(200)",
 	} {
 		if got := typ.String(); got != want {

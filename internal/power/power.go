@@ -7,8 +7,6 @@
 package power
 
 import (
-	"fmt"
-
 	"approxnoc/internal/compress"
 	"approxnoc/internal/noc"
 )
@@ -171,10 +169,4 @@ func (AreaModel) DecoderMM2(s compress.Scheme) float64 {
 		return 0
 	}
 	return 0.0011
-}
-
-// Describe formats the area table for a scheme.
-func (a AreaModel) Describe(s compress.Scheme) string {
-	return fmt.Sprintf("%s: encoder %.4f mm², decoder %.4f mm² per NI",
-		s, a.EncoderMM2(s), a.DecoderMM2(s))
 }

@@ -1,7 +1,6 @@
 package power
 
 import (
-	"strings"
 	"testing"
 
 	"approxnoc/internal/compress"
@@ -72,14 +71,6 @@ func TestAreaModelMatchesPaper(t *testing.T) {
 	// Decoders identical across compressed schemes (§5.5).
 	if a.DecoderMM2(compress.DIComp) != a.DecoderMM2(compress.FPVaxx) {
 		t.Fatal("decoder areas should not vary between schemes")
-	}
-}
-
-func TestDescribe(t *testing.T) {
-	var a AreaModel
-	s := a.Describe(compress.DIVaxx)
-	if !strings.Contains(s, "DI-VAXX") || !strings.Contains(s, "0.0037") {
-		t.Fatalf("describe output %q", s)
 	}
 }
 

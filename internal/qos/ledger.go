@@ -146,15 +146,6 @@ func NewLedger(budgets map[string]BudgetConfig, clock Clock) (*Ledger, error) {
 	return l, nil
 }
 
-// Budgeted reports whether tenant carries a budget. Unbudgeted tenants
-// are never charged and never refused.
-func (l *Ledger) Budgeted(tenant string) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	_, ok := l.tenants[tenant]
-	return ok
-}
-
 // Spend charges cost error mass to the tenant, refilling first. It
 // returns ErrBudgetExhausted — and charges nothing — when the budget
 // cannot cover the whole cost: budgets never go negative and requests

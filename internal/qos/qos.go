@@ -112,10 +112,6 @@ type Config struct {
 	// controller then only moves on explicit QoSTick calls, which is
 	// what deterministic tests use.
 	Interval time.Duration
-	// LatencyTarget, when positive, adds batch latency to the load
-	// signal: a shard whose last dispatch took LatencyTarget counts as
-	// load 1.0. Zero leaves queue occupancy as the only signal.
-	LatencyTarget time.Duration
 	// Clock feeds the ledger's refill accounting (nil means RealClock).
 	Clock Clock
 }

@@ -22,11 +22,10 @@ type Gateway struct {
 
 	// QoS state, zero/nil when Config.QoS is nil. shedAt is the queue
 	// length at or beyond which approximatable submissions are refused
-	// early (0 disables); qosLatNs scales the batch-latency load signal.
+	// early (0 disables).
 	qosCtl      *qos.Controller
 	ledger      *qos.Ledger
 	shedAt      int
-	qosLatNs    int64
 	samplerStop chan struct{}
 	samplerWg   sync.WaitGroup
 
@@ -93,7 +92,6 @@ func New(cfg Config) (*Gateway, error) {
 				g.shedAt = 1
 			}
 		}
-		g.qosLatNs = int64(q.LatencyTarget)
 	}
 	for i := range g.shards {
 		g.shards[i] = newShard(i, newPool(cfg, factory), cfg, g.qosCtl, g.ledger)
@@ -203,19 +201,12 @@ func (g *Gateway) Do(req Request) (Result, error) {
 }
 
 // qosLoad is the gateway's load signal: the worst shard's queue
-// occupancy, optionally folded with its last batch service time scaled
-// by the latency target. Reading channel lengths and atomics only, it
-// never blocks a worker.
+// occupancy. Reading channel lengths only, it never blocks a worker.
 func (g *Gateway) qosLoad() float64 {
 	var load float64
 	for _, sh := range g.shards {
 		if q := float64(len(sh.queue)) / float64(g.cfg.QueueDepth); q > load {
 			load = q
-		}
-		if g.qosLatNs > 0 {
-			if l := float64(sh.lastBatch.Load()) / float64(g.qosLatNs); l > load {
-				load = l
-			}
 		}
 	}
 	return load

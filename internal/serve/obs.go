@@ -75,18 +75,9 @@ func (g *Gateway) RegisterMetrics(reg *obs.Registry) {
 			for _, sh := range g.shards {
 				snap := sh.lat.Snapshot()
 				merged.Add(snap)
-				out = append(out,
-					obs.Sample{LabelValues: label(sh), Suffix: "_count", Value: float64(snap.Count())},
-					obs.Sample{LabelValues: label(sh), Suffix: "_p50_ns", Value: float64(snap.Quantile(0.50))},
-					obs.Sample{LabelValues: label(sh), Suffix: "_p99_ns", Value: float64(snap.Quantile(0.99))},
-				)
+				out = append(out, obs.HistogramSamples(label(sh), snap)...)
 			}
-			out = append(out,
-				obs.Sample{LabelValues: []string{"all"}, Suffix: "_count", Value: float64(merged.Count())},
-				obs.Sample{LabelValues: []string{"all"}, Suffix: "_p50_ns", Value: float64(merged.Quantile(0.50))},
-				obs.Sample{LabelValues: []string{"all"}, Suffix: "_p99_ns", Value: float64(merged.Quantile(0.99))},
-			)
-			return out
+			return append(out, obs.HistogramSamples([]string{"all"}, merged)...)
 		})
 
 	compress.RegisterMetrics(reg, "serve", g.CodecStats)

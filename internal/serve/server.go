@@ -120,15 +120,6 @@ func (s *Server) Addr() net.Addr {
 	return s.ln.Addr()
 }
 
-// ListenAndServe listens on addr and serves until Close.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	return s.Serve(ln)
-}
-
 // Serve accepts connections on ln until Close (which returns nil) or an
 // accept error.
 func (s *Server) Serve(ln net.Listener) error {
@@ -162,13 +153,6 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.mu.Unlock()
 		go s.handle(conn)
 	}
-}
-
-// Draining reports whether Drain has begun.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
 }
 
 // Drain retires the server gracefully: it stops the listener so no new

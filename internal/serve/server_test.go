@@ -3,10 +3,10 @@ package serve_test
 import (
 	"errors"
 	"fmt"
+	"net"
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"approxnoc/internal/compress"
 	"approxnoc/internal/serve"
@@ -23,19 +23,13 @@ func startServer(t *testing.T, cfg serve.Config) (*serve.Gateway, string) {
 		t.Fatal(err)
 	}
 	srv := serve.NewServer(gw)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
 	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe("127.0.0.1:0") }()
-	var addr string
-	for i := 0; i < 200; i++ {
-		if a := srv.Addr(); a != nil {
-			addr = a.String()
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if addr == "" {
-		t.Fatalf("server did not start: %v", <-errCh)
-	}
+	go func() { errCh <- srv.Serve(ln) }()
 	t.Cleanup(func() {
 		srv.Close()
 		if err := <-errCh; err != nil {
@@ -168,17 +162,13 @@ func TestClientFailsAfterServerClose(t *testing.T) {
 	}
 	defer gw.Close()
 	srv := serve.NewServer(gw)
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe("127.0.0.1:0") }()
-	var addr string
-	for i := 0; i < 200 && addr == ""; i++ {
-		if a := srv.Addr(); a != nil {
-			addr = a.String()
-		} else {
-			time.Sleep(5 * time.Millisecond)
-		}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	cl, err := serve.Dial(addr)
+	errCh := make(chan error, 1)
+	go func() { errCh <- srv.Serve(ln) }()
+	cl, err := serve.Dial(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,7 +105,6 @@ type shard struct {
 	bitsOut   atomic.Uint64
 	bytesIn   atomic.Uint64
 	bytesOut  atomic.Uint64
-	lastBatch atomic.Int64 // last batch service time, ns per request
 	lat       stats.LatencyHist
 }
 
@@ -211,7 +210,6 @@ func (s *shard) process(batch []pending) {
 		s.coalesced.Add(uint64(len(batch)))
 	}
 	s.trace(obs.EvBatch, uint64(len(batch)), 0)
-	start := time.Now()
 	for _, p := range batch {
 		res := s.serveOne(p.req)
 		if res.Err == nil {
@@ -235,9 +233,6 @@ func (s *shard) process(batch []pending) {
 			}
 		}
 	}
-	// Per-request service time of the batch just served — the latency
-	// signal the QoS sampler folds into its load observation.
-	s.lastBatch.Store(int64(time.Since(start)) / int64(len(batch)))
 }
 
 // metrics snapshots the shard's counters.

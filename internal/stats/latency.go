@@ -29,29 +29,9 @@ func (h *LatencyHist) Observe(d time.Duration) {
 	h.counts[bits.Len64(uint64(ns))].Add(1)
 }
 
-// Count returns the number of observations.
-func (h *LatencyHist) Count() uint64 {
-	s := h.Snapshot()
-	return s.Count()
-}
-
-// Quantile returns an upper-bound estimate of the q-quantile (q in
-// [0, 1]); zero observations yield 0.
-func (h *LatencyHist) Quantile(q float64) time.Duration {
-	s := h.Snapshot()
-	return s.Quantile(q)
-}
-
-// Reset zeroes every bucket. Like Snapshot it is weakly consistent:
-// observations racing the reset land in either epoch, never corrupt it.
-func (h *LatencyHist) Reset() {
-	for i := range h.counts {
-		h.counts[i].Store(0)
-	}
-}
-
-// Snapshot returns a weakly-consistent copy of the bucket counts, for
-// merging histograms across shards before computing quantiles.
+// Snapshot returns a weakly-consistent copy of the bucket counts — the
+// histogram's one read path: counts and quantiles are taken from the
+// copy, after merging per-shard copies with Add where wanted.
 func (h *LatencyHist) Snapshot() LatencySnapshot {
 	var s LatencySnapshot
 	for i := range h.counts {

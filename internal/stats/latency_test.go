@@ -8,8 +8,9 @@ import (
 
 func TestLatencyHistEmpty(t *testing.T) {
 	var h LatencyHist
-	if h.Count() != 0 || h.Quantile(0.5) != 0 {
-		t.Errorf("empty hist: count %d p50 %v", h.Count(), h.Quantile(0.5))
+	s := h.Snapshot()
+	if s.Count() != 0 || s.Quantile(0.5) != 0 {
+		t.Errorf("empty hist: count %d p50 %v", s.Count(), s.Quantile(0.5))
 	}
 }
 
@@ -22,10 +23,11 @@ func TestLatencyHistQuantiles(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.Observe(time.Millisecond)
 	}
-	if h.Count() != 100 {
-		t.Fatalf("count %d, want 100", h.Count())
+	s := h.Snapshot()
+	if s.Count() != 100 {
+		t.Fatalf("count %d, want 100", s.Count())
 	}
-	p50, p99 := h.Quantile(0.50), h.Quantile(0.99)
+	p50, p99 := s.Quantile(0.50), s.Quantile(0.99)
 	if p50 < time.Microsecond || p50 > 4*time.Microsecond {
 		t.Errorf("p50 %v outside the ~1us bucket", p50)
 	}
@@ -36,12 +38,12 @@ func TestLatencyHistQuantiles(t *testing.T) {
 		t.Errorf("p99 %v < p50 %v", p99, p50)
 	}
 	// Clamping.
-	if h.Quantile(-1) != h.Quantile(0) || h.Quantile(2) != h.Quantile(1) {
+	if s.Quantile(-1) != s.Quantile(0) || s.Quantile(2) != s.Quantile(1) {
 		t.Error("quantile arguments not clamped")
 	}
 	h.Observe(-time.Second) // negative counts as zero
-	if h.Quantile(0) != 0 {
-		t.Errorf("min after negative observation: %v", h.Quantile(0))
+	if s = h.Snapshot(); s.Quantile(0) != 0 {
+		t.Errorf("min after negative observation: %v", s.Quantile(0))
 	}
 }
 
@@ -72,7 +74,14 @@ func TestLatencyHistConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if h.Count() != 8000 {
-		t.Fatalf("count %d, want 8000", h.Count())
+	if s := h.Snapshot(); s.Count() != 8000 {
+		t.Fatalf("count %d, want 8000", s.Count())
+	}
+}
+
+func BenchmarkLatencyHistObserve(b *testing.B) {
+	var h LatencyHist
+	for i := 0; i < b.N; i++ {
+		h.Observe(time.Duration(i))
 	}
 }

@@ -32,99 +32,3 @@ func GeoMean(xs []float64) float64 {
 	}
 	return math.Exp(s / float64(n))
 }
-
-// Min returns the smallest value (+Inf for empty input).
-func Min(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest value (-Inf for empty input).
-func Max(xs []float64) float64 {
-	m := math.Inf(-1)
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Sum returns the total.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// Normalize divides every value by base; a zero base yields zeros.
-func Normalize(xs []float64, base float64) []float64 {
-	out := make([]float64, len(xs))
-	if base == 0 {
-		return out
-	}
-	for i, x := range xs {
-		out[i] = x / base
-	}
-	return out
-}
-
-// Histogram counts values into equal-width bins over [lo, hi); values
-// outside are clamped into the edge bins.
-func Histogram(xs []float64, lo, hi float64, bins int) []int {
-	h := make([]int, bins)
-	if bins == 0 || hi <= lo {
-		return h
-	}
-	w := (hi - lo) / float64(bins)
-	for _, x := range xs {
-		b := int((x - lo) / w)
-		if b < 0 {
-			b = 0
-		}
-		if b >= bins {
-			b = bins - 1
-		}
-		h[b]++
-	}
-	return h
-}
-
-// Welford accumulates running mean and variance without storing samples.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add folds one sample in.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the sample count.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean.
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the sample variance (0 for n < 2).
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// Stddev returns the sample standard deviation.
-func (w *Welford) Stddev() float64 { return math.Sqrt(w.Variance()) }

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestMean(t *testing.T) {
@@ -25,85 +24,5 @@ func TestGeoMean(t *testing.T) {
 	// Non-positive entries skipped.
 	if got := GeoMean([]float64{0, -3, 8, 2}); math.Abs(got-4) > 1e-12 {
 		t.Fatalf("geomean with junk %g, want 4", got)
-	}
-}
-
-func TestMinMaxSum(t *testing.T) {
-	xs := []float64{3, -1, 7}
-	if Min(xs) != -1 || Max(xs) != 7 || Sum(xs) != 9 {
-		t.Fatal("min/max/sum wrong")
-	}
-	if !math.IsInf(Min(nil), 1) || !math.IsInf(Max(nil), -1) {
-		t.Fatal("empty min/max sentinels wrong")
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	out := Normalize([]float64{2, 4}, 2)
-	if out[0] != 1 || out[1] != 2 {
-		t.Fatalf("normalize %v", out)
-	}
-	z := Normalize([]float64{5}, 0)
-	if z[0] != 0 {
-		t.Fatal("zero base should yield zeros")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := Histogram([]float64{0, 0.5, 1.5, 9, -4, 100}, 0, 10, 10)
-	if h[0] != 3 { // 0, 0.5 and clamped -4
-		t.Fatalf("bin 0 = %d", h[0])
-	}
-	if h[1] != 1 || h[9] != 2 { // 1.5; 9 and clamped 100
-		t.Fatalf("bins %v", h)
-	}
-	if len(Histogram(nil, 0, 0, 5)) != 5 {
-		t.Fatal("degenerate range must still size bins")
-	}
-}
-
-func TestWelfordMatchesDirect(t *testing.T) {
-	f := func(xs []float64) bool {
-		var w Welford
-		clean := make([]float64, 0, len(xs))
-		for _, x := range xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e12 {
-				continue
-			}
-			clean = append(clean, x)
-			w.Add(x)
-		}
-		if len(clean) == 0 {
-			return w.N() == 0 && w.Variance() == 0
-		}
-		mean := Mean(clean)
-		if math.Abs(w.Mean()-mean) > 1e-6*(1+math.Abs(mean)) {
-			return false
-		}
-		if len(clean) < 2 {
-			return w.Variance() == 0
-		}
-		var m2 float64
-		for _, x := range clean {
-			m2 += (x - mean) * (x - mean)
-		}
-		direct := m2 / float64(len(clean)-1)
-		return math.Abs(w.Variance()-direct) <= 1e-6*(1+direct)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWelfordStddev(t *testing.T) {
-	var w Welford
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		w.Add(x)
-	}
-	if math.Abs(w.Mean()-5) > 1e-12 {
-		t.Fatalf("mean %g", w.Mean())
-	}
-	if math.Abs(w.Stddev()-2.138089935299395) > 1e-9 {
-		t.Fatalf("stddev %g", w.Stddev())
 	}
 }

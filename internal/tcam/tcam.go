@@ -180,14 +180,6 @@ func (c *CAM) InvalidateIndex(i int) {
 	}
 }
 
-// PatternAt returns the pattern stored at index i.
-func (c *CAM) PatternAt(i int) (uint32, bool) {
-	if i < 0 || i >= c.size || !c.valid[i] {
-		return 0, false
-	}
-	return c.pattern[i], true
-}
-
 // Entries returns the number of valid entries. The count is maintained
 // incrementally by Insert/InvalidateIndex/RestoreSlot, so metrics and GC
 // sweeps pay O(1) instead of rescanning the valid bits.

@@ -66,8 +66,8 @@ func TestCAMInvalidate(t *testing.T) {
 	if _, ok := c.Peek(9); ok {
 		t.Fatal("pattern survives invalidation")
 	}
-	if _, ok := c.PatternAt(idx); ok {
-		t.Fatal("PatternAt returns invalidated entry")
+	if c.Entries() != 0 {
+		t.Fatalf("entries = %d after invalidating the only one", c.Entries())
 	}
 	c.InvalidateIndex(-1) // out of range must be a no-op
 	c.InvalidateIndex(99)

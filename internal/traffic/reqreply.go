@@ -16,12 +16,11 @@ import (
 // happens when the request is delivered, so reply latency includes the
 // full round trip, as in a real memory hierarchy.
 type ReqReply struct {
-	net     *noc.Network
-	rng     *sim.Rand
-	src     *workload.Source
-	rate    float64 // request probability per tile per cycle
-	sent    uint64
-	replies uint64
+	net  *noc.Network
+	rng  *sim.Rand
+	src  *workload.Source
+	rate float64 // request probability per tile per cycle
+	sent uint64
 }
 
 // NewReqReply builds a request/reply injector. rate is the per-tile
@@ -40,23 +39,15 @@ func NewReqReply(net *noc.Network, rate float64, source *workload.Source, seed u
 		if p.Kind != noc.ControlPacket {
 			return
 		}
-		if err := rr.reply(p.Dst, p.Src); err == nil {
-			rr.replies++
-		}
+		// A delivered packet's endpoints are a valid pair, so the
+		// reversed send cannot be rejected.
+		_, _ = net.SendData(p.Dst, p.Src, rr.src.NextBlock())
 	})
 	return rr, nil
 }
 
-func (rr *ReqReply) reply(home, requester int) error {
-	_, err := rr.net.SendData(home, requester, rr.src.NextBlock())
-	return err
-}
-
 // Sent returns the number of requests issued.
 func (rr *ReqReply) Sent() uint64 { return rr.sent }
-
-// Replies returns the number of data replies generated.
-func (rr *ReqReply) Replies() uint64 { return rr.replies }
 
 // Tick issues this cycle's requests. Call once per network Step.
 func (rr *ReqReply) Tick() {

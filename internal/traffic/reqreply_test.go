@@ -29,11 +29,8 @@ func TestReqReplyGeneratesDataReplies(t *testing.T) {
 	if rr.Sent() == 0 {
 		t.Fatal("no requests issued")
 	}
-	if rr.Replies() != rr.Sent() {
-		t.Fatalf("replies %d != requests %d", rr.Replies(), rr.Sent())
-	}
-	if res.Stats.DataDelivered != rr.Replies() {
-		t.Fatalf("data delivered %d, replies %d", res.Stats.DataDelivered, rr.Replies())
+	if res.Stats.DataDelivered != rr.Sent() {
+		t.Fatalf("data replies delivered %d, requests %d", res.Stats.DataDelivered, rr.Sent())
 	}
 	if res.Stats.ControlDelivered != rr.Sent() {
 		t.Fatalf("control delivered %d, requests %d", res.Stats.ControlDelivered, rr.Sent())

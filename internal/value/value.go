@@ -103,12 +103,6 @@ func Significand(w Word) uint32 {
 	return (w & MantissaMask) | (1 << MantissaBits)
 }
 
-// ReplaceMantissa returns w with its mantissa field replaced by the low 23
-// bits of significand — the inverse of Significand for the mantissa part.
-func ReplaceMantissa(w Word, significand uint32) Word {
-	return (w &^ MantissaMask) | (significand & MantissaMask)
-}
-
 // RelError returns the relative value difference |orig-approx| / |orig|
 // under the block's data type. Bit-identical words are 0, including NaNs
 // with equal payloads. A zero original with a nonzero approximation

