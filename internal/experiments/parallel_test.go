@@ -1,10 +1,35 @@
 package experiments
 
 import (
+	"flag"
 	"fmt"
+	"os"
 	"runtime"
+	"strings"
 	"testing"
 )
+
+// update rewrites testdata/golden_figures.txt from the Jobs=1 renderings
+// of TestDriversParallelEquivalence (full mode only: every driver must
+// have run).
+var update = flag.Bool("update", false, "rewrite testdata/golden_figures.txt")
+
+const goldenFigures = "testdata/golden_figures.txt"
+
+// goldenSection frames one driver's rendering in the golden file;
+// goldenSections reads the file back as name -> framed section.
+func goldenSection(name, text string) string {
+	return "=== " + name + " ===\n" + strings.TrimRight(text, "\n") + "\n"
+}
+
+func goldenSections(data string) map[string]string {
+	out := map[string]string{}
+	for _, sec := range strings.Split(data, "=== ")[1:] {
+		name, _, _ := strings.Cut(sec, " ===\n")
+		out[name] = "=== " + sec
+	}
+	return out
+}
 
 func TestMapJobsEmpty(t *testing.T) {
 	out, err := mapJobs(Runner{Workers: 8}, 0, func(i int) (int, error) { return i, nil })
@@ -49,9 +74,21 @@ func TestMapJobsLowestIndexError(t *testing.T) {
 
 // TestDriversParallelEquivalence is the determinism gate for the whole
 // experiment harness: every driver must render byte-identical output at
-// Jobs=1 and Jobs=8. Short mode keeps a small subset so the race-detector
-// pass in scripts/check.sh still exercises the parallel pool.
+// Jobs=1 and Jobs=8, and the Jobs=1 rendering must be the section of
+// testdata/golden_figures.txt under the driver's name (seed 1, 1 200
+// cycles), so a change to the harness that moves any figure fails here.
+// Short mode keeps a small subset so the race-detector pass in
+// scripts/check.sh still exercises the parallel pool.
 func TestDriversParallelEquivalence(t *testing.T) {
+	if *update && testing.Short() {
+		t.Fatal("-update needs every driver: run without -short")
+	}
+	data, err := os.ReadFile(goldenFigures)
+	if err != nil && !*update {
+		t.Fatal(err)
+	}
+	golden := goldenSections(string(data))
+	var sections strings.Builder
 	cfg := Default()
 	cfg.Cycles = 1200
 	one := []string{"ssca2"}
@@ -151,6 +188,16 @@ func TestDriversParallelEquivalence(t *testing.T) {
 			if serial == "" {
 				t.Fatal("driver rendered empty output")
 			}
+			section := goldenSection(d.name, serial)
+			sections.WriteString(section)
+			if !*update && golden[d.name] != section {
+				t.Fatalf("rendering differs from %s (regenerate on purpose with -update):\n--- got ---\n%s--- want ---\n%s", goldenFigures, section, golden[d.name])
+			}
 		})
+	}
+	if *update && !t.Failed() {
+		if err := os.WriteFile(goldenFigures, []byte(sections.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
