@@ -9,8 +9,12 @@
 # `make loc` prints non-test Go lines per package and in total,
 # benchmark/ excluded (scripts/loc.sh <rev> counts a commit;
 # scripts/loc.sh census lists exported names only tests mention).
+# Measuring is not a make target: `go run ./benchmark` is the repo
+# benchmark, `go run ./cmd/approxnoc-bench -exp ...` regenerates the
+# paper's figures, and the per-package `go test -bench` families are for
+# measuring while you work.
 
-.PHONY: check test build bench fuzz-smoke obs-demo loc
+.PHONY: check test build fuzz-smoke obs-demo loc
 
 check:
 	FUZZ=$(FUZZ) ./scripts/check.sh
@@ -29,6 +33,3 @@ build:
 
 test:
 	go test ./...
-
-bench:
-	go test -bench . -benchtime 1x -run '^$$'

@@ -139,14 +139,7 @@ func NewSimulator(opts Options) (*Simulator, error) {
 		return nil, fmt.Errorf("approxnoc: %w", err)
 	}
 	if opts.Adaptive {
-		inner := factory
-		factory = func(node int) compress.Codec {
-			a, err := compress.NewAdaptive(inner(node), compress.DefaultAdaptiveConfig())
-			if err != nil {
-				panic(err) // config is the validated default
-			}
-			return a
-		}
+		factory = compress.AdaptiveFactory(factory)
 	}
 	net, err := noc.New(topo, opts.Network, factory)
 	if err != nil {

@@ -17,6 +17,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
+	"sync"
 
 	"approxnoc/internal/cluster"
 	"approxnoc/internal/compress"
@@ -102,8 +103,9 @@ func realMain() int {
 	if *exp == "all" {
 		ids = experimentOrder
 	}
+	grid := sync.OnceValues(func() (experiments.Grid, error) { return experiments.RunGrid(cfg) })
 	for _, id := range ids {
-		rows, out, err := run(id, cfg)
+		rows, out, err := run(id, cfg, grid)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "approxnoc-bench: %s: %v\n", id, err)
 			return 1
@@ -122,132 +124,142 @@ func realMain() int {
 	return 0
 }
 
-func run(id string, cfg experiments.Config) (any, string, error) {
+// run resolves an experiment id and executes it, returning the rows (for
+// -json) and the rendered table. grid returns the replays Figs. 9, 10, 11
+// and 15 are views of; realMain wraps experiments.RunGrid in
+// sync.OnceValues, so however many of the four ids one process renders,
+// the grid is replayed once.
+func run(id string, cfg experiments.Config, grid func() (experiments.Grid, error)) (any, string, error) {
+	exec, err := resolve(id, cfg, grid)
+	if err != nil {
+		return nil, "", err
+	}
+	return exec()
+}
+
+// rendered pairs a driver's rows with their table.
+func rendered[T any](rows T, err error, format func(T) string) (any, string, error) {
+	if err != nil {
+		return nil, "", err
+	}
+	return rows, format(rows), nil
+}
+
+// resolve maps an experiment id to the call that produces it, without
+// making the call: an id with no case here fails before anything runs.
+func resolve(id string, cfg experiments.Config, grid func() (experiments.Grid, error)) (func() (any, string, error), error) {
 	switch id {
 	case "table1":
-		t := experiments.Table1(cfg)
-		return t, t, nil
+		return func() (any, string, error) {
+			t := experiments.Table1(cfg)
+			return t, t, nil
+		}, nil
 	case "fig9":
-		rows, err := experiments.Fig9(cfg)
-		if err != nil {
-			return nil, "", err
-		}
-		return rows, experiments.FormatFig9(rows), nil
+		return func() (any, string, error) {
+			g, err := grid()
+			return rendered(g.Fig9(), err, experiments.FormatFig9)
+		}, nil
 	case "fig10a", "fig10b", "fig10":
-		rows, err := experiments.Fig10(cfg)
-		if err != nil {
-			return nil, "", err
-		}
-		return rows, experiments.FormatFig10(rows), nil
+		return func() (any, string, error) {
+			g, err := grid()
+			return rendered(g.Fig10(), err, experiments.FormatFig10)
+		}, nil
 	case "fig11":
-		rows, err := experiments.Fig11(cfg)
-		if err != nil {
-			return nil, "", err
-		}
-		return rows, experiments.FormatFig11(rows), nil
+		return func() (any, string, error) {
+			g, err := grid()
+			return rendered(g.Fig11(), err, experiments.FormatFig11)
+		}, nil
 	case "fig12":
-		pts, err := experiments.Fig12(cfg, nil, nil)
-		if err != nil {
-			return nil, "", err
-		}
-		return pts, experiments.FormatFig12(pts), nil
+		return func() (any, string, error) {
+			pts, err := experiments.Fig12(cfg, nil, nil)
+			return rendered(pts, err, experiments.FormatFig12)
+		}, nil
 	case "fig13":
-		rows, err := experiments.Fig13(cfg, nil)
-		if err != nil {
-			return nil, "", err
-		}
-		return rows, experiments.FormatFig13(rows, nil), nil
+		return func() (any, string, error) {
+			rows, err := experiments.Fig13(cfg, nil)
+			return rendered(rows, err, func(r []experiments.Fig13Row) string { return experiments.FormatFig13(r, nil) })
+		}, nil
 	case "fig14":
-		rows, err := experiments.Fig14(cfg, nil)
-		if err != nil {
-			return nil, "", err
-		}
-		return rows, experiments.FormatFig14(rows, nil), nil
+		return func() (any, string, error) {
+			rows, err := experiments.Fig14(cfg, nil)
+			return rendered(rows, err, func(r []experiments.Fig14Row) string { return experiments.FormatFig14(r, nil) })
+		}, nil
 	case "fig15":
-		rows, err := experiments.Fig15(cfg)
-		if err != nil {
-			return nil, "", err
-		}
-		return rows, experiments.FormatFig15(rows), nil
+		return func() (any, string, error) {
+			g, err := grid()
+			return rendered(g.Fig15(), err, experiments.FormatFig15)
+		}, nil
 	case "fig16":
-		rows, err := experiments.Fig16(cfg, nil)
-		if err != nil {
-			return nil, "", err
-		}
-		return rows, experiments.FormatFig16(rows, nil), nil
+		return func() (any, string, error) {
+			rows, err := experiments.Fig16(cfg, nil)
+			return rendered(rows, err, func(r []experiments.Fig16Row) string { return experiments.FormatFig16(r, nil) })
+		}, nil
 	case "fig16-measured":
-		rows, err := experiments.Fig16Measured(cfg.Runner(), nil, nil)
-		if err != nil {
-			return nil, "", err
-		}
-		return rows, experiments.FormatFig16Titled(
-			"Fig. 16 (measured through the cycle-accurate NoC) — Application output error and normalized performance",
-			rows, nil), nil
+		return func() (any, string, error) {
+			rows, err := experiments.Fig16Measured(cfg.Runner(), nil, nil)
+			return rendered(rows, err, func(r []experiments.Fig16Row) string {
+				return experiments.FormatFig16Titled(
+					"Fig. 16 (measured through the cycle-accurate NoC) — Application output error and normalized performance",
+					r, nil)
+			})
+		}, nil
 	case "fig17":
-		r, err := experiments.Fig17(compress.FPVaxx, cfg.ErrorThreshold)
-		if err != nil {
-			return nil, "", err
-		}
-		return r, experiments.FormatFig17(r), nil
+		return func() (any, string, error) {
+			r, err := experiments.Fig17(compress.FPVaxx, cfg.ErrorThreshold)
+			return rendered(r, err, experiments.FormatFig17)
+		}, nil
 	case "area":
-		a := experiments.AreaReport()
-		return a, a, nil
+		return func() (any, string, error) {
+			a := experiments.AreaReport()
+			return a, a, nil
+		}, nil
 	case "ablation-overlap":
-		rows, err := experiments.AblationOverlap(cfg, nil)
-		if err != nil {
-			return nil, "", err
-		}
-		return rows, experiments.FormatAblationOverlap(rows), nil
+		return func() (any, string, error) {
+			rows, err := experiments.AblationOverlap(cfg, nil)
+			return rendered(rows, err, experiments.FormatAblationOverlap)
+		}, nil
 	case "ablation-pmt":
-		rows, err := experiments.AblationPMT(cfg, nil, nil)
-		if err != nil {
-			return nil, "", err
-		}
-		return rows, experiments.FormatAblationPMT(rows), nil
+		return func() (any, string, error) {
+			rows, err := experiments.AblationPMT(cfg, nil, nil)
+			return rendered(rows, err, experiments.FormatAblationPMT)
+		}, nil
 	case "ablation-router":
-		rows, err := experiments.AblationRouter(cfg, nil)
-		if err != nil {
-			return nil, "", err
-		}
-		return rows, experiments.FormatAblationRouter(rows), nil
+		return func() (any, string, error) {
+			rows, err := experiments.AblationRouter(cfg, nil)
+			return rendered(rows, err, experiments.FormatAblationRouter)
+		}, nil
 	case "ablation-matchunits":
-		rows, err := experiments.AblationMatchUnits(cfg, nil, nil)
-		if err != nil {
-			return nil, "", err
-		}
-		return rows, experiments.FormatAblationMatchUnits(rows), nil
+		return func() (any, string, error) {
+			rows, err := experiments.AblationMatchUnits(cfg, nil, nil)
+			return rendered(rows, err, experiments.FormatAblationMatchUnits)
+		}, nil
 	case "extension-bdi":
-		rows, err := experiments.ExtensionBDI(cfg, nil)
-		if err != nil {
-			return nil, "", err
-		}
-		return rows, experiments.FormatExtensionBDI(rows), nil
+		return func() (any, string, error) {
+			rows, err := experiments.ExtensionBDI(cfg, nil)
+			return rendered(rows, err, experiments.FormatExtensionBDI)
+		}, nil
 	case "ablation-adaptive":
-		rows, err := experiments.AblationAdaptive(cfg, nil)
-		if err != nil {
-			return nil, "", err
-		}
-		return rows, experiments.FormatAblationAdaptive(rows), nil
+		return func() (any, string, error) {
+			rows, err := experiments.AblationAdaptive(cfg, nil)
+			return rendered(rows, err, experiments.FormatAblationAdaptive)
+		}, nil
 	case "ablation-window":
-		rows, err := experiments.AblationWindow(cfg, nil)
-		if err != nil {
-			return nil, "", err
-		}
-		return rows, experiments.FormatAblationWindow(rows), nil
+		return func() (any, string, error) {
+			rows, err := experiments.AblationWindow(cfg, nil)
+			return rendered(rows, err, experiments.FormatAblationWindow)
+		}, nil
 	case "gateway":
-		rows, err := gatewayGrid(cfg)
-		if err != nil {
-			return nil, "", err
-		}
-		return rows, formatGatewayGrid(rows), nil
+		return func() (any, string, error) {
+			rows, err := gatewayGrid(cfg)
+			return rendered(rows, err, formatGatewayGrid)
+		}, nil
 	case "cluster":
-		rows, err := clusterGrid()
-		if err != nil {
-			return nil, "", err
-		}
-		return rows, formatClusterGrid(rows), nil
+		return func() (any, string, error) {
+			rows, err := clusterGrid()
+			return rendered(rows, err, formatClusterGrid)
+		}, nil
 	default:
-		return nil, "", fmt.Errorf("unknown experiment %q", id)
+		return nil, fmt.Errorf("unknown experiment %q", id)
 	}
 }
 

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"approxnoc/internal/experiments"
@@ -13,9 +15,14 @@ func tinyCfg() experiments.Config {
 	return cfg
 }
 
+// noGrid fails a test that reaches the shared grid without meaning to.
+func noGrid() (experiments.Grid, error) {
+	return experiments.Grid{}, errors.New("grid not expected")
+}
+
 func TestRunKnownExperiments(t *testing.T) {
 	for _, id := range []string{"table1", "area", "fig17"} {
-		rows, text, err := run(id, tinyCfg())
+		rows, text, err := run(id, tinyCfg(), noGrid)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -26,23 +33,47 @@ func TestRunKnownExperiments(t *testing.T) {
 }
 
 func TestRunRejectsUnknown(t *testing.T) {
-	if _, _, err := run("fig99", tinyCfg()); err == nil {
+	if _, _, err := run("fig99", tinyCfg(), noGrid); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
 
+// Every id -list prints, and both Fig. 10 aliases, must have a case in
+// resolve; nothing is executed.
 func TestExperimentOrderResolvable(t *testing.T) {
-	// Every id in the -list output must be dispatchable (checked without
-	// running the heavy ones: unknown ids error immediately, known ones
-	// are reached by the switch, so a cheap id probe suffices per entry).
 	seen := map[string]bool{}
 	for _, id := range experimentOrder {
 		if seen[id] {
 			t.Fatalf("duplicate experiment id %q", id)
 		}
 		seen[id] = true
-		if strings.TrimSpace(id) == "" {
-			t.Fatal("blank experiment id")
+	}
+	for _, id := range append([]string{"fig10a", "fig10b"}, experimentOrder...) {
+		if exec, err := resolve(id, tinyCfg(), noGrid); err != nil || exec == nil {
+			t.Errorf("%q in -list does not resolve: %v", id, err)
 		}
+	}
+}
+
+// The four figures that are views of one grid replay it once per
+// process, counted at the function the once-wrapper guards.
+func TestSharedGridRunsOnce(t *testing.T) {
+	cfg := tinyCfg()
+	calls := 0
+	grid := sync.OnceValues(func() (experiments.Grid, error) {
+		calls++
+		return experiments.RunGrid(cfg)
+	})
+	for _, id := range []string{"fig9", "fig10", "fig10a", "fig11", "fig15"} {
+		rows, text, err := run(id, cfg, grid)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if rows == nil || !strings.Contains(text, "ssca2") {
+			t.Fatalf("%s: no table:\n%s", id, text)
+		}
+	}
+	if calls != 1 {
+		t.Fatalf("RunGrid ran %d times for four views, want 1", calls)
 	}
 }

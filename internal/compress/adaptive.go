@@ -59,6 +59,18 @@ func NewAdaptive(inner Codec, cfg AdaptiveConfig) (*Adaptive, error) {
 	return &Adaptive{inner: inner, raw: NewBaseline(), cfg: cfg, on: true}, nil
 }
 
+// AdaptiveFactory wraps every codec inner builds with the controller at
+// DefaultAdaptiveConfig.
+func AdaptiveFactory(inner func(node int) Codec) func(node int) Codec {
+	return func(node int) Codec {
+		a, err := NewAdaptive(inner(node), DefaultAdaptiveConfig())
+		if err != nil {
+			panic(err) // the default config is valid: inner returned a nil codec
+		}
+		return a
+	}
+}
+
 // Scheme reports the wrapped scheme.
 func (a *Adaptive) Scheme() Scheme { return a.inner.Scheme() }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"approxnoc/internal/compress"
@@ -16,9 +17,13 @@ func quickCfg() Config {
 	return cfg
 }
 
+// quickGrid is the one grid the Fig. 9/10/11/15 shape tests all read.
+var quickGrid = sync.OnceValues(func() (Grid, error) { return RunGrid(quickCfg()) })
+
 func TestRunTraceProducesTraffic(t *testing.T) {
+	cfg := quickCfg()
 	model, _ := workload.ByName("ssca2")
-	m, err := runTrace(quickCfg(), model, compress.DIVaxx, 10, 0.75, nil)
+	m, err := cfg.cell(model, compress.DIVaxx).run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +48,7 @@ func TestVaxxReducesTraffic(t *testing.T) {
 	model, _ := workload.ByName("ssca2")
 	flits := map[compress.Scheme]uint64{}
 	for _, s := range compress.AllSchemes() {
-		m, err := runTrace(cfg, model, s, 10, 0.75, nil)
+		m, err := cfg.cell(model, s).run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,11 +72,11 @@ func TestFig9ShapesHold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure in short mode")
 	}
-	cfg := quickCfg()
-	rows, err := Fig9(cfg)
+	g, err := quickGrid()
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := g.Fig9()
 	// 8 benchmarks + AVG, 5 schemes each.
 	if len(rows) != 9*5 {
 		t.Fatalf("%d rows, want 45", len(rows))
@@ -110,17 +115,17 @@ func TestFig9ShapesHold(t *testing.T) {
 }
 
 func TestFig10VaxxEncodesMore(t *testing.T) {
-	cfg := quickCfg()
-	rows, err := Fig10(cfg)
+	g, err := quickGrid()
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := g.Fig10()
 	byKey := map[string]Fig10Row{}
 	for _, r := range rows {
 		byKey[r.Benchmark+"/"+r.Scheme.String()] = r
 	}
-	g := byKey["GMEAN/FP-VAXX"]
-	if g.ApproxFrac <= 0 {
+	gm := byKey["GMEAN/FP-VAXX"]
+	if gm.ApproxFrac <= 0 {
 		t.Fatal("FP-VAXX GMEAN has no approximate matches")
 	}
 	if byKey["GMEAN/FP-VAXX"].EncodedFrac <= byKey["GMEAN/FP-COMP"].EncodedFrac {
@@ -136,11 +141,11 @@ func TestFig10VaxxEncodesMore(t *testing.T) {
 }
 
 func TestFig11Normalization(t *testing.T) {
-	cfg := quickCfg()
-	rows, err := Fig11(cfg)
+	g, err := quickGrid()
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := g.Fig11()
 	for _, r := range rows {
 		if r.Scheme == compress.Baseline && r.NormFlits != 1 {
 			t.Fatalf("%s baseline norm %g", r.Benchmark, r.NormFlits)
@@ -211,11 +216,11 @@ func TestFig14RatiosPresent(t *testing.T) {
 }
 
 func TestFig15CompressionSavesPower(t *testing.T) {
-	cfg := quickCfg()
-	rows, err := Fig15(cfg)
+	g, err := quickGrid()
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := g.Fig15()
 	for _, r := range rows {
 		if r.Scheme == compress.Baseline && r.NormPower != 1 {
 			t.Fatalf("baseline norm power %g", r.NormPower)
@@ -289,6 +294,27 @@ func TestAblationWindowAdmitsMore(t *testing.T) {
 	}
 	if windowed.Quality < 0.95 {
 		t.Fatalf("windowed quality %g collapsed", windowed.Quality)
+	}
+}
+
+// Outside input a driver must answer with an error: the windowed
+// factory used to hand the network a nil codec at an out-of-range
+// threshold, and zero cycles rendered a table of zeros.
+func TestDriversRejectBadConfig(t *testing.T) {
+	bad := map[string]func(*Config){
+		"threshold 150": func(c *Config) { c.ErrorThreshold = 150 },
+		"cycles 0":      func(c *Config) { c.Cycles = 0 },
+		"ratio 1.5":     func(c *Config) { c.ApproxRatio = 1.5 },
+	}
+	for name, mutate := range bad {
+		cfg := quickCfg()
+		mutate(&cfg)
+		if _, err := AblationWindow(cfg, []string{"ssca2"}); err == nil {
+			t.Errorf("AblationWindow accepted %s", name)
+		}
+		if _, err := RunGrid(cfg); err == nil {
+			t.Errorf("RunGrid accepted %s", name)
+		}
 	}
 }
 

@@ -19,49 +19,55 @@ type Fig9Row struct {
 	Quality   float64 // data value quality, right axis of Fig. 9
 }
 
-// traceJob is one (benchmark, scheme) cell of a figure's replay grid.
-type traceJob struct {
-	model  workload.Model
-	scheme compress.Scheme
+// Grid is the one set of replays Figs. 9, 10, 11 and 15 all read (§5.1:
+// every benchmark under every scheme at the Config's defaults). Each
+// figure is a projection of it, so a caller that wants several of them
+// runs the grid once and passes the value; nothing is cached behind it.
+type Grid struct {
+	// runs is benchmark-major in the paper's figure order, each
+	// benchmark's schemes in compress.AllSchemes order (Baseline first).
+	runs []RunMetrics
 }
 
-// traceGrid flattens the benchmark x scheme nesting every bar figure
-// shares, preserving the serial iteration order.
-func traceGrid(models []workload.Model, schemes []compress.Scheme) []traceJob {
-	jobs := make([]traceJob, 0, len(models)*len(schemes))
-	for _, m := range models {
-		for _, s := range schemes {
-			jobs = append(jobs, traceJob{model: m, scheme: s})
+// RunGrid replays every benchmark under every evaluated scheme.
+func RunGrid(cfg Config) (Grid, error) {
+	var cells []cell
+	for _, model := range workload.Benchmarks() {
+		for _, scheme := range compress.AllSchemes() {
+			cells = append(cells, cfg.cell(model, scheme))
 		}
 	}
-	return jobs
+	runs, err := replay(cfg, cells)
+	return Grid{runs: runs}, err
 }
 
 // Fig9 replays every benchmark under every scheme and reports the average
-// packet latency breakdown and data quality.
+// packet latency breakdown and data quality. Callers that also want
+// Fig. 10, 11 or 15 use RunGrid and its views instead.
 func Fig9(cfg Config) ([]Fig9Row, error) {
-	jobs := traceGrid(workload.Benchmarks(), schemesUnderTest())
-	rows, err := mapJobs(cfg.Runner(), len(jobs), func(i int) (Fig9Row, error) {
-		j := jobs[i]
-		m, err := runTrace(cfg, j.model, j.scheme, cfg.ErrorThreshold, cfg.ApproxRatio, nil)
-		if err != nil {
-			return Fig9Row{}, err
-		}
-		return Fig9Row{
-			Benchmark: j.model.Name,
-			Scheme:    j.scheme,
+	g, err := RunGrid(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return g.Fig9(), nil
+}
+
+// Fig9 is the latency breakdown and data quality of every run, plus the
+// AVG pseudo-benchmark the figure plots.
+func (g Grid) Fig9() []Fig9Row {
+	rows := make([]Fig9Row, len(g.runs))
+	for i, m := range g.runs {
+		rows[i] = Fig9Row{
+			Benchmark: m.Benchmark,
+			Scheme:    m.Scheme,
 			QueueLat:  m.Net.AvgQueueLatency(),
 			NetLat:    m.Net.AvgNetLatency(),
 			DecodeLat: m.Net.AvgDecodeLatency(),
 			TotalLat:  m.Net.AvgPacketLatency(),
 			Quality:   m.Codec.DataQuality(),
-		}, nil
-	})
-	if err != nil {
-		return nil, err
+		}
 	}
-	// Append the AVG pseudo-benchmark the figure plots.
-	for _, scheme := range schemesUnderTest() {
+	for _, scheme := range compress.AllSchemes() {
 		var q, n, d, t, ql []float64
 		for _, r := range rows {
 			if r.Scheme == scheme {
@@ -78,7 +84,7 @@ func Fig9(cfg Config) ([]Fig9Row, error) {
 			TotalLat: stats.Mean(t), Quality: stats.Mean(ql),
 		})
 	}
-	return rows, nil
+	return rows
 }
 
 // Fig10Row is one bar of Fig. 10: encoded-word fraction split into exact
@@ -92,31 +98,24 @@ type Fig10Row struct {
 	Ratio       float64
 }
 
-// Fig10 measures word-encoding breakdown and compression ratio for the
-// four compressing schemes.
-func Fig10(cfg Config) ([]Fig10Row, error) {
-	schemes := []compress.Scheme{compress.DIComp, compress.DIVaxx, compress.FPComp, compress.FPVaxx}
-	jobs := traceGrid(workload.Benchmarks(), schemes)
-	rows, err := mapJobs(cfg.Runner(), len(jobs), func(i int) (Fig10Row, error) {
-		j := jobs[i]
-		m, err := runTrace(cfg, j.model, j.scheme, cfg.ErrorThreshold, cfg.ApproxRatio, nil)
-		if err != nil {
-			return Fig10Row{}, err
+// Fig10 is the word-encoding breakdown and compression ratio of the four
+// compressing schemes, plus the GMEAN pseudo-benchmark.
+func (g Grid) Fig10() []Fig10Row {
+	var rows []Fig10Row
+	for _, m := range g.runs {
+		if m.Scheme == compress.Baseline {
+			continue
 		}
-		return Fig10Row{
-			Benchmark:   j.model.Name,
-			Scheme:      j.scheme,
+		rows = append(rows, Fig10Row{
+			Benchmark:   m.Benchmark,
+			Scheme:      m.Scheme,
 			ExactFrac:   m.Codec.EncodedWordFraction() - m.Codec.ApproxWordFraction(),
 			ApproxFrac:  m.Codec.ApproxWordFraction(),
 			EncodedFrac: m.Codec.EncodedWordFraction(),
 			Ratio:       m.Codec.CompressionRatio(),
-		}, nil
-	})
-	if err != nil {
-		return nil, err
+		})
 	}
-	// GMEAN pseudo-benchmark.
-	for _, scheme := range schemes {
+	for _, scheme := range compress.AllSchemes()[1:] {
 		var ef, af, enc, ra []float64
 		for _, r := range rows {
 			if r.Scheme == scheme {
@@ -132,7 +131,7 @@ func Fig10(cfg Config) ([]Fig10Row, error) {
 			EncodedFrac: stats.Mean(enc), Ratio: stats.GeoMean(ra),
 		})
 	}
-	return rows, nil
+	return rows
 }
 
 // Fig11Row is one bar of Fig. 11: data flits injected, normalized to the
@@ -143,43 +142,22 @@ type Fig11Row struct {
 	NormFlits float64
 }
 
-// Fig11 measures the reduction in injected data flits. The replays fan
-// out in parallel; baseline normalization runs serially over the ordered
-// results, exactly as the nested serial loops did.
-func Fig11(cfg Config) ([]Fig11Row, error) {
-	models := workload.Benchmarks()
-	schemes := schemesUnderTest()
-	jobs := traceGrid(models, schemes)
-	ms, err := mapJobs(cfg.Runner(), len(jobs), func(i int) (RunMetrics, error) {
-		j := jobs[i]
-		return runTrace(cfg, j.model, j.scheme, cfg.ErrorThreshold, cfg.ApproxRatio, nil)
-	})
-	if err != nil {
-		return nil, err
-	}
-	var rows []Fig11Row
-	for i, j := range jobs {
-		// NormFlits temporarily holds the raw count; normalized below.
-		rows = append(rows, Fig11Row{
-			Benchmark: j.model.Name, Scheme: j.scheme,
-			NormFlits: float64(ms[i].Net.DataFlitsInjected),
-		})
-	}
-	for b := 0; b < len(models); b++ {
-		base := 0.0
-		for s := 0; s < len(schemes); s++ {
-			r := &rows[b*len(schemes)+s]
-			if schemes[s] == compress.Baseline {
-				base = r.NormFlits
-			}
-			if base > 0 {
-				r.NormFlits = r.NormFlits / base
-			} else {
-				r.NormFlits = 1.0
-			}
+// Fig11 is every run's injected data flits over its benchmark's Baseline
+// run, which leads each benchmark's group.
+func (g Grid) Fig11() []Fig11Row {
+	rows := make([]Fig11Row, len(g.runs))
+	base := 0.0
+	for i, m := range g.runs {
+		flits := float64(m.Net.DataFlitsInjected)
+		if m.Scheme == compress.Baseline {
+			base = flits
+		}
+		rows[i] = Fig11Row{Benchmark: m.Benchmark, Scheme: m.Scheme, NormFlits: 1}
+		if base > 0 {
+			rows[i].NormFlits = flits / base
 		}
 	}
-	return rows, nil
+	return rows
 }
 
 // Fig12Point is one sample of a Fig. 12 load-latency curve.
@@ -201,62 +179,48 @@ func Fig12(cfg Config, benchmarks []string, rates []float64) ([]Fig12Point, erro
 	if len(rates) == 0 {
 		rates = []float64{0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7}
 	}
-	type sweepJob struct {
-		model   workload.Model
-		pattern traffic.Pattern
-		scheme  compress.Scheme
-		rate    float64
-	}
-	var jobs []sweepJob
+	var cells []cell
 	for _, bname := range benchmarks {
 		model, err := workload.ByName(bname)
 		if err != nil {
 			return nil, err
 		}
+		model.DataRatio = 0.25 // the paper's synthetic mix
 		for _, pattern := range []traffic.Pattern{traffic.UniformRandom, traffic.Transpose} {
-			for _, scheme := range schemesUnderTest() {
+			for _, scheme := range compress.AllSchemes() {
 				for _, rate := range rates {
-					jobs = append(jobs, sweepJob{model, pattern, scheme, rate})
+					c := cfg.cell(model, scheme)
+					c.srcSeed = cfg.Seed*31337 + 11
+					c.traffic = &traffic.Config{
+						Pattern:   pattern,
+						FlitRate:  rate,
+						DataRatio: model.DataRatio,
+						Seed:      cfg.Seed*101 + uint64(scheme)*13 + uint64(pattern),
+					}
+					cells = append(cells, c)
 				}
 			}
 		}
 	}
-	return mapJobs(cfg.Runner(), len(jobs), func(i int) (Fig12Point, error) {
-		j := jobs[i]
-		return fig12Point(cfg, j.model, j.pattern, j.scheme, j.rate)
-	})
-}
-
-func fig12Point(cfg Config, model workload.Model, pattern traffic.Pattern, scheme compress.Scheme, rate float64) (Fig12Point, error) {
-	m, err := runSynthetic(cfg, model, pattern, scheme, rate)
+	// Load sweeps are steady-state measurements: saturated points are
+	// flagged, not drained.
+	cfg.NoDrain = true
+	runs, err := replay(cfg, cells)
 	if err != nil {
-		return Fig12Point{}, err
+		return nil, err
 	}
-	lat := m.Net.AvgPacketLatency()
-	// A network past saturation shows unbounded queueing; flag the point
-	// so curve rendering can cut it off like the paper's plots do.
-	saturated := lat > 10*float64(cfg.NoC.VCs*cfg.NoC.BufDepth) || lat == 0
-	return Fig12Point{
-		Benchmark: model.Name, Pattern: pattern, Scheme: scheme,
-		Rate: rate, Latency: lat, Saturated: saturated,
-	}, nil
-}
-
-// runSynthetic is the Fig. 12 runner: fixed pattern and rate, 25:75 data
-// mix, benchmark value trace, no burstiness.
-func runSynthetic(cfg Config, model workload.Model, pattern traffic.Pattern, scheme compress.Scheme, rate float64) (RunMetrics, error) {
-	cfg2 := cfg
-	cfg2.NoDrain = true
-	sweep := model
-	sweep.DataRatio = 0.25 // the paper's synthetic mix
-	src := sweep.NewSource(cfg.Seed*31337+11, cfg.ApproxRatio)
-	return runTraceWith(cfg2, sweep, scheme, cfg.ErrorThreshold, src, traffic.Config{
-		Pattern:   pattern,
-		FlitRate:  rate,
-		DataRatio: sweep.DataRatio,
-		Source:    src,
-		Seed:      cfg.Seed*101 + uint64(scheme)*13 + uint64(pattern),
-	})
+	pts := make([]Fig12Point, len(runs))
+	for i, m := range runs {
+		lat := m.Net.AvgPacketLatency()
+		pts[i] = Fig12Point{
+			Benchmark: m.Benchmark, Pattern: cells[i].traffic.Pattern, Scheme: m.Scheme,
+			Rate: cells[i].traffic.FlitRate, Latency: lat,
+			// A network past saturation shows unbounded queueing; flag the
+			// point so curve rendering can cut it off like the paper's plots do.
+			Saturated: lat > 10*float64(cfg.NoC.VCs*cfg.NoC.BufDepth) || lat == 0,
+		}
+	}
+	return pts, nil
 }
 
 // Fig15Row is one bar of Fig. 15: dynamic power normalized to baseline.
@@ -267,37 +231,19 @@ type Fig15Row struct {
 	PowerMW   float64
 }
 
-// Fig15 measures dynamic power under the 45 nm energy model. Runs fan
-// out in parallel; the baseline normalization pass is serial over the
-// ordered results.
-func Fig15(cfg Config) ([]Fig15Row, error) {
-	models := workload.Benchmarks()
-	schemes := schemesUnderTest()
-	jobs := traceGrid(models, schemes)
-	ms, err := mapJobs(cfg.Runner(), len(jobs), func(i int) (RunMetrics, error) {
-		j := jobs[i]
-		return runTrace(cfg, j.model, j.scheme, cfg.ErrorThreshold, cfg.ApproxRatio, nil)
-	})
-	if err != nil {
-		return nil, err
-	}
-	var rows []Fig15Row
-	for b := 0; b < len(models); b++ {
-		base := 0.0
-		for s := 0; s < len(schemes); s++ {
-			m := ms[b*len(schemes)+s]
-			if schemes[s] == compress.Baseline {
-				base = m.DynPowerMW
-			}
-			norm := 1.0
-			if base > 0 {
-				norm = m.DynPowerMW / base
-			}
-			rows = append(rows, Fig15Row{
-				Benchmark: models[b].Name, Scheme: schemes[s],
-				NormPower: norm, PowerMW: m.DynPowerMW,
-			})
+// Fig15 is every run's dynamic power under the 45 nm energy model, over
+// its benchmark's Baseline run.
+func (g Grid) Fig15() []Fig15Row {
+	rows := make([]Fig15Row, len(g.runs))
+	base := 0.0
+	for i, m := range g.runs {
+		if m.Scheme == compress.Baseline {
+			base = m.DynPowerMW
+		}
+		rows[i] = Fig15Row{Benchmark: m.Benchmark, Scheme: m.Scheme, NormPower: 1, PowerMW: m.DynPowerMW}
+		if base > 0 {
+			rows[i].NormPower = m.DynPowerMW / base
 		}
 	}
-	return rows, nil
+	return rows
 }

@@ -8,7 +8,6 @@ import (
 	"approxnoc/internal/compress"
 	"approxnoc/internal/fullsys"
 	"approxnoc/internal/power"
-	"approxnoc/internal/workload"
 )
 
 // Fig16Row is one benchmark's bar group in Fig. 16: application output
@@ -36,38 +35,40 @@ func Fig16(cfg Config, thresholds []int) ([]Fig16Row, error) {
 	// application-level study (it is also the paper's best performer).
 	scheme := compress.FPVaxx
 	allApps := apps.All()
-	// One job per benchmark row; the per-threshold runs inside a row share
-	// nothing with other rows, so rows fan out across the pool.
-	return mapJobs(cfg.Runner(), len(allApps), func(i int) (Fig16Row, error) {
-		app := allApps[i]
-		model, err := workload.ByName(app.Name())
-		if err != nil {
-			return Fig16Row{}, err
-		}
-		row := Fig16Row{Benchmark: app.Name(), ErrorAt: map[int]float64{}, PerfAt: map[int]float64{}}
+	names := make([]string, len(allApps))
+	for i, app := range allApps {
+		names[i] = app.Name()
+	}
+	// The NoC latency of each benchmark's traffic at each budget.
+	base, err := cfg.cells(names, nil, []compress.Scheme{scheme})
+	if err != nil {
+		return nil, err
+	}
+	runs, err := replay(cfg, vary(base, len(thresholds), func(c *cell, k int) { c.threshold = thresholds[k] }))
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]Fig16Row, len(allApps))
+	for i, app := range allApps {
+		rows[i] = Fig16Row{Benchmark: app.Name(), ErrorAt: map[int]float64{}, PerfAt: map[int]float64{}}
 		var baseRuntime float64
-		for _, th := range thresholds {
+		for k, th := range thresholds {
 			res, err := app.Run(scheme, th)
 			if err != nil {
-				return Fig16Row{}, err
+				return nil, err
 			}
-			row.ErrorAt[th] = res.OutputError
-			// NoC latency for this benchmark's traffic at this budget.
-			m, err := runTrace(cfg, model, scheme, th, cfg.ApproxRatio, nil)
-			if err != nil {
-				return Fig16Row{}, err
-			}
+			rows[i].ErrorAt[th] = res.OutputError
 			rt := runtimeModel(res.CacheStats.Loads+res.CacheStats.Stores,
-				res.CacheStats.Misses, m.Net.AvgPacketLatency())
-			if th == thresholds[0] {
+				res.CacheStats.Misses, runs[i*len(thresholds)+k].Net.AvgPacketLatency())
+			if k == 0 {
 				baseRuntime = rt
 			}
 			if rt > 0 {
-				row.PerfAt[th] = baseRuntime / rt
+				rows[i].PerfAt[th] = baseRuntime / rt
 			}
 		}
-		return row, nil
-	})
+	}
+	return rows, nil
 }
 
 // runtimeModel is the full-system performance proxy: one cycle per access
@@ -94,7 +95,7 @@ func Fig16Measured(r Runner, kernels []string, thresholds []int) ([]Fig16Row, er
 	if len(thresholds) == 0 {
 		thresholds = []int{0, 10, 20}
 	}
-	type cell struct {
+	type measured struct {
 		out []float64
 		rt  float64
 	}
@@ -112,13 +113,13 @@ func Fig16Measured(r Runner, kernels []string, thresholds []int) ([]Fig16Row, er
 			jobs = append(jobs, fsJob{kernel: runner, th: th})
 		}
 	}
-	cells, err := mapJobs(r, len(jobs), func(i int) (cell, error) {
+	cells, err := mapJobs(r, len(jobs), func(i int) (measured, error) {
 		j := jobs[i]
 		out, rt, err := fullsys.MeasureKernel(fullsys.DefaultConfig(compress.FPVaxx, j.th), j.kernel)
 		if err != nil {
-			return cell{}, err
+			return measured{}, err
 		}
-		return cell{out: out, rt: rt}, nil
+		return measured{out: out, rt: rt}, nil
 	})
 	if err != nil {
 		return nil, err

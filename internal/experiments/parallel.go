@@ -6,10 +6,10 @@ import (
 )
 
 // Runner executes independent simulation jobs on a bounded worker pool.
-// Every experiment driver fans its grid of runTrace configurations
-// through a Runner: each job builds its own Network (with its own seeded
-// sim.Rand, derived only from the experiment Config), so jobs share no
-// mutable state and the schedule cannot influence results.
+// replay fans every driver's cells through one: each job builds its own
+// Network (with its own seeded sim.Rand, derived only from the
+// experiment Config and the cell), so jobs share no mutable state and
+// the schedule cannot influence results.
 //
 // Determinism contract: results are collected by job index, so the
 // returned slice is identical to running the jobs serially, whatever the

@@ -89,6 +89,17 @@ func TestDriversParallelEquivalence(t *testing.T) {
 	}
 	golden := goldenSections(string(data))
 	var sections strings.Builder
+	// Figs. 10, 11 and 15 are views of one grid per Jobs value; fig9 goes
+	// through Fig9(cfg), the entry point benchmark/ times.
+	grids := map[int]Grid{}
+	grid := func(cfg Config) (Grid, error) {
+		if g, ok := grids[cfg.Jobs]; ok {
+			return g, nil
+		}
+		g, err := RunGrid(cfg)
+		grids[cfg.Jobs] = g
+		return g, err
+	}
 	cfg := Default()
 	cfg.Cycles = 1200
 	one := []string{"ssca2"}
@@ -104,12 +115,12 @@ func TestDriversParallelEquivalence(t *testing.T) {
 			return FormatFig9(rows), err
 		}},
 		{name: "fig10", short: true, run: func(cfg Config) (string, error) {
-			rows, err := Fig10(cfg)
-			return FormatFig10(rows), err
+			g, err := grid(cfg)
+			return FormatFig10(g.Fig10()), err
 		}},
 		{name: "fig11", run: func(cfg Config) (string, error) {
-			rows, err := Fig11(cfg)
-			return FormatFig11(rows), err
+			g, err := grid(cfg)
+			return FormatFig11(g.Fig11()), err
 		}},
 		{name: "fig12", run: func(cfg Config) (string, error) {
 			pts, err := Fig12(cfg, []string{"blackscholes"}, []float64{0.1, 0.3})
@@ -124,8 +135,8 @@ func TestDriversParallelEquivalence(t *testing.T) {
 			return FormatFig14(rows, []int{75}), err
 		}},
 		{name: "fig15", run: func(cfg Config) (string, error) {
-			rows, err := Fig15(cfg)
-			return FormatFig15(rows), err
+			g, err := grid(cfg)
+			return FormatFig15(g.Fig15()), err
 		}},
 		{name: "fig16", run: func(cfg Config) (string, error) {
 			rows, err := Fig16(cfg, []int{0, 10})

@@ -66,99 +66,146 @@ type RunMetrics struct {
 	DynPowerMW float64
 }
 
-// runTrace replays one benchmark's traffic under one scheme and returns
-// the collected metrics. dict overrides the dictionary parameters when
-// non-nil (PMT ablation).
-func runTrace(cfg Config, model workload.Model, scheme compress.Scheme, threshold int, approxRatio float64, dict *compress.DictConfig) (RunMetrics, error) {
-	tcfg, _ := traceConfig(cfg, model, scheme, approxRatio)
-	return runTraceDict(cfg, model, scheme, threshold, tcfg, dict)
+// validate rejects a Config no replay can run; replay calls it, so every
+// driver checks its Config once, whatever scheme its cells carry.
+func (cfg Config) validate() error {
+	switch {
+	case cfg.Cycles <= 0:
+		return fmt.Errorf("experiments: cycles %d must be positive", cfg.Cycles)
+	case !(cfg.ApproxRatio >= 0 && cfg.ApproxRatio <= 1):
+		return fmt.Errorf("experiments: approximable ratio %g out of range [0,1]", cfg.ApproxRatio)
+	case cfg.ErrorThreshold < 0 || cfg.ErrorThreshold > 100:
+		return fmt.Errorf("experiments: threshold %d%% out of range [0,100]", cfg.ErrorThreshold)
+	}
+	return nil
 }
 
-// traceConfig assembles the Fig. 9-style bursty benchmark replay traffic.
-func traceConfig(cfg Config, model workload.Model, scheme compress.Scheme, approxRatio float64) (traffic.Config, *workload.Source) {
-	src := model.NewSource(cfg.Seed*1000003+7, approxRatio)
-	// Model.InjectionRate is a per-tile packet probability; the injector
-	// takes offered flits/cycle/tile, so scale by the mean uncompressed
-	// packet size.
-	blockFlits := float64(1 + 64/cfg.NoC.FlitBytes)
-	avgFlits := model.DataRatio*blockFlits + (1 - model.DataRatio)
-	return traffic.Config{
-		Pattern:   traffic.UniformRandom,
-		FlitRate:  model.InjectionRate * avgFlits,
-		DataRatio: model.DataRatio,
-		Source:    src,
-		Seed:      cfg.Seed*7919 + uint64(scheme),
-		Bursty:    true,
-		BurstLen:  model.BurstLen,
-		BurstGap:  model.BurstGap,
-	}, src
+// cell is one replay: everything that tells it apart from the other
+// replays a driver makes under the same Config. A driver cuts cells at
+// the Config's defaults, changes the field it studies, hands the list to
+// replay and projects the metrics into its rows.
+type cell struct {
+	model     workload.Model
+	scheme    compress.Scheme
+	threshold int     // VAXX error threshold, percent
+	ratio     float64 // approximable share of data packets
+	noc       noc.Config
+	dict      compress.DictConfig
+	// wrap, when set, builds the per-node codec factory the network uses
+	// from the scheme's own (adaptive controller, windowed budget).
+	wrap func(inner func(node int) compress.Codec) func(node int) compress.Codec
+	// traffic, when set, replaces the bursty benchmark replay with a
+	// fixed pattern and rate (Fig. 12); srcSeed seeds its value source.
+	traffic *traffic.Config
+	srcSeed uint64
 }
 
-// runTraceWith replays a benchmark under an explicit traffic configuration
-// (the Fig. 12 synthetic sweeps).
-func runTraceWith(cfg Config, model workload.Model, scheme compress.Scheme, threshold int, src *workload.Source, tcfg traffic.Config) (RunMetrics, error) {
-	tcfg.Source = src
-	return runTraceDict(cfg, model, scheme, threshold, tcfg, nil)
+// cell cuts the replay of one benchmark under one scheme at cfg's defaults.
+func (cfg Config) cell(model workload.Model, scheme compress.Scheme) cell {
+	return cell{
+		model: model, scheme: scheme,
+		threshold: cfg.ErrorThreshold, ratio: cfg.ApproxRatio,
+		noc:  cfg.NoC,
+		dict: compress.DefaultDictConfig(cfg.Width * cfg.Height * cfg.Concentration),
+	}
 }
 
-func runTraceDict(cfg Config, model workload.Model, scheme compress.Scheme, threshold int, tcfg traffic.Config, dict *compress.DictConfig) (RunMetrics, error) {
+// cells crosses the named benchmarks (defaults when none are named) with
+// schemes, benchmark-major: the order every table prints in.
+func (cfg Config) cells(names, defaults []string, schemes []compress.Scheme) ([]cell, error) {
+	if len(names) == 0 {
+		names = defaults
+	}
+	cells := make([]cell, 0, len(names)*len(schemes))
+	for _, name := range names {
+		model, err := workload.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		for _, scheme := range schemes {
+			cells = append(cells, cfg.cell(model, scheme))
+		}
+	}
+	return cells, nil
+}
+
+// vary expands every cell into n variants, set making the k-th; variant
+// k of cell i replays as run i*n+k.
+func vary(cells []cell, n int, set func(c *cell, k int)) []cell {
+	out := make([]cell, 0, len(cells)*n)
+	for _, c := range cells {
+		for k := 0; k < n; k++ {
+			v := c
+			set(&v, k)
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// replay runs the cells on cfg's worker pool and returns their metrics
+// in cell order. Every cell builds its own network and derives its seeds
+// from cfg and its own fields, so the schedule cannot move a result.
+func replay(cfg Config, cells []cell) ([]RunMetrics, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	return mapJobs(cfg.Runner(), len(cells), func(i int) (RunMetrics, error) { return cells[i].run(cfg) })
+}
+
+// run is the one path from a cell to the simulator: topology, codec
+// factory, network, injector, cfg.Cycles of traffic, metrics.
+func (c cell) run(cfg Config) (RunMetrics, error) {
 	topo, err := topology.NewCMesh(cfg.Width, cfg.Height, cfg.Concentration)
 	if err != nil {
 		return RunMetrics{}, err
 	}
-	dcfg := compress.DefaultDictConfig(topo.Tiles())
-	if dict != nil {
-		dcfg = *dict
-		dcfg.Nodes = topo.Tiles()
-	}
-	factory, err := compress.FactoryWithDict(scheme, dcfg, threshold)
+	factory, err := compress.FactoryWithDict(c.scheme, c.dict, c.threshold)
 	if err != nil {
 		return RunMetrics{}, err
 	}
-	return runTraceFactory(cfg, model, scheme, tcfg, factory)
-}
-
-// runTraceFactory is the lowest-level runner: an explicit codec factory
-// (used by the windowed-budget ablation).
-func runTraceFactory(cfg Config, model workload.Model, scheme compress.Scheme, tcfg traffic.Config, factory func(int) compress.Codec) (RunMetrics, error) {
-	topo, err := topology.NewCMesh(cfg.Width, cfg.Height, cfg.Concentration)
+	if c.wrap != nil {
+		factory = c.wrap(factory)
+	}
+	net, err := noc.New(topo, c.noc, factory)
 	if err != nil {
 		return RunMetrics{}, err
 	}
-	net, err := noc.New(topo, cfg.NoC, factory)
-	if err != nil {
-		return RunMetrics{}, err
+	tcfg, srcSeed := c.benchmarkTraffic(cfg), cfg.Seed*1000003+7
+	if c.traffic != nil {
+		tcfg, srcSeed = *c.traffic, c.srcSeed
 	}
+	tcfg.Source = c.model.NewSource(srcSeed, c.ratio)
 	inj, err := traffic.New(net, tcfg)
 	if err != nil {
 		return RunMetrics{}, err
 	}
 	res := traffic.Run(net, inj, cfg.Cycles, !cfg.NoDrain)
-	em := power.Default45nm()
 	return RunMetrics{
-		Benchmark:  model.Name,
-		Scheme:     scheme,
+		Benchmark:  c.model.Name,
+		Scheme:     c.scheme,
 		Net:        res.Stats,
 		Codec:      net.CodecStats(),
 		Power:      net.Power(),
-		DynPowerMW: em.DynamicPowerMW(net.Power(), net.CodecStats(), res.Stats.Cycles, 2),
+		DynPowerMW: power.Default45nm().DynamicPowerMW(net.Power(), net.CodecStats(), res.Stats.Cycles, 2),
 	}, nil
 }
 
-// schemesUnderTest returns the five evaluated mechanisms.
-func schemesUnderTest() []compress.Scheme { return compress.AllSchemes() }
-
-// vaxxFamily names the two tightly-coupled families of Fig. 13/14.
-type vaxxFamily struct {
-	name  string
-	exact compress.Scheme
-	vaxx  compress.Scheme
-}
-
-func families() []vaxxFamily {
-	return []vaxxFamily{
-		{name: "DI-based", exact: compress.DIComp, vaxx: compress.DIVaxx},
-		{name: "FP-based", exact: compress.FPComp, vaxx: compress.FPVaxx},
+// benchmarkTraffic is the Fig. 9-style bursty replay of the cell's model.
+func (c cell) benchmarkTraffic(cfg Config) traffic.Config {
+	// Model.InjectionRate is a per-tile packet probability; the injector
+	// takes offered flits/cycle/tile, so scale by the mean uncompressed
+	// packet size.
+	blockFlits := float64(1 + 64/c.noc.FlitBytes)
+	avgFlits := c.model.DataRatio*blockFlits + (1 - c.model.DataRatio)
+	return traffic.Config{
+		Pattern:   traffic.UniformRandom,
+		FlitRate:  c.model.InjectionRate * avgFlits,
+		DataRatio: c.model.DataRatio,
+		Seed:      cfg.Seed*7919 + uint64(c.scheme),
+		Bursty:    true,
+		BurstLen:  c.model.BurstLen,
+		BurstGap:  c.model.BurstGap,
 	}
 }
 

@@ -18,42 +18,65 @@ type Fig13Row struct {
 	ThresholdQuality map[int]float64
 }
 
+// families are the two tightly-coupled scheme pairs of Figs. 13/14.
+var families = []struct {
+	name        string
+	exact, vaxx compress.Scheme
+}{
+	{"DI-based", compress.DIComp, compress.DIVaxx},
+	{"FP-based", compress.FPComp, compress.FPVaxx},
+}
+
+// familyRuns is one bar group of Figs. 13/14: a benchmark under one
+// family's exact scheme and under its VAXX scheme at every sweep point.
+type familyRuns struct {
+	benchmark, family string
+	exact             RunMetrics
+	points            []RunMetrics
+}
+
+// familySweep replays every benchmark under both families: the exact
+// scheme once and the VAXX scheme n times, set making the k-th cell.
+func familySweep(cfg Config, n int, set func(c *cell, k int)) ([]familyRuns, error) {
+	var groups []familyRuns
+	var cells []cell
+	for _, model := range workload.Benchmarks() {
+		for _, fam := range families {
+			groups = append(groups, familyRuns{benchmark: model.Name, family: fam.name})
+			cells = append(cells, cfg.cell(model, fam.exact))
+			cells = append(cells, vary([]cell{cfg.cell(model, fam.vaxx)}, n, set)...)
+		}
+	}
+	runs, err := replay(cfg, cells)
+	if err != nil {
+		return nil, err
+	}
+	for i := range groups {
+		group := runs[i*(1+n) : (i+1)*(1+n)]
+		groups[i].exact, groups[i].points = group[0], group[1:]
+	}
+	return groups, nil
+}
+
 // Fig13 sweeps the error threshold (5/10/20%) for both families.
 func Fig13(cfg Config, thresholds []int) ([]Fig13Row, error) {
 	if len(thresholds) == 0 {
 		thresholds = []int{5, 10, 20}
 	}
-	type famJob struct {
-		model workload.Model
-		fam   vaxxFamily
+	groups, err := familySweep(cfg, len(thresholds), func(c *cell, k int) { c.threshold = thresholds[k] })
+	if err != nil {
+		return nil, err
 	}
-	var jobs []famJob
-	for _, model := range workload.Benchmarks() {
-		for _, fam := range families() {
-			jobs = append(jobs, famJob{model: model, fam: fam})
-		}
-	}
-	// One row group (exact run + all threshold runs) per job: the rows are
-	// independent of each other, so they fan out across the pool.
-	return mapJobs(cfg.Runner(), len(jobs), func(i int) (Fig13Row, error) {
-		j := jobs[i]
-		row := Fig13Row{Benchmark: j.model.Name, Family: j.fam.name,
+	rows := make([]Fig13Row, len(groups))
+	for i, g := range groups {
+		rows[i] = Fig13Row{Benchmark: g.benchmark, Family: g.family, ExactLat: g.exact.Net.AvgPacketLatency(),
 			ThresholdLat: map[int]float64{}, ThresholdQuality: map[int]float64{}}
-		m, err := runTrace(cfg, j.model, j.fam.exact, 0, cfg.ApproxRatio, nil)
-		if err != nil {
-			return Fig13Row{}, err
+		for k, th := range thresholds {
+			rows[i].ThresholdLat[th] = g.points[k].Net.AvgPacketLatency()
+			rows[i].ThresholdQuality[th] = g.points[k].Codec.DataQuality()
 		}
-		row.ExactLat = m.Net.AvgPacketLatency()
-		for _, th := range thresholds {
-			m, err := runTrace(cfg, j.model, j.fam.vaxx, th, cfg.ApproxRatio, nil)
-			if err != nil {
-				return Fig13Row{}, err
-			}
-			row.ThresholdLat[th] = m.Net.AvgPacketLatency()
-			row.ThresholdQuality[th] = m.Codec.DataQuality()
-		}
-		return row, nil
-	})
+	}
+	return rows, nil
 }
 
 // Fig14Row is one bar group of Fig. 14: packet latency at each
@@ -70,33 +93,19 @@ func Fig14(cfg Config, ratios []int) ([]Fig14Row, error) {
 	if len(ratios) == 0 {
 		ratios = []int{25, 50, 75}
 	}
-	type famJob struct {
-		model workload.Model
-		fam   vaxxFamily
+	groups, err := familySweep(cfg, len(ratios), func(c *cell, k int) { c.ratio = float64(ratios[k]) / 100 })
+	if err != nil {
+		return nil, err
 	}
-	var jobs []famJob
-	for _, model := range workload.Benchmarks() {
-		for _, fam := range families() {
-			jobs = append(jobs, famJob{model: model, fam: fam})
+	rows := make([]Fig14Row, len(groups))
+	for i, g := range groups {
+		rows[i] = Fig14Row{Benchmark: g.benchmark, Family: g.family, ExactLat: g.exact.Net.AvgPacketLatency(),
+			RatioLat: map[int]float64{}}
+		for k, ratio := range ratios {
+			rows[i].RatioLat[ratio] = g.points[k].Net.AvgPacketLatency()
 		}
 	}
-	return mapJobs(cfg.Runner(), len(jobs), func(i int) (Fig14Row, error) {
-		j := jobs[i]
-		row := Fig14Row{Benchmark: j.model.Name, Family: j.fam.name, RatioLat: map[int]float64{}}
-		m, err := runTrace(cfg, j.model, j.fam.exact, 0, cfg.ApproxRatio, nil)
-		if err != nil {
-			return Fig14Row{}, err
-		}
-		row.ExactLat = m.Net.AvgPacketLatency()
-		for _, ratio := range ratios {
-			m, err := runTrace(cfg, j.model, j.fam.vaxx, cfg.ErrorThreshold, float64(ratio)/100, nil)
-			if err != nil {
-				return Fig14Row{}, err
-			}
-			row.RatioLat[ratio] = m.Net.AvgPacketLatency()
-		}
-		return row, nil
-	})
+	return rows, nil
 }
 
 // AblationOverlapRow compares the §4.3 latency-hiding optimizations.
@@ -110,45 +119,25 @@ type AblationOverlapRow struct {
 // AblationOverlap measures packet latency with the VC-arb overlap and
 // queue-amortization optimizations enabled vs disabled.
 func AblationOverlap(cfg Config, benchmarks []string) ([]AblationOverlapRow, error) {
-	if len(benchmarks) == 0 {
-		benchmarks = []string{"blackscholes", "ssca2"}
+	base, err := cfg.cells(benchmarks, []string{"blackscholes", "ssca2"}, []compress.Scheme{compress.DIVaxx, compress.FPVaxx})
+	if err != nil {
+		return nil, err
 	}
-	type abJob struct {
-		model  workload.Model
-		scheme compress.Scheme
+	runs, err := replay(cfg, vary(base, 2, func(c *cell, k int) {
+		c.noc.OverlapVCArb, c.noc.OverlapQueueing = k == 0, k == 0
+	}))
+	if err != nil {
+		return nil, err
 	}
-	var jobs []abJob
-	for _, name := range benchmarks {
-		model, err := workload.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		for _, scheme := range []compress.Scheme{compress.DIVaxx, compress.FPVaxx} {
-			jobs = append(jobs, abJob{model: model, scheme: scheme})
+	rows := make([]AblationOverlapRow, len(base))
+	for i, c := range base {
+		rows[i] = AblationOverlapRow{
+			Benchmark: c.model.Name, Scheme: c.scheme,
+			LatencyOn:  runs[2*i].Net.AvgPacketLatency(),
+			LatencyOff: runs[2*i+1].Net.AvgPacketLatency(),
 		}
 	}
-	return mapJobs(cfg.Runner(), len(jobs), func(i int) (AblationOverlapRow, error) {
-		j := jobs[i]
-		on := cfg
-		on.NoC.OverlapVCArb = true
-		on.NoC.OverlapQueueing = true
-		mOn, err := runTrace(on, j.model, j.scheme, cfg.ErrorThreshold, cfg.ApproxRatio, nil)
-		if err != nil {
-			return AblationOverlapRow{}, err
-		}
-		off := cfg
-		off.NoC.OverlapVCArb = false
-		off.NoC.OverlapQueueing = false
-		mOff, err := runTrace(off, j.model, j.scheme, cfg.ErrorThreshold, cfg.ApproxRatio, nil)
-		if err != nil {
-			return AblationOverlapRow{}, err
-		}
-		return AblationOverlapRow{
-			Benchmark: j.model.Name, Scheme: j.scheme,
-			LatencyOn:  mOn.Net.AvgPacketLatency(),
-			LatencyOff: mOff.Net.AvgPacketLatency(),
-		}, nil
-	})
+	return rows, nil
 }
 
 // AblationWindowRow compares the shipped per-word error budget against
@@ -166,53 +155,42 @@ type AblationWindowRow struct {
 // changes approximation rate, compression ratio, data quality and packet
 // latency relative to the per-word policy at the same nominal threshold.
 func AblationWindow(cfg Config, benchmarks []string) ([]AblationWindowRow, error) {
-	if len(benchmarks) == 0 {
-		benchmarks = []string{"blackscholes", "x264", "ssca2"}
+	// Build the windowed codec once for its error; the per-node factory
+	// then cannot fail.
+	if _, err := compress.NewFPVaxxWindowed(cfg.ErrorThreshold, 16, 4); err != nil {
+		return nil, err
 	}
-	modes := []struct {
-		mode    string
-		factory func(int) compress.Codec
-	}{
-		{"per-word", func(int) compress.Codec {
-			c, _ := compress.NewFPVaxx(cfg.ErrorThreshold)
-			return c
-		}},
-		{"windowed", func(int) compress.Codec {
+	windowed := func(func(int) compress.Codec) func(int) compress.Codec {
+		return func(int) compress.Codec {
 			c, _ := compress.NewFPVaxxWindowed(cfg.ErrorThreshold, 16, 4)
 			return c
-		}},
-	}
-	type winJob struct {
-		model workload.Model
-		mode  string
-		fac   func(int) compress.Codec
-	}
-	var jobs []winJob
-	for _, name := range benchmarks {
-		model, err := workload.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		for _, m := range modes {
-			jobs = append(jobs, winJob{model: model, mode: m.mode, fac: m.factory})
 		}
 	}
-	return mapJobs(cfg.Runner(), len(jobs), func(i int) (AblationWindowRow, error) {
-		j := jobs[i]
-		tcfg, _ := traceConfig(cfg, j.model, compress.FPVaxx, cfg.ApproxRatio)
-		r, err := runTraceFactory(cfg, j.model, compress.FPVaxx, tcfg, j.fac)
-		if err != nil {
-			return AblationWindowRow{}, err
+	base, err := cfg.cells(benchmarks, []string{"blackscholes", "x264", "ssca2"}, []compress.Scheme{compress.FPVaxx})
+	if err != nil {
+		return nil, err
+	}
+	modes := []string{"per-word", "windowed"}
+	runs, err := replay(cfg, vary(base, len(modes), func(c *cell, k int) {
+		if modes[k] == "windowed" {
+			c.wrap = windowed
 		}
-		return AblationWindowRow{
-			Benchmark:  j.model.Name,
-			Mode:       j.mode,
-			ApproxFrac: r.Codec.ApproxWordFraction(),
-			Ratio:      r.Codec.CompressionRatio(),
-			Quality:    r.Codec.DataQuality(),
-			Latency:    r.Net.AvgPacketLatency(),
-		}, nil
-	})
+	}))
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]AblationWindowRow, len(runs))
+	for i, m := range runs {
+		rows[i] = AblationWindowRow{
+			Benchmark:  m.Benchmark,
+			Mode:       modes[i%len(modes)],
+			ApproxFrac: m.Codec.ApproxWordFraction(),
+			Ratio:      m.Codec.CompressionRatio(),
+			Quality:    m.Codec.DataQuality(),
+			Latency:    m.Net.AvgPacketLatency(),
+		}
+	}
+	return rows, nil
 }
 
 // AblationRouterRow reports latency across router buffer provisioning.
@@ -228,44 +206,29 @@ type AblationRouterRow struct {
 // around the Table 1 point (4 VCs, 4-flit buffers), quantifying how much
 // of the compression win the router provisioning could also buy.
 func AblationRouter(cfg Config, benchmarks []string) ([]AblationRouterRow, error) {
-	if len(benchmarks) == 0 {
-		benchmarks = []string{"ssca2"}
-	}
 	points := []struct{ vcs, depth int }{
 		{2, 2}, {2, 4}, {4, 2}, {4, 4}, {4, 8}, {8, 4},
 	}
-	type rtJob struct {
-		model      workload.Model
-		scheme     compress.Scheme
-		vcs, depth int
+	base, err := cfg.cells(benchmarks, []string{"ssca2"}, []compress.Scheme{compress.Baseline, compress.FPVaxx})
+	if err != nil {
+		return nil, err
 	}
-	var jobs []rtJob
-	for _, name := range benchmarks {
-		model, err := workload.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		for _, scheme := range []compress.Scheme{compress.Baseline, compress.FPVaxx} {
-			for _, pt := range points {
-				jobs = append(jobs, rtJob{model: model, scheme: scheme, vcs: pt.vcs, depth: pt.depth})
-			}
-		}
-	}
-	return mapJobs(cfg.Runner(), len(jobs), func(i int) (AblationRouterRow, error) {
-		j := jobs[i]
-		c := cfg
-		c.NoC.VCs = j.vcs
-		c.NoC.BufDepth = j.depth
-		m, err := runTrace(c, j.model, j.scheme, cfg.ErrorThreshold, cfg.ApproxRatio, nil)
-		if err != nil {
-			return AblationRouterRow{}, err
-		}
-		return AblationRouterRow{
-			Benchmark: j.model.Name, Scheme: j.scheme,
-			VCs: j.vcs, BufDepth: j.depth,
-			Latency: m.Net.AvgPacketLatency(),
-		}, nil
+	cells := vary(base, len(points), func(c *cell, k int) {
+		c.noc.VCs, c.noc.BufDepth = points[k].vcs, points[k].depth
 	})
+	runs, err := replay(cfg, cells)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]AblationRouterRow, len(runs))
+	for i, m := range runs {
+		rows[i] = AblationRouterRow{
+			Benchmark: m.Benchmark, Scheme: m.Scheme,
+			VCs: cells[i].noc.VCs, BufDepth: cells[i].noc.BufDepth,
+			Latency: m.Net.AvgPacketLatency(),
+		}
+	}
+	return rows, nil
 }
 
 // AblationMatchUnitsRow reports latency as the number of parallel
@@ -280,43 +243,29 @@ type AblationMatchUnitsRow struct {
 // AblationMatchUnits sweeps the parallel matching unit count, with the
 // queueing overlap disabled so the compression latency is visible.
 func AblationMatchUnits(cfg Config, benchmarks []string, units []int) ([]AblationMatchUnitsRow, error) {
-	if len(benchmarks) == 0 {
-		benchmarks = []string{"ssca2"}
-	}
 	if len(units) == 0 {
 		units = []int{1, 2, 4, 8, 16}
 	}
-	type muJob struct {
-		model  workload.Model
-		scheme compress.Scheme
-		units  int
+	base, err := cfg.cells(benchmarks, []string{"ssca2"}, []compress.Scheme{compress.DIVaxx, compress.FPVaxx})
+	if err != nil {
+		return nil, err
 	}
-	var jobs []muJob
-	for _, name := range benchmarks {
-		model, err := workload.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		for _, scheme := range []compress.Scheme{compress.DIVaxx, compress.FPVaxx} {
-			for _, u := range units {
-				jobs = append(jobs, muJob{model: model, scheme: scheme, units: u})
-			}
-		}
-	}
-	return mapJobs(cfg.Runner(), len(jobs), func(i int) (AblationMatchUnitsRow, error) {
-		j := jobs[i]
-		c := cfg
-		c.NoC.MatchUnits = j.units
-		c.NoC.OverlapQueueing = false
-		m, err := runTrace(c, j.model, j.scheme, cfg.ErrorThreshold, cfg.ApproxRatio, nil)
-		if err != nil {
-			return AblationMatchUnitsRow{}, err
-		}
-		return AblationMatchUnitsRow{
-			Benchmark: j.model.Name, Scheme: j.scheme, Units: j.units,
-			Latency: m.Net.AvgPacketLatency(),
-		}, nil
+	cells := vary(base, len(units), func(c *cell, k int) {
+		c.noc.MatchUnits = units[k]
+		c.noc.OverlapQueueing = false
 	})
+	runs, err := replay(cfg, cells)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]AblationMatchUnitsRow, len(runs))
+	for i, m := range runs {
+		rows[i] = AblationMatchUnitsRow{
+			Benchmark: m.Benchmark, Scheme: m.Scheme, Units: cells[i].noc.MatchUnits,
+			Latency: m.Net.AvgPacketLatency(),
+		}
+	}
+	return rows, nil
 }
 
 // ExtensionBDIRow compares the paper's schemes against the base-delta
@@ -334,32 +283,24 @@ type ExtensionBDIRow struct {
 // ExtensionBDI runs all seven schemes (five evaluated + two base-delta)
 // on the given benchmarks.
 func ExtensionBDI(cfg Config, benchmarks []string) ([]ExtensionBDIRow, error) {
-	if len(benchmarks) == 0 {
-		benchmarks = []string{"canneal", "ssca2"}
+	cells, err := cfg.cells(benchmarks, []string{"canneal", "ssca2"}, compress.ExtendedSchemes())
+	if err != nil {
+		return nil, err
 	}
-	var jobs []traceJob
-	for _, name := range benchmarks {
-		model, err := workload.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		for _, scheme := range compress.ExtendedSchemes() {
-			jobs = append(jobs, traceJob{model: model, scheme: scheme})
-		}
+	runs, err := replay(cfg, cells)
+	if err != nil {
+		return nil, err
 	}
-	return mapJobs(cfg.Runner(), len(jobs), func(i int) (ExtensionBDIRow, error) {
-		j := jobs[i]
-		m, err := runTrace(cfg, j.model, j.scheme, cfg.ErrorThreshold, cfg.ApproxRatio, nil)
-		if err != nil {
-			return ExtensionBDIRow{}, err
-		}
-		return ExtensionBDIRow{
-			Benchmark: j.model.Name, Scheme: j.scheme,
+	rows := make([]ExtensionBDIRow, len(runs))
+	for i, m := range runs {
+		rows[i] = ExtensionBDIRow{
+			Benchmark: m.Benchmark, Scheme: m.Scheme,
 			Latency: m.Net.AvgPacketLatency(),
 			Ratio:   m.Codec.CompressionRatio(),
 			Quality: m.Codec.DataQuality(),
-		}, nil
-	})
+		}
+	}
+	return rows, nil
 }
 
 // AblationAdaptiveRow compares a scheme with and without the Jin et al.
@@ -375,48 +316,28 @@ type AblationAdaptiveRow struct {
 // when compression is not paying off. The gain shows on workloads with
 // poorly compressible phases.
 func AblationAdaptive(cfg Config, benchmarks []string) ([]AblationAdaptiveRow, error) {
-	if len(benchmarks) == 0 {
-		benchmarks = []string{"streamcluster", "ssca2"}
+	base, err := cfg.cells(benchmarks, []string{"streamcluster", "ssca2"}, []compress.Scheme{compress.DIVaxx, compress.FPVaxx})
+	if err != nil {
+		return nil, err
 	}
-	var jobs []traceJob
-	for _, name := range benchmarks {
-		model, err := workload.ByName(name)
-		if err != nil {
-			return nil, err
+	runs, err := replay(cfg, vary(base, 2, func(c *cell, k int) {
+		if k == 1 {
+			c.wrap = compress.AdaptiveFactory
 		}
-		for _, scheme := range []compress.Scheme{compress.DIVaxx, compress.FPVaxx} {
-			jobs = append(jobs, traceJob{model: model, scheme: scheme})
+	}))
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]AblationAdaptiveRow, len(base))
+	for i, c := range base {
+		rows[i] = AblationAdaptiveRow{
+			Benchmark:       c.model.Name,
+			Scheme:          c.scheme,
+			LatencyPlain:    runs[2*i].Net.AvgPacketLatency(),
+			LatencyAdaptive: runs[2*i+1].Net.AvgPacketLatency(),
 		}
 	}
-	return mapJobs(cfg.Runner(), len(jobs), func(i int) (AblationAdaptiveRow, error) {
-		j := jobs[i]
-		plain, err := runTrace(cfg, j.model, j.scheme, cfg.ErrorThreshold, cfg.ApproxRatio, nil)
-		if err != nil {
-			return AblationAdaptiveRow{}, err
-		}
-		tcfg, _ := traceConfig(cfg, j.model, j.scheme, cfg.ApproxRatio)
-		inner, err := compress.FactoryFor(j.scheme, cfg.Width*cfg.Height*cfg.Concentration, cfg.ErrorThreshold)
-		if err != nil {
-			return AblationAdaptiveRow{}, err
-		}
-		factory := func(node int) compress.Codec {
-			a, err := compress.NewAdaptive(inner(node), compress.DefaultAdaptiveConfig())
-			if err != nil {
-				panic(err)
-			}
-			return a
-		}
-		adaptive, err := runTraceFactory(cfg, j.model, j.scheme, tcfg, factory)
-		if err != nil {
-			return AblationAdaptiveRow{}, err
-		}
-		return AblationAdaptiveRow{
-			Benchmark:       j.model.Name,
-			Scheme:          j.scheme,
-			LatencyPlain:    plain.Net.AvgPacketLatency(),
-			LatencyAdaptive: adaptive.Net.AvgPacketLatency(),
-		}, nil
-	})
+	return rows, nil
 }
 
 // AblationPMTRow reports DI-VAXX behaviour across PMT sizes.
@@ -430,38 +351,25 @@ type AblationPMTRow struct {
 // AblationPMT sweeps the dictionary PMT size (the paper fixes 8 entries;
 // this quantifies that choice).
 func AblationPMT(cfg Config, benchmarks []string, sizes []int) ([]AblationPMTRow, error) {
-	if len(benchmarks) == 0 {
-		benchmarks = []string{"ssca2"}
-	}
 	if len(sizes) == 0 {
 		sizes = []int{4, 8, 16, 32}
 	}
-	type pmtJob struct {
-		model workload.Model
-		size  int
+	base, err := cfg.cells(benchmarks, []string{"ssca2"}, []compress.Scheme{compress.DIVaxx})
+	if err != nil {
+		return nil, err
 	}
-	var jobs []pmtJob
-	for _, name := range benchmarks {
-		model, err := workload.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		for _, size := range sizes {
-			jobs = append(jobs, pmtJob{model: model, size: size})
-		}
+	cells := vary(base, len(sizes), func(c *cell, k int) { c.dict.Entries = sizes[k] })
+	runs, err := replay(cfg, cells)
+	if err != nil {
+		return nil, err
 	}
-	return mapJobs(cfg.Runner(), len(jobs), func(i int) (AblationPMTRow, error) {
-		j := jobs[i]
-		dict := compress.DefaultDictConfig(1) // Nodes fixed up by runner
-		dict.Entries = j.size
-		m, err := runTrace(cfg, j.model, compress.DIVaxx, cfg.ErrorThreshold, cfg.ApproxRatio, &dict)
-		if err != nil {
-			return AblationPMTRow{}, err
-		}
-		return AblationPMTRow{
-			Benchmark: j.model.Name, Entries: j.size,
+	rows := make([]AblationPMTRow, len(runs))
+	for i, m := range runs {
+		rows[i] = AblationPMTRow{
+			Benchmark: m.Benchmark, Entries: cells[i].dict.Entries,
 			Latency: m.Net.AvgPacketLatency(),
 			Ratio:   m.Codec.CompressionRatio(),
-		}, nil
-	})
+		}
+	}
+	return rows, nil
 }

@@ -48,14 +48,7 @@ func New(cfg Config) (*Gateway, error) {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 	if cfg.Adaptive {
-		inner := factory
-		factory = func(node int) compress.Codec {
-			a, err := compress.NewAdaptive(inner(node), compress.DefaultAdaptiveConfig())
-			if err != nil {
-				panic(err) // config is the validated default
-			}
-			return a
-		}
+		factory = compress.AdaptiveFactory(factory)
 	}
 	g := &Gateway{cfg: cfg, shards: make([]*shard, cfg.Shards), done: make(chan struct{})}
 	if q := cfg.QoS; q != nil {
