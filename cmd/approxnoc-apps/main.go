@@ -30,33 +30,33 @@ func main() {
 	}
 }
 
-// runApps executes the selected kernels and writes the result table to w.
+// runApps runs every selected kernel, then writes the result table to w.
 func runApps(appName, schemeName string, threshold int, w io.Writer) error {
 	scheme, err := compress.ParseScheme(schemeName)
 	if err != nil {
 		return err
 	}
-	var list []apps.App
-	if appName == "all" {
-		list = apps.All()
-	} else {
+	list := apps.All()
+	if appName != "all" {
 		a, err := apps.ByName(appName)
 		if err != nil {
 			return err
 		}
 		list = []apps.App{a}
 	}
+	results := make([]apps.Result, len(list))
+	for i, a := range list {
+		if results[i], err = a.Run(scheme, threshold); err != nil {
+			return fmt.Errorf("%s: %w", a.Name(), err)
+		}
+	}
 
 	fmt.Fprintf(w, "Application output error under %s at %d%% threshold\n", scheme, threshold)
 	fmt.Fprintf(w, "%-14s %12s %10s %10s %12s %10s\n",
 		"benchmark", "output error", "quality", "misses", "transfers", "approx")
-	for _, a := range list {
-		res, err := a.Run(scheme, threshold)
-		if err != nil {
-			return fmt.Errorf("%s: %w", a.Name(), err)
-		}
+	for _, res := range results {
 		fmt.Fprintf(w, "%-14s %12.4f %10.4f %10d %12d %9.1f%%\n",
-			a.Name(), res.OutputError, res.DataQuality,
+			res.Name, res.OutputError, res.DataQuality,
 			res.CacheStats.Misses, res.CacheStats.Transfers,
 			100*res.Channel.ApproxWordFraction())
 	}

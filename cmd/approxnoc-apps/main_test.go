@@ -17,12 +17,23 @@ func TestRunAppsSingleKernel(t *testing.T) {
 	}
 }
 
+// A rejected input writes nothing: no table header ahead of the error.
 func TestRunAppsRejectsBadInputs(t *testing.T) {
-	var buf bytes.Buffer
-	if err := runApps("doom", "FP-VAXX", 10, &buf); err == nil {
-		t.Fatal("unknown kernel accepted")
-	}
-	if err := runApps("ssca2", "NOPE", 10, &buf); err == nil {
-		t.Fatal("unknown scheme accepted")
+	for _, c := range []struct {
+		app, scheme string
+		threshold   int
+	}{
+		{"doom", "FP-VAXX", 10},      // unknown kernel
+		{"ssca2", "NOPE", 10},        // unknown scheme
+		{"ssca2", "DI-VAXX", 150},    // threshold out of range
+		{"swaptions", "FP-VAXX", -5}, // negative threshold
+	} {
+		var buf bytes.Buffer
+		if err := runApps(c.app, c.scheme, c.threshold, &buf); err == nil {
+			t.Fatalf("%+v accepted", c)
+		}
+		if buf.Len() != 0 {
+			t.Fatalf("%+v: wrote %q before failing", c, buf.String())
+		}
 	}
 }

@@ -101,9 +101,9 @@ func run(o options, out io.Writer, ready chan<- string) error {
 	if err != nil {
 		return err
 	}
-	if o.loadgen && (o.conns < 1 || o.depth < 1 || o.words < 1 || o.records < 1) {
-		return fmt.Errorf("-conns, -depth, -words and -records must each be >= 1 (got %d, %d, %d, %d)",
-			o.conns, o.depth, o.words, o.records)
+	if o.loadgen && (o.nodes < 1 || o.conns < 1 || o.depth < 1 || o.words < 1 || o.records < 1) {
+		return fmt.Errorf("-nodes, -conns, -depth, -words and -records must each be >= 1 (got %d, %d, %d, %d, %d)",
+			o.nodes, o.conns, o.depth, o.words, o.records)
 	}
 	vcfg := cluster.ViewConfig{VNodes: o.vnodes, HeartbeatEvery: o.heartbeat}
 	lg := cluster.Loadgen{

@@ -35,6 +35,7 @@ func TestRunLoadgenInProcess(t *testing.T) {
 
 func TestRunValidatesLoadgenKnobs(t *testing.T) {
 	for _, breakIt := range []func(*options){
+		func(o *options) { o.nodes = 0 },
 		func(o *options) { o.conns = 0 },
 		func(o *options) { o.depth = -1 },
 		func(o *options) { o.words = 0 },
@@ -43,9 +44,13 @@ func TestRunValidatesLoadgenKnobs(t *testing.T) {
 		o := defaultOptions()
 		o.loadgen = true
 		breakIt(&o)
-		err := run(o, &bytes.Buffer{}, nil)
+		var out bytes.Buffer
+		err := run(o, &out, nil)
 		if err == nil || !strings.Contains(err.Error(), ">= 1") {
 			t.Fatalf("options %+v: got %v, want a >= 1 validation error", o, err)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("options %+v: wrote %q before failing", o, out.String())
 		}
 	}
 }

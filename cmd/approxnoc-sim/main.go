@@ -50,6 +50,9 @@ func main() {
 func run(width, height, conc int, schemeName string, threshold int, mode, patternName string,
 	rate, dataRatio float64, benchmark string, approxRatio float64, traceFile string, cycles int, seed uint64,
 	debugAddr string) error {
+	if cycles < 1 || !(approxRatio >= 0 && approxRatio <= 1) {
+		return fmt.Errorf("need -cycles >= 1 and -approx-ratio in [0,1] (got %d, %g)", cycles, approxRatio)
+	}
 	scheme, err := compress.ParseScheme(schemeName)
 	if err != nil {
 		return err
@@ -132,23 +135,20 @@ func run(width, height, conc int, schemeName string, threshold int, mode, patter
 	net.PublishObs()
 	s := res.Stats
 	cs := net.CodecStats()
-	em := power.Default45nm()
 
 	fmt.Printf("topology            %s, scheme %s, pattern %s\n", topo, scheme, pattern)
-	fmt.Printf("offered load        %.3f flits/cycle/tile, data ratio %.2f, benchmark %s\n",
-		rate, dataRatio, benchmark)
+	fmt.Printf("offered load        %.3f flits/cycle/tile, data ratio %.2f, benchmark %s\n", rate, dataRatio, benchmark)
 	fmt.Printf("packets             sent %d  delivered %d (data %d, control %d, notif %d)\n",
 		s.PacketsSent, s.PacketsDelivered, s.DataDelivered, s.ControlDelivered, s.NotifDelivered)
 	fmt.Printf("flits               injected %d (data %d)  ejected %d\n",
 		s.FlitsInjected, s.DataFlitsInjected, s.FlitsEjected)
 	fmt.Printf("latency (cycles)    queue %.2f + net %.2f + decode %.2f = %.2f\n",
 		s.AvgQueueLatency(), s.AvgNetLatency(), s.AvgDecodeLatency(), s.AvgPacketLatency())
-	fmt.Printf("throughput          %.4f flits/cycle/tile over %d cycles\n",
-		s.Throughput(topo.Tiles()), s.Cycles)
+	fmt.Printf("throughput          %.4f flits/cycle/tile over %d cycles\n", s.Throughput(topo.Tiles()), s.Cycles)
 	fmt.Printf("compression         ratio %.3f  encoded %.3f (approx %.3f)  quality %.4f\n",
 		cs.CompressionRatio(), cs.EncodedWordFraction(), cs.ApproxWordFraction(), cs.DataQuality())
 	fmt.Printf("dynamic power       %.2f mW (45nm model at 2GHz)\n",
-		em.DynamicPowerMW(net.Power(), cs, s.Cycles, 2))
+		power.Default45nm().DynamicPowerMW(net.Power(), cs, s.Cycles, 2))
 	if tracer != nil {
 		fmt.Printf("trace               %d events retained, %d dropped, %d evicted\n",
 			tracer.Len(), tracer.Dropped(), tracer.Evicted())

@@ -19,18 +19,26 @@ func TestRunReqReplySmoke(t *testing.T) {
 }
 
 func TestRunRejectsBadInputs(t *testing.T) {
-	cases := []struct {
+	type args struct {
 		scheme, mode, pattern, bench, trace string
-	}{
-		{"NOPE", "synthetic", "uniform-random", "ssca2", ""},
-		{"Baseline", "warp", "uniform-random", "ssca2", ""},
-		{"Baseline", "synthetic", "spiral", "ssca2", ""},
-		{"Baseline", "synthetic", "uniform-random", "doom", ""},
-		{"Baseline", "replay", "uniform-random", "ssca2", ""},      // missing trace
-		{"Baseline", "replay", "uniform-random", "ssca2", "/nope"}, // unreadable trace
+		cycles                              int
+		approxRatio                         float64
 	}
-	for _, c := range cases {
-		err := run(2, 2, 1, c.scheme, 10, c.mode, c.pattern, 0.05, 0.25, c.bench, 0.75, c.trace, 100, 1, "")
+	for _, breakIt := range []func(*args){
+		func(a *args) { a.scheme = "NOPE" },
+		func(a *args) { a.mode = "warp" },
+		func(a *args) { a.pattern = "spiral" },
+		func(a *args) { a.bench = "doom" },
+		func(a *args) { a.mode = "replay" },                        // missing trace
+		func(a *args) { a.mode, a.trace = "replay", "/nope" },      // unreadable trace
+		func(a *args) { a.cycles = 0 },                             // nothing to simulate
+		func(a *args) { a.cycles = -5 },                            // negative horizon
+		func(a *args) { a.approxRatio = 2 },                        // a fraction above 1
+		func(a *args) { a.mode, a.approxRatio = "reqreply", -0.5 }, // a fraction below 0
+	} {
+		c := args{"Baseline", "synthetic", "uniform-random", "ssca2", "", 100, 0.75}
+		breakIt(&c)
+		err := run(2, 2, 1, c.scheme, 10, c.mode, c.pattern, 0.05, 0.25, c.bench, c.approxRatio, c.trace, c.cycles, 1, "")
 		if err == nil {
 			t.Fatalf("accepted %+v", c)
 		}

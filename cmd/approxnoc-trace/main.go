@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"approxnoc/internal/sim"
@@ -54,6 +55,9 @@ func genCmd(args []string) error {
 	model, err := workload.ByName(*benchmark)
 	if err != nil {
 		return err
+	}
+	if *tiles < 2 || *packets < 1 || !(*approxRatio >= 0 && *approxRatio <= 1) {
+		return fmt.Errorf("gen: need -tiles >= 2 (distinct src/dst), -packets >= 1 and -approx-ratio in [0,1] (got %d, %d, %g)", *tiles, *packets, *approxRatio)
 	}
 	var w io.Writer = os.Stdout
 	if *out != "" {
@@ -131,9 +135,5 @@ func infoCmd(args []string) error {
 	return nil
 }
 
-func pct(a, b int) float64 {
-	if b == 0 {
-		return 0
-	}
-	return 100 * float64(a) / float64(b)
-}
+// pct is a as a percentage of b; a <= b, so b == 0 reads as 0%.
+func pct(a, b int) float64 { return 100 * float64(a) / math.Max(float64(b), 1) }

@@ -21,9 +21,23 @@ func TestGenAndInfo(t *testing.T) {
 	}
 }
 
+// A rejected gen writes nothing: the output file is never created.
 func TestGenRejectsUnknownBenchmark(t *testing.T) {
-	if err := genCmd([]string{"-benchmark", "doom", "-packets", "5"}); err == nil {
-		t.Fatal("unknown benchmark accepted")
+	for _, bad := range [][]string{
+		{"-benchmark", "doom"},
+		{"-tiles", "0"},          // no tile to address
+		{"-tiles", "1"},          // every record would be self-addressed
+		{"-packets", "-1"},       // negative record count
+		{"-approx-ratio", "2"},   // a fraction above 1
+		{"-approx-ratio", "-.5"}, // a fraction below 0
+	} {
+		out := filepath.Join(t.TempDir(), "t.trace")
+		if err := genCmd(append([]string{"-packets", "5", "-out", out}, bad...)); err == nil {
+			t.Fatalf("%v accepted", bad)
+		}
+		if _, err := os.Stat(out); err == nil {
+			t.Fatalf("%v: trace file written before failing", bad)
+		}
 	}
 }
 

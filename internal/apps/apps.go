@@ -1,11 +1,14 @@
 // Package apps reimplements the evaluation's application kernels — the
 // regions of interest of seven PARSEC benchmarks plus SSCA2's betweenness
 // centrality — on top of the cachesim substrate, with the paper's
-// application-specific accuracy metrics (§5.4). Each kernel runs twice:
-// once precise (baseline channel) and once with its annotated approximable
-// data flowing through an APPROX-NoC scheme; the output error compares the
-// two, reproducing Fig. 16's error bars and Fig. 17's bodytrack
-// comparison.
+// application-specific accuracy metrics (§5.4). An App is one kernel and
+// the one metric its output error is reported in. Run executes the
+// kernel twice on the §5.4 cache system, once precise (baseline channel)
+// and once with its annotated approximable data flowing through an
+// APPROX-NoC codec fabric, and scores the second output against the
+// first, reproducing Fig. 16's error bars and Fig. 17's bodytrack
+// comparison. Harnesses that supply their own fill path (the full-system
+// NoC coupling) run Kernel themselves and score with OutputError.
 package apps
 
 import (
@@ -30,81 +33,84 @@ type Result struct {
 	Channel compress.OpStats
 }
 
-// App is one benchmark kernel.
-type App interface {
-	// Name returns the benchmark name used in the paper's figures.
-	Name() string
-	// Run executes the kernel precise and approximate and reports the
-	// output error under the given channel scheme and error threshold.
-	Run(scheme compress.Scheme, thresholdPct int) (Result, error)
+// App is one benchmark kernel with its accuracy metric.
+type App struct {
+	name   string
+	kernel func(*cachesim.System) ([]float64, error)
+	metric func(ref, got []float64) float64
 }
 
 // All returns the eight kernels in figure order.
 func All() []App {
 	return []App{
-		newBlackscholes(),
-		newBodytrack(),
-		newCanneal(),
-		newFluidanimate(),
-		newStreamcluster(),
-		newSwaptions(),
-		newX264(),
-		newSSCA2(),
+		{"blackscholes", blackscholes, meanRelErr},
+		{"bodytrack", bodytrack, meanRelErr},
+		{"canneal", canneal, meanRelErr},
+		{"fluidanimate", fluidanimate, meanRelErr},
+		{"streamcluster", streamcluster, clusterErr},
+		{"swaptions", swaptions, meanRelErr},
+		{"x264", x264, meanRelErr},
+		{"ssca2", ssca2, meanRelErr},
 	}
 }
 
 // ByName returns the kernel with the given benchmark name.
 func ByName(name string) (App, error) {
 	for _, a := range All() {
-		if a.Name() == name {
+		if a.name == name {
 			return a, nil
 		}
 	}
-	return nil, fmt.Errorf("apps: unknown benchmark %q", name)
+	return App{}, fmt.Errorf("apps: unknown benchmark %q", name)
 }
 
-// newSystem builds a cache system for one run.
-func newSystem(scheme compress.Scheme, thresholdPct int) (*cachesim.System, error) {
-	return cachesim.New(cachesim.DefaultConfig(scheme, thresholdPct))
-}
+// Name returns the benchmark name used in the paper's figures.
+func (a App) Name() string { return a.name }
 
-// RunnerFor returns a kernel's raw run function by benchmark name, for
-// harnesses that supply their own cache systems (the full-system NoC
-// coupling).
-func RunnerFor(name string) (func(*cachesim.System) ([]float64, error), error) {
-	a, err := ByName(name)
+// Kernel returns the raw kernel, for harnesses that supply their own
+// cache system (the full-system NoC coupling).
+func (a App) Kernel() func(*cachesim.System) ([]float64, error) { return a.kernel }
+
+// OutputError scores an approximate output against the precise reference
+// in the kernel's own accuracy metric (see Result.OutputError).
+func (a App) OutputError(ref, got []float64) float64 { return a.metric(ref, got) }
+
+// Run executes the kernel precise and approximate and reports the output
+// error under the given channel scheme and error threshold.
+func (a App) Run(scheme compress.Scheme, thresholdPct int) (Result, error) {
+	ref, _, _, err := run(a.kernel, compress.Baseline, 0)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
-	run, ok := kernelRunner(a)
-	if !ok {
-		return nil, fmt.Errorf("apps: kernel %q has no raw runner", name)
+	got, cache, channel, err := run(a.kernel, scheme, thresholdPct)
+	if err != nil {
+		return Result{}, err
 	}
-	return run, nil
+	return Result{
+		Name:        a.name,
+		OutputError: a.metric(ref, got),
+		DataQuality: channel.DataQuality(),
+		CacheStats:  cache,
+		Channel:     channel,
+	}, nil
 }
 
-// kernelRunner exposes a kernel's raw run function for harnesses that
-// supply their own cache systems (the full-system NoC coupling).
-func kernelRunner(a App) (func(*cachesim.System) ([]float64, error), bool) {
-	switch k := a.(type) {
-	case *blackscholes:
-		return k.run, true
-	case *swaptions:
-		return k.run, true
-	case *bodytrack:
-		return k.run, true
-	case *x264:
-		return k.run, true
-	case *fluidanimate:
-		return k.run, true
-	case *canneal:
-		return k.run, true
-	case *streamcluster:
-		return k.run, true
-	case *ssca2:
-		return k.run, true
+// run executes kernel on a fresh §5.4 cache system whose remote fills
+// cross a codec fabric of the given scheme, and returns the outputs with
+// the cache and channel statistics.
+func run(kernel func(*cachesim.System) ([]float64, error), scheme compress.Scheme, thresholdPct int) ([]float64, cachesim.Stats, compress.OpStats, error) {
+	cfg := cachesim.DefaultConfig()
+	factory, err := compress.FactoryFor(scheme, cfg.Cores, thresholdPct)
+	if err != nil {
+		return nil, cachesim.Stats{}, compress.OpStats{}, err
 	}
-	return nil, false
+	fabric := compress.NewFabric(cfg.Cores, factory)
+	sys, err := cachesim.New(cfg, fabric.Transfer)
+	if err != nil {
+		return nil, cachesim.Stats{}, compress.OpStats{}, err
+	}
+	out, err := kernel(sys)
+	return out, sys.Stats(), fabric.Stats(), err
 }
 
 // meanRelErr returns the mean element-wise relative difference between a
@@ -132,17 +138,6 @@ func meanRelErr(ref, approx []float64) float64 {
 		sum += math.Abs(ref[i]-approx[i]) / den
 	}
 	return sum / float64(len(ref))
-}
-
-// result packages the common fields of a finished run.
-func result(name string, outputErr float64, sys *cachesim.System) Result {
-	return Result{
-		Name:        name,
-		OutputError: outputErr,
-		DataQuality: sys.ChannelStats().DataQuality(),
-		CacheStats:  sys.Stats(),
-		Channel:     sys.ChannelStats(),
-	}
 }
 
 // rotate maps a work-item index onto a core, spreading accesses across

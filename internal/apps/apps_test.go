@@ -163,24 +163,47 @@ func TestBodytrackOutputsFig17(t *testing.T) {
 	}
 }
 
-func TestRunnerFor(t *testing.T) {
-	if _, err := RunnerFor("nope"); err == nil {
+// The raw kernel, the value the full-system harness runs on its own
+// cache system, runs on a precise system and scores zero error against
+// itself.
+func TestKernelOnPreciseSystem(t *testing.T) {
+	if _, err := ByName("nope"); err == nil {
 		t.Fatal("unknown kernel accepted")
 	}
-	run, err := RunnerFor("blackscholes")
+	a, err := ByName("blackscholes")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := newSystem(compress.Baseline, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := run(sys)
+	out, _, _, err := run(a.Kernel(), compress.Baseline, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out) == 0 {
 		t.Fatal("no outputs")
+	}
+	if e := a.OutputError(out, out); e != 0 {
+		t.Fatalf("self error %g, want 0", e)
+	}
+}
+
+// The threshold is validated where Run builds the codec fabric; the
+// cache system never sees it.
+func TestRunRejectsBogusThreshold(t *testing.T) {
+	a, _ := ByName("swaptions")
+	if _, err := a.Run(compress.DIVaxx, 500); err == nil {
+		t.Fatal("bogus threshold accepted")
+	}
+}
+
+// The approximate run's channel statistics are its codec fabric's.
+func TestRunReportsFabricStats(t *testing.T) {
+	a, _ := ByName("x264")
+	res, err := a.Run(compress.FPComp, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Channel.BlocksIn != res.CacheStats.Transfers || res.Channel.WordsExact == 0 {
+		t.Fatalf("channel never compressed the %d transfers: %+v", res.CacheStats.Transfers, res.Channel)
 	}
 }
 

@@ -4,21 +4,8 @@ import (
 	"math"
 
 	"approxnoc/internal/cachesim"
-	"approxnoc/internal/compress"
 	"approxnoc/internal/sim"
 )
-
-// blackscholes prices European options with the Black-Scholes closed form,
-// PARSEC's blackscholes region of interest. Option parameters are the
-// hand-annotated approximable data; the accuracy metric is the mean
-// relative price error.
-type blackscholes struct {
-	options int
-}
-
-func newBlackscholes() App { return &blackscholes{options: 2048} }
-
-func (b *blackscholes) Name() string { return "blackscholes" }
 
 // cndf is the cumulative normal distribution (Abramowitz-Stegun), as used
 // by the PARSEC kernel.
@@ -45,8 +32,12 @@ func priceOption(spot, strike, rate, vol, t float64, call bool) float64 {
 	return strike*math.Exp(-rate*t)*cndf(-d2) - spot*cndf(-d1)
 }
 
-func (b *blackscholes) run(sys *cachesim.System) ([]float64, error) {
-	n := b.options
+// blackscholes prices European options with the Black-Scholes closed form,
+// PARSEC's blackscholes region of interest. Option parameters are the
+// hand-annotated approximable data; the accuracy metric is the mean
+// relative price error.
+func blackscholes(sys *cachesim.System) ([]float64, error) {
+	const n = 2048                         // options
 	params, err := sys.AllocF32(5*n, true) // spot, strike, rate, vol, time
 	if err != nil {
 		return nil, err
@@ -73,66 +64,37 @@ func (b *blackscholes) run(sys *cachesim.System) ([]float64, error) {
 	return out, nil
 }
 
-func (b *blackscholes) Run(scheme compress.Scheme, thresholdPct int) (Result, error) {
-	precise, err := newSystem(compress.Baseline, 0)
-	if err != nil {
-		return Result{}, err
-	}
-	ref, err := b.run(precise)
-	if err != nil {
-		return Result{}, err
-	}
-	approxSys, err := newSystem(scheme, thresholdPct)
-	if err != nil {
-		return Result{}, err
-	}
-	got, err := b.run(approxSys)
-	if err != nil {
-		return Result{}, err
-	}
-	return result(b.Name(), meanRelErr(ref, got), approxSys), nil
-}
-
 // swaptions prices payer swaptions by Monte Carlo simulation over
 // perturbed forward-rate curves (a simplified HJM, the PARSEC swaptions
 // structure). The forward curve and volatility inputs are approximable.
-type swaptions struct {
-	count int
-	paths int
-	steps int
-}
-
-func newSwaptions() App { return &swaptions{count: 24, paths: 120, steps: 12} }
-
-func (s *swaptions) Name() string { return "swaptions" }
-
-func (s *swaptions) run(sys *cachesim.System) ([]float64, error) {
+func swaptions(sys *cachesim.System) ([]float64, error) {
+	const count, paths, steps = 24, 120, 12
 	// Shared approximable inputs: initial forward curve and vols.
-	curve, err := sys.AllocF32(s.steps, true)
+	curve, err := sys.AllocF32(steps, true)
 	if err != nil {
 		return nil, err
 	}
-	vols, err := sys.AllocF32(s.steps, true)
+	vols, err := sys.AllocF32(steps, true)
 	if err != nil {
 		return nil, err
 	}
 	r := sim.NewRand(202)
-	for i := 0; i < s.steps; i++ {
+	for i := 0; i < steps; i++ {
 		curve.Set(0, i, 0.02+0.002*float32(i)+float32(r.Float64())*0.005)
 		vols.Set(0, i, 0.008+float32(r.Float64())*0.004)
 	}
-	out := make([]float64, s.count)
-	for sw := 0; sw < s.count; sw++ {
+	out := make([]float64, count)
+	for sw := 0; sw < count; sw++ {
 		strike := 0.02 + 0.002*float64(sw%8)
 		mc := sim.NewRand(uint64(300 + sw))
 		sum := 0.0
 		core := rotate(sw, 16)
-		for p := 0; p < s.paths; p++ {
+		for p := 0; p < paths; p++ {
 			// Evolve the short rate along the curve with lognormal shocks.
 			rate := float64(curve.Get(core, 0))
 			df := 1.0
 			swapValue := 0.0
-			for t := 1; t < s.steps; t++ {
+			for t := 1; t < steps; t++ {
 				drift := float64(curve.Get(core, t)) - float64(curve.Get(core, t-1))
 				vol := float64(vols.Get(core, t))
 				rate += drift + vol*mc.NormFloat64()
@@ -146,27 +108,7 @@ func (s *swaptions) run(sys *cachesim.System) ([]float64, error) {
 				sum += swapValue
 			}
 		}
-		out[sw] = sum / float64(s.paths)
+		out[sw] = sum / float64(paths)
 	}
 	return out, nil
-}
-
-func (s *swaptions) Run(scheme compress.Scheme, thresholdPct int) (Result, error) {
-	precise, err := newSystem(compress.Baseline, 0)
-	if err != nil {
-		return Result{}, err
-	}
-	ref, err := s.run(precise)
-	if err != nil {
-		return Result{}, err
-	}
-	approxSys, err := newSystem(scheme, thresholdPct)
-	if err != nil {
-		return Result{}, err
-	}
-	got, err := s.run(approxSys)
-	if err != nil {
-		return Result{}, err
-	}
-	return result(s.Name(), meanRelErr(ref, got), approxSys), nil
 }

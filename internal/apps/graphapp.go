@@ -2,7 +2,6 @@ package apps
 
 import (
 	"approxnoc/internal/cachesim"
-	"approxnoc/internal/compress"
 	"approxnoc/internal/graph"
 )
 
@@ -12,18 +11,9 @@ import (
 // are exchanged between cores through approximable memory, so they pick
 // up transfer approximation. The metric is the mean pair-wise difference
 // of the betweenness scores (§5.4).
-type ssca2 struct {
-	scale      int
-	edgeFactor int
-	sources    int
-}
-
-func newSSCA2() App { return &ssca2{scale: 7, edgeFactor: 6, sources: 24} }
-
-func (s *ssca2) Name() string { return "ssca2" }
-
-func (s *ssca2) run(sys *cachesim.System) ([]float64, error) {
-	g, err := graph.RMAT(s.scale, s.edgeFactor, 909)
+func ssca2(sys *cachesim.System) ([]float64, error) {
+	const scale, edgeFactor, sources = 7, 6, 24
+	g, err := graph.RMAT(scale, edgeFactor, 909)
 	if err != nil {
 		return nil, err
 	}
@@ -32,7 +22,7 @@ func (s *ssca2) run(sys *cachesim.System) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	srcs := graph.SampleSources(g, s.sources, 910)
+	srcs := graph.SampleSources(g, sources, 910)
 	i := 0
 	bc := graph.Betweenness(g, srcs, func(v int, d float64) float64 {
 		// The producing core writes the pair-wise dependency; a different
@@ -44,10 +34,4 @@ func (s *ssca2) run(sys *cachesim.System) ([]float64, error) {
 		return float64(deps.Get(consumer, v))
 	})
 	return bc, nil
-}
-
-func (s *ssca2) Run(scheme compress.Scheme, thresholdPct int) (Result, error) {
-	return runPair(s.Name(), func(sys *cachesim.System) ([]float64, error) {
-		return s.run(sys)
-	}, scheme, thresholdPct)
 }

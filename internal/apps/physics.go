@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"approxnoc/internal/cachesim"
-	"approxnoc/internal/compress"
 	"approxnoc/internal/sim"
 )
 
@@ -12,17 +11,8 @@ import (
 // repulsion forces within a cutoff, gravity, and damped integration
 // (the PARSEC fluidanimate structure). Particle state is approximable;
 // the metric is the mean relative error of final particle positions.
-type fluidanimate struct {
-	particles int
-	steps     int
-}
-
-func newFluidanimate() App { return &fluidanimate{particles: 160, steps: 5} }
-
-func (f *fluidanimate) Name() string { return "fluidanimate" }
-
-func (f *fluidanimate) run(sys *cachesim.System) ([]float64, error) {
-	n := f.particles
+func fluidanimate(sys *cachesim.System) ([]float64, error) {
+	const n, steps = 160, 5 // particles, integration steps
 	pos, err := sys.AllocF32(2*n, true)
 	if err != nil {
 		return nil, err
@@ -43,7 +33,7 @@ func (f *fluidanimate) run(sys *cachesim.System) ([]float64, error) {
 		dt     = 0.05
 		damp   = 0.98
 	)
-	for s := 0; s < f.steps; s++ {
+	for s := 0; s < steps; s++ {
 		fx := make([]float64, n)
 		fy := make([]float64, n)
 		for i := 0; i < n; i++ {
@@ -100,46 +90,33 @@ func (f *fluidanimate) run(sys *cachesim.System) ([]float64, error) {
 	return out, nil
 }
 
-func (f *fluidanimate) Run(scheme compress.Scheme, thresholdPct int) (Result, error) {
-	return runPair(f.Name(), f.run, scheme, thresholdPct)
-}
-
 // canneal minimizes netlist routing cost by greedy element swaps over a
 // synthetic netlist (the PARSEC canneal structure, with a deterministic
 // cooling schedule). Element coordinates are approximable; the metric is
 // the relative difference of the final routing cost.
-type canneal struct {
-	elements int
-	nets     int
-	swaps    int
-}
-
-func newCanneal() App { return &canneal{elements: 256, nets: 512, swaps: 3000} }
-
-func (c *canneal) Name() string { return "canneal" }
-
-func (c *canneal) run(sys *cachesim.System) ([]float64, error) {
-	grid := 16 // elements arranged on a 16x16 grid of slots
-	locX, err := sys.AllocI32(c.elements, true)
+func canneal(sys *cachesim.System) ([]float64, error) {
+	const elements, nets, swaps = 256, 512, 3000
+	const grid = 16 // elements arranged on a 16x16 grid of slots
+	locX, err := sys.AllocI32(elements, true)
 	if err != nil {
 		return nil, err
 	}
-	locY, err := sys.AllocI32(c.elements, true)
+	locY, err := sys.AllocI32(elements, true)
 	if err != nil {
 		return nil, err
 	}
 	r := sim.NewRand(707)
-	perm := r.Perm(c.elements)
-	for e := 0; e < c.elements; e++ {
+	perm := r.Perm(elements)
+	for e := 0; e < elements; e++ {
 		locX.Set(0, e, int32(perm[e]%grid)*10)
 		locY.Set(0, e, int32(perm[e]/grid)*10)
 	}
 	// Random two-pin nets.
-	netsA := make([]int, c.nets)
-	netsB := make([]int, c.nets)
+	netsA := make([]int, nets)
+	netsB := make([]int, nets)
 	for i := range netsA {
-		netsA[i] = r.Intn(c.elements)
-		netsB[i] = r.Intn(c.elements)
+		netsA[i] = r.Intn(elements)
+		netsB[i] = r.Intn(elements)
 	}
 	elemCost := func(core, e int) float64 {
 		cost := 0.0
@@ -160,9 +137,9 @@ func (c *canneal) run(sys *cachesim.System) ([]float64, error) {
 		return cost
 	}
 	// Greedy annealing: swap two elements if total cost decreases.
-	for s := 0; s < c.swaps; s++ {
+	for s := 0; s < swaps; s++ {
 		core := rotate(s, 16)
-		a, b := r.Intn(c.elements), r.Intn(c.elements)
+		a, b := r.Intn(elements), r.Intn(elements)
 		if a == b {
 			continue
 		}
@@ -191,54 +168,42 @@ func (c *canneal) run(sys *cachesim.System) ([]float64, error) {
 	return []float64{total}, nil
 }
 
-func (c *canneal) Run(scheme compress.Scheme, thresholdPct int) (Result, error) {
-	return runPair(c.Name(), c.run, scheme, thresholdPct)
-}
-
 // streamcluster performs online k-median clustering: greedy farthest-point
 // center selection followed by point assignment (the PARSEC streamcluster
 // structure). Point coordinates are approximable. The paper singles this
 // benchmark out for amplified error because approximate coordinates flip
 // which points become centers and which cluster each point joins (§5.4);
 // the kernel therefore exposes both the assignment vector and the cost,
-// and its output metric blends cost deviation with membership mismatch.
-type streamcluster struct {
-	points int
-	dim    int
-	k      int
-}
-
-func newStreamcluster() App { return &streamcluster{points: 512, dim: 8, k: 12} }
-
-func (s *streamcluster) Name() string { return "streamcluster" }
-
-func (s *streamcluster) run(sys *cachesim.System) ([]float64, error) {
-	pts, err := sys.AllocF32(s.points*s.dim, true)
+// and its output metric, clusterErr, blends cost deviation with
+// membership mismatch.
+func streamcluster(sys *cachesim.System) ([]float64, error) {
+	const points, dim, k = 512, 8, 12
+	pts, err := sys.AllocF32(points*dim, true)
 	if err != nil {
 		return nil, err
 	}
 	r := sim.NewRand(808)
-	for i := 0; i < s.points*s.dim; i++ {
+	for i := 0; i < points*dim; i++ {
 		pts.Set(0, i, float32(100*r.Float64()))
 	}
 	dist2 := func(core, a, b int) float64 {
 		d2 := 0.0
-		for d := 0; d < s.dim; d++ {
-			diff := float64(pts.Get(core, a*s.dim+d)) - float64(pts.Get(core, b*s.dim+d))
+		for d := 0; d < dim; d++ {
+			diff := float64(pts.Get(core, a*dim+d)) - float64(pts.Get(core, b*dim+d))
 			d2 += diff * diff
 		}
 		return d2
 	}
 	// Farthest-point (2-approx k-center) center selection.
 	centers := []int{0}
-	minD := make([]float64, s.points)
+	minD := make([]float64, points)
 	for i := range minD {
 		minD[i] = math.Inf(1)
 	}
-	for len(centers) < s.k {
+	for len(centers) < k {
 		last := centers[len(centers)-1]
 		far, farD := -1, -1.0
-		for p := 0; p < s.points; p++ {
+		for p := 0; p < points; p++ {
 			core := rotate(p+len(centers), 16)
 			d := dist2(core, p, last)
 			if d < minD[p] {
@@ -251,8 +216,8 @@ func (s *streamcluster) run(sys *cachesim.System) ([]float64, error) {
 		centers = append(centers, far)
 	}
 	// Assignment: output is the cost followed by each point's cluster id.
-	out := make([]float64, 1, 1+s.points)
-	for p := 0; p < s.points; p++ {
+	out := make([]float64, 1, 1+points)
+	for p := 0; p < points; p++ {
 		core := rotate(p, 16)
 		best, bestC := math.Inf(1), 0
 		for ci, c := range centers {
@@ -266,25 +231,10 @@ func (s *streamcluster) run(sys *cachesim.System) ([]float64, error) {
 	return out, nil
 }
 
-func (s *streamcluster) Run(scheme compress.Scheme, thresholdPct int) (Result, error) {
-	precise, err := newSystem(compress.Baseline, 0)
-	if err != nil {
-		return Result{}, err
-	}
-	ref, err := s.run(precise)
-	if err != nil {
-		return Result{}, err
-	}
-	approxSys, err := newSystem(scheme, thresholdPct)
-	if err != nil {
-		return Result{}, err
-	}
-	got, err := s.run(approxSys)
-	if err != nil {
-		return Result{}, err
-	}
-	// Cost deviation plus membership disagreement — the center-mismatch
-	// amplification §5.4 describes.
+// clusterErr is streamcluster's output metric: the larger of the cost
+// deviation (output 0) and the share of points assigned to a different
+// cluster, the center-mismatch amplification §5.4 describes.
+func clusterErr(ref, got []float64) float64 {
 	costErr := math.Abs(ref[0]-got[0]) / math.Abs(ref[0])
 	mismatch := 0.0
 	for i := 1; i < len(ref); i++ {
@@ -292,32 +242,5 @@ func (s *streamcluster) Run(scheme compress.Scheme, thresholdPct int) (Result, e
 			mismatch++
 		}
 	}
-	mismatch /= float64(len(ref) - 1)
-	outputErr := costErr
-	if mismatch > outputErr {
-		outputErr = mismatch
-	}
-	return result(s.Name(), outputErr, approxSys), nil
-}
-
-// runPair executes a kernel precise and approximate and assembles the
-// Result — the shared Run body of the simpler kernels.
-func runPair(name string, run func(*cachesim.System) ([]float64, error), scheme compress.Scheme, thresholdPct int) (Result, error) {
-	precise, err := newSystem(compress.Baseline, 0)
-	if err != nil {
-		return Result{}, err
-	}
-	ref, err := run(precise)
-	if err != nil {
-		return Result{}, err
-	}
-	approxSys, err := newSystem(scheme, thresholdPct)
-	if err != nil {
-		return Result{}, err
-	}
-	got, err := run(approxSys)
-	if err != nil {
-		return Result{}, err
-	}
-	return result(name, meanRelErr(ref, got), approxSys), nil
+	return math.Max(costErr, mismatch/float64(len(ref)-1))
 }

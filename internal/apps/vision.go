@@ -15,23 +15,14 @@ import (
 // The metric is the mean joint-position difference of the estimated pose —
 // the quantity behind the paper's Fig. 17 comparison (§5.4 reports 2.4% at
 // a 10% threshold).
-type bodytrack struct {
-	joints    int
-	particles int
-	frames    int
-}
-
-func newBodytrack() App { return &bodytrack{joints: 16, particles: 64, frames: 6} }
-
-func (b *bodytrack) Name() string { return "bodytrack" }
-
-func (b *bodytrack) run(sys *cachesim.System) ([]float64, error) {
-	dims := 2 * b.joints
-	obs, err := sys.AllocF32(b.frames*dims, true)
+func bodytrack(sys *cachesim.System) ([]float64, error) {
+	const joints, particles, frames = 16, 64, 6
+	const dims = 2 * joints
+	obs, err := sys.AllocF32(frames*dims, true)
 	if err != nil {
 		return nil, err
 	}
-	parts, err := sys.AllocF32(b.particles*dims, true)
+	parts, err := sys.AllocF32(particles*dims, true)
 	if err != nil {
 		return nil, err
 	}
@@ -42,21 +33,21 @@ func (b *bodytrack) run(sys *cachesim.System) ([]float64, error) {
 		truth[j] = 50 + 40*r.Float64()
 	}
 	// Initialize particles around an offset guess.
-	for p := 0; p < b.particles; p++ {
+	for p := 0; p < particles; p++ {
 		for j := 0; j < dims; j++ {
 			parts.Set(0, p*dims+j, float32(truth[j]+6*r.NormFloat64()))
 		}
 	}
-	est := make([]float64, b.frames*dims)
-	for f := 0; f < b.frames; f++ {
+	est := make([]float64, frames*dims)
+	for f := 0; f < frames; f++ {
 		for j := 0; j < dims; j++ {
 			truth[j] += 1.5 * r.NormFloat64()
 			obs.Set(0, f*dims+j, float32(truth[j]+1.0*r.NormFloat64()))
 		}
 		// Weight particles by likelihood and form the weighted mean pose.
-		weights := make([]float64, b.particles)
+		weights := make([]float64, particles)
 		wsum := 0.0
-		for p := 0; p < b.particles; p++ {
+		for p := 0; p < particles; p++ {
 			core := rotate(p, 16)
 			d2 := 0.0
 			for j := 0; j < dims; j++ {
@@ -71,14 +62,14 @@ func (b *bodytrack) run(sys *cachesim.System) ([]float64, error) {
 		}
 		for j := 0; j < dims; j++ {
 			mean := 0.0
-			for p := 0; p < b.particles; p++ {
+			for p := 0; p < particles; p++ {
 				core := rotate(p+j, 16)
 				mean += weights[p] / wsum * float64(parts.Get(core, p*dims+j))
 			}
 			est[f*dims+j] = mean
 		}
 		// Diffuse particles toward the estimate for the next frame.
-		for p := 0; p < b.particles; p++ {
+		for p := 0; p < particles; p++ {
 			core := rotate(p, 16)
 			for j := 0; j < dims; j++ {
 				nv := 0.5*float64(parts.Get(core, p*dims+j)) + 0.5*est[f*dims+j] + 2*r.NormFloat64()
@@ -89,45 +80,13 @@ func (b *bodytrack) run(sys *cachesim.System) ([]float64, error) {
 	return est, nil
 }
 
-func (b *bodytrack) Run(scheme compress.Scheme, thresholdPct int) (Result, error) {
-	precise, err := newSystem(compress.Baseline, 0)
-	if err != nil {
-		return Result{}, err
-	}
-	ref, err := b.run(precise)
-	if err != nil {
-		return Result{}, err
-	}
-	approxSys, err := newSystem(scheme, thresholdPct)
-	if err != nil {
-		return Result{}, err
-	}
-	got, err := b.run(approxSys)
-	if err != nil {
-		return Result{}, err
-	}
-	return result(b.Name(), meanRelErr(ref, got), approxSys), nil
-}
-
 // x264 encodes a frame against a reference with block motion search and
 // quantized residuals (the x264 region of interest). Pixels are
 // approximable integer data; the metric is the mean pixel error of the
 // reconstructed frame relative to the precise pipeline's reconstruction.
-type x264 struct {
-	width, height int
-	blockSize     int
-	searchRange   int
-	quant         int32
-}
-
-func newX264() App {
-	return &x264{width: 64, height: 64, blockSize: 8, searchRange: 4, quant: 8}
-}
-
-func (x *x264) Name() string { return "x264" }
-
-func (x *x264) run(sys *cachesim.System) ([]float64, error) {
-	n := x.width * x.height
+func x264(sys *cachesim.System) ([]float64, error) {
+	const width, height, bs, searchRange, quant = 64, 64, 8, 4, 8
+	const n = width * height
 	refFrame, err := sys.AllocI32(n, true)
 	if err != nil {
 		return nil, err
@@ -143,34 +102,33 @@ func (x *x264) run(sys *cachesim.System) ([]float64, error) {
 		v := 16*xx + 8*yy + int(64*math.Sin(float64(xx)/7)*math.Cos(float64(yy)/9))
 		return int32(128 + v%1024)
 	}
-	for yy := 0; yy < x.height; yy++ {
-		for xx := 0; xx < x.width; xx++ {
-			refFrame.Set(0, yy*x.width+xx, px(xx, yy))
-			curFrame.Set(0, yy*x.width+xx, px(xx+2, yy+1)+int32(r.Intn(5)-2))
+	for yy := 0; yy < height; yy++ {
+		for xx := 0; xx < width; xx++ {
+			refFrame.Set(0, yy*width+xx, px(xx, yy))
+			curFrame.Set(0, yy*width+xx, px(xx+2, yy+1)+int32(r.Intn(5)-2))
 		}
 	}
 	recon := make([]float64, n)
-	bs := x.blockSize
 	blockIdx := 0
-	for by := 0; by < x.height; by += bs {
-		for bx := 0; bx < x.width; bx += bs {
+	for by := 0; by < height; by += bs {
+		for bx := 0; bx < width; bx += bs {
 			core := rotate(blockIdx, 16)
 			blockIdx++
 			// Motion search: best SAD over the search window.
 			bestSAD := int64(math.MaxInt64)
 			bestDX, bestDY := 0, 0
-			for dy := -x.searchRange; dy <= x.searchRange; dy++ {
-				for dx := -x.searchRange; dx <= x.searchRange; dx++ {
+			for dy := -searchRange; dy <= searchRange; dy++ {
+				for dx := -searchRange; dx <= searchRange; dx++ {
 					var sad int64
 					for yy := 0; yy < bs; yy++ {
 						for xx := 0; xx < bs; xx++ {
 							cx, cy := bx+xx, by+yy
 							rx, ry := cx+dx, cy+dy
-							if rx < 0 || ry < 0 || rx >= x.width || ry >= x.height {
+							if rx < 0 || ry < 0 || rx >= width || ry >= height {
 								sad += 255
 								continue
 							}
-							d := int64(curFrame.Get(core, cy*x.width+cx)) - int64(refFrame.Get(core, ry*x.width+rx))
+							d := int64(curFrame.Get(core, cy*width+cx)) - int64(refFrame.Get(core, ry*width+rx))
 							if d < 0 {
 								d = -d
 							}
@@ -188,37 +146,17 @@ func (x *x264) run(sys *cachesim.System) ([]float64, error) {
 					cx, cy := bx+xx, by+yy
 					rx, ry := cx+bestDX, cy+bestDY
 					var pred int32
-					if rx >= 0 && ry >= 0 && rx < x.width && ry < x.height {
-						pred = refFrame.Get(core, ry*x.width+rx)
+					if rx >= 0 && ry >= 0 && rx < width && ry < height {
+						pred = refFrame.Get(core, ry*width+rx)
 					}
-					residual := curFrame.Get(core, cy*x.width+cx) - pred
-					q := (residual / x.quant) * x.quant
-					recon[cy*x.width+cx] = float64(pred + q)
+					residual := curFrame.Get(core, cy*width+cx) - pred
+					q := (residual / quant) * quant
+					recon[cy*width+cx] = float64(pred + q)
 				}
 			}
 		}
 	}
 	return recon, nil
-}
-
-func (x *x264) Run(scheme compress.Scheme, thresholdPct int) (Result, error) {
-	precise, err := newSystem(compress.Baseline, 0)
-	if err != nil {
-		return Result{}, err
-	}
-	ref, err := x.run(precise)
-	if err != nil {
-		return Result{}, err
-	}
-	approxSys, err := newSystem(scheme, thresholdPct)
-	if err != nil {
-		return Result{}, err
-	}
-	got, err := x.run(approxSys)
-	if err != nil {
-		return Result{}, err
-	}
-	return result(x.Name(), meanRelErr(ref, got), approxSys), nil
 }
 
 // PSNR computes the peak signal-to-noise ratio between two frames in dB —
@@ -242,21 +180,10 @@ func PSNR(ref, got []float64, peak float64) float64 {
 // BodytrackOutputs runs the bodytrack kernel precise and approximate and
 // returns both pose trajectories plus their PSNR — the Fig. 17 artifact.
 func BodytrackOutputs(scheme compress.Scheme, thresholdPct int) (ref, approx []float64, psnr float64, err error) {
-	b := newBodytrack().(*bodytrack)
-	precise, err := newSystem(compress.Baseline, 0)
-	if err != nil {
+	if ref, _, _, err = run(bodytrack, compress.Baseline, 0); err != nil {
 		return nil, nil, 0, err
 	}
-	ref, err = b.run(precise)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	approxSys, err := newSystem(scheme, thresholdPct)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	approx, err = b.run(approxSys)
-	if err != nil {
+	if approx, _, _, err = run(bodytrack, scheme, thresholdPct); err != nil {
 		return nil, nil, 0, err
 	}
 	peak := 0.0

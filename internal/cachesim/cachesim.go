@@ -1,9 +1,10 @@
 // Package cachesim is the coherent-cache substrate standing in for the
 // paper's Pin-based tool (§5.4): per-core private L1 data caches over a
-// shared backing store. Every L1 miss models a data response from the
-// block's home node, and that response passes through the configured
-// APPROX-NoC compression channel — so approximable program data is
-// perturbed exactly where the paper perturbs it, in transit, before the
+// shared backing store. Every remote L1 miss models a data response from
+// the block's home node, and that response passes through the caller's
+// transfer function — an APPROX-NoC codec fabric or a round trip through
+// the cycle-accurate NoC — so approximable program data is perturbed
+// exactly where the paper perturbs it, in transit, before the
 // application ever reads it.
 //
 // The paper's configuration is modelled directly: 16 cores, 64 KB two-way
@@ -13,7 +14,6 @@ package cachesim
 import (
 	"fmt"
 
-	"approxnoc/internal/compress"
 	"approxnoc/internal/value"
 )
 
@@ -29,22 +29,16 @@ type Config struct {
 	Ways int
 	// LineBytes is the cache line size (paper: 64).
 	LineBytes int
-	// Scheme is the transfer channel's compression mechanism.
-	Scheme compress.Scheme
-	// ThresholdPct is the VAXX error threshold.
-	ThresholdPct int
 }
 
 // DefaultConfig returns the paper's §5.4 cache parameters.
-func DefaultConfig(scheme compress.Scheme, thresholdPct int) Config {
+func DefaultConfig() Config {
 	return Config{
-		Cores:        16,
-		MemBytes:     1 << 24, // 16 MiB backing store
-		L1Bytes:      64 << 10,
-		Ways:         2,
-		LineBytes:    64,
-		Scheme:       scheme,
-		ThresholdPct: thresholdPct,
+		Cores:     16,
+		MemBytes:  1 << 24, // 16 MiB backing store
+		L1Bytes:   64 << 10,
+		Ways:      2,
+		LineBytes: 64,
 	}
 }
 
@@ -77,9 +71,9 @@ type cache struct {
 }
 
 // TransferFn moves a block from its home node to the requesting core and
-// returns what the core observes. The default is the offline codec
-// fabric; the full-system harness substitutes a function that routes the
-// miss through the cycle-accurate NoC.
+// returns what the core observes: the application harness passes a codec
+// fabric's Transfer, the full-system harness a round trip through the
+// cycle-accurate NoC.
 type TransferFn func(home, core int, blk *value.Block) *value.Block
 
 // System is the assembled cache simulator.
@@ -87,7 +81,6 @@ type System struct {
 	cfg      Config
 	backing  []byte
 	caches   []*cache
-	fabric   *compress.Fabric
 	transfer TransferFn
 	regions  []region
 	next     uint32 // allocation cursor
@@ -95,8 +88,11 @@ type System struct {
 	stats    Stats
 }
 
-// New builds a system; the channel codecs are produced by FactoryFor.
-func New(cfg Config) (*System, error) {
+// New builds a system whose remote miss fills go through transfer.
+func New(cfg Config, transfer TransferFn) (*System, error) {
+	if transfer == nil {
+		return nil, fmt.Errorf("cachesim: nil transfer function")
+	}
 	if cfg.Cores <= 0 || cfg.MemBytes <= 0 || cfg.L1Bytes <= 0 || cfg.Ways <= 0 || cfg.LineBytes <= 0 {
 		return nil, fmt.Errorf("cachesim: invalid config %+v", cfg)
 	}
@@ -107,16 +103,12 @@ func New(cfg Config) (*System, error) {
 	if lines%cfg.Ways != 0 {
 		return nil, fmt.Errorf("cachesim: %d lines not divisible by %d ways", lines, cfg.Ways)
 	}
-	factory, err := compress.FactoryFor(cfg.Scheme, cfg.Cores, cfg.ThresholdPct)
-	if err != nil {
-		return nil, err
-	}
 	s := &System{
-		cfg:     cfg,
-		backing: make([]byte, cfg.MemBytes),
-		caches:  make([]*cache, cfg.Cores),
-		fabric:  compress.NewFabric(cfg.Cores, factory),
-		next:    uint32(cfg.LineBytes), // keep address 0 unused
+		cfg:      cfg,
+		backing:  make([]byte, cfg.MemBytes),
+		caches:   make([]*cache, cfg.Cores),
+		transfer: transfer,
+		next:     uint32(cfg.LineBytes), // keep address 0 unused
 	}
 	sets := lines / cfg.Ways
 	for i := range s.caches {
@@ -131,14 +123,6 @@ func New(cfg Config) (*System, error) {
 
 // Stats returns the access counters.
 func (s *System) Stats() Stats { return s.stats }
-
-// ChannelStats returns the transfer channel's codec statistics — the
-// source of the data-quality numbers. With a custom TransferFn installed
-// the caller owns the codec statistics instead.
-func (s *System) ChannelStats() compress.OpStats { return s.fabric.Stats() }
-
-// SetTransfer overrides the block-transfer path (see TransferFn).
-func (s *System) SetTransfer(fn TransferFn) { s.transfer = fn }
 
 // Cores returns the configured core count.
 func (s *System) Cores() int { return s.cfg.Cores }
@@ -226,8 +210,8 @@ func (s *System) access(core int, addr uint32, store bool) *line {
 	return victim
 }
 
-// fill fetches a block from its home node through the approximating
-// channel.
+// fill fetches a block from its home node, through the transfer function
+// when the home is another core.
 func (s *System) fill(core int, lineAddr uint32) []byte {
 	words := s.cfg.LineBytes / 4
 	blk := value.NewBlock(words, value.Int32, false)
@@ -243,11 +227,7 @@ func (s *System) fill(core int, lineAddr uint32) []byte {
 		s.stats.LocalFills++
 	} else {
 		s.stats.Transfers++
-		if s.transfer != nil {
-			blk = s.transfer(home, core, blk)
-		} else {
-			blk = s.fabric.Transfer(home, core, blk)
-		}
+		blk = s.transfer(home, core, blk)
 	}
 	data := make([]byte, s.cfg.LineBytes)
 	for i, w := range blk.Words {

@@ -8,29 +8,47 @@ import (
 	"approxnoc/internal/value"
 )
 
+// exact delivers every block unchanged.
+func exact(_, _ int, blk *value.Block) *value.Block { return blk }
+
 func preciseSystem(t *testing.T) *System {
 	t.Helper()
-	s, err := New(DefaultConfig(compress.Baseline, 0))
+	s, err := New(DefaultConfig(), exact)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
 }
 
+// fabricSystem fills remote misses through a codec fabric of the scheme.
+func fabricSystem(t *testing.T, scheme compress.Scheme, thresholdPct int) (*System, *compress.Fabric) {
+	t.Helper()
+	cfg := DefaultConfig()
+	factory, err := compress.FactoryFor(scheme, cfg.Cores, thresholdPct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fabric := compress.NewFabric(cfg.Cores, factory)
+	s, err := New(cfg, fabric.Transfer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, fabric
+}
+
 func TestConfigValidation(t *testing.T) {
-	bad := DefaultConfig(compress.Baseline, 0)
+	bad := DefaultConfig()
 	bad.Cores = 0
-	if _, err := New(bad); err == nil {
+	if _, err := New(bad, exact); err == nil {
 		t.Fatal("zero cores accepted")
 	}
-	bad = DefaultConfig(compress.Baseline, 0)
+	bad = DefaultConfig()
 	bad.LineBytes = 6
-	if _, err := New(bad); err == nil {
+	if _, err := New(bad, exact); err == nil {
 		t.Fatal("unaligned line accepted")
 	}
-	bad = DefaultConfig(compress.DIVaxx, 500)
-	if _, err := New(bad); err == nil {
-		t.Fatal("bogus threshold accepted")
+	if _, err := New(DefaultConfig(), nil); err == nil {
+		t.Fatal("nil transfer accepted")
 	}
 }
 
@@ -81,9 +99,9 @@ func TestHitMissAccounting(t *testing.T) {
 }
 
 func TestCapacityEviction(t *testing.T) {
-	cfg := DefaultConfig(compress.Baseline, 0)
+	cfg := DefaultConfig()
 	cfg.L1Bytes = 1 << 10 // 16 lines: force eviction quickly
-	s, err := New(cfg)
+	s, err := New(cfg, exact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,9 +122,9 @@ func TestCapacityEviction(t *testing.T) {
 }
 
 func TestAllocExhaustion(t *testing.T) {
-	cfg := DefaultConfig(compress.Baseline, 0)
+	cfg := DefaultConfig()
 	cfg.MemBytes = 1 << 12
-	s, _ := New(cfg)
+	s, _ := New(cfg, exact)
 	if _, err := s.Alloc(1 << 13); err == nil {
 		t.Fatal("oversized allocation accepted")
 	}
@@ -116,10 +134,7 @@ func TestAllocExhaustion(t *testing.T) {
 }
 
 func TestApproximableDataPerturbedWithinThreshold(t *testing.T) {
-	s, err := New(DefaultConfig(compress.DIVaxx, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, _ := fabricSystem(t, compress.DIVaxx, 10)
 	arr, err := s.AllocF32(1024, true)
 	if err != nil {
 		t.Fatal(err)
@@ -153,10 +168,7 @@ func TestApproximableDataPerturbedWithinThreshold(t *testing.T) {
 }
 
 func TestPreciseDataNeverPerturbed(t *testing.T) {
-	s, err := New(DefaultConfig(compress.DIVaxx, 20))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, _ := fabricSystem(t, compress.DIVaxx, 20)
 	arr, err := s.AllocI32(512, false) // NOT approximable
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +186,7 @@ func TestPreciseDataNeverPerturbed(t *testing.T) {
 }
 
 func TestChannelStatsFlow(t *testing.T) {
-	s, _ := New(DefaultConfig(compress.FPComp, 0))
+	s, fabric := fabricSystem(t, compress.FPComp, 0)
 	arr, _ := s.AllocI32(256, false)
 	for i := 0; i < arr.Len(); i++ {
 		arr.Set(0, i, 0) // highly compressible
@@ -182,8 +194,8 @@ func TestChannelStatsFlow(t *testing.T) {
 	for i := 0; i < arr.Len(); i++ {
 		arr.Get(3, i)
 	}
-	cs := s.ChannelStats()
-	if cs.BlocksIn == 0 || cs.WordsExact == 0 {
+	cs := fabric.Stats()
+	if cs.BlocksIn != s.Stats().Transfers || cs.WordsExact == 0 {
 		t.Fatalf("channel never compressed: %+v", cs)
 	}
 }

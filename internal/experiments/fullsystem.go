@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"approxnoc/internal/apps"
-	"approxnoc/internal/cachesim"
 	"approxnoc/internal/compress"
 	"approxnoc/internal/fullsys"
 	"approxnoc/internal/power"
@@ -99,23 +98,16 @@ func Fig16Measured(r Runner, kernels []string, thresholds []int) ([]Fig16Row, er
 		out []float64
 		rt  float64
 	}
-	type fsJob struct {
-		kernel func(*cachesim.System) ([]float64, error)
-		th     int
-	}
-	var jobs []fsJob
-	for _, name := range kernels {
-		runner, err := apps.RunnerFor(name)
-		if err != nil {
+	list := make([]apps.App, len(kernels))
+	for k, name := range kernels {
+		var err error
+		if list[k], err = apps.ByName(name); err != nil {
 			return nil, err
 		}
-		for _, th := range thresholds {
-			jobs = append(jobs, fsJob{kernel: runner, th: th})
-		}
 	}
-	cells, err := mapJobs(r, len(jobs), func(i int) (measured, error) {
-		j := jobs[i]
-		out, rt, err := fullsys.MeasureKernel(fullsys.DefaultConfig(compress.FPVaxx, j.th), j.kernel)
+	cells, err := mapJobs(r, len(list)*len(thresholds), func(i int) (measured, error) {
+		cfg := fullsys.DefaultConfig(compress.FPVaxx, thresholds[i%len(thresholds)])
+		out, rt, err := fullsys.MeasureKernel(cfg, list[i/len(thresholds)].Kernel())
 		if err != nil {
 			return measured{}, err
 		}
@@ -125,8 +117,8 @@ func Fig16Measured(r Runner, kernels []string, thresholds []int) ([]Fig16Row, er
 		return nil, err
 	}
 	var rows []Fig16Row
-	for k, name := range kernels {
-		row := Fig16Row{Benchmark: name, ErrorAt: map[int]float64{}, PerfAt: map[int]float64{}}
+	for k, app := range list {
+		row := Fig16Row{Benchmark: app.Name(), ErrorAt: map[int]float64{}, PerfAt: map[int]float64{}}
 		var ref []float64
 		var baseRuntime float64
 		for i, th := range thresholds {
@@ -134,7 +126,7 @@ func Fig16Measured(r Runner, kernels []string, thresholds []int) ([]Fig16Row, er
 			if i == 0 {
 				ref, baseRuntime = c.out, c.rt
 			}
-			row.ErrorAt[th] = meanRel(ref, c.out)
+			row.ErrorAt[th] = app.OutputError(ref, c.out)
 			if c.rt > 0 {
 				row.PerfAt[th] = baseRuntime / c.rt
 			}
@@ -152,36 +144,18 @@ type Fig17Result struct {
 	Joints     int
 }
 
-// Fig17 runs bodytrack at the default 10% threshold and compares outputs.
+// Fig17 runs bodytrack at the default 10% threshold and compares outputs
+// in bodytrack's own output metric.
 func Fig17(scheme compress.Scheme, thresholdPct int) (Fig17Result, error) {
+	bodytrack, err := apps.ByName("bodytrack")
+	if err != nil {
+		return Fig17Result{}, err
+	}
 	ref, approx, psnr, err := apps.BodytrackOutputs(scheme, thresholdPct)
 	if err != nil {
 		return Fig17Result{}, err
 	}
-	diff := meanRel(ref, approx)
-	return Fig17Result{VectorDiff: diff, PSNR: psnr, Joints: len(ref)}, nil
-}
-
-func meanRel(ref, got []float64) float64 {
-	if len(ref) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for i := range ref {
-		den := ref[i]
-		if den < 0 {
-			den = -den
-		}
-		if den < 1e-9 {
-			den = 1e-9
-		}
-		d := ref[i] - got[i]
-		if d < 0 {
-			d = -d
-		}
-		sum += d / den
-	}
-	return sum / float64(len(ref))
+	return Fig17Result{VectorDiff: bodytrack.OutputError(ref, approx), PSNR: psnr, Joints: len(ref)}, nil
 }
 
 // AreaReport renders the §5.5 area and static power overhead table.

@@ -195,6 +195,39 @@ func TestFig16MeasuredDriver(t *testing.T) {
 	}
 }
 
+// TestFig16VariantsAgree holds the one output-error metric across both
+// Fig. 16 variants. FP-VAXX codecs are stateless, so a kernel reads the
+// same values whether its misses cross the codec fabric (Fig16) or the
+// cycle-accurate NoC (Fig16Measured); the two must then report the same
+// error, scored in each kernel's own metric.
+func TestFig16VariantsAgree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("all eight kernels through the full-system coupling in short mode")
+	}
+	thresholds := []int{0, 10}
+	cfg := quickCfg()
+	cfg.Cycles = 1200
+	modelled, err := Fig16(cfg, thresholds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(modelled))
+	for i, r := range modelled {
+		names[i] = r.Benchmark
+	}
+	measured, err := Fig16Measured(cfg.Runner(), names, thresholds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range modelled {
+		for _, th := range thresholds {
+			if got, want := measured[i].ErrorAt[th], r.ErrorAt[th]; got != want {
+				t.Errorf("%s at %d%%: Fig16Measured error %v, Fig16 error %v", r.Benchmark, th, got, want)
+			}
+		}
+	}
+}
+
 func TestFig16Driver(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-system sweep in short mode")

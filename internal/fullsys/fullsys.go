@@ -36,13 +36,12 @@ type Config struct {
 // DefaultConfig returns a 4x4 mesh with one core per router (16 cores,
 // matching the §5.4 cache configuration).
 func DefaultConfig(scheme compress.Scheme, thresholdPct int) Config {
-	cc := cachesim.DefaultConfig(compress.Baseline, 0)
 	return Config{
 		Scheme:       scheme,
 		ThresholdPct: thresholdPct,
 		Width:        4, Height: 4, Concentration: 1,
 		NoC:   noc.DefaultConfig(),
-		Cache: cc,
+		Cache: cachesim.DefaultConfig(),
 	}
 }
 
@@ -79,22 +78,16 @@ func New(cfg Config) (*System, error) {
 	}
 	ccfg := cfg.Cache
 	if ccfg.Cores == 0 {
-		ccfg = cachesim.DefaultConfig(compress.Baseline, 0)
+		ccfg = cachesim.DefaultConfig()
 	}
 	ccfg.Cores = topo.Tiles()
-	// The cache's built-in fabric is bypassed: transfers go through the
-	// NoC below. Baseline keeps the unused fabric inert.
-	ccfg.Scheme = compress.Baseline
-	ccfg.ThresholdPct = 0
-	cache, err := cachesim.New(ccfg)
-	if err != nil {
-		return nil, err
-	}
 	s := &System{
 		net:       net,
-		cache:     cache,
 		delivered: make(map[uint64]*value.Block),
 		deliverOK: make(map[uint64]bool),
+	}
+	if s.cache, err = cachesim.New(ccfg, s.transfer); err != nil {
+		return nil, err
 	}
 	net.SetDeliveryHandler(func(p *noc.Packet, blk *value.Block) {
 		s.deliverOK[p.ID] = true
@@ -102,7 +95,6 @@ func New(cfg Config) (*System, error) {
 			s.delivered[p.ID] = blk
 		}
 	})
-	cache.SetTransfer(s.transfer)
 	return s, nil
 }
 

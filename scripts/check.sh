@@ -5,7 +5,9 @@
 # actually guards the concurrency contracts). The race run uses -short:
 # the heavyweight experiment-driver sweeps skip themselves there (they
 # exceed the test timeout under the ~10x race slowdown) while the serve
-# stress tests run in full. `go test ./...` covers the long tests.
+# stress tests run in full. The coverage pass is the full `go test ./...`
+# suite, long tests included, so every golden section and driver test
+# runs on every `make check`.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -82,7 +84,7 @@ go test -run 'TestAVCLZeroAllocs' ./internal/approx
 
 echo '>> coverage (per package)'
 coverprofile=${COVERPROFILE:-/tmp/approxnoc-cover.out}
-go test -short -coverprofile "$coverprofile" ./...
+go test -coverprofile "$coverprofile" ./...
 go tool cover -func "$coverprofile" | tail -1
 echo "coverage profile: $coverprofile"
 
