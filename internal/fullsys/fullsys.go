@@ -132,23 +132,26 @@ func (s *System) EnableObs(reg *obs.Registry, tracer *obs.Tracer, every int) {
 
 // transfer serves one remote miss through the network: a single-flit
 // read request to the home tile, then the (possibly compressed and
-// approximated) data reply back.
+// approximated) data reply back. The network recycles a packet once it is
+// delivered, so only the IDs, copied at send time, outlive the sends.
 func (s *System) transfer(home, core int, blk *value.Block) *value.Block {
 	start := s.net.Now()
 	req, err := s.net.SendControl(core, home)
 	if err != nil {
 		panic(fmt.Sprintf("fullsys: request send failed: %v", err))
 	}
-	s.waitFor(req.ID)
+	reqID := req.ID
+	s.waitFor(reqID)
 	rep, err := s.net.SendData(home, core, blk)
 	if err != nil {
 		panic(fmt.Sprintf("fullsys: reply send failed: %v", err))
 	}
-	s.waitFor(rep.ID)
-	out := s.delivered[rep.ID]
-	delete(s.delivered, rep.ID)
-	delete(s.deliverOK, req.ID)
-	delete(s.deliverOK, rep.ID)
+	repID := rep.ID
+	s.waitFor(repID)
+	out := s.delivered[repID]
+	delete(s.delivered, repID)
+	delete(s.deliverOK, reqID)
+	delete(s.deliverOK, repID)
 	s.stallCycles.Add(uint64(s.net.Now() - start))
 	s.roundTrips.Add(1)
 	if out == nil {

@@ -63,9 +63,11 @@ type Network struct {
 	nextShrink   sim.Cycle
 
 	// flitPool recycles Flit structs between ejection and the next
-	// injection, keeping steady-state Step allocation-free. Per-network,
-	// so it needs no locking and stays deterministic.
+	// injection, keeping steady-state Step allocation-free; pktPool
+	// recycles delivered Packets, payload storage included, into the next
+	// send. Per-network, so they need no locking and stay deterministic.
 	flitPool []*Flit
+	pktPool  []*Packet
 
 	seq          []uint64 // next sequence number per pair, indexed src*tiles+dst
 	nextPacketID uint64
@@ -123,7 +125,8 @@ func (n *Network) NI(tile int) *NI { return n.nis[tile] }
 
 // SetDeliveryHandler registers a callback invoked for every delivered
 // packet, replacing any previously registered handlers; blk is the
-// decompressed block for data packets, nil otherwise.
+// decompressed block for data packets, nil otherwise. p is valid only
+// until the handlers return (see Packet); blk belongs to the caller.
 func (n *Network) SetDeliveryHandler(h func(p *Packet, blk *value.Block)) {
 	n.onDeliver = []func(p *Packet, blk *value.Block){h}
 }
@@ -141,16 +144,19 @@ func (n *Network) notifyDelivery(p *Packet, blk *value.Block) {
 	}
 }
 
+// newPacket takes a packet from the recycle pool, or allocates one, and
+// stamps it as the next packet of the (src, dst) pair.
 func (n *Network) newPacket(src, dst int, kind PacketKind, now sim.Cycle) *Packet {
-	key := src*len(n.nis) + dst
-	p := &Packet{
-		ID:        n.nextPacketID,
-		Src:       src,
-		Dst:       dst,
-		Kind:      kind,
-		Seq:       n.seq[key],
-		CreatedAt: now,
+	var p *Packet
+	if k := len(n.pktPool); k > 0 {
+		p = n.pktPool[k-1]
+		n.pktPool = n.pktPool[:k-1]
+	} else {
+		p = &Packet{}
 	}
+	key := src*len(n.nis) + dst
+	p.ID, p.Src, p.Dst, p.Kind = n.nextPacketID, src, dst, kind
+	p.Seq, p.CreatedAt = n.seq[key], now
 	n.seq[key] = p.Seq + 1
 	n.nextPacketID++
 	n.stats.PacketsSent++
@@ -158,7 +164,18 @@ func (n *Network) newPacket(src, dst int, kind PacketKind, now sim.Cycle) *Packe
 	return p
 }
 
+// freePacket returns a delivered packet to the pool after its delivery
+// handlers have returned. Everything but the payload storage is cleared,
+// so newPacket starts from zero values.
+func (n *Network) freePacket(p *Packet) {
+	*p = Packet{Enc: compress.Encoded{Payload: p.Enc.Payload[:0]}}
+	n.pktPool = append(n.pktPool, p)
+}
+
 // SendData queues a cache block from src to dst and returns its packet.
+// The block is encoded before SendData returns and nothing of it is kept,
+// so the caller may reuse it at once. The packet is network-owned (see
+// Packet): valid until its delivery handlers return.
 func (n *Network) SendData(src, dst int, blk *value.Block) (*Packet, error) {
 	if err := n.checkPair(src, dst); err != nil {
 		return nil, err

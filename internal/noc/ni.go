@@ -6,6 +6,7 @@ import (
 	"approxnoc/internal/compress"
 	"approxnoc/internal/obs"
 	"approxnoc/internal/sim"
+	"approxnoc/internal/topology"
 	"approxnoc/internal/value"
 )
 
@@ -30,6 +31,10 @@ type NI struct {
 	net   *Network
 	tile  int
 	codec compress.Codec
+
+	// router and port are where this tile injects: its router's local port.
+	router int
+	port   topology.Direction
 
 	// Injection side. The queue is consumed through qhead instead of
 	// re-slicing so the backing array is reused; it is compacted when the
@@ -57,6 +62,8 @@ func newNI(net *Network, tile int, codec compress.Codec) *NI {
 		net:      net,
 		tile:     tile,
 		codec:    codec,
+		router:   net.topo.RouterOf(tile),
+		port:     net.topo.LocalPortOf(tile),
 		curVC:    -1,
 		credits:  make([]int, net.cfg.VCs),
 		from:     make([]srcFlow, net.topo.Tiles()),
@@ -123,10 +130,11 @@ func (ni *NI) buildFlits(p *Packet) {
 // Compression happens at enqueue: the NI queue is FIFO and delivery is
 // per-pair in-order, so dictionary state seen by the encoder stays
 // consistent with what the decoder will hold at decode time. The packet
-// stays in flight across later encodes at this NI, so it carries a Clone
-// of the codec-owned encoding.
+// stays in flight across later encodes at this NI, so it takes the
+// codec-owned encoding's header and a copy of its payload into storage
+// the packet keeps across reuse; the per-word audit trail stays behind.
 func (ni *NI) enqueueData(dst int, blk *value.Block, now sim.Cycle) *Packet {
-	enc := ni.codec.Compress(dst, blk).Clone()
+	enc := ni.codec.Compress(dst, blk)
 	p := ni.net.newPacket(ni.tile, dst, DataPacket, now)
 	if ni.net.tracer != nil {
 		ni.net.trace(obs.EvCompress, ni.tile, p.ID, uint64(enc.Bits))
@@ -140,7 +148,9 @@ func (ni *NI) enqueueData(dst int, blk *value.Block, now sim.Cycle) *Packet {
 			ni.net.trace(obs.EvApproxHit, ni.tile, p.ID, uint64(approxWords))
 		}
 	}
-	p.Enc = enc
+	payload := append(p.Enc.Payload[:0], enc.Payload...)
+	p.Enc = *enc
+	p.Enc.Payload, p.Enc.Words = payload, nil
 	p.Flits = ni.net.cfg.dataPacketFlits(enc.PayloadBytes())
 	p.ReadyAt = now
 	if enc.Scheme != compress.Baseline {
@@ -167,8 +177,7 @@ func (ni *NI) enqueueControl(dst int, now sim.Cycle) *Packet {
 // control packet.
 func (ni *NI) enqueueNotif(n compress.Notification, now sim.Cycle) *Packet {
 	p := ni.net.newPacket(ni.tile, n.To, NotifPacket, now)
-	notif := n
-	p.Notif = &notif
+	p.Notif = n
 	p.Flits = 1
 	p.ReadyAt = now
 	ni.queue = append(ni.queue, p)
@@ -221,9 +230,7 @@ func (ni *NI) inject(now sim.Cycle) {
 	if ni.cur.Kind == DataPacket {
 		ni.net.stats.DataFlitsInjected++
 	}
-	router := ni.net.topo.RouterOf(ni.tile)
-	port := ni.net.topo.LocalPortOf(ni.tile)
-	ni.net.stageFlit(router, port, ni.curVC, f)
+	ni.net.stageFlit(ni.router, ni.port, ni.curVC, f)
 	if ni.net.tracer != nil {
 		ni.net.trace(obs.EvFlitInject, ni.tile, ni.cur.ID, uint64(ni.curIdx))
 	}
@@ -309,13 +316,15 @@ func (ni *NI) processDeliveries(now sim.Cycle) {
 	}
 }
 
+// deliver completes a packet at this tile and, once every delivery
+// handler has returned, recycles it.
 func (ni *NI) deliver(p *Packet, now sim.Cycle) {
 	p.DeliveredAt = now
 	ni.net.stats.recordDelivery(p)
 	ni.net.inFlight--
 	switch p.Kind {
 	case DataPacket:
-		blk, notifs := ni.codec.Decompress(p.Src, p.Enc)
+		blk, notifs := ni.codec.Decompress(p.Src, &p.Enc)
 		if ni.net.tracer != nil {
 			ni.net.trace(obs.EvDecompress, ni.tile, p.ID, uint64(len(notifs)))
 		}
@@ -327,13 +336,14 @@ func (ni *NI) deliver(p *Packet, now sim.Cycle) {
 		if ni.net.tracer != nil && p.Notif.Kind == compress.NotifUpdate {
 			ni.net.trace(obs.EvPMTUpdate, ni.tile, uint64(p.Notif.Index), uint64(p.Notif.Pattern))
 		}
-		for _, reply := range ni.codec.HandleNotification(*p.Notif) {
+		for _, reply := range ni.codec.HandleNotification(p.Notif) {
 			ni.enqueueNotif(reply, now)
 		}
 		ni.net.notifyDelivery(p, nil)
 	default:
 		ni.net.notifyDelivery(p, nil)
 	}
+	ni.net.freePacket(p)
 }
 
 // pendingWork reports whether the NI still holds undelivered state.

@@ -8,6 +8,7 @@ import (
 	"approxnoc/internal/sim"
 	"approxnoc/internal/topology"
 	"approxnoc/internal/value"
+	"approxnoc/internal/workload"
 )
 
 func baselineNet(t *testing.T, w, h, c int) *Network {
@@ -44,16 +45,31 @@ func testBlock() *value.Block {
 	return value.BlockFromI32(make([]int32, value.WordsPerBlock), false)
 }
 
+// deliveries records a copy of each delivered packet by ID, as its
+// handlers saw it. The network recycles a *Packet once its handlers
+// return, so a test that inspects a packet after stepping on reads the
+// copy, never the pointer SendData returned.
+func deliveries(n *Network) map[uint64]*Packet {
+	got := map[uint64]*Packet{}
+	n.AddDeliveryHandler(func(p *Packet, _ *value.Block) {
+		cp := *p
+		got[p.ID] = &cp
+	})
+	return got
+}
+
 func TestControlPacketDelivery(t *testing.T) {
 	n := baselineNet(t, 4, 4, 1)
+	got := deliveries(n)
 	p, err := n.SendControl(0, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
+	id := p.ID
 	if !n.Drain(1000) {
 		t.Fatal("network did not drain")
 	}
-	if p.DeliveredAt == 0 {
+	if got[id] == nil {
 		t.Fatal("packet never delivered")
 	}
 	s := n.Stats()
@@ -66,8 +82,11 @@ func TestControlPacketDelivery(t *testing.T) {
 // 3 cycles per hop (3-stage router) plus injection/ejection overhead.
 func TestUncontendedLatency(t *testing.T) {
 	n := baselineNet(t, 4, 4, 1)
-	p, _ := n.SendControl(0, 3) // 3 hops along the top row, 4 routers
+	got := deliveries(n)
+	sent, _ := n.SendControl(0, 3) // 3 hops along the top row, 4 routers
+	id := sent.ID
 	n.Drain(1000)
+	p := got[id]
 	lat := int(p.TotalLatency())
 	// 4 routers * 3 stages + injection link + serialization ~ 13-16.
 	if lat < 10 || lat > 20 {
@@ -79,14 +98,17 @@ func TestUncontendedLatency(t *testing.T) {
 }
 
 func TestLatencyScalesWithDistance(t *testing.T) {
-	n := baselineNet(t, 8, 8, 1)
-	near, _ := n.SendControl(0, 1)
-	n.Drain(2000)
-	n2 := baselineNet(t, 8, 8, 1)
-	far, _ := n2.SendControl(0, 63)
-	n2.Drain(2000)
-	if far.TotalLatency() <= near.TotalLatency() {
-		t.Fatalf("far latency %d <= near latency %d", far.TotalLatency(), near.TotalLatency())
+	latency := func(dst int) sim.Cycle {
+		n := baselineNet(t, 8, 8, 1)
+		got := deliveries(n)
+		p, _ := n.SendControl(0, dst)
+		id := p.ID
+		n.Drain(2000)
+		return got[id].TotalLatency()
+	}
+	near, far := latency(1), latency(63)
+	if far <= near {
+		t.Fatalf("far latency %d <= near latency %d", far, near)
 	}
 }
 
@@ -209,9 +231,8 @@ func TestPerPairInOrderDelivery(t *testing.T) {
 
 // Several blocks enqueued at one NI in the same cycle are all in flight
 // together while the NI's codec has already encoded the later ones. The
-// packets must carry their own copy of the codec-owned encoding
-// (compress.Encoded.Clone in enqueueData), or every delivery decodes the
-// last block.
+// packets must carry their own copy of the codec-owned payload (the copy
+// in enqueueData), or every delivery decodes the last block.
 func TestInFlightEncodingsSurviveLaterEncodes(t *testing.T) {
 	blocks := []*value.Block{
 		value.BlockFromI32([]int32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, false),
@@ -253,6 +274,70 @@ func TestInFlightEncodingsSurviveLaterEncodes(t *testing.T) {
 	}
 }
 
+// TestRecycledPacketsKeepPayloads sends DI-COMP traffic from one reused
+// block, three packets at a time per NI, so packets recycle from a hot
+// pool while later ones from the same NI are encoded into the same codec
+// scratch behind them. Every delivered block must equal what
+// Fabric.Transfer makes of the same per-pair sequence: a packet that
+// aliased the codec's payload, or shared storage with a live packet,
+// decodes another packet's bits.
+func TestRecycledPacketsKeepPayloads(t *testing.T) {
+	n := schemeNet(t, 4, 4, 1, compress.DIComp, 0)
+	tiles := n.Topology().Tiles()
+	type pair struct{ src, dst int }
+	sent, got := map[pair][]*value.Block{}, map[pair][]*value.Block{}
+	n.SetDeliveryHandler(func(p *Packet, blk *value.Block) {
+		if p.Kind == DataPacket {
+			k := pair{p.Src, p.Dst}
+			got[k] = append(got[k], blk)
+		}
+	})
+	m, _ := workload.ByName("ssca2")
+	src := m.NewSource(9, 0.75)
+	r := sim.NewRand(77)
+	var blk value.Block
+	for cycle := 0; cycle < 3000; cycle++ {
+		for tile := 0; tile < tiles; tile++ {
+			if !r.Bool(0.01) {
+				continue
+			}
+			for k := 0; k < 3; k++ {
+				dst := (tile + 1 + r.Intn(tiles-1)) % tiles
+				if _, err := n.SendData(tile, dst, src.NextBlockInto(&blk)); err != nil {
+					t.Fatal(err)
+				}
+				sent[pair{tile, dst}] = append(sent[pair{tile, dst}], blk.Clone())
+			}
+		}
+		n.Step()
+	}
+	if !n.Drain(200000) {
+		t.Fatalf("network did not drain; %d in flight", n.InFlight())
+	}
+	if s := n.Stats(); s.PacketsSent < 10*uint64(len(n.pktPool)) || s.NotifDelivered == 0 {
+		t.Fatalf("%d packets (%d notifications) over %d packet structs: the pool never ran hot",
+			s.PacketsSent, s.NotifDelivered, len(n.pktPool))
+	}
+	factory, err := compress.FactoryFor(compress.DIComp, tiles, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fab := compress.NewFabric(tiles, factory)
+	for s := 0; s < tiles; s++ {
+		for d := 0; d < tiles; d++ {
+			k := pair{s, d}
+			if len(got[k]) != len(sent[k]) {
+				t.Fatalf("pair %v: delivered %d data packets, sent %d", k, len(got[k]), len(sent[k]))
+			}
+			for i, b := range sent[k] {
+				if want := fab.Transfer(s, d, b); !got[k][i].Equal(want) {
+					t.Fatalf("pair %v packet %d: delivered %v, want %v", k, i, got[k][i].Words, want.Words)
+				}
+			}
+		}
+	}
+}
+
 func TestCompressedSchemeReducesDataFlits(t *testing.T) {
 	mk := func(scheme compress.Scheme) uint64 {
 		n := schemeNet(t, 4, 4, 1, scheme, 10)
@@ -279,10 +364,12 @@ func TestCompressedSchemeReducesDataFlits(t *testing.T) {
 
 func TestDecompressionLatencyAccounted(t *testing.T) {
 	n := schemeNet(t, 4, 4, 1, compress.FPComp, 0)
+	got := deliveries(n)
 	p, _ := n.SendData(0, 5, testBlock())
+	id := p.ID
 	n.Drain(5000)
-	if p.DecodeLatency() != sim.Cycle(DefaultConfig().DecompressLatency) {
-		t.Fatalf("decode latency %d, want %d", p.DecodeLatency(), DefaultConfig().DecompressLatency)
+	if d := got[id].DecodeLatency(); d != sim.Cycle(DefaultConfig().DecompressLatency) {
+		t.Fatalf("decode latency %d, want %d", d, DefaultConfig().DecompressLatency)
 	}
 }
 
@@ -290,15 +377,14 @@ func TestCompressionLatencyVisibleWhenQueueEmpty(t *testing.T) {
 	// With an empty queue the compression overhead cannot be hidden: the
 	// FP-COMP packet must be injected effectiveCompressLatency cycles
 	// after an equivalent baseline packet.
-	nb := baselineNet(t, 4, 4, 1)
-	pb, _ := nb.SendData(0, 5, testBlock())
-	nb.Drain(5000)
-
-	nf := schemeNet(t, 4, 4, 1, compress.FPComp, 0)
-	pf, _ := nf.SendData(0, 5, testBlock())
-	nf.Drain(5000)
-
-	diff := int(pf.QueueLatency()) - int(pb.QueueLatency())
+	queueLatency := func(n *Network) int {
+		got := deliveries(n)
+		p, _ := n.SendData(0, 5, testBlock())
+		id := p.ID
+		n.Drain(5000)
+		return int(got[id].QueueLatency())
+	}
+	diff := queueLatency(schemeNet(t, 4, 4, 1, compress.FPComp, 0)) - queueLatency(baselineNet(t, 4, 4, 1))
 	want := DefaultConfig().effectiveCompressLatency()
 	if diff != want {
 		t.Fatalf("queue latency difference %d, want %d", diff, want)
@@ -373,13 +459,14 @@ func TestDIVaxxOverNetworkRespectsThreshold(t *testing.T) {
 	r := sim.NewRand(5)
 	base := int32(1 << 20)
 	var worst float64
+	sent := map[uint64]*value.Block{}
 	n.SetDeliveryHandler(func(p *Packet, blk *value.Block) {
 		if p.Kind != DataPacket {
 			return
 		}
-		orig := p.Enc.Words
+		orig := sent[p.ID]
 		for i := range blk.Words {
-			e := value.RelError(orig[i].Orig, blk.Words[i], value.Int32)
+			e := value.RelError(orig.Words[i], blk.Words[i], value.Int32)
 			if e > worst {
 				worst = e
 			}
@@ -394,7 +481,12 @@ func TestDIVaxxOverNetworkRespectsThreshold(t *testing.T) {
 			// don't-care families.
 			words[j] = base + int32(r.Intn(6))*100000 + int32(r.Intn(4))*500
 		}
-		n.SendData(1, 14, value.BlockFromI32(words, true))
+		blk := value.BlockFromI32(words, true)
+		p, err := n.SendData(1, 14, blk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent[p.ID] = blk
 		n.Run(25)
 	}
 	if !n.Drain(50000) {
@@ -455,15 +547,17 @@ func TestQuiescentInitially(t *testing.T) {
 
 func TestConcentratedMeshDelivery(t *testing.T) {
 	n := baselineNet(t, 4, 4, 2) // the paper's 32-tile configuration
+	got := deliveries(n)
 	// Tiles 0 and 1 share router 0: 0-hop router path via local ports.
 	p, err := n.SendControl(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	id := p.ID
 	if !n.Drain(1000) {
 		t.Fatal("drain failed")
 	}
-	if p.DeliveredAt == 0 {
+	if got[id] == nil {
 		t.Fatal("same-router delivery failed")
 	}
 }

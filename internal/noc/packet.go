@@ -42,6 +42,11 @@ func (k PacketKind) String() string {
 }
 
 // Packet is one message in flight, fragmented into flits at the NI.
+//
+// The network owns every *Packet it hands out, from SendData, SendControl
+// or a delivery handler: the pointer is valid until the packet's delivery
+// handlers return, after which the network recycles the struct and its
+// payload storage for a later packet. Copy any field you need later.
 type Packet struct {
 	ID   uint64
 	Src  int // source tile
@@ -55,10 +60,12 @@ type Packet struct {
 	// Flits is the total flit count including the header flit.
 	Flits int
 
-	// Enc is the compressed payload of a data packet.
-	Enc *compress.Encoded
+	// Enc is the compressed payload of a data packet: the codec's header
+	// with Payload copied into storage the packet keeps across reuse. The
+	// encoder's per-word audit trail (Words) is not carried.
+	Enc compress.Encoded
 	// Notif is the payload of a dictionary notification packet.
-	Notif *compress.Notification
+	Notif compress.Notification
 
 	// Timestamps for the Fig. 9 latency breakdown.
 	CreatedAt   sim.Cycle // handed to the NI
@@ -107,21 +114,3 @@ func (f *Flit) IsHead() bool { return f.Type == HeadFlit || f.Type == HeadTailFl
 
 // IsTail reports whether the flit releases the wormhole.
 func (f *Flit) IsTail() bool { return f.Type == TailFlit || f.Type == HeadTailFlit }
-
-// flitsOf fragments a packet into its flit sequence.
-func flitsOf(p *Packet) []*Flit {
-	fs := make([]*Flit, p.Flits)
-	for i := range fs {
-		t := BodyFlit
-		switch {
-		case p.Flits == 1:
-			t = HeadTailFlit
-		case i == 0:
-			t = HeadFlit
-		case i == p.Flits-1:
-			t = TailFlit
-		}
-		fs[i] = &Flit{Type: t, Seq: i, Packet: p}
-	}
-	return fs
-}

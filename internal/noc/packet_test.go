@@ -33,14 +33,16 @@ func TestPacketKindStrings(t *testing.T) {
 }
 
 func TestFlitsOfShapes(t *testing.T) {
+	ni := baselineNet(t, 2, 2, 1).NI(0)
 	single := &Packet{Flits: 1}
-	fs := flitsOf(single)
-	if len(fs) != 1 || fs[0].Type != HeadTailFlit || !fs[0].IsHead() || !fs[0].IsTail() {
+	ni.buildFlits(single)
+	if fs := ni.curFl; len(fs) != 1 || fs[0].Type != HeadTailFlit || !fs[0].IsHead() || !fs[0].IsTail() || fs[0].Packet != single {
 		t.Fatal("single-flit packet malformed")
 	}
 	multi := &Packet{Flits: 4}
-	fs = flitsOf(multi)
-	if fs[0].Type != HeadFlit || fs[1].Type != BodyFlit || fs[2].Type != BodyFlit || fs[3].Type != TailFlit {
+	ni.buildFlits(multi)
+	fs := ni.curFl
+	if len(fs) != 4 || fs[0].Type != HeadFlit || fs[1].Type != BodyFlit || fs[2].Type != BodyFlit || fs[3].Type != TailFlit {
 		t.Fatal("multi-flit shape wrong")
 	}
 	for i, f := range fs {
@@ -54,10 +56,12 @@ func TestFlitsOfShapes(t *testing.T) {
 // packet enqueued behind a 9-flit data packet waits for its serialization.
 func TestQueueLatencyBehindLongPacket(t *testing.T) {
 	n := baselineNet(t, 4, 4, 1)
+	got := deliveries(n)
 	n.SendData(0, 5, testBlock())
 	ctl, _ := n.SendControl(0, 5)
+	id := ctl.ID
 	n.Drain(5000)
-	if ctl.QueueLatency() < 8 {
+	if ctl := got[id]; ctl.QueueLatency() < 8 {
 		t.Fatalf("control packet queue latency %d, expected >= 8 behind a 9-flit packet", ctl.QueueLatency())
 	}
 }

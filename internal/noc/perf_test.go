@@ -3,6 +3,8 @@ package noc
 import (
 	"testing"
 
+	"approxnoc/internal/compress"
+	"approxnoc/internal/value"
 	"approxnoc/internal/workload"
 )
 
@@ -66,6 +68,50 @@ func TestStepZeroAllocs(t *testing.T) {
 			}
 			if !n.Drain(100000) {
 				t.Fatal("measured burst did not drain")
+			}
+		})
+	}
+}
+
+// TestDataPathSteadyAllocs pins the data path from SendData to delivery:
+// once the packet and flit pools are warm, a burst of FP-COMP or FP-VAXX
+// data packets allocates exactly two objects per delivered packet — the
+// decoded block and its words, as compress.TestFabricTransferSteadyAllocs
+// pins for the codec alone. The packet, its payload copy and its flits
+// all recycle. Each pair sends one packet per burst, so no reorder state
+// is made, and each pair resends its own block, so payload sizes repeat.
+func TestDataPathSteadyAllocs(t *testing.T) {
+	m, _ := workload.ByName("ssca2")
+	for _, scheme := range []compress.Scheme{compress.FPComp, compress.FPVaxx} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			n := schemeNet(t, 4, 4, 2, scheme, 10)
+			src := m.NewSource(21, 0.75)
+			tiles := n.Topology().Tiles()
+			blocks := make([]value.Block, tiles)
+			burst := func() {
+				for s := range blocks {
+					if _, err := n.SendData(s, (s+11)%tiles, &blocks[s]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if !n.Drain(100000) {
+					t.Fatal("burst did not drain")
+				}
+			}
+			for s := range blocks {
+				src.NextBlockInto(&blocks[s])
+			}
+			for i := 0; i < 3; i++ {
+				burst()
+			}
+			before := n.Stats().DataDelivered
+			allocs := testing.AllocsPerRun(20, burst)
+			perBurst := (n.Stats().DataDelivered - before) / 21 // AllocsPerRun adds one warm-up call
+			if perBurst != uint64(tiles) {
+				t.Fatalf("%d data packets delivered per burst, want %d", perBurst, tiles)
+			}
+			if want := 2 * float64(tiles); allocs != want {
+				t.Fatalf("a burst of %d data packets allocated %.0f times, want %.0f (2 per delivered packet)", tiles, allocs, want)
 			}
 		})
 	}

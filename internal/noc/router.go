@@ -100,10 +100,18 @@ type router struct {
 	// routing > 0 implies flits > 0.
 	flits   int // flits resident in input buffers
 	routing int // input VCs in the vcRouting state (bits set across vaReq)
+
+	// The topology answers, tabulated at construction so the per-flit path
+	// divides by nothing: link[port] is the neighbour router on a mesh port
+	// (-1 at the mesh edge) and the attached tile on a local port;
+	// route[dstTile] is the XY output port toward a tile.
+	link  []int
+	route []topology.Direction
 }
 
 func newRouter(id int, net *Network) *router {
-	ports, nvc, depth := net.topo.Ports(), net.cfg.VCs, net.cfg.BufDepth
+	topo := net.topo
+	ports, nvc, depth := topo.Ports(), net.cfg.VCs, net.cfg.BufDepth
 	slots := ports * nvc
 	r := &router{
 		id:    id,
@@ -116,6 +124,21 @@ func newRouter(id int, net *Network) *router {
 		vaRR:  make([]int, slots),
 		saReq: make([]uint64, ports),
 		vaReq: make([]uint64, ports),
+		link:  make([]int, ports),
+		route: make([]topology.Direction, topo.Tiles()),
+	}
+	for p := range r.link {
+		d := topology.Direction(p)
+		if d >= topology.Local {
+			r.link[p] = topo.TileAt(id, d)
+		} else if nb, ok := topo.Neighbor(id, d); ok {
+			r.link[p] = nb
+		} else {
+			r.link[p] = -1
+		}
+	}
+	for t := range r.route {
+		r.route[t] = topo.Route(id, t)
 	}
 	bufs := make([]*Flit, slots*depth)
 	for s := range r.in {
@@ -201,18 +224,17 @@ func (r *router) forward(ip topology.Direction, iv int, op topology.Direction, o
 	net := r.net
 	// Credit for the freed input slot goes back where the flit came from.
 	if ip >= topology.Local {
-		net.stageNICredit(net.topo.TileAt(r.id, ip), iv)
-	} else if up, ok := net.topo.Neighbor(r.id, ip); ok {
+		net.stageNICredit(r.link[ip], iv)
+	} else if up := r.link[ip]; up >= 0 {
 		net.stageCredit(up, ip.Opposite(), iv)
 	}
 	if op >= topology.Local {
-		tile := net.topo.TileAt(r.id, op)
-		net.nis[tile].receiveFlit(f)
+		net.nis[r.link[op]].receiveFlit(f)
 		net.freeFlit(f)
 		return
 	}
-	next, ok := net.topo.Neighbor(r.id, op)
-	if !ok {
+	next := r.link[op]
+	if next < 0 {
 		panic("noc: route led off the mesh")
 	}
 	r.out[int(op)*r.nvc+ov].credits--
@@ -258,7 +280,7 @@ func (r *router) stageRC() {
 	for m := r.rcReq; m != 0; m &= m - 1 {
 		slot := bits.TrailingZeros64(m)
 		ivc := &r.in[slot]
-		ivc.outPort = r.net.topo.Route(r.id, ivc.front().Packet.Dst)
+		ivc.outPort = r.route[ivc.front().Packet.Dst]
 		ivc.state = vcRouting
 		r.routing++
 		r.vaReq[ivc.outPort] |= 1 << uint(slot)

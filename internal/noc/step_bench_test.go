@@ -17,7 +17,9 @@ import (
 // undrained 0.6 flits/cycle/tile uniform-random load experiments.Fig12
 // runs on streamcluster (sim_saturation). Like those workloads, each run
 // is a fresh network stepped for 4000 cycles, so a saturated NI queue
-// grows no further than it does there.
+// grows no further than it does there. Allocations are reported per
+// cycle; building each network runs with the timer stopped and is not
+// counted.
 func BenchmarkStep(b *testing.B) {
 	const window = 4000
 	fig9, _ := workload.ByName("ssca2")
@@ -45,6 +47,7 @@ func BenchmarkStep(b *testing.B) {
 		}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
 			var net *noc.Network
 			var inj *traffic.Injector
 			for i := 0; i < b.N; i++ {

@@ -21,6 +21,7 @@ type ReqReply struct {
 	src  *workload.Source
 	rate float64 // request probability per tile per cycle
 	sent uint64
+	blk  value.Block // refilled for every reply; SendData keeps none of it
 }
 
 // NewReqReply builds a request/reply injector. rate is the per-tile
@@ -41,7 +42,7 @@ func NewReqReply(net *noc.Network, rate float64, source *workload.Source, seed u
 		}
 		// A delivered packet's endpoints are a valid pair, so the
 		// reversed send cannot be rejected.
-		_, _ = net.SendData(p.Dst, p.Src, rr.src.NextBlock())
+		_, _ = net.SendData(p.Dst, p.Src, rr.src.NextBlockInto(&rr.blk))
 	})
 	return rr, nil
 }

@@ -10,6 +10,7 @@ import (
 
 	"approxnoc/internal/noc"
 	"approxnoc/internal/sim"
+	"approxnoc/internal/value"
 	"approxnoc/internal/workload"
 )
 
@@ -82,7 +83,9 @@ type Injector struct {
 	prob  float64 // per-tile packet probability per cycle
 	phase []int   // per-tile burst phase offset
 	sent  uint64
-	drops uint64
+	// blk is refilled for every data packet: SendData encodes it before
+	// returning and keeps nothing of it.
+	blk value.Block
 }
 
 // New validates cfg and builds an injector for net.
@@ -147,20 +150,17 @@ func (in *Injector) Tick() {
 		}
 		dst, ok := in.dest(tile, tiles)
 		if !ok {
-			in.drops++
 			continue
 		}
 		var err error
 		if in.cfg.Source.NextIsDataAt(in.cfg.DataRatio) {
-			_, err = in.net.SendData(tile, dst, in.cfg.Source.NextBlock())
+			_, err = in.net.SendData(tile, dst, in.cfg.Source.NextBlockInto(&in.blk))
 		} else {
 			_, err = in.net.SendControl(tile, dst)
 		}
-		if err != nil {
-			in.drops++
-			continue
+		if err == nil {
+			in.sent++
 		}
-		in.sent++
 	}
 }
 

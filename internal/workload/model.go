@@ -202,76 +202,87 @@ func (s *Source) Model() Model { return s.model }
 
 // NextBlock produces one cache block of WordsPerBlock words.
 func (s *Source) NextBlock() *value.Block {
-	if s.rng.Bool(s.model.SeqProb) {
-		return s.nextSeqBlock()
-	}
-	isFloat := s.rng.Bool(s.model.FloatFrac)
-	approximable := s.rng.Bool(s.approxFrac)
-	if isFloat {
-		return s.nextFloatBlock(approximable)
-	}
-	return s.nextIntBlock(approximable)
+	return s.NextBlockInto(value.NewBlock(value.WordsPerBlock, value.Int32, false))
 }
 
-// nextSeqBlock emits a pointer/index-array block: base address plus a
-// small stride — precise data with high intra-block value clustering.
-func (s *Source) nextSeqBlock() *value.Block {
-	words := make([]int32, value.WordsPerBlock)
-	strides := []int32{4, 8, 16, 64}
+// NextBlockInto overwrites b with the next cache block of WordsPerBlock
+// words, reusing b.Words' storage, and returns b. It makes the same draws
+// as NextBlock, so a source yields one stream through either.
+func (s *Source) NextBlockInto(b *value.Block) *value.Block {
+	if cap(b.Words) < value.WordsPerBlock {
+		b.Words = make([]value.Word, value.WordsPerBlock)
+	}
+	b.Words = b.Words[:value.WordsPerBlock]
+	if s.rng.Bool(s.model.SeqProb) {
+		b.DType, b.Approximable = value.Int32, false
+		s.fillSeq(b.Words)
+		return b
+	}
+	isFloat := s.rng.Bool(s.model.FloatFrac)
+	b.Approximable = s.rng.Bool(s.approxFrac)
+	if isFloat {
+		b.DType = value.Float32
+		s.fillFloat(b.Words)
+	} else {
+		b.DType = value.Int32
+		s.fillInt(b.Words)
+	}
+	return b
+}
+
+// fillSeq writes a pointer/index-array block: base address plus a small
+// stride — precise data with high intra-block value clustering.
+func (s *Source) fillSeq(words []value.Word) {
+	strides := [...]int32{4, 8, 16, 64}
 	stride := strides[s.rng.Intn(len(strides))]
 	base := int32(0x1000_0000 + s.rng.Intn(1<<24)*4)
 	for i := range words {
-		words[i] = base + int32(i)*stride
+		words[i] = value.I32(base + int32(i)*stride)
 	}
-	return value.BlockFromI32(words, false)
 }
 
-func (s *Source) nextIntBlock(approximable bool) *value.Block {
-	words := make([]int32, value.WordsPerBlock)
+func (s *Source) fillInt(words []value.Word) {
 	m := s.model
 	for i := range words {
+		var v int32
 		u := s.rng.Float64()
 		switch {
-		case u < m.ZeroProb:
-			words[i] = 0
+		case u < m.ZeroProb: // a zero word
 		case u < m.ZeroProb+m.PoolProb:
-			base := s.intPool[s.poolIndex()]
-			words[i] = base
+			v = s.intPool[s.poolIndex()]
 			if s.rng.Bool(m.JitterProb) {
-				words[i] = jitterInt(base, m.JitterPct, s.rng)
+				v = jitterInt(v, m.JitterPct, s.rng)
 			}
 		case u < m.ZeroProb+m.PoolProb+m.Narrow4Prob:
-			words[i] = int32(s.rng.Intn(16)) - 8
+			v = int32(s.rng.Intn(16)) - 8
 		case u < m.ZeroProb+m.PoolProb+m.Narrow4Prob+m.Narrow8Prob:
-			words[i] = int32(s.rng.Intn(256)) - 128
+			v = int32(s.rng.Intn(256)) - 128
 		case u < m.ZeroProb+m.PoolProb+m.Narrow4Prob+m.Narrow8Prob+m.Narrow16Prob:
-			words[i] = int32(s.rng.Intn(1<<16)) - 1<<15
+			v = int32(s.rng.Intn(1<<16)) - 1<<15
 		default:
-			words[i] = int32(s.rng.Uint32())
+			v = int32(s.rng.Uint32())
 		}
+		words[i] = value.I32(v)
 	}
-	return value.BlockFromI32(words, approximable)
 }
 
-func (s *Source) nextFloatBlock(approximable bool) *value.Block {
-	words := make([]float32, value.WordsPerBlock)
+func (s *Source) fillFloat(words []value.Word) {
 	m := s.model
 	for i := range words {
+		var v float32
 		u := s.rng.Float64()
 		switch {
-		case u < m.ZeroProb:
-			words[i] = 0
+		case u < m.ZeroProb: // a zero word
 		case u < m.ZeroProb+m.PoolProb:
-			base := s.floatPool[s.poolIndex()]
-			words[i] = base
+			v = s.floatPool[s.poolIndex()]
 			if s.rng.Bool(m.JitterProb) {
-				words[i] = jitterFloat(base, m.JitterPct, s.rng)
+				v = jitterFloat(v, m.JitterPct, s.rng)
 			}
 		default:
-			words[i] = float32((s.rng.Float64()*2 - 1) * 1e6)
+			v = float32((s.rng.Float64()*2 - 1) * 1e6)
 		}
+		words[i] = value.F32(v)
 	}
-	return value.BlockFromF32(words, approximable)
 }
 
 func jitterInt(base int32, pct float64, r *sim.Rand) int32 {

@@ -59,6 +59,29 @@ func TestSourceDeterministic(t *testing.T) {
 	}
 }
 
+// NextBlockInto is NextBlock writing into caller storage: the same stream
+// from the same seed whatever the block held before, and no allocation
+// once the block has its words.
+func TestNextBlockIntoMatchesNextBlock(t *testing.T) {
+	for _, m := range Benchmarks() {
+		a, b := m.NewSource(11, 0.75), m.NewSource(11, 0.75)
+		reused := &value.Block{Words: make([]value.Word, value.WordsPerBlock+4), DType: value.Float32, Approximable: true}
+		for i := 0; i < 500; i++ {
+			want := a.NextBlock()
+			if got := b.NextBlockInto(reused); got != reused || !got.Equal(want) {
+				t.Fatalf("%s block %d: NextBlockInto %+v, NextBlock %+v", m.Name, i, *got, *want)
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, func() { b.NextBlockInto(reused) }); allocs != 0 {
+			t.Errorf("%s: NextBlockInto allocates %.1f times per block", m.Name, allocs)
+		}
+	}
+	var empty value.Block
+	if got := Benchmarks()[0].NewSource(1, 0.5).NextBlockInto(&empty); len(got.Words) != value.WordsPerBlock {
+		t.Fatalf("NextBlockInto into an empty block gave %d words", len(got.Words))
+	}
+}
+
 func TestSourceBlockShape(t *testing.T) {
 	m, _ := ByName("x264")
 	s := m.NewSource(3, 0.75)

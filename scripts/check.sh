@@ -59,12 +59,14 @@ go test -race ./internal/cluster
 
 # Simulator cycle-kernel gates, uninstrumented: the hot path must stay
 # allocation-free in a control-packet steady state, free-flowing and
-# under arbitration, and the request-mask allocators must match the
+# under arbitration; steady data traffic must allocate only the decoded
+# block (packets, payloads and flits recycle) and recycled packets must
+# keep their own payloads; and the request-mask allocators must match the
 # exhaustive-sweep oracle on the full VCs x concentration x pattern x
 # load grid (the -race -short pass above runs a reduced grid; see
 # DESIGN.md §9).
-echo '>> cycle kernel (TestStepZeroAllocs, TestAllocatorsMatchNaiveSweep)'
-go test -run 'TestStepZeroAllocs|TestAllocatorsMatchNaiveSweep' ./internal/noc
+echo '>> cycle kernel (TestStepZeroAllocs, TestDataPathSteadyAllocs, TestRecycledPacketsKeepPayloads, TestAllocatorsMatchNaiveSweep)'
+go test -run 'TestStepZeroAllocs|TestDataPathSteadyAllocs|TestRecycledPacketsKeepPayloads|TestAllocatorsMatchNaiveSweep' ./internal/noc
 
 # Wire-path alloc gates: a 10k-frame replay must reuse one read buffer
 # per connection, and the end-to-end pipelined serve path must stay
