@@ -56,8 +56,9 @@ func genCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *tiles < 2 || *packets < 1 || !(*approxRatio >= 0 && *approxRatio <= 1) {
-		return fmt.Errorf("gen: need -tiles >= 2 (distinct src/dst), -packets >= 1 and -approx-ratio in [0,1] (got %d, %d, %g)", *tiles, *packets, *approxRatio)
+	// Tile IDs are 16-bit fields in the trace format.
+	if *tiles < 2 || *tiles > 1<<16 || *packets < 1 || !(*approxRatio >= 0 && *approxRatio <= 1) {
+		return fmt.Errorf("gen: need -tiles in [2,65536] (distinct 16-bit src/dst), -packets >= 1 and -approx-ratio in [0,1] (got %d, %d, %g)", *tiles, *packets, *approxRatio)
 	}
 	var w io.Writer = os.Stdout
 	if *out != "" {

@@ -27,6 +27,7 @@ func TestGenRejectsUnknownBenchmark(t *testing.T) {
 		{"-benchmark", "doom"},
 		{"-tiles", "0"},          // no tile to address
 		{"-tiles", "1"},          // every record would be self-addressed
+		{"-tiles", "65537"},      // tile IDs past the 16-bit trace field
 		{"-packets", "-1"},       // negative record count
 		{"-approx-ratio", "2"},   // a fraction above 1
 		{"-approx-ratio", "-.5"}, // a fraction below 0

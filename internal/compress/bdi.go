@@ -37,14 +37,10 @@ var bdWidths = []struct {
 
 // bdiCodec implements BD-COMP, and BD-VAXX when avcl is non-nil.
 type bdiCodec struct {
-	scheme Scheme
-	avcl   *approx.AVCL
-	stats  OpStats
-	// tryScratch holds the candidate word encodings for the width attempt
-	// in flight; winners are copied out, so the buffer is safe to reuse on
-	// the next attempt (and across blocks).
-	tryScratch []WordEnc
-	scratch    encodeScratch
+	scheme  Scheme
+	avcl    *approx.AVCL
+	stats   OpStats
+	scratch encodeScratch
 }
 
 // NewBDComp returns the exact base-delta codec.
@@ -81,61 +77,44 @@ func clampSigned(delta int64, bits uint) int64 {
 	return delta
 }
 
-// tryWidth attempts to encode the whole block at one delta width,
+// fits reports whether the whole block encodes at one delta width,
 // approximating out-of-range words when the codec and annotation allow.
-func (c *bdiCodec) tryWidth(blk *value.Block, base value.Word, bits uint) ([]WordEnc, bool) {
-	if cap(c.tryScratch) < len(blk.Words) {
-		c.tryScratch = make([]WordEnc, len(blk.Words))
-	}
-	words := c.tryScratch[:len(blk.Words)]
-	for i, w := range blk.Words {
+func (c *bdiCodec) fits(blk *value.Block, base value.Word, bits uint) bool {
+	for _, w := range blk.Words {
 		delta := int64(int32(w)) - int64(int32(base))
 		if fitsSigned(delta, bits) {
-			words[i] = WordEnc{Kind: ExactWord, Bits: int(bits), Orig: w, Decoded: w}
 			continue
 		}
 		if c.avcl == nil || !blk.Approximable {
-			return nil, false
+			return false
 		}
 		if blk.DType == value.Float32 {
 			// Deltas on raw float words do not bound value error across
 			// exponent boundaries; BD-VAXX approximates integers only.
-			return nil, false
+			return false
 		}
-		clamped := clampSigned(delta, bits)
-		decoded := value.Word(int32(int64(int32(base)) + clamped))
+		decoded := value.Word(int32(int64(int32(base)) + clampSigned(delta, bits)))
 		if !c.avcl.WithinThreshold(w, decoded, blk.DType) {
-			return nil, false
+			return false
 		}
-		words[i] = WordEnc{Kind: ApproxWord, Bits: int(bits), Orig: w, Decoded: decoded}
 	}
-	return words, true
+	return true
 }
 
 func (c *bdiCodec) Compress(dst int, blk *value.Block) *Encoded {
 	c.scratch.w.Reset()
-	enc := c.compress(blk, &c.scratch.enc, &c.scratch.w, c.scratch.words[:0])
-	c.scratch.words = enc.Words // keep the grown capacity for reuse
-	return enc
+	return c.compress(blk, &c.scratch.enc, &c.scratch.w)
 }
 
-func (c *bdiCodec) compress(blk *value.Block, enc *Encoded, w *bitWriter, words []WordEnc) *Encoded {
+func (c *bdiCodec) compress(blk *value.Block, enc *Encoded, w *bitWriter) *Encoded {
+	n := uint64(len(blk.Words))
 	c.stats.BlocksIn++
-	c.stats.WordsIn += uint64(len(blk.Words))
-	c.stats.BitsIn += uint64(32 * len(blk.Words))
-	c.stats.EncodeOps += uint64(len(blk.Words))
+	c.stats.WordsIn += n
+	c.stats.BitsIn += 32 * n
+	c.stats.EncodeOps += n
 
 	// Worst case is raw mode: the mode header plus 32 bits per word.
 	w.grow(bdModeBits + 32*len(blk.Words))
-	// take returns a fully-overwritten result buffer of n entries, reusing
-	// the caller-provided capacity when it suffices.
-	take := func(n int) []WordEnc {
-		if cap(words) >= n {
-			return words[:n]
-		}
-		return make([]WordEnc, n)
-	}
-	words = words[:0]
 
 	allZero := true
 	for _, word := range blk.Words {
@@ -149,10 +128,7 @@ func (c *bdiCodec) compress(blk *value.Block, enc *Encoded, w *bitWriter, words 
 		w.WriteBits(bdRaw, bdModeBits)
 	case allZero:
 		w.WriteBits(bdZero, bdModeBits)
-		words = take(len(blk.Words))
-		for i := range words {
-			words[i] = WordEnc{Kind: ExactWord, Bits: 0}
-		}
+		c.stats.WordsExact += n
 	default:
 		base := blk.Words[0]
 		encoded := false
@@ -165,43 +141,36 @@ func (c *bdiCodec) compress(blk *value.Block, enc *Encoded, w *bitWriter, words 
 			if 32+int(width.bits)*len(blk.Words) > 32*len(blk.Words) {
 				continue
 			}
-			ws, ok := c.tryWidth(blk, base, width.bits)
-			if !ok {
+			if !c.fits(blk, base, width.bits) {
 				continue
 			}
 			w.WriteBits(width.mode, bdModeBits)
 			w.WriteBits(base, 32)
-			for _, we := range ws {
-				delta := int64(int32(we.Decoded)) - int64(int32(base))
-				mask := uint32(1)<<width.bits - 1
+			mask := uint32(1)<<width.bits - 1
+			for _, word := range blk.Words {
+				// A fitting delta clamps to itself; an out-of-range one
+				// clamps to the approximation fits admitted.
+				delta := clampSigned(int64(int32(word))-int64(int32(base)), width.bits)
 				w.WriteBits(uint32(delta)&mask, int(width.bits))
+				if decoded := value.Word(int32(int64(int32(base)) + delta)); decoded == word {
+					c.stats.WordsExact++
+				} else {
+					c.stats.WordsApprox++
+					c.stats.SumRelError += value.RelError(word, decoded, blk.DType)
+				}
 			}
-			words = take(len(ws))
-			copy(words, ws)
 			encoded = true
 			break
 		}
 		if !encoded {
 			w.WriteBits(bdRaw, bdModeBits)
-			words = take(len(blk.Words))
-			for i, word := range blk.Words {
+			for _, word := range blk.Words {
 				w.WriteBits(word, 32)
-				words[i] = WordEnc{Kind: RawWord, Bits: 32, Orig: word, Decoded: word}
 			}
+			c.stats.WordsRaw += n
 		}
 	}
 
-	for i := range words {
-		switch words[i].Kind {
-		case RawWord:
-			c.stats.WordsRaw++
-		case ExactWord:
-			c.stats.WordsExact++
-		case ApproxWord:
-			c.stats.WordsApprox++
-			c.stats.SumRelError += value.RelError(words[i].Orig, words[i].Decoded, blk.DType)
-		}
-	}
 	c.stats.BitsOut += uint64(w.Len())
 	*enc = Encoded{
 		Scheme:       c.scheme,
@@ -210,7 +179,6 @@ func (c *bdiCodec) compress(blk *value.Block, enc *Encoded, w *bitWriter, words 
 		Approximable: blk.Approximable,
 		Bits:         w.Len(),
 		Payload:      w.Bytes(),
-		Words:        words,
 	}
 	return enc
 }

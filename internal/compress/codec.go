@@ -94,16 +94,9 @@ const (
 	ApproxWord
 )
 
-// WordEnc records the encoder's decision for one word — used by tests and
-// the statistics collectors; the receiver reconstructs from Payload alone.
-type WordEnc struct {
-	Kind    WordKind
-	Bits    int        // bits this word contributed to the payload
-	Orig    value.Word // the precise word handed to the encoder
-	Decoded value.Word // the word the decoder will reconstruct
-}
-
-// Encoded is a compressed cache block in its network representation.
+// Encoded is a compressed cache block in its network representation: the
+// header and the packed bitstream, which is all the receiver reconstructs
+// from.
 type Encoded struct {
 	Scheme       Scheme
 	NumWords     int
@@ -111,21 +104,10 @@ type Encoded struct {
 	Approximable bool
 	Bits         int    // total payload bits
 	Payload      []byte // packed bitstream
-	Words        []WordEnc
 }
 
 // PayloadBytes returns the byte-rounded payload size.
 func (e *Encoded) PayloadBytes() int { return (e.Bits + 7) / 8 }
-
-// Clone returns a deep copy that shares no memory with the codec that
-// produced e, for callers that hold an encoding past the codec's next
-// Compress (see Codec.Compress).
-func (e *Encoded) Clone() *Encoded {
-	c := *e
-	c.Payload = append([]byte(nil), e.Payload...)
-	c.Words = append([]WordEnc(nil), e.Words...)
-	return &c
-}
 
 // NotifKind distinguishes the dictionary-protocol control messages.
 type NotifKind uint8
@@ -270,9 +252,9 @@ type Codec interface {
 	// Scheme identifies the mechanism.
 	Scheme() Scheme
 	// Compress encodes a block departing this node for node dst. The
-	// returned *Encoded — header, Payload and Words — is owned by the
-	// codec and valid only until the next Compress on it; a caller that
-	// keeps an encoding longer takes a Clone first.
+	// returned *Encoded — header and Payload — is owned by the codec and
+	// valid only until the next Compress on it; a caller that keeps an
+	// encoding longer copies the header and Payload.
 	Compress(dst int, blk *value.Block) *Encoded
 	// Decompress reconstructs a block that arrived from node src, possibly
 	// emitting dictionary notifications to send.
@@ -297,21 +279,13 @@ func (b *baseline) Scheme() Scheme { return Baseline }
 
 func (b *baseline) Compress(dst int, blk *value.Block) *Encoded {
 	b.scratch.w.Reset()
-	enc := b.compress(blk, &b.scratch.enc, &b.scratch.w, b.scratch.words[:0])
-	b.scratch.words = enc.Words // keep the grown capacity for reuse
-	return enc
+	return b.compress(blk, &b.scratch.enc, &b.scratch.w)
 }
 
-func (b *baseline) compress(blk *value.Block, enc *Encoded, w *bitWriter, words []WordEnc) *Encoded {
+func (b *baseline) compress(blk *value.Block, enc *Encoded, w *bitWriter) *Encoded {
 	w.grow(32 * len(blk.Words))
-	if cap(words) >= len(blk.Words) {
-		words = words[:len(blk.Words)]
-	} else {
-		words = make([]WordEnc, len(blk.Words))
-	}
-	for i, word := range blk.Words {
+	for _, word := range blk.Words {
 		w.WriteBits(word, 32)
-		words[i] = WordEnc{Kind: RawWord, Bits: 32, Orig: word, Decoded: word}
 	}
 	b.stats.BlocksIn++
 	b.stats.WordsIn += uint64(len(blk.Words))
@@ -325,7 +299,6 @@ func (b *baseline) compress(blk *value.Block, enc *Encoded, w *bitWriter, words 
 		Approximable: blk.Approximable,
 		Bits:         w.Len(),
 		Payload:      w.Bytes(),
-		Words:        words,
 	}
 	return enc
 }

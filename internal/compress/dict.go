@@ -332,46 +332,38 @@ func (d *dictCodec) Scheme() Scheme { return d.scheme }
 
 func (d *dictCodec) Compress(dst int, blk *value.Block) *Encoded {
 	d.scratch.w.Reset()
-	enc := d.compress(dst, blk, &d.scratch.enc, &d.scratch.w, d.scratch.words[:0])
-	d.scratch.words = enc.Words // keep the grown capacity for reuse
-	return enc
+	return d.compress(dst, blk, &d.scratch.enc, &d.scratch.w)
 }
 
-func (d *dictCodec) compress(dst int, blk *value.Block, enc *Encoded, w *bitWriter, words []WordEnc) *Encoded {
+func (d *dictCodec) compress(dst int, blk *value.Block, enc *Encoded, w *bitWriter) *Encoded {
 	// Worst case every word goes raw: 1 flag bit + 32 data bits.
 	w.grow(33 * len(blk.Words))
-	if cap(words) >= len(blk.Words) {
-		words = words[:len(blk.Words)]
-	} else {
-		words = make([]WordEnc, len(blk.Words))
-	}
 	d.stats.BlocksIn++
 	d.stats.WordsIn += uint64(len(blk.Words))
 	d.stats.BitsIn += uint64(32 * len(blk.Words))
 
-	for i, word := range blk.Words {
+	for _, word := range blk.Words {
 		d.stats.EncodeOps++
-		we := d.encodeWord(dst, word, blk)
+		kind, idx, decoded := d.encodeWord(dst, word, blk)
 		if d.budget != nil {
 			d.budget.Advance()
 		}
-		if we.Kind == RawWord {
+		if kind == RawWord {
 			w.WriteBits(0, 1)
 			w.WriteBits(word, 32)
 		} else {
 			w.WriteBits(1, 1)
-			w.WriteBits(uint32(we.encIdx), d.idxBits)
+			w.WriteBits(uint32(idx), d.idxBits)
 		}
-		switch we.Kind {
+		switch kind {
 		case RawWord:
 			d.stats.WordsRaw++
 		case ExactWord:
 			d.stats.WordsExact++
 		case ApproxWord:
 			d.stats.WordsApprox++
-			d.stats.SumRelError += value.RelError(word, we.Decoded, blk.DType)
+			d.stats.SumRelError += value.RelError(word, decoded, blk.DType)
 		}
-		words[i] = we.WordEnc
 	}
 
 	d.stats.BitsOut += uint64(w.Len())
@@ -382,68 +374,55 @@ func (d *dictCodec) compress(dst int, blk *value.Block, enc *Encoded, w *bitWrit
 		Approximable: blk.Approximable,
 		Bits:         w.Len(),
 		Payload:      w.Bytes(),
-		Words:        words,
 	}
 	return enc
 }
 
-type dictWordEnc struct {
-	WordEnc
-	encIdx int // decoder-PMT index transmitted on a hit
-}
-
-func (d *dictCodec) encodeWord(dst int, word value.Word, blk *value.Block) dictWordEnc {
-	raw := dictWordEnc{WordEnc: WordEnc{Kind: RawWord, Bits: 1 + 32, Orig: word, Decoded: word}}
+// encodeWord looks one word up in the encoder PMT. On a hit it returns
+// the decoder-PMT index to transmit and the word the decoder will
+// reconstruct from it; a raw word's idx is unused and decoded is word.
+func (d *dictCodec) encodeWord(dst int, word value.Word, blk *value.Block) (kind WordKind, idx int, decoded value.Word) {
 	if d.avcl == nil {
 		// Exact DI-COMP: one CAM search per word.
 		slot, ok := d.cam.Lookup(word)
 		if !ok {
-			return raw
+			return RawWord, 0, word
 		}
 		ref := d.encDest[slot][dst]
 		if !ref.valid || ref.orig != word {
-			return raw
+			return RawWord, 0, word
 		}
-		return dictWordEnc{
-			WordEnc: WordEnc{Kind: ExactWord, Bits: 1 + d.idxBits, Orig: word, Decoded: word},
-			encIdx:  ref.idx,
-		}
+		return ExactWord, ref.idx, word
 	}
 
 	// DI-VAXX: one TCAM search per word against approximate patterns.
 	slot, ok := d.tc.Search(word)
 	if !ok {
-		return raw
+		return RawWord, 0, word
 	}
 	ref := d.encDest[slot][dst]
 	if !ref.valid {
-		return raw
+		return RawWord, 0, word
 	}
 	approximable := blk.Approximable
 	if blk.DType == value.Float32 && value.IsSpecialFloat(word) {
 		approximable = false // float exponent detection bypass
 	}
 	if ref.orig == word {
-		return dictWordEnc{
-			WordEnc: WordEnc{Kind: ExactWord, Bits: 1 + d.idxBits, Orig: word, Decoded: word},
-			encIdx:  ref.idx,
-		}
+		return ExactWord, ref.idx, word
 	}
 	if !approximable {
 		// A TCAM family match does not guarantee the recovered pattern
 		// equals the transmitted word (§4.2.1), so precise traffic needs
 		// the original-pattern comparison to succeed.
-		return raw
+		return RawWord, 0, word
 	}
 	// Online error control before committing the approximation (the
 	// windowed budget is the §7 extension).
 	if d.budget == nil || !d.budget.Allow(value.RelError(word, ref.orig, blk.DType)) {
-		return raw
+		return RawWord, 0, word
 	}
-	return dictWordEnc{
-		WordEnc: WordEnc{Kind: ApproxWord, Bits: 1 + d.idxBits, Orig: word, Decoded: ref.orig},
-		encIdx:  ref.idx,
-	}
+	return ApproxWord, ref.idx, ref.orig
 }
 
 // --- Decoder ---------------------------------------------------------------

@@ -56,14 +56,13 @@ type fpCodec struct {
 }
 
 // encodeScratch is the per-codec encode state behind every Compress: the
-// bit writer, the Words slice and the Encoded header are reused across
-// calls, which is why a returned *Encoded is codec-owned (see
-// Codec.Compress). One codec is single-writer by the Codec concurrency
-// contract, so no locking is needed.
+// bit writer and the Encoded header are reused across calls, which is why
+// a returned *Encoded is codec-owned (see Codec.Compress). One codec is
+// single-writer by the Codec concurrency contract, so no locking is
+// needed.
 type encodeScratch struct {
-	w     bitWriter
-	words []WordEnc
-	enc   Encoded
+	w   bitWriter
+	enc Encoded
 }
 
 // NewFPComp returns the exact frequent-pattern codec.
@@ -137,19 +136,13 @@ func (c *fpCodec) wordMask(w value.Word, blk *value.Block) (mask uint32) {
 
 func (c *fpCodec) Compress(dst int, blk *value.Block) *Encoded {
 	c.scratch.w.Reset()
-	enc := c.compress(blk, &c.scratch.enc, &c.scratch.w, c.scratch.words[:0])
-	c.scratch.words = enc.Words // keep the grown capacity for reuse
-	return enc
+	return c.compress(blk, &c.scratch.enc, &c.scratch.w)
 }
 
-func (c *fpCodec) compress(blk *value.Block, enc *Encoded, w *bitWriter, words []WordEnc) *Encoded {
+func (c *fpCodec) compress(blk *value.Block, enc *Encoded, w *bitWriter) *Encoded {
 	// Worst case every word goes raw (3-bit prefix + 32 bits); one exact
 	// allocation up front instead of append-driven growth.
 	w.grow((fpPrefixBits+32)*len(blk.Words) + fpZeroRunLenBits)
-	if cap(words) < len(blk.Words) {
-		words = make([]WordEnc, len(blk.Words))
-	}
-	words = words[:len(blk.Words)]
 	c.stats.BlocksIn++
 	c.stats.WordsIn += uint64(len(blk.Words))
 	c.stats.BitsIn += uint64(32 * len(blk.Words))
@@ -174,7 +167,6 @@ func (c *fpCodec) compress(blk *value.Block, enc *Encoded, w *bitWriter, words [
 					c.budget.Advance()
 				}
 				c.record(kind, relErr)
-				words[i] = WordEnc{Kind: kind, Orig: word}
 				if i++; i-start == fpMaxZeroRun || i == len(blk.Words) {
 					break
 				}
@@ -187,16 +179,13 @@ func (c *fpCodec) compress(blk *value.Block, enc *Encoded, w *bitWriter, words [
 				// Prefix and run length are adjacent fixed-width fields; one
 				// fused write emits both (fpZeroRun is the all-zero prefix).
 				w.WriteBits(fpZeroRun<<fpZeroRunLenBits|uint32(run-1), fpPrefixBits+fpZeroRunLenBits)
-				for j := start; j < i; j++ {
-					words[j].Bits = (fpPrefixBits + fpZeroRunLenBits + run - 1) / run
-				}
 				continue
 			}
 			// The structural zero match was refused by the error budget;
 			// fall through to the regular pattern rows.
 		}
 
-		kind, bits, code, decoded, relErr := c.encodeWord(word, mask, blk.DType)
+		kind, bits, code, _, relErr := c.encodeWord(word, mask, blk.DType)
 		if c.budget != nil {
 			c.budget.Advance()
 		}
@@ -207,7 +196,6 @@ func (c *fpCodec) compress(blk *value.Block, enc *Encoded, w *bitWriter, words [
 			w.WriteBits(code, bits)
 		}
 		c.record(kind, relErr)
-		words[i] = WordEnc{Kind: kind, Bits: bits, Orig: word, Decoded: decoded}
 		i++
 	}
 
@@ -219,7 +207,6 @@ func (c *fpCodec) compress(blk *value.Block, enc *Encoded, w *bitWriter, words [
 		Approximable: blk.Approximable,
 		Bits:         w.Len(),
 		Payload:      w.Bytes(),
-		Words:        words,
 	}
 	return enc
 }

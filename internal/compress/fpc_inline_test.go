@@ -256,7 +256,7 @@ func TestFPDecodeSwitchMatchesTable(t *testing.T) {
 func TestFPDecodeDamagedPadsToNumWords(t *testing.T) {
 	c := NewFPComp()
 	blk := value.BlockFromI32([]int32{0x12345678, 5, -100, 1 << 20, 0x7FFFFFFF, 42, 0x23456789, 77}, false)
-	enc := c.Compress(1, blk).Clone()
+	enc := c.Compress(1, blk)
 	check := func(what string, payload []byte, intact int) {
 		t.Helper()
 		damaged := *enc
@@ -275,11 +275,14 @@ func TestFPDecodeDamagedPadsToNumWords(t *testing.T) {
 		}
 	}
 	// Word 0 is raw (35 bits), word 1 a 7-bit code: cutting at byte 5
-	// leaves word 0 intact and word 1's field short by two bits.
+	// leaves word 0 intact and word 1's field short by two bits. No word
+	// is zero, so each one's width is its spec-table row's.
 	for cut := 0; cut < len(enc.Payload); cut++ {
 		intact := 0
-		for bits := 0; intact < len(enc.Words) && bits+enc.Words[intact].Bits <= 8*cut; intact++ {
-			bits += enc.Words[intact].Bits
+		for bits := 0; intact < len(blk.Words); intact++ {
+			if bits += refEncodeWord(&fpCodec{scheme: FPComp}, blk.Words[intact], 0, value.Int32).bits; bits > 8*cut {
+				break
+			}
 		}
 		check("truncated", enc.Payload[:cut], intact)
 	}

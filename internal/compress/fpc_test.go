@@ -9,6 +9,7 @@ import (
 
 func fpRoundTrip(t *testing.T, c Codec, blk *value.Block) *value.Block {
 	t.Helper()
+	before := c.Stats()
 	enc := c.Compress(1, blk)
 	dec, notifs := c.Decompress(0, enc)
 	if len(notifs) != 0 {
@@ -17,10 +18,8 @@ func fpRoundTrip(t *testing.T, c Codec, blk *value.Block) *value.Block {
 	if len(dec.Words) != len(blk.Words) {
 		t.Fatalf("decoded %d words, want %d", len(dec.Words), len(blk.Words))
 	}
-	for i, we := range enc.Words {
-		if dec.Words[i] != we.Decoded {
-			t.Fatalf("word %d decoded %#x, encoder expected %#x", i, dec.Words[i], we.Decoded)
-		}
+	if err := statsMatchDecode(before, c.Stats(), blk, dec); err != nil {
+		t.Fatal(err)
 	}
 	return dec
 }
@@ -167,10 +166,8 @@ func TestFPVaxxNonApproximableIsExact(t *testing.T) {
 	if !dec.Equal(blk) {
 		t.Fatal("FP-VAXX altered non-approximable data")
 	}
-	for _, we := range enc.Words {
-		if we.Kind == ApproxWord {
-			t.Fatal("approximate encoding on non-approximable block")
-		}
+	if c.Stats().WordsApprox != 0 {
+		t.Fatal("approximate encoding on non-approximable block")
 	}
 }
 
@@ -203,14 +200,9 @@ func TestFPVaxxApproximatesSmallValuesToZeroRun(t *testing.T) {
 	// Large value 1<<20 with low halfword noise compresses approximately.
 	c, _ := NewFPVaxx(50)
 	blk := value.BlockFromI32([]int32{1 << 20, 1<<20 + 3, 1<<20 - 1, 1 << 20}, true)
-	enc := c.Compress(1, blk)
-	comp := 0
-	for _, we := range enc.Words {
-		if we.Kind != RawWord {
-			comp++
-		}
-	}
-	if comp != 4 {
+	c.Compress(1, blk)
+	s := c.Stats()
+	if comp := s.WordsExact + s.WordsApprox; comp != 4 {
 		t.Fatalf("only %d/4 words compressed at 50%% threshold", comp)
 	}
 }

@@ -123,14 +123,14 @@ func TestFPVaxxSetThresholdAtRuntime(t *testing.T) {
 	}
 	// A word whose low-halfword noise needs a 10% mask: raw at 5%.
 	blk := &value.Block{Words: []uint32{1<<20 + 40000}, DType: value.Int32, Approximable: true}
-	if enc := c.Compress(1, blk); enc.Words[0].Kind != RawWord {
-		t.Fatalf("word compressed at 5%%: %v", enc.Words[0].Kind)
+	if c.Compress(1, blk); c.Stats().WordsRaw != 1 {
+		t.Fatalf("word compressed at 5%%: %+v", c.Stats())
 	}
 	if err := adj.SetThreshold(10); err != nil {
 		t.Fatal(err)
 	}
-	if enc := c.Compress(1, blk); enc.Words[0].Kind != ApproxWord {
-		t.Fatalf("word not approximated after raising threshold: %v", enc.Words[0].Kind)
+	if c.Compress(1, blk); c.Stats().WordsApprox != 1 {
+		t.Fatalf("word not approximated after raising threshold: %+v", c.Stats())
 	}
 	if err := adj.SetThreshold(500); err == nil {
 		t.Fatal("bogus threshold accepted")

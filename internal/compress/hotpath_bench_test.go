@@ -85,7 +85,9 @@ func BenchmarkDecode(b *testing.B) {
 			c := staticCodecs(b)[name]()
 			encs := make([]*Encoded, len(blocks))
 			for i, blk := range blocks {
-				encs[i] = c.Compress(1, blk).Clone()
+				enc := *c.Compress(1, blk)
+				enc.Payload = append([]byte(nil), enc.Payload...)
+				encs[i] = &enc
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

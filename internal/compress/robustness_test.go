@@ -58,8 +58,11 @@ func TestDecodersSurviveCorruptPayloads(t *testing.T) {
 	}
 }
 
-// Every codec must reconstruct exactly the per-word values its encoder
-// declared (the Decoded fields), for arbitrary inputs.
+// Every codec's decoder must reconstruct the block its encoder accounted
+// for: the words it changed are exactly the ones the encoder counted as
+// approximate, with the error the encoder summed, for arbitrary inputs
+// and for a clustered copy of them (word 0 plus an offset in ±256),
+// whose out-of-range deltas the base-delta codecs must clamp.
 func TestEncoderDecoderAgreementProperty(t *testing.T) {
 	mks := []func() Codec{
 		NewBaseline,
@@ -75,14 +78,20 @@ func TestEncoderDecoderAgreementProperty(t *testing.T) {
 			if len(words) > 16 {
 				words = words[:16]
 			}
-			blk := &value.Block{Words: words, DType: value.Int32, Approximable: approximable}
-			enc := c.Compress(1, blk)
-			dec, _ := c.Decompress(0, enc)
-			if len(dec.Words) != len(blk.Words) {
-				return false
+			clustered := make([]uint32, len(words))
+			for j, w := range words {
+				clustered[j] = words[0] + w%512 - 256
 			}
-			for j := range enc.Words {
-				if dec.Words[j] != enc.Words[j].Decoded {
+			for _, ws := range [][]uint32{words, clustered} {
+				blk := &value.Block{Words: ws, DType: value.Int32, Approximable: approximable}
+				before := c.Stats()
+				enc := c.Compress(1, blk)
+				dec, _ := c.Decompress(0, enc)
+				if len(dec.Words) != len(blk.Words) {
+					return false
+				}
+				if err := statsMatchDecode(before, c.Stats(), blk, dec); err != nil {
+					t.Log(err)
 					return false
 				}
 			}

@@ -132,25 +132,23 @@ func (ni *NI) buildFlits(p *Packet) {
 // consistent with what the decoder will hold at decode time. The packet
 // stays in flight across later encodes at this NI, so it takes the
 // codec-owned encoding's header and a copy of its payload into storage
-// the packet keeps across reuse; the per-word audit trail stays behind.
+// the packet keeps across reuse.
 func (ni *NI) enqueueData(dst int, blk *value.Block, now sim.Cycle) *Packet {
+	var approxBefore uint64
+	if ni.net.tracer != nil {
+		approxBefore = ni.codec.Stats().WordsApprox
+	}
 	enc := ni.codec.Compress(dst, blk)
 	p := ni.net.newPacket(ni.tile, dst, DataPacket, now)
 	if ni.net.tracer != nil {
 		ni.net.trace(obs.EvCompress, ni.tile, p.ID, uint64(enc.Bits))
-		approxWords := 0
-		for _, we := range enc.Words {
-			if we.Kind == compress.ApproxWord {
-				approxWords++
-			}
-		}
-		if approxWords > 0 {
-			ni.net.trace(obs.EvApproxHit, ni.tile, p.ID, uint64(approxWords))
+		if approxWords := ni.codec.Stats().WordsApprox - approxBefore; approxWords > 0 {
+			ni.net.trace(obs.EvApproxHit, ni.tile, p.ID, approxWords)
 		}
 	}
 	payload := append(p.Enc.Payload[:0], enc.Payload...)
 	p.Enc = *enc
-	p.Enc.Payload, p.Enc.Words = payload, nil
+	p.Enc.Payload = payload
 	p.Flits = ni.net.cfg.dataPacketFlits(enc.PayloadBytes())
 	p.ReadyAt = now
 	if enc.Scheme != compress.Baseline {

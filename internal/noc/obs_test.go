@@ -12,11 +12,12 @@ import (
 	"approxnoc/internal/workload"
 )
 
-// obsRun drives the standard determinism workload with the given obs
-// attachment and returns the result statistics plus the trace stream.
-func obsRun(t *testing.T, reg *obs.Registry, tracer *obs.Tracer) (NetStats, compress.OpStats, []obs.Event) {
+// obsRun drives the standard determinism workload under scheme with the
+// given obs attachment and returns the result statistics plus the trace
+// stream.
+func obsRun(t *testing.T, scheme compress.Scheme, reg *obs.Registry, tracer *obs.Tracer) (NetStats, compress.OpStats, []obs.Event) {
 	t.Helper()
-	n := schemeNet(t, 4, 4, 2, compress.DIVaxx, 10)
+	n := schemeNet(t, 4, 4, 2, scheme, 10)
 	if reg != nil || tracer != nil {
 		n.EnableObs(reg, tracer, 1) // publish every cycle: the worst case
 	}
@@ -49,11 +50,11 @@ func obsRun(t *testing.T, reg *obs.Registry, tracer *obs.Tracer) (NetStats, comp
 // must produce bit-identical statistics to a bare run with the same
 // seeds.
 func TestObsDoesNotPerturbSimulation(t *testing.T) {
-	bareStats, bareCodec, _ := obsRun(t, nil, nil)
+	bareStats, bareCodec, _ := obsRun(t, compress.DIVaxx, nil, nil)
 
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(16, 1<<16)
-	obsStats, obsCodec, events := obsRun(t, reg, tracer)
+	obsStats, obsCodec, events := obsRun(t, compress.DIVaxx, reg, tracer)
 
 	if bareStats != obsStats {
 		t.Fatalf("obs changed network stats:\nbare: %+v\nobs:  %+v", bareStats, obsStats)
@@ -107,7 +108,7 @@ func codecFamilies(reg *obs.Registry, prefix string) []string {
 func TestTraceStreamDeterministic(t *testing.T) {
 	run := func() ([]obs.Event, *obs.Tracer) {
 		tr := obs.NewTracer(16, 1<<16)
-		_, _, events := obsRun(t, nil, tr)
+		_, _, events := obsRun(t, compress.DIVaxx, nil, tr)
 		return events, tr
 	}
 	e1, t1 := run()
@@ -136,6 +137,28 @@ func TestTraceStreamDeterministic(t *testing.T) {
 	} {
 		if !seen[kind] {
 			t.Errorf("no %v events recorded", kind)
+		}
+	}
+}
+
+// TestApproxHitEventsMatchStats: the approximate words the EvApproxHit
+// events report (B; A is the packet ID) add up to the codecs' own
+// WordsApprox count.
+func TestApproxHitEventsMatchStats(t *testing.T) {
+	for _, scheme := range []compress.Scheme{compress.FPVaxx, compress.DIVaxx} {
+		tr := obs.NewTracer(16, 1<<16)
+		_, codec, events := obsRun(t, scheme, nil, tr)
+		if tr.Dropped() != 0 || tr.Evicted() != 0 {
+			t.Fatalf("%v: run lost events: dropped=%d evicted=%d", scheme, tr.Dropped(), tr.Evicted())
+		}
+		var approx uint64
+		for _, e := range events {
+			if e.Kind == obs.EvApproxHit {
+				approx += e.B
+			}
+		}
+		if approx == 0 || approx != codec.WordsApprox {
+			t.Fatalf("%v: EvApproxHit events report %d approximate words, codec stats %d", scheme, approx, codec.WordsApprox)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"approxnoc/internal/value"
 )
@@ -52,44 +53,36 @@ func NewTraceWriter(w io.Writer) (*TraceWriter, error) {
 	return &TraceWriter{w: bw}, nil
 }
 
-// Write appends one record.
+// Write appends one record. A record the format cannot hold (a tile ID
+// outside 16 bits, a data record without a block, more than 255 words,
+// an undefined dtype) is an error, and errors are sticky.
 func (t *TraceWriter) Write(rec TraceRecord) error {
-	if t.err != nil {
-		return t.err
-	}
-	hdr := []any{uint16(rec.Src), uint16(rec.Dst)}
-	for _, v := range hdr {
-		if t.err = binary.Write(t.w, binary.LittleEndian, v); t.err != nil {
-			return t.err
-		}
-	}
-	if !rec.IsData {
-		t.err = t.w.WriteByte(0)
-		return t.err
-	}
-	if rec.Block == nil {
+	switch {
+	case t.err != nil:
+	case rec.Src < 0 || rec.Src > math.MaxUint16 || rec.Dst < 0 || rec.Dst > math.MaxUint16:
+		t.err = fmt.Errorf("workload: tile IDs %d->%d outside the 16-bit trace field", rec.Src, rec.Dst)
+	case rec.IsData && rec.Block == nil:
 		t.err = errors.New("workload: data record without block")
-		return t.err
-	}
-	if len(rec.Block.Words) > 255 {
+	case rec.IsData && len(rec.Block.Words) > 255:
 		t.err = fmt.Errorf("workload: block too large (%d words)", len(rec.Block.Words))
-		return t.err
-	}
-	approx := byte(0)
-	if rec.Block.Approximable {
-		approx = 1
-	}
-	for _, b := range []byte{1, byte(rec.Block.DType), approx, byte(len(rec.Block.Words))} {
-		if t.err = t.w.WriteByte(b); t.err != nil {
-			return t.err
+	case rec.IsData && rec.Block.DType > value.Float32:
+		t.err = fmt.Errorf("workload: block dtype %v has no trace encoding", rec.Block.DType)
+	default:
+		b := []byte{byte(rec.Src), byte(rec.Src >> 8), byte(rec.Dst), byte(rec.Dst >> 8), 0}
+		if rec.IsData {
+			approx := byte(0)
+			if rec.Block.Approximable {
+				approx = 1
+			}
+			b[4] = 1
+			b = append(b, byte(rec.Block.DType), approx, byte(len(rec.Block.Words)))
+			for _, w := range rec.Block.Words {
+				b = binary.LittleEndian.AppendUint32(b, w)
+			}
 		}
+		_, t.err = t.w.Write(b)
 	}
-	for _, w := range rec.Block.Words {
-		if t.err = binary.Write(t.w, binary.LittleEndian, w); t.err != nil {
-			return t.err
-		}
-	}
-	return nil
+	return t.err
 }
 
 // Flush commits buffered records.
@@ -125,38 +118,37 @@ func NewTraceReader(r io.Reader) (*TraceReader, error) {
 	return &TraceReader{r: br}, nil
 }
 
-// Read returns the next record or io.EOF.
+// Read returns the next record, or io.EOF when the trace ends at a record
+// boundary. A record cut short or holding a kind, dtype or approx byte
+// the format does not define is an error.
 func (t *TraceReader) Read() (TraceRecord, error) {
-	var src, dst uint16
-	if err := binary.Read(t.r, binary.LittleEndian, &src); err != nil {
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return TraceRecord{}, io.EOF
-		}
-		return TraceRecord{}, err
-	}
-	if err := binary.Read(t.r, binary.LittleEndian, &dst); err != nil {
+	// src, dst, kind; io.ReadFull says io.EOF only when no byte was read.
+	var hdr [5]byte
+	if _, err := io.ReadFull(t.r, hdr[:]); err == io.EOF {
+		return TraceRecord{}, io.EOF
+	} else if err != nil {
 		return TraceRecord{}, corrupt(err)
 	}
-	kind, err := t.r.ReadByte()
-	if err != nil {
-		return TraceRecord{}, corrupt(err)
+	rec := TraceRecord{Src: int(binary.LittleEndian.Uint16(hdr[0:])), Dst: int(binary.LittleEndian.Uint16(hdr[2:]))}
+	if hdr[4] > 1 {
+		return TraceRecord{}, fmt.Errorf("workload: trace record kind %d", hdr[4])
 	}
-	rec := TraceRecord{Src: int(src), Dst: int(dst)}
-	if kind == 0 {
+	if hdr[4] == 0 {
 		return rec, nil
 	}
-	rec.IsData = true
-	var meta [3]byte
+	var meta [3]byte // dtype, approx, words
 	if _, err := io.ReadFull(t.r, meta[:]); err != nil {
 		return TraceRecord{}, corrupt(err)
 	}
-	blk := value.NewBlock(int(meta[2]), value.DataType(meta[0]), meta[1] == 1)
-	for i := range blk.Words {
-		if err := binary.Read(t.r, binary.LittleEndian, &blk.Words[i]); err != nil {
-			return TraceRecord{}, corrupt(err)
-		}
+	dt := value.DataType(meta[0])
+	if dt > value.Float32 || meta[1] > 1 {
+		return TraceRecord{}, fmt.Errorf("workload: trace record dtype %v, approx byte %d", dt, meta[1])
 	}
-	rec.Block = blk
+	rec.IsData = true
+	rec.Block = value.NewBlock(int(meta[2]), dt, meta[1] == 1)
+	if err := binary.Read(t.r, binary.LittleEndian, rec.Block.Words); err != nil {
+		return TraceRecord{}, corrupt(err)
+	}
 	return rec, nil
 }
 

@@ -232,11 +232,112 @@ func TestTraceTruncationDetected(t *testing.T) {
 	}
 }
 
-func TestTraceWriterValidation(t *testing.T) {
+// traceBody encodes recs behind a trace header and returns the whole
+// trace and the offset where each record ends.
+func traceBody(t *testing.T, recs ...TraceRecord) ([]byte, []int) {
+	t.Helper()
 	var buf bytes.Buffer
-	w, _ := NewTraceWriter(&buf)
-	if err := w.Write(TraceRecord{Src: 0, Dst: 1, IsData: true}); err == nil {
-		t.Fatal("data record without block accepted")
+	w, err := NewTraceWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ends []int
+	for _, rec := range recs {
+		if err := w.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, buf.Len())
+	}
+	return buf.Bytes(), ends
+}
+
+// readAll reads records until an error and returns how many it read and
+// the error (io.EOF for a clean end).
+func readAll(trace []byte) (int, error) {
+	r, err := NewTraceReader(bytes.NewReader(trace))
+	if err != nil {
+		return 0, err
+	}
+	for n := 0; ; n++ {
+		if _, err := r.Read(); err != nil {
+			return n, err
+		}
+	}
+}
+
+// Only a cut at a record boundary ends a trace cleanly; a cut anywhere
+// inside a record, even one byte in, is an error.
+func TestTraceCutAtEveryOffset(t *testing.T) {
+	full, ends := traceBody(t,
+		TraceRecord{Src: 1, Dst: 2, IsData: true, Block: value.BlockFromI32([]int32{1, 2, 3}, true)},
+		TraceRecord{Src: 3, Dst: 4},
+	)
+	header := len(traceMagic) + 2
+	boundary := map[int]int{header: 0}
+	for i, end := range ends {
+		boundary[end] = i + 1
+	}
+	for cut := header; cut <= len(full); cut++ {
+		n, err := readAll(full[:cut])
+		want, clean := boundary[cut]
+		switch {
+		case clean && (err != io.EOF || n != want):
+			t.Fatalf("cut at %d: read %d records then %v, want %d then EOF", cut, n, err, want)
+		case !clean && (err == nil || err == io.EOF):
+			t.Fatalf("cut at %d inside a record: read %d records then %v, want an error", cut, n, err)
+		}
+	}
+}
+
+func TestTraceReaderRejectsUndefinedBytes(t *testing.T) {
+	full, _ := traceBody(t, TraceRecord{Src: 1, Dst: 2, IsData: true, Block: value.BlockFromI32([]int32{7}, true)})
+	rec := len(traceMagic) + 2
+	for _, tc := range []struct {
+		name  string
+		at    int // offset into the record: src 0-1, dst 2-3, kind 4, dtype 5, approx 6
+		value byte
+	}{
+		{"kind 2", 4, 2},
+		{"kind 255", 4, 255},
+		{"dtype 9", 5, 9},
+		{"approx 2", 6, 2},
+	} {
+		bad := append([]byte(nil), full...)
+		bad[rec+tc.at] = tc.value
+		if n, err := readAll(bad); n != 0 || err == nil || err == io.EOF {
+			t.Errorf("%s: read %d records then %v, want an error", tc.name, n, err)
+		}
+	}
+}
+
+func TestTraceWriterValidation(t *testing.T) {
+	blk := value.BlockFromI32([]int32{1}, false)
+	for _, tc := range []struct {
+		name string
+		rec  TraceRecord
+	}{
+		{"data record without block", TraceRecord{Src: 0, Dst: 1, IsData: true}},
+		{"undefined dtype", TraceRecord{Src: 0, Dst: 1, IsData: true, Block: value.NewBlock(1, 9, false)}},
+		{"src past 16 bits", TraceRecord{Src: 70000, Dst: 1, IsData: true, Block: blk}},
+		{"src 65536", TraceRecord{Src: 1 << 16, Dst: 1}},
+		{"negative src", TraceRecord{Src: -1, Dst: 1}},
+		{"negative dst", TraceRecord{Src: 0, Dst: -1}},
+		{"dst past 16 bits", TraceRecord{Src: 0, Dst: 70000}},
+	} {
+		var buf bytes.Buffer
+		w, _ := NewTraceWriter(&buf)
+		if err := w.Write(tc.rec); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
+	}
+	// The largest 16-bit IDs round-trip.
+	full, _ := traceBody(t, TraceRecord{Src: 65535, Dst: 65534})
+	r, _ := NewTraceReader(bytes.NewReader(full))
+	if got, err := r.Read(); err != nil || got.Src != 65535 || got.Dst != 65534 {
+		t.Fatalf("read back %+v, %v", got, err)
 	}
 }
 

@@ -25,5 +25,6 @@ run_target ./internal/compress FuzzDictSnapshot
 run_target ./internal/approx FuzzVAXXErrorBound
 run_target ./internal/tcam FuzzTCAMEngine
 run_target ./internal/serve FuzzProtocolFrame
+run_target ./internal/workload FuzzTraceReader
 
 echo 'fuzz-smoke: all targets clean'
