@@ -173,9 +173,13 @@ func (s *Simulator) Run(cycles int) { s.net.Run(cycles) }
 func (s *Simulator) Drain(maxCycles int) bool { return s.net.Drain(maxCycles) }
 
 // OnDeliver registers a callback for every delivered packet; blk is the
-// decompressed block for data packets and nil otherwise.
+// decompressed block for data packets and nil otherwise, and belongs to
+// the callback.
 func (s *Simulator) OnDeliver(h func(src, dst int, blk *Block)) {
 	s.net.SetDeliveryHandler(func(p *noc.Packet, blk *value.Block) {
+		if blk != nil {
+			blk = blk.Clone() // the network reuses its delivery block
+		}
 		h(p.Src, p.Dst, blk)
 	})
 }

@@ -122,13 +122,18 @@ func (a *Adaptive) endOffEpoch() {
 	a.epochBlocks, a.epochIn, a.epochOut = 0, 0, 0
 }
 
-// Decompress dispatches on the packet's scheme: bypassed packets decode
-// raw, compressed ones through the wrapped codec.
 func (a *Adaptive) Decompress(src int, enc *Encoded) (*value.Block, []Notification) {
+	blk := new(value.Block)
+	return blk, a.DecompressInto(blk, src, enc)
+}
+
+// DecompressInto dispatches on the packet's scheme: bypassed packets
+// decode raw, compressed ones through the wrapped codec.
+func (a *Adaptive) DecompressInto(dst *value.Block, src int, enc *Encoded) []Notification {
 	if enc.Scheme == Baseline {
-		return a.raw.Decompress(src, enc)
+		return a.raw.DecompressInto(dst, src, enc)
 	}
-	return a.inner.Decompress(src, enc)
+	return a.inner.DecompressInto(dst, src, enc)
 }
 
 // HandleNotification forwards dictionary protocol traffic.

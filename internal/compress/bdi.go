@@ -184,21 +184,26 @@ func (c *bdiCodec) compress(blk *value.Block, enc *Encoded, w *bitWriter) *Encod
 }
 
 func (c *bdiCodec) Decompress(src int, enc *Encoded) (*value.Block, []Notification) {
+	blk := new(value.Block)
+	return blk, c.DecompressInto(blk, src, enc)
+}
+
+func (c *bdiCodec) DecompressInto(dst *value.Block, src int, enc *Encoded) []Notification {
 	r := newBitReader(enc.Payload)
-	blk := value.NewBlock(enc.NumWords, enc.DType, enc.Approximable)
+	words := decodeTarget(dst, enc)
 	c.stats.BlocksDecoded++
 	c.stats.WordsDecoded += uint64(enc.NumWords)
 	c.stats.DecodeOps += uint64(enc.NumWords)
 	if enc.NumWords == 0 {
-		return blk, nil
+		return nil
 	}
 	mode := r.ReadBits(bdModeBits)
 	switch mode {
 	case bdZero:
 		// Words already zero.
 	case bdRaw:
-		for i := range blk.Words {
-			blk.Words[i] = r.ReadBits(32)
+		for i := range words {
+			words[i] = r.ReadBits(32)
 		}
 	default:
 		var bits uint
@@ -208,15 +213,15 @@ func (c *bdiCodec) Decompress(src int, enc *Encoded) (*value.Block, []Notificati
 			}
 		}
 		base := int64(int32(r.ReadBits(32)))
-		for i := range blk.Words {
+		for i := range words {
 			raw := r.ReadBits(int(bits))
 			// Sign extend the delta field.
 			shift := 32 - bits
 			delta := int64(int32(raw<<shift) >> shift)
-			blk.Words[i] = value.Word(int32(base + delta))
+			words[i] = value.Word(int32(base + delta))
 		}
 	}
-	return blk, nil
+	return nil
 }
 
 func (c *bdiCodec) HandleNotification(Notification) []Notification { return nil }

@@ -259,8 +259,12 @@ type Codec interface {
 	// Decompress reconstructs a block that arrived from node src, possibly
 	// emitting dictionary notifications to send.
 	Decompress(src int, enc *Encoded) (*value.Block, []Notification)
+	// DecompressInto is Decompress into dst, reusing dst.Words if it fits.
+	DecompressInto(dst *value.Block, src int, enc *Encoded) []Notification
 	// HandleNotification delivers a dictionary control message addressed to
-	// this node and returns any replies (e.g. invalidate acks).
+	// this node and returns any replies (e.g. invalidate acks). The batch
+	// these three methods return is codec-owned and valid only until the
+	// next of them on the codec.
 	HandleNotification(n Notification) []Notification
 	// Stats returns the codec's accumulated operation counts.
 	Stats() OpStats
@@ -304,14 +308,33 @@ func (b *baseline) compress(blk *value.Block, enc *Encoded, w *bitWriter) *Encod
 }
 
 func (b *baseline) Decompress(src int, enc *Encoded) (*value.Block, []Notification) {
+	blk := new(value.Block)
+	return blk, b.DecompressInto(blk, src, enc)
+}
+
+func (b *baseline) DecompressInto(dst *value.Block, src int, enc *Encoded) []Notification {
 	r := newBitReader(enc.Payload)
-	blk := value.NewBlock(enc.NumWords, enc.DType, enc.Approximable)
-	for i := range blk.Words {
-		blk.Words[i] = r.ReadBits(32)
+	words := decodeTarget(dst, enc)
+	for i := range words {
+		words[i] = r.ReadBits(32)
 	}
 	b.stats.BlocksDecoded++
 	b.stats.WordsDecoded += uint64(enc.NumWords)
-	return blk, nil
+	return nil
+}
+
+// decodeTarget readies dst to receive enc's block and returns its words:
+// NumWords of them, all zero (decoders skip zero runs, all-zero blocks and
+// undecodable words), in dst's own storage when it is large enough.
+func decodeTarget(dst *value.Block, enc *Encoded) []value.Word {
+	if cap(dst.Words) < enc.NumWords {
+		dst.Words = make([]value.Word, enc.NumWords)
+	} else {
+		dst.Words = dst.Words[:enc.NumWords]
+		clear(dst.Words)
+	}
+	dst.DType, dst.Approximable = enc.DType, enc.Approximable
+	return dst.Words
 }
 
 func (b *baseline) HandleNotification(Notification) []Notification { return nil }

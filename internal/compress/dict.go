@@ -250,6 +250,8 @@ type dictCodec struct {
 	gen uint64
 
 	scratch encodeScratch
+	// notifs is the storage of the last notification batch returned.
+	notifs []Notification
 
 	stats          OpStats
 	decodeMismatch uint64
@@ -428,15 +430,20 @@ func (d *dictCodec) encodeWord(dst int, word value.Word, blk *value.Block) (kind
 // --- Decoder ---------------------------------------------------------------
 
 func (d *dictCodec) Decompress(src int, enc *Encoded) (*value.Block, []Notification) {
+	blk := new(value.Block)
+	return blk, d.DecompressInto(blk, src, enc)
+}
+
+func (d *dictCodec) DecompressInto(dst *value.Block, src int, enc *Encoded) []Notification {
 	r := newBitReader(enc.Payload)
-	blk := value.NewBlock(enc.NumWords, enc.DType, enc.Approximable)
-	var out []Notification
-	for i := range blk.Words {
+	words := decodeTarget(dst, enc)
+	out := d.notifs[:0]
+	for i := range words {
 		d.stats.DecodeOps++
 		if r.ReadBits(1) == 1 {
 			idx := int(r.ReadBits(d.idxBits))
 			if idx < len(d.dec) && d.dec[idx].valid {
-				blk.Words[i] = d.dec[idx].pattern
+				words[i] = d.dec[idx].pattern
 				d.dec[idx].freq++
 			} else {
 				d.decodeMismatch++
@@ -444,18 +451,25 @@ func (d *dictCodec) Decompress(src int, enc *Encoded) (*value.Block, []Notificat
 			continue
 		}
 		word := r.ReadBits(32)
-		blk.Words[i] = word
-		out = append(out, d.observeRawWord(src, word, enc.DType)...)
+		words[i] = word
+		out = d.observeRawWord(out, src, word, enc.DType)
 	}
 	d.stats.BlocksDecoded++
 	before := d.stats.WordsDecoded
 	d.stats.WordsDecoded += uint64(enc.NumWords)
 	period := uint64(d.cfg.AgingPeriod)
 	if before/period != d.stats.WordsDecoded/period {
-		out = append(out, d.runEpoch()...)
+		out = d.runEpoch(out)
 	}
+	return d.send(out)
+}
+
+// send counts out as sent and keeps its storage for the next batch (see
+// Codec.HandleNotification for the ownership rule).
+func (d *dictCodec) send(out []Notification) []Notification {
 	d.stats.NotificationsSent += uint64(len(out))
-	return blk, out
+	d.notifs = out
+	return out
 }
 
 // ageFrequencies halves every decoder-PMT frequency counter so the
@@ -468,14 +482,13 @@ func (d *dictCodec) ageFrequencies() {
 }
 
 // runEpoch is one decoder aging epoch: the frequency halving that was
-// always there, plus the configured GC policies. It returns the
-// invalidate fanout any reclaims produced; the caller folds those into
-// the Decompress notification batch.
-func (d *dictCodec) runEpoch() []Notification {
+// always there, plus the configured GC policies. It appends the
+// invalidate fanout any reclaims produced to the Decompress notification
+// batch out.
+func (d *dictCodec) runEpoch(out []Notification) []Notification {
 	d.stats.GCEpochs++
 	d.gen++
 	d.ageFrequencies()
-	var out []Notification
 
 	// Cold-pattern age-out: entries whose halved frequency sits at zero
 	// accumulate idle epochs; at the configured bound they are reclaimed
@@ -488,7 +501,7 @@ func (d *dictCodec) runEpoch() []Notification {
 		}
 		d.idle[slot]++
 		if d.cfg.GCAgeOutEpochs > 0 && d.idle[slot] >= uint32(d.cfg.GCAgeOutEpochs) {
-			out = append(out, d.reclaim(slot, false)...)
+			out = d.reclaim(out, slot, false)
 		}
 	}
 
@@ -507,7 +520,7 @@ func (d *dictCodec) runEpoch() []Notification {
 			if !found {
 				break
 			}
-			out = append(out, d.reclaim(victim, true)...)
+			out = d.reclaim(out, victim, true)
 		}
 	}
 	d.blockedPromotes = 0
@@ -519,14 +532,14 @@ func (d *dictCodec) runEpoch() []Notification {
 // Slots nobody mapped are freed immediately; otherwise the slot locks
 // behind a gc pendingInstall until every encoder acks. When the pending
 // table is full the reclaim is deferred to a later epoch.
-func (d *dictCodec) reclaim(slot int, pressure bool) []Notification {
+func (d *dictCodec) reclaim(out []Notification, slot int, pressure bool) []Notification {
 	e := &d.dec[slot]
 	if !e.valid || e.locked {
-		return nil
+		return out
 	}
 	if len(d.pending) >= d.cfg.PendingCap {
 		d.stats.GCBlockedReclaims++
-		return nil
+		return out
 	}
 	if pressure {
 		d.stats.GCPressureEvictions++
@@ -534,8 +547,24 @@ func (d *dictCodec) reclaim(slot int, pressure bool) []Notification {
 		d.stats.GCAgeEvictions++
 	}
 	d.idle[slot] = 0
+	out, awaiting := d.invalidate(out, slot)
+	d.gen++
+	if len(awaiting) == 0 {
+		e.valid = false
+		e.freq = 0
+		return out
+	}
+	e.locked = true
+	d.pending = append(d.pending, pendingInstall{slot: slot, awaiting: awaiting, gc: true})
+	return out
+}
+
+// invalidate appends an invalidate of decoder slot for every encoder
+// that maps it to out, and returns those encoders as the set whose acks
+// the slot must await.
+func (d *dictCodec) invalidate(out []Notification, slot int) ([]Notification, map[int]bool) {
+	e := &d.dec[slot]
 	awaiting := make(map[int]bool)
-	var out []Notification
 	for encNode, set := range e.validBits {
 		if set {
 			awaiting[encNode] = true
@@ -545,20 +574,13 @@ func (d *dictCodec) reclaim(slot int, pressure bool) []Notification {
 			})
 		}
 	}
-	d.gen++
-	if len(awaiting) == 0 {
-		e.valid = false
-		e.freq = 0
-		return nil
-	}
-	e.locked = true
-	d.pending = append(d.pending, pendingInstall{slot: slot, awaiting: awaiting, gc: true})
-	return out
+	return out, awaiting
 }
 
 // observeRawWord runs the decoder-side recurrent pattern detection on one
-// uncompressed word from src and returns any protocol messages to send.
-func (d *dictCodec) observeRawWord(src int, word value.Word, dt value.DataType) []Notification {
+// uncompressed word from src and appends any protocol messages to send to
+// out.
+func (d *dictCodec) observeRawWord(out []Notification, src int, word value.Word, dt value.DataType) []Notification {
 	// Already tracked? Extend the mapping to this encoder if needed.
 	for slot := range d.dec {
 		e := &d.dec[slot]
@@ -566,35 +588,35 @@ func (d *dictCodec) observeRawWord(src int, word value.Word, dt value.DataType) 
 			e.freq++
 			if !e.validBits[src] {
 				e.validBits[src] = true
-				return []Notification{{
+				out = append(out, Notification{
 					From: d.node, To: src, Kind: NotifUpdate,
 					Pattern: word, DType: dt, Index: slot,
-				}}
+				})
 			}
-			return nil
+			return out
 		}
 	}
 	count := d.cands.bump(word, dt)
 	if count < d.cfg.PromoteThreshold {
-		return nil
+		return out
 	}
-	return d.promote(src, word, dt, count)
+	return d.promote(out, src, word, dt, count)
 }
 
 // promote installs a newly frequent pattern, evicting a victim with the
 // invalidate/ack handshake when the PMT is full. The candidate only
 // displaces an entry that is colder than the candidate itself, which
 // keeps genuinely hot patterns resident and bounds notification churn.
-func (d *dictCodec) promote(src int, word value.Word, dt value.DataType, count int) []Notification {
+func (d *dictCodec) promote(out []Notification, src int, word value.Word, dt value.DataType, count int) []Notification {
 	// Free slot?
 	for slot := range d.dec {
 		if !d.dec[slot].valid && !d.dec[slot].locked {
 			d.cands.drop(word, dt)
-			return d.install(slot, src, word, dt)
+			return d.install(out, slot, src, word, dt)
 		}
 	}
 	if len(d.pending) >= d.cfg.PendingCap {
-		return nil // too many evictions in flight; retry on a later sighting
+		return out // too many evictions in flight; retry on a later sighting
 	}
 	// Victim: coldest unlocked entry.
 	victim, best, found := 0, ^uint64(0), false
@@ -605,31 +627,20 @@ func (d *dictCodec) promote(src int, word value.Word, dt value.DataType, count i
 		}
 	}
 	if !found {
-		return nil
+		return out
 	}
 	if best >= uint64(count) {
 		d.blockedPromotes++
-		return nil // the candidate is not hotter than the coldest entry yet
+		return out // the candidate is not hotter than the coldest entry yet
 	}
 	d.cands.drop(word, dt)
-	e := &d.dec[victim]
-	awaiting := make(map[int]bool)
-	var out []Notification
-	for encNode, set := range e.validBits {
-		if set {
-			awaiting[encNode] = true
-			out = append(out, Notification{
-				From: d.node, To: encNode, Kind: NotifInvalidate,
-				Pattern: e.pattern, DType: e.dtype, Index: victim,
-			})
-		}
-	}
+	out, awaiting := d.invalidate(out, victim)
 	if len(awaiting) == 0 {
 		// No encoder ever mapped it; reuse immediately.
-		e.valid = false
-		return d.install(victim, src, word, dt)
+		d.dec[victim].valid = false
+		return d.install(out, victim, src, word, dt)
 	}
-	e.locked = true
+	d.dec[victim].locked = true
 	d.gen++
 	d.pending = append(d.pending, pendingInstall{
 		slot: victim, pattern: word, dtype: dt, requester: src, awaiting: awaiting,
@@ -637,7 +648,7 @@ func (d *dictCodec) promote(src int, word value.Word, dt value.DataType, count i
 	return out
 }
 
-func (d *dictCodec) install(slot, src int, word value.Word, dt value.DataType) []Notification {
+func (d *dictCodec) install(out []Notification, slot, src int, word value.Word, dt value.DataType) []Notification {
 	e := &d.dec[slot]
 	e.valid = true
 	e.locked = false
@@ -651,29 +662,27 @@ func (d *dictCodec) install(slot, src int, word value.Word, dt value.DataType) [
 	d.idle[slot] = 0
 	d.gen++
 	d.stats.TableWrites++
-	return []Notification{{
+	return append(out, Notification{
 		From: d.node, To: src, Kind: NotifUpdate,
 		Pattern: word, DType: dt, Index: slot,
-	}}
+	})
 }
 
 // --- Protocol --------------------------------------------------------------
 
 func (d *dictCodec) HandleNotification(n Notification) []Notification {
 	d.stats.NotificationsRecv++
+	out := d.notifs[:0]
 	switch n.Kind {
 	case NotifUpdate:
 		d.handleUpdate(n)
-		return nil
 	case NotifInvalidate:
 		d.handleInvalidate(n)
-		ack := Notification{From: d.node, To: n.From, Kind: NotifInvalidateAck, Index: n.Index, Pattern: n.Pattern}
-		d.stats.NotificationsSent++
-		return []Notification{ack}
+		out = append(out, Notification{From: d.node, To: n.From, Kind: NotifInvalidateAck, Index: n.Index, Pattern: n.Pattern})
 	case NotifInvalidateAck:
-		return d.handleAck(n)
+		out = d.handleAck(out, n)
 	}
-	return nil
+	return d.send(out)
 }
 
 // handleUpdate installs a (pattern -> decoder index) mapping for the
@@ -740,8 +749,9 @@ func (d *dictCodec) handleInvalidate(n Notification) {
 	}
 }
 
-// handleAck completes a pending eviction once every encoder confirmed.
-func (d *dictCodec) handleAck(n Notification) []Notification {
+// handleAck completes a pending eviction once every encoder confirmed,
+// appending the install's update to out.
+func (d *dictCodec) handleAck(out []Notification, n Notification) []Notification {
 	for i := range d.pending {
 		p := &d.pending[i]
 		if p.slot != n.Index {
@@ -749,7 +759,7 @@ func (d *dictCodec) handleAck(n Notification) []Notification {
 		}
 		delete(p.awaiting, n.From)
 		if len(p.awaiting) > 0 {
-			return nil
+			return out
 		}
 		slot, src, pat, dt, gc := p.slot, p.requester, p.pattern, p.dtype, p.gc
 		d.pending = append(d.pending[:i], d.pending[i+1:]...)
@@ -759,13 +769,11 @@ func (d *dictCodec) handleAck(n Notification) []Notification {
 			// GC reclaim: the slot is simply freed, nothing installs.
 			d.dec[slot].freq = 0
 			d.gen++
-			return nil
+			return out
 		}
-		out := d.install(slot, src, pat, dt)
-		d.stats.NotificationsSent += uint64(len(out))
-		return out
+		return d.install(out, slot, src, pat, dt)
 	}
-	return nil
+	return out
 }
 
 // DecodeMismatches reports compressed words that referenced an invalid

@@ -196,6 +196,72 @@ func TestDictEvictionInvalidateHandshake(t *testing.T) {
 	}
 }
 
+// notifLog is a codec that records every notification handed to it.
+type notifLog struct {
+	Codec
+	got *[]Notification
+}
+
+func (l notifLog) HandleNotification(n Notification) []Notification {
+	*l.got = append(*l.got, n)
+	return l.Codec.HandleNotification(n)
+}
+
+// TestFabricDeliverCopiesBatch evicts two decoder entries, mapped by two
+// different encoders, in one Decompress. Both acks return to the decoder
+// mid-delivery, and each completes an install that rewrites the
+// codec-owned batch storage (the test checks that it does). Every
+// notification must still be delivered exactly once, in FIFO order: a
+// deliver that works through the codec's slice as a stack loses the
+// second invalidate to the first install, and a depth-first one reorders
+// the protocol.
+func TestFabricDeliverCopiesBatch(t *testing.T) {
+	cfg := DictConfig{Nodes: 3, Entries: 2, PromoteThreshold: 2}
+	var got []Notification
+	f := NewFabric(3, func(node int) Codec {
+		c, err := NewDIComp(node, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return notifLog{c, &got}
+	})
+	// Encoders 1 and 2 each teach decoder 0 one pattern, filling its PMT.
+	f.Transfer(1, 0, value.BlockFromI32([]int32{100, 100}, false))
+	f.Transfer(2, 0, value.BlockFromI32([]int32{200, 200}, false))
+	got = got[:0]
+
+	enc := f.Codec(1).Compress(0, value.BlockFromI32([]int32{300, 300, 400, 400}, false))
+	_, batch := f.Codec(0).Decompress(1, enc)
+	sent := append([]Notification(nil), batch...)
+	if len(sent) != 2 || sent[0].Kind != NotifInvalidate || sent[1].Kind != NotifInvalidate || sent[0].To == sent[1].To {
+		t.Fatalf("batch %+v, want invalidates to both encoders", sent)
+	}
+	f.Deliver(batch)
+	if batch[0] == sent[0] {
+		t.Fatal("no install rewrote the decoder's batch; the test exercises nothing")
+	}
+
+	ack := func(from int, inv Notification) Notification {
+		return Notification{From: from, To: 0, Kind: NotifInvalidateAck, Index: inv.Index, Pattern: inv.Pattern}
+	}
+	update := func(p int32, slot int) Notification {
+		return Notification{From: 0, To: 1, Kind: NotifUpdate, Pattern: value.Word(p), DType: value.Int32, Index: slot}
+	}
+	want := []Notification{
+		sent[0], sent[1],
+		ack(sent[0].To, sent[0]), ack(sent[1].To, sent[1]),
+		update(300, sent[0].Index), update(400, sent[1].Index),
+	}
+	if len(got) != len(want) {
+		t.Fatalf("delivered %d notifications, want %d:\n got %+v\nwant %+v", len(got), len(want), got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("delivery %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
 func TestDictSharedEntryAcrossSenders(t *testing.T) {
 	f := newDITestFabric(t, DIComp, 3, 0)
 	blk := value.BlockFromI32([]int32{0x0BADF00D, 0x0BADF00D}, false)
@@ -224,7 +290,7 @@ func TestDictNotificationTolerance(t *testing.T) {
 		t.Fatalf("invalidate of unknown mapping: replies %v", replies)
 	}
 	// Stray ack must be ignored.
-	if out := c.HandleNotification(Notification{From: 1, To: 0, Kind: NotifInvalidateAck, Index: 5}); out != nil {
+	if out := c.HandleNotification(Notification{From: 1, To: 0, Kind: NotifInvalidateAck, Index: 5}); len(out) != 0 {
 		t.Fatalf("stray ack produced %v", out)
 	}
 }

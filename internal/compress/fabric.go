@@ -12,6 +12,7 @@ import (
 // the same notifications as real single-flit control packets instead.
 type Fabric struct {
 	codecs []Codec
+	queue  []Notification // deliver's FIFO, reused across calls
 }
 
 // NewFabric builds an n-node fabric, invoking factory for each node.
@@ -46,17 +47,17 @@ func (f *Fabric) Transfer(src, dst int, blk *value.Block) *value.Block {
 // and must still settle the dictionary-consistency protocol.
 func (f *Fabric) Deliver(notifs []Notification) { f.deliver(notifs) }
 
-// deliver routes notifications to their target codecs until no more are
-// produced.
+// deliver routes notifications to their target codecs, first in first
+// out, until no more are produced. A codec-owned batch dies when an ack
+// returns to its codec mid-delivery, so each is copied into the queue.
 func (f *Fabric) deliver(notifs []Notification) {
-	for len(notifs) > 0 {
-		n := notifs[0]
-		notifs = notifs[1:]
-		if n.To < 0 || n.To >= len(f.codecs) {
-			continue
+	q := append(f.queue[:0], notifs...)
+	for i := 0; i < len(q); i++ {
+		if n := q[i]; n.To >= 0 && n.To < len(f.codecs) {
+			q = append(q, f.codecs[n.To].HandleNotification(n)...)
 		}
-		notifs = append(notifs, f.codecs[n.To].HandleNotification(n)...)
 	}
+	f.queue = q
 }
 
 // Stats aggregates operation counts across all nodes.

@@ -277,9 +277,13 @@ func (c *fpCodec) record(kind WordKind, relErr float64) {
 }
 
 func (c *fpCodec) Decompress(src int, enc *Encoded) (*value.Block, []Notification) {
+	blk := new(value.Block)
+	return blk, c.DecompressInto(blk, src, enc)
+}
+
+func (c *fpCodec) DecompressInto(dst *value.Block, src int, enc *Encoded) []Notification {
 	r := newBitReader(enc.Payload)
-	blk := value.NewBlock(enc.NumWords, enc.DType, enc.Approximable)
-	words := blk.Words
+	words := decodeTarget(dst, enc)
 	// A read that runs past the payload returns a zero field, from which
 	// every row reconstructs a zero word, and prefix 0 with run length 0 —
 	// a one-word zero run — from then on: a truncated block decodes to its
@@ -304,12 +308,12 @@ func (c *fpCodec) Decompress(src int, enc *Encoded) (*value.Block, []Notificatio
 		default:
 			// Damaged payload (prefix 110 is unused): stop decoding; the
 			// remaining words stay zero.
-			return blk, nil
+			return nil
 		}
 	}
 	c.stats.BlocksDecoded++
 	c.stats.WordsDecoded += uint64(len(words))
-	return blk, nil
+	return nil
 }
 
 func (c *fpCodec) HandleNotification(Notification) []Notification { return nil }

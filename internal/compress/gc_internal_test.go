@@ -46,7 +46,7 @@ func TestRunEpochSkipsLockedSlots(t *testing.T) {
 	d.blockedPromotes = 10 // pressure sweep armed
 
 	for epoch := 0; epoch < 3; epoch++ {
-		d.runEpoch()
+		d.runEpoch(nil)
 	}
 	if !d.dec[0].valid || !d.dec[0].locked {
 		t.Fatal("GC touched a locked slot")
@@ -58,7 +58,7 @@ func TestRunEpochSkipsLockedSlots(t *testing.T) {
 		t.Fatalf("GC reclaimed around the lock: %+v", d.stats)
 	}
 	// The in-flight eviction still completes normally afterwards.
-	d.handleAck(Notification{From: 1, Kind: NotifInvalidateAck, Index: 0})
+	d.handleAck(nil, Notification{From: 1, Kind: NotifInvalidateAck, Index: 0})
 	if !d.dec[0].valid || d.dec[0].pattern != 0xBBBB {
 		t.Fatal("pending install did not survive the GC epochs")
 	}
@@ -73,7 +73,7 @@ func TestGCAckFreesWithoutInstall(t *testing.T) {
 	seedEntry(d, 0, 0xCCCC, 1)
 	d.dec[0].validBits[2] = true // two encoders map it
 
-	notifs := d.runEpoch()
+	notifs := d.runEpoch(nil)
 	if len(notifs) != 2 {
 		t.Fatalf("reclaim fanned out %d invalidates, want 2", len(notifs))
 	}
@@ -81,11 +81,11 @@ func TestGCAckFreesWithoutInstall(t *testing.T) {
 		t.Fatal("reclaim did not lock the slot behind a gc pending")
 	}
 	gen := d.gen
-	d.handleAck(Notification{From: 1, Kind: NotifInvalidateAck, Index: 0})
+	d.handleAck(nil, Notification{From: 1, Kind: NotifInvalidateAck, Index: 0})
 	if !d.dec[0].locked {
 		t.Fatal("slot unlocked before every encoder acked")
 	}
-	d.handleAck(Notification{From: 2, Kind: NotifInvalidateAck, Index: 0})
+	d.handleAck(nil, Notification{From: 2, Kind: NotifInvalidateAck, Index: 0})
 	if d.dec[0].valid || d.dec[0].locked || d.dec[0].freq != 0 {
 		t.Fatalf("gc ack completion left slot %+v", d.dec[0])
 	}
@@ -103,7 +103,7 @@ func TestGCUnmappedEntryFreesImmediately(t *testing.T) {
 	cfg := DictConfig{Nodes: 4, Entries: 2, AgingPeriod: 64, GCAgeOutEpochs: 1}
 	d := newGCDict(t, cfg)
 	seedEntry(d, 1, 0xDDDD, -1) // no valid bits
-	if notifs := d.runEpoch(); len(notifs) != 0 {
+	if notifs := d.runEpoch(nil); len(notifs) != 0 {
 		t.Fatalf("unmapped reclaim produced %d notifications", len(notifs))
 	}
 	if d.dec[1].valid {
@@ -129,7 +129,7 @@ func TestGCReclaimRacingEncoderEviction(t *testing.T) {
 
 	seedEntry(dec, 0, 0xEEEE, 1)
 	// The encoder never learned the mapping (or already evicted it).
-	notifs := dec.runEpoch()
+	notifs := dec.runEpoch(nil)
 	if len(notifs) != 1 {
 		t.Fatalf("want one invalidate, got %d", len(notifs))
 	}
@@ -151,7 +151,7 @@ func TestGCBlockedReclaimCounts(t *testing.T) {
 	d := newGCDict(t, cfg)
 	seedEntry(d, 0, 0xF000, 1)
 	seedEntry(d, 1, 0xF001, 1)
-	notifs := d.runEpoch()
+	notifs := d.runEpoch(nil)
 	if len(notifs) != 1 {
 		t.Fatalf("want one reclaim handshake under cap 1, got %d notifications", len(notifs))
 	}

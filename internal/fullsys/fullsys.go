@@ -92,7 +92,7 @@ func New(cfg Config) (*System, error) {
 	net.SetDeliveryHandler(func(p *noc.Packet, blk *value.Block) {
 		s.deliverOK[p.ID] = true
 		if blk != nil {
-			s.delivered[p.ID] = blk
+			s.delivered[p.ID] = blk.Clone() // the network reuses blk
 		}
 	})
 	return s, nil

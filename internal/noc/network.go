@@ -68,6 +68,9 @@ type Network struct {
 	// send. Per-network, so they need no locking and stay deterministic.
 	flitPool []*Flit
 	pktPool  []*Packet
+	// decoded is the block every data delivery decodes into, recycled
+	// under the packet rule: valid until the delivery handlers return.
+	decoded value.Block
 
 	seq          []uint64 // next sequence number per pair, indexed src*tiles+dst
 	nextPacketID uint64
@@ -125,8 +128,9 @@ func (n *Network) NI(tile int) *NI { return n.nis[tile] }
 
 // SetDeliveryHandler registers a callback invoked for every delivered
 // packet, replacing any previously registered handlers; blk is the
-// decompressed block for data packets, nil otherwise. p is valid only
-// until the handlers return (see Packet); blk belongs to the caller.
+// decompressed block for data packets, nil otherwise. Both are
+// network-owned and valid only until the handlers return (see Packet): a
+// handler that keeps the block clones it.
 func (n *Network) SetDeliveryHandler(h func(p *Packet, blk *value.Block)) {
 	n.onDeliver = []func(p *Packet, blk *value.Block){h}
 }

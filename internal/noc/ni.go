@@ -315,14 +315,16 @@ func (ni *NI) processDeliveries(now sim.Cycle) {
 }
 
 // deliver completes a packet at this tile and, once every delivery
-// handler has returned, recycles it.
+// handler has returned, recycles it. A data packet decodes into the
+// network's one delivery block; its notifications queue before handlers run.
 func (ni *NI) deliver(p *Packet, now sim.Cycle) {
 	p.DeliveredAt = now
 	ni.net.stats.recordDelivery(p)
 	ni.net.inFlight--
 	switch p.Kind {
 	case DataPacket:
-		blk, notifs := ni.codec.Decompress(p.Src, &p.Enc)
+		blk := &ni.net.decoded
+		notifs := ni.codec.DecompressInto(blk, p.Src, &p.Enc)
 		if ni.net.tracer != nil {
 			ni.net.trace(obs.EvDecompress, ni.tile, p.ID, uint64(len(notifs)))
 		}

@@ -251,7 +251,7 @@ func TestInFlightEncodingsSurviveLaterEncodes(t *testing.T) {
 			var got []*value.Block
 			n.SetDeliveryHandler(func(p *Packet, blk *value.Block) {
 				if p.Kind == DataPacket {
-					got = append(got, blk)
+					got = append(got, blk.Clone()) // blk is reused after the handler
 				}
 			})
 			for _, blk := range blocks {
@@ -289,7 +289,7 @@ func TestRecycledPacketsKeepPayloads(t *testing.T) {
 	n.SetDeliveryHandler(func(p *Packet, blk *value.Block) {
 		if p.Kind == DataPacket {
 			k := pair{p.Src, p.Dst}
-			got[k] = append(got[k], blk)
+			got[k] = append(got[k], blk.Clone()) // blk is reused after the handler
 		}
 	})
 	m, _ := workload.ByName("ssca2")
@@ -723,5 +723,32 @@ func TestLatencyPercentiles(t *testing.T) {
 	var empty NetStats
 	if empty.LatencyPercentile(50) != 0 {
 		t.Fatal("empty stats percentile nonzero")
+	}
+}
+
+// A percentile that lands in the histogram's last, unbounded bin reports
+// the largest latency delivered, not the bin's 512-cycle start.
+func TestLatencyPercentileBeyondHistogram(t *testing.T) {
+	var s NetStats
+	deliver := func(lat sim.Cycle) {
+		s.recordDelivery(&Packet{Kind: ControlPacket, CreatedAt: 100, InjectedAt: 100, EjectedAt: 100 + lat, DeliveredAt: 100 + lat})
+	}
+	for i := 0; i < 99; i++ {
+		deliver(10)
+	}
+	deliver(2000)
+	if p50, p100 := s.LatencyPercentile(50), s.LatencyPercentile(100); p50 != 16 || p100 != 2000 {
+		t.Fatalf("p50 %g, p100 %g; want 16 and 2000", p50, p100)
+	}
+	for i := 0; i < 100; i++ {
+		deliver(2000)
+	}
+	if p99 := s.LatencyPercentile(99); p99 < 2000 {
+		t.Fatalf("p99 %g with most deliveries at 2000 cycles", p99)
+	}
+	// Rebuilt from exported fields, the maximum is lost: the histogram's span.
+	rebuilt := NetStats{PacketsDelivered: s.PacketsDelivered, LatencyHist: s.LatencyHist}
+	if p99 := rebuilt.LatencyPercentile(99); p99 != 512 {
+		t.Fatalf("p99 %g without the maximum, want 512", p99)
 	}
 }

@@ -50,6 +50,7 @@ type NetStats struct {
 
 	// LatencyHist buckets total packet latency for percentile reporting.
 	LatencyHist [latencyBins]uint64
+	maxLatency  uint64 // the largest total packet latency delivered
 }
 
 // AvgQueueLatency is the mean NI queueing (plus unhidden compression)
@@ -95,7 +96,9 @@ func (s *NetStats) recordDelivery(p *Packet) {
 	s.SumQueueLat += float64(p.QueueLatency())
 	s.SumNetLat += float64(p.NetLatency())
 	s.SumDecodeLat += float64(p.DecodeLatency())
-	bin := int(p.TotalLatency()) / latencyBinWidth
+	lat := uint64(p.TotalLatency())
+	s.maxLatency = max(s.maxLatency, lat)
+	bin := int(lat / latencyBinWidth)
 	if bin >= latencyBins {
 		bin = latencyBins - 1
 	}
@@ -103,7 +106,10 @@ func (s *NetStats) recordDelivery(p *Packet) {
 }
 
 // LatencyPercentile returns an upper bound on the given percentile
-// (0 < pct <= 100) of total packet latency, at histogram resolution.
+// (0 < pct <= 100) of total packet latency: the end of its histogram bin,
+// or the largest latency delivered when it lands in the last bin, which
+// is unbounded. A NetStats without that maximum (one rebuilt from its
+// exported fields) reports the histogram's span there, never less.
 func (s NetStats) LatencyPercentile(pct float64) float64 {
 	if s.PacketsDelivered == 0 || pct <= 0 {
 		return 0
@@ -115,9 +121,9 @@ func (s NetStats) LatencyPercentile(pct float64) float64 {
 	var seen uint64
 	for i, c := range s.LatencyHist {
 		seen += c
-		if seen >= target {
+		if seen >= target && i < latencyBins-1 {
 			return float64((i + 1) * latencyBinWidth)
 		}
 	}
-	return float64(latencyBins * latencyBinWidth)
+	return max(float64(s.maxLatency), latencyBins*latencyBinWidth)
 }

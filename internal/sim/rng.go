@@ -5,7 +5,10 @@
 // harness output is stable.
 package sim
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Rand is a small, fast, deterministic PRNG (splitmix64-seeded
 // xoshiro256**). It is deliberately NOT safe for concurrent use — the
@@ -62,28 +65,11 @@ func (r *Rand) Intn(n int) int {
 	// Lemire's multiply-shift rejection method over 64 bits.
 	un := uint64(n)
 	for {
-		v := r.Uint64()
-		hi, lo := mul128(v, un)
+		hi, lo := bits.Mul64(r.Uint64(), un)
 		if lo >= un || lo >= (-un)%un {
 			return int(hi)
 		}
 	}
-}
-
-func mul128(a, b uint64) (hi, lo uint64) {
-	const mask = 0xFFFFFFFF
-	a0, a1 := a&mask, a>>32
-	b0, b1 := b&mask, b>>32
-	t := a0 * b0
-	w0 := t & mask
-	carry := t >> 32
-	t = a1*b0 + carry
-	w1 := t & mask
-	w2 := t >> 32
-	t = a0*b1 + w1
-	hi = a1*b1 + w2 + (t >> 32)
-	lo = (t << 32) | w0
-	return hi, lo
 }
 
 // Float64 returns a uniform value in [0, 1).
@@ -117,3 +103,24 @@ func (r *Rand) Perm(n int) []int {
 
 // Bool returns true with probability p.
 func (r *Rand) Bool(p float64) bool { return r.Float64() < p }
+
+// Odds is a probability scaled to Hit's 53-bit draw: Hit(NewOdds(p))
+// answers exactly as Bool(p) from the same one draw, with no float
+// arithmetic per call.
+type Odds uint64
+
+// NewOdds returns the odds of probability p: ceil(p·2⁵³), which is 0 for
+// p <= 0 or NaN and 2⁵³ for p >= 1. Float64 draws a multiple of 2⁻⁵³, and
+// u/2⁵³ < p exactly when the integer u is below ceil(p·2⁵³).
+func NewOdds(p float64) Odds {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return Odds(math.Ceil(p * (1 << 53)))
+}
+
+// Hit returns true with the probability o was made from.
+func (r *Rand) Hit(o Odds) bool { return r.Uint64()>>11 < uint64(o) }

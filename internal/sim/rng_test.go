@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestNewRandDeterministic(t *testing.T) {
@@ -135,23 +137,43 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestMul128AgainstBigProperty(t *testing.T) {
-	f := func(a, b uint64) bool {
-		hi, lo := mul128(a, b)
-		// Verify low 64 bits via wrapping multiply and the identity
-		// hi = floor(a*b / 2^64) using per-part accumulation.
-		if lo != a*b {
-			return false
+// TestIntnDrawsPinned pins the first 64 Intn draws for three seeds and
+// five bounds, from a small one through one past 32 bits to 2⁶²+1, which
+// rejects about a quarter of the raw draws, as an FNV-1a hash of the
+// draws: the simulator's goldens are functions of this sequence, so a
+// change to Intn's arithmetic must not move a single draw.
+func TestIntnDrawsPinned(t *testing.T) {
+	for _, c := range []struct {
+		seed uint64
+		n    int
+		hash uint64
+	}{
+		{1, 7, 0x9f873bbb18096005},
+		{1, 32, 0x457ef51c50ff9779},
+		{1, 1000, 0xc3bd257254738145},
+		{1, 1 << 40, 0xe67a3c0b2d8595ce},
+		{1, 1<<62 + 1, 0x7379680b1a7e6136},
+		{42, 7, 0x8bf4c47680671247},
+		{42, 32, 0x1d3cc425206bbe00},
+		{42, 1000, 0xc53fe754c83188a4},
+		{42, 1 << 40, 0x9bdd7f820fedd115},
+		{42, 1<<62 + 1, 0xc253cc8b59003581},
+		{0xDEADBEEF, 7, 0xf9a29037b0ccc805},
+		{0xDEADBEEF, 32, 0x49219a52a63df9a6},
+		{0xDEADBEEF, 1000, 0x1b8e816f2e9d41d5},
+		{0xDEADBEEF, 1 << 40, 0x9c65e1faa6c37cd7},
+		{0xDEADBEEF, 1<<62 + 1, 0x13b20174fe2b0c39},
+	} {
+		r := NewRand(c.seed)
+		h := fnv.New64a()
+		var b [8]byte
+		for i := 0; i < 64; i++ {
+			binary.LittleEndian.PutUint64(b[:], uint64(r.Intn(c.n)))
+			h.Write(b[:])
 		}
-		a0, a1 := a&0xFFFFFFFF, a>>32
-		b0, b1 := b&0xFFFFFFFF, b>>32
-		mid := a1*b0 + (a0*b0)>>32
-		mid2 := a0*b1 + (mid & 0xFFFFFFFF)
-		wantHi := a1*b1 + (mid >> 32) + (mid2 >> 32)
-		return hi == wantHi
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+		if got := h.Sum64(); got != c.hash {
+			t.Errorf("seed %#x, Intn(%d): draws hash to %#x, want %#x", c.seed, c.n, got, c.hash)
+		}
 	}
 }
 
@@ -184,5 +206,43 @@ func TestBoolProbability(t *testing.T) {
 	got := float64(hits) / draws
 	if math.Abs(got-0.25) > 0.01 {
 		t.Fatalf("Bool(0.25) frequency %g", got)
+	}
+}
+
+// hitMatchesBool draws 10⁵ times from two identically seeded streams, one
+// through Bool(p) and one through Hit(NewOdds(p)), and reports the first
+// draw whose answers differ; the streams must also stay in step.
+func hitMatchesBool(p float64) error {
+	a, b := NewRand(77), NewRand(77)
+	o := NewOdds(p)
+	for i := 0; i < 100000; i++ {
+		if x, y := a.Bool(p), b.Hit(o); x != y {
+			return fmt.Errorf("p=%g draw %d: Bool %v, Hit %v", p, i, x, y)
+		}
+	}
+	if a.Uint64() != b.Uint64() {
+		return fmt.Errorf("p=%g: the streams fell out of step", p)
+	}
+	return nil
+}
+
+func TestHitMatchesBool(t *testing.T) {
+	for _, p := range []float64{0, -0.1, math.NaN(), 1, 1.5, 0x1p-53, 1 - 0x1p-53, 0.2, 0.25, 0.055 * 3, 0.02 / 3} {
+		if err := hitMatchesBool(p); err != nil {
+			t.Error(err)
+		}
+	}
+	// The edges map exactly: 53-bit draws of 0 and 2⁵³-1 split them.
+	for _, c := range []struct {
+		p    float64
+		want Odds
+	}{
+		{0, 0}, {-0.1, 0}, {math.NaN(), 0}, {math.Inf(-1), 0},
+		{0x1p-60, 1}, {0x1p-53, 1}, {0.5, 1 << 52}, {1 - 0x1p-53, 1<<53 - 1},
+		{1, 1 << 53}, {1.5, 1 << 53}, {math.Inf(1), 1 << 53},
+	} {
+		if got := NewOdds(c.p); got != c.want {
+			t.Errorf("NewOdds(%g) = %d, want %d", c.p, got, c.want)
+		}
 	}
 }

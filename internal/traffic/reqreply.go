@@ -19,7 +19,7 @@ type ReqReply struct {
 	net  *noc.Network
 	rng  *sim.Rand
 	src  *workload.Source
-	rate float64 // request probability per tile per cycle
+	rate sim.Odds // of a request per tile per cycle
 	sent uint64
 	blk  value.Block // refilled for every reply; SendData keeps none of it
 }
@@ -33,7 +33,7 @@ func NewReqReply(net *noc.Network, rate float64, source *workload.Source, seed u
 	if source == nil {
 		return nil, fmt.Errorf("traffic: nil workload source")
 	}
-	rr := &ReqReply{net: net, rng: sim.NewRand(seed), src: source, rate: rate}
+	rr := &ReqReply{net: net, rng: sim.NewRand(seed), src: source, rate: sim.NewOdds(rate)}
 	// Chain onto the network's delivery path: every delivered control
 	// packet is treated as a read request and answered with a data block.
 	net.AddDeliveryHandler(func(p *noc.Packet, blk *value.Block) {
@@ -54,7 +54,7 @@ func (rr *ReqReply) Sent() uint64 { return rr.sent }
 func (rr *ReqReply) Tick() {
 	tiles := rr.net.Topology().Tiles()
 	for tile := 0; tile < tiles; tile++ {
-		if !rr.rng.Bool(rr.rate) {
+		if !rr.rng.Hit(rr.rate) {
 			continue
 		}
 		// Home is address-interleaved: uniform over the other tiles.

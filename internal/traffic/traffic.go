@@ -77,12 +77,14 @@ type Config struct {
 
 // Injector generates traffic into a network, one Tick per cycle.
 type Injector struct {
-	net   *noc.Network
-	cfg   Config
-	rng   *sim.Rand
-	prob  float64 // per-tile packet probability per cycle
-	phase []int   // per-tile burst phase offset
-	sent  uint64
+	net *noc.Network
+	cfg Config
+	rng *sim.Rand
+	// A tile's odds of a packet per cycle, flat, in a burst and in a quiet
+	// phase, and a packet's odds of going to the hotspot.
+	flat, burst, quiet, hot sim.Odds
+	phase                   []int // per-tile burst phase offset
+	sent                    uint64
 	// blk is refilled for every data packet: SendData encodes it before
 	// returning and keeps nothing of it.
 	blk value.Block
@@ -108,11 +110,15 @@ func New(net *noc.Network, cfg Config) (*Injector, error) {
 	}
 	blockFlits := 1 + 64/net.Config().FlitBytes
 	avgFlits := cfg.DataRatio*float64(blockFlits) + (1 - cfg.DataRatio)
+	prob := cfg.FlitRate / avgFlits // per tile per cycle
 	in := &Injector{
 		net:   net,
 		cfg:   cfg,
 		rng:   sim.NewRand(cfg.Seed),
-		prob:  cfg.FlitRate / avgFlits,
+		flat:  sim.NewOdds(prob),
+		burst: sim.NewOdds(prob * 3),
+		quiet: sim.NewOdds(prob / 3),
+		hot:   sim.NewOdds(cfg.HotspotFrac),
 		phase: make([]int, tiles),
 	}
 	if cfg.Bursty {
@@ -135,17 +141,17 @@ func (in *Injector) Tick() {
 	now := int(in.net.Now())
 	tiles := in.net.Topology().Tiles()
 	for tile := 0; tile < tiles; tile++ {
-		p := in.prob
+		odds := in.flat
 		if in.cfg.Bursty {
 			period := in.cfg.BurstLen + in.cfg.BurstGap
 			pos := (now + in.phase[tile]) % period
 			if pos < in.cfg.BurstLen {
-				p *= 3 // burst phase
+				odds = in.burst
 			} else {
-				p /= 3 // quiet phase
+				odds = in.quiet
 			}
 		}
-		if !in.rng.Bool(p) {
+		if !in.rng.Hit(odds) {
 			continue
 		}
 		dst, ok := in.dest(tile, tiles)
@@ -187,7 +193,7 @@ func (in *Injector) dest(src, tiles int) (int, bool) {
 		}
 		return dst, true
 	case Hotspot:
-		if src != in.cfg.HotspotTile && in.rng.Bool(in.cfg.HotspotFrac) {
+		if src != in.cfg.HotspotTile && in.rng.Hit(in.hot) {
 			return in.cfg.HotspotTile, true
 		}
 		fallthrough

@@ -5,6 +5,7 @@ import (
 
 	"approxnoc/internal/compress"
 	"approxnoc/internal/noc"
+	"approxnoc/internal/sim"
 	"approxnoc/internal/topology"
 	"approxnoc/internal/workload"
 )
@@ -182,5 +183,28 @@ func TestSaturationMonotonicity(t *testing.T) {
 	low, high := lat(0.05), lat(0.45)
 	if high <= low {
 		t.Fatalf("latency at 0.45 (%.1f) not above latency at 0.05 (%.1f)", high, low)
+	}
+}
+
+// TestInjectorOdds holds the injector's precomputed odds to the Bool
+// probabilities they replace at every benchmark's Fig. 9 configuration:
+// flat, in a burst (prob*3) and in a quiet phase (prob/3).
+// sim.TestHitMatchesBool holds Hit to Bool draw for draw.
+func TestInjectorOdds(t *testing.T) {
+	n := testNet(t)
+	for _, m := range workload.Benchmarks() {
+		// The Fig. 9 replay's configuration (cell.benchmarkTraffic in internal/experiments).
+		avgFlits := m.DataRatio*float64(1+64/n.Config().FlitBytes) + (1 - m.DataRatio)
+		cfg := Config{FlitRate: m.InjectionRate * avgFlits, DataRatio: m.DataRatio,
+			Source: testSource(), Bursty: true, BurstLen: m.BurstLen, BurstGap: m.BurstGap}
+		in, err := New(n, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prob := cfg.FlitRate / avgFlits
+		if in.flat != sim.NewOdds(prob) || in.burst != sim.NewOdds(prob*3) || in.quiet != sim.NewOdds(prob/3) {
+			t.Fatalf("%s: odds %d/%d/%d, want those of %g, %g and %g",
+				m.Name, in.flat, in.burst, in.quiet, prob, prob*3, prob/3)
+		}
 	}
 }

@@ -59,12 +59,12 @@ go test -race ./internal/cluster
 
 # Simulator cycle-kernel gates, uninstrumented: the hot path must stay
 # allocation-free in a control-packet steady state, free-flowing and
-# under arbitration; steady data traffic must allocate only the decoded
-# block (packets, payloads and flits recycle) and recycled packets must
-# keep their own payloads; and the request-mask allocators must match the
-# exhaustive-sweep oracle on the full VCs x concentration x pattern x
-# load grid (the -race -short pass above runs a reduced grid; see
-# DESIGN.md §9).
+# under arbitration; steady data traffic must allocate nothing under any
+# scheme (packets, payloads, flits and the decoded block recycle) and
+# recycled packets must keep their own payloads; and the request-mask
+# allocators must match the exhaustive-sweep oracle on the full VCs x
+# concentration x pattern x load grid (the -race -short pass above runs
+# a reduced grid; see DESIGN.md §9).
 echo '>> cycle kernel (TestStepZeroAllocs, TestDataPathSteadyAllocs, TestRecycledPacketsKeepPayloads, TestAllocatorsMatchNaiveSweep)'
 go test -run 'TestStepZeroAllocs|TestDataPathSteadyAllocs|TestRecycledPacketsKeepPayloads|TestAllocatorsMatchNaiveSweep' ./internal/noc
 
@@ -76,12 +76,12 @@ go test -run 'TestStepZeroAllocs|TestDataPathSteadyAllocs|TestRecycledPacketsKee
 echo '>> alloc budget (serve wire path)'
 go test -run 'TestReadFrameSteadyStateAllocs|TestWireReplaySteadyStateAllocs' ./internal/serve
 
-# Codec encode alloc gates: Compress must stay zero-alloc per block in
-# steady state on every scheme, and the AVCL per-word mask computation
-# must never allocate (see DESIGN.md §14). Uninstrumented for the same
-# heap-accounting reason.
-echo '>> alloc budget (codec encode)'
-go test -run 'TestCompressZeroAllocs|TestCompressZeroAllocsDict|TestFabricTransferSteadyAllocs' ./internal/compress
+# Codec alloc gates: Compress and DecompressInto must stay zero-alloc per
+# block in steady state on every scheme, and the AVCL per-word mask
+# computation must never allocate (see DESIGN.md §14). Uninstrumented for
+# the same heap-accounting reason.
+echo '>> alloc budget (codec encode/decode)'
+go test -run 'TestCompressZeroAllocs|TestCompressZeroAllocsDict|TestDecompressIntoZeroAllocs|TestFabricTransferSteadyAllocs' ./internal/compress
 go test -run 'TestAVCLZeroAllocs' ./internal/approx
 
 echo '>> coverage (per package)'
