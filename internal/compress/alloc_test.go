@@ -184,3 +184,50 @@ func TestFabricTransferSteadyAllocs(t *testing.T) {
 		t.Errorf("Transfer allocates %.1f objects/block in steady state, want exactly 2 (the decoded block and its words)", allocs)
 	}
 }
+
+// TestHandleUpdateEvictZeroAllocs gates the encoder-PMT write path: once
+// the table is full, a NotifUpdate that evicts one entry and installs
+// another allocates nothing on either dictionary scheme.
+func TestHandleUpdateEvictZeroAllocs(t *testing.T) {
+	for _, scheme := range []Scheme{DIComp, DIVaxx} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			factory, err := FactoryFor(scheme, 2, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := factory(0).(*dictCodec)
+			entries := d.cfg.Entries
+			// Patterns a high byte apart never share a DI-VAXX family, so
+			// each update is a distinct entry.
+			update := func(k int) Notification {
+				return Notification{From: 1, To: 0, Kind: NotifUpdate,
+					Pattern: value.Word(k+1) << 24, DType: value.Int32, Index: k % entries}
+			}
+			for k := 0; k < entries; k++ {
+				d.HandleNotification(update(k))
+			}
+			// Every slot now holds frequency 1, so each new pattern evicts
+			// slot 0's occupant, which is the previous new pattern.
+			k := entries
+			var last value.Word
+			allocs := testing.AllocsPerRun(200, func() {
+				n := update(entries + k%entries)
+				last = n.Pattern
+				d.HandleNotification(n)
+				k++
+			})
+			for i := 0; i < entries; i++ {
+				want := update(i).Pattern
+				if i == 0 {
+					want = last
+				}
+				if e, _, ok := d.pmt.SlotState(i); !ok || !e.Matches(want) {
+					t.Fatalf("slot %d holds %+v, want the entry for %#x", i, e, want)
+				}
+			}
+			if allocs != 0 {
+				t.Errorf("an evicting NotifUpdate allocates %.1f objects, want 0", allocs)
+			}
+		})
+	}
+}

@@ -227,10 +227,11 @@ type dictCodec struct {
 	avcl    *approx.AVCL
 	budget  quality.Budget
 
-	// Encoder side. DI-COMP uses the binary CAM; DI-VAXX the TCAM. Both
-	// keep per-slot side storage for the per-destination index vectors.
-	cam     *tcam.CAM
-	tc      *tcam.TCAM
+	// Encoder side: one TCAM PMT plus per-slot side storage for the
+	// per-destination index vectors. DI-VAXX stores AVCL don't-care
+	// families; DI-COMP's entries mask no bits, which makes the TCAM the
+	// binary CAM the paper gives it (§4.2.1).
+	pmt     *tcam.TCAM
 	encDest [][]destRef // [slot][dest]
 
 	// Decoder side.
@@ -313,17 +314,13 @@ func newDict(s Scheme, node int, cfg DictConfig, a *approx.AVCL, b quality.Budge
 		dec:     make([]decEntry, cfg.Entries),
 		cands:   newCandidateTable(cfg.CandidateCap),
 		idle:    make([]uint32, cfg.Entries),
+		pmt:     tcam.NewTCAM(cfg.Entries),
 	}
 	for i := range d.encDest {
 		d.encDest[i] = make([]destRef, cfg.Nodes)
 	}
 	for i := range d.dec {
 		d.dec[i].validBits = make([]bool, cfg.Nodes)
-	}
-	if a != nil {
-		d.tc = tcam.NewTCAM(cfg.Entries)
-	} else {
-		d.cam = tcam.NewCAM(cfg.Entries)
 	}
 	return d, nil
 }
@@ -380,25 +377,12 @@ func (d *dictCodec) compress(dst int, blk *value.Block, enc *Encoded, w *bitWrit
 	return enc
 }
 
-// encodeWord looks one word up in the encoder PMT. On a hit it returns
+// encodeWord searches the encoder PMT for one word. On a hit it returns
 // the decoder-PMT index to transmit and the word the decoder will
 // reconstruct from it; a raw word's idx is unused and decoded is word.
+// DI-COMP's entries mask no bits, so its hits are always exact.
 func (d *dictCodec) encodeWord(dst int, word value.Word, blk *value.Block) (kind WordKind, idx int, decoded value.Word) {
-	if d.avcl == nil {
-		// Exact DI-COMP: one CAM search per word.
-		slot, ok := d.cam.Lookup(word)
-		if !ok {
-			return RawWord, 0, word
-		}
-		ref := d.encDest[slot][dst]
-		if !ref.valid || ref.orig != word {
-			return RawWord, 0, word
-		}
-		return ExactWord, ref.idx, word
-	}
-
-	// DI-VAXX: one TCAM search per word against approximate patterns.
-	slot, ok := d.tc.Search(word)
+	slot, ok := d.pmt.Search(word)
 	if !ok {
 		return RawWord, 0, word
 	}
@@ -406,17 +390,14 @@ func (d *dictCodec) encodeWord(dst int, word value.Word, blk *value.Block) (kind
 	if !ref.valid {
 		return RawWord, 0, word
 	}
-	approximable := blk.Approximable
-	if blk.DType == value.Float32 && value.IsSpecialFloat(word) {
-		approximable = false // float exponent detection bypass
-	}
 	if ref.orig == word {
 		return ExactWord, ref.idx, word
 	}
-	if !approximable {
-		// A TCAM family match does not guarantee the recovered pattern
-		// equals the transmitted word (§4.2.1), so precise traffic needs
-		// the original-pattern comparison to succeed.
+	// A TCAM family match does not guarantee the recovered pattern equals
+	// the transmitted word (§4.2.1), so precise traffic needs the
+	// original-pattern comparison above to succeed, and so do special
+	// floats (the exponent detection bypass).
+	if !blk.Approximable || blk.DType == value.Float32 && value.IsSpecialFloat(word) {
 		return RawWord, 0, word
 	}
 	// Online error control before committing the approximation (the
@@ -686,28 +667,17 @@ func (d *dictCodec) HandleNotification(n Notification) []Notification {
 }
 
 // handleUpdate installs a (pattern -> decoder index) mapping for the
-// decoder at n.From into this node's encoder PMT.
+// decoder at n.From into this node's encoder PMT. The entry is the
+// pattern's AVCL don't-care family for DI-VAXX (APCL, §4.2.1) and the
+// pattern itself for DI-COMP; MaskWord's bypass mask is 0 too.
 func (d *dictCodec) handleUpdate(n Notification) {
-	var slot int
-	if d.avcl == nil {
-		s, _, evicted := d.cam.Insert(n.Pattern)
-		if evicted {
-			d.clearSlot(s)
-		}
-		slot = s
-	} else {
-		// APCL: compute the approximate pattern (don't-care family) the
-		// TCAM will store for this reference pattern.
-		mask, ok := d.avcl.MaskWord(n.Pattern, n.DType)
-		if !ok {
-			mask = 0
-		}
-		ent := tcam.TEntry{Value: n.Pattern &^ mask, Mask: mask}
-		s, _, evicted := d.tc.Insert(ent)
-		if evicted {
-			d.clearSlot(s)
-		}
-		slot = s
+	var mask uint32
+	if d.avcl != nil {
+		mask, _ = d.avcl.MaskWord(n.Pattern, n.DType)
+	}
+	slot, _, evicted := d.pmt.Insert(tcam.TEntry{Value: n.Pattern &^ mask, Mask: mask})
+	if evicted {
+		d.clearSlot(slot)
 	}
 	d.encDest[slot][n.From] = destRef{valid: true, idx: n.Index, orig: n.Pattern}
 	d.gen++
@@ -738,11 +708,7 @@ func (d *dictCodec) handleInvalidate(n Notification) {
 				}
 			}
 			if !inUse {
-				if d.avcl == nil {
-					d.cam.InvalidateIndex(slot)
-				} else {
-					d.tc.InvalidateIndex(slot)
-				}
+				d.pmt.InvalidateIndex(slot)
 			}
 			return
 		}
@@ -838,15 +804,13 @@ func (d *dictCodec) DecoderMapsEncoder(idx, encNode int) bool {
 
 func (d *dictCodec) Stats() OpStats {
 	s := d.stats
-	if d.cam != nil {
-		cs := d.cam.Stats()
-		s.CamSearches += cs.Searches
-	}
-	if d.tc != nil {
-		ts := d.tc.Stats()
-		s.TcamSearches += ts.Searches
-	}
-	if d.avcl != nil {
+	// One engine serves both schemes; the power model prices DI-COMP's
+	// searches as binary-CAM searches.
+	searches := d.pmt.Stats().Searches
+	if d.avcl == nil {
+		s.CamSearches += searches
+	} else {
+		s.TcamSearches += searches
 		as := d.avcl.Stats()
 		s.AVCLMaskHits += as.MaskHits
 		s.AVCLClips += as.Clips

@@ -441,3 +441,99 @@ func TestDictNotificationsConserved(t *testing.T) {
 		})
 	}
 }
+
+// TestDictSearchCountsSplitByScheme pins the split the power model
+// prices: every encoded word is one encoder-PMT search, counted as a
+// binary-CAM search under DI-COMP and as a TCAM search under DI-VAXX,
+// although both schemes search the one engine.
+func TestDictSearchCountsSplitByScheme(t *testing.T) {
+	for _, scheme := range []Scheme{DIComp, DIVaxx} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			f := newDITestFabric(t, scheme, 2, 10)
+			rng := testRand()
+			for i := 0; i < 200; i++ {
+				blk := &value.Block{Words: make([]value.Word, 8), DType: value.Int32, Approximable: true}
+				for j := range blk.Words {
+					blk.Words[j] = value.Word(0x4000+rng.Intn(6)) << 8
+					if rng.Bool(0.3) {
+						blk.Words[j] = rng.Uint32()
+					}
+				}
+				before := f.Codec(0).Stats()
+				f.Transfer(0, 1, blk)
+				after := f.Codec(0).Stats()
+				cam, tc := after.CamSearches-before.CamSearches, after.TcamSearches-before.TcamSearches
+				want := uint64(len(blk.Words))
+				if scheme == DIComp && (cam != want || tc != 0) || scheme == DIVaxx && (cam != 0 || tc != want) {
+					t.Fatalf("block %d: %d words counted %d CAM and %d TCAM searches", i, want, cam, tc)
+				}
+			}
+			if s := f.Codec(0).Stats(); s.WordsExact == 0 {
+				t.Fatal("no search ever hit, so the counts were only pinned on misses")
+			}
+		})
+	}
+}
+
+// TestDICompEntriesMaskNoBits pins what encodeWord's single path relies
+// on: a DI-COMP encoder-PMT entry masks no bit, so every hit is exact.
+// It must hold through encoder evictions and decoder GC reclaims, and in
+// a codec restored from a snapshot.
+func TestDICompEntriesMaskNoBits(t *testing.T) {
+	cfg := DefaultDictConfig(3)
+	cfg.Entries = 4
+	cfg.AgingPeriod = 64
+	cfg.GCAgeOutEpochs = 1
+	cfg.GCPressureSweep = 2
+	cfg.GCPressureMin = 2
+	factory, err := FactoryWithDict(DIComp, cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := NewFabric(cfg.Nodes, factory)
+	enc := f.Codec(0).(*dictCodec)
+	installed := map[uint32]bool{}
+	check := func(d *dictCodec, when string) {
+		t.Helper()
+		for i := 0; i < cfg.Entries; i++ {
+			if e, _, ok := d.pmt.SlotState(i); ok {
+				if e.Mask != 0 {
+					t.Fatalf("%s: slot %d holds %+v, which masks bits", when, i, e)
+				}
+				installed[e.Value] = true
+			}
+		}
+	}
+	rng := testRand()
+	for i := 0; i < 600; i++ {
+		dst := 1 + i%2
+		blk := &value.Block{Words: make([]value.Word, 8), DType: value.Int32}
+		hot := value.Word(dst<<12 | (i/30)%6)
+		for j := range blk.Words {
+			blk.Words[j] = hot
+			if i%5 == 4 {
+				blk.Words[j] = rng.Uint32() // cold phases let the GC reclaim
+			}
+		}
+		f.Transfer(0, dst, blk)
+		check(enc, "traffic")
+	}
+	if len(installed) <= cfg.Entries {
+		t.Fatalf("only %d distinct entries ever installed in %d slots: nothing was evicted", len(installed), cfg.Entries)
+	}
+	if s := f.Stats(); s.GCAgeEvictions+s.GCPressureEvictions == 0 {
+		t.Fatal("the decoders never reclaimed an entry")
+	}
+	img, err := enc.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := NewDIComp(0, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.(*dictCodec).Unmarshal(img); err != nil {
+		t.Fatal(err)
+	}
+	check(restored.(*dictCodec), "restored")
+}

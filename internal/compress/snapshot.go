@@ -53,7 +53,9 @@ var (
 // (0 none, 1 per-word, 2 window). The body sections follow in order:
 // encoder table (+stats), per-destination side storage, decoder table,
 // candidate tracker, pending installs, window budget state (kind 2
-// only), operation counters, AVCL counters (TCAM only). Invalid slots
+// only), operation counters, AVCL counters (TCAM only). An encoder slot
+// is valid u8 | value u32 | mask u32 (TCAM only) | freq u64: DI-COMP's
+// entries mask no bits, so its image carries no mask. Invalid slots
 // serialize as zeros so equal state always yields equal bytes.
 const (
 	snapMagic   = "PMTS"
@@ -153,7 +155,7 @@ func (d *dictCodec) Marshal() ([]byte, error) {
 		return nil, err
 	}
 	var flags uint8 = bk << snapBudgetShift
-	if d.tc != nil {
+	if d.avcl != nil {
 		flags |= snapFlagTCAM
 	}
 	w := &snapWriter{}
@@ -171,43 +173,23 @@ func (d *dictCodec) Marshal() ([]byte, error) {
 	w.u64(d.gen)
 
 	// Encoder PMT.
-	if d.tc != nil {
-		for i := 0; i < d.cfg.Entries; i++ {
-			e, freq, valid := d.tc.SlotState(i)
-			if valid {
-				w.u8(1)
-				w.u32(e.Value)
-				w.u32(e.Mask)
-				w.u64(freq)
-			} else {
-				w.u8(0)
-				w.u32(0)
-				w.u32(0)
-				w.u64(0)
-			}
+	for i := 0; i < d.cfg.Entries; i++ {
+		e, freq, valid := d.pmt.SlotState(i)
+		if valid {
+			w.u8(1)
+		} else {
+			w.u8(0)
 		}
-		ts := d.tc.Stats()
-		w.u64(ts.Searches)
-		w.u64(ts.Hits)
-		w.u64(ts.Writes)
-	} else {
-		for i := 0; i < d.cfg.Entries; i++ {
-			pat, freq, valid := d.cam.SlotState(i)
-			if valid {
-				w.u8(1)
-				w.u32(pat)
-				w.u64(freq)
-			} else {
-				w.u8(0)
-				w.u32(0)
-				w.u64(0)
-			}
+		w.u32(e.Value)
+		if d.avcl != nil {
+			w.u32(e.Mask)
 		}
-		cs := d.cam.Stats()
-		w.u64(cs.Searches)
-		w.u64(cs.Hits)
-		w.u64(cs.Writes)
+		w.u64(freq)
 	}
+	ts := d.pmt.Stats()
+	w.u64(ts.Searches)
+	w.u64(ts.Hits)
+	w.u64(ts.Writes)
 
 	// Per-destination side storage.
 	for slot := range d.encDest {
@@ -343,9 +325,8 @@ func (d *dictCodec) Marshal() ([]byte, error) {
 type snapState struct {
 	gen uint64
 
-	camSlots  []camSlot
-	tcamSlots []tcamSlot
-	encStats  tcam.Stats
+	encSlots []encSlot
+	encStats tcam.Stats
 
 	encDest [][]destRef
 	dec     []decEntry
@@ -366,13 +347,7 @@ type snapState struct {
 	avclStats       avclStats
 }
 
-type camSlot struct {
-	valid   bool
-	pattern uint32
-	freq    uint64
-}
-
-type tcamSlot struct {
+type encSlot struct {
 	valid bool
 	ent   tcam.TEntry
 	freq  uint64
@@ -393,7 +368,7 @@ func (d *dictCodec) Unmarshal(data []byte) error {
 		return err
 	}
 	var wantFlags uint8 = bk << snapBudgetShift
-	if d.tc != nil {
+	if d.avcl != nil {
 		wantFlags |= snapFlagTCAM
 	}
 
@@ -436,33 +411,32 @@ func (d *dictCodec) Unmarshal(data []byte) error {
 
 	entries, nodes := d.cfg.Entries, d.cfg.Nodes
 
-	// Encoder PMT.
-	if d.tc != nil {
-		st.tcamSlots = make([]tcamSlot, entries)
-		for i := range st.tcamSlots {
-			valid := r.u8()
-			v, m, f := r.u32(), r.u32(), r.u64()
-			if valid > 1 {
-				return mismatchf("tcam slot %d flag %d", i, valid)
-			}
-			if valid == 0 && (v != 0 || m != 0 || f != 0) {
-				return mismatchf("tcam slot %d invalid but nonzero", i)
-			}
-			st.tcamSlots[i] = tcamSlot{valid: valid == 1, ent: tcam.TEntry{Value: v, Mask: m}, freq: f}
+	// Encoder PMT. Only entries handleUpdate can install are accepted: a
+	// value with no bits under its mask, and no entry held twice (Insert
+	// refreshes an identical entry in place).
+	st.encSlots = make([]encSlot, entries)
+	held := make(map[tcam.TEntry]bool, entries)
+	for i := range st.encSlots {
+		valid := r.u8()
+		e := tcam.TEntry{Value: r.u32()}
+		if d.avcl != nil {
+			e.Mask = r.u32()
 		}
-	} else {
-		st.camSlots = make([]camSlot, entries)
-		for i := range st.camSlots {
-			valid := r.u8()
-			p, f := r.u32(), r.u64()
-			if valid > 1 {
-				return mismatchf("cam slot %d flag %d", i, valid)
-			}
-			if valid == 0 && (p != 0 || f != 0) {
-				return mismatchf("cam slot %d invalid but nonzero", i)
-			}
-			st.camSlots[i] = camSlot{valid: valid == 1, pattern: p, freq: f}
+		f := r.u64()
+		switch {
+		case valid > 1:
+			return mismatchf("encoder slot %d flag %d", i, valid)
+		case valid == 0 && (e != tcam.TEntry{} || f != 0):
+			return mismatchf("encoder slot %d invalid but nonzero", i)
+		case valid == 0:
+			continue
+		case e.Value&e.Mask != 0:
+			return mismatchf("encoder slot %d value %#x has bits under mask %#x", i, e.Value, e.Mask)
+		case held[e]:
+			return mismatchf("encoder slot %d duplicates entry %+v", i, e)
 		}
+		held[e] = true
+		st.encSlots[i] = encSlot{valid: true, ent: e, freq: f}
 	}
 	st.encStats = tcam.Stats{Searches: r.u64(), Hits: r.u64(), Writes: r.u64()}
 
@@ -685,17 +659,10 @@ func (d *dictCodec) Unmarshal(data []byte) error {
 			return fmt.Errorf("%w: %v", ErrSnapshotMismatch, err)
 		}
 	}
-	if d.tc != nil {
-		for i, sl := range st.tcamSlots {
-			d.tc.RestoreSlot(i, sl.ent, sl.freq, sl.valid)
-		}
-		d.tc.RestoreStats(st.encStats)
-	} else {
-		for i, sl := range st.camSlots {
-			d.cam.RestoreSlot(i, sl.pattern, sl.freq, sl.valid)
-		}
-		d.cam.RestoreStats(st.encStats)
+	for i, sl := range st.encSlots {
+		d.pmt.RestoreSlot(i, sl.ent, sl.freq, sl.valid)
 	}
+	d.pmt.RestoreStats(st.encStats)
 	d.encDest = st.encDest
 	d.dec = st.dec
 	d.idle = st.idle

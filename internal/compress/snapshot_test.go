@@ -7,6 +7,7 @@ package compress_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -312,5 +313,84 @@ func TestSnapshotVersionPinned(t *testing.T) {
 	want := []byte{'P', 'M', 'T', 'S', 0, 1}
 	if len(img) < len(want) || !bytes.Equal(img[:len(want)], want) {
 		t.Fatalf("snapshot header % x, want magic PMTS version 1", img)
+	}
+}
+
+// Encoder-slot layout in a v1 image: the slots follow the 44-byte header
+// (magic, version, scheme, flags, seven u32 shape fields, generation).
+// A slot is valid u8 | value u32 | mask u32 (DI-VAXX only) | freq u64.
+const snapHeaderLen = 44
+
+func encSlotLen(divaxx bool) int {
+	if divaxx {
+		return 17
+	}
+	return 13
+}
+
+// maskedBitImage returns a warmed DI-VAXX codec's image with one masked
+// bit set in a valid encoder slot's value, and that codec.
+func maskedBitImage(t *testing.T) ([]byte, compress.DictSnapshotter) {
+	t.Helper()
+	fab := compress.NewFabric(2, snapSchemes[1].make)
+	drive(fab, sim.NewRand(5), 60)
+	img, s := snapshotOf(t, fab.Codec(0))
+	for i := 0; i < compress.DefaultDictConfig(2).Entries; i++ {
+		off := snapHeaderLen + i*encSlotLen(true)
+		mask := binary.BigEndian.Uint32(img[off+5:])
+		if img[off] == 1 && mask != 0 {
+			v := binary.BigEndian.Uint32(img[off+1:])
+			binary.BigEndian.PutUint32(img[off+1:], v|mask&-mask)
+			return img, s
+		}
+	}
+	t.Fatal("no valid encoder slot with a mask")
+	return nil, nil
+}
+
+// duplicateEntryImage returns a warmed DI-COMP codec's image with one
+// valid encoder slot copied over another, and that codec.
+func duplicateEntryImage(t *testing.T) ([]byte, compress.DictSnapshotter) {
+	t.Helper()
+	fab := compress.NewFabric(2, snapSchemes[0].make)
+	drive(fab, sim.NewRand(5), 60)
+	img, s := snapshotOf(t, fab.Codec(0))
+	n := encSlotLen(false)
+	var valid []int
+	for i := 0; i < compress.DefaultDictConfig(2).Entries; i++ {
+		if off := snapHeaderLen + i*n; img[off] == 1 {
+			valid = append(valid, off)
+		}
+	}
+	if len(valid) < 2 {
+		t.Fatalf("%d valid encoder slots, want two to duplicate", len(valid))
+	}
+	copy(img[valid[0]:valid[0]+n], img[valid[1]:valid[1]+n])
+	return img, s
+}
+
+// TestSnapshotRejectsUnreachableEncoderEntries pins that Unmarshal only
+// installs encoder entries a codec can produce: handleUpdate stores a
+// DI-VAXX value with no bits under its mask, and Insert never holds one
+// entry in two slots. Either image is corrupt and must leave the codec
+// unchanged.
+func TestSnapshotRejectsUnreachableEncoderEntries(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		image func(*testing.T) ([]byte, compress.DictSnapshotter)
+	}{
+		{"DI-VAXX masked bit set", maskedBitImage},
+		{"DI-COMP duplicated entry", duplicateEntryImage},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			img, s := tc.image(t)
+			before, _ := s.Marshal()
+			if err := s.Unmarshal(img); !errors.Is(err, compress.ErrSnapshotMismatch) {
+				t.Fatalf("got %v, want ErrSnapshotMismatch", err)
+			}
+			if after, _ := s.Marshal(); !bytes.Equal(before, after) {
+				t.Fatal("failed restore mutated the codec")
+			}
+		})
 	}
 }

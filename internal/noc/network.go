@@ -49,18 +49,13 @@ type Network struct {
 	routers []*router
 	nis     []*NI
 
+	// Link and credit traversals landing next cycle, truncated every
+	// cycle. A cycle stages at most one flit per router output port or NI
+	// and one credit per input port, so New sizes each to
+	// Routers()*Ports() and they never grow.
 	flitStage     []stagedFlit
 	creditStage   []stagedCredit
 	niCreditStage []stagedNICredit
-
-	// Stage-slice peak lengths since the last shrink check. The slices
-	// are truncated every cycle but keep their capacity; after a burst
-	// drains we periodically shrink them back so long saturation sweeps
-	// don't pin peak memory.
-	flitPeak     int
-	creditPeak   int
-	niCreditPeak int
-	nextShrink   sim.Cycle
 
 	// flitPool recycles Flit structs between ejection and the next
 	// injection, keeping steady-state Step allocation-free; pktPool
@@ -98,10 +93,14 @@ func New(topo *topology.Topology, cfg Config, codecFactory func(node int) compre
 		return nil, fmt.Errorf("noc: %d ports x %d VCs = %d input VCs per router, more than the %d the allocators support",
 			topo.Ports(), cfg.VCs, slots, maxSlots)
 	}
+	stage := topo.Routers() * topo.Ports()
 	n := &Network{
-		topo: topo,
-		cfg:  cfg,
-		seq:  make([]uint64, topo.Tiles()*topo.Tiles()),
+		topo:          topo,
+		cfg:           cfg,
+		flitStage:     make([]stagedFlit, 0, stage),
+		creditStage:   make([]stagedCredit, 0, stage),
+		niCreditStage: make([]stagedNICredit, 0, stage),
+		seq:           make([]uint64, topo.Tiles()*topo.Tiles()),
 	}
 	n.routers = make([]*router, topo.Routers())
 	for i := range n.routers {
@@ -206,25 +205,6 @@ func (n *Network) checkPair(src, dst int) error {
 	return nil
 }
 
-// Stage-slice capacity management: slices are truncated in place every
-// cycle; every stageShrinkInterval cycles any slice whose capacity is
-// more than 4x the interval's peak occupancy is reallocated down.
-const (
-	stageShrinkInterval = 4096
-	stageMinCap         = 64
-)
-
-func shrinkStaged[T any](s []T, peak int) []T {
-	if cap(s) <= stageMinCap || peak*4 >= cap(s) {
-		return s
-	}
-	newCap := peak * 2
-	if newCap < stageMinCap {
-		newCap = stageMinCap
-	}
-	return make([]T, 0, newCap)
-}
-
 // Step advances the simulation one cycle.
 //
 // Routers and NIs are gated on their active-set counters and request
@@ -235,7 +215,7 @@ func shrinkStaged[T any](s []T, peak int) []T {
 // instead of O(all tiles).
 func (n *Network) Step() {
 	now := n.clock.Now()
-	n.landArrivals(now)
+	n.landArrivals()
 
 	// Router pipeline, processed back to front so a flit moves through one
 	// stage per cycle. A router with no buffered flits has nothing to
@@ -260,37 +240,21 @@ func (n *Network) Step() {
 }
 
 // landArrivals delivers the flits and credits staged last cycle
-// (link/credit delay = 1) and runs the periodic stage-slice shrink check.
-func (n *Network) landArrivals(now sim.Cycle) {
-	if len(n.flitStage) > n.flitPeak {
-		n.flitPeak = len(n.flitStage)
-	}
+// (link/credit delay = 1).
+func (n *Network) landArrivals() {
 	for _, s := range n.flitStage {
 		n.routers[s.router].acceptFlit(s.port, s.vc, s.flit)
 	}
 	n.flitStage = n.flitStage[:0]
-	if len(n.creditStage) > n.creditPeak {
-		n.creditPeak = len(n.creditStage)
-	}
 	for _, c := range n.creditStage {
 		r := n.routers[c.router]
 		r.out[int(c.port)*r.nvc+c.vc].credits++
 	}
 	n.creditStage = n.creditStage[:0]
-	if len(n.niCreditStage) > n.niCreditPeak {
-		n.niCreditPeak = len(n.niCreditStage)
-	}
 	for _, c := range n.niCreditStage {
 		n.nis[c.tile].credits[c.vc]++
 	}
 	n.niCreditStage = n.niCreditStage[:0]
-	if now >= n.nextShrink {
-		n.flitStage = shrinkStaged(n.flitStage, n.flitPeak)
-		n.creditStage = shrinkStaged(n.creditStage, n.creditPeak)
-		n.niCreditStage = shrinkStaged(n.niCreditStage, n.niCreditPeak)
-		n.flitPeak, n.creditPeak, n.niCreditPeak = 0, 0, 0
-		n.nextShrink = now + stageShrinkInterval
-	}
 }
 
 // stepNIs injects, completes decodes and ends the cycle.

@@ -16,7 +16,7 @@ import (
 // ungated.
 func (n *Network) StepNaive() {
 	now := n.clock.Now()
-	n.landArrivals(now)
+	n.landArrivals()
 	for _, r := range n.routers {
 		r.stageSANaive()
 	}

@@ -60,7 +60,7 @@ func benchmarkCAMLookup(b *testing.B, size int, naive bool) {
 	b.ResetTimer()
 	if naive {
 		for i := 0; i < b.N; i++ {
-			c.LookupNaive(uint32(i%(2*size)) * 7919) // ~50% hits
+			c.t.SearchNaive(uint32(i%(2*size)) * 7919) // ~50% hits
 		}
 	} else {
 		for i := 0; i < b.N; i++ {

@@ -9,8 +9,8 @@ import (
 // whose pattern family contains key, via the documented TEntry.Matches
 // predicate rather than the precomputed match-line constants.
 func naiveSearch(t *TCAM, key uint32) (int, bool) {
-	for i := 0; i < t.Size(); i++ {
-		if e, ok := t.EntryAt(i); ok && e.Matches(key) {
+	for i := 0; i < t.size; i++ {
+		if e, _, ok := t.SlotState(i); ok && e.Matches(key) {
 			return i, true
 		}
 	}
@@ -34,7 +34,7 @@ func TestTCAMFastPathEquivalence(t *testing.T) {
 				Mask:  masks[rng.Intn(len(masks))],
 			})
 		case r < 5:
-			tc.InvalidateIndex(rng.Intn(tc.Size() + 2)) // +2: out-of-range must be a no-op
+			tc.InvalidateIndex(rng.Intn(tc.size + 2)) // +2: out-of-range must be a no-op
 		default:
 			key := uint32(rng.Intn(1 << 12))
 			wantIdx, wantOK := naiveSearch(tc, key)
@@ -42,14 +42,14 @@ func TestTCAMFastPathEquivalence(t *testing.T) {
 			// matched entry.
 			var freqBefore uint64
 			if wantOK {
-				freqBefore = tc.Freq(wantIdx)
+				freqBefore = freqAt(tc, wantIdx)
 			}
 			gotIdx, gotOK := tc.Search(key)
 			if gotOK != wantOK || (wantOK && gotIdx != wantIdx) {
 				t.Fatalf("op %d: Search(%#x) = (%d,%v), naive sweep says (%d,%v)",
 					op, key, gotIdx, gotOK, wantIdx, wantOK)
 			}
-			if wantOK && tc.Freq(wantIdx) != freqBefore+1 {
+			if wantOK && freqAt(tc, wantIdx) != freqBefore+1 {
 				t.Fatalf("op %d: hit did not bump freq of entry %d", op, wantIdx)
 			}
 		}
@@ -84,26 +84,26 @@ func TestTCAMFastPathStats(t *testing.T) {
 	}
 }
 
-// TestCAMHiBound covers the binary CAM's scan bound across the same
-// invalidate-at-the-top sequence.
+// TestCAMHiBound covers the scan bound across the same
+// invalidate-at-the-top sequence with entries that mask no bits.
 func TestCAMHiBound(t *testing.T) {
-	c := NewCAM(8)
+	c := NewTCAM(8)
 	for i := 0; i < 5; i++ {
-		c.Insert(uint32(100 + i))
+		c.Insert(exact(uint32(100 + i)))
 	}
 	c.InvalidateIndex(4)
 	c.InvalidateIndex(3)
-	if _, ok := c.Lookup(104); ok {
-		t.Fatal("lookup matched an invalidated entry")
+	if _, ok := c.Search(104); ok {
+		t.Fatal("search matched an invalidated entry")
 	}
-	if idx, ok := c.Lookup(102); !ok || idx != 2 {
-		t.Fatalf("Lookup(102) = (%d,%v), want (2,true)", idx, ok)
+	if idx, ok := c.Search(102); !ok || idx != 2 {
+		t.Fatalf("Search(102) = (%d,%v), want (2,true)", idx, ok)
 	}
 	// Reinsert lands in the freed slot and is findable again.
-	if idx, _, _ := c.Insert(200); idx != 3 {
+	if idx, _, _ := c.Insert(exact(200)); idx != 3 {
 		t.Fatalf("insert after invalidation landed at %d, want 3", idx)
 	}
-	if idx, ok := c.Peek(200); !ok || idx != 3 {
-		t.Fatalf("Peek(200) = (%d,%v), want (3,true)", idx, ok)
+	if idx, ok := c.Search(200); !ok || idx != 3 {
+		t.Fatalf("Search(200) = (%d,%v), want (3,true)", idx, ok)
 	}
 }

@@ -1,11 +1,11 @@
-// Package tcam models the content-addressable memories APPROX-NoC builds
-// its pattern matching tables (PMTs) from: a binary CAM for exact pattern
-// lookups (FP-COMP priority matching, DI-COMP decoder tables) and a ternary
-// CAM whose entries carry don't-care masks, used by the DI-VAXX encoder to
-// match a value against approximate reference patterns in a single search
-// (paper §4.2.1, Fig. 8).
+// Package tcam models the content-addressable memory APPROX-NoC builds
+// its encoder pattern matching tables (PMTs) from: a ternary CAM whose
+// entries carry don't-care masks, so the DI-VAXX encoder matches a value
+// against approximate reference patterns in a single search (paper
+// §4.2.1, Fig. 8). DI-COMP's encoder PMT is the same TCAM with entries
+// that mask no bits — a binary CAM is the all-bits-care case.
 //
-// The models are behavioural, not electrical: they reproduce single-cycle
+// The model is behavioural, not electrical: it reproduces single-cycle
 // parallel search semantics, entry replacement, and per-operation event
 // counts that the power model converts to energy.
 //
@@ -13,222 +13,41 @@
 // hardware match lines do (§4.2.1, Fig. 8): the TCAM keeps bit-sliced
 // mismatch planes over 64-entry groups and evaluates a search as a fold
 // of plane words followed by a priority encode (bits.TrailingZeros64),
-// and the CAM keeps a hash index for O(1) exact lookups. Both are held
-// behaviourally identical to linear reference sweeps by the package's
-// differential tests (naive_test.go; see DESIGN.md §14).
+// held behaviourally identical to a linear reference sweep by the
+// package's differential tests (naive_test.go; see DESIGN.md §14).
 package tcam
 
 import "math/bits"
 
-// Stats counts the operations a CAM/TCAM performed, for the energy model.
+// Stats counts the operations a TCAM performed, for the energy model.
 type Stats struct {
 	Searches uint64 // parallel compare of all entries against a key
 	Hits     uint64
 	Writes   uint64 // entry installs or in-place updates
 }
 
-// CAM is a binary content-addressable memory with frequency-weighted
-// replacement. Entries are 32-bit patterns; the zero-size CAM matches
-// nothing and accepts nothing.
-type CAM struct {
-	size    int
-	valid   []bool
-	pattern []uint32
-	freq    []uint64
-	// index is the shadow hash index: pattern -> lowest valid slot
-	// holding it. Normal operation keeps patterns unique among valid
-	// entries (Insert refreshes duplicates in place), but RestoreSlot can
-	// write arbitrary snapshots, so the maintenance helpers preserve the
-	// lowest-index invariant even under duplicates.
-	index map[uint32]int
-	count int // live valid entries, maintained incrementally
-	hi    int // one past the highest valid index; scans stop here
-	stats Stats
-}
+// CAM is a binary content-addressable memory: a view of a TCAM whose
+// entries mask no bits, with the same frequency-weighted replacement.
+// The dictionary codecs use TCAM directly; CAM stays only for the
+// repository benchmark's per-layer CAM lookup timing.
+type CAM struct{ t *TCAM }
 
 // NewCAM returns a CAM with capacity size.
-func NewCAM(size int) *CAM {
-	if size < 0 {
-		panic("tcam: negative CAM size")
-	}
-	return &CAM{
-		size:    size,
-		valid:   make([]bool, size),
-		pattern: make([]uint32, size),
-		freq:    make([]uint64, size),
-		index:   make(map[uint32]int, size),
-	}
-}
-
-// refreshHi lowers the scan bound after an invalidation at the top.
-func (c *CAM) refreshHi() {
-	for c.hi > 0 && !c.valid[c.hi-1] {
-		c.hi--
-	}
-}
-
-// indexAdd records slot i as holding pattern, keeping the lowest-index
-// mapping when another valid slot already holds the same pattern.
-func (c *CAM) indexAdd(pattern uint32, i int) {
-	if j, ok := c.index[pattern]; !ok || i < j {
-		c.index[pattern] = i
-	}
-}
-
-// indexRemove drops slot i's claim on pattern. If i was the indexed slot
-// a linear rescan re-establishes the lowest remaining valid holder — the
-// duplicate case only arises through RestoreSlot, and invalidations are
-// off the search hot path.
-func (c *CAM) indexRemove(pattern uint32, i int) {
-	if j, ok := c.index[pattern]; !ok || j != i {
-		return
-	}
-	delete(c.index, pattern)
-	for k := 0; k < c.hi; k++ {
-		if k != i && c.valid[k] && c.pattern[k] == pattern {
-			c.index[pattern] = k
-			return
-		}
-	}
-}
-
-// Size returns the entry capacity.
-func (c *CAM) Size() int { return c.size }
+func NewCAM(size int) *CAM { return &CAM{NewTCAM(size)} }
 
 // Stats returns the operation counters accumulated so far.
-func (c *CAM) Stats() Stats { return c.stats }
+func (c *CAM) Stats() Stats { return c.t.Stats() }
 
 // Lookup searches every entry in parallel for pattern and returns the
 // matching index. A hit bumps the entry's frequency counter.
-//
-// The software model answers from the hash index in O(1); the Stats
-// counters still count one parallel compare per call, as the hardware
-// performs it regardless of occupancy.
-func (c *CAM) Lookup(pattern uint32) (idx int, ok bool) {
-	c.stats.Searches++
-	if i, ok := c.index[pattern]; ok {
-		c.freq[i]++
-		c.stats.Hits++
-		return i, true
-	}
-	return 0, false
-}
+func (c *CAM) Lookup(pattern uint32) (idx int, ok bool) { return c.t.Search(pattern) }
 
-// Peek is Lookup without touching frequency or stats — for assertions.
-func (c *CAM) Peek(pattern uint32) (idx int, ok bool) {
-	if i, ok := c.index[pattern]; ok {
-		return i, true
-	}
-	return 0, false
-}
-
-// Insert places pattern into the CAM and returns the index it landed in and
-// the entry that was evicted, if any. If the pattern is already present its
-// frequency is refreshed instead. Replacement victim is the lowest-frequency
-// valid entry (ties: lowest index), modelling the frequency-counter-driven
-// replacement of the paper's PMTs.
+// Insert places pattern into the CAM and returns the index it landed in
+// and the pattern that was evicted, if any (see TCAM.Insert).
 func (c *CAM) Insert(pattern uint32) (idx int, evicted uint32, hadEviction bool) {
-	if c.size == 0 {
-		return 0, 0, false
-	}
-	if i, ok := c.Peek(pattern); ok {
-		c.freq[i]++
-		c.stats.Writes++
-		return i, 0, false
-	}
-	slot := c.victim()
-	if c.valid[slot] {
-		evicted, hadEviction = c.pattern[slot], true
-		c.indexRemove(evicted, slot)
-	} else {
-		c.count++
-	}
-	c.valid[slot] = true
-	c.pattern[slot] = pattern
-	c.freq[slot] = 1
-	c.indexAdd(pattern, slot)
-	if slot >= c.hi {
-		c.hi = slot + 1
-	}
-	c.stats.Writes++
-	return slot, evicted, hadEviction
+	idx, e, hadEviction := c.t.Insert(TEntry{Value: pattern})
+	return idx, e.Value, hadEviction
 }
-
-func (c *CAM) victim() int {
-	slot, best := 0, ^uint64(0)
-	for i := 0; i < c.size; i++ {
-		if !c.valid[i] {
-			return i
-		}
-		if c.freq[i] < best {
-			best, slot = c.freq[i], i
-		}
-	}
-	return slot
-}
-
-// InvalidateIndex clears one entry.
-func (c *CAM) InvalidateIndex(i int) {
-	if i >= 0 && i < c.size {
-		if c.valid[i] {
-			c.indexRemove(c.pattern[i], i)
-			c.count--
-		}
-		c.valid[i] = false
-		c.freq[i] = 0
-		c.refreshHi()
-	}
-}
-
-// Entries returns the number of valid entries. The count is maintained
-// incrementally by Insert/InvalidateIndex/RestoreSlot, so metrics and GC
-// sweeps pay O(1) instead of rescanning the valid bits.
-func (c *CAM) Entries() int { return c.count }
-
-// Freq returns the frequency counter of entry i (0 when invalid).
-func (c *CAM) Freq(i int) uint64 {
-	if i < 0 || i >= c.size || !c.valid[i] {
-		return 0
-	}
-	return c.freq[i]
-}
-
-// SlotState returns slot i's raw replacement state for serialization:
-// the stored pattern, its frequency counter, and the valid bit.
-func (c *CAM) SlotState(i int) (pattern uint32, freq uint64, valid bool) {
-	if i < 0 || i >= c.size || !c.valid[i] {
-		return 0, 0, false
-	}
-	return c.pattern[i], c.freq[i], true
-}
-
-// RestoreSlot overwrites slot i with serialized state, bypassing the
-// replacement policy — the snapshot codec's inverse of SlotState.
-func (c *CAM) RestoreSlot(i int, pattern uint32, freq uint64, valid bool) {
-	if i < 0 || i >= c.size {
-		return
-	}
-	if c.valid[i] {
-		c.indexRemove(c.pattern[i], i)
-		c.count--
-	}
-	c.valid[i] = valid
-	if valid {
-		c.pattern[i], c.freq[i] = pattern, freq
-		c.indexAdd(pattern, i)
-		c.count++
-		if i >= c.hi {
-			c.hi = i + 1
-		}
-		return
-	}
-	c.pattern[i], c.freq[i] = 0, 0
-	c.refreshHi()
-}
-
-// RestoreStats overwrites the operation counters — used when restoring
-// a snapshot so energy accounting continues from the captured totals.
-func (c *CAM) RestoreStats(s Stats) { c.stats = s }
 
 // TEntry is one ternary entry: a stored value plus a don't-care mask.
 // Mask bits set to 1 are ignored during matching, i.e. the entry
@@ -322,9 +141,6 @@ func NewTCAM(size int) *TCAM {
 	}
 }
 
-// Size returns the entry capacity.
-func (t *TCAM) Size() int { return t.size }
-
 // Stats returns the operation counters accumulated so far.
 func (t *TCAM) Stats() Stats { return t.stats }
 
@@ -341,9 +157,7 @@ func (t *TCAM) clearSlot(i int) {
 	t.groups[i>>groupShift].clear(uint(i & (groupSize - 1)))
 }
 
-// refreshHi lowers the scan bound after an invalidation at the top —
-// the shared form of the loop InvalidateIndex and RestoreSlot used to
-// carry separately, mirroring CAM.refreshHi.
+// refreshHi lowers the scan bound after an invalidation at the top.
 func (t *TCAM) refreshHi() {
 	for t.hi > 0 && !t.valid[t.hi-1] {
 		t.hi--
@@ -397,8 +211,11 @@ func (t *TCAM) PeekExact(e TEntry) (idx int, ok bool) {
 	return 0, false
 }
 
-// Insert installs entry e, reusing an identical existing entry if present.
-// Returns the index used, the displaced entry if an eviction happened.
+// Insert installs entry e, reusing an identical existing entry if present
+// (its frequency is refreshed instead). Returns the index used, the
+// displaced entry if an eviction happened. The victim is the first
+// invalid slot, else the lowest-frequency entry (ties: lowest index),
+// modelling the frequency-counter-driven replacement of the paper's PMTs.
 func (t *TCAM) Insert(e TEntry) (idx int, evicted TEntry, hadEviction bool) {
 	if t.size == 0 {
 		return 0, TEntry{}, false
@@ -447,26 +264,10 @@ func (t *TCAM) InvalidateIndex(i int) {
 	}
 }
 
-// EntryAt returns the entry stored at index i.
-func (t *TCAM) EntryAt(i int) (TEntry, bool) {
-	if i < 0 || i >= t.size || !t.valid[i] {
-		return TEntry{}, false
-	}
-	return t.ent[i], true
-}
-
 // Entries returns the number of valid entries. The count is maintained
 // incrementally by Insert/InvalidateIndex/RestoreSlot, so metrics and GC
 // sweeps pay O(1) instead of rescanning the valid bits.
 func (t *TCAM) Entries() int { return t.count }
-
-// Freq returns the frequency counter of entry i (0 when invalid).
-func (t *TCAM) Freq(i int) uint64 {
-	if i < 0 || i >= t.size || !t.valid[i] {
-		return 0
-	}
-	return t.freq[i]
-}
 
 // SlotState returns slot i's raw replacement state for serialization:
 // the stored entry, its frequency counter, and the valid bit.

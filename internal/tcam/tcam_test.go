@@ -5,6 +5,15 @@ import (
 	"testing/quick"
 )
 
+// exact is the entry a binary CAM stores for pattern: no bit masked.
+func exact(pattern uint32) TEntry { return TEntry{Value: pattern} }
+
+// freqAt returns slot i's frequency counter, 0 when the slot is invalid.
+func freqAt(t *TCAM, i int) uint64 {
+	_, f, _ := t.SlotState(i)
+	return f
+}
+
 func TestCAMLookupMissOnEmpty(t *testing.T) {
 	c := NewCAM(4)
 	if _, ok := c.Lookup(42); ok {
@@ -16,14 +25,17 @@ func TestCAMLookupMissOnEmpty(t *testing.T) {
 }
 
 func TestCAMInsertLookup(t *testing.T) {
-	c := NewCAM(4)
-	idx, _, ev := c.Insert(7)
+	c := NewTCAM(4)
+	idx, _, ev := c.Insert(exact(7))
 	if ev {
 		t.Fatal("eviction from empty CAM")
 	}
-	got, ok := c.Lookup(7)
+	got, ok := c.Search(7)
 	if !ok || got != idx {
 		t.Fatalf("lookup after insert: idx=%d ok=%v want %d", got, ok, idx)
+	}
+	if _, ok := c.Search(6); ok {
+		t.Fatal("an entry that masks no bits matched a different key")
 	}
 	if c.Entries() != 1 {
 		t.Fatalf("entries = %d", c.Entries())
@@ -31,14 +43,14 @@ func TestCAMInsertLookup(t *testing.T) {
 }
 
 func TestCAMDuplicateInsertRefreshes(t *testing.T) {
-	c := NewCAM(2)
-	i1, _, _ := c.Insert(5)
-	i2, _, ev := c.Insert(5)
+	c := NewTCAM(2)
+	i1, _, _ := c.Insert(exact(5))
+	i2, _, ev := c.Insert(exact(5))
 	if i1 != i2 || ev {
 		t.Fatal("duplicate insert allocated a new slot or evicted")
 	}
-	if c.Entries() != 1 {
-		t.Fatalf("entries = %d, want 1", c.Entries())
+	if c.Entries() != 1 || freqAt(c, i1) != 2 {
+		t.Fatalf("entries = %d, freq = %d, want 1 and 2", c.Entries(), freqAt(c, i1))
 	}
 }
 
@@ -54,16 +66,16 @@ func TestCAMEvictsLowestFrequency(t *testing.T) {
 	if !had || evicted != 2 {
 		t.Fatalf("evicted %d (had=%v), want cold pattern 2", evicted, had)
 	}
-	if _, ok := c.Peek(1); !ok {
+	if _, ok := c.Lookup(1); !ok {
 		t.Fatal("hot pattern was evicted")
 	}
 }
 
 func TestCAMInvalidate(t *testing.T) {
-	c := NewCAM(2)
-	idx, _, _ := c.Insert(9)
+	c := NewTCAM(2)
+	idx, _, _ := c.Insert(exact(9))
 	c.InvalidateIndex(idx)
-	if _, ok := c.Peek(9); ok {
+	if _, ok := c.Search(9); ok {
 		t.Fatal("pattern survives invalidation")
 	}
 	if c.Entries() != 0 {
@@ -169,18 +181,18 @@ func TestTCAMInvalidateAndEntryAt(t *testing.T) {
 	tc := NewTCAM(2)
 	e := TEntry{Value: 1, Mask: 0}
 	idx, _, _ := tc.Insert(e)
-	got, ok := tc.EntryAt(idx)
+	got, _, ok := tc.SlotState(idx)
 	if !ok || got != e {
-		t.Fatalf("EntryAt = %+v ok=%v", got, ok)
+		t.Fatalf("SlotState = %+v ok=%v", got, ok)
 	}
-	if tc.Freq(idx) != 1 {
-		t.Fatalf("freq = %d", tc.Freq(idx))
+	if freqAt(tc, idx) != 1 {
+		t.Fatalf("freq = %d", freqAt(tc, idx))
 	}
 	tc.InvalidateIndex(idx)
-	if _, ok := tc.EntryAt(idx); ok {
+	if _, _, ok := tc.SlotState(idx); ok {
 		t.Fatal("entry survives invalidation")
 	}
-	if tc.Freq(idx) != 0 {
+	if freqAt(tc, idx) != 0 {
 		t.Fatal("freq survives invalidation")
 	}
 }
@@ -207,12 +219,12 @@ func TestTCAMStats(t *testing.T) {
 }
 
 func TestCAMVictimPrefersInvalidSlot(t *testing.T) {
-	c := NewCAM(3)
-	c.Insert(1)
-	i2, _, _ := c.Insert(2)
-	c.Insert(3)
+	c := NewTCAM(3)
+	c.Insert(exact(1))
+	i2, _, _ := c.Insert(exact(2))
+	c.Insert(exact(3))
 	c.InvalidateIndex(i2)
-	idx, _, had := c.Insert(4)
+	idx, _, had := c.Insert(exact(4))
 	if had || idx != i2 {
 		t.Fatalf("insert used slot %d (evict=%v), want freed slot %d", idx, had, i2)
 	}

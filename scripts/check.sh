@@ -77,11 +77,12 @@ echo '>> alloc budget (serve wire path)'
 go test -run 'TestReadFrameSteadyStateAllocs|TestWireReplaySteadyStateAllocs' ./internal/serve
 
 # Codec alloc gates: Compress and DecompressInto must stay zero-alloc per
-# block in steady state on every scheme, and the AVCL per-word mask
-# computation must never allocate (see DESIGN.md §14). Uninstrumented for
-# the same heap-accounting reason.
+# block in steady state on every scheme, an encoder-PMT update that
+# evicts and installs must not allocate on either dictionary scheme, and
+# the AVCL per-word mask computation must never allocate (see DESIGN.md
+# §14). Uninstrumented for the same heap-accounting reason.
 echo '>> alloc budget (codec encode/decode)'
-go test -run 'TestCompressZeroAllocs|TestCompressZeroAllocsDict|TestDecompressIntoZeroAllocs|TestFabricTransferSteadyAllocs' ./internal/compress
+go test -run 'TestCompressZeroAllocs|TestCompressZeroAllocsDict|TestDecompressIntoZeroAllocs|TestFabricTransferSteadyAllocs|TestHandleUpdateEvictZeroAllocs' ./internal/compress
 go test -run 'TestAVCLZeroAllocs' ./internal/approx
 
 echo '>> coverage (per package)'
