@@ -11,25 +11,24 @@ import (
 )
 
 // CheckRequestMasks recomputes every router's allocator request masks and
-// active-set counters from the VC state they summarize and reports the
-// first disagreement: a bit set for a slot that is not requesting is a
-// wasted probe at best, a bit missing is a flit that never moves.
+// routing counter from the VC state they summarize and reports the first
+// disagreement: a bit set for a slot that is not requesting is a wasted
+// probe at best, a bit missing is a flit that never moves.
 func (n *Network) CheckRequestMasks() error {
 	for _, r := range n.routers {
 		sa, va := make([]uint64, r.ports), make([]uint64, r.ports)
 		var rc uint64
-		flits, routing := 0, 0
+		routing := 0
 		for slot := range r.in {
 			ivc := &r.in[slot]
-			flits += ivc.count
 			bit := uint64(1) << uint(slot)
-			switch f := ivc.front(); {
-			case ivc.state == vcActive && f != nil:
+			switch {
+			case ivc.state == vcActive && ivc.count > 0:
 				sa[ivc.outPort] |= bit
 			case ivc.state == vcRouting:
 				va[ivc.outPort] |= bit
 				routing++
-			case ivc.state == vcIdle && f != nil && f.IsHead():
+			case ivc.state == vcIdle && ivc.count > 0 && ivc.front().IsHead():
 				rc |= bit
 			}
 		}
@@ -39,9 +38,102 @@ func (n *Network) CheckRequestMasks() error {
 					n.Now(), r.id, op, r.saReq[op], sa[op], r.vaReq[op], va[op])
 			}
 		}
-		if r.rcReq != rc || r.flits != flits || r.routing != routing {
-			return fmt.Errorf("cycle %d router %d: rcReq %#x want %#x, flits %d want %d, routing %d want %d",
-				n.Now(), r.id, r.rcReq, rc, r.flits, flits, r.routing, routing)
+		if r.rcReq != rc || r.routing != routing {
+			return fmt.Errorf("cycle %d router %d: rcReq %#x want %#x, routing %d want %d",
+				n.Now(), r.id, r.rcReq, rc, r.routing, routing)
+		}
+	}
+	return nil
+}
+
+// CheckFlitSlots holds the flits to the packets their slots name and
+// reports the first violation:
+//   - every buffered and staged flit names an in-flight packet: one a slab
+//     handed out, not on the free list, and not yet ejected into an NI's
+//     decode FIFO or reorder map, where no ejected packet is on the free
+//     list either;
+//   - each input VC's flits run head…tail per packet, a head only after a
+//     tail, and the front of a VC that holds no output VC is a head;
+//   - each router's flit count is the sum of its VC counts.
+func (n *Network) CheckFlitSlots() error {
+	const (
+		inFlight = 0
+		free     = 1
+		ejected  = 2
+	)
+	state := make([]uint8, n.slots)
+	for _, p := range n.pktPool {
+		if state[p.slot] == free {
+			return fmt.Errorf("cycle %d: slot %d is on the free list twice", n.Now(), p.slot)
+		}
+		state[p.slot] = free
+	}
+	eject := func(p *Packet) error {
+		if state[p.slot] == free {
+			return fmt.Errorf("cycle %d: slot %d awaits delivery from the free list", n.Now(), p.slot)
+		}
+		state[p.slot] = ejected
+		return nil
+	}
+	for _, ni := range n.nis {
+		for src := range ni.from {
+			fl := &ni.from[src]
+			for _, d := range fl.q {
+				if err := eject(d.p); err != nil {
+					return err
+				}
+			}
+			if len(fl.reorder) == 0 {
+				continue // ranging an empty map still costs an iterator
+			}
+			for _, p := range fl.reorder {
+				if err := eject(p); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	// stray describes what is wrong with the packet a flit names, or "".
+	stray := func(f flit) string {
+		switch s := int(f.slot()); {
+		case s >= n.slots:
+			return fmt.Sprintf("names slot %d, past the %d handed out", s, n.slots)
+		case state[s] == free:
+			return fmt.Sprintf("names slot %d, on the free list", s)
+		case state[s] == ejected:
+			return fmt.Sprintf("names slot %d, already ejected", s)
+		}
+		return ""
+	}
+	for _, s := range n.flitStage {
+		if why := stray(s.flit); why != "" {
+			return fmt.Errorf("cycle %d: flit staged for router %d port %d vc %d %s", n.Now(), s.router, s.port, s.vc, why)
+		}
+	}
+	for _, r := range n.routers {
+		flits := 0
+		for slot := range r.in {
+			ivc := &r.in[slot]
+			flits += ivc.count
+			for k := 0; k < ivc.count; k++ {
+				f := ivc.buf[(ivc.head+k)%len(ivc.buf)]
+				if why := stray(f); why != "" {
+					return fmt.Errorf("cycle %d: flit buffered at router %d slot %d %s", n.Now(), r.id, slot, why)
+				}
+				if k == 0 {
+					if ivc.state != vcActive && !f.IsHead() {
+						return fmt.Errorf("cycle %d: router %d slot %d fronts a non-head flit in state %d", n.Now(), r.id, slot, ivc.state)
+					}
+					continue
+				}
+				prev := ivc.buf[(ivc.head+k-1)%len(ivc.buf)]
+				if prev.IsTail() != f.IsHead() || !prev.IsTail() && prev.slot() != f.slot() {
+					return fmt.Errorf("cycle %d: router %d slot %d buffers flit %#x after %#x", n.Now(), r.id, slot, f, prev)
+				}
+			}
+		}
+		if r.flits != flits {
+			return fmt.Errorf("cycle %d router %d: flits %d, VC counts sum to %d", n.Now(), r.id, r.flits, flits)
 		}
 	}
 	return nil
@@ -72,10 +164,16 @@ func TestFlitAndCreditConservation(t *testing.T) {
 		if err := n.CheckRequestMasks(); err != nil {
 			t.Fatal(err)
 		}
+		if err := n.CheckFlitSlots(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i := 0; i < 200000 && !n.Quiescent(); i++ {
 		n.Step()
 		if err := n.CheckRequestMasks(); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.CheckFlitSlots(); err != nil {
 			t.Fatal(err)
 		}
 	}

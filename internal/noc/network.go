@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"approxnoc/internal/compress"
 	"approxnoc/internal/obs"
@@ -15,7 +16,7 @@ type stagedFlit struct {
 	router int
 	port   topology.Direction
 	vc     int
-	flit   *Flit
+	flit   flit
 }
 
 // stagedCredit is a credit in flight back to an upstream output VC.
@@ -57,15 +58,21 @@ type Network struct {
 	creditStage   []stagedCredit
 	niCreditStage []stagedNICredit
 
-	// flitPool recycles Flit structs between ejection and the next
-	// injection, keeping steady-state Step allocation-free; pktPool
-	// recycles delivered Packets, payload storage included, into the next
+	// Packets live in slabs, the first slots of them handed out; pktPool
+	// recycles delivered ones, payload storage included, into the next
 	// send. Per-network, so they need no locking and stay deterministic.
-	flitPool []*Flit
-	pktPool  []*Packet
+	slabs   []*[slabLen]Packet
+	slots   int
+	pktPool []*Packet
 	// decoded is the block every data delivery decodes into, recycled
 	// under the packet rule: valid until the delivery handlers return.
 	decoded value.Block
+
+	// One bit per tile, so stepNIs visits only NIs with work: sending
+	// while the injection queue or the streaming packet is non-empty,
+	// decoding while the NI has deliveries pending.
+	sending  []uint64
+	decoding []uint64
 
 	seq          []uint64 // next sequence number per pair, indexed src*tiles+dst
 	nextPacketID uint64
@@ -100,6 +107,8 @@ func New(topo *topology.Topology, cfg Config, codecFactory func(node int) compre
 		flitStage:     make([]stagedFlit, 0, stage),
 		creditStage:   make([]stagedCredit, 0, stage),
 		niCreditStage: make([]stagedNICredit, 0, stage),
+		sending:       make([]uint64, (topo.Tiles()+63)/64),
+		decoding:      make([]uint64, (topo.Tiles()+63)/64),
 		seq:           make([]uint64, topo.Tiles()*topo.Tiles()),
 	}
 	n.routers = make([]*router, topo.Routers())
@@ -147,15 +156,24 @@ func (n *Network) notifyDelivery(p *Packet, blk *value.Block) {
 	}
 }
 
-// newPacket takes a packet from the recycle pool, or allocates one, and
-// stamps it as the next packet of the (src, dst) pair.
+// slabLen packets of 184 bytes and an 8-byte malloc header fit the 12 288
+// B size class; 192-byte ones would not (TestPacketSlabBytes).
+const slabLen = 64
+
+// newPacket takes a packet from the recycle pool, or the next slab slot,
+// and stamps it as the next packet of the (src, dst) pair.
 func (n *Network) newPacket(src, dst int, kind PacketKind, now sim.Cycle) *Packet {
 	var p *Packet
 	if k := len(n.pktPool); k > 0 {
 		p = n.pktPool[k-1]
 		n.pktPool = n.pktPool[:k-1]
 	} else {
-		p = &Packet{}
+		if n.slots%slabLen == 0 {
+			n.slabs = append(n.slabs, new([slabLen]Packet))
+		}
+		p = &n.slabs[n.slots/slabLen][n.slots%slabLen]
+		p.slot = uint32(n.slots)
+		n.slots++
 	}
 	key := src*len(n.nis) + dst
 	p.ID, p.Src, p.Dst, p.Kind = n.nextPacketID, src, dst, kind
@@ -168,12 +186,15 @@ func (n *Network) newPacket(src, dst int, kind PacketKind, now sim.Cycle) *Packe
 }
 
 // freePacket returns a delivered packet to the pool after its delivery
-// handlers have returned. Everything but the payload storage is cleared,
-// so newPacket starts from zero values.
+// handlers have returned. Everything but the slot and the payload storage
+// is cleared, so newPacket starts from zero values.
 func (n *Network) freePacket(p *Packet) {
-	*p = Packet{Enc: compress.Encoded{Payload: p.Enc.Payload[:0]}}
+	*p = Packet{slot: p.slot, Enc: compress.Encoded{Payload: p.Enc.Payload[:0]}}
 	n.pktPool = append(n.pktPool, p)
 }
+
+// packet is the packet a flit names.
+func (n *Network) packet(f flit) *Packet { return &n.slabs[f.slot()/slabLen][f.slot()%slabLen] }
 
 // SendData queues a cache block from src to dst and returns its packet.
 // The block is encoded before SendData returns and nothing of it is kept,
@@ -257,16 +278,25 @@ func (n *Network) landArrivals() {
 	n.niCreditStage = n.niCreditStage[:0]
 }
 
-// stepNIs injects, completes decodes and ends the cycle.
+// stepNIs injects, completes decodes and ends the cycle, visiting the
+// sending and then the decoding NIs in ascending tile order.
 func (n *Network) stepNIs(now sim.Cycle) {
-	for _, ni := range n.nis {
-		if ni.cur != nil || len(ni.queue) > ni.qhead {
+	for w, m := range n.sending {
+		for ; m != 0; m &= m - 1 {
+			ni := n.nis[w*64+bits.TrailingZeros64(m)]
 			ni.inject(now)
+			if ni.cur == nil && len(ni.queue) == ni.qhead {
+				n.sending[w] &^= m & -m
+			}
 		}
 	}
-	for _, ni := range n.nis {
-		if ni.pendingDeliveries > 0 {
+	for w, m := range n.decoding {
+		for ; m != 0; m &= m - 1 {
+			ni := n.nis[w*64+bits.TrailingZeros64(m)]
 			ni.processDeliveries(now)
+			if ni.pendingDeliveries == 0 {
+				n.decoding[w] &^= m & -m
+			}
 		}
 	}
 
@@ -340,7 +370,7 @@ func (n *Network) CodecStats() compress.OpStats {
 }
 
 // stageFlit schedules a flit to arrive at a router input next cycle.
-func (n *Network) stageFlit(router int, port topology.Direction, vc int, f *Flit) {
+func (n *Network) stageFlit(router int, port topology.Direction, vc int, f flit) {
 	n.flitStage = append(n.flitStage, stagedFlit{router: router, port: port, vc: vc, flit: f})
 }
 
@@ -354,20 +384,5 @@ func (n *Network) stageNICredit(tile, vc int) {
 	n.niCreditStage = append(n.niCreditStage, stagedNICredit{tile: tile, vc: vc})
 }
 
-// allocFlit takes a flit from the recycle pool, or allocates one.
-func (n *Network) allocFlit() *Flit {
-	if len(n.flitPool) == 0 {
-		return &Flit{}
-	}
-	f := n.flitPool[len(n.flitPool)-1]
-	n.flitPool = n.flitPool[:len(n.flitPool)-1]
-	return f
-}
-
-// freeFlit returns an ejected flit to the pool. Callers must guarantee no
-// live reference remains — the router calls it right after the NI sinks
-// the flit, and receiveFlit keeps only the Packet.
-func (n *Network) freeFlit(f *Flit) {
-	f.Packet = nil
-	n.flitPool = append(n.flitPool, f)
-}
+// setBit sets bit i of a bitmask.
+func setBit(mask []uint64, i int) { mask[i/64] |= 1 << uint(i%64) }

@@ -42,16 +42,15 @@ type NI struct {
 	queue   []*Packet
 	qhead   int
 	cur     *Packet
-	curFl   []*Flit // reused flit scratch for the streaming packet
-	curIdx  int
+	curIdx  int // the next flit of cur to inject
 	curVC   int
 	credits []int
 	nextVC  int
 
 	// Ejection side, indexed by source tile. decoding has one bit per
 	// source whose decode FIFO is non-empty, so processDeliveries visits
-	// only those; pendingDeliveries counts the entries across them so Step
-	// can skip NIs with nothing to decode.
+	// only those; pendingDeliveries counts the entries across them, and
+	// stepNIs stops visiting the NI when it reaches 0.
 	from              []srcFlow
 	decoding          []uint64
 	pendingDeliveries int
@@ -106,24 +105,11 @@ func (ni *NI) popQueue() *Packet {
 	return p
 }
 
-// buildFlits fragments the packet into the NI's reusable flit scratch,
-// drawing Flit structs from the network's recycle pool.
-func (ni *NI) buildFlits(p *Packet) {
-	ni.curFl = ni.curFl[:0]
-	for i := 0; i < p.Flits; i++ {
-		t := BodyFlit
-		switch {
-		case p.Flits == 1:
-			t = HeadTailFlit
-		case i == 0:
-			t = HeadFlit
-		case i == p.Flits-1:
-			t = TailFlit
-		}
-		f := ni.net.allocFlit()
-		f.Type, f.Seq, f.Packet = t, i, p
-		ni.curFl = append(ni.curFl, f)
-	}
+// enqueue appends p to the injection queue and marks the tile sending.
+func (ni *NI) enqueue(p *Packet) *Packet {
+	ni.queue = append(ni.queue, p)
+	setBit(ni.net.sending, ni.tile)
+	return p
 }
 
 // enqueueData packetizes and compresses a cache block bound for dst.
@@ -158,8 +144,7 @@ func (ni *NI) enqueueData(dst int, blk *value.Block, now sim.Cycle) *Packet {
 			p.ReadyAt = 0 // assigned when the packet reaches the queue head
 		}
 	}
-	ni.queue = append(ni.queue, p)
-	return p
+	return ni.enqueue(p)
 }
 
 // enqueueControl queues a single-flit control packet.
@@ -167,8 +152,7 @@ func (ni *NI) enqueueControl(dst int, now sim.Cycle) *Packet {
 	p := ni.net.newPacket(ni.tile, dst, ControlPacket, now)
 	p.Flits = 1
 	p.ReadyAt = now
-	ni.queue = append(ni.queue, p)
-	return p
+	return ni.enqueue(p)
 }
 
 // enqueueNotif queues a dictionary protocol message as a single-flit
@@ -178,17 +162,14 @@ func (ni *NI) enqueueNotif(n compress.Notification, now sim.Cycle) *Packet {
 	p.Notif = n
 	p.Flits = 1
 	p.ReadyAt = now
-	ni.queue = append(ni.queue, p)
-	return p
+	return ni.enqueue(p)
 }
 
 // inject pushes at most one flit per cycle into the router's local input
-// port, subject to credits.
+// port, subject to credits, building flit curIdx of the streaming packet
+// as it goes. stepNIs calls it only while the tile is sending.
 func (ni *NI) inject(now sim.Cycle) {
 	if ni.cur == nil {
-		if len(ni.queue) == ni.qhead {
-			return
-		}
 		head := ni.queue[ni.qhead]
 		if head.ReadyAt == 0 && head.Kind == DataPacket && head.Enc.Scheme != compress.Baseline {
 			// OverlapQueueing off: compression starts at the queue head.
@@ -199,7 +180,6 @@ func (ni *NI) inject(now sim.Cycle) {
 		}
 		ni.popQueue()
 		ni.cur = head
-		ni.buildFlits(head)
 		ni.curIdx = 0
 		ni.curVC = -1
 	}
@@ -219,7 +199,6 @@ func (ni *NI) inject(now sim.Cycle) {
 	if ni.credits[ni.curVC] == 0 {
 		return
 	}
-	f := ni.curFl[ni.curIdx]
 	ni.credits[ni.curVC]--
 	if ni.curIdx == 0 {
 		ni.cur.InjectedAt = now
@@ -228,31 +207,28 @@ func (ni *NI) inject(now sim.Cycle) {
 	if ni.cur.Kind == DataPacket {
 		ni.net.stats.DataFlitsInjected++
 	}
-	ni.net.stageFlit(ni.router, ni.port, ni.curVC, f)
+	ni.net.stageFlit(ni.router, ni.port, ni.curVC, makeFlit(ni.cur.slot, ni.curIdx, ni.cur.Flits))
 	if ni.net.tracer != nil {
 		ni.net.trace(obs.EvFlitInject, ni.tile, ni.cur.ID, uint64(ni.curIdx))
 	}
 	ni.curIdx++
-	if ni.curIdx == len(ni.curFl) {
-		// Keep curFl's capacity for the next packet; the in-flight flits
-		// are owned by the network until ejection.
+	if ni.curIdx == ni.cur.Flits {
 		ni.cur, ni.curVC = nil, -1
-		ni.curFl = ni.curFl[:0]
 	}
 }
 
 // receiveFlit accepts an ejected flit from the router. Tail arrival
 // completes the packet and enters it into the ordered decode pipeline.
-func (ni *NI) receiveFlit(f *Flit) {
+func (ni *NI) receiveFlit(f flit) {
 	ni.net.stats.FlitsEjected++
 	if ni.net.tracer != nil {
-		ni.net.trace(obs.EvFlitEject, ni.tile, f.Packet.ID, 0)
+		ni.net.trace(obs.EvFlitEject, ni.tile, ni.net.packet(f).ID, 0)
 	}
 	if !f.IsTail() {
 		return
 	}
 	now := ni.net.clock.Now()
-	p := f.Packet
+	p := ni.net.packet(f)
 	p.EjectedAt = now
 	fl := &ni.from[p.Src]
 	if p.Seq != fl.expected {
@@ -263,7 +239,8 @@ func (ni *NI) receiveFlit(f *Flit) {
 		return
 	}
 	// Release p and every packet it unblocks into the decode FIFO.
-	ni.decoding[p.Src/64] |= 1 << uint(p.Src%64)
+	setBit(ni.decoding, p.Src)
+	setBit(ni.net.decoding, ni.tile)
 	for {
 		fl.expected++
 		fl.q = append(fl.q, delivery{p: p, readyAt: now + ni.decodeLatency(p)})

@@ -724,6 +724,30 @@ func TestLatencyPercentiles(t *testing.T) {
 	if empty.LatencyPercentile(50) != 0 {
 		t.Fatal("empty stats percentile nonzero")
 	}
+	// Nearest rank ⌈pct·n/100⌉, not the truncated pct·n/100: the median of
+	// three is the second delivery, p99 of 150 the 149th.
+	deliver := func(s *NetStats, lat sim.Cycle, times int) {
+		for i := 0; i < times; i++ {
+			s.recordDelivery(&Packet{Kind: ControlPacket, EjectedAt: lat, DeliveredAt: lat})
+		}
+	}
+	var three, many NetStats
+	deliver(&three, 10, 1)
+	deliver(&three, 100, 2)
+	if p50 := three.LatencyPercentile(50); p50 != 104 {
+		t.Fatalf("p50 of {10, 100, 100} reads %g, want 104", p50)
+	}
+	deliver(&many, 10, 148)
+	deliver(&many, 100, 2)
+	if p99 := many.LatencyPercentile(99); p99 != 104 {
+		t.Fatalf("p99 of 148 deliveries at 10 and 2 at 100 reads %g, want 104", p99)
+	}
+	var hundred NetStats
+	deliver(&hundred, 10, 99)
+	deliver(&hundred, 100, 1)
+	if p99 := hundred.LatencyPercentile(99); p99 != 16 {
+		t.Fatalf("p99 of 99 deliveries at 10 and 1 at 100 reads %g, want 16 (rank 99)", p99)
+	}
 }
 
 // A percentile that lands in the histogram's last, unbounded bin reports

@@ -47,7 +47,7 @@ func (n *Network) EnableObs(reg *obs.Registry, tracer *obs.Tracer, every int) {
 	n.publishObs()
 
 	load := func() *netObsState { return o.snap.Load() }
-	reg.Collector("noc_cycles_total", "simulation cycles since the last stats reset",
+	reg.Collector("noc_cycles_total", "simulation cycles since the network was built",
 		obs.TypeCounter, nil, func() []obs.Sample {
 			return []obs.Sample{{Value: float64(load().stats.Cycles)}}
 		})

@@ -52,6 +52,9 @@ type Packet struct {
 	Src  int // source tile
 	Dst  int // destination tile
 	Kind PacketKind
+	// slot is the packet's place in the network's slabs, fixed for life;
+	// it sits in the padding after Kind, so it costs Packet no bytes.
+	slot uint32
 
 	// Seq orders packets per (src,dst) pair; the destination NI delivers
 	// in sequence order, which the dictionary protocol relies on.
@@ -88,29 +91,35 @@ func (p *Packet) DecodeLatency() sim.Cycle { return p.DeliveredAt - p.EjectedAt 
 // TotalLatency is creation to delivery.
 func (p *Packet) TotalLatency() sim.Cycle { return p.DeliveredAt - p.CreatedAt }
 
-// FlitType marks a flit's position within its packet.
-type FlitType uint8
+// flit is the flow-control unit moving through routers: a plain word
+// naming its packet's slab slot in the high bits, with head and tail marks
+// in the low two. A flit carries no pointer, so buffering, staging and
+// injecting one is a word copy the garbage collector never sees.
+type flit uint32
 
 const (
-	// HeadFlit opens a multi-flit packet.
-	HeadFlit FlitType = iota
-	// BodyFlit is a middle flit.
-	BodyFlit
-	// TailFlit closes a multi-flit packet.
-	TailFlit
-	// HeadTailFlit is the sole flit of a single-flit packet.
-	HeadTailFlit
+	headMark  flit = 1 // the flit performs route computation
+	tailMark  flit = 2 // the flit releases the wormhole
+	slotShift      = 2 // the packet's slot starts above the marks
 )
 
-// Flit is the flow-control unit moving through routers.
-type Flit struct {
-	Type   FlitType
-	Seq    int // index within the packet
-	Packet *Packet
+// makeFlit builds flit i of an n-flit packet in slot.
+func makeFlit(slot uint32, i, n int) flit {
+	f := flit(slot) << slotShift
+	if i == 0 {
+		f |= headMark
+	}
+	if i == n-1 {
+		f |= tailMark
+	}
+	return f
 }
 
 // IsHead reports whether the flit performs route computation.
-func (f *Flit) IsHead() bool { return f.Type == HeadFlit || f.Type == HeadTailFlit }
+func (f flit) IsHead() bool { return f&headMark != 0 }
 
 // IsTail reports whether the flit releases the wormhole.
-func (f *Flit) IsTail() bool { return f.Type == TailFlit || f.Type == HeadTailFlit }
+func (f flit) IsTail() bool { return f&tailMark != 0 }
+
+// slot is the slab slot of the flit's packet.
+func (f flit) slot() uint32 { return uint32(f >> slotShift) }

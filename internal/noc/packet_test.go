@@ -1,7 +1,9 @@
 package noc
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"approxnoc/internal/compress"
 	"approxnoc/internal/value"
@@ -32,23 +34,65 @@ func TestPacketKindStrings(t *testing.T) {
 	}
 }
 
+// A flit carries its packet's slot and its head and tail marks, and the
+// network maps the slot back to the packet across slab boundaries.
 func TestFlitsOfShapes(t *testing.T) {
-	ni := baselineNet(t, 2, 2, 1).NI(0)
-	single := &Packet{Flits: 1}
-	ni.buildFlits(single)
-	if fs := ni.curFl; len(fs) != 1 || fs[0].Type != HeadTailFlit || !fs[0].IsHead() || !fs[0].IsTail() || fs[0].Packet != single {
-		t.Fatal("single-flit packet malformed")
-	}
-	multi := &Packet{Flits: 4}
-	ni.buildFlits(multi)
-	fs := ni.curFl
-	if len(fs) != 4 || fs[0].Type != HeadFlit || fs[1].Type != BodyFlit || fs[2].Type != BodyFlit || fs[3].Type != TailFlit {
-		t.Fatal("multi-flit shape wrong")
-	}
-	for i, f := range fs {
-		if f.Seq != i || f.Packet != multi {
-			t.Fatal("flit bookkeeping wrong")
+	for _, tc := range []struct {
+		slot       uint32
+		i, n       int
+		head, tail bool
+	}{
+		{slot: 7, i: 0, n: 1, head: true, tail: true},
+		{slot: 1<<30 - 1, i: 0, n: 4, head: true},
+		{slot: 5, i: 1, n: 4},
+		{slot: 5, i: 2, n: 4},
+		{slot: 5, i: 3, n: 4, tail: true},
+	} {
+		f := makeFlit(tc.slot, tc.i, tc.n)
+		if f.slot() != tc.slot || f.IsHead() != tc.head || f.IsTail() != tc.tail {
+			t.Fatalf("flit %d of %d in slot %d: slot %d head %v tail %v", tc.i, tc.n, tc.slot, f.slot(), f.IsHead(), f.IsTail())
 		}
+	}
+	n := baselineNet(t, 2, 2, 1)
+	for i := 0; i < 2*slabLen+1; i++ {
+		p, err := n.SendControl(i%4, (i+1)%4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int(p.slot) != i || n.packet(makeFlit(p.slot, 0, 1)) != p {
+			t.Fatalf("packet %d in slot %d does not map back to itself", i, p.slot)
+		}
+	}
+}
+
+// TestPacketSlabBytes pins what packet storage costs: 64·k control packets
+// queued on an unstepped network take k slabs of 64 Packets, and those
+// must cost no more than 5 % over the Packets' own bytes. Packet is 184
+// bytes, so a slab and its malloc header fit the 12 288-byte size class;
+// a field added outside the padding after Kind makes Packet 192 bytes and
+// spills every slab into the 13 568-byte class, 10 % over.
+func TestPacketSlabBytes(t *testing.T) {
+	const k = 32
+	n := baselineNet(t, 4, 4, 2)
+	tiles := n.Topology().Tiles()
+	for _, ni := range n.nis { // measure packet storage, not queue growth
+		ni.queue = make([]*Packet, 0, slabLen*k/tiles)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < slabLen*k; i++ {
+		if _, err := n.SendControl(i%tiles, (i+1)%tiles); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if len(n.slabs) != k {
+		t.Fatalf("%d packets took %d slabs, want %d", slabLen*k, len(n.slabs), k)
+	}
+	size := unsafe.Sizeof(Packet{})
+	budget := float64(slabLen*k) * float64(size) * 1.05
+	if got := after.TotalAlloc - before.TotalAlloc; float64(got) > budget {
+		t.Fatalf("%d packets of %d bytes allocated %d bytes, over the %.0f-byte budget", slabLen*k, size, got, budget)
 	}
 }
 

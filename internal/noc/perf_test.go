@@ -9,9 +9,9 @@ import (
 )
 
 // TestStepZeroAllocs is the alloc-budget gate on the simulator hot path:
-// once the flit pool and per-NI queues have warmed up, a
+// once the packet slabs and per-NI queues have warmed up, a
 // control-packet steady state must drive Step without a single heap
-// allocation: everything on the control path — flits, VC state, request
+// allocation: everything on the control path — packets, VC state, request
 // masks, staging, credits — must recycle (TestDataPathSteadyAllocs holds
 // the data path to the same zero). The
 // spread burst flows freely; the converging one queues every source
@@ -45,7 +45,7 @@ func TestStepZeroAllocs(t *testing.T) {
 					}
 				}
 			}
-			// Warm up: identical bursts grow the flit pool, NI queues and
+			// Warm up: identical bursts grow the packet slabs, NI queues and
 			// per-source delivery queues to their steady-state sizes.
 			for i := 0; i < 3; i++ {
 				burst()
@@ -69,9 +69,9 @@ func TestStepZeroAllocs(t *testing.T) {
 }
 
 // TestDataPathSteadyAllocs pins the data path from SendData to delivery:
-// once the packet and flit pools are warm, a burst of data packets
-// allocates nothing, under every scheme. The packet, its payload copy and
-// its flits recycle, and delivery decodes into the network's one
+// once the packet pool is warm, a burst of data packets allocates
+// nothing, under every scheme. The packet and its payload copy recycle,
+// its flits are plain words, and delivery decodes into the network's one
 // delivery block. Each pair sends one packet per burst, so no reorder
 // state is made, and each pair resends its own block, so payload sizes
 // repeat. A block holds at most nine distinct words, one more than a DI

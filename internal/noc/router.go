@@ -21,7 +21,7 @@ const (
 // protocol's steady state performs no allocation: push/pop reuse the same
 // backing array for the lifetime of the router.
 type inputVC struct {
-	buf     []*Flit // ring storage, len == BufDepth
+	buf     []flit // ring storage, len == BufDepth
 	head    int
 	count   int
 	state   vcState
@@ -29,14 +29,10 @@ type inputVC struct {
 	outVC   int
 }
 
-func (v *inputVC) front() *Flit {
-	if v.count == 0 {
-		return nil
-	}
-	return v.buf[v.head]
-}
+// front is the oldest buffered flit; callers check count first.
+func (v *inputVC) front() flit { return v.buf[v.head] }
 
-func (v *inputVC) push(f *Flit) {
+func (v *inputVC) push(f flit) {
 	i := v.head + v.count
 	if i >= len(v.buf) {
 		i -= len(v.buf)
@@ -45,9 +41,8 @@ func (v *inputVC) push(f *Flit) {
 	v.count++
 }
 
-func (v *inputVC) pop() *Flit {
+func (v *inputVC) pop() flit {
 	f := v.buf[v.head]
-	v.buf[v.head] = nil
 	if v.head++; v.head == len(v.buf) {
 		v.head = 0
 	}
@@ -140,7 +135,7 @@ func newRouter(id int, net *Network) *router {
 	for t := range r.route {
 		r.route[t] = topo.Route(id, t)
 	}
-	bufs := make([]*Flit, slots*depth)
+	bufs := make([]flit, slots*depth)
 	for s := range r.in {
 		r.in[s].buf = bufs[s*depth : (s+1)*depth : (s+1)*depth]
 		r.out[s] = outputVC{credits: depth, infinite: topology.Direction(s/nvc) >= topology.Local}
@@ -158,7 +153,7 @@ func firstFrom(m uint64, start int) int {
 }
 
 // acceptFlit places an arriving flit into an input buffer (buffer write).
-func (r *router) acceptFlit(port topology.Direction, vc int, f *Flit) {
+func (r *router) acceptFlit(port topology.Direction, vc int, f flit) {
 	slot := int(port)*r.nvc + vc
 	ivc := &r.in[slot]
 	if ivc.count >= len(ivc.buf) {
@@ -206,7 +201,7 @@ func (r *router) stageSA() {
 				ovc.owned = false
 				ivc.state = vcIdle
 				r.saReq[op] &^= bit
-				if next := ivc.front(); next != nil && next.IsHead() {
+				if ivc.count > 0 && ivc.front().IsHead() {
 					r.rcReq |= bit
 				}
 			} else if ivc.count == 0 {
@@ -220,7 +215,7 @@ func (r *router) stageSA() {
 // forward moves a granted flit out of the router: onto the link toward the
 // neighbour, or into the local NI on an ejection port. It also returns a
 // credit upstream for the freed buffer slot.
-func (r *router) forward(ip topology.Direction, iv int, op topology.Direction, ov int, f *Flit) {
+func (r *router) forward(ip topology.Direction, iv int, op topology.Direction, ov int, f flit) {
 	net := r.net
 	// Credit for the freed input slot goes back where the flit came from.
 	if ip >= topology.Local {
@@ -230,7 +225,6 @@ func (r *router) forward(ip topology.Direction, iv int, op topology.Direction, o
 	}
 	if op >= topology.Local {
 		net.nis[r.link[op]].receiveFlit(f)
-		net.freeFlit(f)
 		return
 	}
 	next := r.link[op]
@@ -267,7 +261,7 @@ func (r *router) stageVA() {
 			r.vaRR[o] = (slot + 1) % len(r.in)
 			r.net.power.VCAllocs++
 			if r.net.tracer != nil {
-				r.net.trace(obs.EvVCAlloc, r.id, ivc.front().Packet.ID, uint64(op)<<8|uint64(ov))
+				r.net.trace(obs.EvVCAlloc, r.id, r.net.packet(ivc.front()).ID, uint64(op)<<8|uint64(ov))
 			}
 		}
 		r.vaReq[op] = req
@@ -280,7 +274,7 @@ func (r *router) stageRC() {
 	for m := r.rcReq; m != 0; m &= m - 1 {
 		slot := bits.TrailingZeros64(m)
 		ivc := &r.in[slot]
-		ivc.outPort = r.route[ivc.front().Packet.Dst]
+		ivc.outPort = r.route[r.net.packet(ivc.front()).Dst]
 		ivc.state = vcRouting
 		r.routing++
 		r.vaReq[ivc.outPort] |= 1 << uint(slot)

@@ -64,9 +64,10 @@ func newDiffNet(t *testing.T, vcs, conc int, pattern traffic.Pattern, rate float
 
 // TestAllocatorsMatchNaiveSweep steps twin networks, one through the
 // request-mask allocators and one through the exhaustive sweeps they
-// replaced, and requires the same statistics, power events and request
-// masks consistent with VC state after every cycle, and the same
-// per-packet timeline at the end. 4x4 routers at concentration 4 and 8
+// replaced, and requires the same statistics and power events, request
+// masks consistent with VC state and flits consistent with the packets
+// they name (CheckFlitSlots) after every cycle, and the same per-packet
+// timeline at the end. 4x4 routers at concentration 4 and 8
 // VCs is the 64-slot boundary: the top mask bit is a live input VC there.
 func TestAllocatorsMatchNaiveSweep(t *testing.T) {
 	vcGrid, concGrid := []int{1, 2, 4, 8}, []int{1, 2, 4}
@@ -100,6 +101,9 @@ func diffRun(t *testing.T, cycles int, fast, naive *diffNet) {
 		fast.net.Step()
 		naive.net.StepNaive()
 		if err := fast.net.CheckRequestMasks(); err != nil {
+			t.Fatal(err)
+		}
+		if err := fast.net.CheckFlitSlots(); err != nil {
 			t.Fatal(err)
 		}
 		if f, n := fast.net.Stats(), naive.net.Stats(); f != n {

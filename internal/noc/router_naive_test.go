@@ -42,15 +42,14 @@ func (r *router) stageSANaive() {
 				continue
 			}
 			ivc := &r.in[slot]
-			f := ivc.front()
-			if f == nil || ivc.state != vcActive || int(ivc.outPort) != op {
+			if ivc.count == 0 || ivc.state != vcActive || int(ivc.outPort) != op {
 				continue
 			}
 			ovc := &r.out[op*nvc+ivc.outVC]
 			if !ovc.hasCredit() {
 				continue
 			}
-			ivc.pop()
+			f := ivc.pop()
 			r.flits--
 			inputBusy[ip] = true
 			r.saRR[op] = (slot + 1) % total
@@ -91,7 +90,7 @@ func (r *router) stageVANaive() {
 				r.vaRR[op*nvc+ov] = (slot + 1) % total
 				r.net.power.VCAllocs++
 				if r.net.tracer != nil {
-					r.net.trace(obs.EvVCAlloc, r.id, ivc.front().Packet.ID, uint64(op)<<8|uint64(ov))
+					r.net.trace(obs.EvVCAlloc, r.id, r.net.packet(ivc.front()).ID, uint64(op)<<8|uint64(ov))
 				}
 				break
 			}
@@ -105,11 +104,10 @@ func (r *router) stageRCNaive() {
 		if ivc.state != vcIdle {
 			continue
 		}
-		f := ivc.front()
-		if f == nil || !f.IsHead() {
+		if ivc.count == 0 || !ivc.front().IsHead() {
 			continue
 		}
-		ivc.outPort = r.net.topo.Route(r.id, f.Packet.Dst)
+		ivc.outPort = r.net.topo.Route(r.id, r.net.packet(ivc.front()).Dst)
 		ivc.state = vcRouting
 	}
 }

@@ -1,5 +1,7 @@
 package noc
 
+import "math"
+
 // PowerEvents counts the microarchitectural events the power model converts
 // into dynamic energy.
 type PowerEvents struct {
@@ -106,18 +108,17 @@ func (s *NetStats) recordDelivery(p *Packet) {
 }
 
 // LatencyPercentile returns an upper bound on the given percentile
-// (0 < pct <= 100) of total packet latency: the end of its histogram bin,
-// or the largest latency delivered when it lands in the last bin, which
-// is unbounded. A NetStats without that maximum (one rebuilt from its
-// exported fields) reports the histogram's span there, never less.
+// (0 < pct <= 100) of total packet latency at the nearest rank ⌈pct·n/100⌉
+// of n deliveries, multiplied first so p99 of 100 is rank 99, and at least
+// 1: the end of its histogram bin, or the largest latency delivered when
+// it lands in the last bin, which is unbounded. A NetStats without that
+// maximum (one rebuilt from its exported fields) reports the histogram's
+// span there, never less.
 func (s NetStats) LatencyPercentile(pct float64) float64 {
 	if s.PacketsDelivered == 0 || pct <= 0 {
 		return 0
 	}
-	target := uint64(pct / 100 * float64(s.PacketsDelivered))
-	if target == 0 {
-		target = 1
-	}
+	target := max(uint64(math.Ceil(pct*float64(s.PacketsDelivered)/100)), 1)
 	var seen uint64
 	for i, c := range s.LatencyHist {
 		seen += c

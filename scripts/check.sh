@@ -57,16 +57,21 @@ go test -race -run 'TestMapJobs|TestDriversParallelEquivalence' -short ./interna
 echo '>> go test -race (cluster failover)'
 go test -race ./internal/cluster
 
-# Simulator cycle-kernel gates, uninstrumented: the hot path must stay
-# allocation-free in a control-packet steady state, free-flowing and
-# under arbitration; steady data traffic must allocate nothing under any
-# scheme (packets, payloads, flits and the decoded block recycle) and
-# recycled packets must keep their own payloads; and the request-mask
-# allocators must match the exhaustive-sweep oracle on the full VCs x
-# concentration x pattern x load grid (the -race -short pass above runs
-# a reduced grid; see DESIGN.md §9).
-echo '>> cycle kernel (TestStepZeroAllocs, TestDataPathSteadyAllocs, TestRecycledPacketsKeepPayloads, TestAllocatorsMatchNaiveSweep)'
-go test -run 'TestStepZeroAllocs|TestDataPathSteadyAllocs|TestRecycledPacketsKeepPayloads|TestAllocatorsMatchNaiveSweep' ./internal/noc
+# Simulator cycle-kernel gates, uninstrumented. Flits are 32-bit values
+# naming their packet's slot, and packets come from per-network slabs of
+# 64 that recycle on delivery. The hot path must stay allocation-free in
+# a control-packet steady state, free-flowing and under arbitration;
+# steady data traffic must allocate nothing under any scheme (packets,
+# payloads and the decoded block recycle) and recycled packets must keep
+# their own payloads; a slab must cost at most 5 % over its Packets'
+# bytes, so Packet stays inside its size class; every flit must name an
+# in-flight packet, head to tail per VC; and the request-mask allocators
+# must match the exhaustive-sweep oracle on the full VCs x concentration
+# x pattern x load grid, with the flit-slot invariant checked every
+# cycle (the -race -short pass above runs a reduced grid; see DESIGN.md
+# §9).
+echo '>> cycle kernel (TestStepZeroAllocs, TestDataPathSteadyAllocs, TestRecycledPacketsKeepPayloads, TestPacketSlabBytes, TestFlitAndCreditConservation, TestAllocatorsMatchNaiveSweep)'
+go test -run 'TestStepZeroAllocs|TestDataPathSteadyAllocs|TestRecycledPacketsKeepPayloads|TestPacketSlabBytes|TestFlitAndCreditConservation|TestAllocatorsMatchNaiveSweep' ./internal/noc
 
 # Wire-path alloc gates: a 10k-frame replay must reuse one read buffer
 # per connection, and the end-to-end pipelined serve path must stay
