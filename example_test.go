@@ -124,10 +124,10 @@ func ExampleNewGateway() {
 		res.Block.Equal(in), gw.Budgets()["batch"].Spent)
 
 	fmt.Println("\n[3] overload: QoS raises the default threshold, so default-mode spending scales with it")
-	fmt.Printf("    default threshold before: %d%%\n", gw.QoSThreshold())
+	fmt.Printf("    default threshold before: %d%%\n", gw.QoSController().Threshold())
 	gw.QoSController().Tick(1.0) // one control step at full load (the sampler does this on a timer)
 	fmt.Printf("    default threshold under load: %d%% -> a 10-word default request now costs 2.5\n",
-		gw.QoSThreshold())
+		gw.QoSController().Threshold())
 	served, refused := send(3, approxnoc.ServeRequest{Src: 0, Dst: 1, Tenant: "surge"})
 	snap := gw.Budgets()["surge"]
 	fmt.Printf("    surge: %d served, %d refused   spent %.1f of %.1f\n",
@@ -135,7 +135,7 @@ func ExampleNewGateway() {
 	for i := 0; i < 4; i++ {
 		gw.QoSController().Tick(0) // calm: cooldown expires, threshold decays
 	}
-	fmt.Printf("    default threshold after the load clears: %d%% (exact again)\n", gw.QoSThreshold())
+	fmt.Printf("    default threshold after the load clears: %d%% (exact again)\n", gw.QoSController().Threshold())
 	// Output:
 	// Per-tenant error budgets on the QoS gateway (FP-VAXX, cost = threshold% x words / 100)
 	//

@@ -56,14 +56,14 @@ func TestReadFrameSteadyStateAllocs(t *testing.T) {
 }
 
 // wireAllocBudget is the end-to-end allocation budget per request on the
-// serve path, client Go through server encode and back. The frames
-// themselves are zero-copy (reused read buffers, append-in-place write
-// arenas); what remains is the per-request object graph — the Call, the
-// decoded request block, the result block, and the client-side response
-// block — which is O(1) per request by design. Measured ~10 on
-// go1.24/amd64; headroom for map growth, channel internals, and GC
-// timing noise.
-const wireAllocBudget = 20
+// serve path, client Go through server encode and back. The frames are
+// zero-copy (reused read buffers, append-in-place write arenas) and the
+// server parses and decodes into recycled per-connection slots, so the
+// three allocations that remain are all client-side and caller-owned:
+// the Call, the response Block and its Words. Measured exactly 3.0 on
+// go1.24/amd64; the fourth is headroom for map growth and channel
+// internals, not for a server-side allocation per request.
+const wireAllocBudget = 4
 
 // TestWireReplaySteadyStateAllocs is the serve-path analogue of
 // TestStepZeroAllocs: after warmup, a 10k-request pipelined replay over

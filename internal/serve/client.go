@@ -12,7 +12,7 @@ import (
 
 // clientMaxBuffered bounds the encoded-but-unflushed request bytes a
 // client accumulates before Go blocks; it is the client-side analogue of
-// the server's in-flight token cap and keeps a runaway pipeline from
+// the server's in-flight slot cap and keeps a runaway pipeline from
 // buffering without bound.
 const clientMaxBuffered = 1 << 20
 

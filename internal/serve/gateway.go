@@ -26,6 +26,7 @@ type Gateway struct {
 	qosCtl      *qos.Controller
 	ledger      *qos.Ledger
 	shedAt      int
+	tenants     map[string]string // budgeted tenant names, interned by the wire parse
 	samplerStop chan struct{}
 	samplerWg   sync.WaitGroup
 
@@ -70,6 +71,10 @@ func New(cfg Config) (*Gateway, error) {
 			g.ledger, err = qos.NewLedger(q.Budgets, q.Clock)
 			if err != nil {
 				return nil, fmt.Errorf("serve: %w", err)
+			}
+			g.tenants = make(map[string]string, len(q.Budgets))
+			for name := range q.Budgets {
+				g.tenants[name] = name
 			}
 		}
 		frac := q.ShedFraction
@@ -151,6 +156,13 @@ func (g *Gateway) validate(req Request) error {
 // it and drops the result otherwise. Returns ErrOverloaded when the
 // flow's shard queue is full and ErrClosed after Close.
 func (g *Gateway) Submit(req Request, reply chan<- Result) error {
+	return g.submit(pending{req: req, reply: reply})
+}
+
+// submit validates p.req and enqueues p on its flow's shard; it is
+// Submit for both in-process callers and server connections.
+func (g *Gateway) submit(p pending) error {
+	req := p.req
 	if err := g.validate(req); err != nil {
 		return err
 	}
@@ -170,8 +182,9 @@ func (g *Gateway) Submit(req Request, reply chan<- Result) error {
 		sh.trace(obs.EvOverload, req.Tag, 1)
 		return ErrOverloaded
 	}
+	p.enq = time.Now()
 	select {
-	case sh.queue <- pending{req: req, reply: reply, enq: time.Now()}:
+	case sh.queue <- p:
 		sh.accepted.Add(1)
 		return nil
 	default:
@@ -215,15 +228,6 @@ func (g *Gateway) QoSTick() int {
 		return g.cfg.ThresholdPct
 	}
 	return g.qosCtl.Tick(g.qosLoad())
-}
-
-// QoSThreshold returns the current effective default threshold — the
-// configured one, unless the QoS controller has moved it.
-func (g *Gateway) QoSThreshold() int {
-	if g.qosCtl == nil {
-		return g.cfg.ThresholdPct
-	}
-	return g.qosCtl.Threshold()
 }
 
 // QoSController exposes the gateway's control loop (nil without QoS),

@@ -43,7 +43,7 @@ func startPipelineServer(t *testing.T, cfg serve.Config, maxInflight int) (*serv
 // TestPipelineSlowReaderBackpressure drives the write-side blocking
 // path: a raw peer streams 4000 large requests without reading a single
 // response, so the server's writer parks in conn.Write, the MaxInflight
-// tokens run out, and the read loop stalls on the token claim. None of
+// slots run out, and the read loop stalls waiting for a free one. None of
 // that may deadlock: once the peer starts reading, everything drains and
 // every request is answered exactly once.
 func TestPipelineSlowReaderBackpressure(t *testing.T) {
@@ -85,7 +85,7 @@ func TestPipelineSlowReaderBackpressure(t *testing.T) {
 		}
 		writeErr <- w.Flush()
 	}()
-	// Give the pipeline time to wedge: tokens exhausted, writer blocked
+	// Give the pipeline time to wedge: slots exhausted, writer blocked
 	// on the socket, reader parked. Then start draining.
 	time.Sleep(100 * time.Millisecond)
 	if err := conn.SetReadDeadline(time.Now().Add(60 * time.Second)); err != nil {
@@ -120,7 +120,7 @@ func TestPipelineSlowReaderBackpressure(t *testing.T) {
 // TestPipelineMidStreamClientDrop closes a client with a pipeline full
 // of in-flight requests. Every call must still complete (with a result
 // or a transport error — never silence), the server must shed the
-// connection without leaking in-flight tokens, and new clients must be
+// connection without leaking in-flight slots, and new clients must be
 // served as if nothing happened.
 func TestPipelineMidStreamClientDrop(t *testing.T) {
 	srv, addr := startPipelineServer(t,
@@ -156,7 +156,7 @@ func TestPipelineMidStreamClientDrop(t *testing.T) {
 			t.Fatalf("only %d of %d in-flight calls completed after Close", i, inflight)
 		}
 	}
-	// The server side must settle: dropped connection gone, every token
+	// The server side must settle: dropped connection gone, every slot
 	// released back out of the in-flight gauge.
 	settled := false
 	for i := 0; i < 1000 && !settled; i++ {

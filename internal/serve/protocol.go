@@ -201,25 +201,29 @@ func appendBlock(b []byte, blk *value.Block) []byte {
 	return b
 }
 
-// parseBlock is the inverse of appendBlock, returning the rest of p.
-func parseBlock(p []byte) (*value.Block, []byte, error) {
+// parseBlock is the inverse of appendBlock: it decodes into dst, reusing
+// dst.Words when it is large enough, and returns the rest of p.
+func parseBlock(dst *value.Block, p []byte) ([]byte, error) {
 	if len(p) < 4 {
-		return nil, nil, errors.New("serve: truncated block header")
+		return nil, errors.New("serve: truncated block header")
 	}
 	dt, approx := value.DataType(p[0]), p[1] != 0
 	n := int(binary.BigEndian.Uint16(p[2:]))
 	p = p[4:]
 	if n == 0 {
-		return nil, nil, errors.New("serve: empty block")
+		return nil, errors.New("serve: empty block")
 	}
 	if len(p) < 4*n {
-		return nil, nil, errors.New("serve: truncated block words")
+		return nil, errors.New("serve: truncated block words")
 	}
-	blk := value.NewBlock(n, dt, approx)
-	for i := range blk.Words {
-		blk.Words[i] = binary.BigEndian.Uint32(p[4*i:])
+	if cap(dst.Words) < n {
+		dst.Words = make([]value.Word, n)
 	}
-	return blk, p[4*n:], nil
+	dst.Words, dst.DType, dst.Approximable = dst.Words[:n], dt, approx
+	for i := range dst.Words {
+		dst.Words[i] = binary.BigEndian.Uint32(p[4*i:])
+	}
+	return p[4*n:], nil
 }
 
 func boolByte(b bool) byte {
@@ -245,12 +249,24 @@ func appendRequest(b []byte, id uint64, req Request) []byte {
 	return appendBlock(b, req.Block)
 }
 
-// parseRequest decodes a request frame.
+// parseRequest decodes a request frame into a fresh block.
 func parseRequest(p []byte) (id uint64, req Request, err error) {
-	if len(p) < 16 || p[0] != msgRequest {
+	return parseRequestInto(new(value.Block), p, nil)
+}
+
+// parseRequestInto decodes a request frame with its words in blk, which
+// becomes req.Block. A tenant named in tenants takes that map's string,
+// so a configured tenant costs no allocation; any other name is copied.
+// Once the kind byte and id are readable, a malformed body still returns
+// the id, so the error response reaches the caller that sent it.
+func parseRequestInto(blk *value.Block, p []byte, tenants map[string]string) (id uint64, req Request, err error) {
+	if len(p) < 9 || p[0] != msgRequest {
 		return 0, req, errors.New("serve: malformed request frame")
 	}
 	id = binary.BigEndian.Uint64(p[1:])
+	if len(p) < 16 {
+		return id, req, errors.New("serve: malformed request frame")
+	}
 	req.Src = int(binary.BigEndian.Uint16(p[9:]))
 	req.Dst = int(binary.BigEndian.Uint16(p[11:]))
 	req.ThresholdPct = int(int16(binary.BigEndian.Uint16(p[13:])))
@@ -258,17 +274,22 @@ func parseRequest(p []byte) (id uint64, req Request, err error) {
 	n := int(p[15])
 	rest := p[16:]
 	if len(rest) < n {
-		return 0, req, errors.New("serve: truncated tenant")
+		return id, req, errors.New("serve: truncated tenant")
 	}
 	// A zero-length tenant converts to "" without allocating, so the
-	// unbudgeted request costs the server's parse path nothing extra.
-	req.Tenant = string(rest[:n])
-	blk, rest, err := parseBlock(rest[n:])
+	// unbudgeted request costs the server's parse path nothing extra; a
+	// map index keyed by string(bytes) does not allocate either.
+	if name, ok := tenants[string(rest[:n])]; ok {
+		req.Tenant = name
+	} else {
+		req.Tenant = string(rest[:n])
+	}
+	rest, err = parseBlock(blk, rest[n:])
 	if err != nil {
-		return 0, req, err
+		return id, req, err
 	}
 	if len(rest) != 0 {
-		return 0, req, errors.New("serve: trailing bytes after request")
+		return id, req, errors.New("serve: trailing bytes after request")
 	}
 	req.Block = blk
 	return id, req, nil
@@ -312,7 +333,8 @@ func parseResponse(p []byte) (Result, error) {
 	rest := p[10:]
 	switch status {
 	case statusOK:
-		blk, rest, err := parseBlock(rest)
+		blk := new(value.Block)
+		rest, err := parseBlock(blk, rest)
 		if err != nil {
 			return res, err
 		}

@@ -84,7 +84,7 @@ func TestGatewayQoSThresholdControl(t *testing.T) {
 
 	// Load: one tick at full load raises the default to the 20% cap.
 	gw.QoSController().Tick(1.0)
-	if got := gw.QoSThreshold(); got != 20 {
+	if got := gw.QoSController().Threshold(); got != 20 {
 		t.Fatalf("threshold after loaded tick: %d%%, want 20%%", got)
 	}
 	res20, err := gw.Do(Request{Src: 0, Dst: 1, Block: blk})
@@ -124,7 +124,7 @@ func TestGatewayQoSThresholdControl(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		gw.QoSController().Tick(0.0)
 	}
-	if got := gw.QoSThreshold(); got != 0 {
+	if got := gw.QoSController().Threshold(); got != 0 {
 		t.Fatalf("threshold after calm ticks: %d%%, want baseline 0%%", got)
 	}
 	resBack, err := gw.Do(Request{Src: 0, Dst: 1, Block: blk})
@@ -328,6 +328,13 @@ func TestWireTenantFrames(t *testing.T) {
 		}
 		if a, b := allocs(bare), allocs(gold); a != b-1 {
 			t.Fatalf("tenantless parse allocates %.0f times, tenant parse %.0f: an empty tenant must cost nothing", a, b)
+		}
+		// The server parses into reused storage and interns configured
+		// tenant names, so a budgeted request's parse allocates nothing.
+		var into value.Block
+		tenants := map[string]string{"gold": "gold"}
+		if a := testing.AllocsPerRun(100, func() { parseRequestInto(&into, gold, tenants) }); a != 0 {
+			t.Fatalf("server parse of a configured tenant allocates %.0f times, want 0", a)
 		}
 	}
 

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"approxnoc/internal/value"
 )
 
 const (
@@ -23,7 +25,34 @@ const (
 	// wireMaxRetained caps the arena capacity kept across batches, so
 	// one burst of maximum-size frames does not pin memory forever.
 	wireMaxRetained = 1 << 20
+	// slotMaxRetainedWords caps the block capacity a recycled slot keeps,
+	// for the same reason: a burst of 65 535-word blocks must not stay
+	// pinned in every slot of a connection.
+	slotMaxRetainedWords = 256
 )
+
+// slot is the storage one in-flight request occupies on a server
+// connection: the block the reader parses the request into, the block
+// the shard worker decodes the result into, and the Result the writer
+// encodes. Its blocks are valid from frame read until the response is
+// encoded; then the writer recycles the slot and the reader reuses it.
+type slot struct {
+	in, out value.Block
+	res     Result
+	results chan<- *slot // the connection's results channel
+}
+
+// recycle readies the slot for its next request, dropping block storage
+// that grew past slotMaxRetainedWords.
+func (sl *slot) recycle() {
+	sl.res = Result{}
+	if cap(sl.in.Words) > slotMaxRetainedWords {
+		sl.in.Words = nil
+	}
+	if cap(sl.out.Words) > slotMaxRetainedWords {
+		sl.out.Words = nil
+	}
+}
 
 // WireStats is a snapshot of the server's wire-path counters.
 type WireStats struct {
@@ -69,13 +98,15 @@ func (w *wireStats) snapshot() WireStats {
 // connection's result channel and encodes responses (out of order, keyed
 // by request id) into a reused arena flushed in coalesced batches.
 //
-// In-flight requests per connection are bounded by MaxInflight tokens:
-// the reader claims a token per request and the writer releases it when
-// the response is encoded. A peer that stops reading therefore stalls —
-// writer blocked on the socket, tokens exhausted, reader parked on the
-// token claim — without deadlocking: everything drains as soon as the
-// peer reads again, and shard workers are never blocked either way
-// because the result channel always has a free slot per token.
+// In-flight requests per connection are bounded by MaxInflight slots:
+// the reader takes a free slot per request (making one only while fewer
+// than MaxInflight exist) and parses into it, the shard worker decodes
+// into it, and the writer recycles it once the response is encoded. A
+// peer that stops reading therefore stalls — writer blocked on the
+// socket, slots exhausted, reader parked waiting for a free one —
+// without deadlocking: everything drains as soon as the peer reads
+// again, and shard workers are never blocked either way because the
+// results channel has room for every slot.
 type Server struct {
 	gw *Gateway
 
@@ -218,21 +249,21 @@ func (s *Server) handle(conn net.Conn) {
 		limit = defaultMaxInflight
 	}
 	// results carries shard replies and reader-side synchronous errors
-	// to the writer. Its capacity matches the token count, so any holder
-	// of a token has a guaranteed free slot: sends never block a shard
-	// worker or the reader.
-	results := make(chan Result, limit)
-	tokens := make(chan struct{}, limit)
+	// to the writer, free the recycled slots back to the reader. Both
+	// hold every slot the connection may make, so sends on them never
+	// block a shard worker, the reader or the writer.
+	results := make(chan *slot, limit)
+	free := make(chan *slot, limit)
 	readerDone := make(chan struct{})
 	writerDone := make(chan struct{})
 	s.wire.conns.Add(1)
 
 	go func() {
 		defer close(writerDone)
-		s.writeConn(conn, results, tokens, readerDone)
+		s.writeConn(conn, results, free, readerDone)
 	}()
 
-	s.readConn(conn, results, tokens, writerDone)
+	made := s.readConn(conn, results, free, limit, writerDone)
 
 	close(readerDone)
 	// Drop the connection before joining the writer: a writer parked in
@@ -241,16 +272,10 @@ func (s *Server) handle(conn net.Conn) {
 	conn.Close()
 	<-writerDone
 	// Requests still in flight at teardown settle into the buffered
-	// results channel and are garbage collected with it; release their
-	// tokens from the gauge before dropping the connection.
-	for released := false; !released; {
-		select {
-		case <-tokens:
-			s.wire.inflight.Add(-1)
-		default:
-			released = true
-		}
-	}
+	// results channel and are garbage collected with their slots; every
+	// slot not back on the free list is one of them, so release those
+	// from the gauge before dropping the connection.
+	s.wire.inflight.Add(-int64(made - len(free)))
 	s.wire.conns.Add(-1)
 	s.mu.Lock()
 	delete(s.conns, conn)
@@ -258,34 +283,45 @@ func (s *Server) handle(conn net.Conn) {
 	s.wg.Done()
 }
 
-// readConn is the connection's read loop: decode a frame, claim a
-// pipeline token (blocking is the backpressure path), submit to the
-// gateway. Synchronous failures — parse errors, validation errors,
-// ErrOverloaded — become error results routed through the same writer
-// as shard replies, so the peer sees every request answered in whatever
-// order results are ready.
-func (s *Server) readConn(conn net.Conn, results chan<- Result, tokens chan<- struct{}, writerDone <-chan struct{}) {
+// readConn is the connection's read loop: decode a frame, take a free
+// slot (blocking is the backpressure path), parse the request into it,
+// submit to the gateway. Synchronous failures — parse errors, validation
+// errors, ErrOverloaded — become error results routed through the same
+// writer as shard replies, so the peer sees every request answered in
+// whatever order results are ready. It returns how many slots it made.
+func (s *Server) readConn(conn net.Conn, results chan<- *slot, free <-chan *slot, limit int, writerDone <-chan struct{}) (made int) {
 	r := bufio.NewReaderSize(conn, 64<<10)
 	var buf []byte
 	for {
 		frame, err := readFrame(r, buf)
 		if err != nil {
-			return
+			return made
 		}
 		buf = frame[:0]
 		s.wire.readFrames.Add(1)
+		var sl *slot
 		select {
-		case tokens <- struct{}{}:
-		case <-writerDone:
-			return
+		case sl = <-free:
+		default:
+			if made < limit {
+				sl = &slot{results: results}
+				made++
+				break
+			}
+			select {
+			case sl = <-free:
+			case <-writerDone:
+				return made
+			}
 		}
 		s.wire.inflight.Add(1)
-		id, req, err := parseRequest(frame)
+		id, req, err := parseRequestInto(&sl.in, frame, s.gw.tenants)
 		if err == nil {
-			err = s.gw.Submit(req, results)
+			err = s.gw.submit(pending{req: req, slot: sl})
 		}
 		if err != nil {
-			results <- Result{Tag: id, Err: err}
+			sl.res = Result{Tag: id, Err: err}
+			results <- sl
 		}
 	}
 }
@@ -294,30 +330,31 @@ func (s *Server) readConn(conn net.Conn, results chan<- Result, tokens chan<- st
 // reused arena (header and payload appended back-to-back, no per-frame
 // allocation), and flushes the arena with a single conn.Write once no
 // more results are immediately ready or the batch reaches
-// wireFlushBytes. Tokens release at encode time: the response no longer
-// occupies a result slot, so the reader may admit the next request even
-// while this batch is still being written.
-func (s *Server) writeConn(conn net.Conn, results <-chan Result, tokens <-chan struct{}, readerDone <-chan struct{}) {
+// wireFlushBytes. Slots recycle at encode time: the response no longer
+// needs them, so the reader may admit the next request even while this
+// batch is still being written.
+func (s *Server) writeConn(conn net.Conn, results <-chan *slot, free chan<- *slot, readerDone <-chan struct{}) {
 	wbuf := make([]byte, 0, wireFlushBytes)
 	for {
-		var res Result
+		var sl *slot
 		select {
-		case res = <-results:
+		case sl = <-results:
 		case <-readerDone:
 			return
 		}
 		wbuf = wbuf[:0]
 		frames := 0
 		for coalesce := true; coalesce; {
-			wbuf = appendResponseFrame(wbuf, res)
+			wbuf = appendResponseFrame(wbuf, sl.res)
 			frames++
-			<-tokens // guaranteed: one token per in-flight result
+			sl.recycle()
+			free <- sl // never blocks: free has room for every slot
 			s.wire.inflight.Add(-1)
 			if len(wbuf) >= wireFlushBytes {
 				break
 			}
 			select {
-			case res = <-results:
+			case sl = <-results:
 			default:
 				coalesce = false
 			}

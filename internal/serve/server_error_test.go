@@ -85,6 +85,36 @@ func TestServerMalformedFrame(t *testing.T) {
 	}
 }
 
+// TestServerMalformedBodyKeepsID sends a request whose header parses but
+// whose body does not (one trailing byte): the error response must carry
+// the request's own id, or a pipelined client never completes that call.
+func TestServerMalformedBodyKeepsID(t *testing.T) {
+	_, addr := startServer(t, serve.Config{Nodes: 4, Scheme: compress.Baseline, Shards: 1})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+
+	req, err := serve.MarshalRequest(42, serve.Request{Src: 0, Dst: 1, Block: value.BlockFromI32([]int32{1, 2}, false)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeRawFrame(t, conn, append(req, 0xAA))
+	frame, err := readRawFrame(conn)
+	if err != nil {
+		t.Fatalf("no response to a request with trailing bytes: %v", err)
+	}
+	res, err := serve.UnmarshalResponse(frame)
+	if err != nil {
+		t.Fatalf("unparseable error response: %v", err)
+	}
+	if res.Err == nil || res.Tag != 42 {
+		t.Fatalf("response tag %d err %v, want an error under the request's id 42", res.Tag, res.Err)
+	}
+}
+
 // TestServerFrameCap announces a frame above MaxFrameBytes: the server
 // must cut the connection without trying to read (or buffer) the body.
 func TestServerFrameCap(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"approxnoc/internal/obs"
 	"approxnoc/internal/qos"
 	"approxnoc/internal/stats"
+	"approxnoc/internal/value"
 )
 
 // pool is one consistent view of a codec fabric: the fabric itself plus
@@ -35,8 +36,10 @@ func newPool(cfg Config, factory func(node int) compress.Codec) *pool {
 // transfer moves one request's block through the src/dst codec pair at
 // the already-resolved effective threshold (see EffectiveThreshold),
 // settling dictionary notifications, and returns the observed block plus
-// payload accounting. Only the pool's owning worker may call it.
-func (p *pool) transfer(req Request, want int) Result {
+// payload accounting. The block is decoded into dst when dst is non-nil
+// and into a fresh block otherwise. Only the pool's owning worker may
+// call it.
+func (p *pool) transfer(req Request, want int, dst *value.Block) Result {
 	if want != p.threshold[req.Src] {
 		// As looks through the Adaptive wrapper, so a wrapped FP-VAXX still
 		// honors per-request and QoS thresholds.
@@ -52,19 +55,26 @@ func (p *pool) transfer(req Request, want int) Result {
 	// The codec-owned encoding is consumed right here (decode +
 	// accounting) before the source codec can encode again.
 	enc := p.fabric.Codec(req.Src).Compress(req.Dst, req.Block)
-	out, notifs := p.fabric.Codec(req.Dst).Decompress(req.Src, enc)
-	p.fabric.Deliver(notifs)
+	if dst == nil {
+		dst = new(value.Block)
+	}
+	p.fabric.Deliver(p.fabric.Codec(req.Dst).DecompressInto(dst, req.Src, enc))
 	return Result{
 		Tag:     req.Tag,
-		Block:   out,
+		Block:   dst,
 		BitsIn:  32 * len(req.Block.Words),
 		BitsOut: enc.Bits,
 	}
 }
 
-// pending is one queued request awaiting its shard worker.
+// pending is one queued request awaiting its shard worker. A server
+// connection's request carries its slot, which receives the decoded block
+// and the Result and is then sent back on the connection's results
+// channel; an in-process request has no slot and gets a fresh block on
+// reply (nil discards it).
 type pending struct {
 	req   Request
+	slot  *slot
 	reply chan<- Result
 	enq   time.Time
 }
@@ -180,7 +190,7 @@ func (s *shard) trace(kind obs.EventKind, a, b uint64) {
 // touching the codecs, and refunds the charge if the transfer itself
 // fails — so spent error mass sums to exactly the mass of blocks that
 // were actually approximated.
-func (s *shard) serveOne(req Request) Result {
+func (s *shard) serveOne(req Request, dst *value.Block) Result {
 	pct := s.defaultPct
 	if s.qosCtl != nil {
 		pct = s.qosCtl.Threshold()
@@ -196,7 +206,7 @@ func (s *shard) serveOne(req Request) Result {
 		}
 		charged = cost
 	}
-	res := s.pool.transfer(req, eff)
+	res := s.pool.transfer(req, eff, dst)
 	if res.Err != nil && charged > 0 {
 		s.ledger.Refund(req.Tenant, charged)
 	}
@@ -211,7 +221,11 @@ func (s *shard) process(batch []pending) {
 	}
 	s.trace(obs.EvBatch, uint64(len(batch)), 0)
 	for _, p := range batch {
-		res := s.serveOne(p.req)
+		var dst *value.Block
+		if p.slot != nil {
+			dst = &p.slot.out
+		}
+		res := s.serveOne(p.req, dst)
 		if res.Err == nil {
 			s.bitsIn.Add(uint64(res.BitsIn))
 			s.bitsOut.Add(uint64(res.BitsOut))
@@ -222,7 +236,13 @@ func (s *shard) process(batch []pending) {
 		}
 		s.processed.Add(1)
 		s.lat.Observe(time.Since(p.enq))
-		if p.reply != nil {
+		switch {
+		case p.slot != nil:
+			// The results channel holds every slot of its connection,
+			// so this send never blocks.
+			p.slot.res = res
+			p.slot.results <- p.slot
+		case p.reply != nil:
 			// Reply channels must have a free slot per outstanding
 			// request (Do uses a dedicated 1-buffered channel); a full
 			// one is dropped rather than stalling the whole shard.

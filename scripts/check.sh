@@ -75,11 +75,15 @@ go test -run 'TestStepZeroAllocs|TestDataPathSteadyAllocs|TestRecycledPacketsKee
 
 # Wire-path alloc gates: a 10k-frame replay must reuse one read buffer
 # per connection, and the end-to-end pipelined serve path must stay
-# within its per-request allocation budget (see DESIGN.md §10). These
-# run without -race on purpose — the -race pass above executes them as
-# skips; heap accounting is only stable uninstrumented.
+# within its per-request allocation budget of 4 (see DESIGN.md §10).
+# These run without -race on purpose — the -race pass above executes
+# them as skips; heap accounting is only stable uninstrumented. The
+# server owns that budget by recycling per-connection request slots, so
+# TestServerSlotReuse runs beside them and again under -race, three
+# times, where a slot recycled while a shard still uses it is a race.
 echo '>> alloc budget (serve wire path)'
-go test -run 'TestReadFrameSteadyStateAllocs|TestWireReplaySteadyStateAllocs' ./internal/serve
+go test -run 'TestReadFrameSteadyStateAllocs|TestWireReplaySteadyStateAllocs|TestServerSlotReuse' ./internal/serve
+go test -race -count=3 -run 'TestServerSlotReuse' ./internal/serve
 
 # Codec alloc gates: Compress and DecompressInto must stay zero-alloc per
 # block in steady state on every scheme, an encoder-PMT update that
