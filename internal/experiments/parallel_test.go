@@ -1,18 +1,20 @@
 package experiments
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"strings"
 	"testing"
+
+	"approxnoc/internal/golden"
 )
 
-// update rewrites testdata/golden_figures.txt from the Jobs=1 renderings
-// of TestDriversParallelEquivalence (full mode only: every driver must
+// update (GOLDEN=update, the switch every golden test shares) rewrites
+// testdata/golden_figures.txt from the Jobs=1 renderings of
+// TestDriversParallelEquivalence (full mode only: every driver must
 // have run).
-var update = flag.Bool("update", false, "rewrite testdata/golden_figures.txt")
+var update = os.Getenv("GOLDEN") == "update"
 
 const goldenFigures = "testdata/golden_figures.txt"
 
@@ -80,15 +82,16 @@ func TestMapJobsLowestIndexError(t *testing.T) {
 // Short mode keeps a small subset so the race-detector pass in
 // scripts/check.sh still exercises the parallel pool.
 func TestDriversParallelEquivalence(t *testing.T) {
-	if *update && testing.Short() {
-		t.Fatal("-update needs every driver: run without -short")
+	if update && testing.Short() {
+		t.Fatal("GOLDEN=update needs every driver: run without -short")
 	}
 	data, err := os.ReadFile(goldenFigures)
-	if err != nil && !*update {
+	if err != nil && !update {
 		t.Fatal(err)
 	}
-	golden := goldenSections(string(data))
+	want := goldenSections(string(data))
 	var sections strings.Builder
+	ran := 0 // drivers whose rendering matched (or, updating, was taken)
 	// Figs. 10, 11 and 15 are views of one grid per Jobs value; fig9 goes
 	// through Fig9(cfg), the entry point benchmark/ times.
 	grids := map[int]Grid{}
@@ -201,14 +204,17 @@ func TestDriversParallelEquivalence(t *testing.T) {
 			}
 			section := goldenSection(d.name, serial)
 			sections.WriteString(section)
-			if !*update && golden[d.name] != section {
-				t.Fatalf("rendering differs from %s (regenerate on purpose with -update):\n--- got ---\n%s--- want ---\n%s", goldenFigures, section, golden[d.name])
+			if !update && want[d.name] != section {
+				t.Fatalf("rendering differs from %s (regenerate on purpose with GOLDEN=update go test ./...):\n--- got ---\n%s--- want ---\n%s", goldenFigures, section, want[d.name])
 			}
+			ran++
 		})
 	}
-	if *update && !t.Failed() {
-		if err := os.WriteFile(goldenFigures, []byte(sections.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	// With every driver run, the file holds exactly their sections.
+	switch {
+	case ran == len(drivers):
+		golden.Check(t, goldenFigures, []byte(sections.String()))
+	case update && !t.Failed():
+		t.Fatal("GOLDEN=update needs every driver: run without -run filters")
 	}
 }

@@ -12,8 +12,8 @@ import (
 // the threshold trajectory, and LoadSim closes the loop with a
 // deterministic queue/server model in which service capacity grows
 // with the threshold — the paper's quality-for-throughput trade,
-// runnable in microseconds. Tests, BenchmarkQoS, and the errorbudgets
-// example all drive the same rig.
+// runnable in microseconds. The package's tests and BenchmarkQoS all
+// drive the same rig.
 
 // Trace is a scripted load signal, one observation per controller tick.
 type Trace []float64

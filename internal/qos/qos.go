@@ -33,9 +33,9 @@
 //
 // Everything is deterministic when driven manually: the controller
 // ticks on explicit calls, the ledger takes an injectable Clock, and
-// rig.go provides scripted load traces plus a synthetic overload
-// simulator so every control-loop decision is reproducible and
-// assertable in tests.
+// the package's tests script load traces through a synthetic overload
+// simulator (harness_test.go), so every control-loop decision is
+// reproducible and assertable.
 package qos
 
 import (
