@@ -5,11 +5,11 @@
 // the encoder/decoder PMT-sync invariant holds per node by
 // construction, exactly as it does per shard inside one gateway.
 //
-// The subsystem has three layers. The ring and membership core (Ring,
-// Membership, View) places flows with rendezvous-style consistent
-// hashing over virtual nodes, tracks node lifecycle with
-// generation-numbered transitions, and keeps the two honest with
-// heartbeat health probes; removing a node remaps only that node's
+// The subsystem has three layers. The routing core (Ring, View) places
+// flows with rendezvous-style consistent hashing over virtual nodes,
+// tracks node lifecycle with generation-numbered transitions, publishes
+// members and ring together as one immutable table, and keeps it honest
+// with heartbeat health probes; removing a node remaps only that node's
 // flows (the bounded-disruption property the ring tests pin). The
 // cluster-aware Client rides one pipelined serve.Client per node,
 // routes every call by ring lookup, and retries — overloaded calls
@@ -27,7 +27,6 @@ import (
 	"sync"
 	"time"
 
-	"approxnoc/internal/obs"
 	"approxnoc/internal/serve"
 )
 
@@ -98,9 +97,6 @@ func (c *Cluster) View() *View { return c.view }
 // Client builds a cluster client over this cluster's view.
 func (c *Cluster) Client(cfg ClientConfig) *Client { return NewClient(c.view, cfg) }
 
-// RegisterMetrics exports the cluster_* families on reg.
-func (c *Cluster) RegisterMetrics(reg *obs.Registry) { c.view.RegisterMetrics(reg) }
-
 // AddNode launches one more in-process node, joining it to the view as
 // healthy (its listener is up before Join returns). Returns the new
 // node's id.
@@ -150,17 +146,6 @@ func (c *Cluster) AddNode() (string, error) {
 	}
 	return id, nil
 }
-
-// Join admits an external node (one this process does not own) to the
-// view in the joining state; the prober promotes it to healthy once it
-// answers a probe. cmd/approxnoc-serve -cluster-join lands here through
-// the membership endpoint.
-func (c *Cluster) Join(id, addr string) error {
-	return c.view.Join(id, addr, StateJoining)
-}
-
-// Addr returns a node's dial address.
-func (c *Cluster) Addr(id string) (string, bool) { return c.view.members.Addr(id) }
 
 // NodeIDs returns the ids of the nodes this cluster owns, sorted by
 // launch order.

@@ -316,7 +316,7 @@ func TestClusterMetricsExposition(t *testing.T) {
 	}
 	defer cl.Close()
 	reg := obs.NewRegistry()
-	cl.RegisterMetrics(reg)
+	cl.View().RegisterMetrics(reg)
 
 	client := cl.Client(cluster.ClientConfig{})
 	defer client.Close()

@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 	"sync/atomic"
 )
 
@@ -76,130 +74,22 @@ type Member struct {
 	Requests uint64
 }
 
-// member is the live, mutable entry behind Member snapshots.
+// member is one version of a node's entry in a table. Every version of
+// a member shares one requests counter, so counts survive republishing.
 type member struct {
-	id, addr string
+	addr     string
 	state    State
 	gen      uint64
-	fails    int // consecutive probe failures
-	requests atomic.Uint64
+	requests *atomic.Uint64
 }
 
-// Membership is the cluster's node table: who exists, where, in what
-// lifecycle state, at which generation. All methods are safe for
-// concurrent use. State changes bump both the member's generation and
-// the table generation, so "anything changed?" is one atomic load.
-type Membership struct {
-	mu         sync.Mutex
-	members    map[string]*member
-	generation atomic.Uint64
-}
-
-// NewMembership returns an empty table.
-func NewMembership() *Membership {
-	return &Membership{members: make(map[string]*member)}
-}
-
-// Generation returns the table generation: the count of joins and state
-// transitions applied so far.
-func (m *Membership) Generation() uint64 { return m.generation.Load() }
-
-// Join adds a node in state, or re-admits a left/down node at the same
-// id (bumping its generation and updating its address). Joining an id
-// that is currently active fails.
-func (m *Membership) Join(id, addr string, state State) error {
-	if id == "" {
-		return fmt.Errorf("cluster: join needs a node id")
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if mb, ok := m.members[id]; ok {
-		if mb.state != StateLeft && mb.state != StateDown {
-			return fmt.Errorf("cluster: node %q already a member (state %v)", id, mb.state)
-		}
-		mb.addr, mb.state, mb.fails = addr, state, 0
-		mb.gen++
-		m.generation.Add(1)
-		return nil
-	}
-	m.members[id] = &member{id: id, addr: addr, state: state, gen: 1}
-	m.generation.Add(1)
-	return nil
-}
-
-// SetState moves a member to state, reporting whether anything changed
-// (unknown ids and no-op transitions return false). A transition resets
-// the probe-failure count.
-func (m *Membership) SetState(id string, state State) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	mb, ok := m.members[id]
-	if !ok || mb.state == state {
-		return false
-	}
-	mb.state = state
-	mb.fails = 0
-	mb.gen++
-	m.generation.Add(1)
-	return true
-}
-
-// State returns a member's current state.
-func (m *Membership) State(id string) (State, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	mb, ok := m.members[id]
-	if !ok {
-		return 0, false
-	}
-	return mb.state, true
-}
-
-// Addr returns a member's dial address.
-func (m *Membership) Addr(id string) (string, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	mb, ok := m.members[id]
-	if !ok {
-		return "", false
-	}
-	return mb.addr, true
-}
-
-// CountRequest attributes one routed request to a member.
-func (m *Membership) CountRequest(id string) {
-	m.mu.Lock()
-	mb := m.members[id]
-	m.mu.Unlock()
-	if mb != nil {
-		mb.requests.Add(1)
-	}
-}
-
-// probeFailed records a failed heartbeat and returns the member's new
-// consecutive-failure count (0 for unknown ids).
-func (m *Membership) probeFailed(id string) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	mb, ok := m.members[id]
-	if !ok {
-		return 0
-	}
-	mb.fails++
-	return mb.fails
-}
-
-// Snapshot returns the table sorted by id.
-func (m *Membership) Snapshot() []Member {
-	m.mu.Lock()
-	out := make([]Member, 0, len(m.members))
-	for _, mb := range m.members {
-		out = append(out, Member{
-			ID: mb.id, Addr: mb.addr, State: mb.state,
-			Generation: mb.gen, Requests: mb.requests.Load(),
-		})
-	}
-	m.mu.Unlock()
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-	return out
+// table is one published version of the cluster's routing state: the
+// members, the count of joins and state transitions applied so far, and
+// the ring over the members whose state owns ring points. A table is
+// never modified once published — writers copy it — so a reader that
+// loads one sees members and ring in step.
+type table struct {
+	gen     uint64
+	members map[string]member
+	ring    *Ring
 }

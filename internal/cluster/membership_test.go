@@ -11,51 +11,59 @@ import (
 func noProbe() ViewConfig { return ViewConfig{HeartbeatEvery: -1} }
 
 func TestMembershipLifecycle(t *testing.T) {
-	m := NewMembership()
-	if err := m.Join("a", "addr-a", StateHealthy); err != nil {
+	v := NewView(noProbe())
+	defer v.Close()
+	if err := v.Join("a", "addr-a", StateHealthy); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Join("a", "elsewhere", StateHealthy); err == nil {
+	if err := v.Join("a", "elsewhere", StateHealthy); err == nil {
 		t.Fatal("rejoining an active member should fail")
 	}
-	if err := m.Join("", "x", StateHealthy); err == nil {
+	if err := v.Join("", "x", StateHealthy); err == nil {
 		t.Fatal("empty id should fail")
 	}
-	if !m.SetState("a", StateSuspect) {
+	if !v.SetState("a", StateSuspect) {
 		t.Fatal("transition to suspect should report change")
 	}
-	if m.SetState("a", StateSuspect) {
+	if v.SetState("a", StateSuspect) {
 		t.Fatal("no-op transition should report false")
 	}
-	if m.SetState("ghost", StateDown) {
+	if v.SetState("ghost", StateDown) {
 		t.Fatal("unknown id should report false")
 	}
-	st, ok := m.State("a")
+	st, ok := v.state("a")
 	if !ok || st != StateSuspect {
 		t.Fatalf("state: %v %v", st, ok)
 	}
 
 	// Left members can rejoin at a new address with a bumped generation.
-	m.SetState("a", StateLeft)
-	before := m.Snapshot()[0].Generation
-	if err := m.Join("a", "addr-a2", StateJoining); err != nil {
+	v.SetState("a", StateLeft)
+	before := v.Members()[0].Generation
+	if err := v.Join("a", "addr-a2", StateJoining); err != nil {
 		t.Fatal(err)
 	}
-	mb := m.Snapshot()[0]
+	mb := v.Members()[0]
 	if mb.Addr != "addr-a2" || mb.State != StateJoining || mb.Generation != before+1 {
 		t.Fatalf("rejoin: %+v (prev gen %d)", mb, before)
+	}
+	if tr, gen := v.Stats().Transitions, v.Generation(); tr != gen {
+		t.Fatalf("transitions %d, table generation %d", tr, gen)
 	}
 }
 
 func TestMembershipGenerations(t *testing.T) {
-	m := NewMembership()
-	g0 := m.Generation()
-	m.Join("a", "x", StateHealthy)
-	m.Join("b", "y", StateHealthy)
-	m.SetState("a", StateSuspect)
-	m.SetState("a", StateSuspect) // no-op: no bump
-	if got := m.Generation(); got != g0+3 {
+	v := NewView(noProbe())
+	defer v.Close()
+	g0 := v.Generation()
+	v.Join("a", "x", StateHealthy)
+	v.Join("b", "y", StateHealthy)
+	v.SetState("a", StateSuspect)
+	v.SetState("a", StateSuspect) // no-op: no bump
+	if got := v.Generation(); got != g0+3 {
 		t.Fatalf("table generation %d, want %d", got, g0+3)
+	}
+	if tr, gen := v.Stats().Transitions, v.Generation(); tr != gen {
+		t.Fatalf("transitions %d, table generation %d", tr, gen)
 	}
 }
 
@@ -169,26 +177,19 @@ func TestViewProbeTransitions(t *testing.T) {
 	defer v.Close()
 	v.Join("a", "addr-a", StateJoining)
 
-	// The prober publishes a transition in two steps, member state and
-	// then the rebuilt ring, so both are polled against the deadline: a
-	// state seen once says nothing yet about the ring.
-	waitFor := func(what string, cond func() bool) {
+	waitState := func(want State) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
-		for !cond() {
+		for {
+			st, _ := v.state("a")
+			if st == want {
+				return
+			}
 			if time.Now().After(deadline) {
-				st, _ := v.members.State("a")
-				t.Fatalf("timed out waiting for %s; node a is %v, in ring: %v", what, st, v.Ring().Has("a"))
+				t.Fatalf("timed out waiting for %v; node a is %v", want, st)
 			}
 			time.Sleep(time.Millisecond)
 		}
-	}
-	waitState := func(want State) {
-		t.Helper()
-		waitFor(want.String(), func() bool {
-			st, _ := v.members.State("a")
-			return st == want
-		})
 	}
 	// Joining node passes its first probe: healthy.
 	waitState(StateHealthy)
@@ -196,13 +197,68 @@ func TestViewProbeTransitions(t *testing.T) {
 	failing.Store(true)
 	waitState(StateSuspect)
 	waitState(StateDown)
-	waitFor("the down node to lose ring ownership", func() bool { return !v.Ring().Has("a") })
+	if v.Ring().Has("a") {
+		t.Fatal("down node kept ring ownership")
+	}
 	// Recovery: straight back to healthy, ring restored.
 	failing.Store(false)
 	waitState(StateHealthy)
-	waitFor("the recovered node to rejoin the ring", func() bool { return v.Ring().Has("a") })
+	if !v.Ring().Has("a") {
+		t.Fatal("recovered node did not rejoin the ring")
+	}
 	if s := v.Stats(); s.Probes == 0 || s.ProbeFailures == 0 {
 		t.Fatalf("probe counters not advancing: %+v", s)
+	}
+}
+
+// TestViewProbeFailureStreak pins the prober's failure streak with
+// FailAfter 3: a healthy member turns suspect on its first failed
+// probe, and that transition restarts the streak, so it goes down on
+// exactly the 4th consecutive failure. The injected probe hands each
+// call to the test, and the prober is one goroutine, so when the
+// (k+1)th probe arrives the transitions of the first k have been
+// applied.
+func TestViewProbeFailureStreak(t *testing.T) {
+	probes := make(chan chan error)
+	stop := make(chan struct{})
+	v := NewView(ViewConfig{
+		HeartbeatEvery: time.Millisecond,
+		FailAfter:      3,
+		Probe: func(string, time.Duration) error {
+			reply := make(chan error)
+			select {
+			case probes <- reply:
+			case <-stop:
+				return nil
+			}
+			select {
+			case err := <-reply:
+				return err
+			case <-stop:
+				return nil
+			}
+		},
+	})
+	defer v.Close()
+	defer close(stop)
+	if err := v.Join("a", "addr-a", StateHealthy); err != nil {
+		t.Fatal(err)
+	}
+	want := []State{StateHealthy, StateSuspect, StateSuspect, StateSuspect, StateDown}
+	for failed, w := range want {
+		var reply chan error
+		select {
+		case reply = <-probes:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("no probe after %d failed probes", failed)
+		}
+		if got := v.Members()[0].State; got != w {
+			t.Fatalf("after %d failed probes: state %v, want %v", failed, got, w)
+		}
+		reply <- errors.New("injected probe failure")
+	}
+	if v.Ring().Has("a") {
+		t.Fatal("down node kept ring ownership")
 	}
 }
 
@@ -213,12 +269,12 @@ func TestViewNodeFailed(t *testing.T) {
 	defer v.Close()
 	v.Join("a", "x", StateHealthy)
 	v.NodeFailed("a")
-	if st, _ := v.members.State("a"); st != StateSuspect {
+	if st, _ := v.state("a"); st != StateSuspect {
 		t.Fatalf("state %v, want suspect", st)
 	}
 	v.SetState("a", StateDraining)
 	v.NodeFailed("a")
-	if st, _ := v.members.State("a"); st != StateDraining {
+	if st, _ := v.state("a"); st != StateDraining {
 		t.Fatalf("NodeFailed overrode draining: %v", st)
 	}
 	if v.Stats().Failovers != 2 {

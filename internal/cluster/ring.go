@@ -48,8 +48,8 @@ type ringPoint struct {
 // Ring is a consistent-hash ring over node ids with Vnodes virtual
 // points per node. A flow maps to the node owning the first point at or
 // after FlowHash(src, dst), wrapping around. Rings are immutable —
-// With and Without return rebuilt copies — so lookups need no locking
-// and membership changes swap one atomic pointer.
+// NewRing and With build new ones — so lookups need no locking and a
+// membership change publishes a fresh ring in the View's table.
 //
 // Consistent hashing gives the bounded-disruption property the cluster
 // leans on: removing a node remaps only the flows that node owned (each

@@ -53,9 +53,12 @@ go test -race -run 'TestMapJobs|TestDriversParallelEquivalence' -short ./interna
 # Cluster concurrency gate: the full internal/cluster suite under -race,
 # without -short, so the failover replay (node killed mid-stream while
 # clients retry across the ring) always runs instrumented — it is the
-# test most likely to catch a pending-map or membership race.
+# test most likely to catch a pending-map race. The view's publication
+# tests (members and ring published as one table, the prober's failure
+# streak) then run five times more under the race detector.
 echo '>> go test -race (cluster failover)'
 go test -race ./internal/cluster
+go test -race -count=5 -run 'TestView|TestMembership' ./internal/cluster
 
 # Simulator cycle-kernel gates, uninstrumented. Flits are 32-bit values
 # naming their packet's slot, and packets come from per-network slabs of
