@@ -40,10 +40,20 @@ type AVCL struct {
 // percent. Valid thresholds are 0..100; 0 disables approximation (every
 // mask is empty).
 func New(thresholdPct int) (*AVCL, error) {
-	if thresholdPct < 0 || thresholdPct > 100 {
-		return nil, fmt.Errorf("approx: threshold %d%% out of range [0,100]", thresholdPct)
+	a := new(AVCL)
+	if err := a.SetThreshold(thresholdPct); err != nil {
+		return nil, err
 	}
-	a := &AVCL{thresholdPct: thresholdPct}
+	return a, nil
+}
+
+// SetThreshold switches the AVCL to a new threshold in place, keeping its
+// operation counters; an out-of-range threshold leaves it unchanged.
+func (a *AVCL) SetThreshold(thresholdPct int) error {
+	if thresholdPct < 0 || thresholdPct > 100 {
+		return fmt.Errorf("approx: threshold %d%% out of range [0,100]", thresholdPct)
+	}
+	a.thresholdPct = thresholdPct
 	if thresholdPct > 0 {
 		// ceil(log2(100/e)) computed without floating point: the smallest
 		// s with 2^s * e >= 100.
@@ -55,7 +65,7 @@ func New(thresholdPct int) (*AVCL, error) {
 	} else {
 		a.shift = 32 // shifts any 32-bit value to zero range
 	}
-	return a, nil
+	return nil
 }
 
 // MustNew is New for known-good thresholds; it panics on error.

@@ -107,20 +107,21 @@ func (c *fpCodec) Scheme() Scheme { return c.scheme }
 // SetThreshold adjusts the error threshold at run time (§3.1: the
 // compiler/firmware "can be dynamically adjusted at run time"). FP-VAXX
 // is stateless across blocks, so the change takes effect on the next
-// compressed block. FP-COMP (exact) rejects adjustment.
+// compressed block. The AVCL switches in place, keeping the counters the
+// codec folds into Stats, and the shared per-word budget swaps in, so a
+// switch allocates nothing. FP-COMP (exact) and the windowed FP-VAXX,
+// whose budget is not per-word, reject adjustment.
 func (c *fpCodec) SetThreshold(thresholdPct int) error {
 	if c.scheme != FPVaxx {
 		return fmt.Errorf("compress: %v has no error threshold", c.scheme)
 	}
-	a, err := approx.New(thresholdPct)
-	if err != nil {
+	if _, ok := c.budget.(*quality.PerWord); !ok {
+		return fmt.Errorf("compress: windowed %v keeps its threshold", c.scheme)
+	}
+	if err := c.avcl.SetThreshold(thresholdPct); err != nil {
 		return err
 	}
-	b, err := quality.NewPerWord(thresholdPct)
-	if err != nil {
-		return err
-	}
-	c.avcl, c.budget = a, b
+	c.budget, _ = quality.NewPerWord(thresholdPct) // in range: the AVCL took it
 	return nil
 }
 

@@ -135,8 +135,35 @@ func TestFPVaxxSetThresholdAtRuntime(t *testing.T) {
 	if err := adj.SetThreshold(500); err == nil {
 		t.Fatal("bogus threshold accepted")
 	}
+	// A switch reconfigures the codec in place: the AVCL counters Stats
+	// folds in survive it, and it allocates nothing.
+	for i := 0; i < 10; i++ {
+		c.Compress(1, blk)
+	}
+	before := c.Stats()
+	if before.AVCLMaskHits == 0 {
+		t.Fatalf("no AVCL mask hits at 10%%: %+v", before)
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if adj.SetThreshold(5) != nil || adj.SetThreshold(10) != nil {
+			t.Fatal("threshold switch failed")
+		}
+	}); allocs != 0 {
+		t.Fatalf("a threshold switch allocates %.1f objects, want 0", allocs)
+	}
+	if after := c.Stats(); after != before {
+		t.Fatalf("threshold switches moved the counters: %+v, then %+v", before, after)
+	}
 	exact := NewFPComp()
 	if err := exact.(ThresholdAdjuster).SetThreshold(10); err == nil {
 		t.Fatal("FP-COMP accepted a threshold")
+	}
+	// The windowed budget is not per-word: a switch must not swap it out.
+	windowed, err := NewFPVaxxWindowed(10, 16, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := windowed.(ThresholdAdjuster).SetThreshold(5); err == nil {
+		t.Fatal("windowed FP-VAXX accepted a per-word threshold")
 	}
 }

@@ -181,14 +181,16 @@ func (c cell) run(cfg Config) (RunMetrics, error) {
 		return RunMetrics{}, err
 	}
 	res := traffic.Run(net, inj, cfg.Cycles, !cfg.NoDrain)
-	return RunMetrics{
+	m := RunMetrics{
 		Benchmark:  c.model.Name,
 		Scheme:     c.scheme,
 		Net:        res.Stats,
 		Codec:      net.CodecStats(),
 		Power:      net.Power(),
 		DynPowerMW: power.Default45nm().DynamicPowerMW(net.Power(), net.CodecStats(), res.Stats.Cycles, 2),
-	}, nil
+	}
+	net.Release() // the next cell's network reuses its packet slabs
+	return m, nil
 }
 
 // benchmarkTraffic is the Fig. 9-style bursty replay of the cell's model.

@@ -46,62 +46,116 @@ func (n *Network) CheckRequestMasks() error {
 	return nil
 }
 
-// CheckFlitSlots holds the flits to the packets their slots name and
-// reports the first violation:
-//   - every buffered and staged flit names an in-flight packet: one a slab
-//     handed out, not on the free list, and not yet ejected into an NI's
-//     decode FIFO or reorder map, where no ejected packet is on the free
-//     list either;
+// CheckFlitSlots holds every packet slot to the one place that owns it
+// and every flit to the packet its slot names, and reports the first
+// violation:
+//   - each slot is on at most one of the free list, an injection queue,
+//     an NI's cur, a reorder list or a decode FIFO; a list that loops
+//     reaches a slot twice, so every walk ends within the slots handed out;
+//   - a list's tail is its last packet, and qlen and pendingDeliveries
+//     equal the lengths of the lists they count;
+//   - a reorder list strictly ascends in Seq, past its flow's expected;
+//   - every buffered and staged flit names a packet a slab handed out that
+//     is no NI's queued, reordered, decoding or free packet;
+//   - the packets found, flits by slot included, number exactly inFlight,
+//     and with the free list every slot handed out; a slot on no list
+//     keeps a zero link;
 //   - each input VC's flits run head…tail per packet, a head only after a
 //     tail, and the front of a VC that holds no output VC is a head;
 //   - each router's flit count is the sum of its VC counts.
 func (n *Network) CheckFlitSlots() error {
 	const (
-		inFlight = 0
-		free     = 1
-		ejected  = 2
+		unseen uint8 = iota
+		free
+		queued
+		streaming
+		reordered
+		decoding
+		inNetwork // named only by flits
 	)
+	where := [...]string{free: "the free list", queued: "an injection queue", streaming: "an NI's cur",
+		reordered: "a reorder list", decoding: "a decode FIFO", inNetwork: "a flit"}
 	state := make([]uint8, n.slots)
-	for _, p := range n.pktPool {
-		if state[p.slot] == free {
-			return fmt.Errorf("cycle %d: slot %d is on the free list twice", n.Now(), p.slot)
+	mark := func(s uint32, st uint8) error {
+		switch {
+		case int(s) >= n.slots:
+			return fmt.Errorf("cycle %d: %s names slot %d, past the %d handed out", n.Now(), where[st], s, n.slots)
+		case state[s] != unseen:
+			return fmt.Errorf("cycle %d: slot %d is reached on %s and on %s", n.Now(), s, where[state[s]], where[st])
 		}
-		state[p.slot] = free
-	}
-	eject := func(p *Packet) error {
-		if state[p.slot] == free {
-			return fmt.Errorf("cycle %d: slot %d awaits delivery from the free list", n.Now(), p.slot)
-		}
-		state[p.slot] = ejected
+		state[s] = st
 		return nil
 	}
+	// walk marks the list ref refers to and returns its length and last
+	// reference, calling visit, if set, on each packet in order.
+	walk := func(ref uint32, st uint8, visit func(p *Packet) error) (k int, last uint32, err error) {
+		for ; ref != 0; ref = *n.link(ref - 1) {
+			if err := mark(ref-1, st); err != nil {
+				return k, last, err
+			}
+			if visit != nil {
+				if err := visit(n.pkt(ref - 1)); err != nil {
+					return k, last, err
+				}
+			}
+			k, last = k+1, ref
+		}
+		return k, last, nil
+	}
+	fifoLen := func(q fifo, st uint8) (int, error) {
+		k, last, err := walk(q.head, st, nil)
+		if err == nil && last != q.tail {
+			err = fmt.Errorf("cycle %d: %s ends at %d, its tail says %d", n.Now(), where[st], last, q.tail)
+		}
+		return k, err
+	}
+	if _, _, err := walk(n.free, free, nil); err != nil {
+		return err
+	}
 	for _, ni := range n.nis {
+		if k, err := fifoLen(ni.q, queued); err != nil {
+			return err
+		} else if k != ni.qlen {
+			return fmt.Errorf("cycle %d: NI %d queues %d packets, qlen %d", n.Now(), ni.tile, k, ni.qlen)
+		}
+		if ni.cur != nil {
+			if err := mark(ni.cur.slot, streaming); err != nil {
+				return err
+			}
+		}
+		pending := 0
 		for src := range ni.from {
 			fl := &ni.from[src]
-			for _, d := range fl.q {
-				if err := eject(d.p); err != nil {
-					return err
+			prev := fl.expected
+			if _, _, err := walk(fl.reorder, reordered, func(p *Packet) error {
+				if p.Seq <= prev {
+					return fmt.Errorf("cycle %d: NI %d reorders seq %d from %d after %d (expected %d)",
+						n.Now(), ni.tile, p.Seq, src, prev, fl.expected)
 				}
+				prev = p.Seq
+				return nil
+			}); err != nil {
+				return err
 			}
-			if len(fl.reorder) == 0 {
-				continue // ranging an empty map still costs an iterator
+			k, err := fifoLen(fl.q, decoding)
+			if err != nil {
+				return err
 			}
-			for _, p := range fl.reorder {
-				if err := eject(p); err != nil {
-					return err
-				}
-			}
+			pending += k
+		}
+		if pending != ni.pendingDeliveries {
+			return fmt.Errorf("cycle %d: NI %d decodes %d packets, pendingDeliveries %d", n.Now(), ni.tile, pending, ni.pendingDeliveries)
 		}
 	}
 	// stray describes what is wrong with the packet a flit names, or "".
 	stray := func(f flit) string {
-		switch s := int(f.slot()); {
-		case s >= n.slots:
+		switch s := f.slot(); {
+		case int(s) >= n.slots:
 			return fmt.Sprintf("names slot %d, past the %d handed out", s, n.slots)
-		case state[s] == free:
-			return fmt.Sprintf("names slot %d, on the free list", s)
-		case state[s] == ejected:
-			return fmt.Sprintf("names slot %d, already ejected", s)
+		case state[s] == unseen:
+			state[s] = inNetwork
+		case state[s] != streaming && state[s] != inNetwork:
+			return fmt.Sprintf("names slot %d, on %s", s, where[state[s]])
 		}
 		return ""
 	}
@@ -135,6 +189,25 @@ func (n *Network) CheckFlitSlots() error {
 		if r.flits != flits {
 			return fmt.Errorf("cycle %d router %d: flits %d, VC counts sum to %d", n.Now(), r.id, r.flits, flits)
 		}
+	}
+	found, freed := 0, 0
+	for s, st := range state {
+		switch st {
+		case free:
+			freed++
+			continue
+		case unseen:
+			continue
+		case streaming, inNetwork:
+			if l := *n.link(uint32(s)); l != 0 {
+				return fmt.Errorf("cycle %d: slot %d is on %s and links to %d", n.Now(), s, where[st], l)
+			}
+		}
+		found++
+	}
+	if found != n.inFlight || found+freed != n.slots {
+		return fmt.Errorf("cycle %d: found %d packets in flight and %d free of %d slots, inFlight %d",
+			n.Now(), found, freed, n.slots, n.inFlight)
 	}
 	return nil
 }
@@ -185,8 +258,8 @@ func TestFlitAndCreditConservation(t *testing.T) {
 		t.Fatalf("flits injected %d != ejected %d", s.FlitsInjected, s.FlitsEjected)
 	}
 	for ri, rt := range n.routers {
-		if rt.bufferedFlits() != 0 {
-			t.Fatalf("router %d holds %d flits after drain", ri, rt.bufferedFlits())
+		if rt.flits != 0 {
+			t.Fatalf("router %d holds %d flits after drain", ri, rt.flits)
 		}
 		for o, ovc := range rt.out {
 			p, v := o/rt.nvc, o%rt.nvc

@@ -3,6 +3,7 @@ package noc
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"approxnoc/internal/compress"
 	"approxnoc/internal/obs"
@@ -58,12 +59,14 @@ type Network struct {
 	creditStage   []stagedCredit
 	niCreditStage []stagedNICredit
 
-	// Packets live in slabs, the first slots of them handed out; pktPool
-	// recycles delivered ones, payload storage included, into the next
-	// send. Per-network, so they need no locking and stay deterministic.
-	slabs   []*[slabLen]Packet
-	slots   int
-	pktPool []*Packet
+	// Packets live in slabs, the first slots of them handed out; free
+	// lists the delivered ones, which newPacket reuses, payload storage
+	// included, before it hands out a new slot. Per-network, so they need
+	// no locking and stay deterministic, until Release passes the slabs on.
+	slabs    []*slab
+	slots    int
+	free     uint32 // list reference, see slab
+	released bool
 	// decoded is the block every data delivery decodes into, recycled
 	// under the packet rule: valid until the delivery handlers return.
 	decoded value.Block
@@ -156,22 +159,86 @@ func (n *Network) notifyDelivery(p *Packet, blk *value.Block) {
 	}
 }
 
-// slabLen packets of 184 bytes and an 8-byte malloc header fit the 12 288
-// B size class; 192-byte ones would not (TestPacketSlabBytes).
 const slabLen = 64
 
-// newPacket takes a packet from the recycle pool, or the next slab slot,
-// and stamps it as the next packet of the (src, dst) pair.
+// slab holds slabLen packets and one link word per packet. Every NI list
+// — the network's free list, an injection queue, a reorder list, a decode
+// FIFO — threads through the links: a list reference is slot+1, 0 is the
+// empty list, and next[i] refers to the packet after slot i on whichever
+// list holds it (0 while it is on none). 64 packets of 184 bytes, 256
+// link bytes and an 8-byte malloc header fit the 12 288 B size class;
+// 192-byte packets would not (TestPacketSlabBytes).
+type slab struct {
+	pkt  [slabLen]Packet
+	next [slabLen]uint32
+}
+
+// slabPool carries the slabs of released networks to the next newPacket
+// that needs one, payload storage included.
+var slabPool sync.Pool
+
+// fifo is a list threaded through the slab links, by reference to its
+// first and last packet.
+type fifo struct{ head, tail uint32 }
+
+// pkt is the packet in slot s.
+func (n *Network) pkt(s uint32) *Packet { return &n.slabs[s/slabLen].pkt[s%slabLen] }
+
+// link is slot s's link word.
+func (n *Network) link(s uint32) *uint32 { return &n.slabs[s/slabLen].next[s%slabLen] }
+
+// unlink removes the first packet of the non-empty list *at refers to.
+func (n *Network) unlink(at *uint32) *Packet {
+	s := *at - 1
+	l := n.link(s)
+	*at, *l = *l, 0
+	return n.pkt(s)
+}
+
+// push appends slot s, on no list, to q.
+func (n *Network) push(q *fifo, s uint32) {
+	if q.tail == 0 {
+		q.head = s + 1
+	} else {
+		*n.link(q.tail - 1) = s + 1
+	}
+	q.tail = s + 1
+}
+
+// pop removes and returns the first packet of the non-empty q.
+func (n *Network) pop(q *fifo) *Packet {
+	p := n.unlink(&q.head)
+	if q.head == 0 {
+		q.tail = 0
+	}
+	return p
+}
+
+// insertBySeq links p, on no list, into the list *at refers to, which it
+// keeps in ascending Seq.
+func (n *Network) insertBySeq(at *uint32, p *Packet) {
+	for *at != 0 && n.pkt(*at-1).Seq < p.Seq {
+		at = n.link(*at - 1)
+	}
+	*n.link(p.slot), *at = *at, p.slot+1
+}
+
+// newPacket takes a packet from the free list, or the next slab slot,
+// and stamps it as the next packet of the (src, dst) pair. A new slab
+// comes from a released network when one is pooled.
 func (n *Network) newPacket(src, dst int, kind PacketKind, now sim.Cycle) *Packet {
 	var p *Packet
-	if k := len(n.pktPool); k > 0 {
-		p = n.pktPool[k-1]
-		n.pktPool = n.pktPool[:k-1]
+	if n.free != 0 {
+		p = n.unlink(&n.free)
 	} else {
 		if n.slots%slabLen == 0 {
-			n.slabs = append(n.slabs, new([slabLen]Packet))
+			sl, _ := slabPool.Get().(*slab)
+			if sl == nil {
+				sl = new(slab)
+			}
+			n.slabs = append(n.slabs, sl)
 		}
-		p = &n.slabs[n.slots/slabLen][n.slots%slabLen]
+		p = n.pkt(uint32(n.slots))
 		p.slot = uint32(n.slots)
 		n.slots++
 	}
@@ -185,22 +252,47 @@ func (n *Network) newPacket(src, dst int, kind PacketKind, now sim.Cycle) *Packe
 	return p
 }
 
-// freePacket returns a delivered packet to the pool after its delivery
+// freePacket puts a delivered packet on the free list after its delivery
 // handlers have returned. Everything but the slot and the payload storage
 // is cleared, so newPacket starts from zero values.
 func (n *Network) freePacket(p *Packet) {
 	*p = Packet{slot: p.slot, Enc: compress.Encoded{Payload: p.Enc.Payload[:0]}}
-	n.pktPool = append(n.pktPool, p)
+	*n.link(p.slot), n.free = n.free, p.slot+1
 }
 
 // packet is the packet a flit names.
-func (n *Network) packet(f flit) *Packet { return &n.slabs[f.slot()/slabLen][f.slot()%slabLen] }
+func (n *Network) packet(f flit) *Packet { return n.pkt(f.slot()) }
+
+// Release ends the network's life and hands its packet slabs, payload
+// storage included, to the networks built after it, so a driver that runs
+// network after network stops allocating packet storage per run. Read
+// Stats, Power and CodecStats first. Every *Packet the network returned
+// is invalid afterwards, and Step, SendData and SendControl panic.
+func (n *Network) Release() {
+	for _, sl := range n.slabs {
+		for i := range sl.pkt {
+			p := &sl.pkt[i]
+			*p = Packet{Enc: compress.Encoded{Payload: p.Enc.Payload[:0]}}
+		}
+		sl.next = [slabLen]uint32{}
+		slabPool.Put(sl)
+	}
+	n.slabs, n.slots, n.free, n.released = nil, 0, 0, true
+}
+
+// live panics once the network is released.
+func (n *Network) live() {
+	if n.released {
+		panic("noc: network used after Release")
+	}
+}
 
 // SendData queues a cache block from src to dst and returns its packet.
 // The block is encoded before SendData returns and nothing of it is kept,
 // so the caller may reuse it at once. The packet is network-owned (see
 // Packet): valid until its delivery handlers return.
 func (n *Network) SendData(src, dst int, blk *value.Block) (*Packet, error) {
+	n.live()
 	if err := n.checkPair(src, dst); err != nil {
 		return nil, err
 	}
@@ -209,6 +301,7 @@ func (n *Network) SendData(src, dst int, blk *value.Block) (*Packet, error) {
 
 // SendControl queues a single-flit control packet from src to dst.
 func (n *Network) SendControl(src, dst int) (*Packet, error) {
+	n.live()
 	if err := n.checkPair(src, dst); err != nil {
 		return nil, err
 	}
@@ -235,6 +328,7 @@ func (n *Network) checkPair(src, dst int) error {
 // — the common case in low-injection sweeps — cost O(active tiles)
 // instead of O(all tiles).
 func (n *Network) Step() {
+	n.live()
 	now := n.clock.Now()
 	n.landArrivals()
 
@@ -285,7 +379,7 @@ func (n *Network) stepNIs(now sim.Cycle) {
 		for ; m != 0; m &= m - 1 {
 			ni := n.nis[w*64+bits.TrailingZeros64(m)]
 			ni.inject(now)
-			if ni.cur == nil && len(ni.queue) == ni.qhead {
+			if ni.cur == nil && ni.q.head == 0 {
 				n.sending[w] &^= m & -m
 			}
 		}
@@ -326,25 +420,10 @@ func (n *Network) Drain(maxCycles int) bool {
 }
 
 // Quiescent reports whether no packets, flits, or in-flight credits
-// remain anywhere in the network.
+// remain anywhere in the network. A packet counts in inFlight from
+// newPacket to delivery, so its flits and NI list places need no scan.
 func (n *Network) Quiescent() bool {
-	if n.inFlight != 0 || len(n.flitStage) != 0 {
-		return false
-	}
-	if len(n.creditStage) != 0 || len(n.niCreditStage) != 0 {
-		return false
-	}
-	for _, ni := range n.nis {
-		if ni.pendingWork() {
-			return false
-		}
-	}
-	for _, r := range n.routers {
-		if r.bufferedFlits() != 0 {
-			return false
-		}
-	}
-	return true
+	return n.inFlight == 0 && len(n.creditStage) == 0 && len(n.niCreditStage) == 0
 }
 
 // InFlight returns the number of packets sent but not yet delivered.

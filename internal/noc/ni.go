@@ -10,17 +10,12 @@ import (
 	"approxnoc/internal/value"
 )
 
-// delivery is a packet in the NI's post-ejection decode pipeline.
-type delivery struct {
-	p       *Packet
-	readyAt sim.Cycle
-}
-
-// srcFlow is the ejection-side state an NI keeps per source tile.
+// srcFlow is the ejection-side state an NI keeps per source tile. Both
+// lists thread through the slab links (see slab).
 type srcFlow struct {
-	expected uint64             // next sequence number
-	reorder  map[uint64]*Packet // ejected ahead of sequence; made on first use
-	q        []delivery         // in-order decode FIFO
+	expected uint64 // next sequence number
+	reorder  uint32 // ejected ahead of sequence, in ascending Seq
+	q        fifo   // in-order decode FIFO, each packet's DeliveredAt its decode-ready cycle
 }
 
 // NI is a network interface: it packetizes and compresses departing
@@ -36,11 +31,10 @@ type NI struct {
 	router int
 	port   topology.Direction
 
-	// Injection side. The queue is consumed through qhead instead of
-	// re-slicing so the backing array is reused; it is compacted when the
-	// dead prefix dominates.
-	queue   []*Packet
-	qhead   int
+	// Injection side: the queue threads through the slab links and holds
+	// qlen packets.
+	q       fifo
+	qlen    int
 	cur     *Packet
 	curIdx  int // the next flit of cur to inject
 	curVC   int
@@ -80,34 +74,17 @@ func (ni *NI) Codec() compress.Codec { return ni.codec }
 // QueueLen returns the injection queue occupancy (including the packet
 // currently streaming flits).
 func (ni *NI) QueueLen() int {
-	n := len(ni.queue) - ni.qhead
+	n := ni.qlen
 	if ni.cur != nil {
 		n++
 	}
 	return n
 }
 
-// popQueue removes and returns the queue head, compacting the backing
-// array once the consumed prefix dominates it.
-func (ni *NI) popQueue() *Packet {
-	p := ni.queue[ni.qhead]
-	ni.queue[ni.qhead] = nil
-	ni.qhead++
-	switch {
-	case ni.qhead == len(ni.queue):
-		ni.queue = ni.queue[:0]
-		ni.qhead = 0
-	case ni.qhead >= 32 && ni.qhead*2 >= len(ni.queue):
-		n := copy(ni.queue, ni.queue[ni.qhead:])
-		ni.queue = ni.queue[:n]
-		ni.qhead = 0
-	}
-	return p
-}
-
 // enqueue appends p to the injection queue and marks the tile sending.
 func (ni *NI) enqueue(p *Packet) *Packet {
-	ni.queue = append(ni.queue, p)
+	ni.net.push(&ni.q, p.slot)
+	ni.qlen++
 	setBit(ni.net.sending, ni.tile)
 	return p
 }
@@ -170,7 +147,7 @@ func (ni *NI) enqueueNotif(n compress.Notification, now sim.Cycle) *Packet {
 // as it goes. stepNIs calls it only while the tile is sending.
 func (ni *NI) inject(now sim.Cycle) {
 	if ni.cur == nil {
-		head := ni.queue[ni.qhead]
+		head := ni.net.pkt(ni.q.head - 1)
 		if head.ReadyAt == 0 && head.Kind == DataPacket && head.Enc.Scheme != compress.Baseline {
 			// OverlapQueueing off: compression starts at the queue head.
 			head.ReadyAt = now + sim.Cycle(ni.net.cfg.effectiveCompressLatencyFor(head.Enc.NumWords))
@@ -178,7 +155,8 @@ func (ni *NI) inject(now sim.Cycle) {
 		if head.ReadyAt > now {
 			return
 		}
-		ni.popQueue()
+		ni.net.pop(&ni.q)
+		ni.qlen--
 		ni.cur = head
 		ni.curIdx = 0
 		ni.curVC = -1
@@ -232,10 +210,7 @@ func (ni *NI) receiveFlit(f flit) {
 	p.EjectedAt = now
 	fl := &ni.from[p.Src]
 	if p.Seq != fl.expected {
-		if fl.reorder == nil {
-			fl.reorder = make(map[uint64]*Packet)
-		}
-		fl.reorder[p.Seq] = p
+		ni.net.insertBySeq(&fl.reorder, p)
 		return
 	}
 	// Release p and every packet it unblocks into the decode FIFO.
@@ -243,14 +218,13 @@ func (ni *NI) receiveFlit(f flit) {
 	setBit(ni.net.decoding, ni.tile)
 	for {
 		fl.expected++
-		fl.q = append(fl.q, delivery{p: p, readyAt: now + ni.decodeLatency(p)})
+		p.DeliveredAt = now + ni.decodeLatency(p)
+		ni.net.push(&fl.q, p.slot)
 		ni.pendingDeliveries++
-		next, ok := fl.reorder[fl.expected]
-		if !ok {
+		if fl.reorder == 0 || ni.net.pkt(fl.reorder-1).Seq != fl.expected {
 			return
 		}
-		delete(fl.reorder, fl.expected)
-		p = next
+		p = ni.net.unlink(&fl.reorder)
 	}
 }
 
@@ -272,20 +246,12 @@ func (ni *NI) processDeliveries(now sim.Cycle) {
 		for ; m != 0; m &= m - 1 {
 			b := bits.TrailingZeros64(m)
 			fl := &ni.from[w*64+b]
-			q := fl.q
-			n := 0
-			for n < len(q) && q[n].readyAt <= now {
-				ni.deliver(q[n].p, now)
-				n++
+			for fl.q.head != 0 && ni.net.pkt(fl.q.head-1).DeliveredAt <= now {
+				ni.pendingDeliveries--
+				ni.deliver(ni.net.pop(&fl.q), now)
 			}
-			if n > 0 {
-				// Compact in place so the backing array is reused instead of
-				// advancing the slice start and reallocating on append.
-				fl.q = q[:copy(q, q[n:])]
-				ni.pendingDeliveries -= n
-				if len(fl.q) == 0 {
-					ni.decoding[w] &^= 1 << uint(b)
-				}
+			if fl.q.head == 0 {
+				ni.decoding[w] &^= 1 << uint(b)
 			}
 		}
 	}
@@ -321,17 +287,4 @@ func (ni *NI) deliver(p *Packet, now sim.Cycle) {
 		ni.net.notifyDelivery(p, nil)
 	}
 	ni.net.freePacket(p)
-}
-
-// pendingWork reports whether the NI still holds undelivered state.
-func (ni *NI) pendingWork() bool {
-	if len(ni.queue) > ni.qhead || ni.cur != nil || ni.pendingDeliveries > 0 {
-		return true
-	}
-	for i := range ni.from {
-		if len(ni.from[i].reorder) > 0 {
-			return true
-		}
-	}
-	return false
 }

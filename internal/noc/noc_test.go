@@ -314,9 +314,9 @@ func TestRecycledPacketsKeepPayloads(t *testing.T) {
 	if !n.Drain(200000) {
 		t.Fatalf("network did not drain; %d in flight", n.InFlight())
 	}
-	if s := n.Stats(); s.PacketsSent < 10*uint64(len(n.pktPool)) || s.NotifDelivered == 0 {
+	if s := n.Stats(); s.PacketsSent < 10*uint64(n.slots) || s.NotifDelivered == 0 {
 		t.Fatalf("%d packets (%d notifications) over %d packet structs: the pool never ran hot",
-			s.PacketsSent, s.NotifDelivered, len(n.pktPool))
+			s.PacketsSent, s.NotifDelivered, n.slots)
 	}
 	factory, err := compress.FactoryFor(compress.DIComp, tiles, 0)
 	if err != nil {

@@ -71,11 +71,15 @@ type Packet struct {
 	Notif compress.Notification
 
 	// Timestamps for the Fig. 9 latency breakdown.
-	CreatedAt   sim.Cycle // handed to the NI
-	ReadyAt     sim.Cycle // compression complete, eligible for injection
-	InjectedAt  sim.Cycle // head flit entered the router
-	EjectedAt   sim.Cycle // tail flit left the network
-	DeliveredAt sim.Cycle // decompression complete, handed to the tile
+	CreatedAt  sim.Cycle // handed to the NI
+	ReadyAt    sim.Cycle // compression complete, eligible for injection
+	InjectedAt sim.Cycle // head flit entered the router
+	EjectedAt  sim.Cycle // tail flit left the network
+	// DeliveredAt is when decompression completed and the packet reached
+	// the tile. While the packet waits in the decode FIFO, released in
+	// sequence at ejection or from the reorder list, it holds the cycle
+	// the decode finishes; deliver overwrites it.
+	DeliveredAt sim.Cycle
 }
 
 // QueueLatency is time from creation to head-flit injection: NI queueing

@@ -68,16 +68,14 @@ func TestFlitsOfShapes(t *testing.T) {
 // TestPacketSlabBytes pins what packet storage costs: 64·k control packets
 // queued on an unstepped network take k slabs of 64 Packets, and those
 // must cost no more than 5 % over the Packets' own bytes. Packet is 184
-// bytes, so a slab and its malloc header fit the 12 288-byte size class;
-// a field added outside the padding after Kind makes Packet 192 bytes and
-// spills every slab into the 13 568-byte class, 10 % over.
+// bytes, so a slab's packets, its 256 link bytes and its malloc header fit
+// the 12 288-byte size class, 4.3 % over; a field added outside the
+// padding after Kind makes Packet 192 bytes and spills every slab into the
+// 13 568-byte class, 10 % over.
 func TestPacketSlabBytes(t *testing.T) {
 	const k = 32
 	n := baselineNet(t, 4, 4, 2)
 	tiles := n.Topology().Tiles()
-	for _, ni := range n.nis { // measure packet storage, not queue growth
-		ni.queue = make([]*Packet, 0, slabLen*k/tiles)
-	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < slabLen*k; i++ {

@@ -281,6 +281,3 @@ func (r *router) stageRC() {
 	}
 	r.rcReq = 0
 }
-
-// bufferedFlits counts flits resident in the router, for drain detection.
-func (r *router) bufferedFlits() int { return r.flits }

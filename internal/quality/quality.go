@@ -31,12 +31,22 @@ type PerWord struct {
 	bound float64
 }
 
-// NewPerWord returns a per-word budget for a threshold in percent.
+// perWord holds the per-word budget of every valid threshold. A PerWord
+// never changes once built, so every encoder at a threshold shares one,
+// and neither NewPerWord nor an encoder's threshold switch allocates.
+var perWord = func() (t [101]PerWord) {
+	for pct := range t {
+		t[pct].bound = float64(pct) / 100
+	}
+	return t
+}()
+
+// NewPerWord returns the per-word budget for a threshold in percent.
 func NewPerWord(thresholdPct int) (*PerWord, error) {
 	if thresholdPct < 0 || thresholdPct > 100 {
 		return nil, fmt.Errorf("quality: threshold %d%% out of range", thresholdPct)
 	}
-	return &PerWord{bound: float64(thresholdPct) / 100}, nil
+	return &perWord[thresholdPct], nil
 }
 
 // Allow admits the approximation when the word error is within bound.

@@ -61,20 +61,24 @@ go test -race ./internal/cluster
 go test -race -count=5 -run 'TestView|TestMembership' ./internal/cluster
 
 # Simulator cycle-kernel gates, uninstrumented. Flits are 32-bit values
-# naming their packet's slot, and packets come from per-network slabs of
-# 64 that recycle on delivery. The hot path must stay allocation-free in
-# a control-packet steady state, free-flowing and under arbitration;
+# naming their packet's slot, and packets come from slabs of 64 that
+# recycle on delivery, carry every NI list in their link words, and pass
+# to the next network on Release. The hot path must stay allocation-free
+# in a control-packet steady state, free-flowing and under arbitration;
 # steady data traffic must allocate nothing under any scheme (packets,
 # payloads and the decoded block recycle) and recycled packets must keep
-# their own payloads; a slab must cost at most 5 % over its Packets'
-# bytes, so Packet stays inside its size class; every flit must name an
-# in-flight packet, head to tail per VC; and the request-mask allocators
-# must match the exhaustive-sweep oracle on the full VCs x concentration
-# x pattern x load grid, with the flit-slot invariant checked every
-# cycle (the -race -short pass above runs a reduced grid; see DESIGN.md
-# §9).
-echo '>> cycle kernel (TestStepZeroAllocs, TestDataPathSteadyAllocs, TestRecycledPacketsKeepPayloads, TestPacketSlabBytes, TestFlitAndCreditConservation, TestAllocatorsMatchNaiveSweep)'
-go test -run 'TestStepZeroAllocs|TestDataPathSteadyAllocs|TestRecycledPacketsKeepPayloads|TestPacketSlabBytes|TestFlitAndCreditConservation|TestAllocatorsMatchNaiveSweep' ./internal/noc
+# their own payloads; a run on a released network's slabs must replay a
+# run on fresh slabs bit for bit, and a saturated run after a released
+# warm-up must stay within its allocations per packet sent; a slab must
+# cost at most 5 % over its Packets' bytes, so Packet stays inside its
+# size class; every list must hold each slot once and every flit must
+# name an in-flight packet, head to tail per VC; and the request-mask
+# allocators must match the exhaustive-sweep oracle on the full VCs x
+# concentration x pattern x load grid, with the flit-slot invariant
+# checked every cycle (the -race -short pass above runs a reduced grid;
+# see DESIGN.md §9).
+echo '>> cycle kernel (TestStepZeroAllocs, TestDataPathSteadyAllocs, TestRecycledPacketsKeepPayloads, TestReleasedSlabsReplayIdentically, TestSaturatedRunAllocs, TestPacketSlabBytes, TestFlitAndCreditConservation, TestAllocatorsMatchNaiveSweep)'
+go test -run 'TestStepZeroAllocs|TestDataPathSteadyAllocs|TestRecycledPacketsKeepPayloads|TestReleasedSlabsReplayIdentically|TestSaturatedRunAllocs|TestPacketSlabBytes|TestFlitAndCreditConservation|TestAllocatorsMatchNaiveSweep' ./internal/noc
 
 # Wire-path alloc gates: a 10k-frame replay must reuse one read buffer
 # per connection, and the end-to-end pipelined serve path must stay
