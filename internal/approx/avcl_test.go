@@ -2,6 +2,7 @@ package approx
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -157,6 +158,42 @@ func TestMaskFloatGuaranteeProperty(t *testing.T) {
 		}
 		if err := quick.Check(f, nil); err != nil {
 			t.Fatalf("threshold %d%%: %v", pct, err)
+		}
+	}
+}
+
+// TestMaskFloatThresholdIsASwitch pins why FP-VAXX's threshold acts as an
+// on/off switch on float data: a normal float's significand is at least
+// 2^23, so at any threshold from 1 % to 100 % (shift at most 7) the mask
+// covers the low halfword, bits 0-15, whatever the sign, exponent and
+// mantissa, and at 0 % it masks nothing. Every normal exponent is
+// checked with both signs, the mantissa's edges and seeded random ones.
+func TestMaskFloatThresholdIsASwitch(t *testing.T) {
+	r := rand.New(rand.NewSource(22))
+	mantissas := []uint32{0, 1, 0x400000, 0x7FFFFF}
+	for i := 0; i < 8; i++ {
+		mantissas = append(mantissas, r.Uint32()&value.MantissaMask)
+	}
+	a := MustNew(0)
+	for pct := 0; pct <= 100; pct++ {
+		if err := a.SetThreshold(pct); err != nil {
+			t.Fatal(err)
+		}
+		for exp := uint32(1); exp <= 254; exp++ {
+			for _, sign := range []uint32{0, 1 << 31} {
+				for _, m := range mantissas {
+					w := sign | exp<<23 | m
+					mask, ok := a.MaskFloat(w)
+					switch {
+					case !ok:
+						t.Fatalf("normal float %#08x bypassed at %d%%", w, pct)
+					case pct == 0 && mask != 0:
+						t.Fatalf("float %#08x masked %#x at 0%%", w, mask)
+					case pct > 0 && mask&0xFFFF != 0xFFFF:
+						t.Fatalf("float %#08x masked only %#x at %d%%, not bits 0-15", w, mask, pct)
+					}
+				}
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"approxnoc/internal/value"
@@ -229,5 +230,81 @@ func TestHandleUpdateEvictZeroAllocs(t *testing.T) {
 				t.Errorf("an evicting NotifUpdate allocates %.1f objects, want 0", allocs)
 			}
 		})
+	}
+}
+
+// TestDictCodecBuildAllocs pins what a dictionary codec costs to build:
+// every NI of a simulated network builds one per run. A 32-node DI-VAXX
+// codec must take at most 10 allocations and 6 KiB. One slice of 8-byte
+// refs per table, the node sets and candidate tracker in one array, the
+// pending table at its cap and the TCAM's header in the codec's keep it
+// at 10; per-slot slices of 24-byte refs and []bool valid bits took 27
+// allocations and 9.2 KiB.
+func TestDictCodecBuildAllocs(t *testing.T) {
+	cfg := DefaultDictConfig(32)
+	build := func() {
+		if _, err := NewDIVaxx(5, cfg, 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(50, build)
+	const builds = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < builds; i++ {
+		build()
+	}
+	runtime.ReadMemStats(&after)
+	size := float64(after.TotalAlloc-before.TotalAlloc) / builds
+	t.Logf("a 32-node DI-VAXX codec builds in %.0f allocations, %.0f bytes", allocs, size)
+	if allocs > 10 || size > 6<<10 {
+		t.Fatalf("a 32-node DI-VAXX codec took %.0f allocations and %.0f bytes, want at most 10 and %d", allocs, size, 6<<10)
+	}
+}
+
+// TestEvictionHandshakeZeroAllocs gates the decoder's eviction path: once
+// the PMT is full, a candidate that promotes over the coldest entry
+// (invalidate to the encoder that maps it), the encoder's ack and the
+// install that completes it allocate nothing. The awaiting set is a
+// fixed bitset per decoder slot and the pending table never grows.
+func TestEvictionHandshakeZeroAllocs(t *testing.T) {
+	cfg := DictConfig{Nodes: 32, Entries: 2, CandidateCap: 4, PromoteThreshold: 2, PendingCap: 1}
+	c, err := NewDIComp(0, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := c.(*dictCodec)
+	const enc = 7
+	buf := make([]Notification, 0, 8)
+	k := 0
+	cycle := func() {
+		k++
+		p := value.Word(k) << 8
+		out := d.observeRawWord(buf[:0], enc, p, value.Int32)
+		out = d.observeRawWord(out, enc, p, value.Int32)
+		if len(out) == 1 && out[0].Kind == NotifUpdate {
+			return // a promotion into a free slot: the warm-up
+		}
+		if len(out) != 1 || out[0].Kind != NotifInvalidate || out[0].To != enc {
+			t.Fatalf("promotion %d sent %+v, want one invalidate to node %d", k, out, enc)
+		}
+		ack := Notification{From: enc, To: 0, Kind: NotifInvalidateAck, Index: out[0].Index}
+		if up := d.HandleNotification(ack); len(up) != 1 || up[0].Kind != NotifUpdate || up[0].Pattern != p {
+			t.Fatalf("the ack for promotion %d sent %+v, want the update installing %#x", k, up, p)
+		}
+	}
+	for i := 0; i < cfg.Entries+2; i++ {
+		cycle()
+	}
+	writes := d.stats.TableWrites
+	allocs := testing.AllocsPerRun(100, cycle)
+	if got := d.stats.TableWrites - writes; got != 101 {
+		t.Fatalf("%d installs in 101 handshakes", got)
+	}
+	if len(d.pending) != 0 {
+		t.Fatalf("%d evictions still pending", len(d.pending))
+	}
+	if allocs != 0 {
+		t.Errorf("a promote-invalidate-ack-install handshake allocates %.1f objects, want 0", allocs)
 	}
 }

@@ -48,6 +48,10 @@ func DefaultDictConfig(n int) DictConfig {
 	return DictConfig{Nodes: n, Entries: 8, CandidateCap: 32, PromoteThreshold: 4, PendingCap: 4}
 }
 
+// maxEntries bounds the PMT capacity: an encoder's per-destination slot
+// holds the decoder index in 16 bits (destRef).
+const maxEntries = 1 << 16
+
 // decoder frequency counters are halved every agingPeriod decoded words so
 // formerly-hot patterns can age out of the PMT instead of pinning it.
 const agingPeriod = 4096
@@ -56,8 +60,8 @@ func (c *DictConfig) validate() error {
 	if c.Nodes <= 0 {
 		return fmt.Errorf("compress: dict config needs Nodes > 0, got %d", c.Nodes)
 	}
-	if c.Entries <= 0 {
-		return fmt.Errorf("compress: dict config needs Entries > 0, got %d", c.Entries)
+	if c.Entries <= 0 || c.Entries > maxEntries {
+		return fmt.Errorf("compress: dict config needs Entries in [1,%d], got %d", maxEntries, c.Entries)
 	}
 	if c.CandidateCap <= 0 {
 		c.CandidateCap = 4 * c.Entries
@@ -105,9 +109,8 @@ func indexBits(entries int) int {
 // measured slower: the stream is replacement-heavy, and per-sighting
 // hashing plus delete/insert churn cost more than the short scan.
 type candidateTable struct {
-	cap   int
 	keys  []uint64 // pattern | dtype<<32
-	count []int
+	count []uint64
 	// victim caches the index of the first count-1 entry, or -1 when
 	// unknown. Counts never decrease, so once established it stays the
 	// first count-1 index until that entry itself is bumped or indices
@@ -122,8 +125,11 @@ func candKey(p value.Word, dt value.DataType) uint64 {
 	return uint64(p) | uint64(dt)<<32
 }
 
-func newCandidateTable(cap int) *candidateTable {
-	return &candidateTable{cap: cap, victim: -1}
+// init empties the table onto buf, whose halves hold the keys and the
+// counts of at most len(buf)/2 candidates, so it never grows.
+func (t *candidateTable) init(buf []uint64) {
+	n := len(buf) / 2
+	*t = candidateTable{keys: buf[:0:n], count: buf[n : n : 2*n], victim: -1}
 }
 
 // pat and dtype unpack entry i (the snapshot codec keeps its wire format
@@ -143,10 +149,10 @@ func (t *candidateTable) bump(p value.Word, dt value.DataType) int {
 			if i == t.victim {
 				t.victim = -1 // no longer count 1
 			}
-			return t.count[i]
+			return int(t.count[i])
 		}
 	}
-	if len(t.keys) < t.cap {
+	if len(t.keys) < cap(t.keys) {
 		t.keys = append(t.keys, k)
 		t.count = append(t.count, 1)
 		return 1
@@ -188,34 +194,52 @@ func (t *candidateTable) drop(p value.Word, dt value.DataType) {
 // destRef is one encoder-PMT per-destination slot: the encoded index the
 // destination decoder assigned, plus the original pattern recorded there
 // (Fig. 8's "idx / op" pairs; for exact DI-COMP orig always equals the
-// entry pattern).
+// entry pattern). Eight bytes: a 32-node table row is 256.
 type destRef struct {
-	valid bool
-	idx   int
 	orig  value.Word
+	idx   uint16
+	valid bool
 }
 
-// decEntry is one decoder-PMT row (Fig. 7b): pattern, frequency counter
-// and the vector of valid bits naming every encoder that maps to it.
+// decEntry is one decoder-PMT row (Fig. 7b): pattern and frequency
+// counter; the valid bits naming every encoder that maps it are the
+// row's bits in dictCodec.validBits.
 type decEntry struct {
-	valid     bool
-	pattern   value.Word
-	dtype     value.DataType
-	freq      uint64
-	validBits []bool
-	locked    bool // eviction handshake in progress
+	freq    uint64
+	pattern value.Word
+	idle    uint32 // consecutive cold aging epochs, for GC age-out
+	dtype   value.DataType
+	valid   bool
+	locked  bool // eviction handshake in progress
 }
 
 // pendingInstall tracks an eviction awaiting invalidate acks before the
 // slot can be reused for a newly promoted pattern — or, for GC
-// reclaims, simply freed.
+// reclaims, simply freed. The encoders it awaits are the slot's bits in
+// dictCodec.awaiting: a slot has at most one eviction in flight.
 type pendingInstall struct {
 	slot      int
 	pattern   value.Word
 	dtype     value.DataType
-	requester int // source node that triggered the promotion
-	awaiting  map[int]bool
+	requester int  // source node that triggered the promotion
 	gc        bool // reclaim only: free the slot, install nothing
+}
+
+// bitset is a fixed set of node ids: bit i%64 of word i/64.
+type bitset []uint64
+
+func (s bitset) has(i int) bool { return s[i/64]&(1<<uint(i%64)) != 0 }
+func (s bitset) add(i int)      { s[i/64] |= 1 << uint(i%64) }
+func (s bitset) remove(i int)   { s[i/64] &^= 1 << uint(i%64) }
+
+// empty reports whether no bit is set.
+func (s bitset) empty() bool {
+	for _, w := range s {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // dictCodec implements DI-COMP (avcl == nil) and DI-VAXX (avcl != nil).
@@ -231,17 +255,21 @@ type dictCodec struct {
 	// per-destination index vectors. DI-VAXX stores AVCL don't-care
 	// families; DI-COMP's entries mask no bits, which makes the TCAM the
 	// binary CAM the paper gives it (§4.2.1).
-	pmt     *tcam.TCAM
-	encDest [][]destRef // [slot][dest]
+	pmt     tcam.TCAM
+	encDest []destRef // [slot*Nodes+dst]
 
-	// Decoder side.
-	dec     []decEntry
-	cands   *candidateTable
-	pending []pendingInstall
+	// Decoder side. validBits and awaiting hold one row of setWords
+	// words per decoder slot: the encoders that map the slot, and the
+	// encoders whose invalidate acks the slot's pending eviction awaits.
+	dec       []decEntry
+	validBits bitset
+	awaiting  bitset
+	setWords  int
+	cands     candidateTable
+	pending   []pendingInstall // capacity PendingCap
 
-	// GC bookkeeping: consecutive cold epochs per decoder slot and the
-	// promotions the cold-entry guard blocked since the last epoch.
-	idle            []uint32
+	// GC bookkeeping: the promotions the cold-entry guard blocked since
+	// the last epoch.
 	blockedPromotes uint64
 
 	// gen is the dictionary state version: it advances on every table
@@ -303,26 +331,38 @@ func newDict(s Scheme, node int, cfg DictConfig, a *approx.AVCL, b quality.Budge
 	if node < 0 || node >= cfg.Nodes {
 		return nil, fmt.Errorf("compress: node %d outside [0,%d)", node, cfg.Nodes)
 	}
+	// Every table is one flat allocation sized here, so the codec never
+	// grows one: the node sets and the candidate tracker share one.
+	words := (cfg.Nodes + 63) / 64
+	sets := cfg.Entries * words
+	buf := make([]uint64, 2*sets+2*cfg.CandidateCap)
 	d := &dictCodec{
-		scheme:  s,
-		node:    node,
-		cfg:     cfg,
-		idxBits: indexBits(cfg.Entries),
-		avcl:    a,
-		budget:  b,
-		encDest: make([][]destRef, cfg.Entries),
-		dec:     make([]decEntry, cfg.Entries),
-		cands:   newCandidateTable(cfg.CandidateCap),
-		idle:    make([]uint32, cfg.Entries),
-		pmt:     tcam.NewTCAM(cfg.Entries),
+		scheme:    s,
+		node:      node,
+		cfg:       cfg,
+		idxBits:   indexBits(cfg.Entries),
+		avcl:      a,
+		budget:    b,
+		pmt:       *tcam.NewTCAM(cfg.Entries),
+		encDest:   make([]destRef, cfg.Entries*cfg.Nodes),
+		dec:       make([]decEntry, cfg.Entries),
+		validBits: buf[:sets:sets],
+		awaiting:  buf[sets : 2*sets : 2*sets],
+		setWords:  words,
+		pending:   make([]pendingInstall, 0, cfg.PendingCap),
 	}
-	for i := range d.encDest {
-		d.encDest[i] = make([]destRef, cfg.Nodes)
-	}
-	for i := range d.dec {
-		d.dec[i].validBits = make([]bool, cfg.Nodes)
-	}
+	d.cands.init(buf[2*sets:])
 	return d, nil
+}
+
+// dests is encoder slot's row of per-destination refs.
+func (d *dictCodec) dests(slot int) []destRef {
+	return d.encDest[slot*d.cfg.Nodes : (slot+1)*d.cfg.Nodes]
+}
+
+// row is decoder slot's row of a per-slot node set.
+func (d *dictCodec) row(s bitset, slot int) bitset {
+	return s[slot*d.setWords : (slot+1)*d.setWords]
 }
 
 func (d *dictCodec) Scheme() Scheme { return d.scheme }
@@ -386,12 +426,12 @@ func (d *dictCodec) encodeWord(dst int, word value.Word, blk *value.Block) (kind
 	if !ok {
 		return RawWord, 0, word
 	}
-	ref := d.encDest[slot][dst]
+	ref := d.encDest[slot*d.cfg.Nodes+dst]
 	if !ref.valid {
 		return RawWord, 0, word
 	}
 	if ref.orig == word {
-		return ExactWord, ref.idx, word
+		return ExactWord, int(ref.idx), word
 	}
 	// A TCAM family match does not guarantee the recovered pattern equals
 	// the transmitted word (§4.2.1), so precise traffic needs the
@@ -405,7 +445,7 @@ func (d *dictCodec) encodeWord(dst int, word value.Word, blk *value.Block) (kind
 	if d.budget == nil || !d.budget.Allow(value.RelError(word, ref.orig, blk.DType)) {
 		return RawWord, 0, word
 	}
-	return ApproxWord, ref.idx, ref.orig
+	return ApproxWord, int(ref.idx), ref.orig
 }
 
 // --- Decoder ---------------------------------------------------------------
@@ -477,11 +517,11 @@ func (d *dictCodec) runEpoch(out []Notification) []Notification {
 	for slot := range d.dec {
 		e := &d.dec[slot]
 		if !e.valid || e.locked || e.freq > 0 {
-			d.idle[slot] = 0
+			e.idle = 0
 			continue
 		}
-		d.idle[slot]++
-		if d.cfg.GCAgeOutEpochs > 0 && d.idle[slot] >= uint32(d.cfg.GCAgeOutEpochs) {
+		e.idle++
+		if d.cfg.GCAgeOutEpochs > 0 && e.idle >= uint32(d.cfg.GCAgeOutEpochs) {
 			out = d.reclaim(out, slot, false)
 		}
 	}
@@ -527,35 +567,35 @@ func (d *dictCodec) reclaim(out []Notification, slot int, pressure bool) []Notif
 	} else {
 		d.stats.GCAgeEvictions++
 	}
-	d.idle[slot] = 0
-	out, awaiting := d.invalidate(out, slot)
+	e.idle = 0
+	out, awaited := d.invalidate(out, slot)
 	d.gen++
-	if len(awaiting) == 0 {
+	if !awaited {
 		e.valid = false
 		e.freq = 0
 		return out
 	}
 	e.locked = true
-	d.pending = append(d.pending, pendingInstall{slot: slot, awaiting: awaiting, gc: true})
+	d.pending = append(d.pending, pendingInstall{slot: slot, gc: true})
 	return out
 }
 
 // invalidate appends an invalidate of decoder slot for every encoder
-// that maps it to out, and returns those encoders as the set whose acks
-// the slot must await.
-func (d *dictCodec) invalidate(out []Notification, slot int) ([]Notification, map[int]bool) {
+// that maps it to out, makes those encoders the slot's awaiting set, and
+// reports whether there are any.
+func (d *dictCodec) invalidate(out []Notification, slot int) ([]Notification, bool) {
 	e := &d.dec[slot]
-	awaiting := make(map[int]bool)
-	for encNode, set := range e.validBits {
-		if set {
-			awaiting[encNode] = true
+	mapped, awaiting := d.row(d.validBits, slot), d.row(d.awaiting, slot)
+	copy(awaiting, mapped)
+	for encNode := 0; encNode < d.cfg.Nodes; encNode++ {
+		if mapped.has(encNode) {
 			out = append(out, Notification{
 				From: d.node, To: encNode, Kind: NotifInvalidate,
 				Pattern: e.pattern, DType: e.dtype, Index: slot,
 			})
 		}
 	}
-	return out, awaiting
+	return out, !awaiting.empty()
 }
 
 // observeRawWord runs the decoder-side recurrent pattern detection on one
@@ -567,8 +607,8 @@ func (d *dictCodec) observeRawWord(out []Notification, src int, word value.Word,
 		e := &d.dec[slot]
 		if e.valid && !e.locked && e.pattern == word && e.dtype == dt {
 			e.freq++
-			if !e.validBits[src] {
-				e.validBits[src] = true
+			if mapped := d.row(d.validBits, slot); !mapped.has(src) {
+				mapped.add(src)
 				out = append(out, Notification{
 					From: d.node, To: src, Kind: NotifUpdate,
 					Pattern: word, DType: dt, Index: slot,
@@ -615,8 +655,8 @@ func (d *dictCodec) promote(out []Notification, src int, word value.Word, dt val
 		return out // the candidate is not hotter than the coldest entry yet
 	}
 	d.cands.drop(word, dt)
-	out, awaiting := d.invalidate(out, victim)
-	if len(awaiting) == 0 {
+	out, awaited := d.invalidate(out, victim)
+	if !awaited {
 		// No encoder ever mapped it; reuse immediately.
 		d.dec[victim].valid = false
 		return d.install(out, victim, src, word, dt)
@@ -624,7 +664,7 @@ func (d *dictCodec) promote(out []Notification, src int, word value.Word, dt val
 	d.dec[victim].locked = true
 	d.gen++
 	d.pending = append(d.pending, pendingInstall{
-		slot: victim, pattern: word, dtype: dt, requester: src, awaiting: awaiting,
+		slot: victim, pattern: word, dtype: dt, requester: src,
 	})
 	return out
 }
@@ -636,11 +676,10 @@ func (d *dictCodec) install(out []Notification, slot, src int, word value.Word, 
 	e.pattern = word
 	e.dtype = dt
 	e.freq = 1
-	for i := range e.validBits {
-		e.validBits[i] = false
-	}
-	e.validBits[src] = true
-	d.idle[slot] = 0
+	e.idle = 0
+	mapped := d.row(d.validBits, slot)
+	clear(mapped)
+	mapped.add(src)
 	d.gen++
 	d.stats.TableWrites++
 	return append(out, Notification{
@@ -679,30 +718,27 @@ func (d *dictCodec) handleUpdate(n Notification) {
 	if evicted {
 		d.clearSlot(slot)
 	}
-	d.encDest[slot][n.From] = destRef{valid: true, idx: n.Index, orig: n.Pattern}
+	d.dests(slot)[n.From] = destRef{valid: true, idx: uint16(n.Index), orig: n.Pattern}
 	d.gen++
 	d.stats.TableWrites++
 }
 
-func (d *dictCodec) clearSlot(slot int) {
-	for i := range d.encDest[slot] {
-		d.encDest[slot][i] = destRef{}
-	}
-}
+func (d *dictCodec) clearSlot(slot int) { clear(d.dests(slot)) }
 
 // handleInvalidate drops this encoder's mapping for decoder n.From's
 // index n.Index. Tolerates the mapping being already gone (the encoder may
 // have evicted the entry locally).
 func (d *dictCodec) handleInvalidate(n Notification) {
-	for slot := range d.encDest {
-		ref := &d.encDest[slot][n.From]
-		if ref.valid && ref.idx == n.Index {
+	for slot := range d.dec {
+		dests := d.dests(slot)
+		ref := &dests[n.From]
+		if ref.valid && int(ref.idx) == n.Index {
 			*ref = destRef{}
 			d.gen++
 			// Invalidate the whole encoder entry if no destination uses it.
 			inUse := false
-			for i := range d.encDest[slot] {
-				if d.encDest[slot][i].valid {
+			for i := range dests {
+				if dests[i].valid {
 					inUse = true
 					break
 				}
@@ -723,8 +759,9 @@ func (d *dictCodec) handleAck(out []Notification, n Notification) []Notification
 		if p.slot != n.Index {
 			continue
 		}
-		delete(p.awaiting, n.From)
-		if len(p.awaiting) > 0 {
+		awaiting := d.row(d.awaiting, p.slot)
+		awaiting.remove(n.From)
+		if !awaiting.empty() {
 			return out
 		}
 		slot, src, pat, dt, gc := p.slot, p.requester, p.pattern, p.dtype, p.gc
@@ -776,9 +813,9 @@ func (d *dictCodec) EncoderMappings(dst int) []DictMapping {
 		return nil
 	}
 	var out []DictMapping
-	for slot := range d.encDest {
-		if ref := d.encDest[slot][dst]; ref.valid {
-			out = append(out, DictMapping{Index: ref.idx, Pattern: ref.orig})
+	for slot := range d.dec {
+		if ref := d.dests(slot)[dst]; ref.valid {
+			out = append(out, DictMapping{Index: int(ref.idx), Pattern: ref.orig})
 		}
 	}
 	return out
@@ -798,8 +835,7 @@ func (d *dictCodec) DecoderMapsEncoder(idx, encNode int) bool {
 	if idx < 0 || idx >= len(d.dec) || encNode < 0 || encNode >= d.cfg.Nodes {
 		return false
 	}
-	e := &d.dec[idx]
-	return e.valid && e.validBits[encNode]
+	return d.dec[idx].valid && d.row(d.validBits, idx).has(encNode)
 }
 
 func (d *dictCodec) Stats() OpStats {

@@ -320,7 +320,8 @@ func TestIndexBits(t *testing.T) {
 }
 
 func TestCandidateTableLFU(t *testing.T) {
-	ct := newCandidateTable(2)
+	var ct candidateTable
+	ct.init(make([]uint64, 2*2))
 	ct.bump(1, value.Int32)
 	ct.bump(1, value.Int32)
 	ct.bump(2, value.Int32)
@@ -330,7 +331,8 @@ func TestCandidateTableLFU(t *testing.T) {
 		t.Fatalf("hot candidate count reset: %d", got)
 	}
 	// Same pattern with different dtype is a distinct candidate.
-	ct2 := newCandidateTable(4)
+	var ct2 candidateTable
+	ct2.init(make([]uint64, 2*4))
 	ct2.bump(5, value.Int32)
 	if got := ct2.bump(5, value.Float32); got != 1 {
 		t.Fatalf("dtype not distinguished: count %d", got)

@@ -3,6 +3,7 @@ package compress
 import (
 	"fmt"
 
+	"approxnoc/internal/approx"
 	"approxnoc/internal/value"
 )
 
@@ -76,7 +77,8 @@ func FactoryFor(scheme Scheme, n, thresholdPct int) (func(node int) Codec, error
 }
 
 // FactoryWithDict is FactoryFor with explicit dictionary parameters, used
-// by the PMT-size ablation.
+// by the PMT-size ablation. It validates cfg and the threshold once; a DI
+// factory then returns nil for a node outside [0, cfg.Nodes).
 func FactoryWithDict(scheme Scheme, cfg DictConfig, thresholdPct int) (func(node int) Codec, error) {
 	switch scheme {
 	case Baseline:
@@ -104,15 +106,18 @@ func FactoryWithDict(scheme Scheme, cfg DictConfig, thresholdPct int) (func(node
 			return cc
 		}, nil
 	case DIComp:
+		if err := cfg.validate(); err != nil {
+			return nil, err
+		}
 		return func(node int) Codec {
-			c, err := NewDIComp(node, cfg)
-			if err != nil {
-				panic(err)
-			}
+			c, _ := NewDIComp(node, cfg)
 			return c
 		}, nil
 	case DIVaxx:
-		if _, err := NewDIVaxx(0, cfg, thresholdPct); err != nil {
+		if err := cfg.validate(); err != nil {
+			return nil, err
+		}
+		if _, err := approx.New(thresholdPct); err != nil {
 			return nil, err
 		}
 		return func(node int) Codec {

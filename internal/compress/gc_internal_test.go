@@ -26,11 +26,10 @@ func seedEntry(d *dictCodec, slot int, pattern value.Word, enc int) {
 	e.pattern = pattern
 	e.dtype = value.Int32
 	e.freq = 0
-	for i := range e.validBits {
-		e.validBits[i] = false
-	}
+	mapped := d.row(d.validBits, slot)
+	clear(mapped)
 	if enc >= 0 {
-		e.validBits[enc] = true
+		mapped.add(enc)
 	}
 }
 
@@ -42,7 +41,8 @@ func TestRunEpochSkipsLockedSlots(t *testing.T) {
 	d := newGCDict(t, cfg)
 	seedEntry(d, 0, 0xAAAA, 1)
 	d.dec[0].locked = true // promotion eviction in flight
-	d.pending = append(d.pending, pendingInstall{slot: 0, pattern: 0xBBBB, requester: 1, awaiting: map[int]bool{1: true}})
+	d.pending = append(d.pending, pendingInstall{slot: 0, pattern: 0xBBBB, requester: 1})
+	d.row(d.awaiting, 0).add(1)
 	d.blockedPromotes = 10 // pressure sweep armed
 
 	for epoch := 0; epoch < 3; epoch++ {
@@ -51,8 +51,8 @@ func TestRunEpochSkipsLockedSlots(t *testing.T) {
 	if !d.dec[0].valid || !d.dec[0].locked {
 		t.Fatal("GC touched a locked slot")
 	}
-	if d.idle[0] != 0 {
-		t.Fatalf("locked slot accumulated %d idle epochs", d.idle[0])
+	if d.dec[0].idle != 0 {
+		t.Fatalf("locked slot accumulated %d idle epochs", d.dec[0].idle)
 	}
 	if d.stats.GCAgeEvictions != 0 || d.stats.GCPressureEvictions != 0 {
 		t.Fatalf("GC reclaimed around the lock: %+v", d.stats)
@@ -71,7 +71,7 @@ func TestGCAckFreesWithoutInstall(t *testing.T) {
 	cfg := DictConfig{Nodes: 4, Entries: 2, AgingPeriod: 64, GCAgeOutEpochs: 1}
 	d := newGCDict(t, cfg)
 	seedEntry(d, 0, 0xCCCC, 1)
-	d.dec[0].validBits[2] = true // two encoders map it
+	d.row(d.validBits, 0).add(2) // two encoders map it
 
 	notifs := d.runEpoch(nil)
 	if len(notifs) != 2 {

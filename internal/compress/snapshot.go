@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"approxnoc/internal/approx"
 	"approxnoc/internal/quality"
@@ -192,9 +191,8 @@ func (d *dictCodec) Marshal() ([]byte, error) {
 	w.u64(ts.Writes)
 
 	// Per-destination side storage.
-	for slot := range d.encDest {
-		for dst := range d.encDest[slot] {
-			ref := d.encDest[slot][dst]
+	for slot := range d.dec {
+		for _, ref := range d.dests(slot) {
 			if ref.valid {
 				w.u8(1)
 				w.u32(uint32(ref.idx))
@@ -228,14 +226,11 @@ func (d *dictCodec) Marshal() ([]byte, error) {
 		w.u32(e.pattern)
 		w.u8(uint8(e.dtype))
 		w.u64(e.freq)
-		w.u32(d.idle[slot])
-		packed := make([]byte, vbBytes)
-		for j, set := range e.validBits {
-			if set {
-				packed[j/8] |= 1 << uint(j%8)
-			}
+		w.u32(e.idle)
+		// Bit j of the row is bit j%8 of byte j/8: the words, little-endian.
+		for j, row := 0, d.row(d.validBits, slot); j < vbBytes; j++ {
+			w.u8(uint8(row[j/8] >> (8 * uint(j%8))))
 		}
-		w.b = append(w.b, packed...)
 	}
 
 	// Candidate tracker (wire format keeps the split pattern/dtype fields).
@@ -243,7 +238,7 @@ func (d *dictCodec) Marshal() ([]byte, error) {
 	for i := range d.cands.keys {
 		w.u32(d.cands.pat(i))
 		w.u8(uint8(d.cands.dtype(i)))
-		w.u64(uint64(d.cands.count[i]))
+		w.u64(d.cands.count[i])
 	}
 
 	// Pending installs; awaiting sets serialize sorted for determinism.
@@ -262,14 +257,17 @@ func (d *dictCodec) Marshal() ([]byte, error) {
 			w.u8(uint8(p.dtype))
 			w.u32(uint32(p.requester))
 		}
-		ids := make([]int, 0, len(p.awaiting))
-		for id := range p.awaiting {
-			ids = append(ids, id)
+		awaiting, n := d.row(d.awaiting, p.slot), 0
+		for id := 0; id < d.cfg.Nodes; id++ {
+			if awaiting.has(id) {
+				n++
+			}
 		}
-		sort.Ints(ids)
-		w.u32(uint32(len(ids)))
-		for _, id := range ids {
-			w.u32(uint32(id))
+		w.u32(uint32(n))
+		for id := 0; id < d.cfg.Nodes; id++ {
+			if awaiting.has(id) {
+				w.u32(uint32(id))
+			}
 		}
 	}
 
@@ -328,13 +326,14 @@ type snapState struct {
 	encSlots []encSlot
 	encStats tcam.Stats
 
-	encDest [][]destRef
-	dec     []decEntry
-	idle    []uint32
+	encDest   []destRef
+	dec       []decEntry
+	validBits bitset
+	awaiting  bitset
 
 	candPats  []value.Word
 	candDts   []value.DataType
-	candCount []int
+	candCount []uint64
 
 	pending []pendingInstall
 
@@ -441,10 +440,9 @@ func (d *dictCodec) Unmarshal(data []byte) error {
 	st.encStats = tcam.Stats{Searches: r.u64(), Hits: r.u64(), Writes: r.u64()}
 
 	// Per-destination side storage.
-	st.encDest = make([][]destRef, entries)
-	for slot := range st.encDest {
-		st.encDest[slot] = make([]destRef, nodes)
-		for dst := range st.encDest[slot] {
+	st.encDest = make([]destRef, entries*nodes)
+	for slot := 0; slot < entries; slot++ {
+		for dst := 0; dst < nodes; dst++ {
 			valid := r.u8()
 			idx, orig := r.u32(), r.u32()
 			if valid > 1 {
@@ -459,14 +457,15 @@ func (d *dictCodec) Unmarshal(data []byte) error {
 			if int(idx) >= entries {
 				return mismatchf("encDest[%d][%d] index %d out of range", slot, dst, idx)
 			}
-			st.encDest[slot][dst] = destRef{valid: true, idx: int(idx), orig: orig}
+			st.encDest[slot*nodes+dst] = destRef{valid: true, idx: uint16(idx), orig: orig}
 		}
 	}
 
 	// Decoder PMT.
 	vbBytes := (nodes + 7) / 8
 	st.dec = make([]decEntry, entries)
-	st.idle = make([]uint32, entries)
+	st.validBits = make(bitset, entries*d.setWords)
+	st.awaiting = make(bitset, entries*d.setWords)
 	for slot := range st.dec {
 		fl := r.u8()
 		pat := r.u32()
@@ -480,7 +479,7 @@ func (d *dictCodec) Unmarshal(data []byte) error {
 		if fl&^(decFlagValid|decFlagLocked) != 0 {
 			return mismatchf("dec slot %d flags %#x", slot, fl)
 		}
-		e := decEntry{validBits: make([]bool, nodes)}
+		var e decEntry
 		if fl&decFlagValid == 0 {
 			if fl != 0 || pat != 0 || dt != 0 || freq != 0 || idle != 0 {
 				return mismatchf("dec slot %d invalid but nonzero", slot)
@@ -490,7 +489,6 @@ func (d *dictCodec) Unmarshal(data []byte) error {
 					return mismatchf("dec slot %d invalid but mapped", slot)
 				}
 			}
-			st.dec[slot] = e
 			continue
 		}
 		if dt > uint8(value.Float32) {
@@ -506,11 +504,14 @@ func (d *dictCodec) Unmarshal(data []byte) error {
 		e.pattern = pat
 		e.dtype = value.DataType(dt)
 		e.freq = freq
+		e.idle = idle
+		mapped := d.row(st.validBits, slot)
 		for j := 0; j < nodes; j++ {
-			e.validBits[j] = packed[j/8]&(1<<uint(j%8)) != 0
+			if packed[j/8]&(1<<uint(j%8)) != 0 {
+				mapped.add(j)
+			}
 		}
 		st.dec[slot] = e
-		st.idle[slot] = idle
 	}
 
 	// Candidate tracker.
@@ -536,7 +537,7 @@ func (d *dictCodec) Unmarshal(data []byte) error {
 		}
 		st.candPats = append(st.candPats, pat)
 		st.candDts = append(st.candDts, value.DataType(dt))
-		st.candCount = append(st.candCount, int(count))
+		st.candCount = append(st.candCount, count)
 	}
 
 	// Pending installs.
@@ -580,7 +581,7 @@ func (d *dictCodec) Unmarshal(data []byte) error {
 		if int(nAwait) == 0 || int(nAwait) > nodes {
 			return mismatchf("pending %d awaits %d encoders", i, nAwait)
 		}
-		awaiting := make(map[int]bool, nAwait)
+		awaiting := d.row(st.awaiting, int(slot))
 		prev := -1
 		for j := 0; j < int(nAwait); j++ {
 			id := r.u32()
@@ -591,11 +592,11 @@ func (d *dictCodec) Unmarshal(data []byte) error {
 				return mismatchf("pending %d await id %d out of order", i, id)
 			}
 			prev = int(id)
-			awaiting[int(id)] = true
+			awaiting.add(int(id))
 		}
 		st.pending = append(st.pending, pendingInstall{
 			slot: int(slot), pattern: pat, dtype: value.DataType(dt),
-			requester: int(req), awaiting: awaiting, gc: gc == 1,
+			requester: int(req), gc: gc == 1,
 		})
 	}
 
@@ -665,14 +666,15 @@ func (d *dictCodec) Unmarshal(data []byte) error {
 	d.pmt.RestoreStats(st.encStats)
 	d.encDest = st.encDest
 	d.dec = st.dec
-	d.idle = st.idle
+	d.validBits = st.validBits
+	d.awaiting = st.awaiting
 	d.cands.keys = d.cands.keys[:0]
 	for i := range st.candPats {
 		d.cands.keys = append(d.cands.keys, candKey(st.candPats[i], st.candDts[i]))
 	}
-	d.cands.count = st.candCount
+	d.cands.count = append(d.cands.count[:0], st.candCount...)
 	d.cands.victim = -1 // cache is derived state; recomputed on demand
-	d.pending = st.pending
+	d.pending = append(d.pending[:0], st.pending...)
 	d.stats = st.stats
 	d.decodeMismatch = st.decodeMismatch
 	d.blockedPromotes = st.blockedPromotes

@@ -189,7 +189,7 @@ func (c cell) run(cfg Config) (RunMetrics, error) {
 		Power:      net.Power(),
 		DynPowerMW: power.Default45nm().DynamicPowerMW(net.Power(), net.CodecStats(), res.Stats.Cycles, 2),
 	}
-	net.Release() // the next cell's network reuses its packet slabs
+	net.Release() // the next cell's network is built on its body
 	return m, nil
 }
 

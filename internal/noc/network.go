@@ -48,22 +48,11 @@ type Network struct {
 	cfg   Config
 	clock sim.Clock
 
-	routers []*router
-	nis     []*NI
+	body
 
-	// Link and credit traversals landing next cycle, truncated every
-	// cycle. A cycle stages at most one flit per router output port or NI
-	// and one credit per input port, so New sizes each to
-	// Routers()*Ports() and they never grow.
-	flitStage     []stagedFlit
-	creditStage   []stagedCredit
-	niCreditStage []stagedNICredit
-
-	// Packets live in slabs, the first slots of them handed out; free
-	// lists the delivered ones, which newPacket reuses, payload storage
-	// included, before it hands out a new slot. Per-network, so they need
-	// no locking and stay deterministic, until Release passes the slabs on.
-	slabs    []*slab
+	// The first slots of the slabs are handed out; free lists the
+	// delivered ones, which newPacket reuses, payload storage included,
+	// before it hands out a new slot.
 	slots    int
 	free     uint32 // list reference, see slab
 	released bool
@@ -71,13 +60,6 @@ type Network struct {
 	// under the packet rule: valid until the delivery handlers return.
 	decoded value.Block
 
-	// One bit per tile, so stepNIs visits only NIs with work: sending
-	// while the injection queue or the streaming packet is non-empty,
-	// decoding while the NI has deliveries pending.
-	sending  []uint64
-	decoding []uint64
-
-	seq          []uint64 // next sequence number per pair, indexed src*tiles+dst
 	nextPacketID uint64
 	inFlight     int
 
@@ -90,8 +72,43 @@ type Network struct {
 	onDeliver []func(p *Packet, blk *value.Block)
 }
 
+// body is the storage a network's shape sizes: what Release hands to the
+// next network built, so a driver that runs network after network builds
+// each shape once. Per-network while in use, so none of it needs locking.
+type body struct {
+	routers []*router
+	nis     []*NI
+
+	// Link and credit traversals landing next cycle, truncated every
+	// cycle. A cycle stages at most one flit per router output port or NI
+	// and one credit per input port, so New sizes each to
+	// Routers()*Ports() and they never grow.
+	flitStage     []stagedFlit
+	creditStage   []stagedCredit
+	niCreditStage []stagedNICredit
+
+	// One bit per tile, so stepNIs visits only NIs with work: sending
+	// while the injection queue or the streaming packet is non-empty,
+	// decoding while the NI has deliveries pending.
+	sending  []uint64
+	decoding []uint64
+
+	seq []uint64 // next sequence number per pair, indexed src*tiles+dst
+
+	// Packets live in slabs, which fit any shape. Those in use are
+	// slabs[:len]; past len, up to the first nil, lie clean ones a
+	// released network left, which newPacket takes before it makes one.
+	slabs []*slab
+}
+
+// bodyPool holds released networks, each still carrying its body until
+// New moves the body into a new network.
+var bodyPool sync.Pool
+
 // New assembles a network over topo where every tile's NI uses the codec
-// produced by codecFactory.
+// produced by codecFactory. The network is built on a released network's
+// body when one is pooled: on its slabs always, and on the rest when the
+// two share topology, VCs and BufDepth.
 func New(topo *topology.Topology, cfg Config, codecFactory func(node int) compress.Codec) (*Network, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -103,26 +120,53 @@ func New(topo *topology.Topology, cfg Config, codecFactory func(node int) compre
 		return nil, fmt.Errorf("noc: %d ports x %d VCs = %d input VCs per router, more than the %d the allocators support",
 			topo.Ports(), cfg.VCs, slots, maxSlots)
 	}
-	stage := topo.Routers() * topo.Ports()
-	n := &Network{
-		topo:          topo,
-		cfg:           cfg,
-		flitStage:     make([]stagedFlit, 0, stage),
-		creditStage:   make([]stagedCredit, 0, stage),
-		niCreditStage: make([]stagedNICredit, 0, stage),
-		sending:       make([]uint64, (topo.Tiles()+63)/64),
-		decoding:      make([]uint64, (topo.Tiles()+63)/64),
-		seq:           make([]uint64, topo.Tiles()*topo.Tiles()),
+	n := &Network{topo: topo, cfg: cfg}
+	if old, _ := bodyPool.Get().(*Network); old != nil {
+		if *old.topo == *topo && old.cfg.VCs == cfg.VCs && old.cfg.BufDepth == cfg.BufDepth {
+			n.body = old.body
+		} else {
+			n.slabs = old.slabs
+		}
+		old.body = body{}
 	}
+	if n.routers == nil {
+		n.build()
+	}
+	for i, r := range n.routers {
+		r.init(i, n)
+	}
+	for i, ni := range n.nis {
+		codec := codecFactory(i)
+		if codec == nil {
+			return nil, fmt.Errorf("noc: codec factory made no codec for tile %d", i)
+		}
+		ni.init(n, i, codec)
+	}
+	n.flitStage, n.creditStage, n.niCreditStage = n.flitStage[:0], n.creditStage[:0], n.niCreditStage[:0]
+	clear(n.sending)
+	clear(n.decoding)
+	clear(n.seq)
+	return n, nil
+}
+
+// build allocates a body for the network's shape; New initialises it.
+func (n *Network) build() {
+	topo := n.topo
+	stage, words := topo.Routers()*topo.Ports(), (topo.Tiles()+63)/64
+	n.flitStage = make([]stagedFlit, 0, stage)
+	n.creditStage = make([]stagedCredit, 0, stage)
+	n.niCreditStage = make([]stagedNICredit, 0, stage)
+	n.sending = make([]uint64, words)
+	n.decoding = make([]uint64, words)
+	n.seq = make([]uint64, topo.Tiles()*topo.Tiles())
 	n.routers = make([]*router, topo.Routers())
 	for i := range n.routers {
-		n.routers[i] = newRouter(i, n)
+		n.routers[i] = newRouter(n)
 	}
 	n.nis = make([]*NI, topo.Tiles())
 	for i := range n.nis {
-		n.nis[i] = newNI(n, i, codecFactory(i))
+		n.nis[i] = newNI(n)
 	}
-	return n, nil
 }
 
 // Topology returns the network's topology.
@@ -173,10 +217,6 @@ type slab struct {
 	next [slabLen]uint32
 }
 
-// slabPool carries the slabs of released networks to the next newPacket
-// that needs one, payload storage included.
-var slabPool sync.Pool
-
 // fifo is a list threaded through the slab links, by reference to its
 // first and last packet.
 type fifo struct{ head, tail uint32 }
@@ -224,19 +264,19 @@ func (n *Network) insertBySeq(at *uint32, p *Packet) {
 }
 
 // newPacket takes a packet from the free list, or the next slab slot,
-// and stamps it as the next packet of the (src, dst) pair. A new slab
-// comes from a released network when one is pooled.
+// and stamps it as the next packet of the (src, dst) pair. A new slab is
+// a released network's when the body brought one.
 func (n *Network) newPacket(src, dst int, kind PacketKind, now sim.Cycle) *Packet {
 	var p *Packet
 	if n.free != 0 {
 		p = n.unlink(&n.free)
 	} else {
 		if n.slots%slabLen == 0 {
-			sl, _ := slabPool.Get().(*slab)
-			if sl == nil {
-				sl = new(slab)
+			if k := len(n.slabs); k < cap(n.slabs) && n.slabs[:k+1][k] != nil {
+				n.slabs = n.slabs[:k+1]
+			} else {
+				n.slabs = append(n.slabs, new(slab))
 			}
-			n.slabs = append(n.slabs, sl)
 		}
 		p = n.pkt(uint32(n.slots))
 		p.slot = uint32(n.slots)
@@ -263,21 +303,27 @@ func (n *Network) freePacket(p *Packet) {
 // packet is the packet a flit names.
 func (n *Network) packet(f flit) *Packet { return n.pkt(f.slot()) }
 
-// Release ends the network's life and hands its packet slabs, payload
-// storage included, to the networks built after it, so a driver that runs
-// network after network stops allocating packet storage per run. Read
-// Stats, Power and CodecStats first. Every *Packet the network returned
-// is invalid afterwards, and Step, SendData and SendControl panic.
+// Release ends the network's life and hands its body to a network built
+// after it: the packet slabs, payload storage included, to any, and the
+// routers, NIs, staging and sequence storage to one of the same topology,
+// VCs and BufDepth. Read Stats, Power and CodecStats first. Every *Packet
+// the network returned, and every NI, is invalid afterwards, as are the
+// routers; Step, SendData and SendControl panic. A second Release does
+// nothing.
 func (n *Network) Release() {
+	if n.released {
+		return
+	}
 	for _, sl := range n.slabs {
 		for i := range sl.pkt {
 			p := &sl.pkt[i]
 			*p = Packet{Enc: compress.Encoded{Payload: p.Enc.Payload[:0]}}
 		}
 		sl.next = [slabLen]uint32{}
-		slabPool.Put(sl)
 	}
-	n.slabs, n.slots, n.free, n.released = nil, 0, 0, true
+	n.slabs, n.slots, n.free, n.released = n.slabs[:0], 0, 0, true
+	n.onDeliver, n.tracer, n.obs = nil, nil, nil
+	bodyPool.Put(n)
 }
 
 // live panics once the network is released.

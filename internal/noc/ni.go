@@ -50,22 +50,34 @@ type NI struct {
 	pendingDeliveries int
 }
 
-func newNI(net *Network, tile int, codec compress.Codec) *NI {
-	ni := &NI{
+// newNI allocates an NI's tables for net's shape; init fills them.
+func newNI(net *Network) *NI {
+	return &NI{
+		credits:  make([]int, net.cfg.VCs),
+		from:     make([]srcFlow, net.topo.Tiles()),
+		decoding: make([]uint64, (net.topo.Tiles()+63)/64),
+	}
+}
+
+// init makes ni the empty NI of tile in net, using codec, on tables
+// newNI sized for net's shape: a new NI and a released one leave it alike.
+func (ni *NI) init(net *Network, tile int, codec compress.Codec) {
+	*ni = NI{
 		net:      net,
 		tile:     tile,
 		codec:    codec,
 		router:   net.topo.RouterOf(tile),
 		port:     net.topo.LocalPortOf(tile),
 		curVC:    -1,
-		credits:  make([]int, net.cfg.VCs),
-		from:     make([]srcFlow, net.topo.Tiles()),
-		decoding: make([]uint64, (net.topo.Tiles()+63)/64),
+		credits:  ni.credits,
+		from:     ni.from,
+		decoding: ni.decoding,
 	}
 	for v := range ni.credits {
 		ni.credits[v] = net.cfg.BufDepth
 	}
-	return ni
+	clear(ni.from)
+	clear(ni.decoding)
 }
 
 // Codec exposes the node's compression engine.

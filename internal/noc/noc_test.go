@@ -574,6 +574,36 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestDictFactoryMisconfiguration pins where a bad dictionary config
+// fails, on both DI schemes: a PMT of no entries when the factory is
+// built, and a config for fewer nodes than the mesh has tiles when the
+// network is built, as an error naming the first tile without a codec,
+// not a panic and not a nil codec.
+func TestDictFactoryMisconfiguration(t *testing.T) {
+	topo, err := topology.NewCMesh(4, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, scheme := range []compress.Scheme{compress.DIComp, compress.DIVaxx} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			if _, err := compress.FactoryWithDict(scheme, compress.DictConfig{Nodes: 32, Entries: 0}, 10); err == nil {
+				t.Fatal("a factory with no PMT entries built")
+			}
+			factory, err := compress.FactoryWithDict(scheme, compress.DefaultDictConfig(16), 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c := factory(16); c != nil {
+				t.Fatalf("a 16-node factory made a codec for node 16: %v", c.Scheme())
+			}
+			_, err = New(topo, DefaultConfig(), factory)
+			if err == nil || !strings.Contains(err.Error(), "tile 16") {
+				t.Fatalf("New over 32 tiles with a 16-node factory: error %v, want one naming tile 16", err)
+			}
+		})
+	}
+}
+
 // The allocators keep one request bit per input VC in a machine word:
 // 64 per router is accepted (and stepped against the sweep oracle in
 // router_diff_test.go), 65 and up is refused at construction.

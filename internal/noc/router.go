@@ -104,15 +104,11 @@ type router struct {
 	route []topology.Direction
 }
 
-func newRouter(id int, net *Network) *router {
-	topo := net.topo
-	ports, nvc, depth := topo.Ports(), net.cfg.VCs, net.cfg.BufDepth
-	slots := ports * nvc
+// newRouter allocates a router's tables for net's shape; init fills them.
+func newRouter(net *Network) *router {
+	ports, depth := net.topo.Ports(), net.cfg.BufDepth
+	slots := ports * net.cfg.VCs
 	r := &router{
-		id:    id,
-		net:   net,
-		ports: ports,
-		nvc:   nvc,
 		in:    make([]inputVC, slots),
 		out:   make([]outputVC, slots),
 		saRR:  make([]int, ports),
@@ -120,8 +116,28 @@ func newRouter(id int, net *Network) *router {
 		saReq: make([]uint64, ports),
 		vaReq: make([]uint64, ports),
 		link:  make([]int, ports),
-		route: make([]topology.Direction, topo.Tiles()),
+		route: make([]topology.Direction, net.topo.Tiles()),
 	}
+	bufs := make([]flit, slots*depth)
+	for s := range r.in {
+		r.in[s].buf = bufs[s*depth : (s+1)*depth : (s+1)*depth]
+	}
+	return r
+}
+
+// init makes r router id of net, empty, on tables newRouter sized for
+// net's shape: a new router and a released one leave it alike.
+func (r *router) init(id int, net *Network) {
+	topo := net.topo
+	*r = router{
+		id: id, net: net, ports: topo.Ports(), nvc: net.cfg.VCs,
+		in: r.in, out: r.out, saRR: r.saRR, vaRR: r.vaRR,
+		saReq: r.saReq, vaReq: r.vaReq, link: r.link, route: r.route,
+	}
+	clear(r.saRR)
+	clear(r.vaRR)
+	clear(r.saReq)
+	clear(r.vaReq)
 	for p := range r.link {
 		d := topology.Direction(p)
 		if d >= topology.Local {
@@ -135,12 +151,11 @@ func newRouter(id int, net *Network) *router {
 	for t := range r.route {
 		r.route[t] = topo.Route(id, t)
 	}
-	bufs := make([]flit, slots*depth)
 	for s := range r.in {
-		r.in[s].buf = bufs[s*depth : (s+1)*depth : (s+1)*depth]
-		r.out[s] = outputVC{credits: depth, infinite: topology.Direction(s/nvc) >= topology.Local}
+		clear(r.in[s].buf)
+		r.in[s] = inputVC{buf: r.in[s].buf}
+		r.out[s] = outputVC{credits: net.cfg.BufDepth, infinite: topology.Direction(s/r.nvc) >= topology.Local}
 	}
-	return r
 }
 
 // firstFrom returns the lowest set bit of m at or after start, wrapping to

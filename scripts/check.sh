@@ -62,13 +62,17 @@ go test -race -count=5 -run 'TestView|TestMembership' ./internal/cluster
 
 # Simulator cycle-kernel gates, uninstrumented. Flits are 32-bit values
 # naming their packet's slot, and packets come from slabs of 64 that
-# recycle on delivery, carry every NI list in their link words, and pass
-# to the next network on Release. The hot path must stay allocation-free
+# recycle on delivery and carry every NI list in their link words; on
+# Release a network hands its body (slabs, and routers, NIs, staging and
+# sequence storage to a network of its shape) to the next one built. The
+# hot path must stay allocation-free
 # in a control-packet steady state, free-flowing and under arbitration;
 # steady data traffic must allocate nothing under any scheme (packets,
 # payloads and the decoded block recycle) and recycled packets must keep
-# their own payloads; a run on a released network's slabs must replay a
-# run on fresh slabs bit for bit, and a saturated run after a released
+# their own payloads; a run on a released network's body must replay a
+# fresh run bit for bit, a body of another shape must give up only its
+# slabs, a build on a released body must allocate only its header, and a
+# saturated run after a released
 # warm-up must stay within its allocations per packet sent; a slab must
 # cost at most 5 % over its Packets' bytes, so Packet stays inside its
 # size class; every list must hold each slot once and every flit must
@@ -77,8 +81,8 @@ go test -race -count=5 -run 'TestView|TestMembership' ./internal/cluster
 # concentration x pattern x load grid, with the flit-slot invariant
 # checked every cycle (the -race -short pass above runs a reduced grid;
 # see DESIGN.md §9).
-echo '>> cycle kernel (TestStepZeroAllocs, TestDataPathSteadyAllocs, TestRecycledPacketsKeepPayloads, TestReleasedSlabsReplayIdentically, TestSaturatedRunAllocs, TestPacketSlabBytes, TestFlitAndCreditConservation, TestAllocatorsMatchNaiveSweep)'
-go test -run 'TestStepZeroAllocs|TestDataPathSteadyAllocs|TestRecycledPacketsKeepPayloads|TestReleasedSlabsReplayIdentically|TestSaturatedRunAllocs|TestPacketSlabBytes|TestFlitAndCreditConservation|TestAllocatorsMatchNaiveSweep' ./internal/noc
+echo '>> cycle kernel (TestStepZeroAllocs, TestDataPathSteadyAllocs, TestRecycledPacketsKeepPayloads, TestReleasedBodyReplaysIdentically, TestNetworkBuildAllocs, TestSaturatedRunAllocs, TestPacketSlabBytes, TestFlitAndCreditConservation, TestAllocatorsMatchNaiveSweep)'
+go test -run 'TestStepZeroAllocs|TestDataPathSteadyAllocs|TestRecycledPacketsKeepPayloads|TestReleasedBodyReplaysIdentically|TestNetworkBuildAllocs|TestSaturatedRunAllocs|TestPacketSlabBytes|TestFlitAndCreditConservation|TestAllocatorsMatchNaiveSweep' ./internal/noc
 
 # Wire-path alloc gates: a 10k-frame replay must reuse one read buffer
 # per connection, and the end-to-end pipelined serve path must stay
@@ -94,11 +98,13 @@ go test -race -count=3 -run 'TestServerSlotReuse' ./internal/serve
 
 # Codec alloc gates: Compress and DecompressInto must stay zero-alloc per
 # block in steady state on every scheme, an encoder-PMT update that
-# evicts and installs must not allocate on either dictionary scheme, and
-# the AVCL per-word mask computation must never allocate (see DESIGN.md
-# §14). Uninstrumented for the same heap-accounting reason.
+# evicts and installs must not allocate on either dictionary scheme, nor
+# must a decoder eviction's invalidate/ack handshake, a 32-node DI-VAXX
+# codec must build within 10 allocations and 6 KiB, and the AVCL
+# per-word mask computation must never allocate (see DESIGN.md §14).
+# Uninstrumented for the same heap-accounting reason.
 echo '>> alloc budget (codec encode/decode)'
-go test -run 'TestCompressZeroAllocs|TestCompressZeroAllocsDict|TestDecompressIntoZeroAllocs|TestFabricTransferSteadyAllocs|TestHandleUpdateEvictZeroAllocs' ./internal/compress
+go test -run 'TestCompressZeroAllocs|TestCompressZeroAllocsDict|TestDecompressIntoZeroAllocs|TestFabricTransferSteadyAllocs|TestHandleUpdateEvictZeroAllocs|TestEvictionHandshakeZeroAllocs|TestDictCodecBuildAllocs' ./internal/compress
 go test -run 'TestAVCLZeroAllocs' ./internal/approx
 
 echo '>> coverage (per package)'
