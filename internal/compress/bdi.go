@@ -41,19 +41,31 @@ type bdiCodec struct {
 	avcl    *approx.AVCL
 	stats   OpStats
 	scratch encodeScratch
+	lease
 }
 
 // NewBDComp returns the exact base-delta codec.
-func NewBDComp() Codec { return &bdiCodec{scheme: BDComp} }
+func NewBDComp() Codec {
+	c := new(bdiCodec)
+	c.init(BDComp, 0)
+	return c
+}
 
 // NewBDVaxx returns base-delta with VAXX approximation at the given
 // error threshold (%).
 func NewBDVaxx(thresholdPct int) (Codec, error) {
-	a, err := approx.New(thresholdPct)
-	if err != nil {
+	if err := checkThreshold(thresholdPct); err != nil {
 		return nil, err
 	}
-	return &bdiCodec{scheme: BDVaxx, avcl: a}, nil
+	c := new(bdiCodec)
+	c.init(BDVaxx, thresholdPct)
+	return c, nil
+}
+
+// init makes c the empty codec of scheme s, with an AVCL at avclPct (in
+// range) for BD-VAXX: a new codec and a recycled one leave it alike.
+func (c *bdiCodec) init(s Scheme, avclPct int) {
+	*c = bdiCodec{scheme: s, avcl: vaxxAVCL(c.avcl, s, avclPct), scratch: c.scratch.kept()}
 }
 
 func (c *bdiCodec) Scheme() Scheme { return c.scheme }

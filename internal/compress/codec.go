@@ -274,10 +274,19 @@ type Codec interface {
 type baseline struct {
 	stats   OpStats
 	scratch encodeScratch
+	lease
 }
 
 // NewBaseline returns the pass-through codec used for the Baseline bars.
-func NewBaseline() Codec { return &baseline{} }
+func NewBaseline() Codec {
+	b := new(baseline)
+	b.init()
+	return b
+}
+
+// init makes b the codec NewBaseline returns: a new codec and a recycled
+// one leave it alike.
+func (b *baseline) init() { *b = baseline{scratch: b.scratch.kept()} }
 
 func (b *baseline) Scheme() Scheme { return Baseline }
 

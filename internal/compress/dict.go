@@ -129,7 +129,13 @@ func candKey(p value.Word, dt value.DataType) uint64 {
 // counts of at most len(buf)/2 candidates, so it never grows.
 func (t *candidateTable) init(buf []uint64) {
 	n := len(buf) / 2
-	*t = candidateTable{keys: buf[:0:n], count: buf[n : n : 2*n], victim: -1}
+	t.keys, t.count = buf[:0:n], buf[n:n:2*n]
+	t.reset()
+}
+
+// reset empties the table in place.
+func (t *candidateTable) reset() {
+	t.keys, t.count, t.victim = t.keys[:0], t.count[:0], -1
 }
 
 // pat and dtype unpack entry i (the snapshot codec keeps its wire format
@@ -284,24 +290,22 @@ type dictCodec struct {
 
 	stats          OpStats
 	decodeMismatch uint64
+
+	lease
 }
 
 // NewDIComp returns the exact dictionary codec for the given node.
 func NewDIComp(node int, cfg DictConfig) (Codec, error) {
-	return newDict(DIComp, node, cfg, nil, nil)
+	return newDict(DIComp, node, cfg, 0, nil)
 }
 
 // NewDIVaxx returns the DI-VAXX codec with the given error threshold (%).
 func NewDIVaxx(node int, cfg DictConfig, thresholdPct int) (Codec, error) {
-	a, err := approx.New(thresholdPct)
-	if err != nil {
-		return nil, err
-	}
 	b, err := quality.NewPerWord(thresholdPct)
 	if err != nil {
 		return nil, err
 	}
-	return newDict(DIVaxx, node, cfg, a, b)
+	return newDict(DIVaxx, node, cfg, thresholdPct, b)
 }
 
 // NewDIVaxxWindowed returns DI-VAXX with the §7 windowed cumulative
@@ -309,50 +313,91 @@ func NewDIVaxx(node int, cfg DictConfig, thresholdPct int) (Codec, error) {
 // threshold, and the budget keeps the mean window error at the nominal
 // per-word level.
 func NewDIVaxxWindowed(node int, cfg DictConfig, thresholdPct, window int, boost float64) (Codec, error) {
-	boosted := int(float64(thresholdPct) * boost)
-	if boosted > 100 {
-		boosted = 100
-	}
-	a, err := approx.New(boosted)
+	boosted, b, err := windowBudget(thresholdPct, window, boost)
 	if err != nil {
 		return nil, err
 	}
-	b, err := quality.NewWindow(thresholdPct, window, boost)
-	if err != nil {
-		return nil, err
-	}
-	return newDict(DIVaxx, node, cfg, a, b)
+	return newDict(DIVaxx, node, cfg, boosted, b)
 }
 
-func newDict(s Scheme, node int, cfg DictConfig, a *approx.AVCL, b quality.Budget) (Codec, error) {
+func newDict(s Scheme, node int, cfg DictConfig, avclPct int, b quality.Budget) (Codec, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if node < 0 || node >= cfg.Nodes {
 		return nil, fmt.Errorf("compress: node %d outside [0,%d)", node, cfg.Nodes)
 	}
-	// Every table is one flat allocation sized here, so the codec never
-	// grows one: the node sets and the candidate tracker share one.
-	words := (cfg.Nodes + 63) / 64
-	sets := cfg.Entries * words
-	buf := make([]uint64, 2*sets+2*cfg.CandidateCap)
-	d := &dictCodec{
+	d := new(dictCodec)
+	d.init(s, node, cfg, avclPct, b)
+	return d, nil
+}
+
+// init makes d the empty codec of scheme s at node under the validated
+// cfg, with budget b and, for DI-VAXX, an AVCL at avclPct (in range): a
+// new codec and a recycled one leave it alike. Every field init does not
+// carry over starts at its zero value, as in a new codec; the tables
+// carry over, emptied, when d has tables of cfg's shape, and the encode
+// scratch and notification storage keep only their capacity.
+func (d *dictCodec) init(s Scheme, node int, cfg DictConfig, avclPct int, b quality.Budget) {
+	if d.cfg.Nodes == cfg.Nodes && d.cfg.Entries == cfg.Entries &&
+		d.cfg.CandidateCap == cfg.CandidateCap && d.cfg.PendingCap == cfg.PendingCap {
+		d.emptyTables()
+	} else {
+		d.makeTables(cfg)
+	}
+	*d = dictCodec{
 		scheme:    s,
 		node:      node,
 		cfg:       cfg,
 		idxBits:   indexBits(cfg.Entries),
-		avcl:      a,
+		avcl:      vaxxAVCL(d.avcl, s, avclPct),
 		budget:    b,
-		pmt:       *tcam.NewTCAM(cfg.Entries),
-		encDest:   make([]destRef, cfg.Entries*cfg.Nodes),
-		dec:       make([]decEntry, cfg.Entries),
-		validBits: buf[:sets:sets],
-		awaiting:  buf[sets : 2*sets : 2*sets],
-		setWords:  words,
-		pending:   make([]pendingInstall, 0, cfg.PendingCap),
+		pmt:       d.pmt,
+		encDest:   d.encDest,
+		dec:       d.dec,
+		validBits: d.validBits,
+		awaiting:  d.awaiting,
+		setWords:  d.setWords,
+		cands:     d.cands,
+		pending:   d.pending,
+		scratch:   d.scratch.kept(),
+		notifs:    d.notifs[:0],
 	}
+}
+
+// makeTables sizes every table for cfg, each one flat allocation, so the
+// codec never grows one: the node sets and the candidate tracker share
+// one.
+func (d *dictCodec) makeTables(cfg DictConfig) {
+	words := (cfg.Nodes + 63) / 64
+	sets := cfg.Entries * words
+	buf := make([]uint64, 2*sets+2*cfg.CandidateCap)
+	d.pmt = *tcam.NewTCAM(cfg.Entries)
+	d.encDest = make([]destRef, cfg.Entries*cfg.Nodes)
+	d.dec = make([]decEntry, cfg.Entries)
+	d.validBits = buf[:sets:sets]
+	d.awaiting = buf[sets : 2*sets : 2*sets]
+	d.setWords = words
 	d.cands.init(buf[2*sets:])
-	return d, nil
+	d.pending = make([]pendingInstall, 0, cfg.PendingCap)
+}
+
+// emptyTables leaves the tables as makeTables makes them. An invalid TCAM
+// slot holds no entry, frequency or plane bit, so emptying the valid ones
+// empties the TCAM.
+func (d *dictCodec) emptyTables() {
+	for i := range d.dec {
+		if _, _, valid := d.pmt.SlotState(i); valid {
+			d.pmt.RestoreSlot(i, tcam.TEntry{}, 0, false)
+		}
+	}
+	d.pmt.RestoreStats(tcam.Stats{})
+	clear(d.encDest)
+	clear(d.dec)
+	clear(d.validBits)
+	clear(d.awaiting)
+	d.cands.reset()
+	d.pending = d.pending[:0]
 }
 
 // dests is encoder slot's row of per-destination refs.

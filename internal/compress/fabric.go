@@ -2,8 +2,10 @@ package compress
 
 import (
 	"fmt"
+	"sync"
 
 	"approxnoc/internal/approx"
+	"approxnoc/internal/quality"
 	"approxnoc/internal/value"
 )
 
@@ -78,53 +80,124 @@ func FactoryFor(scheme Scheme, n, thresholdPct int) (func(node int) Codec, error
 
 // FactoryWithDict is FactoryFor with explicit dictionary parameters, used
 // by the PMT-size ablation. It validates cfg and the threshold once; a DI
-// factory then returns nil for a node outside [0, cfg.Nodes).
+// factory then returns nil for a node outside [0, cfg.Nodes). A factory
+// makes each codec on one Recycle gave back when its scheme's pool holds
+// one.
 func FactoryWithDict(scheme Scheme, cfg DictConfig, thresholdPct int) (func(node int) Codec, error) {
+	mk, err := maker(scheme, cfg, thresholdPct)
+	if err != nil {
+		return nil, err
+	}
+	return func(node int) Codec { return mk(pools[scheme].Get(), node) }, nil
+}
+
+// pools holds the codecs Recycle took back, one pool per scheme.
+var pools [BDVaxx + 1]sync.Pool
+
+// maker validates a factory's parameters and returns what the factory
+// runs to make the codec for node: on old, a codec of the scheme that
+// Recycle gave back, or on a new one when old is nil.
+func maker(scheme Scheme, cfg DictConfig, thresholdPct int) (func(old any, node int) Codec, error) {
+	// The VAXX codecs share the per-word budget (BD-VAXX has none).
+	var budget quality.Budget
+	if scheme.IsVaxx() {
+		if err := checkThreshold(thresholdPct); err != nil {
+			return nil, err
+		}
+		budget, _ = quality.NewPerWord(thresholdPct)
+	}
 	switch scheme {
 	case Baseline:
-		return func(int) Codec { return NewBaseline() }, nil
-	case FPComp:
-		return func(int) Codec { return NewFPComp() }, nil
-	case BDComp:
-		return func(int) Codec { return NewBDComp() }, nil
-	case BDVaxx:
-		if _, err := NewBDVaxx(thresholdPct); err != nil {
-			return nil, err
-		}
-		return func(int) Codec {
-			c, _ := NewBDVaxx(thresholdPct)
+		return func(old any, _ int) Codec {
+			b := reuse[baseline](old)
+			b.init()
+			b.leased = true
+			return b
+		}, nil
+	case FPComp, FPVaxx:
+		return func(old any, _ int) Codec {
+			c := reuse[fpCodec](old)
+			c.init(scheme, thresholdPct, budget)
+			c.leased = true
 			return c
 		}, nil
-	case FPVaxx:
-		c, err := NewFPVaxx(thresholdPct)
-		if err != nil {
-			return nil, err
-		}
-		_ = c // constructor validated; build per node below
-		return func(int) Codec {
-			cc, _ := NewFPVaxx(thresholdPct)
-			return cc
+	case BDComp, BDVaxx:
+		return func(old any, _ int) Codec {
+			c := reuse[bdiCodec](old)
+			c.init(scheme, thresholdPct)
+			c.leased = true
+			return c
 		}, nil
-	case DIComp:
+	case DIComp, DIVaxx:
 		if err := cfg.validate(); err != nil {
 			return nil, err
 		}
-		return func(node int) Codec {
-			c, _ := NewDIComp(node, cfg)
-			return c
-		}, nil
-	case DIVaxx:
-		if err := cfg.validate(); err != nil {
-			return nil, err
-		}
-		if _, err := approx.New(thresholdPct); err != nil {
-			return nil, err
-		}
-		return func(node int) Codec {
-			c, _ := NewDIVaxx(node, cfg, thresholdPct)
-			return c
+		return func(old any, node int) Codec {
+			if node < 0 || node >= cfg.Nodes {
+				return nil
+			}
+			d := reuse[dictCodec](old)
+			d.init(scheme, node, cfg, thresholdPct, budget)
+			d.leased = true
+			return d
 		}, nil
 	default:
 		return nil, fmt.Errorf("compress: unknown scheme %v", scheme)
 	}
+}
+
+// reuse returns old as a *T, or a new T when old is nil.
+func reuse[T any](old any) *T {
+	if c, ok := old.(*T); ok {
+		return c
+	}
+	return new(T)
+}
+
+// lease marks the codecs a factory made: leased while one is in use, and
+// cleared as Recycle pools it, so a codec enters its pool at most once
+// and one an exported constructor made never does.
+type lease struct{ leased bool }
+
+// end ends the lease and reports whether there was one.
+func (l *lease) end() bool {
+	was := l.leased
+	l.leased = false
+	return was
+}
+
+// Recycle gives c back to the factories of its scheme, when a factory
+// made it and it has not been given back since: the next codec such a
+// factory makes is c, initialised by the constructor's own init to the
+// state a new codec starts in, on c's tables, TCAM planes, encode scratch
+// and notification storage (a DI codec's tables when they are of the new
+// codec's shape). The caller gives c up: it, and everything it returned,
+// must not be used again. noc.Network.Release gives back its NIs' codecs.
+func Recycle(c Codec) {
+	if l, ok := c.(interface{ end() bool }); ok && l.end() {
+		pools[c.Scheme()].Put(c)
+	}
+}
+
+// checkThreshold is approx.New's range check, on an AVCL that is not kept.
+func checkThreshold(pct int) error {
+	var a approx.AVCL
+	return a.SetThreshold(pct)
+}
+
+// vaxxAVCL returns the AVCL a codec of scheme s starts with: none for an
+// exact scheme, else a — or a new one when a is nil — at thresholdPct,
+// with zero counters, so a recycled codec keeps its AVCL.
+func vaxxAVCL(a *approx.AVCL, s Scheme, thresholdPct int) *approx.AVCL {
+	if !s.IsVaxx() {
+		return nil
+	}
+	if a == nil {
+		a = new(approx.AVCL)
+	}
+	if err := a.SetThreshold(thresholdPct); err != nil {
+		panic(err) // every caller checked the threshold
+	}
+	a.RestoreStats(approx.Stats{})
+	return a
 }

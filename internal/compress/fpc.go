@@ -53,6 +53,7 @@ type fpCodec struct {
 	budget  quality.Budget
 	stats   OpStats
 	scratch encodeScratch
+	lease
 }
 
 // encodeScratch is the per-codec encode state behind every Compress: the
@@ -65,20 +66,27 @@ type encodeScratch struct {
 	enc Encoded
 }
 
+// kept is the scratch a new codec starts with, on s's writer storage.
+func (s *encodeScratch) kept() encodeScratch {
+	return encodeScratch{w: bitWriter{buf: s.w.buf[:0]}}
+}
+
 // NewFPComp returns the exact frequent-pattern codec.
-func NewFPComp() Codec { return &fpCodec{scheme: FPComp} }
+func NewFPComp() Codec {
+	c := new(fpCodec)
+	c.init(FPComp, 0, nil)
+	return c
+}
 
 // NewFPVaxx returns the FP-VAXX codec with the given error threshold (%).
 func NewFPVaxx(thresholdPct int) (Codec, error) {
-	a, err := approx.New(thresholdPct)
-	if err != nil {
-		return nil, err
-	}
 	b, err := quality.NewPerWord(thresholdPct)
 	if err != nil {
 		return nil, err
 	}
-	return &fpCodec{scheme: FPVaxx, avcl: a, budget: b}, nil
+	c := new(fpCodec)
+	c.init(FPVaxx, thresholdPct, b)
+	return c, nil
 }
 
 // NewFPVaxxWindowed returns FP-VAXX with the paper's future-work window
@@ -87,19 +95,37 @@ func NewFPVaxx(thresholdPct int) (Codec, error) {
 // the mean window error at the per-word level while admitting more
 // matches.
 func NewFPVaxxWindowed(thresholdPct, window int, boost float64) (Codec, error) {
+	boosted, b, err := windowBudget(thresholdPct, window, boost)
+	if err != nil {
+		return nil, err
+	}
+	c := new(fpCodec)
+	c.init(FPVaxx, boosted, b)
+	return c, nil
+}
+
+// windowBudget is the §7 windowed budget at thresholdPct, and the boosted
+// threshold the AVCL of a windowed codec masks at.
+func windowBudget(thresholdPct, window int, boost float64) (int, *quality.Window, error) {
 	boosted := int(float64(thresholdPct) * boost)
 	if boosted > 100 {
 		boosted = 100
 	}
-	a, err := approx.New(boosted)
-	if err != nil {
-		return nil, err
+	if err := checkThreshold(boosted); err != nil {
+		return 0, nil, err
 	}
 	b, err := quality.NewWindow(thresholdPct, window, boost)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
-	return &fpCodec{scheme: FPVaxx, avcl: a, budget: b}, nil
+	return boosted, b, nil
+}
+
+// init makes c the empty codec of scheme s with budget b, and for a VAXX
+// scheme an AVCL at avclPct (in range): a new codec and a recycled one
+// leave it alike.
+func (c *fpCodec) init(s Scheme, avclPct int, b quality.Budget) {
+	*c = fpCodec{scheme: s, avcl: vaxxAVCL(c.avcl, s, avclPct), budget: b, scratch: c.scratch.kept()}
 }
 
 func (c *fpCodec) Scheme() Scheme { return c.scheme }

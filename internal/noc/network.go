@@ -306,13 +306,24 @@ func (n *Network) packet(f flit) *Packet { return n.pkt(f.slot()) }
 // Release ends the network's life and hands its body to a network built
 // after it: the packet slabs, payload storage included, to any, and the
 // routers, NIs, staging and sequence storage to one of the same topology,
-// VCs and BufDepth. Read Stats, Power and CodecStats first. Every *Packet
-// the network returned, and every NI, is invalid afterwards, as are the
-// routers; Step, SendData and SendControl panic. A second Release does
-// nothing.
+// VCs and BufDepth. It gives each NI's codec back to the codec factories
+// (compress.Recycle) unless another NI holds it too. Read Stats, Power
+// and CodecStats first. Every *Packet the network returned, every NI and
+// every codec is invalid afterwards, as are the routers; Step, SendData,
+// SendControl and CodecStats panic. A second Release does nothing.
 func (n *Network) Release() {
 	if n.released {
 		return
+	}
+	// Whether NIs share a codec is read from the NIs alone: a codec given
+	// back may already serve another network, so it is not touched again.
+	for i, ni := range n.nis {
+		if !n.sharesCodec(i) {
+			compress.Recycle(ni.codec)
+		}
+	}
+	for _, ni := range n.nis {
+		ni.codec = nil
 	}
 	for _, sl := range n.slabs {
 		for i := range sl.pkt {
@@ -324,6 +335,17 @@ func (n *Network) Release() {
 	n.slabs, n.slots, n.free, n.released = n.slabs[:0], 0, 0, true
 	n.onDeliver, n.tracer, n.obs = nil, nil, nil
 	bodyPool.Put(n)
+}
+
+// sharesCodec reports whether another NI holds tile's codec.
+func (n *Network) sharesCodec(tile int) bool {
+	c := n.nis[tile].codec
+	for i, ni := range n.nis {
+		if i != tile && ni.codec == c {
+			return true
+		}
+	}
+	return false
 }
 
 // live panics once the network is released.
@@ -487,6 +509,7 @@ func (n *Network) Power() PowerEvents { return n.power }
 
 // CodecStats aggregates codec operation counts across all NIs.
 func (n *Network) CodecStats() compress.OpStats {
+	n.live()
 	var s compress.OpStats
 	for _, ni := range n.nis {
 		s.Add(ni.codec.Stats())

@@ -50,7 +50,9 @@ func drainPool() {
 // and every delivered packet and block at the end. A released network
 // must refuse to step or send, also once B holds its body. D, with 2 VCs,
 // gives the next network, E of the default 4, its slabs but never its
-// routers or NIs, and E replays C too.
+// routers or NIs, and E replays C too. Codecs recycle by scheme: a
+// DI-COMP and an FP-VAXX network built on a released one's codecs replay
+// one on new codecs.
 func TestReleasedBodyReplaysIdentically(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC would empty the pool
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))  // one P, so one pool shard holds every body
@@ -156,7 +158,7 @@ func TestReleasedBodyReplaysIdentically(t *testing.T) {
 			t.Fatal("run C took a slab of run A's from a drained pool")
 		}
 	}
-	same := func(name string, x *trace) {
+	same := func(name string, x, c *trace) {
 		t.Helper()
 		for i := range x.stats {
 			if x.stats[i] != c.stats[i] || x.power[i] != c.power[i] {
@@ -178,7 +180,7 @@ func TestReleasedBodyReplaysIdentically(t *testing.T) {
 			}
 		}
 	}
-	same("a released body", b)
+	same("a released body", b, c)
 
 	drainPool()
 	cfg := DefaultConfig()
@@ -202,7 +204,49 @@ func TestReleasedBodyReplaysIdentically(t *testing.T) {
 	if !RaceEnabled && e.n.slabs[0] != bodyD.slabs[0] {
 		t.Fatal("a 4-VC network did not take the slabs of a released 2-VC one")
 	}
-	same("a released 2-VC body's slabs", e)
+	same("a released 2-VC body's slabs", e, c)
+
+	// Codecs: F, under DI-COMP and then FP-VAXX, is released saturated,
+	// its codecs mid-stream and its DI notifications in flight; G of the
+	// same scheme must take every codec F had and replay H, which is built
+	// on a drained pool with codecs new from the constructors.
+	for _, s := range []struct {
+		scheme compress.Scheme
+		fresh  func(tile int) compress.Codec
+	}{
+		{compress.DIComp, func(tile int) compress.Codec {
+			c, _ := compress.NewDIComp(tile, compress.DefaultDictConfig(topo.Tiles()))
+			return c
+		}},
+		{compress.FPVaxx, func(int) compress.Codec {
+			c, _ := compress.NewFPVaxx(10)
+			return c
+		}},
+	} {
+		f := schemeNet(t, 4, 4, 2, s.scheme, 10)
+		for f.Now() < 1500 {
+			saturate(f, r, src, blk)
+		}
+		fromF := map[compress.Codec]bool{}
+		for _, ni := range f.nis {
+			fromF[ni.codec] = true
+		}
+		f.Release()
+		g := run(schemeNet(t, 4, 4, 2, s.scheme, 10))
+		if !RaceEnabled {
+			for i, ni := range g.n.nis {
+				if !fromF[ni.codec] {
+					t.Fatalf("%v: run G built tile %d's codec afresh instead of taking one of run F's", s.scheme, i)
+				}
+			}
+		}
+		drainPool()
+		h, err := New(topo, DefaultConfig(), s.fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(fmt.Sprintf("%v on a released network's codecs", s.scheme), g, run(h))
+	}
 }
 
 // holdsEveryList reports whether some router buffers a flit, some NI
@@ -256,5 +300,43 @@ func TestNetworkBuildAllocs(t *testing.T) {
 	}
 	if fresh <= reused {
 		t.Fatalf("a fresh build allocated %.0f times, no more than a reused one", fresh)
+	}
+}
+
+// TestReleaseRecyclesCodecs pins what Release does with codecs: a DI-VAXX
+// network built on a released one's body and codecs allocates its Network
+// header and nothing else, and a codec that tiles share never goes back
+// to the factories, even one a factory made.
+func TestReleaseRecyclesCodecs(t *testing.T) {
+	if RaceEnabled {
+		t.Skip("the race detector drops pooled bodies and codecs at random")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	topo, err := topology.NewCMesh(4, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory, err := compress.FactoryFor(compress.DIVaxx, topo.Tiles(), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(factory func(int) compress.Codec) *Network {
+		n, err := New(topo, DefaultConfig(), factory)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	build(factory).Release()
+	if allocs := testing.AllocsPerRun(20, func() { build(factory).Release() }); allocs != 1 {
+		t.Fatalf("a DI-VAXX build on a released network allocated %.0f times, want 1 (the Network header)", allocs)
+	}
+	shared := factory(0)
+	build(func(int) compress.Codec { return shared }).Release()
+	for i, ni := range build(factory).nis {
+		if ni.codec == shared {
+			t.Fatalf("tile %d took the codec every tile of a released network shared", i)
+		}
 	}
 }

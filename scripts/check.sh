@@ -64,14 +64,17 @@ go test -race -count=5 -run 'TestView|TestMembership' ./internal/cluster
 # naming their packet's slot, and packets come from slabs of 64 that
 # recycle on delivery and carry every NI list in their link words; on
 # Release a network hands its body (slabs, and routers, NIs, staging and
-# sequence storage to a network of its shape) to the next one built. The
+# sequence storage to a network of its shape) to the next one built, and
+# its codecs to the codec factories of their scheme. The
 # hot path must stay allocation-free
 # in a control-packet steady state, free-flowing and under arbitration;
 # steady data traffic must allocate nothing under any scheme (packets,
 # payloads and the decoded block recycle) and recycled packets must keep
 # their own payloads; a run on a released network's body must replay a
 # fresh run bit for bit, a body of another shape must give up only its
-# slabs, a build on a released body must allocate only its header, and a
+# slabs, a build on a released body must allocate only its header, also
+# when the factory's DI-VAXX codecs come from a released network, which
+# must keep a codec tiles share, and a
 # saturated run after a released
 # warm-up must stay within its allocations per packet sent; a slab must
 # cost at most 5 % over its Packets' bytes, so Packet stays inside its
@@ -81,8 +84,8 @@ go test -race -count=5 -run 'TestView|TestMembership' ./internal/cluster
 # concentration x pattern x load grid, with the flit-slot invariant
 # checked every cycle (the -race -short pass above runs a reduced grid;
 # see DESIGN.md §9).
-echo '>> cycle kernel (TestStepZeroAllocs, TestDataPathSteadyAllocs, TestRecycledPacketsKeepPayloads, TestReleasedBodyReplaysIdentically, TestNetworkBuildAllocs, TestSaturatedRunAllocs, TestPacketSlabBytes, TestFlitAndCreditConservation, TestAllocatorsMatchNaiveSweep)'
-go test -run 'TestStepZeroAllocs|TestDataPathSteadyAllocs|TestRecycledPacketsKeepPayloads|TestReleasedBodyReplaysIdentically|TestNetworkBuildAllocs|TestSaturatedRunAllocs|TestPacketSlabBytes|TestFlitAndCreditConservation|TestAllocatorsMatchNaiveSweep' ./internal/noc
+echo '>> cycle kernel (TestStepZeroAllocs, TestDataPathSteadyAllocs, TestRecycledPacketsKeepPayloads, TestReleasedBodyReplaysIdentically, TestNetworkBuildAllocs, TestReleaseRecyclesCodecs, TestSaturatedRunAllocs, TestPacketSlabBytes, TestFlitAndCreditConservation, TestAllocatorsMatchNaiveSweep)'
+go test -run 'TestStepZeroAllocs|TestDataPathSteadyAllocs|TestRecycledPacketsKeepPayloads|TestReleasedBodyReplaysIdentically|TestNetworkBuildAllocs|TestReleaseRecyclesCodecs|TestSaturatedRunAllocs|TestPacketSlabBytes|TestFlitAndCreditConservation|TestAllocatorsMatchNaiveSweep' ./internal/noc
 
 # Wire-path alloc gates: a 10k-frame replay must reuse one read buffer
 # per connection, and the end-to-end pipelined serve path must stay
@@ -100,12 +103,21 @@ go test -race -count=3 -run 'TestServerSlotReuse' ./internal/serve
 # block in steady state on every scheme, an encoder-PMT update that
 # evicts and installs must not allocate on either dictionary scheme, nor
 # must a decoder eviction's invalidate/ack handshake, a 32-node DI-VAXX
-# codec must build within 10 allocations and 6 KiB, and the AVCL
-# per-word mask computation must never allocate (see DESIGN.md §14).
-# Uninstrumented for the same heap-accounting reason.
+# codec must build within 10 allocations and 6 KiB and, made on a
+# recycled one, allocate nothing, and the AVCL per-word mask computation
+# must never allocate (see DESIGN.md §14). Uninstrumented for the same
+# heap-accounting reason, and because the race detector drops pooled
+# codecs: the recycling gate skips itself under -race.
 echo '>> alloc budget (codec encode/decode)'
-go test -run 'TestCompressZeroAllocs|TestCompressZeroAllocsDict|TestDecompressIntoZeroAllocs|TestFabricTransferSteadyAllocs|TestHandleUpdateEvictZeroAllocs|TestEvictionHandshakeZeroAllocs|TestDictCodecBuildAllocs' ./internal/compress
+go test -run 'TestCompressZeroAllocs|TestCompressZeroAllocsDict|TestDecompressIntoZeroAllocs|TestFabricTransferSteadyAllocs|TestHandleUpdateEvictZeroAllocs|TestEvictionHandshakeZeroAllocs|TestDictCodecBuildAllocs|TestRecycledDictCodecBuildAllocs' ./internal/compress
 go test -run 'TestAVCLZeroAllocs' ./internal/approx
+
+# Codec reuse: a codec made on a recycled one must start in a new one's
+# state and replay every scheme's stream as a new one does. The test
+# calls the reuse path directly rather than through the pool, so it runs
+# instrumented too.
+echo '>> go test -race (codec reuse)'
+go test -race -run 'TestRecycledCodecMatchesNew' ./internal/compress
 
 echo '>> coverage (per package)'
 coverprofile=${COVERPROFILE:-/tmp/approxnoc-cover.out}
