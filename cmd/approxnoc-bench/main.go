@@ -32,7 +32,7 @@ var experimentOrder = []string{
 	"table1", "fig9", "fig10", "fig11", "fig12",
 	"fig13", "fig14", "fig15", "fig16", "fig17", "area",
 	"ablation-overlap", "ablation-pmt", "ablation-window", "ablation-adaptive",
-	"extension-bdi", "ablation-matchunits", "ablation-router", "fig16-measured",
+	"extension-bdi", "ablation-matchunits", "ablation-router",
 	"gateway", "cluster",
 }
 
@@ -191,17 +191,8 @@ func resolve(id string, cfg experiments.Config, grid func() (experiments.Grid, e
 		}, nil
 	case "fig16":
 		return func() (any, string, error) {
-			rows, err := experiments.Fig16(cfg, nil)
+			rows, err := experiments.Fig16(cfg.Runner(), nil)
 			return rendered(rows, err, func(r []experiments.Fig16Row) string { return experiments.FormatFig16(r, nil) })
-		}, nil
-	case "fig16-measured":
-		return func() (any, string, error) {
-			rows, err := experiments.Fig16Measured(cfg.Runner(), nil, nil)
-			return rendered(rows, err, func(r []experiments.Fig16Row) string {
-				return experiments.FormatFig16Titled(
-					"Fig. 16 (measured through the cycle-accurate NoC) — Application output error and normalized performance",
-					r, nil)
-			})
 		}, nil
 	case "fig17":
 		return func() (any, string, error) {

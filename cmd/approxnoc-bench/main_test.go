@@ -32,9 +32,12 @@ func TestRunKnownExperiments(t *testing.T) {
 	}
 }
 
+// An unknown id, and a retired one, fails in resolve: nothing runs.
 func TestRunRejectsUnknown(t *testing.T) {
-	if _, _, err := run("fig99", tinyCfg(), noGrid); err == nil {
-		t.Fatal("unknown experiment accepted")
+	for _, id := range []string{"fig99", "fig16-measured"} {
+		if _, _, err := run(id, tinyCfg(), noGrid); err == nil {
+			t.Fatalf("unknown experiment %q accepted", id)
+		}
 	}
 }
 

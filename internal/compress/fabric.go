@@ -172,10 +172,15 @@ func (l *lease) end() bool {
 // state a new codec starts in, on c's tables, TCAM planes, encode scratch
 // and notification storage (a DI codec's tables when they are of the new
 // codec's shape). The caller gives c up: it, and everything it returned,
-// must not be used again. noc.Network.Release gives back its NIs' codecs.
+// must not be used again. Recycle looks through wrappers (e.g. Adaptive)
+// to the codec a factory made. noc.Network.Release gives back its NIs'
+// codecs.
 func Recycle(c Codec) {
-	if l, ok := c.(interface{ end() bool }); ok && l.end() {
-		pools[c.Scheme()].Put(c)
+	if l, ok := As[interface {
+		Codec
+		end() bool
+	}](c); ok && l.end() {
+		pools[l.Scheme()].Put(l)
 	}
 }
 

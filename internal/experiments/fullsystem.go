@@ -20,77 +20,14 @@ type Fig16Row struct {
 	PerfAt map[int]float64
 }
 
-// Fig16 runs every application kernel through the cache substrate at each
-// error budget, measuring output error directly and deriving normalized
-// performance from the memory-stall model: kernels spend their time in
-// accesses plus miss stalls, and miss stalls shrink with the packet
-// latency the corresponding NoC replay measures.
-func Fig16(cfg Config, thresholds []int) ([]Fig16Row, error) {
-	if len(thresholds) == 0 {
-		thresholds = []int{0, 10, 20}
-	}
-	// FP-VAXX is the scheme whose static patterns approximate without a
-	// learning phase, making it the representative mechanism for the
-	// application-level study (it is also the paper's best performer).
-	scheme := compress.FPVaxx
-	allApps := apps.All()
-	names := make([]string, len(allApps))
-	for i, app := range allApps {
-		names[i] = app.Name()
-	}
-	// The NoC latency of each benchmark's traffic at each budget.
-	base, err := cfg.cells(names, nil, []compress.Scheme{scheme})
-	if err != nil {
-		return nil, err
-	}
-	runs, err := replay(cfg, vary(base, len(thresholds), func(c *cell, k int) { c.threshold = thresholds[k] }))
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Fig16Row, len(allApps))
-	for i, app := range allApps {
-		rows[i] = Fig16Row{Benchmark: app.Name(), ErrorAt: map[int]float64{}, PerfAt: map[int]float64{}}
-		var baseRuntime float64
-		for k, th := range thresholds {
-			res, err := app.Run(scheme, th)
-			if err != nil {
-				return nil, err
-			}
-			rows[i].ErrorAt[th] = res.OutputError
-			rt := runtimeModel(res.CacheStats.Loads+res.CacheStats.Stores,
-				res.CacheStats.Misses, runs[i*len(thresholds)+k].Net.AvgPacketLatency())
-			if k == 0 {
-				baseRuntime = rt
-			}
-			if rt > 0 {
-				rows[i].PerfAt[th] = baseRuntime / rt
-			}
-		}
-	}
-	return rows, nil
-}
-
-// runtimeModel is the full-system performance proxy: one cycle per access
-// plus a memory stall per miss composed of a fixed L2/directory latency
-// and a round trip (request + data reply) at the measured average packet
-// latency.
-func runtimeModel(accesses, misses uint64, avgPacketLat float64) float64 {
-	const l2Latency = 30.0
-	return float64(accesses) + float64(misses)*(l2Latency+2*avgPacketLat)
-}
-
-// Fig16Measured is the measured variant of Fig. 16: kernels execute on
-// the fullsys harness where every remote miss is a real request/reply
-// round trip through the cycle-accurate NoC, so normalized performance
-// comes from measured stall cycles instead of the analytic model.
-// Expensive kernels are excluded by default; pass names to override.
-// Every kernel x threshold cell is an independent fullsys machine, so
-// the grid fans out through r's worker pool; rows are assembled serially
-// from the ordered cells.
-func Fig16Measured(r Runner, kernels []string, thresholds []int) ([]Fig16Row, error) {
-	if len(kernels) == 0 {
-		kernels = []string{"blackscholes", "x264", "ssca2"}
-	}
+// Fig16 runs every application kernel at each error budget on the fullsys
+// harness, where every remote miss is a real request/reply round trip
+// through the cycle-accurate NoC: output error is scored against the 0%
+// budget run in the kernel's own metric, and normalized performance comes
+// from the measured runtime. Every kernel x threshold cell is an
+// independent fullsys machine, so the grid fans out through r's worker
+// pool; rows are assembled serially from the ordered cells.
+func Fig16(r Runner, thresholds []int) ([]Fig16Row, error) {
 	if len(thresholds) == 0 {
 		thresholds = []int{0, 10, 20}
 	}
@@ -98,40 +35,29 @@ func Fig16Measured(r Runner, kernels []string, thresholds []int) ([]Fig16Row, er
 		out []float64
 		rt  float64
 	}
-	list := make([]apps.App, len(kernels))
-	for k, name := range kernels {
-		var err error
-		if list[k], err = apps.ByName(name); err != nil {
-			return nil, err
-		}
-	}
+	list := apps.All()
 	cells, err := mapJobs(r, len(list)*len(thresholds), func(i int) (measured, error) {
+		// FP-VAXX is the scheme whose static patterns approximate without
+		// a learning phase, making it the representative mechanism for the
+		// application-level study (it is also the paper's best performer).
 		cfg := fullsys.DefaultConfig(compress.FPVaxx, thresholds[i%len(thresholds)])
 		out, rt, err := fullsys.MeasureKernel(cfg, list[i/len(thresholds)].Kernel())
-		if err != nil {
-			return measured{}, err
-		}
-		return measured{out: out, rt: rt}, nil
+		return measured{out: out, rt: rt}, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	var rows []Fig16Row
+	rows := make([]Fig16Row, len(list))
 	for k, app := range list {
-		row := Fig16Row{Benchmark: app.Name(), ErrorAt: map[int]float64{}, PerfAt: map[int]float64{}}
-		var ref []float64
-		var baseRuntime float64
+		rows[k] = Fig16Row{Benchmark: app.Name(), ErrorAt: map[int]float64{}, PerfAt: map[int]float64{}}
+		ref, baseRuntime := cells[k*len(thresholds)].out, cells[k*len(thresholds)].rt
 		for i, th := range thresholds {
 			c := cells[k*len(thresholds)+i]
-			if i == 0 {
-				ref, baseRuntime = c.out, c.rt
-			}
-			row.ErrorAt[th] = app.OutputError(ref, c.out)
+			rows[k].ErrorAt[th] = app.OutputError(ref, c.out)
 			if c.rt > 0 {
-				row.PerfAt[th] = baseRuntime / c.rt
+				rows[k].PerfAt[th] = baseRuntime / c.rt
 			}
 		}
-		rows = append(rows, row)
 	}
 	return rows, nil
 }

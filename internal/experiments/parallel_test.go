@@ -110,7 +110,6 @@ func TestDriversParallelEquivalence(t *testing.T) {
 	drivers := []struct {
 		name  string
 		short bool // runs in -short mode too
-		heavy bool // skipped in -short mode even from the full list
 		run   func(cfg Config) (string, error)
 	}{
 		{name: "fig9", run: func(cfg Config) (string, error) {
@@ -142,12 +141,8 @@ func TestDriversParallelEquivalence(t *testing.T) {
 			return FormatFig15(g.Fig15()), err
 		}},
 		{name: "fig16", run: func(cfg Config) (string, error) {
-			rows, err := Fig16(cfg, []int{0, 10})
+			rows, err := Fig16(cfg.Runner(), []int{0, 10})
 			return FormatFig16(rows, []int{0, 10}), err
-		}},
-		{name: "fig16-measured", heavy: true, run: func(cfg Config) (string, error) {
-			rows, err := Fig16Measured(cfg.Runner(), []string{"blackscholes"}, []int{0, 10})
-			return FormatFig16Titled("measured", rows, []int{0, 10}), err
 		}},
 		{name: "ablation-overlap", short: true, run: func(cfg Config) (string, error) {
 			rows, err := AblationOverlap(cfg, one)
@@ -181,7 +176,7 @@ func TestDriversParallelEquivalence(t *testing.T) {
 	for _, d := range drivers {
 		d := d
 		t.Run(d.name, func(t *testing.T) {
-			if testing.Short() && (!d.short || d.heavy) {
+			if testing.Short() && !d.short {
 				t.Skip("full driver sweep skipped in short mode")
 			}
 			serialCfg := cfg

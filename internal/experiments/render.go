@@ -145,18 +145,11 @@ func FormatFig15(rows []Fig15Row) string {
 
 // FormatFig16 renders the application error/performance table.
 func FormatFig16(rows []Fig16Row, thresholds []int) string {
-	return FormatFig16Titled("Fig. 16 — Application output error and normalized performance", rows, thresholds)
-}
-
-// FormatFig16Titled renders the Fig. 16 table under a caller-supplied
-// title line — the measured variant replaces the title instead of
-// stacking a second header above the default one.
-func FormatFig16Titled(title string, rows []Fig16Row, thresholds []int) string {
 	if len(thresholds) == 0 {
 		thresholds = []int{0, 10, 20}
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
+	b.WriteString("Fig. 16 — Application output error and normalized performance\n")
 	fmt.Fprintf(&b, "%-14s", "benchmark")
 	for _, th := range thresholds {
 		fmt.Fprintf(&b, "  err@%-3d%%", th)

@@ -306,7 +306,8 @@ func TestNetworkBuildAllocs(t *testing.T) {
 // TestReleaseRecyclesCodecs pins what Release does with codecs: a DI-VAXX
 // network built on a released one's body and codecs allocates its Network
 // header and nothing else, and a codec that tiles share never goes back
-// to the factories, even one a factory made.
+// to the factories, even one a factory made; a codec a wrapper holds goes
+// back as itself.
 func TestReleaseRecyclesCodecs(t *testing.T) {
 	if RaceEnabled {
 		t.Skip("the race detector drops pooled bodies and codecs at random")
@@ -338,5 +339,16 @@ func TestReleaseRecyclesCodecs(t *testing.T) {
 		if ni.codec == shared {
 			t.Fatalf("tile %d took the codec every tile of a released network shared", i)
 		}
+	}
+	// A wrapped factory's network gives back the codecs inside the
+	// wrappers: the next codec the factory makes is one of them.
+	adaptive := build(compress.AdaptiveFactory(factory))
+	inner := map[compress.Codec]bool{}
+	for _, ni := range adaptive.nis {
+		inner[ni.codec.(*compress.Adaptive).Unwrap()] = true
+	}
+	adaptive.Release()
+	if c := factory(0); !inner[c] {
+		t.Fatal("a released adaptive network's wrapped codecs did not go back to the factory")
 	}
 }
