@@ -16,6 +16,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"sync"
 
@@ -36,6 +37,34 @@ var experimentOrder = []string{
 	"gateway", "cluster",
 }
 
+// fixedRuns are the ids whose output no -seed or -cycles changes: table1
+// and area describe the configuration, fig16 and fig17 run the §5.4
+// kernels on their own fixed seeds and lengths, and gateway and cluster
+// are wall-clock loadgen grids.
+var fixedRuns = []string{"table1", "fig16", "fig17", "area", "gateway", "cluster"}
+
+// ignoredFlagNotes returns one note per id in ids that ignores a flag
+// set on the command line (set holds the names flag.Visit saw), naming
+// the id and the flags.
+func ignoredFlagNotes(ids []string, set map[string]bool) []string {
+	var flags []string
+	for _, name := range []string{"seed", "cycles"} {
+		if set[name] {
+			flags = append(flags, "-"+name)
+		}
+	}
+	if len(flags) == 0 {
+		return nil
+	}
+	var notes []string
+	for _, id := range ids {
+		if slices.Contains(fixedRuns, id) {
+			notes = append(notes, fmt.Sprintf("approxnoc-bench: %s ignores %s", id, strings.Join(flags, " and ")))
+		}
+	}
+	return notes
+}
+
 func main() {
 	os.Exit(realMain())
 }
@@ -45,10 +74,11 @@ func main() {
 func realMain() int {
 	exp := flag.String("exp", "", "experiment id (see -list), or 'all'")
 	list := flag.Bool("list", false, "list experiment ids")
-	cycles := flag.Int("cycles", 50000, "injection cycles per trace replay")
+	ignored := " (" + strings.Join(fixedRuns, ", ") + " ignore it)"
+	cycles := flag.Int("cycles", 50000, "injection cycles per trace replay"+ignored)
 	threshold := flag.Int("threshold", 10, "VAXX error threshold (%)")
 	ratio := flag.Float64("ratio", 0.75, "approximable data packet ratio")
-	seed := flag.Uint64("seed", 1, "simulation seed")
+	seed := flag.Uint64("seed", 1, "simulation seed"+ignored)
 	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "parallel trace replays (results are identical for any value)")
 	asJSON := flag.Bool("json", false, "emit rows as JSON instead of tables")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -102,6 +132,11 @@ func realMain() int {
 	ids := []string{*exp}
 	if *exp == "all" {
 		ids = experimentOrder
+	}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, note := range ignoredFlagNotes(ids, set) {
+		fmt.Fprintln(os.Stderr, note)
 	}
 	grid := sync.OnceValues(func() (experiments.Grid, error) { return experiments.RunGrid(cfg) })
 	for _, id := range ids {

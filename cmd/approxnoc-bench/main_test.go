@@ -80,3 +80,24 @@ func TestSharedGridRunsOnce(t *testing.T) {
 		t.Fatalf("RunGrid ran %d times for four views, want 1", calls)
 	}
 }
+
+// An id that reads neither -seed nor -cycles says so when either is set
+// explicitly; one that reads them stays quiet.
+func TestIgnoredFlagNotes(t *testing.T) {
+	seed := map[string]bool{"exp": true, "seed": true}
+	if got := ignoredFlagNotes([]string{"fig16"}, seed); len(got) != 1 ||
+		!strings.Contains(got[0], "fig16") || !strings.Contains(got[0], "-seed") {
+		t.Fatalf("-exp fig16 -seed 7: notes %q, want one naming fig16 and -seed", got)
+	}
+	if got := ignoredFlagNotes([]string{"fig9"}, seed); len(got) != 0 {
+		t.Fatalf("-exp fig9 -seed 7: notes %q, want none", got)
+	}
+	if got := ignoredFlagNotes([]string{"fig16"}, map[string]bool{"exp": true}); len(got) != 0 {
+		t.Fatalf("-exp fig16 with default flags: notes %q, want none", got)
+	}
+	for _, id := range fixedRuns {
+		if _, err := resolve(id, tinyCfg(), noGrid); err != nil {
+			t.Errorf("fixed id %q does not resolve: %v", id, err)
+		}
+	}
+}

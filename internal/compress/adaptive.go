@@ -123,7 +123,7 @@ func (a *Adaptive) endOffEpoch() {
 }
 
 func (a *Adaptive) Decompress(src int, enc *Encoded) (*value.Block, []Notification) {
-	blk := new(value.Block)
+	blk := value.NewBlock(enc.NumWords, enc.DType, enc.Approximable)
 	return blk, a.DecompressInto(blk, src, enc)
 }
 

@@ -176,13 +176,13 @@ func TestFabricTransferSteadyAllocs(t *testing.T) {
 		f.Transfer(0, 1, blocks[i%len(blocks)])
 		i++
 	})
-	// Transfer returns a fresh *value.Block, which Decompress builds: the
-	// header and its Words array, exactly. The serve batches keep decoded
-	// blocks past the next Decompress, so Transfer does not decode into
-	// storage of its own (ROADMAP, "Codec data path"). Anything else is a
-	// kernel that started allocating.
-	if allocs != 2 {
-		t.Errorf("Transfer allocates %.1f objects/block in steady state, want exactly 2 (the decoded block and its words)", allocs)
+	// Transfer returns a fresh *value.Block, which Decompress builds:
+	// one object, the header and its 16 words together. The serve
+	// batches keep decoded blocks past the next Decompress, so Transfer
+	// does not decode into storage of its own (ROADMAP, "Codec data
+	// path"). Anything else is a kernel that started allocating.
+	if allocs != 1 {
+		t.Errorf("Transfer allocates %.1f objects/block in steady state, want exactly 1 (the decoded block, header and words in one object)", allocs)
 	}
 }
 

@@ -196,7 +196,7 @@ func (c *bdiCodec) compress(blk *value.Block, enc *Encoded, w *bitWriter) *Encod
 }
 
 func (c *bdiCodec) Decompress(src int, enc *Encoded) (*value.Block, []Notification) {
-	blk := new(value.Block)
+	blk := value.NewBlock(enc.NumWords, enc.DType, enc.Approximable)
 	return blk, c.DecompressInto(blk, src, enc)
 }
 

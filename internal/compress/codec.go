@@ -317,7 +317,7 @@ func (b *baseline) compress(blk *value.Block, enc *Encoded, w *bitWriter) *Encod
 }
 
 func (b *baseline) Decompress(src int, enc *Encoded) (*value.Block, []Notification) {
-	blk := new(value.Block)
+	blk := value.NewBlock(enc.NumWords, enc.DType, enc.Approximable)
 	return blk, b.DecompressInto(blk, src, enc)
 }
 

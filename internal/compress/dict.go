@@ -496,7 +496,7 @@ func (d *dictCodec) encodeWord(dst int, word value.Word, blk *value.Block) (kind
 // --- Decoder ---------------------------------------------------------------
 
 func (d *dictCodec) Decompress(src int, enc *Encoded) (*value.Block, []Notification) {
-	blk := new(value.Block)
+	blk := value.NewBlock(enc.NumWords, enc.DType, enc.Approximable)
 	return blk, d.DecompressInto(blk, src, enc)
 }
 

@@ -304,7 +304,7 @@ func (c *fpCodec) record(kind WordKind, relErr float64) {
 }
 
 func (c *fpCodec) Decompress(src int, enc *Encoded) (*value.Block, []Notification) {
-	blk := new(value.Block)
+	blk := value.NewBlock(enc.NumWords, enc.DType, enc.Approximable)
 	return blk, c.DecompressInto(blk, src, enc)
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"io"
+	"net"
 	"runtime"
 	"testing"
 
@@ -59,11 +60,12 @@ func TestReadFrameSteadyStateAllocs(t *testing.T) {
 // serve path, client Go through server encode and back. The frames are
 // zero-copy (reused read buffers, append-in-place write arenas) and the
 // server parses and decodes into recycled per-connection slots, so the
-// three allocations that remain are all client-side and caller-owned:
-// the Call, the response Block and its Words. Measured exactly 3.0 on
-// go1.24/amd64; the fourth is headroom for map growth and channel
-// internals, not for a server-side allocation per request.
-const wireAllocBudget = 4
+// two allocations that remain are client-side and caller-owned: the Call
+// that Go returns and the response Block, whose header and words are one
+// object. Measured exactly 2.0 on go1.24/amd64; the third is headroom
+// for map growth and channel internals, not for a server-side
+// allocation per request.
+const wireAllocBudget = 3
 
 // TestWireReplaySteadyStateAllocs is the serve-path analogue of
 // TestStepZeroAllocs: after warmup, a 10k-request pipelined replay over
@@ -99,5 +101,69 @@ func TestWireReplaySteadyStateAllocs(t *testing.T) {
 	t.Logf("wire replay: %.1f allocs/request (budget %d)", perRecord, wireAllocBudget)
 	if perRecord > wireAllocBudget {
 		t.Fatalf("wire replay allocated %.1f objects per request, budget %d; a per-frame allocation crept back into the serve path", perRecord, wireAllocBudget)
+	}
+}
+
+// TestClientDoAllocs pins the synchronous wire round trip: Do recycles
+// its Call and the call's Done channel, and the server decodes into
+// recycled slots, so a warmed loopback Do allocates only the response
+// block, header and words in one object.
+func TestClientDoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is not stable under the race detector")
+	}
+	gw, err := New(Config{Nodes: 4, Scheme: compress.Baseline, ThresholdPct: 0, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	srv := NewServer(gw)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+	cl, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	req := Request{Src: 1, Dst: 2, Block: value.NewBlock(16, value.Int32, true), ThresholdPct: DefaultThreshold}
+	do := func() {
+		if _, err := cl.Do(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		do()
+	}
+	if a := testing.AllocsPerRun(500, do); a != 1 {
+		t.Fatalf("a loopback Do round trip allocates %.0f times, want 1 (the response block)", a)
+	}
+}
+
+// TestGatewayDoAllocs pins the in-process round trip: Gateway.Do
+// recycles its reply channel, so a call allocates only the result block.
+func TestGatewayDoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is not stable under the race detector")
+	}
+	gw, err := New(Config{Nodes: 4, Scheme: compress.Baseline, ThresholdPct: 0, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	req := Request{Src: 1, Dst: 2, Block: value.NewBlock(16, value.Int32, true), ThresholdPct: DefaultThreshold}
+	do := func() {
+		if _, err := gw.Do(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		do()
+	}
+	if a := testing.AllocsPerRun(500, do); a != 1 {
+		t.Fatalf("Gateway.Do allocates %.0f times, want 1 (the result block)", a)
 	}
 }

@@ -19,6 +19,8 @@ const clientMaxBuffered = 1 << 20
 // Call is one pipelined request issued with (*Client).Go. When the
 // response (or a transport failure) arrives, the call is sent on Done;
 // Res then holds the result and Err the per-request or transport error.
+// A call that Go returns is new and belongs to the caller; the calls of
+// Do never leave the client, which recycles them.
 type Call struct {
 	// Req is the request as submitted.
 	Req Request
@@ -107,36 +109,58 @@ func (c *Client) Transfer(src, dst int, blk *value.Block) (*value.Block, error) 
 	return res.Block, nil
 }
 
+// doCalls recycles the calls of Do, each with its own 1-buffered Done.
+// A call is delivered exactly once (pending is keyed by id and forget
+// checks it), so its Done is empty again when Do has received from it.
+var doCalls = sync.Pool{New: func() any { return &Call{Done: make(chan *Call, 1)} }}
+
 // Do sends one request and waits for its response. The returned error is
 // the transport failure or the server-reported per-request error
-// (ErrOverloaded round-trips as itself).
+// (ErrOverloaded round-trips as itself). The call Do makes is the
+// client's: it is cleared and recycled once Do returns, so a round trip
+// allocates only the response block.
 func (c *Client) Do(req Request) (Result, error) {
-	call := c.Go(req, make(chan *Call, 1))
+	call := doCalls.Get().(*Call)
+	call.Req = req
+	c.issue(call)
 	<-call.Done
-	return call.Res, call.Err
+	res, err := call.Res, call.Err
+	*call = Call{Done: call.Done} // pin no caller block while pooled
+	doCalls.Put(call)
+	return res, err
 }
 
 // Go issues req without waiting for the response: the returned call
 // completes on done (allocated 1-buffered when nil) once the response
 // arrives. Many calls may share one done channel — give it a free slot
-// per outstanding call. Go never blocks on the network round trip, only
-// (briefly) when clientMaxBuffered of encoded requests await flushing,
-// which is the client-side backpressure bound.
+// per outstanding call. The call is new and the caller's to keep. Go
+// never blocks on the network round trip, only (briefly) when
+// clientMaxBuffered of encoded requests await flushing, which is the
+// client-side backpressure bound.
 func (c *Client) Go(req Request, done chan *Call) *Call {
 	if done == nil {
 		done = make(chan *Call, 1)
 	}
 	call := &Call{Req: req, Done: done}
-	id := c.nextID.Add(1)
+	c.issue(call)
+	return call
+}
+
+// issue registers call under a fresh id and encodes its request into the
+// write arena, or delivers the call with its error when that fails. It
+// writes the call only while it holds it alone: before registering it,
+// or after forget has taken it back.
+func (c *Client) issue(call *Call) {
+	req, id := call.Req, c.nextID.Add(1)
 
 	// Register before the bytes can reach the wire: the response may
-	// race back before Go returns.
+	// race back before issue returns.
 	c.mu.Lock()
 	if c.err != nil {
 		call.Err = c.err
 		c.mu.Unlock()
 		call.deliver()
-		return call
+		return
 	}
 	c.pending[id] = call
 	c.mu.Unlock()
@@ -153,7 +177,7 @@ func (c *Client) Go(req Request, done chan *Call) *Call {
 			c.mu.Unlock()
 			call.deliver()
 		}
-		return call
+		return
 	}
 	wbuf, err := appendRequestFrame(c.wbuf, id, req)
 	c.wbuf = wbuf
@@ -164,13 +188,12 @@ func (c *Client) Go(req Request, done chan *Call) *Call {
 			call.Err = err
 			call.deliver()
 		}
-		return call
+		return
 	}
 	select {
 	case c.wwake <- struct{}{}:
 	default:
 	}
-	return call
 }
 
 // failed reports whether the connection has been torn down. It is safe

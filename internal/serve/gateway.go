@@ -194,11 +194,19 @@ func (g *Gateway) submit(p pending) error {
 	}
 }
 
+// doReplies recycles the 1-buffered reply channels of Do. A shard sends
+// exactly one result for every request it accepts, also after Close
+// (workers drain the closed queue), so a channel is empty again once Do
+// has received from it or the submission failed.
+var doReplies = sync.Pool{New: func() any { return make(chan Result, 1) }}
+
 // Do submits a request and waits for its result — the in-process client
 // path. The returned error is either a submission failure (ErrOverloaded,
-// ErrClosed, validation) or the per-request Result.Err.
+// ErrClosed, validation) or the per-request Result.Err. Its reply channel
+// is recycled, so a call allocates only the result block.
 func (g *Gateway) Do(req Request) (Result, error) {
-	reply := make(chan Result, 1)
+	reply := doReplies.Get().(chan Result)
+	defer doReplies.Put(reply)
 	if err := g.Submit(req, reply); err != nil {
 		return Result{}, err
 	}

@@ -202,28 +202,33 @@ func appendBlock(b []byte, blk *value.Block) []byte {
 }
 
 // parseBlock is the inverse of appendBlock: it decodes into dst, reusing
-// dst.Words when it is large enough, and returns the rest of p.
-func parseBlock(dst *value.Block, p []byte) ([]byte, error) {
+// dst.Words when it is large enough, and returns the block and the rest
+// of p. A nil dst gets a new block sized from the header once the words
+// are known to be there, so a block of 4 to 64 words is one allocation.
+func parseBlock(dst *value.Block, p []byte) (*value.Block, []byte, error) {
 	if len(p) < 4 {
-		return nil, errors.New("serve: truncated block header")
+		return nil, nil, errors.New("serve: truncated block header")
 	}
 	dt, approx := value.DataType(p[0]), p[1] != 0
 	n := int(binary.BigEndian.Uint16(p[2:]))
 	p = p[4:]
 	if n == 0 {
-		return nil, errors.New("serve: empty block")
+		return nil, nil, errors.New("serve: empty block")
 	}
 	if len(p) < 4*n {
-		return nil, errors.New("serve: truncated block words")
+		return nil, nil, errors.New("serve: truncated block words")
 	}
-	if cap(dst.Words) < n {
+	switch {
+	case dst == nil:
+		dst = value.NewBlock(n, dt, approx)
+	case cap(dst.Words) < n:
 		dst.Words = make([]value.Word, n)
 	}
 	dst.Words, dst.DType, dst.Approximable = dst.Words[:n], dt, approx
 	for i := range dst.Words {
 		dst.Words[i] = binary.BigEndian.Uint32(p[4*i:])
 	}
-	return p[4*n:], nil
+	return dst, p[4*n:], nil
 }
 
 func boolByte(b bool) byte {
@@ -249,13 +254,13 @@ func appendRequest(b []byte, id uint64, req Request) []byte {
 	return appendBlock(b, req.Block)
 }
 
-// parseRequest decodes a request frame into a fresh block.
+// parseRequest decodes a request frame into a new block.
 func parseRequest(p []byte) (id uint64, req Request, err error) {
-	return parseRequestInto(new(value.Block), p, nil)
+	return parseRequestInto(nil, p, nil)
 }
 
-// parseRequestInto decodes a request frame with its words in blk, which
-// becomes req.Block. A tenant named in tenants takes that map's string,
+// parseRequestInto decodes a request frame with its words in blk (a new
+// block when blk is nil), which becomes req.Block. A tenant named in tenants takes that map's string,
 // so a configured tenant costs no allocation; any other name is copied.
 // Once the kind byte and id are readable, a malformed body still returns
 // the id, so the error response reaches the caller that sent it.
@@ -284,7 +289,7 @@ func parseRequestInto(blk *value.Block, p []byte, tenants map[string]string) (id
 	} else {
 		req.Tenant = string(rest[:n])
 	}
-	rest, err = parseBlock(blk, rest[n:])
+	blk, rest, err = parseBlock(blk, rest[n:])
 	if err != nil {
 		return id, req, err
 	}
@@ -333,8 +338,7 @@ func parseResponse(p []byte) (Result, error) {
 	rest := p[10:]
 	switch status {
 	case statusOK:
-		blk := new(value.Block)
-		rest, err := parseBlock(blk, rest)
+		blk, rest, err := parseBlock(nil, rest)
 		if err != nil {
 			return res, err
 		}

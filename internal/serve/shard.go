@@ -56,7 +56,7 @@ func (p *pool) transfer(req Request, want int, dst *value.Block) Result {
 	// accounting) before the source codec can encode again.
 	enc := p.fabric.Codec(req.Src).Compress(req.Dst, req.Block)
 	if dst == nil {
-		dst = new(value.Block)
+		dst = value.NewBlock(enc.NumWords, enc.DType, enc.Approximable)
 	}
 	p.fabric.Deliver(p.fabric.Codec(req.Dst).DecompressInto(dst, req.Src, enc))
 	return Result{

@@ -27,6 +27,47 @@ func TestBlockCloneIndependent(t *testing.T) {
 	}
 }
 
+// blockSink makes the blocks of TestNewBlockOneAllocation escape, so an
+// inlined NewBlock cannot keep its header on the stack.
+var blockSink *Block
+
+// At the power-of-two sizes from 4 to 64 words a block and its words
+// are one allocation; any other size keeps the words separate. Either
+// way the words are zero, len and cap are n, and the metadata is set.
+func TestNewBlockOneAllocation(t *testing.T) {
+	for _, n := range []int{1, 3, 4, 5, 16, 17, 64, 65} {
+		b := NewBlock(n, Float32, true)
+		if len(b.Words) != n || cap(b.Words) != n {
+			t.Fatalf("n=%d: len %d cap %d", n, len(b.Words), cap(b.Words))
+		}
+		for i, w := range b.Words {
+			if w != 0 {
+				t.Fatalf("n=%d: word %d is %#x, want 0", n, i, w)
+			}
+		}
+		if b.DType != Float32 || !b.Approximable {
+			t.Fatalf("n=%d: metadata %v/%v", n, b.DType, b.Approximable)
+		}
+		if raceEnabled {
+			continue
+		}
+		want := 2.0
+		if n == 4 || n == 16 || n == 64 {
+			want = 1
+		}
+		if a := testing.AllocsPerRun(100, func() { blockSink = NewBlock(n, Int32, false) }); a != want {
+			t.Errorf("NewBlock(%d) allocates %.0f times, want %.0f", n, a, want)
+		}
+	}
+	if raceEnabled {
+		t.Skip("allocation counts skew under -race")
+	}
+	b := NewBlock(16, Int32, false)
+	if a := testing.AllocsPerRun(100, func() { blockSink = b.Clone() }); a != 1 {
+		t.Errorf("Clone of a 16-word block allocates %.0f times, want 1", a)
+	}
+}
+
 func TestBlockEqual(t *testing.T) {
 	a := BlockFromI32([]int32{1, 2}, true)
 	cases := []*Block{

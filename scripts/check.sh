@@ -88,16 +88,24 @@ echo '>> cycle kernel (TestStepZeroAllocs, TestDataPathSteadyAllocs, TestRecycle
 go test -run 'TestStepZeroAllocs|TestDataPathSteadyAllocs|TestRecycledPacketsKeepPayloads|TestReleasedBodyReplaysIdentically|TestNetworkBuildAllocs|TestReleaseRecyclesCodecs|TestSaturatedRunAllocs|TestPacketSlabBytes|TestFlitAndCreditConservation|TestAllocatorsMatchNaiveSweep' ./internal/noc
 
 # Wire-path alloc gates: a 10k-frame replay must reuse one read buffer
-# per connection, and the end-to-end pipelined serve path must stay
-# within its per-request allocation budget of 4 (see DESIGN.md §10).
-# These run without -race on purpose — the -race pass above executes
-# them as skips; heap accounting is only stable uninstrumented. The
-# server owns that budget by recycling per-connection request slots, so
-# TestServerSlotReuse runs beside them and again under -race, three
-# times, where a slot recycled while a shard still uses it is a race.
+# per connection, the end-to-end pipelined serve path must stay within
+# its per-request allocation budget of 3, and a synchronous round trip,
+# Client.Do over loopback or Gateway.Do in process, must allocate only
+# its result block (see DESIGN.md §10). These run without -race on
+# purpose — the -race pass above executes them as skips; heap accounting
+# is only stable uninstrumented. The server owns that budget by
+# recycling per-connection request slots, and Do recycles its calls, so
+# TestServerSlotReuse and TestClientDoRecyclesCallsUnderFailure run
+# again under -race, three times, where a slot recycled while a shard
+# still uses it, or a call recycled while still pending, is a race.
 echo '>> alloc budget (serve wire path)'
-go test -run 'TestReadFrameSteadyStateAllocs|TestWireReplaySteadyStateAllocs|TestServerSlotReuse' ./internal/serve
-go test -race -count=3 -run 'TestServerSlotReuse' ./internal/serve
+go test -run 'TestReadFrameSteadyStateAllocs|TestWireReplaySteadyStateAllocs|TestServerSlotReuse|TestClientDoAllocs|TestGatewayDoAllocs' ./internal/serve
+go test -race -count=3 -run 'TestServerSlotReuse|TestClientDoRecyclesCallsUnderFailure' ./internal/serve
+
+# Block alloc gate: a block of 4, 16 or 64 words is one allocation,
+# header and words together (see DESIGN.md §9).
+echo '>> alloc budget (value blocks)'
+go test -run 'TestNewBlockOneAllocation' ./internal/value
 
 # Codec alloc gates: Compress and DecompressInto must stay zero-alloc per
 # block in steady state on every scheme, an encoder-PMT update that
