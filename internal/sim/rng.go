@@ -39,19 +39,15 @@ func NewRand(seed uint64) *Rand {
 	return r
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
-// Uint64 returns the next value in the stream.
+// Uint64 returns the next value in the stream: one xoshiro256** step,
+// written as a single state assignment so that the step, and Float64,
+// Bool and Hit on top of it, stay within the inliner's budget (Bool sits
+// exactly at it). Every injection draw of every tile each cycle and every
+// word of every generated block goes through here.
 func (r *Rand) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2]^r.s[0], r.s[3]^r.s[1]
+	r.s = [4]uint64{s0 ^ s3, s1 ^ s2, s2 ^ s1<<17, bits.RotateLeft64(s3, 45)}
+	return bits.RotateLeft64(s1*5, 7) * 9
 }
 
 // Uint32 returns the high 32 bits of the next value.

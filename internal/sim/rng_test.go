@@ -246,3 +246,30 @@ func TestHitMatchesBool(t *testing.T) {
 		}
 	}
 }
+
+// refStep is the textbook xoshiro256** step (Blackman and Vigna), kept
+// here as the reference Uint64's single-assignment form must match.
+func refStep(s *[4]uint64) uint64 {
+	rotl := func(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
+	result := rotl(s[1]*5, 7) * 9
+	t := s[1] << 17
+	s[2] ^= s[0]
+	s[3] ^= s[1]
+	s[1] ^= s[2]
+	s[0] ^= s[3]
+	s[2] ^= t
+	s[3] = rotl(s[3], 45)
+	return result
+}
+
+func TestRandStepMatchesReference(t *testing.T) {
+	for seed := uint64(0); seed < 16; seed++ {
+		r := NewRand(seed * 0x9e3779b97f4a7c15)
+		ref := r.s
+		for i := 0; i < 100000; i++ {
+			if got, want := r.Uint64(), refStep(&ref); got != want || r.s != ref {
+				t.Fatalf("seed %d draw %d: Uint64 %#x state %x, reference %#x state %x", seed, i, got, r.s, want, ref)
+			}
+		}
+	}
+}

@@ -145,9 +145,74 @@ type Source struct {
 	rng        *sim.Rand
 	intPool    []int32
 	floatPool  []float32
-	zipfCDF    []float64
+	zipf       zipf
 	approxFrac float64
 }
+
+// zipf is the Zipf law of pool ranks for one pool size: the CDF, and a
+// guide table that makes a draw O(1) expected time (Chen and Asau's
+// indexed search). guide has K entries, K the smallest power of two ≥
+// 2·size, and guide[k] is the first rank whose CDF is ≥ k/K.
+type zipf struct {
+	cdf   []float64
+	guide []int32
+}
+
+// newZipf builds the rank law of a pool of size values. Pool draws
+// follow a Zipf distribution: frequent-value-locality studies (and the
+// dictionary-compression work the paper builds on) observe that a
+// handful of values dominate on-chip traffic, which is what makes an
+// 8-entry PMT sufficient.
+func newZipf(size int) zipf {
+	cdf := make([]float64, size)
+	total := 0.0
+	for i := 0; i < size; i++ {
+		total += 1 / math.Pow(float64(i+1), 1.2)
+		cdf[i] = total
+	}
+	for i := range cdf {
+		cdf[i] /= total
+	}
+	k := 1
+	for k < 2*size {
+		k <<= 1
+	}
+	guide := make([]int32, k)
+	rank := 0
+	for i := range guide {
+		for cdf[rank] < float64(i)/float64(k) {
+			rank++
+		}
+		guide[i] = int32(rank)
+	}
+	return zipf{cdf: cdf, guide: guide}
+}
+
+// index returns the first rank whose CDF is ≥ u, for u in [0, 1): the
+// lower bound a binary search over the CDF finds. With k = ⌊u·K⌋, every
+// rank before guide[k] has CDF < k/K ≤ u, so the walk forward from
+// guide[k] stops at exactly that rank; it stops at the last rank at the
+// latest, whose CDF is total/total = 1. K is a power of two, so u·K is
+// exact, and it is below K because u is below 1.
+func (z *zipf) index(u float64) int {
+	i := int(z.guide[int(u*float64(len(z.guide)))])
+	for z.cdf[i] < u {
+		i++
+	}
+	return i
+}
+
+// sharedZipf holds the rank law of every pool size Benchmarks uses, built
+// once: a source of one of these sizes takes its table from here.
+var sharedZipf = func() map[int]zipf {
+	t := map[int]zipf{}
+	for _, m := range Benchmarks() {
+		if _, ok := t[m.PoolSize]; !ok {
+			t[m.PoolSize] = newZipf(m.PoolSize)
+		}
+	}
+	return t
+}()
 
 // NewSource builds a deterministic block source for the model.
 // approxFrac is the fraction of data blocks annotated approximable (the
@@ -166,36 +231,16 @@ func (m Model) NewSource(seed uint64, approxFrac float64) *Source {
 		s.intPool[i] = int32(mag + s.rng.Intn(mag))
 		s.floatPool[i] = (0.5 + float32(s.rng.Float64())) * float32(int64(1)<<uint(s.rng.Intn(16)))
 	}
-	// Pool draws follow a Zipf distribution: frequent-value-locality
-	// studies (and the dictionary-compression work the paper builds on)
-	// observe that a handful of values dominate on-chip traffic, which is
-	// what makes an 8-entry PMT sufficient.
-	s.zipfCDF = make([]float64, size)
-	total := 0.0
-	for i := 0; i < size; i++ {
-		total += 1 / math.Pow(float64(i+1), 1.2)
-		s.zipfCDF[i] = total
+	z, ok := sharedZipf[size]
+	if !ok {
+		z = newZipf(size)
 	}
-	for i := range s.zipfCDF {
-		s.zipfCDF[i] /= total
-	}
+	s.zipf = z
 	return s
 }
 
 // poolIndex draws a Zipf-distributed pool rank.
-func (s *Source) poolIndex() int {
-	u := s.rng.Float64()
-	lo, hi := 0, len(s.zipfCDF)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s.zipfCDF[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
+func (s *Source) poolIndex() int { return s.zipf.index(s.rng.Float64()) }
 
 // Model returns the generating model.
 func (s *Source) Model() Model { return s.model }
@@ -242,7 +287,7 @@ func (s *Source) fillSeq(words []value.Word) {
 }
 
 func (s *Source) fillInt(words []value.Word) {
-	m := s.model
+	m := &s.model
 	for i := range words {
 		var v int32
 		u := s.rng.Float64()
@@ -267,7 +312,7 @@ func (s *Source) fillInt(words []value.Word) {
 }
 
 func (s *Source) fillFloat(words []value.Word) {
-	m := s.model
+	m := &s.model
 	for i := range words {
 		var v float32
 		u := s.rng.Float64()

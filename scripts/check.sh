@@ -107,6 +107,26 @@ go test -race -count=3 -run 'TestServerSlotReuse|TestClientDoRecyclesCallsUnderF
 echo '>> alloc budget (value blocks)'
 go test -run 'TestNewBlockOneAllocation' ./internal/value
 
+# Workload alloc gate: a block source builds in four allocations, its
+# Zipf tables shared per pool size. The sim workloads build a source per
+# experiment cell, so this guards their allocs_per_op. Uninstrumented,
+# for the same heap-accounting reason; it skips itself under -race.
+echo '>> alloc budget (workload sources)'
+go test -run 'TestNewSourceAllocs' ./internal/workload
+
+# Inliner gate: every injection draw of every tile each cycle, and every
+# word of every generated block, goes through these four draws, so each
+# must inline into its caller. Bool sits exactly at the inliner's budget:
+# one more node in the xoshiro step and the gate fails.
+echo '>> inliner (sim.Rand draws)'
+inl=$(go build -gcflags=-m ./internal/sim 2>&1)
+for fn in Uint64 Float64 Bool Hit; do
+    if ! printf '%s\n' "$inl" | grep -q "can inline (\*Rand)\.$fn\$"; then
+        echo "(*Rand).$fn no longer inlines" >&2
+        exit 1
+    fi
+done
+
 # Codec alloc gates: Compress and DecompressInto must stay zero-alloc per
 # block in steady state on every scheme, an encoder-PMT update that
 # evicts and installs must not allocate on either dictionary scheme, nor
