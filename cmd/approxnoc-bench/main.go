@@ -20,7 +20,6 @@ import (
 	"strings"
 	"sync"
 
-	"approxnoc/internal/cluster"
 	"approxnoc/internal/compress"
 	"approxnoc/internal/experiments"
 	"approxnoc/internal/serve"
@@ -34,14 +33,14 @@ var experimentOrder = []string{
 	"fig13", "fig14", "fig15", "fig16", "fig17", "area",
 	"ablation-overlap", "ablation-pmt", "ablation-window", "ablation-adaptive",
 	"extension-bdi", "ablation-matchunits", "ablation-router",
-	"gateway", "cluster",
+	"gateway",
 }
 
 // fixedRuns are the ids whose output no -seed or -cycles changes: table1
 // and area describe the configuration, fig16 and fig17 run the §5.4
-// kernels on their own fixed seeds and lengths, and gateway and cluster
-// are wall-clock loadgen grids.
-var fixedRuns = []string{"table1", "fig16", "fig17", "area", "gateway", "cluster"}
+// kernels on their own fixed seeds and lengths, and gateway is a
+// wall-clock loadgen grid.
+var fixedRuns = []string{"table1", "fig16", "fig17", "area", "gateway"}
 
 // ignoredFlagNotes returns one note per id in ids that ignores a flag
 // set on the command line (set holds the names flag.Visit saw), naming
@@ -279,11 +278,6 @@ func resolve(id string, cfg experiments.Config, grid func() (experiments.Grid, e
 			rows, err := gatewayGrid(cfg)
 			return rendered(rows, err, formatGatewayGrid)
 		}, nil
-	case "cluster":
-		return func() (any, string, error) {
-			rows, err := clusterGrid()
-			return rendered(rows, err, formatClusterGrid)
-		}, nil
 	default:
 		return nil, fmt.Errorf("unknown experiment %q", id)
 	}
@@ -352,74 +346,6 @@ func formatGatewayGrid(rows []gatewayRow) string {
 	for _, r := range rows {
 		fmt.Fprintf(&sb, "%6d %6d %6d %14.0f %12.2f %13.1f %8d\n",
 			r.Conns, r.Depth, r.Words, r.RecordsPerSec, r.PayloadMBPerSec, r.FramesPerBatch, r.Retries)
-	}
-	return sb.String()
-}
-
-// clusterRow is one cell of the cluster scaling grid: nodes x clients x
-// pipeline depth, same aggregate load shape against growing node
-// counts. Wall-clock measurements; not golden-pinned.
-type clusterRow struct {
-	Nodes           int     `json:"nodes"`
-	Conns           int     `json:"conns"`
-	Depth           int     `json:"depth"`
-	RecordsPerSec   float64 `json:"records_per_sec"`
-	PayloadMBPerSec float64 `json:"payload_mb_per_sec"`
-	OverloadRetries uint64  `json:"overload_retries"`
-	Failovers       uint64  `json:"failovers"`
-}
-
-// clusterGridRecords matches the gateway grid's per-cell amortization.
-const clusterGridRecords = 20000
-
-// clusterGrid measures cluster goodput across nodes x clients x depth
-// with per-node admission capacity pinned (one shard, small queue), the
-// BenchmarkCluster shape: scaling comes from overload waste recovered,
-// not CPU parallelism.
-func clusterGrid() ([]clusterRow, error) {
-	var rows []clusterRow
-	for _, nodes := range []int{1, 2, 4} {
-		for _, conns := range []int{1, 4} {
-			for _, depth := range []int{8, 64} {
-				res, err := cluster.RunLoopback(
-					cluster.Config{
-						Nodes: nodes,
-						Serve: serve.Config{
-							Nodes: 64, Scheme: compress.Baseline, ThresholdPct: 0,
-							Shards: 1, QueueDepth: 4,
-						},
-						View: cluster.ViewConfig{HeartbeatEvery: -1},
-					},
-					cluster.ClientConfig{OverloadBackoff: -1},
-					cluster.Loadgen{
-						Loadgen: serve.Loadgen{Conns: conns, Depth: depth, Words: 16, Records: clusterGridRecords},
-						Nodes:   nodes,
-					},
-				)
-				if err != nil {
-					return nil, fmt.Errorf("cluster grid nodes=%d conns=%d depth=%d: %w", nodes, conns, depth, err)
-				}
-				rows = append(rows, clusterRow{
-					Nodes: nodes, Conns: conns, Depth: depth,
-					RecordsPerSec:   res.RecordsPerSec,
-					PayloadMBPerSec: res.PayloadMBPerSec,
-					OverloadRetries: res.OverloadRetries,
-					Failovers:       res.Failovers,
-				})
-			}
-		}
-	}
-	return rows, nil
-}
-
-func formatClusterGrid(rows []clusterRow) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Cluster scaling — goodput under fixed per-node admission capacity (%d records per cell)\n", clusterGridRecords)
-	fmt.Fprintf(&sb, "%6s %6s %6s %14s %12s %10s %10s\n",
-		"nodes", "conns", "depth", "records/sec", "payload MB/s", "retries", "failovers")
-	for _, r := range rows {
-		fmt.Fprintf(&sb, "%6d %6d %6d %14.0f %12.2f %10d %10d\n",
-			r.Nodes, r.Conns, r.Depth, r.RecordsPerSec, r.PayloadMBPerSec, r.OverloadRetries, r.Failovers)
 	}
 	return sb.String()
 }

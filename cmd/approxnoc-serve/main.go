@@ -22,7 +22,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"approxnoc/internal/cluster"
 	"approxnoc/internal/compress"
 	"approxnoc/internal/obs"
 	"approxnoc/internal/qos"
@@ -59,9 +58,6 @@ func main() {
 	qosInterval := flag.Duration("qos-interval", 100*time.Millisecond, "QoS control-loop sampling period")
 	budgets := flag.String("budgets", "", "per-tenant error budgets, tenant=capacity[:refillPerSec],... (enables budget enforcement)")
 	tenant := flag.String("tenant", "", "tenant stamped on -loadgen requests, spending that tenant's error budget")
-	nodeID := flag.String("node-id", "", "this node's cluster identity (required with -cluster-join)")
-	clusterJoin := flag.String("cluster-join", "", "announce this node to a cluster seed's /cluster/join endpoint (e.g. http://seed:9555)")
-	advertise := flag.String("advertise", "", "address to announce to the cluster seed (default: the -addr listen address)")
 	flag.Parse()
 
 	cfg := serve.Config{
@@ -83,7 +79,7 @@ func main() {
 		case *loadgen:
 			err = runLoadgen(cfg, serve.Loadgen{Conns: *conns, Depth: *depth, Words: *words, Records: *records, Tenant: *tenant})
 		default:
-			err = runServer(cfg, *addr, *debugAddr, *nodeID, *clusterJoin, *advertise)
+			err = runServer(cfg, *addr, *debugAddr)
 		}
 	}
 	if err != nil {
@@ -94,13 +90,8 @@ func main() {
 
 // runServer serves the gateway until the listener fails (e.g. the
 // process is killed). A non-empty debugAddr additionally serves the obs
-// debug endpoints next to the TCP protocol port; a non-empty seed URL
-// announces this node to a cluster's membership endpoint before
-// serving, so cluster clients start routing flows here.
-func runServer(cfg serve.Config, addr, debugAddr, nodeID, seedURL, advertise string) error {
-	if seedURL != "" && nodeID == "" {
-		return fmt.Errorf("-cluster-join requires -node-id")
-	}
+// debug endpoints next to the TCP protocol port.
+func runServer(cfg serve.Config, addr, debugAddr string) error {
 	var reg *obs.Registry
 	var tracer *obs.Tracer
 	if debugAddr != "" {
@@ -133,26 +124,11 @@ func runServer(cfg serve.Config, addr, debugAddr, nodeID, seedURL, advertise str
 		fmt.Printf("qos                 threshold %d..%d%% step %d, watermarks %.2f/%.2f, %d budgeted tenants\n",
 			c.BaselinePct, c.MaxPct, c.StepPct, c.LowerAt, c.RaiseAt, len(gw.Budgets()))
 	}
-	srv.NodeID = nodeID
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("listening on %s\n", ln.Addr())
-	if seedURL != "" {
-		// Announce only once the listener is up, so the seed's prober
-		// can immediately confirm the node healthy. The advertised
-		// address must be one peers can dial; the bound address is only
-		// a sane default when -addr names a reachable interface.
-		if advertise == "" {
-			advertise = ln.Addr().String()
-		}
-		if err := cluster.JoinSeed(seedURL, nodeID, advertise); err != nil {
-			ln.Close()
-			return err
-		}
-		fmt.Printf("joined cluster at %s as %q advertising %s\n", seedURL, nodeID, advertise)
-	}
 	return srv.Serve(ln)
 }
 

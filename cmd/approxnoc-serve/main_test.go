@@ -2,14 +2,14 @@ package main
 
 import (
 	"bytes"
-	"net/http/httptest"
+	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
-	"approxnoc/internal/cluster"
 	"approxnoc/internal/compress"
 	"approxnoc/internal/serve"
 	"approxnoc/internal/sim"
@@ -117,47 +117,40 @@ func TestLoadgenValidatesKnobs(t *testing.T) {
 	}
 }
 
-// TestRunServerClusterJoin: a gateway started with -cluster-join
-// announces itself to the seed's membership endpoint before serving.
-func TestRunServerClusterJoin(t *testing.T) {
-	if err := runServer(selftestConfig(compress.Baseline, 0), "127.0.0.1:0", "", "", "http://seed", ""); err == nil ||
-		!strings.Contains(err.Error(), "-node-id") {
-		t.Fatalf("cluster-join without node-id: got %v", err)
-	}
-
-	cl, err := cluster.New(cluster.Config{
-		Nodes: 1,
-		Serve: selftestConfig(compress.Baseline, 0),
-		View:  cluster.ViewConfig{HeartbeatEvery: -1},
-	})
+// TestRunServerUnusableAddrs: runServer returns the listen error for an
+// -addr or a -debug-addr it cannot bind, and leaves nothing serving —
+// the goroutine count falls back to where it was, and a debug endpoint
+// it did start has given its port back.
+func TestRunServerUnusableAddrs(t *testing.T) {
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
-	seed := httptest.NewServer(cl.Handler())
-	defer seed.Close()
+	defer taken.Close()
+	probe, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	free := probe.Addr().String()
+	probe.Close()
 
-	// runServer blocks in Serve; run it out of band and watch the seed's
-	// membership for the announcement. The goroutine dies with the test
-	// process.
-	go runServer(selftestConfig(compress.Baseline, 0), "127.0.0.1:0", "", "ext0", seed.URL, "")
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		var joined bool
-		for _, m := range cl.View().Members() {
-			if m.ID == "ext0" {
-				joined = true
+	baseline := runtime.NumGoroutine()
+	for _, tc := range []struct{ name, addr, debugAddr string }{
+		{"addr", taken.Addr().String(), free},
+		{"debug-addr", "127.0.0.1:0", taken.Addr().String()},
+	} {
+		if err := runServer(selftestConfig(compress.DIVaxx, 0), tc.addr, tc.debugAddr); err == nil {
+			t.Fatalf("%s: runServer on a bound port returned nil", tc.name)
+		}
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines after runServer failed, %d before", tc.name, runtime.NumGoroutine(), baseline)
 			}
 		}
-		if joined {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("node never joined the seed; members %+v", cl.View().Members())
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
-	if !cl.View().Ring().Has("ext0") {
-		t.Fatal("joined node missing from the seed's ring")
+	ln, err := net.Listen("tcp", free)
+	if err != nil {
+		t.Fatalf("debug port still held after runServer failed: %v", err)
 	}
+	ln.Close()
 }

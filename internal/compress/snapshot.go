@@ -689,22 +689,3 @@ func (d *dictCodec) Unmarshal(data []byte) error {
 	}
 	return nil
 }
-
-// snapGenOffset is where the generation counter sits in the v1 header:
-// after the magic, version, scheme, flags, and seven u32 shape fields.
-const snapGenOffset = len(snapMagic) + 2 + 1 + 1 + 7*4
-
-// SnapshotGeneration peeks the generation counter out of a snapshot
-// image without restoring it, so replication layers can decide
-// stale-vs-fresh for a whole codec group atomically before committing
-// any member. Only the magic and version are validated; a later
-// Unmarshal may still reject the body.
-func SnapshotGeneration(data []byte) (uint64, error) {
-	if len(data) < snapGenOffset+8 || string(data[:len(snapMagic)]) != snapMagic {
-		return 0, fmt.Errorf("%w: no snapshot header", ErrSnapshotMismatch)
-	}
-	if v := binary.BigEndian.Uint16(data[len(snapMagic):]); v != snapVersion {
-		return 0, fmt.Errorf("%w: unsupported snapshot version %d", ErrSnapshotMismatch, v)
-	}
-	return binary.BigEndian.Uint64(data[snapGenOffset:]), nil
-}

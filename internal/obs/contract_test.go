@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"approxnoc/internal/cluster"
 	"approxnoc/internal/compress"
 	"approxnoc/internal/noc"
 	"approxnoc/internal/obs"
@@ -18,8 +17,8 @@ import (
 // TestProductionRegistriesContract holds every production registration
 // to the pull path's contract. Nothing checks label arity at scrape
 // time — WriteText renders a missing label value as "" — so this walks
-// the registries a QoS gateway with budgets, a Server, a Network, a
-// cluster View and a Tracer register, each after some traffic, and
+// the registries a QoS gateway with budgets, a Server, a Network and a
+// Tracer register, each after some traffic, and
 // asserts: every sample carries exactly one value per label name, two
 // scrapes of quiescent state are byte-identical, and ParseText accepts
 // the output.
@@ -75,16 +74,6 @@ func TestProductionRegistriesContract(t *testing.T) {
 		}
 	}
 	net.Drain(10000)
-
-	view := cluster.NewView(cluster.ViewConfig{HeartbeatEvery: -1})
-	defer view.Close()
-	view.RegisterMetrics(reg("view"))
-	for _, id := range []string{"n0", "n1"} {
-		if err := view.Join(id, "127.0.0.1:0", cluster.StateHealthy); err != nil {
-			t.Fatal(err)
-		}
-	}
-	view.SetState("n1", cluster.StateSuspect)
 
 	for owner, r := range regs {
 		snap := r.Snapshot()

@@ -22,10 +22,10 @@ type BudgetConfig struct {
 	RefillPerSec float64
 }
 
-// ParseBudgets parses the command-line budget spec shared by the serve
-// and cluster CLIs: comma-separated tenant=capacity[:refillPerSec]
-// entries, e.g. "gold=1000:50,batch=250". Refill defaults to 0 (a
-// one-shot allowance). An empty spec yields an empty (nil) map.
+// ParseBudgets parses approxnoc-serve's -budgets spec: comma-separated
+// tenant=capacity[:refillPerSec] entries, e.g. "gold=1000:50,batch=250".
+// Refill defaults to 0 (a one-shot allowance). An empty spec yields an
+// empty (nil) map.
 func ParseBudgets(spec string) (map[string]BudgetConfig, error) {
 	if spec == "" {
 		return nil, nil
@@ -58,11 +58,11 @@ func ParseBudgets(spec string) (map[string]BudgetConfig, error) {
 	return out, nil
 }
 
-// ParseFlags assembles a gateway QoS configuration from the flags the
-// serve and cluster CLIs share: -qos (on), -qos-max, the -threshold
-// baseline, -qos-interval and the -budgets spec. It returns nil when
-// QoS is off. Budgets without -qos are enforced with the threshold
-// pinned at the baseline (no controller movement, so any scheme works).
+// ParseFlags assembles a gateway QoS configuration from approxnoc-serve's
+// flags: -qos (on), -qos-max, the -threshold baseline, -qos-interval and
+// the -budgets spec. It returns nil when QoS is off. Budgets without
+// -qos are enforced with the threshold pinned at the baseline (no
+// controller movement, so any scheme works).
 func ParseFlags(on bool, maxPct, baselinePct int, interval time.Duration, budgetSpec string) (*Config, error) {
 	if !on && budgetSpec == "" {
 		return nil, nil

@@ -46,8 +46,8 @@ import (
 
 // ErrBudgetExhausted reports a request whose tenant cannot cover its
 // error cost: the budget is spent faster than it refills. It is a
-// definitive per-request answer — retrying elsewhere cannot change it —
-// so cluster clients do not fail over on it. The caller may retry
+// definitive per-request answer — an immediate retry cannot change it,
+// so load drivers settle it rather than re-issue. The caller may retry
 // later (after refill) or resubmit the request in exact mode, which
 // costs nothing.
 var ErrBudgetExhausted = errors.New("qos: tenant error budget exhausted")

@@ -35,9 +35,6 @@ type Call struct {
 	Done chan *Call
 }
 
-// Outcome implements Settled.
-func (call *Call) Outcome() (Request, Result, error) { return call.Req, call.Res, call.Err }
-
 // deliver completes the call without ever blocking the delivering
 // goroutine (the read loop or a failure path).
 func (call *Call) deliver() {

@@ -270,8 +270,41 @@ func (g *Gateway) Metrics() Metrics {
 // traffic — it queues behind in-flight batches.
 func (g *Gateway) CodecStats() compress.OpStats {
 	var s compress.OpStats
-	g.withPools(func(_ int, p *pool) { s.Add(p.fabric.Stats()) })
+	g.withPools(func(p *pool) { s.Add(p.fabric.Stats()) })
 	return s
+}
+
+// withPools runs fn against every shard's pool from a context where the
+// pool is quiescent: inside the owning worker while the gateway is live,
+// or directly once it closed. fn runs once per pool, in shard order, and
+// must not block indefinitely.
+func (g *Gateway) withPools(fn func(p *pool)) {
+	g.mu.RLock()
+	closed := g.closed
+	g.mu.RUnlock()
+	if closed {
+		// Workers have exited (or are exiting); wait so the access is
+		// ordered after their last fabric write.
+		g.wg.Wait()
+		for _, sh := range g.shards {
+			fn(sh.pool)
+		}
+		return
+	}
+	for _, sh := range g.shards {
+		done := make(chan struct{})
+		wrapped := func(p *pool) {
+			fn(p)
+			close(done)
+		}
+		select {
+		case sh.ctl <- wrapped:
+			<-done
+		case <-g.done:
+			// Raced with Close; the worker is gone, access directly.
+			fn(sh.pool)
+		}
+	}
 }
 
 // Close stops accepting requests, drains every shard queue (queued

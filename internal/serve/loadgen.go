@@ -52,42 +52,34 @@ type LoadgenResult struct {
 	// PayloadMBPerSec is uncompressed block payload moved per second
 	// (requests only; responses double the wire traffic).
 	PayloadMBPerSec float64
-	// Wire snapshots the server's wire counters after the replay (zero
-	// when no single server carried it, as in a cluster run).
+	// Wire snapshots the server's wire counters after a Run (zero after
+	// a bare Replay).
 	Wire WireStats
 }
 
-// Settled is a completed pipelined call as the replay driver reads it:
-// the request as submitted, its result, and the per-request or
-// transport error.
-type Settled interface {
-	Outcome() (Request, Result, error)
+// LoadgenRig is a ready-to-drive loopback gateway: server, listener,
+// dialed clients, and the blocks a generated run sends. It separates
+// setup from measurement so benchmark iterations reuse one rig; Run and
+// Replay (for caller-built requests) may be called any number of times.
+type LoadgenRig struct {
+	Loadgen  // knobs, zero values filled
+	gw       *Gateway
+	srv      *Server
+	serveErr chan error
+	clients  []*Client      // Conns of them
+	blocks   []*value.Block // reused round-robin for the whole run
 }
 
-// Pipeliner is the asynchronous request surface the replay driver runs
-// on: Go issues a request without waiting and completes the returned
-// call on done. *Client implements it with *Call, the cluster client
-// with its own call type — the driver needs nothing of a call but its
-// outcome, so neither gets wrapped in goroutines blocking in Do.
-type Pipeliner[C Settled] interface {
-	Go(req Request, done chan C) C
-	Close() error
+// NewLoadgenRig builds a gateway from cfg, serves it on an ephemeral
+// loopback port, and dials lg.Conns clients. Close the rig to tear all
+// of it down (the gateway included).
+func NewLoadgenRig(cfg Config, lg Loadgen) (*LoadgenRig, error) {
+	return newLoadgenRig(cfg, lg, Dial)
 }
 
-// Rig is the half of a load rig that does not depend on what carries
-// the requests: the validated load shape, the block spread, the
-// connections, and the one replay loop over them. LoadgenRig and the
-// cluster's rig each embed one.
-type Rig[C Settled, P Pipeliner[C]] struct {
-	Loadgen                  // knobs, zero values filled
-	clients   []P            // Conns of them
-	endpoints int            // logical endpoint space the generated flows walk
-	blocks    []*value.Block // reused round-robin for the whole run
-}
-
-// NewRig validates lg, fills its zero knobs, generates the blocks, and
-// opens lg.Conns connections with dial.
-func NewRig[C Settled, P Pipeliner[C]](lg Loadgen, endpoints int, dial func() (P, error)) (*Rig[C, P], error) {
+// newLoadgenRig is NewLoadgenRig with the connections made by dial,
+// which receives the server's address once per connection.
+func newLoadgenRig(cfg Config, lg Loadgen, dial func(addr string) (*Client, error)) (*LoadgenRig, error) {
 	if lg.Conns == 0 {
 		lg.Conns = 1
 	}
@@ -106,10 +98,21 @@ func NewRig[C Settled, P Pipeliner[C]](lg Loadgen, endpoints int, dial func() (P
 	if lg.Words > MaxBlockWords {
 		return nil, fmt.Errorf("serve: loadgen words %d exceeds wire limit %d", lg.Words, MaxBlockWords)
 	}
+	gw, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		gw.Close()
+		return nil, fmt.Errorf("serve: %w", err)
+	}
+	r := &LoadgenRig{Loadgen: lg, gw: gw, srv: NewServer(gw), serveErr: make(chan error, 1),
+		blocks: make([]*value.Block, 64)}
+	go func() { r.serveErr <- r.srv.Serve(ln) }()
 	// A deterministic spread of block contents: enough variety to keep
 	// dictionary codecs honest, reused across the whole run so block
 	// generation never shows up in the measurement.
-	r := &Rig[C, P]{Loadgen: lg, endpoints: endpoints, blocks: make([]*value.Block, 64)}
 	for i := range r.blocks {
 		blk := value.NewBlock(lg.Words, value.Int32, true)
 		for w := range blk.Words {
@@ -118,7 +121,7 @@ func NewRig[C Settled, P Pipeliner[C]](lg Loadgen, endpoints int, dial func() (P
 		r.blocks[i] = blk
 	}
 	for c := 0; c < lg.Conns; c++ {
-		cl, err := dial()
+		cl, err := dial(ln.Addr().String())
 		if err != nil {
 			r.Close()
 			return nil, err
@@ -128,15 +131,14 @@ func NewRig[C Settled, P Pipeliner[C]](lg Loadgen, endpoints int, dial func() (P
 	return r, nil
 }
 
-// Replay is the one request driver, under both load rigs and the CLI
-// self-tests. It moves records requests through the rig's connections:
-// connection c issues next(c, 0), next(c, 1), ... for its share —
-// records split evenly, any remainder spread one extra request at a
-// time. hook, when non-nil, sees every successful result on its
+// Replay is the one request driver, under Run and the CLI self-tests.
+// It moves records requests through the rig's connections: connection
+// c issues next(c, 0), next(c, 1), ... for its share — records split
+// evenly, any remainder spread one extra request at a time. hook, when non-nil, sees every successful result on its
 // connection's goroutine, so it must be safe for concurrent use across
 // connections. The first connection to fail aborts the run's result;
 // the others still finish their share.
-func (r *Rig[C, P]) Replay(records int, next func(conn, seq int) Request, hook func(Request, Result)) (LoadgenResult, error) {
+func (r *LoadgenRig) Replay(records int, next func(conn, seq int) Request, hook func(Request, Result)) (LoadgenResult, error) {
 	var (
 		wg    sync.WaitGroup
 		mu    sync.Mutex // guards res and first
@@ -151,7 +153,7 @@ func (r *Rig[C, P]) Replay(records int, next func(conn, seq int) Request, hook f
 			per++
 		}
 		wg.Add(1)
-		go func(c int, cl P, per int) {
+		go func(c int, cl *Client, per int) {
 			defer wg.Done()
 			retries, refused, err := r.pipeline(c, cl, per, next, hook)
 			mu.Lock()
@@ -174,16 +176,15 @@ func (r *Rig[C, P]) Replay(records int, next func(conn, seq int) Request, hook f
 
 // pipeline is one connection's share of a Replay: per requests, up to
 // Depth of them in flight, each counted once it settles.
-func (r *Rig[C, P]) pipeline(c int, cl P, per int, next func(conn, seq int) Request, hook func(Request, Result)) (retries, refused int, err error) {
-	done := make(chan C, r.Depth)
+func (r *LoadgenRig) pipeline(c int, cl *Client, per int, next func(conn, seq int) Request, hook func(Request, Result)) (retries, refused int, err error) {
+	done := make(chan *Call, r.Depth)
 	outstanding, sent := 0, 0
-	settle := func(call C) error {
+	settle := func(call *Call) error {
 		outstanding--
-		req, res, err := call.Outcome()
-		switch {
+		switch err := call.Err; {
 		case err == nil:
 			if hook != nil {
-				hook(req, res)
+				hook(call.Req, call.Res)
 			}
 		case errors.Is(err, ErrBudgetExhausted):
 			// A definitive answer, not backpressure: the record settles
@@ -197,7 +198,7 @@ func (r *Rig[C, P]) pipeline(c int, cl P, per int, next func(conn, seq int) Requ
 			// completes.
 			retries++
 			runtime.Gosched()
-			cl.Go(req, done)
+			cl.Go(call.Req, done)
 			outstanding++
 		default:
 			return fmt.Errorf("serve: loadgen conn %d: %w", c, err)
@@ -231,74 +232,24 @@ func (r *Rig[C, P]) pipeline(c int, cl P, per int, next func(conn, seq int) Requ
 }
 
 // Run replays records generated requests (0 means Records) and returns
-// the measurement. Connections walk the endpoint space from staggered
-// starts, so flows spread across shards (and ring owners); every
-// (src, dst) is a distinct flow.
-func (r *Rig[C, P]) Run(records int) (LoadgenResult, error) {
+// the measurement with the server's wire counters. Connections walk the
+// endpoint space from staggered starts, so flows spread across shards;
+// every (src, dst) is a distinct flow.
+func (r *LoadgenRig) Run(records int) (LoadgenResult, error) {
 	if records <= 0 {
 		records = r.Records
 	}
+	endpoints := r.gw.Config().Nodes
 	res, err := r.Replay(records, func(conn, seq int) Request {
-		src := (conn + seq) % r.endpoints
+		src := (conn + seq) % endpoints
 		return Request{
-			Src: src, Dst: (src + 1) % r.endpoints,
+			Src: src, Dst: (src + 1) % endpoints,
 			Block:        r.blocks[(conn+seq)%len(r.blocks)],
 			ThresholdPct: r.ThresholdPct,
 			Tenant:       r.Tenant,
 		}
 	}, nil)
 	res.PayloadMBPerSec = res.RecordsPerSec * float64(4*r.Words) / (1 << 20)
-	return res, err
-}
-
-// Close closes the rig's connections.
-func (r *Rig[C, P]) Close() error {
-	var err error
-	for _, cl := range r.clients {
-		if cerr := cl.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
-}
-
-// LoadgenRig is a ready-to-drive loopback gateway: server, listener,
-// and dialed clients. It separates setup from measurement so benchmark
-// iterations reuse one rig; Run (and the embedded rig's Replay, for
-// caller-built requests) may be called any number of times.
-type LoadgenRig struct {
-	*Rig[*Call, *Client]
-	gw       *Gateway
-	srv      *Server
-	serveErr chan error
-}
-
-// NewLoadgenRig builds a gateway from cfg, serves it on an ephemeral
-// loopback port, and dials lg.Conns clients. Close the rig to tear all
-// of it down (the gateway included).
-func NewLoadgenRig(cfg Config, lg Loadgen) (*LoadgenRig, error) {
-	gw, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		gw.Close()
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	rig := &LoadgenRig{gw: gw, srv: NewServer(gw), serveErr: make(chan error, 1)}
-	go func() { rig.serveErr <- rig.srv.Serve(ln) }()
-	rig.Rig, err = NewRig(lg, gw.Config().Nodes, func() (*Client, error) { return Dial(ln.Addr().String()) })
-	if err != nil {
-		rig.Close()
-		return nil, err
-	}
-	return rig, nil
-}
-
-// Run is the embedded rig's Run plus the server's wire counters.
-func (r *LoadgenRig) Run(records int) (LoadgenResult, error) {
-	res, err := r.Rig.Run(records)
 	res.Wire = r.srv.WireStats()
 	return res, err
 }
@@ -308,8 +259,8 @@ func (r *LoadgenRig) Gateway() *Gateway { return r.gw }
 
 // Close tears down clients, server, and gateway.
 func (r *LoadgenRig) Close() error {
-	if r.Rig != nil { // nil when NewLoadgenRig is unwinding a failed NewRig
-		r.Rig.Close()
+	for _, cl := range r.clients {
+		cl.Close()
 	}
 	err := r.srv.Close()
 	if serr := <-r.serveErr; err == nil {

@@ -93,10 +93,10 @@ func (s *Server) RegisterMetrics(reg *obs.Registry) {
 		func() float64 { return float64(s.wire.conns.Load()) })
 	reg.GaugeFunc("serve_wire_inflight", "pipelined requests in flight across all connections",
 		func() float64 { return float64(s.wire.inflight.Load()) })
-	reg.GaugeFunc("serve_wire_max_inflight", "per-connection pipeline bound (MaxInflight)",
+	reg.GaugeFunc("serve_wire_max_inflight", "per-connection pipeline bound",
 		func() float64 {
-			if s.MaxInflight > 0 {
-				return float64(s.MaxInflight)
+			if s.maxInflight > 0 {
+				return float64(s.maxInflight)
 			}
 			return float64(defaultMaxInflight)
 		})

@@ -14,7 +14,7 @@ import (
 )
 
 // startPipelineServer is startServer with access to the Server itself
-// (for MaxInflight and WireStats). maxInflight 0 keeps the default.
+// (for its pipeline bound and WireStats). maxInflight 0 keeps the default.
 func startPipelineServer(t *testing.T, cfg serve.Config, maxInflight int) (*serve.Server, string) {
 	t.Helper()
 	gw, err := serve.New(cfg)
@@ -22,7 +22,7 @@ func startPipelineServer(t *testing.T, cfg serve.Config, maxInflight int) (*serv
 		t.Fatal(err)
 	}
 	srv := serve.NewServer(gw)
-	srv.MaxInflight = maxInflight
+	srv.SetMaxInflight(maxInflight)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		gw.Close()
@@ -42,7 +42,7 @@ func startPipelineServer(t *testing.T, cfg serve.Config, maxInflight int) (*serv
 
 // TestPipelineSlowReaderBackpressure drives the write-side blocking
 // path: a raw peer streams 4000 large requests without reading a single
-// response, so the server's writer parks in conn.Write, the MaxInflight
+// response, so the server's writer parks in conn.Write, the bounded
 // slots run out, and the read loop stalls waiting for a free one. None of
 // that may deadlock: once the peer starts reading, everything drains and
 // every request is answered exactly once.

@@ -51,8 +51,8 @@ var (
 	// ErrTransport marks client errors caused by the connection itself
 	// (reset, mid-stream EOF, write failure) rather than by the request.
 	// Calls failing with it never reached a definitive answer, so a
-	// cluster-aware caller may safely retry them on another node;
-	// per-request errors and ErrOverloaded responses never carry it.
+	// caller may safely retry them on a new connection; per-request
+	// errors and ErrOverloaded responses never carry it.
 	ErrTransport = errors.New("serve: transport failure")
 	// ErrThreshold reports a per-request threshold override on a codec
 	// that cannot adjust thresholds at run time.

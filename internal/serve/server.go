@@ -6,7 +6,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"approxnoc/internal/value"
 )
@@ -73,7 +72,6 @@ type WireStats struct {
 type wireStats struct {
 	conns        atomic.Int64
 	inflight     atomic.Int64
-	writing      atomic.Int64 // connection writers inside conn.Write
 	readFrames   atomic.Uint64
 	writeBatches atomic.Uint64
 	writeFrames  atomic.Uint64
@@ -98,9 +96,9 @@ func (w *wireStats) snapshot() WireStats {
 // connection's result channel and encodes responses (out of order, keyed
 // by request id) into a reused arena flushed in coalesced batches.
 //
-// In-flight requests per connection are bounded by MaxInflight slots:
+// In-flight requests per connection are bounded by maxInflight slots:
 // the reader takes a free slot per request (making one only while fewer
-// than MaxInflight exist) and parses into it, the shard worker decodes
+// than maxInflight exist) and parses into it, the shard worker decodes
 // into it, and the writer recycles it once the response is encoded. A
 // peer that stops reading therefore stalls — writer blocked on the
 // socket, slots exhausted, reader parked waiting for a free one —
@@ -110,23 +108,17 @@ func (w *wireStats) snapshot() WireStats {
 type Server struct {
 	gw *Gateway
 
-	// MaxInflight bounds the per-connection pipeline depth (0 means
-	// 1024). Set it before Serve; it must not change afterwards.
-	MaxInflight int
-
-	// NodeID is this server's identity when it runs as a cluster node
-	// (internal/cluster keys membership, ring placement, and metric
-	// labels by it). Set it before Serve; empty means standalone.
-	NodeID string
+	// maxInflight bounds the per-connection pipeline depth (0 means
+	// defaultMaxInflight). Tests set it before Serve.
+	maxInflight int
 
 	wire wireStats
 
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
-	draining bool
-	wg       sync.WaitGroup
+	mu     sync.Mutex
+	ln     net.Listener
+	conns  map[net.Conn]struct{}
+	closed bool
+	wg     sync.WaitGroup
 }
 
 // NewServer wraps a gateway. The server does not own the gateway: Close
@@ -166,9 +158,9 @@ func (s *Server) Serve(ln net.Listener) error {
 		conn, err := ln.Accept()
 		if err != nil {
 			s.mu.Lock()
-			stopped := s.closed || s.draining
+			closed := s.closed
 			s.mu.Unlock()
-			if stopped {
+			if closed {
 				return nil
 			}
 			return fmt.Errorf("serve: %w", err)
@@ -183,41 +175,6 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.wg.Add(1)
 		s.mu.Unlock()
 		go s.handle(conn)
-	}
-}
-
-// Drain retires the server gracefully: it stops the listener so no new
-// connections arrive, then waits until the pipeline is empty — no
-// requests between a read loop and its write loop, and no response
-// batch mid-conn.Write — so every admitted request has been answered on
-// the wire. Existing connections stay open (peers not yet aware of the
-// drain may still submit, which restarts the wait), so the caller is
-// expected to stop routing traffic here first — internal/cluster
-// removes the node from its ring before draining — and to Close once
-// Drain returns. Returns an error when the pipeline has not settled
-// within timeout.
-func (s *Server) Drain(timeout time.Duration) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	s.draining = true
-	ln := s.ln
-	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	deadline := time.Now().Add(timeout)
-	for {
-		if s.wire.inflight.Load() == 0 && s.wire.writing.Load() == 0 {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("serve: drain timed out after %v with %d requests in flight",
-				timeout, s.wire.inflight.Load())
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -244,7 +201,7 @@ func (s *Server) Close() error {
 
 // handle runs one connection's reader side and supervises its writer.
 func (s *Server) handle(conn net.Conn) {
-	limit := s.MaxInflight
+	limit := s.maxInflight
 	if limit <= 0 {
 		limit = defaultMaxInflight
 	}
@@ -359,10 +316,7 @@ func (s *Server) writeConn(conn net.Conn, results <-chan *slot, free chan<- *slo
 				coalesce = false
 			}
 		}
-		s.wire.writing.Add(1)
-		_, err := conn.Write(wbuf)
-		s.wire.writing.Add(-1)
-		if err != nil {
+		if _, err := conn.Write(wbuf); err != nil {
 			conn.Close() // sheds the read loop
 			return
 		}

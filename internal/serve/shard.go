@@ -96,7 +96,7 @@ type shard struct {
 	// qosCtl supplies the (possibly raised) default threshold; ledger
 	// charges budgeted tenants at execution time — not at Submit — so
 	// overload rejections are free and a request is charged exactly once
-	// no matter how many times a cluster client retried its submission.
+	// no matter how many times a client retried its submission.
 	qosCtl *qos.Controller
 	ledger *qos.Ledger
 

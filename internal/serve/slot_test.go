@@ -27,7 +27,7 @@ func TestServerSlotReuse(t *testing.T) {
 	}
 	defer gw.Close()
 	srv := NewServer(gw)
-	srv.MaxInflight = 2
+	srv.maxInflight = 2
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

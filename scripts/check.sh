@@ -50,16 +50,6 @@ go test -race -short ./...
 echo '>> go test -race (parallel runner)'
 go test -race -run 'TestMapJobs|TestDriversParallelEquivalence' -short ./internal/experiments
 
-# Cluster concurrency gate: the full internal/cluster suite under -race,
-# without -short, so the failover replay (node killed mid-stream while
-# clients retry across the ring) always runs instrumented — it is the
-# test most likely to catch a pending-map race. The view's publication
-# tests (members and ring published as one table, the prober's failure
-# streak) then run five times more under the race detector.
-echo '>> go test -race (cluster failover)'
-go test -race ./internal/cluster
-go test -race -count=5 -run 'TestView|TestMembership' ./internal/cluster
-
 # Simulator cycle-kernel gates, uninstrumented. Flits are 32-bit values
 # naming their packet's slot, and packets come from slabs of 64 that
 # recycle on delivery and carry every NI list in their link words; on
@@ -98,9 +88,11 @@ go test -run 'TestStepZeroAllocs|TestDataPathSteadyAllocs|TestRecycledPacketsKee
 # TestServerSlotReuse and TestClientDoRecyclesCallsUnderFailure run
 # again under -race, three times, where a slot recycled while a shard
 # still uses it, or a call recycled while still pending, is a race.
+# TestLoadgenDriver joins them: pipelined Go calls re-issued under
+# overload across four connections race the client's pending map.
 echo '>> alloc budget (serve wire path)'
 go test -run 'TestReadFrameSteadyStateAllocs|TestWireReplaySteadyStateAllocs|TestServerSlotReuse|TestClientDoAllocs|TestGatewayDoAllocs' ./internal/serve
-go test -race -count=3 -run 'TestServerSlotReuse|TestClientDoRecyclesCallsUnderFailure' ./internal/serve
+go test -race -count=3 -run 'TestServerSlotReuse|TestClientDoRecyclesCallsUnderFailure|TestLoadgenDriver' ./internal/serve
 
 # Block alloc gate: a block of 4, 16 or 64 words is one allocation,
 # header and words together (see DESIGN.md §9).
