@@ -36,28 +36,28 @@ var experimentOrder = []string{
 	"gateway",
 }
 
-// fixedRuns are the ids whose output no -seed or -cycles changes: table1
-// and area describe the configuration, fig16 and fig17 run the §5.4
-// kernels on their own fixed seeds and lengths, and gateway is a
-// wall-clock loadgen grid.
-var fixedRuns = []string{"table1", "fig16", "fig17", "area", "gateway"}
+// fixedRuns maps -seed and -cycles to the ids whose output the flag does
+// not change: table1 and area describe the configuration, fig16 and fig17
+// run the §5.4 kernels at their own lengths (fig17 on seed 1 too), and
+// gateway is a wall-clock loadgen grid.
+var fixedRuns = map[string][]string{
+	"seed":   {"table1", "fig17", "area", "gateway"},
+	"cycles": {"table1", "fig16", "fig17", "area", "gateway"},
+}
 
 // ignoredFlagNotes returns one note per id in ids that ignores a flag
 // set on the command line (set holds the names flag.Visit saw), naming
 // the id and the flags.
 func ignoredFlagNotes(ids []string, set map[string]bool) []string {
-	var flags []string
-	for _, name := range []string{"seed", "cycles"} {
-		if set[name] {
-			flags = append(flags, "-"+name)
-		}
-	}
-	if len(flags) == 0 {
-		return nil
-	}
 	var notes []string
 	for _, id := range ids {
-		if slices.Contains(fixedRuns, id) {
+		var flags []string
+		for _, name := range []string{"seed", "cycles"} {
+			if set[name] && slices.Contains(fixedRuns[name], id) {
+				flags = append(flags, "-"+name)
+			}
+		}
+		if len(flags) > 0 {
 			notes = append(notes, fmt.Sprintf("approxnoc-bench: %s ignores %s", id, strings.Join(flags, " and ")))
 		}
 	}
@@ -73,11 +73,11 @@ func main() {
 func realMain() int {
 	exp := flag.String("exp", "", "experiment id (see -list), or 'all'")
 	list := flag.Bool("list", false, "list experiment ids")
-	ignored := " (" + strings.Join(fixedRuns, ", ") + " ignore it)"
-	cycles := flag.Int("cycles", 50000, "injection cycles per trace replay"+ignored)
+	ignored := func(name string) string { return " (" + strings.Join(fixedRuns[name], ", ") + " ignore it)" }
+	cycles := flag.Int("cycles", 50000, "injection cycles per trace replay"+ignored("cycles"))
 	threshold := flag.Int("threshold", 10, "VAXX error threshold (%)")
 	ratio := flag.Float64("ratio", 0.75, "approximable data packet ratio")
-	seed := flag.Uint64("seed", 1, "simulation seed"+ignored)
+	seed := flag.Uint64("seed", 1, "simulation seed"+ignored("seed"))
 	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "parallel trace replays (results are identical for any value)")
 	asJSON := flag.Bool("json", false, "emit rows as JSON instead of tables")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -225,7 +225,7 @@ func resolve(id string, cfg experiments.Config, grid func() (experiments.Grid, e
 		}, nil
 	case "fig16":
 		return func() (any, string, error) {
-			rows, err := experiments.Fig16(cfg.Runner(), nil)
+			rows, err := experiments.Fig16(cfg, nil)
 			return rendered(rows, err, func(r []experiments.Fig16Row) string { return experiments.FormatFig16(r, nil) })
 		}, nil
 	case "fig17":

@@ -81,21 +81,28 @@ func TestSharedGridRunsOnce(t *testing.T) {
 	}
 }
 
-// An id that reads neither -seed nor -cycles says so when either is set
-// explicitly; one that reads them stays quiet.
+// An id that ignores -seed or -cycles says so, naming only the flags it
+// ignores, when either is set explicitly; one that reads them stays quiet.
 func TestIgnoredFlagNotes(t *testing.T) {
 	seed := map[string]bool{"exp": true, "seed": true}
-	if got := ignoredFlagNotes([]string{"fig16"}, seed); len(got) != 1 ||
-		!strings.Contains(got[0], "fig16") || !strings.Contains(got[0], "-seed") {
-		t.Fatalf("-exp fig16 -seed 7: notes %q, want one naming fig16 and -seed", got)
+	if got := ignoredFlagNotes([]string{"fig17"}, seed); len(got) != 1 ||
+		!strings.Contains(got[0], "fig17") || !strings.Contains(got[0], "-seed") {
+		t.Fatalf("-exp fig17 -seed 7: notes %q, want one naming fig17 and -seed", got)
 	}
-	if got := ignoredFlagNotes([]string{"fig9"}, seed); len(got) != 0 {
-		t.Fatalf("-exp fig9 -seed 7: notes %q, want none", got)
+	for _, id := range []string{"fig9", "fig16"} {
+		if got := ignoredFlagNotes([]string{id}, seed); len(got) != 0 {
+			t.Fatalf("-exp %s -seed 7: notes %q, want none", id, got)
+		}
+	}
+	both := map[string]bool{"seed": true, "cycles": true}
+	if got := ignoredFlagNotes([]string{"fig16"}, both); len(got) != 1 ||
+		!strings.HasSuffix(got[0], "fig16 ignores -cycles") {
+		t.Fatalf("-exp fig16 -seed 7 -cycles 9: notes %q, want one naming -cycles alone", got)
 	}
 	if got := ignoredFlagNotes([]string{"fig16"}, map[string]bool{"exp": true}); len(got) != 0 {
 		t.Fatalf("-exp fig16 with default flags: notes %q, want none", got)
 	}
-	for _, id := range fixedRuns {
+	for _, id := range fixedRuns["cycles"] {
 		if _, err := resolve(id, tinyCfg(), noGrid); err != nil {
 			t.Errorf("fixed id %q does not resolve: %v", id, err)
 		}

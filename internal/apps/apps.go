@@ -33,10 +33,12 @@ type Result struct {
 	Channel compress.OpStats
 }
 
-// App is one benchmark kernel with its accuracy metric.
+// App is one benchmark kernel with its accuracy metric. A kernel draws
+// its inputs from seed times a constant of its own, so every seed gives
+// each kernel its own inputs and seed 1 the ones Run uses.
 type App struct {
 	name   string
-	kernel func(*cachesim.System) ([]float64, error)
+	kernel func(sys *cachesim.System, seed uint64) ([]float64, error)
 	metric func(ref, got []float64) float64
 }
 
@@ -67,22 +69,26 @@ func ByName(name string) (App, error) {
 // Name returns the benchmark name used in the paper's figures.
 func (a App) Name() string { return a.name }
 
-// Kernel returns the raw kernel, for harnesses that supply their own
-// cache system (the full-system NoC coupling).
-func (a App) Kernel() func(*cachesim.System) ([]float64, error) { return a.kernel }
+// Kernel returns the raw kernel on the inputs of seed, for harnesses that
+// supply their own cache system (the full-system NoC coupling).
+func (a App) Kernel(seed uint64) func(*cachesim.System) ([]float64, error) {
+	return func(sys *cachesim.System) ([]float64, error) { return a.kernel(sys, seed) }
+}
 
 // OutputError scores an approximate output against the precise reference
 // in the kernel's own accuracy metric (see Result.OutputError).
 func (a App) OutputError(ref, got []float64) float64 { return a.metric(ref, got) }
 
-// Run executes the kernel precise and approximate and reports the output
-// error under the given channel scheme and error threshold.
+// Run executes the kernel precise and approximate, on the inputs of seed
+// 1, and reports the output error under the given channel scheme and
+// error threshold.
 func (a App) Run(scheme compress.Scheme, thresholdPct int) (Result, error) {
-	ref, _, _, err := run(a.kernel, compress.Baseline, 0)
+	kernel := a.Kernel(1)
+	ref, _, _, err := run(kernel, compress.Baseline, 0)
 	if err != nil {
 		return Result{}, err
 	}
-	got, cache, channel, err := run(a.kernel, scheme, thresholdPct)
+	got, cache, channel, err := run(kernel, scheme, thresholdPct)
 	if err != nil {
 		return Result{}, err
 	}

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"approxnoc/internal/compress"
@@ -174,7 +175,7 @@ func TestKernelOnPreciseSystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, _, err := run(a.Kernel(), compress.Baseline, 0)
+	out, _, _, err := run(a.Kernel(1), compress.Baseline, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,6 +184,26 @@ func TestKernelOnPreciseSystem(t *testing.T) {
 	}
 	if e := a.OutputError(out, out); e != 0 {
 		t.Fatalf("self error %g, want 0", e)
+	}
+}
+
+// A kernel's inputs follow its seed: every kernel gives the same outputs
+// twice at seed 1, and other outputs at seed 7.
+func TestKernelSeeds(t *testing.T) {
+	for _, a := range All() {
+		var out [3][]float64
+		for i, seed := range []uint64{1, 1, 7} {
+			var err error
+			if out[i], _, _, err = run(a.Kernel(seed), compress.Baseline, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !slices.Equal(out[0], out[1]) {
+			t.Errorf("%s: two runs at seed 1 differ", a.Name())
+		}
+		if slices.Equal(out[0], out[2]) {
+			t.Errorf("%s: seeds 1 and 7 give the same outputs", a.Name())
+		}
 	}
 }
 

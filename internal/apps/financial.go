@@ -36,13 +36,13 @@ func priceOption(spot, strike, rate, vol, t float64, call bool) float64 {
 // PARSEC's blackscholes region of interest. Option parameters are the
 // hand-annotated approximable data; the accuracy metric is the mean
 // relative price error.
-func blackscholes(sys *cachesim.System) ([]float64, error) {
+func blackscholes(sys *cachesim.System, seed uint64) ([]float64, error) {
 	const n = 2048                         // options
 	params, err := sys.AllocF32(5*n, true) // spot, strike, rate, vol, time
 	if err != nil {
 		return nil, err
 	}
-	r := sim.NewRand(101)
+	r := sim.NewRand(101 * seed)
 	for i := 0; i < n; i++ {
 		params.Set(0, 5*i+0, 80+float32(r.Float64())*40)   // spot
 		params.Set(0, 5*i+1, 80+float32(r.Float64())*40)   // strike
@@ -67,7 +67,7 @@ func blackscholes(sys *cachesim.System) ([]float64, error) {
 // swaptions prices payer swaptions by Monte Carlo simulation over
 // perturbed forward-rate curves (a simplified HJM, the PARSEC swaptions
 // structure). The forward curve and volatility inputs are approximable.
-func swaptions(sys *cachesim.System) ([]float64, error) {
+func swaptions(sys *cachesim.System, seed uint64) ([]float64, error) {
 	const count, paths, steps = 24, 120, 12
 	// Shared approximable inputs: initial forward curve and vols.
 	curve, err := sys.AllocF32(steps, true)
@@ -78,7 +78,7 @@ func swaptions(sys *cachesim.System) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := sim.NewRand(202)
+	r := sim.NewRand(202 * seed)
 	for i := 0; i < steps; i++ {
 		curve.Set(0, i, 0.02+0.002*float32(i)+float32(r.Float64())*0.005)
 		vols.Set(0, i, 0.008+float32(r.Float64())*0.004)
@@ -86,7 +86,7 @@ func swaptions(sys *cachesim.System) ([]float64, error) {
 	out := make([]float64, count)
 	for sw := 0; sw < count; sw++ {
 		strike := 0.02 + 0.002*float64(sw%8)
-		mc := sim.NewRand(uint64(300 + sw))
+		mc := sim.NewRand(300*seed + uint64(sw))
 		sum := 0.0
 		core := rotate(sw, 16)
 		for p := 0; p < paths; p++ {

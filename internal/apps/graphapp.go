@@ -11,9 +11,9 @@ import (
 // are exchanged between cores through approximable memory, so they pick
 // up transfer approximation. The metric is the mean pair-wise difference
 // of the betweenness scores (§5.4).
-func ssca2(sys *cachesim.System) ([]float64, error) {
+func ssca2(sys *cachesim.System, seed uint64) ([]float64, error) {
 	const scale, edgeFactor, sources = 7, 6, 24
-	g, err := graph.RMAT(scale, edgeFactor, 909)
+	g, err := graph.RMAT(scale, edgeFactor, 909*seed)
 	if err != nil {
 		return nil, err
 	}
@@ -22,7 +22,7 @@ func ssca2(sys *cachesim.System) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	srcs := graph.SampleSources(g, sources, 910)
+	srcs := graph.SampleSources(g, sources, 910*seed)
 	i := 0
 	bc := graph.Betweenness(g, srcs, func(v int, d float64) float64 {
 		// The producing core writes the pair-wise dependency; a different

@@ -11,7 +11,7 @@ import (
 // repulsion forces within a cutoff, gravity, and damped integration
 // (the PARSEC fluidanimate structure). Particle state is approximable;
 // the metric is the mean relative error of final particle positions.
-func fluidanimate(sys *cachesim.System) ([]float64, error) {
+func fluidanimate(sys *cachesim.System, seed uint64) ([]float64, error) {
 	const n, steps = 160, 5 // particles, integration steps
 	pos, err := sys.AllocF32(2*n, true)
 	if err != nil {
@@ -21,7 +21,7 @@ func fluidanimate(sys *cachesim.System) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := sim.NewRand(606)
+	r := sim.NewRand(606 * seed)
 	for i := 0; i < n; i++ {
 		pos.Set(0, 2*i, 10+80*float32(r.Float64()))
 		pos.Set(0, 2*i+1, 10+80*float32(r.Float64()))
@@ -94,7 +94,7 @@ func fluidanimate(sys *cachesim.System) ([]float64, error) {
 // synthetic netlist (the PARSEC canneal structure, with a deterministic
 // cooling schedule). Element coordinates are approximable; the metric is
 // the relative difference of the final routing cost.
-func canneal(sys *cachesim.System) ([]float64, error) {
+func canneal(sys *cachesim.System, seed uint64) ([]float64, error) {
 	const elements, nets, swaps = 256, 512, 3000
 	const grid = 16 // elements arranged on a 16x16 grid of slots
 	locX, err := sys.AllocI32(elements, true)
@@ -105,7 +105,7 @@ func canneal(sys *cachesim.System) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := sim.NewRand(707)
+	r := sim.NewRand(707 * seed)
 	perm := r.Perm(elements)
 	for e := 0; e < elements; e++ {
 		locX.Set(0, e, int32(perm[e]%grid)*10)
@@ -176,13 +176,13 @@ func canneal(sys *cachesim.System) ([]float64, error) {
 // the kernel therefore exposes both the assignment vector and the cost,
 // and its output metric, clusterErr, blends cost deviation with
 // membership mismatch.
-func streamcluster(sys *cachesim.System) ([]float64, error) {
+func streamcluster(sys *cachesim.System, seed uint64) ([]float64, error) {
 	const points, dim, k = 512, 8, 12
 	pts, err := sys.AllocF32(points*dim, true)
 	if err != nil {
 		return nil, err
 	}
-	r := sim.NewRand(808)
+	r := sim.NewRand(808 * seed)
 	for i := 0; i < points*dim; i++ {
 		pts.Set(0, i, float32(100*r.Float64()))
 	}

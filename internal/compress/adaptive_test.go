@@ -8,7 +8,7 @@ import (
 
 func adaptiveOverFPC(t *testing.T, cfg AdaptiveConfig) *Adaptive {
 	t.Helper()
-	a, err := NewAdaptive(NewFPComp(), cfg)
+	a, err := NewAdaptive(NewCodec(FPComp, DictConfig{}, 0, 0), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,17 +21,17 @@ func TestNewAdaptiveValidation(t *testing.T) {
 	}
 	bad := DefaultAdaptiveConfig()
 	bad.WindowBlocks = 0
-	if _, err := NewAdaptive(NewFPComp(), bad); err == nil {
+	if _, err := NewAdaptive(NewCodec(FPComp, DictConfig{}, 0, 0), bad); err == nil {
 		t.Fatal("zero window accepted")
 	}
 	bad = DefaultAdaptiveConfig()
 	bad.MinRatio = 0
-	if _, err := NewAdaptive(NewFPComp(), bad); err == nil {
+	if _, err := NewAdaptive(NewCodec(FPComp, DictConfig{}, 0, 0), bad); err == nil {
 		t.Fatal("zero ratio accepted")
 	}
 	bad = DefaultAdaptiveConfig()
 	bad.ProbeEvery = 0
-	if _, err := NewAdaptive(NewFPComp(), bad); err == nil {
+	if _, err := NewAdaptive(NewCodec(FPComp, DictConfig{}, 0, 0), bad); err == nil {
 		t.Fatal("zero probe period accepted")
 	}
 }
@@ -127,15 +127,12 @@ func TestAdaptiveSchemeAndStats(t *testing.T) {
 
 func TestAdaptiveOverDictionary(t *testing.T) {
 	cfg := DefaultDictConfig(2)
-	inner, err := NewDIVaxx(0, cfg, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inner := NewCodec(DIVaxx, cfg, 10, 0)
 	a, err := NewAdaptive(inner, AdaptiveConfig{WindowBlocks: 16, MinRatio: 1.02, ProbeEvery: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	peer, _ := NewDIVaxx(1, cfg, 10)
+	peer := NewCodec(DIVaxx, cfg, 10, 1)
 	// Dictionary protocol still flows through the wrapper.
 	blk := value.BlockFromI32([]int32{42, 42, 42, 42}, false)
 	for i := 0; i < 6; i++ {

@@ -241,12 +241,11 @@ func TestHandleUpdateEvictZeroAllocs(t *testing.T) {
 // at 10; per-slot slices of 24-byte refs and []bool valid bits took 27
 // allocations and 9.2 KiB.
 func TestDictCodecBuildAllocs(t *testing.T) {
-	cfg := DefaultDictConfig(32)
-	build := func() {
-		if _, err := NewDIVaxx(5, cfg, 10); err != nil {
-			t.Fatal(err)
-		}
+	factory, err := FactoryWithDict(DIVaxx, DefaultDictConfig(32), 10)
+	if err != nil {
+		t.Fatal(err)
 	}
+	build := func() { factory(5) }
 	allocs := testing.AllocsPerRun(50, build)
 	const builds = 50
 	var before, after runtime.MemStats
@@ -269,10 +268,7 @@ func TestDictCodecBuildAllocs(t *testing.T) {
 // fixed bitset per decoder slot and the pending table never grows.
 func TestEvictionHandshakeZeroAllocs(t *testing.T) {
 	cfg := DictConfig{Nodes: 32, Entries: 2, CandidateCap: 4, PromoteThreshold: 2, PendingCap: 1}
-	c, err := NewDIComp(0, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := NewCodec(DIComp, cfg, 0, 0)
 	d := c.(*dictCodec)
 	const enc = 7
 	buf := make([]Notification, 0, 8)

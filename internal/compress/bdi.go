@@ -41,25 +41,6 @@ type bdiCodec struct {
 	avcl    *approx.AVCL
 	stats   OpStats
 	scratch encodeScratch
-	lease
-}
-
-// NewBDComp returns the exact base-delta codec.
-func NewBDComp() Codec {
-	c := new(bdiCodec)
-	c.init(BDComp, 0)
-	return c
-}
-
-// NewBDVaxx returns base-delta with VAXX approximation at the given
-// error threshold (%).
-func NewBDVaxx(thresholdPct int) (Codec, error) {
-	if err := checkThreshold(thresholdPct); err != nil {
-		return nil, err
-	}
-	c := new(bdiCodec)
-	c.init(BDVaxx, thresholdPct)
-	return c, nil
 }
 
 // init makes c the empty codec of scheme s, with an AVCL at avclPct (in

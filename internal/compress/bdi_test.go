@@ -8,7 +8,7 @@ import (
 )
 
 func TestBDCompZeroBlock(t *testing.T) {
-	c := NewBDComp()
+	c := NewCodec(BDComp, DictConfig{}, 0, 0)
 	blk := value.BlockFromI32(make([]int32, 16), false)
 	enc := c.Compress(1, blk)
 	if enc.Bits != bdModeBits {
@@ -21,7 +21,7 @@ func TestBDCompZeroBlock(t *testing.T) {
 }
 
 func TestBDCompNarrowDeltas(t *testing.T) {
-	c := NewBDComp()
+	c := NewCodec(BDComp, DictConfig{}, 0, 0)
 	base := int32(1_000_000)
 	words := make([]int32, 16)
 	for i := range words {
@@ -40,7 +40,7 @@ func TestBDCompNarrowDeltas(t *testing.T) {
 }
 
 func TestBDCompWidthSelection(t *testing.T) {
-	c := NewBDComp().(*bdiCodec)
+	c := NewCodec(BDComp, DictConfig{}, 0, 0).(*bdiCodec)
 	mk := func(spread int32) *Encoded {
 		words := []int32{1000, 1000 + spread, 1000 - spread, 1000}
 		return c.Compress(1, value.BlockFromI32(words, false))
@@ -60,7 +60,7 @@ func TestBDCompWidthSelection(t *testing.T) {
 }
 
 func TestBDCompRoundTripProperty(t *testing.T) {
-	c := NewBDComp()
+	c := NewCodec(BDComp, DictConfig{}, 0, 0)
 	f := func(words []uint32) bool {
 		if len(words) > 16 {
 			words = words[:16]
@@ -76,10 +76,7 @@ func TestBDCompRoundTripProperty(t *testing.T) {
 }
 
 func TestBDVaxxApproximatesOutliers(t *testing.T) {
-	c, err := NewBDVaxx(10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := NewCodec(BDVaxx, DictConfig{}, 10, 0)
 	// 15 clustered words + one outlier slightly out of delta-16 range but
 	// within 10% of the clamped value.
 	words := make([]int32, 16)
@@ -109,7 +106,7 @@ func TestBDVaxxApproximatesOutliers(t *testing.T) {
 }
 
 func TestBDVaxxRespectsThresholdProperty(t *testing.T) {
-	c, _ := NewBDVaxx(10)
+	c := NewCodec(BDVaxx, DictConfig{}, 10, 0)
 	f := func(words []uint32) bool {
 		if len(words) == 0 {
 			return true
@@ -133,7 +130,7 @@ func TestBDVaxxRespectsThresholdProperty(t *testing.T) {
 }
 
 func TestBDVaxxPreciseBlocksLossless(t *testing.T) {
-	c, _ := NewBDVaxx(20)
+	c := NewCodec(BDVaxx, DictConfig{}, 20, 0)
 	blk := value.BlockFromI32([]int32{5, 1 << 30, -7, 123456}, false)
 	enc := c.Compress(1, blk)
 	dec, _ := c.Decompress(0, enc)
@@ -143,7 +140,7 @@ func TestBDVaxxPreciseBlocksLossless(t *testing.T) {
 }
 
 func TestBDVaxxFloatBlocksNeverApproximated(t *testing.T) {
-	c, _ := NewBDVaxx(20)
+	c := NewCodec(BDVaxx, DictConfig{}, 20, 0)
 	blk := value.BlockFromF32([]float32{1.5, 1e30, -2.25, 3.75}, true)
 	enc := c.Compress(1, blk)
 	dec, _ := c.Decompress(0, enc)
@@ -180,7 +177,7 @@ func TestBDSchemesInRegistry(t *testing.T) {
 }
 
 func TestBDEmptyBlock(t *testing.T) {
-	c := NewBDComp()
+	c := NewCodec(BDComp, DictConfig{}, 0, 0)
 	blk := &value.Block{DType: value.Int32}
 	enc := c.Compress(1, blk)
 	dec, _ := c.Decompress(0, enc)

@@ -274,7 +274,6 @@ type Codec interface {
 type baseline struct {
 	stats   OpStats
 	scratch encodeScratch
-	lease
 }
 
 // NewBaseline returns the pass-through codec used for the Baseline bars.

@@ -290,22 +290,6 @@ type dictCodec struct {
 
 	stats          OpStats
 	decodeMismatch uint64
-
-	lease
-}
-
-// NewDIComp returns the exact dictionary codec for the given node.
-func NewDIComp(node int, cfg DictConfig) (Codec, error) {
-	return newDict(DIComp, node, cfg, 0, nil)
-}
-
-// NewDIVaxx returns the DI-VAXX codec with the given error threshold (%).
-func NewDIVaxx(node int, cfg DictConfig, thresholdPct int) (Codec, error) {
-	b, err := quality.NewPerWord(thresholdPct)
-	if err != nil {
-		return nil, err
-	}
-	return newDict(DIVaxx, node, cfg, thresholdPct, b)
 }
 
 // NewDIVaxxWindowed returns DI-VAXX with the §7 windowed cumulative
@@ -317,10 +301,6 @@ func NewDIVaxxWindowed(node int, cfg DictConfig, thresholdPct, window int, boost
 	if err != nil {
 		return nil, err
 	}
-	return newDict(DIVaxx, node, cfg, boosted, b)
-}
-
-func newDict(s Scheme, node int, cfg DictConfig, avclPct int, b quality.Budget) (Codec, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -328,7 +308,7 @@ func newDict(s Scheme, node int, cfg DictConfig, avclPct int, b quality.Budget) 
 		return nil, fmt.Errorf("compress: node %d outside [0,%d)", node, cfg.Nodes)
 	}
 	d := new(dictCodec)
-	d.init(s, node, cfg, avclPct, b)
+	d.init(DIVaxx, node, cfg, boosted, b)
 	return d, nil
 }
 
@@ -503,7 +483,7 @@ func (d *dictCodec) Decompress(src int, enc *Encoded) (*value.Block, []Notificat
 func (d *dictCodec) DecompressInto(dst *value.Block, src int, enc *Encoded) []Notification {
 	r := newBitReader(enc.Payload)
 	words := decodeTarget(dst, enc)
-	out := d.notifs[:0]
+	out := d.batch()
 	for i := range words {
 		d.stats.DecodeOps++
 		if r.ReadBits(1) == 1 {
@@ -528,6 +508,16 @@ func (d *dictCodec) DecompressInto(dst *value.Block, src int, enc *Encoded) []No
 		out = d.runEpoch(out)
 	}
 	return d.send(out)
+}
+
+// batch is the notification storage, emptied. It is made on first use
+// with room for an invalidate to every node, so a batch seldom outgrows
+// it, whichever nodes a reused codec served before.
+func (d *dictCodec) batch() []Notification {
+	if d.notifs == nil {
+		d.notifs = make([]Notification, 0, d.cfg.Nodes)
+	}
+	return d.notifs[:0]
 }
 
 // send counts out as sent and keeps its storage for the next batch (see
@@ -737,7 +727,7 @@ func (d *dictCodec) install(out []Notification, slot, src int, word value.Word, 
 
 func (d *dictCodec) HandleNotification(n Notification) []Notification {
 	d.stats.NotificationsRecv++
-	out := d.notifs[:0]
+	out := d.batch()
 	switch n.Kind {
 	case NotifUpdate:
 		d.handleUpdate(n)

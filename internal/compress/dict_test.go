@@ -161,11 +161,7 @@ func TestDIVaxxThresholdProperty(t *testing.T) {
 func TestDictEvictionInvalidateHandshake(t *testing.T) {
 	cfg := DictConfig{Nodes: 2, Entries: 2, CandidateCap: 16, PromoteThreshold: 2, PendingCap: 2}
 	mk := func(node int) Codec {
-		c, err := NewDIComp(node, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
+		return NewCodec(DIComp, cfg, 0, node)
 	}
 	f := NewFabric(2, mk)
 	// Fill the 2-entry decoder PMT with patterns A and B.
@@ -219,10 +215,7 @@ func TestFabricDeliverCopiesBatch(t *testing.T) {
 	cfg := DictConfig{Nodes: 3, Entries: 2, PromoteThreshold: 2}
 	var got []Notification
 	f := NewFabric(3, func(node int) Codec {
-		c, err := NewDIComp(node, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := NewCodec(DIComp, cfg, 0, node)
 		return notifLog{c, &got}
 	})
 	// Encoders 1 and 2 each teach decoder 0 one pattern, filling its PMT.
@@ -280,10 +273,7 @@ func TestDictSharedEntryAcrossSenders(t *testing.T) {
 
 func TestDictNotificationTolerance(t *testing.T) {
 	cfg := DefaultDictConfig(2)
-	c, err := NewDIComp(0, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := NewCodec(DIComp, cfg, 0, 0)
 	// Invalidate for a mapping we never had must still ack.
 	replies := c.HandleNotification(Notification{From: 1, To: 0, Kind: NotifInvalidate, Pattern: 7, Index: 3})
 	if len(replies) != 1 || replies[0].Kind != NotifInvalidateAck {
@@ -296,16 +286,16 @@ func TestDictNotificationTolerance(t *testing.T) {
 }
 
 func TestDictConfigValidation(t *testing.T) {
-	if _, err := NewDIComp(0, DictConfig{Nodes: 0, Entries: 8}); err == nil {
+	if _, err := FactoryWithDict(DIComp, DictConfig{Nodes: 0, Entries: 8}, 0); err == nil {
 		t.Fatal("accepted zero nodes")
 	}
-	if _, err := NewDIComp(0, DictConfig{Nodes: 4, Entries: 0}); err == nil {
+	if _, err := FactoryWithDict(DIComp, DictConfig{Nodes: 4, Entries: 0}, 0); err == nil {
 		t.Fatal("accepted zero entries")
 	}
-	if _, err := NewDIComp(9, DefaultDictConfig(4)); err == nil {
-		t.Fatal("accepted out-of-range node id")
+	if f, err := FactoryWithDict(DIComp, DefaultDictConfig(4), 0); err != nil || f(9) != nil {
+		t.Fatal("made a codec for an out-of-range node id")
 	}
-	if _, err := NewDIVaxx(0, DefaultDictConfig(4), 500); err == nil {
+	if _, err := FactoryWithDict(DIVaxx, DefaultDictConfig(4), 500); err == nil {
 		t.Fatal("accepted bogus threshold")
 	}
 }
@@ -397,19 +387,7 @@ func TestDictNotificationsConserved(t *testing.T) {
 			if tc.gc {
 				cfg.AgingPeriod, cfg.GCAgeOutEpochs, cfg.GCPressureSweep = 64, 1, 1
 			}
-			f := NewFabric(nodes, func(node int) Codec {
-				var c Codec
-				var err error
-				if tc.scheme == DIVaxx {
-					c, err = NewDIVaxx(node, cfg, 10)
-				} else {
-					c, err = NewDIComp(node, cfg)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				return c
-			})
+			f := NewFabric(nodes, func(node int) Codec { return NewCodec(tc.scheme, cfg, 10, node) })
 			rng := sim.NewRand(5)
 			for i := 0; i < transfers; i++ {
 				src := rng.Intn(nodes)
@@ -530,10 +508,7 @@ func TestDICompEntriesMaskNoBits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := NewDIComp(0, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	restored := NewCodec(DIComp, cfg, 0, 0)
 	if err := restored.(*dictCodec).Unmarshal(img); err != nil {
 		t.Fatal(err)
 	}

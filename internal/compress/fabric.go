@@ -2,7 +2,6 @@ package compress
 
 import (
 	"fmt"
-	"sync"
 
 	"approxnoc/internal/approx"
 	"approxnoc/internal/quality"
@@ -80,24 +79,21 @@ func FactoryFor(scheme Scheme, n, thresholdPct int) (func(node int) Codec, error
 
 // FactoryWithDict is FactoryFor with explicit dictionary parameters, used
 // by the PMT-size ablation. It validates cfg and the threshold once; a DI
-// factory then returns nil for a node outside [0, cfg.Nodes). A factory
-// makes each codec on one Recycle gave back when its scheme's pool holds
-// one.
+// factory then returns nil for a node outside [0, cfg.Nodes). Every codec
+// a factory makes is new.
 func FactoryWithDict(scheme Scheme, cfg DictConfig, thresholdPct int) (func(node int) Codec, error) {
-	mk, err := maker(scheme, cfg, thresholdPct)
+	mk, err := Maker(scheme, cfg, thresholdPct)
 	if err != nil {
 		return nil, err
 	}
-	return func(node int) Codec { return mk(pools[scheme].Get(), node) }, nil
+	return func(node int) Codec { return mk(nil, node) }, nil
 }
 
-// pools holds the codecs Recycle took back, one pool per scheme.
-var pools [BDVaxx + 1]sync.Pool
-
-// maker validates a factory's parameters and returns what the factory
-// runs to make the codec for node: on old, a codec of the scheme that
-// Recycle gave back, or on a new one when old is nil.
-func maker(scheme Scheme, cfg DictConfig, thresholdPct int) (func(old any, node int) Codec, error) {
+// Maker is FactoryWithDict's make-on-old form: mk(old, node) makes node's
+// codec on old, a codec of the scheme its holder gives up, or on a new
+// one when old is nil. Its type's one init leaves old as a new codec, on
+// old's storage; whatever old returned before is invalid.
+func Maker(scheme Scheme, cfg DictConfig, thresholdPct int) (func(old Codec, node int) Codec, error) {
 	// The VAXX codecs share the per-word budget (BD-VAXX has none).
 	var budget quality.Budget
 	if scheme.IsVaxx() {
@@ -108,37 +104,33 @@ func maker(scheme Scheme, cfg DictConfig, thresholdPct int) (func(old any, node 
 	}
 	switch scheme {
 	case Baseline:
-		return func(old any, _ int) Codec {
+		return func(old Codec, _ int) Codec {
 			b := reuse[baseline](old)
 			b.init()
-			b.leased = true
 			return b
 		}, nil
 	case FPComp, FPVaxx:
-		return func(old any, _ int) Codec {
+		return func(old Codec, _ int) Codec {
 			c := reuse[fpCodec](old)
 			c.init(scheme, thresholdPct, budget)
-			c.leased = true
 			return c
 		}, nil
 	case BDComp, BDVaxx:
-		return func(old any, _ int) Codec {
+		return func(old Codec, _ int) Codec {
 			c := reuse[bdiCodec](old)
 			c.init(scheme, thresholdPct)
-			c.leased = true
 			return c
 		}, nil
 	case DIComp, DIVaxx:
 		if err := cfg.validate(); err != nil {
 			return nil, err
 		}
-		return func(old any, node int) Codec {
+		return func(old Codec, node int) Codec {
 			if node < 0 || node >= cfg.Nodes {
 				return nil
 			}
 			d := reuse[dictCodec](old)
 			d.init(scheme, node, cfg, thresholdPct, budget)
-			d.leased = true
 			return d
 		}, nil
 	default:
@@ -152,36 +144,6 @@ func reuse[T any](old any) *T {
 		return c
 	}
 	return new(T)
-}
-
-// lease marks the codecs a factory made: leased while one is in use, and
-// cleared as Recycle pools it, so a codec enters its pool at most once
-// and one an exported constructor made never does.
-type lease struct{ leased bool }
-
-// end ends the lease and reports whether there was one.
-func (l *lease) end() bool {
-	was := l.leased
-	l.leased = false
-	return was
-}
-
-// Recycle gives c back to the factories of its scheme, when a factory
-// made it and it has not been given back since: the next codec such a
-// factory makes is c, initialised by the constructor's own init to the
-// state a new codec starts in, on c's tables, TCAM planes, encode scratch
-// and notification storage (a DI codec's tables when they are of the new
-// codec's shape). The caller gives c up: it, and everything it returned,
-// must not be used again. Recycle looks through wrappers (e.g. Adaptive)
-// to the codec a factory made. noc.Network.Release gives back its NIs'
-// codecs.
-func Recycle(c Codec) {
-	if l, ok := As[interface {
-		Codec
-		end() bool
-	}](c); ok && l.end() {
-		pools[l.Scheme()].Put(l)
-	}
 }
 
 // checkThreshold is approx.New's range check, on an AVCL that is not kept.

@@ -53,7 +53,6 @@ type fpCodec struct {
 	budget  quality.Budget
 	stats   OpStats
 	scratch encodeScratch
-	lease
 }
 
 // encodeScratch is the per-codec encode state behind every Compress: the
@@ -69,24 +68,6 @@ type encodeScratch struct {
 // kept is the scratch a new codec starts with, on s's writer storage.
 func (s *encodeScratch) kept() encodeScratch {
 	return encodeScratch{w: bitWriter{buf: s.w.buf[:0]}}
-}
-
-// NewFPComp returns the exact frequent-pattern codec.
-func NewFPComp() Codec {
-	c := new(fpCodec)
-	c.init(FPComp, 0, nil)
-	return c
-}
-
-// NewFPVaxx returns the FP-VAXX codec with the given error threshold (%).
-func NewFPVaxx(thresholdPct int) (Codec, error) {
-	b, err := quality.NewPerWord(thresholdPct)
-	if err != nil {
-		return nil, err
-	}
-	c := new(fpCodec)
-	c.init(FPVaxx, thresholdPct, b)
-	return c, nil
 }
 
 // NewFPVaxxWindowed returns FP-VAXX with the paper's future-work window

@@ -135,11 +135,7 @@ func TestFPInlineRowsMatchTable(t *testing.T) {
 	codecs := map[string]*fpCodec{
 		"fpcomp": {scheme: FPComp},
 	}
-	if c, err := NewFPVaxx(10); err == nil {
-		codecs["fpvaxx"] = c.(*fpCodec)
-	} else {
-		t.Fatal(err)
-	}
+	codecs["fpvaxx"] = NewCodec(FPVaxx, DictConfig{}, 10, 0).(*fpCodec)
 	for name, c := range codecs {
 		// The reference and the scalar encoder consult the same budget
 		// object; PerWord budgets are stateless per call, so back-to-back
@@ -254,7 +250,7 @@ func TestFPDecodeSwitchMatchesTable(t *testing.T) {
 // ends early both stop the decode, and both leave a block of NumWords
 // words whose undecoded tail is zero.
 func TestFPDecodeDamagedPadsToNumWords(t *testing.T) {
-	c := NewFPComp()
+	c := NewCodec(FPComp, DictConfig{}, 0, 0)
 	blk := value.BlockFromI32([]int32{0x12345678, 5, -100, 1 << 20, 0x7FFFFFFF, 42, 0x23456789, 77}, false)
 	enc := c.Compress(1, blk)
 	check := func(what string, payload []byte, intact int) {

@@ -25,7 +25,7 @@ func fpRoundTrip(t *testing.T, c Codec, blk *value.Block) *value.Block {
 }
 
 func TestFPCompExactRoundTrip(t *testing.T) {
-	c := NewFPComp()
+	c := NewCodec(FPComp, DictConfig{}, 0, 0)
 	blk := value.BlockFromI32([]int32{0, 0, 5, -3, 127, -128, 30000, -30000, 0x12340000 >> 0, 258, 1 << 30, -1}, false)
 	blk.Words[8] = 0x12340000 // halfword padded with zero halfword
 	dec := fpRoundTrip(t, c, blk)
@@ -35,7 +35,7 @@ func TestFPCompExactRoundTrip(t *testing.T) {
 }
 
 func TestFPCompPatternClasses(t *testing.T) {
-	c := NewFPComp().(*fpCodec)
+	c := NewCodec(FPComp, DictConfig{}, 0, 0).(*fpCodec)
 	cases := []struct {
 		w    uint32
 		bits int // prefix + data
@@ -63,7 +63,7 @@ func TestFPCompPatternClasses(t *testing.T) {
 }
 
 func TestFPCompPriorityOrder(t *testing.T) {
-	c := NewFPComp().(*fpCodec)
+	c := NewCodec(FPComp, DictConfig{}, 0, 0).(*fpCodec)
 	// 5 matches 4-bit SE, byte SE and halfword SE; priority must pick 4-bit.
 	_, bits, _, _, _ := c.encodeWord(5, 0, value.Int32)
 	if bits != 3+4 {
@@ -72,7 +72,7 @@ func TestFPCompPriorityOrder(t *testing.T) {
 }
 
 func TestFPCompZeroRunLength(t *testing.T) {
-	c := NewFPComp()
+	c := NewCodec(FPComp, DictConfig{}, 0, 0)
 	// 10 zeros -> one run of 8 + one run of 2: 2*(3+3)=12 bits.
 	blk := value.BlockFromI32(make([]int32, 10), false)
 	enc := c.Compress(1, blk)
@@ -86,7 +86,7 @@ func TestFPCompZeroRunLength(t *testing.T) {
 }
 
 func TestFPCompRoundTripProperty(t *testing.T) {
-	c := NewFPComp()
+	c := NewCodec(FPComp, DictConfig{}, 0, 0)
 	f := func(words []uint32) bool {
 		if len(words) == 0 {
 			return true
@@ -106,10 +106,7 @@ func TestFPCompRoundTripProperty(t *testing.T) {
 
 func TestFPVaxxApproximatesWithinThreshold(t *testing.T) {
 	for _, pct := range []int{5, 10, 20} {
-		c, err := NewFPVaxx(pct)
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := NewCodec(FPVaxx, DictConfig{}, pct, 0)
 		f := func(words []uint32) bool {
 			if len(words) == 0 {
 				return true
@@ -135,7 +132,7 @@ func TestFPVaxxApproximatesWithinThreshold(t *testing.T) {
 }
 
 func TestFPVaxxFloatThresholdProperty(t *testing.T) {
-	c, _ := NewFPVaxx(10)
+	c := NewCodec(FPVaxx, DictConfig{}, 10, 0)
 	f := func(words []uint32) bool {
 		if len(words) == 0 {
 			return true
@@ -159,7 +156,7 @@ func TestFPVaxxFloatThresholdProperty(t *testing.T) {
 }
 
 func TestFPVaxxNonApproximableIsExact(t *testing.T) {
-	c, _ := NewFPVaxx(20)
+	c := NewCodec(FPVaxx, DictConfig{}, 20, 0)
 	blk := value.BlockFromI32([]int32{1000000, 77777, -31313, 123456}, false) // not approximable
 	enc := c.Compress(1, blk)
 	dec, _ := c.Decompress(0, enc)
@@ -179,8 +176,8 @@ func TestFPVaxxImprovesCompression(t *testing.T) {
 	for i := range words {
 		words[i] = int32(0x12340000 + 7 + i) // low halfword = small noise
 	}
-	exact := NewFPComp()
-	vaxx, _ := NewFPVaxx(10)
+	exact := NewCodec(FPComp, DictConfig{}, 0, 0)
+	vaxx := NewCodec(FPVaxx, DictConfig{}, 10, 0)
 	be := exact.Compress(1, value.BlockFromI32(words, true))
 	bv := vaxx.Compress(1, value.BlockFromI32(words, true))
 	if bv.Bits >= be.Bits {
@@ -198,7 +195,7 @@ func TestFPVaxxImprovesCompression(t *testing.T) {
 func TestFPVaxxApproximatesSmallValuesToZeroRun(t *testing.T) {
 	// At 50% threshold, value 64 can deviate by 32: still not zero.
 	// Large value 1<<20 with low halfword noise compresses approximately.
-	c, _ := NewFPVaxx(50)
+	c := NewCodec(FPVaxx, DictConfig{}, 50, 0)
 	blk := value.BlockFromI32([]int32{1 << 20, 1<<20 + 3, 1<<20 - 1, 1 << 20}, true)
 	c.Compress(1, blk)
 	s := c.Stats()
@@ -208,7 +205,7 @@ func TestFPVaxxApproximatesSmallValuesToZeroRun(t *testing.T) {
 }
 
 func TestFPVaxxSpecialFloatsUntouched(t *testing.T) {
-	c, _ := NewFPVaxx(20)
+	c := NewCodec(FPVaxx, DictConfig{}, 20, 0)
 	blk := value.BlockFromF32([]float32{0, 0, 0, 0}, true)
 	dec := fpRoundTrip(t, c, blk)
 	if !dec.Equal(blk) {
@@ -222,7 +219,7 @@ func TestFPVaxxSpecialFloatsUntouched(t *testing.T) {
 }
 
 func TestFPCompStatsAccounting(t *testing.T) {
-	c := NewFPComp()
+	c := NewCodec(FPComp, DictConfig{}, 0, 0)
 	blk := value.BlockFromI32([]int32{0, 5, 0x7FFFFFF, 3}, false)
 	enc := c.Compress(1, blk)
 	s := c.Stats()

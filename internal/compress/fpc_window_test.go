@@ -91,7 +91,7 @@ func TestFPVaxxWindowedMeanErrorWithinThreshold(t *testing.T) {
 // The extension's purpose: the windowed budget must admit at least as
 // many approximate matches as the per-word budget on slack-rich data.
 func TestFPVaxxWindowedAdmitsMore(t *testing.T) {
-	perWord, _ := NewFPVaxx(10)
+	perWord := NewCodec(FPVaxx, DictConfig{}, 10, 0)
 	windowed, _ := NewFPVaxxWindowed(10, 16, 4)
 	r := testRand()
 	for iter := 0; iter < 100; iter++ {
@@ -116,7 +116,7 @@ func TestFPVaxxWindowedAdmitsMore(t *testing.T) {
 }
 
 func TestFPVaxxSetThresholdAtRuntime(t *testing.T) {
-	c, _ := NewFPVaxx(5)
+	c := NewCodec(FPVaxx, DictConfig{}, 5, 0)
 	adj, ok := c.(ThresholdAdjuster)
 	if !ok {
 		t.Fatal("FP-VAXX does not support runtime threshold adjustment")
@@ -154,7 +154,7 @@ func TestFPVaxxSetThresholdAtRuntime(t *testing.T) {
 	if after := c.Stats(); after != before {
 		t.Fatalf("threshold switches moved the counters: %+v, then %+v", before, after)
 	}
-	exact := NewFPComp()
+	exact := NewCodec(FPComp, DictConfig{}, 0, 0)
 	if err := exact.(ThresholdAdjuster).SetThreshold(10); err == nil {
 		t.Fatal("FP-COMP accepted a threshold")
 	}

@@ -48,7 +48,7 @@ func FuzzFPCRoundTrip(f *testing.F) {
 		blk := fuzzBlock(data, isFloat, approximable, 64)
 		thr := int(pct % 101)
 
-		exact := compress.NewFPComp()
+		exact := compress.NewCodec(compress.FPComp, compress.DictConfig{}, 0, 0)
 		enc := exact.Compress(1, blk)
 		refPayload, refBits := oracle.FPCEncode(blk.Words)
 		if enc.Bits != refBits {
@@ -72,10 +72,7 @@ func FuzzFPCRoundTrip(f *testing.F) {
 			}
 		}
 
-		vaxx, err := compress.NewFPVaxx(thr)
-		if err != nil {
-			t.Fatal(err)
-		}
+		vaxx := compress.NewCodec(compress.FPVaxx, compress.DictConfig{}, thr, 0)
 		encV := vaxx.Compress(1, blk)
 		decV, _ := vaxx.Decompress(0, encV)
 		if err := oracle.CheckBlock(blk, encV, decV, thr); err != nil {
@@ -91,7 +88,7 @@ func FuzzFPCRoundTrip(f *testing.F) {
 func FuzzFPCDecodeArbitrary(f *testing.F) {
 	// One word per Fig. 5 row, whole, cut short, and with the unused prefix.
 	rows := &value.Block{Words: []value.Word{0, 0, 0, 5, 0x75, 0x4321, 0x4321_0000, 0x0012_0034, 0xDEAD_BEEF}}
-	whole := compress.NewFPComp().Compress(1, rows).Payload
+	whole := compress.NewCodec(compress.FPComp, compress.DictConfig{}, 0, 0).Compress(1, rows).Payload
 	f.Add(whole, uint8(len(rows.Words)))
 	f.Add(whole[:len(whole)-3], uint8(len(rows.Words)))
 	f.Add(whole, uint8(2)) // the zero run overflows the block
@@ -99,7 +96,7 @@ func FuzzFPCDecodeArbitrary(f *testing.F) {
 	f.Add([]byte{}, uint8(16))
 	f.Fuzz(func(t *testing.T, payload []byte, n uint8) {
 		numWords := int(n % 65)
-		dec, _ := compress.NewFPComp().Decompress(0, &compress.Encoded{Scheme: compress.FPComp, NumWords: numWords, Payload: payload})
+		dec, _ := compress.NewCodec(compress.FPComp, compress.DictConfig{}, 0, 0).Decompress(0, &compress.Encoded{Scheme: compress.FPComp, NumWords: numWords, Payload: payload})
 		if len(dec.Words) != numWords {
 			t.Fatalf("decoded %d words from % x, want %d", len(dec.Words), payload, numWords)
 		}
@@ -129,7 +126,7 @@ func FuzzBDIRoundTrip(f *testing.F) {
 		blk := fuzzBlock(data, isFloat, approximable, 64)
 		thr := int(pct % 101)
 
-		exact := compress.NewBDComp()
+		exact := compress.NewCodec(compress.BDComp, compress.DictConfig{}, 0, 0)
 		enc := exact.Compress(1, blk)
 		refPayload, refBits := oracle.BDIEncode(blk.Words)
 		if enc.Bits != refBits {
@@ -153,10 +150,7 @@ func FuzzBDIRoundTrip(f *testing.F) {
 			}
 		}
 
-		vaxx, err := compress.NewBDVaxx(thr)
-		if err != nil {
-			t.Fatal(err)
-		}
+		vaxx := compress.NewCodec(compress.BDVaxx, compress.DictConfig{}, thr, 0)
 		encV := vaxx.Compress(1, blk)
 		decV, _ := vaxx.Decompress(0, encV)
 		if err := oracle.CheckBlock(blk, encV, decV, thr); err != nil {
@@ -172,19 +166,11 @@ func dictSnapSeed(divaxx bool) []byte {
 	var factory func(int) compress.Codec
 	if divaxx {
 		factory = func(node int) compress.Codec {
-			c, err := compress.NewDIVaxx(node, cfg, 5)
-			if err != nil {
-				panic(err)
-			}
-			return c
+			return compress.NewCodec(compress.DIVaxx, cfg, 5, node)
 		}
 	} else {
 		factory = func(node int) compress.Codec {
-			c, err := compress.NewDIComp(node, cfg)
-			if err != nil {
-				panic(err)
-			}
-			return c
+			return compress.NewCodec(compress.DIComp, cfg, 0, node)
 		}
 	}
 	fab := compress.NewFabric(2, factory)
@@ -216,15 +202,9 @@ func FuzzDictSnapshot(f *testing.F) {
 	f.Add(dictSnapSeed(false), false)
 	f.Add(dictSnapSeed(true), true)
 	f.Fuzz(func(t *testing.T, data []byte, divaxx bool) {
-		var codec compress.Codec
-		var err error
+		codec := compress.NewCodec(compress.DIComp, compress.DefaultDictConfig(2), 0, 0)
 		if divaxx {
-			codec, err = compress.NewDIVaxx(0, compress.DefaultDictConfig(2), 5)
-		} else {
-			codec, err = compress.NewDIComp(0, compress.DefaultDictConfig(2))
-		}
-		if err != nil {
-			t.Fatal(err)
+			codec = compress.NewCodec(compress.DIVaxx, compress.DefaultDictConfig(2), 5, 0)
 		}
 		s, ok := compress.As[compress.DictSnapshotter](codec)
 		if !ok {

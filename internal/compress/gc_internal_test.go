@@ -11,10 +11,7 @@ import (
 
 func newGCDict(t *testing.T, cfg DictConfig) *dictCodec {
 	t.Helper()
-	c, err := NewDIComp(0, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := NewCodec(DIComp, cfg, 0, 0)
 	return c.(*dictCodec)
 }
 
@@ -121,10 +118,7 @@ func TestGCUnmappedEntryFreesImmediately(t *testing.T) {
 func TestGCReclaimRacingEncoderEviction(t *testing.T) {
 	cfg := DictConfig{Nodes: 2, Entries: 2, AgingPeriod: 64, GCAgeOutEpochs: 1}
 	dec := newGCDict(t, cfg)
-	encC, err := NewDIComp(1, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	encC := NewCodec(DIComp, cfg, 0, 1)
 	enc := encC.(*dictCodec)
 
 	seedEntry(dec, 0, 0xEEEE, 1)

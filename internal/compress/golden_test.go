@@ -39,7 +39,7 @@ func wordsStr(words []value.Word) string {
 }
 
 func genFPC(w *bytes.Buffer, r *golden.Rand) {
-	c := compress.NewFPComp()
+	c := compress.NewCodec(compress.FPComp, compress.DictConfig{}, 0, 0)
 	for i := 0; i < 48; i++ {
 		n := r.Intn(17) // 0..16 words
 		blk := value.NewBlock(n, value.Int32, false)
@@ -52,7 +52,7 @@ func genFPC(w *bytes.Buffer, r *golden.Rand) {
 }
 
 func genBDI(w *bytes.Buffer, r *golden.Rand) {
-	c := compress.NewBDComp()
+	c := compress.NewCodec(compress.BDComp, compress.DictConfig{}, 0, 0)
 	for i := 0; i < 48; i++ {
 		n := r.Intn(17)
 		blk := value.NewBlock(n, value.Int32, false)
@@ -126,18 +126,10 @@ func genDictSnap(w *bytes.Buffer, r *golden.Rand) {
 		mk   func(node int) compress.Codec
 	}{
 		{"dicomp", func(node int) compress.Codec {
-			c, err := compress.NewDIComp(node, cfg)
-			if err != nil {
-				panic(err)
-			}
-			return c
+			return compress.NewCodec(compress.DIComp, cfg, 0, node)
 		}},
 		{"divaxx5", func(node int) compress.Codec {
-			c, err := compress.NewDIVaxx(node, cfg, 5)
-			if err != nil {
-				panic(err)
-			}
-			return c
+			return compress.NewCodec(compress.DIVaxx, cfg, 5, node)
 		}},
 		{"divaxx5w16", func(node int) compress.Codec {
 			c, err := compress.NewDIVaxxWindowed(node, cfg, 5, 16, 2)

@@ -21,19 +21,15 @@ func staticCodecs(t testing.TB) map[string]func() Codec {
 	}
 	return map[string]func() Codec{
 		"baseline": NewBaseline,
-		"fpcomp":   NewFPComp,
-		"fpvaxx":   must(func() (Codec, error) { return NewFPVaxx(10) }),
+		"fpcomp":   func() Codec { return NewCodec(FPComp, DictConfig{}, 0, 0) },
+		"fpvaxx":   func() Codec { return NewCodec(FPVaxx, DictConfig{}, 10, 0) },
 		"fpvaxx-windowed": must(func() (Codec, error) {
 			return NewFPVaxxWindowed(5, 16, 2.0)
 		}),
-		"bdcomp": NewBDComp,
-		"bdvaxx": must(func() (Codec, error) { return NewBDVaxx(10) }),
+		"bdcomp": func() Codec { return NewCodec(BDComp, DictConfig{}, 0, 0) },
+		"bdvaxx": func() Codec { return NewCodec(BDVaxx, DictConfig{}, 10, 0) },
 		"adaptive-fpvaxx": must(func() (Codec, error) {
-			inner, err := NewFPVaxx(10)
-			if err != nil {
-				return nil, err
-			}
-			return NewAdaptive(inner, AdaptiveConfig{WindowBlocks: 8, MinRatio: 1.05, ProbeEvery: 2})
+			return NewAdaptive(NewCodec(FPVaxx, DictConfig{}, 10, 0), AdaptiveConfig{WindowBlocks: 8, MinRatio: 1.05, ProbeEvery: 2})
 		}),
 	}
 }

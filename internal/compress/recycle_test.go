@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
-	"runtime"
-	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -149,12 +147,11 @@ func state(c Codec) any {
 }
 
 // TestRecycledCodecMatchesNew holds every scheme's reuse path to its
-// constructor: codecs made by the factory's maker on codecs that carried
+// fresh path: codecs Maker makes on codecs that carried
 // traffic at another threshold (for the dictionary schemes, each left
 // with an eviction pending and a full candidate table, and on the tables
 // of another shape too) must start in the state new ones start in, and
-// replay a stream exactly as they do. It calls the maker directly, not
-// through the pool, so it runs under the race detector.
+// replay a stream exactly as they do.
 func TestRecycledCodecMatchesNew(t *testing.T) {
 	dict := DictConfig{Nodes: 4, Entries: 4, CandidateCap: 8, PromoteThreshold: 2, PendingCap: 2,
 		AgingPeriod: 256, GCAgeOutEpochs: 2, GCPressureSweep: 1, GCPressureMin: 1}
@@ -176,11 +173,11 @@ func TestRecycledCodecMatchesNew(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			mkUsed, err := maker(c.scheme, c.used, 25)
+			mkUsed, err := Maker(c.scheme, c.used, 25)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mk, err := maker(c.scheme, dict, 10)
+			mk, err := Maker(c.scheme, dict, 10)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -214,48 +211,28 @@ func TestRecycledCodecMatchesNew(t *testing.T) {
 	}
 }
 
-// TestRecycledDictCodecBuildAllocs pins what recycling saves: a 32-node
-// DI-VAXX codec that a factory makes on one Recycle gave back allocates
-// nothing (a new one takes 10 allocations, TestDictCodecBuildAllocs).
-// The race detector drops pooled objects at random, so it skips there.
+// TestRecycledDictCodecBuildAllocs pins what reuse saves: a 32-node
+// DI-VAXX codec that Maker makes on one a fabric used allocates nothing
+// (a new one takes 10 allocations, TestDictCodecBuildAllocs).
 func TestRecycledDictCodecBuildAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector drops pooled codecs at random")
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC would empty the pool
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))  // one P, so one pool shard
-	factory, err := FactoryWithDict(DIVaxx, DefaultDictConfig(32), 10)
+	mk, err := Maker(DIVaxx, DefaultDictConfig(32), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewFabric(32, factory)
+	f := NewFabric(32, func(node int) Codec { return mk(nil, node) })
 	stream(32, 2000, 5, func(s, d int, blk *value.Block) { f.Transfer(s, d, blk) })
 	c := f.Codec(5)
-	Recycle(c)
-	Recycle(c) // a no-op: a codec enters its pool once
-	if got := factory(7); got != c {
-		t.Fatal("the factory built a codec while its pool held one")
+	if got := mk(c, 7); got != c {
+		t.Fatal("the maker built a new codec instead of reusing the one it was given")
 	}
-	Recycle(c)
-	allocs := testing.AllocsPerRun(50, func() { Recycle(factory(5)) })
-	if allocs != 0 {
-		t.Fatalf("a 32-node DI-VAXX codec made on a recycled one allocates %.0f times, want 0", allocs)
-	}
-	// Constructors' codecs stay out of the pools.
-	own, err := NewDIVaxx(5, DefaultDictConfig(32), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	Recycle(own)
-	if factory(5) == own {
-		t.Fatal("the factory handed out a codec NewDIVaxx made")
+	if allocs := testing.AllocsPerRun(50, func() { mk(c, 5) }); allocs != 0 {
+		t.Fatalf("a 32-node DI-VAXX codec made on a used one allocates %.0f times, want 0", allocs)
 	}
 }
 
 // TestFactoryThresholdRange pins the factories' threshold check: every
 // VAXX scheme refuses -1 and 101 and takes 0 and 100, and an exact scheme
-// ignores the threshold. Validating builds no codec, so a recycled codec
-// stays pooled for the first codec the factory makes.
+// ignores the threshold.
 func TestFactoryThresholdRange(t *testing.T) {
 	cfg := DefaultDictConfig(4)
 	for _, s := range ExtendedSchemes() {
@@ -270,25 +247,6 @@ func TestFactoryThresholdRange(t *testing.T) {
 			if c := factory(3); c == nil || c.Scheme() != s {
 				t.Fatalf("%v at %d%%: the factory made %v", s, pct, c)
 			}
-		}
-	}
-	if raceEnabled {
-		return // the race detector drops pooled codecs at random
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	for _, s := range ExtendedSchemes() {
-		factory, err := FactoryWithDict(s, cfg, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := factory(1)
-		Recycle(c)
-		if _, err := FactoryWithDict(s, cfg, 10); err != nil {
-			t.Fatal(err)
-		}
-		if factory(2) != c {
-			t.Fatalf("%v: validating a factory took the pooled codec", s)
 		}
 	}
 }

@@ -14,20 +14,11 @@ import (
 func TestDecodersSurviveCorruptPayloads(t *testing.T) {
 	codecs := map[string]func() Codec{
 		"baseline": NewBaseline,
-		"fpcomp":   NewFPComp,
-		"fpvaxx": func() Codec {
-			c, _ := NewFPVaxx(10)
-			return c
-		},
-		"bdcomp": NewBDComp,
-		"dicomp": func() Codec {
-			c, _ := NewDIComp(0, DefaultDictConfig(2))
-			return c
-		},
-		"divaxx": func() Codec {
-			c, _ := NewDIVaxx(0, DefaultDictConfig(2), 10)
-			return c
-		},
+		"fpcomp":   func() Codec { return NewCodec(FPComp, DictConfig{}, 0, 0) },
+		"fpvaxx":   func() Codec { return NewCodec(FPVaxx, DictConfig{}, 10, 0) },
+		"bdcomp":   func() Codec { return NewCodec(BDComp, DictConfig{}, 0, 0) },
+		"dicomp":   func() Codec { return NewCodec(DIComp, DefaultDictConfig(2), 0, 0) },
+		"divaxx":   func() Codec { return NewCodec(DIVaxx, DefaultDictConfig(2), 10, 0) },
 	}
 	for name, mk := range codecs {
 		name, mk := name, mk
@@ -66,11 +57,11 @@ func TestDecodersSurviveCorruptPayloads(t *testing.T) {
 func TestEncoderDecoderAgreementProperty(t *testing.T) {
 	mks := []func() Codec{
 		NewBaseline,
-		NewFPComp,
-		func() Codec { c, _ := NewFPVaxx(10); return c },
+		func() Codec { return NewCodec(FPComp, DictConfig{}, 0, 0) },
+		func() Codec { return NewCodec(FPVaxx, DictConfig{}, 10, 0) },
 		func() Codec { c, _ := NewFPVaxxWindowed(10, 16, 4); return c },
-		NewBDComp,
-		func() Codec { c, _ := NewBDVaxx(10); return c },
+		func() Codec { return NewCodec(BDComp, DictConfig{}, 0, 0) },
+		func() Codec { return NewCodec(BDVaxx, DictConfig{}, 10, 0) },
 	}
 	for i, mk := range mks {
 		c := mk()
@@ -150,8 +141,7 @@ func TestDIVaxxWindowedBoundedByBoost(t *testing.T) {
 func TestDictionaryAgingEnablesPhaseChange(t *testing.T) {
 	cfg := DictConfig{Nodes: 2, Entries: 2, CandidateCap: 8, PromoteThreshold: 2, PendingCap: 2}
 	mk := func(node int) Codec {
-		c, _ := NewDIComp(node, cfg)
-		return c
+		return NewCodec(DIComp, cfg, 0, node)
 	}
 	f := NewFabric(2, mk)
 	// Phase 1: patterns A/B become very hot.

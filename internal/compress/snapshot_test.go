@@ -23,18 +23,10 @@ var snapSchemes = []struct {
 	make func(node int) compress.Codec
 }{
 	{"DI-COMP", func(node int) compress.Codec {
-		c, err := compress.NewDIComp(node, compress.DefaultDictConfig(2))
-		if err != nil {
-			panic(err)
-		}
-		return c
+		return compress.NewCodec(compress.DIComp, compress.DefaultDictConfig(2), 0, node)
 	}},
 	{"DI-VAXX", func(node int) compress.Codec {
-		c, err := compress.NewDIVaxx(node, compress.DefaultDictConfig(2), 5)
-		if err != nil {
-			panic(err)
-		}
-		return c
+		return compress.NewCodec(compress.DIVaxx, compress.DefaultDictConfig(2), 5, node)
 	}},
 	{"DI-VAXX-windowed", func(node int) compress.Codec {
 		c, err := compress.NewDIVaxxWindowed(node, compress.DefaultDictConfig(2), 5, 16, 2)
@@ -226,11 +218,7 @@ func TestSnapshotStaleGenerationRejected(t *testing.T) {
 // codec untouched.
 func TestSnapshotRejectsMismatch(t *testing.T) {
 	mk := func(node int) compress.Codec {
-		c, err := compress.NewDIComp(node, compress.DefaultDictConfig(2))
-		if err != nil {
-			panic(err)
-		}
-		return c
+		return compress.NewCodec(compress.DIComp, compress.DefaultDictConfig(2), 0, node)
 	}
 	fab := compress.NewFabric(2, mk)
 	drive(fab, sim.NewRand(3), 60)
@@ -272,10 +260,7 @@ func snapshotFrom(t *testing.T, c compress.Codec) []byte {
 
 func divaxxImage(t *testing.T) []byte {
 	t.Helper()
-	c, err := compress.NewDIVaxx(0, compress.DefaultDictConfig(2), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := compress.NewCodec(compress.DIVaxx, compress.DefaultDictConfig(2), 5, 0)
 	b, _ := snapshotOf(t, c)
 	return b
 }
@@ -283,10 +268,7 @@ func divaxxImage(t *testing.T) []byte {
 // TestSnapshotThroughAdaptive verifies the capability probes look
 // through the adaptive controller wrapper.
 func TestSnapshotThroughAdaptive(t *testing.T) {
-	inner, err := compress.NewDIComp(0, compress.DefaultDictConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	inner := compress.NewCodec(compress.DIComp, compress.DefaultDictConfig(2), 0, 0)
 	a, err := compress.NewAdaptive(inner, compress.DefaultAdaptiveConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -305,10 +287,7 @@ func TestSnapshotThroughAdaptive(t *testing.T) {
 // TestSnapshotVersionPinned guards the wire header: v1 images start
 // with the magic and version the golden vectors pin.
 func TestSnapshotVersionPinned(t *testing.T) {
-	c, err := compress.NewDIComp(0, compress.DefaultDictConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := compress.NewCodec(compress.DIComp, compress.DefaultDictConfig(2), 0, 0)
 	img, _ := snapshotOf(t, c)
 	want := []byte{'P', 'M', 'T', 'S', 0, 1}
 	if len(img) < len(want) || !bytes.Equal(img[:len(want)], want) {

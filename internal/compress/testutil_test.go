@@ -38,3 +38,19 @@ func statsMatchDecode(before, after OpStats, orig, dec *value.Block) error {
 	}
 	return nil
 }
+
+// NewCodec is the codec FactoryWithDict(s, cfg, thresholdPct) makes for
+// node: how the tests of this package and of compress_test build one
+// codec. cfg matters to the dictionary schemes only. It panics where the
+// factory refuses, so a test of a refusal calls FactoryWithDict itself.
+func NewCodec(s Scheme, cfg DictConfig, thresholdPct, node int) Codec {
+	f, err := FactoryWithDict(s, cfg, thresholdPct)
+	if err != nil {
+		panic(err)
+	}
+	c := f(node)
+	if c == nil {
+		panic(fmt.Sprintf("compress: %v makes no codec for node %d of %d", s, node, cfg.Nodes))
+	}
+	return c
+}

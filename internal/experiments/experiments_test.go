@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"approxnoc/internal/compress"
+	"approxnoc/internal/noc"
 	"approxnoc/internal/traffic"
 	"approxnoc/internal/workload"
 )
@@ -23,7 +24,7 @@ var quickGrid = sync.OnceValues(func() (Grid, error) { return RunGrid(quickCfg()
 func TestRunTraceProducesTraffic(t *testing.T) {
 	cfg := quickCfg()
 	model, _ := workload.ByName("ssca2")
-	m, err := cfg.cell(model, compress.DIVaxx).run(cfg)
+	m, err := cfg.cell(model, compress.DIVaxx).run(cfg, new(noc.Arena))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestVaxxReducesTraffic(t *testing.T) {
 	model, _ := workload.ByName("ssca2")
 	flits := map[compress.Scheme]uint64{}
 	for _, s := range compress.AllSchemes() {
-		m, err := cfg.cell(model, s).run(cfg)
+		m, err := cfg.cell(model, s).run(cfg, new(noc.Arena))
 		if err != nil {
 			t.Fatal(err)
 		}

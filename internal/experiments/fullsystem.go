@@ -6,6 +6,7 @@ import (
 	"approxnoc/internal/apps"
 	"approxnoc/internal/compress"
 	"approxnoc/internal/fullsys"
+	"approxnoc/internal/noc"
 	"approxnoc/internal/power"
 )
 
@@ -24,10 +25,11 @@ type Fig16Row struct {
 // harness, where every remote miss is a real request/reply round trip
 // through the cycle-accurate NoC: output error is scored against the 0%
 // budget run in the kernel's own metric, and normalized performance comes
-// from the measured runtime. Every kernel x threshold cell is an
-// independent fullsys machine, so the grid fans out through r's worker
-// pool; rows are assembled serially from the ordered cells.
-func Fig16(r Runner, thresholds []int) ([]Fig16Row, error) {
+// from the measured runtime. Every kernel runs on the inputs of
+// cfg.Seed. Every kernel x threshold cell is an independent fullsys
+// machine, so the grid fans out through cfg's worker pool; rows are
+// assembled serially from the ordered cells.
+func Fig16(cfg Config, thresholds []int) ([]Fig16Row, error) {
 	if len(thresholds) == 0 {
 		thresholds = []int{0, 10, 20}
 	}
@@ -36,12 +38,12 @@ func Fig16(r Runner, thresholds []int) ([]Fig16Row, error) {
 		rt  float64
 	}
 	list := apps.All()
-	cells, err := mapJobs(r, len(list)*len(thresholds), func(i int) (measured, error) {
+	cells, err := mapJobs(cfg.workers(), len(list)*len(thresholds), func(_ *noc.Arena, i int) (measured, error) {
 		// FP-VAXX is the scheme whose static patterns approximate without
 		// a learning phase, making it the representative mechanism for the
 		// application-level study (it is also the paper's best performer).
-		cfg := fullsys.DefaultConfig(compress.FPVaxx, thresholds[i%len(thresholds)])
-		out, rt, err := fullsys.MeasureKernel(cfg, list[i/len(thresholds)].Kernel())
+		sys := fullsys.DefaultConfig(compress.FPVaxx, thresholds[i%len(thresholds)])
+		out, rt, err := fullsys.MeasureKernel(sys, list[i/len(thresholds)].Kernel(cfg.Seed))
 		return measured{out: out, rt: rt}, err
 	})
 	if err != nil {

@@ -3,47 +3,65 @@ package experiments
 import (
 	"runtime"
 	"sync"
+
+	"approxnoc/internal/noc"
 )
 
-// Runner executes independent simulation jobs on a bounded worker pool.
-// replay fans every driver's cells through one: each job builds its own
-// Network (with its own seeded sim.Rand, derived only from the
-// experiment Config and the cell), so jobs share no mutable state and
-// the schedule cannot influence results.
-//
-// Determinism contract: results are collected by job index, so the
-// returned slice is identical to running the jobs serially, whatever the
-// interleaving. Errors are resolved the same way — the error reported is
-// the one the serial path would have hit first (lowest job index).
-type Runner struct {
-	// Workers bounds the number of concurrently executing jobs.
-	// Values below 1 mean serial execution.
-	Workers int
-}
-
-// Runner returns the worker pool the Config asks for: Jobs when set,
+// workers is the worker-pool width cfg asks for: Jobs when set,
 // otherwise one worker per available CPU.
-func (cfg Config) Runner() Runner {
-	w := cfg.Jobs
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+func (cfg Config) workers() int {
+	if cfg.Jobs > 0 {
+		return cfg.Jobs
 	}
-	return Runner{Workers: w}
+	return runtime.GOMAXPROCS(0)
 }
 
-// mapJobs runs fn(0..n-1) on r's worker pool and returns the results in
-// index order. With one worker (or one job) it degenerates to a plain
-// serial loop with no goroutines. In the parallel case every job runs to
-// completion even after a failure, so the lowest-index error — the one
-// the serial loop would return — is always the one reported.
-func mapJobs[T any](r Runner, n int, fn func(i int) (T, error)) ([]T, error) {
+// arenas is a LIFO of the arenas exited mapJobs workers gave back. Each
+// keeps a body and spare codecs per scheme, so the process holds that
+// much per worker of the most that ever ran at once.
+var arenas struct {
+	sync.Mutex
+	free []*noc.Arena
+}
+
+// takeArena returns the arena a worker builds its networks on.
+func takeArena() *noc.Arena {
+	arenas.Lock()
+	defer arenas.Unlock()
+	if k := len(arenas.free); k > 0 {
+		a := arenas.free[k-1]
+		arenas.free = arenas.free[:k-1]
+		return a
+	}
+	return new(noc.Arena)
+}
+
+// giveArena hands a worker's arena back as the worker exits.
+func giveArena(a *noc.Arena) {
+	arenas.Lock()
+	arenas.free = append(arenas.free, a)
+	arenas.Unlock()
+}
+
+// mapJobs runs fn(0..n-1) on a pool of workers and returns the results
+// in index order. Each job builds its own Network, seeded from the
+// experiment Config and its cell alone, so jobs share no mutable state
+// and the schedule cannot move a result; each worker owns one arena for
+// its whole life and passes it to every job it runs. With one worker (or
+// one job) it degenerates to a plain serial loop with no goroutines. In
+// the parallel case every job runs to completion even after a failure,
+// so the lowest-index error — the one the serial loop would return — is
+// always the one reported.
+func mapJobs[T any](workers, n int, fn func(a *noc.Arena, i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
 	out := make([]T, n)
-	if r.Workers <= 1 || n == 1 {
+	if workers <= 1 || n == 1 {
+		a := takeArena()
+		defer giveArena(a)
 		for i := 0; i < n; i++ {
-			v, err := fn(i)
+			v, err := fn(a, i)
 			if err != nil {
 				return nil, err
 			}
@@ -51,10 +69,7 @@ func mapJobs[T any](r Runner, n int, fn func(i int) (T, error)) ([]T, error) {
 		}
 		return out, nil
 	}
-	workers := r.Workers
-	if workers > n {
-		workers = n
-	}
+	workers = min(workers, n)
 	errs := make([]error, n)
 	idx := make(chan int)
 	var wg sync.WaitGroup
@@ -62,8 +77,10 @@ func mapJobs[T any](r Runner, n int, fn func(i int) (T, error)) ([]T, error) {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			a := takeArena()
+			defer giveArena(a)
 			for i := range idx {
-				out[i], errs[i] = fn(i)
+				out[i], errs[i] = fn(a, i)
 			}
 		}()
 	}

@@ -2,12 +2,16 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"approxnoc/internal/golden"
+	"approxnoc/internal/noc"
 )
 
 // update (GOLDEN=update, the switch every golden test shares) rewrites
@@ -34,7 +38,7 @@ func goldenSections(data string) map[string]string {
 }
 
 func TestMapJobsEmpty(t *testing.T) {
-	out, err := mapJobs(Runner{Workers: 8}, 0, func(i int) (int, error) { return i, nil })
+	out, err := mapJobs(8, 0, func(_ *noc.Arena, i int) (int, error) { return i, nil })
 	if out != nil || err != nil {
 		t.Fatalf("mapJobs(n=0) = (%v, %v), want (nil, nil)", out, err)
 	}
@@ -42,7 +46,7 @@ func TestMapJobsEmpty(t *testing.T) {
 
 func TestMapJobsOrdering(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 8, 64} {
-		out, err := mapJobs(Runner{Workers: workers}, 37, func(i int) (int, error) {
+		out, err := mapJobs(workers, 37, func(_ *noc.Arena, i int) (int, error) {
 			runtime.Gosched() // shake up the schedule
 			return i * i, nil
 		})
@@ -62,7 +66,7 @@ func TestMapJobsOrdering(t *testing.T) {
 // serial loop would have returned first.
 func TestMapJobsLowestIndexError(t *testing.T) {
 	for _, workers := range []int{1, 8} {
-		_, err := mapJobs(Runner{Workers: workers}, 16, func(i int) (int, error) {
+		_, err := mapJobs(workers, 16, func(_ *noc.Arena, i int) (int, error) {
 			if i >= 3 {
 				return 0, fmt.Errorf("job %d failed", i)
 			}
@@ -141,7 +145,7 @@ func TestDriversParallelEquivalence(t *testing.T) {
 			return FormatFig15(g.Fig15()), err
 		}},
 		{name: "fig16", run: func(cfg Config) (string, error) {
-			rows, err := Fig16(cfg.Runner(), []int{0, 10})
+			rows, err := Fig16(cfg, []int{0, 10})
 			return FormatFig16(rows, []int{0, 10}), err
 		}},
 		{name: "ablation-overlap", short: true, run: func(cfg Config) (string, error) {
@@ -211,5 +215,65 @@ func TestDriversParallelEquivalence(t *testing.T) {
 		golden.Check(t, goldenFigures, []byte(sections.String()))
 	case update && !t.Failed():
 		t.Fatal("GOLDEN=update needs every driver: run without -run filters")
+	}
+}
+
+// TestFig9PassAllocsSteady holds the runner's reuse to a steady state:
+// every mapJobs worker builds on an arena it owns, which keeps a network
+// body and spare codecs for every scheme it has run, and which no GC can
+// empty. So, with the GC on, a Fig9 pass allocates the same count pass
+// after pass: after two warm-up passes, ten consecutive passes must read
+// mallocs within 1 % of their median, at Jobs 1 and 2 and at GOMAXPROCS
+// 1 and 2. A GC runs before every pass, so reuse a GC could empty would
+// show; the runtime's own work after a GC (the unique package's map
+// cleanup allocates) gets a millisecond to finish outside the count. An
+// arena grows as it meets the cells that size its body, and which cells
+// a worker meets is timing, so a new worker's arena can take a pass or
+// two more than two to meet them all: the combinations run twice, and the
+// first round only warms the process.
+func TestFig9PassAllocsSteady(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector skews heap accounting")
+	}
+	cfg := Default()
+	cfg.Cycles = 300
+	pass := func() float64 {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Fig9(cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs - before.Mallocs)
+	}
+	for round := 0; round < 2; round++ {
+		for _, procs := range []int{1, 2} {
+			for _, jobs := range []int{1, 2} {
+				func() {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					cfg.Jobs = jobs
+					pass()
+					pass()
+					mallocs := make([]float64, 10)
+					for i := range mallocs {
+						mallocs[i] = pass()
+					}
+					sorted := slices.Clone(mallocs)
+					slices.Sort(sorted)
+					median := (sorted[4] + sorted[5]) / 2
+					t.Logf("round %d, GOMAXPROCS %d, Jobs %d: mallocs per pass %v", round, procs, jobs, mallocs)
+					if round == 0 {
+						return
+					}
+					for i, m := range mallocs {
+						if math.Abs(m-median) > 0.01*median {
+							t.Errorf("GOMAXPROCS %d, Jobs %d: pass %d allocated %.0f times, more than 1 %% from the median %.0f", procs, jobs, i, m, median)
+						}
+					}
+				}()
+			}
+		}
 	}
 }

@@ -1,5 +1,5 @@
 //go:build !race
 
-package compress
+package experiments
 
 const raceEnabled = false

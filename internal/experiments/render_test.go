@@ -174,8 +174,29 @@ func TestAblationMatchUnitsDriver(t *testing.T) {
 
 // fig16Rows is the one Fig. 16 run the driver tests read.
 var fig16Rows = sync.OnceValues(func() ([]Fig16Row, error) {
-	return Fig16(quickCfg().Runner(), []int{0, 10})
+	return Fig16(quickCfg(), []int{0, 10})
 })
+
+// TestFig16Seeds holds Fig. 16 to its seed: seed 7 measures other
+// inputs than seed 1, whose rows fig16Rows holds.
+func TestFig16Seeds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("all eight kernels through the full-system coupling in short mode")
+	}
+	one, err := fig16Rows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := quickCfg()
+	cfg.Seed = 7
+	seven, err := Fig16(cfg, []int{0, 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if FormatFig16(one, []int{0, 10}) == FormatFig16(seven, []int{0, 10}) {
+		t.Fatal("Fig. 16 at seed 7 renders as at seed 1")
+	}
+}
 
 // TestFig16VariantsAgree holds the codec-fabric path that Fig. 17 and
 // approxnoc-apps use to the NoC path Fig. 16 measures. FP-VAXX codecs are

@@ -150,24 +150,25 @@ func replay(cfg Config, cells []cell) ([]RunMetrics, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return mapJobs(cfg.Runner(), len(cells), func(i int) (RunMetrics, error) { return cells[i].run(cfg) })
+	return mapJobs(cfg.workers(), len(cells), func(a *noc.Arena, i int) (RunMetrics, error) { return cells[i].run(cfg, a) })
 }
 
 // run is the one path from a cell to the simulator: topology, codec
-// factory, network, injector, cfg.Cycles of traffic, metrics.
-func (c cell) run(cfg Config) (RunMetrics, error) {
+// factory, network, injector, cfg.Cycles of traffic, metrics. The network
+// is built on arena's storage and codecs and released into it.
+func (c cell) run(cfg Config, arena *noc.Arena) (RunMetrics, error) {
 	topo, err := topology.NewCMesh(cfg.Width, cfg.Height, cfg.Concentration)
 	if err != nil {
 		return RunMetrics{}, err
 	}
-	factory, err := compress.FactoryWithDict(c.scheme, c.dict, c.threshold)
+	factory, err := arena.Factory(c.scheme, c.dict, c.threshold)
 	if err != nil {
 		return RunMetrics{}, err
 	}
 	if c.wrap != nil {
 		factory = c.wrap(factory)
 	}
-	net, err := noc.New(topo, c.noc, factory)
+	net, err := arena.New(topo, c.noc, factory)
 	if err != nil {
 		return RunMetrics{}, err
 	}
@@ -189,7 +190,7 @@ func (c cell) run(cfg Config) (RunMetrics, error) {
 		Power:      net.Power(),
 		DynPowerMW: power.Default45nm().DynamicPowerMW(net.Power(), net.CodecStats(), res.Stats.Cycles, 2),
 	}
-	net.Release() // the next cell's network is built on its body
+	net.Release() // the next cell this worker runs is built on its body
 	return m, nil
 }
 

@@ -177,14 +177,12 @@ func (s *System) waitFor(id uint64) {
 // Every call owns its whole machine (network, caches, codecs), so
 // independent measurements can run concurrently — the experiment
 // harness fans Fig. 16 kernel x threshold cells through its worker pool
-// with one MeasureKernel call per cell. The network is released once the
-// runtime is read, so the next measurement builds on its body and codecs.
+// with one MeasureKernel call per cell.
 func MeasureKernel(cfg Config, kernel func(*cachesim.System) ([]float64, error)) (out []float64, runtime float64, err error) {
 	sys, err := New(cfg)
 	if err != nil {
 		return nil, 0, err
 	}
-	defer sys.net.Release()
 	out, err = kernel(sys.Cache())
 	if err != nil {
 		return nil, 0, err

@@ -3,7 +3,6 @@ package noc
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"approxnoc/internal/compress"
 	"approxnoc/internal/obs"
@@ -70,11 +69,17 @@ type Network struct {
 	obs    *netObs
 
 	onDeliver []func(p *Packet, blk *value.Block)
+
+	// arena built the network, nil for New; lent lists the codecs its
+	// factories made for it, which Release gives back to it.
+	arena *Arena
+	lent  []compress.Codec
 }
 
 // body is the storage a network's shape sizes: what Release hands to the
-// next network built, so a driver that runs network after network builds
-// each shape once. Per-network while in use, so none of it needs locking.
+// next network its arena builds, so a driver that runs network after
+// network builds each shape once. Per-network while in use, so none of it
+// needs locking.
 type body struct {
 	routers []*router
 	nis     []*NI
@@ -101,15 +106,49 @@ type body struct {
 	slabs []*slab
 }
 
-// bodyPool holds released networks, each still carrying its body until
-// New moves the body into a new network.
-var bodyPool sync.Pool
+// Arena is what the networks one goroutine builds one after another
+// reuse: the last network released into it, still carrying its body, and
+// the codecs released networks gave back, by scheme. The zero Arena is
+// empty. It is NOT safe for concurrent use: one goroutine owns it, as
+// each worker of the experiment runner owns one.
+type Arena struct {
+	last  *Network
+	spare [compress.BDVaxx + 1][]compress.Codec // by scheme
+	lent  []compress.Codec                      // made for the network a.New builds next
+}
 
 // New assembles a network over topo where every tile's NI uses the codec
-// produced by codecFactory. The network is built on a released network's
-// body when one is pooled: on its slabs always, and on the rest when the
-// two share topology, VCs and BufDepth.
+// produced by codecFactory. Everything it holds is new.
 func New(topo *topology.Topology, cfg Config, codecFactory func(node int) compress.Codec) (*Network, error) {
+	return (*Arena)(nil).New(topo, cfg, codecFactory)
+}
+
+// Factory is compress.FactoryWithDict on a's spare codecs of scheme, when
+// it holds any. Its codecs belong to the next network a.New builds.
+func (a *Arena) Factory(scheme compress.Scheme, cfg compress.DictConfig, thresholdPct int) (func(node int) compress.Codec, error) {
+	mk, err := compress.Maker(scheme, cfg, thresholdPct)
+	if err != nil {
+		return nil, err
+	}
+	return func(node int) compress.Codec {
+		var old compress.Codec
+		if s := a.spare[scheme]; len(s) > 0 {
+			old, a.spare[scheme] = s[len(s)-1], s[:len(s)-1]
+		}
+		c := mk(old, node)
+		if c != nil {
+			a.lent = append(a.lent, c)
+		}
+		return c
+	}, nil
+}
+
+// New is noc.New on a's storage, or noc.New itself when a is nil: the
+// network is built on the body of the network last released into a, on
+// its slabs always, and on the rest when the two share topology, VCs and
+// BufDepth. Release gives the body and the codecs a's factories made for
+// it back to a.
+func (a *Arena) New(topo *topology.Topology, cfg Config, codecFactory func(node int) compress.Codec) (*Network, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -120,14 +159,15 @@ func New(topo *topology.Topology, cfg Config, codecFactory func(node int) compre
 		return nil, fmt.Errorf("noc: %d ports x %d VCs = %d input VCs per router, more than the %d the allocators support",
 			topo.Ports(), cfg.VCs, slots, maxSlots)
 	}
-	n := &Network{topo: topo, cfg: cfg}
-	if old, _ := bodyPool.Get().(*Network); old != nil {
+	n := &Network{topo: topo, cfg: cfg, arena: a}
+	if a != nil && a.last != nil {
+		old := a.last
 		if *old.topo == *topo && old.cfg.VCs == cfg.VCs && old.cfg.BufDepth == cfg.BufDepth {
 			n.body = old.body
 		} else {
 			n.slabs = old.slabs
 		}
-		old.body = body{}
+		old.body, a.last = body{}, nil
 	}
 	if n.routers == nil {
 		n.build()
@@ -141,6 +181,9 @@ func New(topo *topology.Topology, cfg Config, codecFactory func(node int) compre
 			return nil, fmt.Errorf("noc: codec factory made no codec for tile %d", i)
 		}
 		ni.init(n, i, codec)
+	}
+	if a != nil {
+		n.lent, a.lent = a.lent, nil
 	}
 	n.flitStage, n.creditStage, n.niCreditStage = n.flitStage[:0], n.creditStage[:0], n.niCreditStage[:0]
 	clear(n.sending)
@@ -204,6 +247,11 @@ func (n *Network) notifyDelivery(p *Packet, blk *value.Block) {
 }
 
 const slabLen = 64
+
+// payloadCap is the payload storage carve gives a packet: a 16-word
+// block's bitstream fits under any scheme (FP-COMP with every word raw
+// takes 70 bytes); a longer one moves to storage of its own.
+const payloadCap = 72
 
 // slab holds slabLen packets and one link word per packet. Every NI list
 // — the network's free list, an injection queue, a reorder list, a decode
@@ -292,6 +340,17 @@ func (n *Network) newPacket(src, dst int, kind PacketKind, now sim.Cycle) *Packe
 	return p
 }
 
+// carve gives every packet of p's slab without payload storage a share
+// of one new block, one allocation for the slab's data packets.
+func (n *Network) carve(p *Packet) {
+	sl, buf := n.slabs[p.slot/slabLen], make([]byte, slabLen*payloadCap)
+	for i := range sl.pkt {
+		if q := &sl.pkt[i]; cap(q.Enc.Payload) == 0 {
+			q.Enc.Payload = buf[i*payloadCap : i*payloadCap : (i+1)*payloadCap]
+		}
+	}
+}
+
 // freePacket puts a delivered packet on the free list after its delivery
 // handlers have returned. Everything but the slot and the payload storage
 // is cleared, so newPacket starts from zero values.
@@ -303,28 +362,35 @@ func (n *Network) freePacket(p *Packet) {
 // packet is the packet a flit names.
 func (n *Network) packet(f flit) *Packet { return n.pkt(f.slot()) }
 
-// Release ends the network's life and hands its body to a network built
-// after it: the packet slabs, payload storage included, to any, and the
-// routers, NIs, staging and sequence storage to one of the same topology,
-// VCs and BufDepth. It gives each NI's codec back to the codec factories
-// (compress.Recycle) unless another NI holds it too. Read Stats, Power
-// and CodecStats first. Every *Packet the network returned, every NI and
-// every codec is invalid afterwards, as are the routers; Step, SendData,
-// SendControl and CodecStats panic. A second Release does nothing.
+// Release ends the network's life; a network an Arena built gives its
+// body and the codecs the arena's factories made for it back to the
+// arena (see Arena.New). Read Stats, Power and CodecStats first. Every
+// *Packet the network returned, every NI, router and codec is invalid
+// afterwards; Step, SendData, SendControl and CodecStats panic. A second
+// Release does nothing.
 func (n *Network) Release() {
 	if n.released {
 		return
 	}
-	// Whether NIs share a codec is read from the NIs alone: a codec given
-	// back may already serve another network, so it is not touched again.
-	for i, ni := range n.nis {
-		if !n.sharesCodec(i) {
-			compress.Recycle(ni.codec)
-		}
-	}
+	n.released = true
+	n.onDeliver, n.tracer, n.obs = nil, nil, nil
 	for _, ni := range n.nis {
 		ni.codec = nil
 	}
+	a := n.arena
+	if a == nil {
+		return
+	}
+	// In reverse: the factory takes the last spare first, so each codec
+	// goes to the tile it served here.
+	for i := len(n.lent) - 1; i >= 0; i-- {
+		c := n.lent[i]
+		a.spare[c.Scheme()] = append(a.spare[c.Scheme()], c)
+	}
+	if a.lent == nil {
+		a.lent = n.lent[:0]
+	}
+	n.lent, n.arena = nil, nil
 	for _, sl := range n.slabs {
 		for i := range sl.pkt {
 			p := &sl.pkt[i]
@@ -332,20 +398,8 @@ func (n *Network) Release() {
 		}
 		sl.next = [slabLen]uint32{}
 	}
-	n.slabs, n.slots, n.free, n.released = n.slabs[:0], 0, 0, true
-	n.onDeliver, n.tracer, n.obs = nil, nil, nil
-	bodyPool.Put(n)
-}
-
-// sharesCodec reports whether another NI holds tile's codec.
-func (n *Network) sharesCodec(tile int) bool {
-	c := n.nis[tile].codec
-	for i, ni := range n.nis {
-		if i != tile && ni.codec == c {
-			return true
-		}
-	}
-	return false
+	n.slabs, n.slots, n.free = n.slabs[:0], 0, 0
+	a.last = n
 }
 
 // live panics once the network is released.

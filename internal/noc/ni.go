@@ -121,6 +121,9 @@ func (ni *NI) enqueueData(dst int, blk *value.Block, now sim.Cycle) *Packet {
 			ni.net.trace(obs.EvApproxHit, ni.tile, p.ID, approxWords)
 		}
 	}
+	if cap(p.Enc.Payload) == 0 {
+		ni.net.carve(p)
+	}
 	payload := append(p.Enc.Payload[:0], enc.Payload...)
 	p.Enc = *enc
 	p.Enc.Payload = payload

@@ -3,8 +3,6 @@ package noc
 import (
 	"fmt"
 	"hash/fnv"
-	"runtime"
-	"runtime/debug"
 	"testing"
 
 	"approxnoc/internal/compress"
@@ -33,33 +31,45 @@ func saturate(n *Network, r *sim.Rand, src *workload.Source, blk *value.Block) {
 	n.Step()
 }
 
-// drainPool empties the pool of released networks.
-func drainPool() {
-	for bodyPool.Get() != nil {
+// arenaNet is schemeNet built by ar, on its storage and codecs.
+func arenaNet(t testing.TB, ar *Arena, vcs int, scheme compress.Scheme, threshold int) *Network {
+	t.Helper()
+	topo, err := topology.NewCMesh(4, 4, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
+	factory, err := ar.Factory(scheme, compress.DefaultDictConfig(topo.Tiles()), threshold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.VCs = vcs
+	n, err := ar.New(topo, cfg, factory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 // TestReleasedBodyReplaysIdentically pins body reuse: a network built on
 // a released network's body runs exactly as one built fresh. Run A,
-// under DI-VAXX past saturation and undrained, is released while its
-// router buffers, injection queues, reorder lists and decode FIFOs all
-// hold packets, so its routers, NIs and slabs carry state and payload
-// storage. B, under FP-COMP so payload lengths differ, must take A's
-// whole body; C, the same run, builds fresh from a drained pool. B and C
-// must agree on NetStats and PowerEvents every cycle, and on CodecStats
-// and every delivered packet and block at the end. A released network
-// must refuse to step or send, also once B holds its body. D, with 2 VCs,
-// gives the next network, E of the default 4, its slabs but never its
-// routers or NIs, and E replays C too. Codecs recycle by scheme: a
-// DI-COMP and an FP-VAXX network built on a released one's codecs replay
-// one on new codecs.
+// under DI-VAXX past saturation and undrained, is released into an arena
+// while its router buffers, injection queues, reorder lists and decode
+// FIFOs all hold packets, so its routers, NIs and slabs carry state and
+// payload storage. B, under FP-COMP so payload lengths differ, must take
+// A's whole body from the arena; C, the same run, is built fresh by New.
+// B and C must agree on NetStats and PowerEvents every cycle, and on
+// CodecStats and every delivered packet and block at the end. A released
+// network must refuse to step or send, also once B holds its body. D,
+// with 2 VCs, gives the next network its arena builds, E of the default
+// 4, its slabs but never its routers or NIs, and E replays C too. Codecs
+// go back to the arena by scheme: a DI-COMP and an FP-VAXX network built
+// on a released one's codecs replay one on new codecs.
 func TestReleasedBodyReplaysIdentically(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC would empty the pool
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))  // one P, so one pool shard holds every body
-	drainPool()
 	m, _ := workload.ByName("streamcluster")
+	ar := new(Arena)
 
-	a := schemeNet(t, 4, 4, 2, compress.DIVaxx, 10)
+	a := arenaNet(t, ar, 4, compress.DIVaxx, 10)
 	r, src, blk := sim.NewRand(5), m.NewSource(11, 0.75), new(value.Block)
 	for a.Now() < 1500 || !a.holdsEveryList() {
 		if a.Now() == 20000 {
@@ -75,7 +85,7 @@ func TestReleasedBodyReplaysIdentically(t *testing.T) {
 		fromA[sl] = true
 	}
 	a.Release()
-	a.Release() // a no-op: the body must not be pooled twice
+	a.Release() // a no-op: the body and codecs must not go back twice
 	refuses := func(n *Network) {
 		t.Helper()
 		for name, use := range map[string]func(){
@@ -121,43 +131,31 @@ func TestReleasedBodyReplaysIdentically(t *testing.T) {
 		}
 		return tr
 	}
-	fpNet := func() *Network { return schemeNet(t, 4, 4, 2, compress.FPComp, 0) }
-	b := run(fpNet())
+	b := run(arenaNet(t, ar, 4, compress.FPComp, 0))
 	refuses(a)
-	if !RaceEnabled {
-		if a.routers != nil || a.nis != nil || a.slabs != nil {
-			t.Fatal("the released network still holds the body B took")
-		}
-		for i := range b.n.routers {
-			if b.n.routers[i] != bodyA.routers[i] {
-				t.Fatalf("run B built router %d afresh instead of taking run A's", i)
-			}
-		}
-		for i := range b.n.nis {
-			if b.n.nis[i] != bodyA.nis[i] {
-				t.Fatalf("run B built NI %d afresh instead of taking run A's", i)
-			}
-		}
-		reused := 0
-		for _, sl := range b.n.slabs {
-			if fromA[sl] {
-				reused++
-			}
-		}
-		if want := min(len(fromA), len(b.n.slabs)); reused != want {
-			t.Fatalf("run B took %d of run A's %d slabs for its %d, want %d", reused, len(fromA), len(b.n.slabs), want)
+	if a.routers != nil || a.nis != nil || a.slabs != nil {
+		t.Fatal("the released network still holds the body B took")
+	}
+	for i := range b.n.routers {
+		if b.n.routers[i] != bodyA.routers[i] {
+			t.Fatalf("run B built router %d afresh instead of taking run A's", i)
 		}
 	}
-	drainPool()
-	c := run(fpNet())
-	if c.n.routers[0] == bodyA.routers[0] || c.n.nis[0] == bodyA.nis[0] {
-		t.Fatal("run C took run A's fabric from a drained pool")
+	for i := range b.n.nis {
+		if b.n.nis[i] != bodyA.nis[i] {
+			t.Fatalf("run B built NI %d afresh instead of taking run A's", i)
+		}
 	}
-	for _, sl := range c.n.slabs {
+	reused := 0
+	for _, sl := range b.n.slabs {
 		if fromA[sl] {
-			t.Fatal("run C took a slab of run A's from a drained pool")
+			reused++
 		}
 	}
+	if want := min(len(fromA), len(b.n.slabs)); reused != want {
+		t.Fatalf("run B took %d of run A's %d slabs for its %d, want %d", reused, len(fromA), len(b.n.slabs), want)
+	}
+	c := run(schemeNet(t, 4, 4, 2, compress.FPComp, 0))
 	same := func(name string, x, c *trace) {
 		t.Helper()
 		for i := range x.stats {
@@ -182,48 +180,29 @@ func TestReleasedBodyReplaysIdentically(t *testing.T) {
 	}
 	same("a released body", b, c)
 
-	drainPool()
-	cfg := DefaultConfig()
-	cfg.VCs = 2
-	topo, factory := b.n.topo, func(int) compress.Codec { return compress.NewFPComp() }
-	d, err := New(topo, cfg, factory)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := arenaNet(t, ar, 2, compress.FPComp, 0)
 	for d.Now() < 500 {
 		saturate(d, r, src, blk)
 	}
 	bodyD := d.body
 	d.Release()
-	e := run(fpNet())
+	e := run(arenaNet(t, ar, 4, compress.FPComp, 0))
 	for i := range e.n.routers {
 		if e.n.routers[i] == bodyD.routers[i] || e.n.nis[i] == bodyD.nis[i] {
 			t.Fatalf("a 4-VC network took router or NI %d of a released 2-VC one", i)
 		}
 	}
-	if !RaceEnabled && e.n.slabs[0] != bodyD.slabs[0] {
+	if e.n.slabs[0] != bodyD.slabs[0] {
 		t.Fatal("a 4-VC network did not take the slabs of a released 2-VC one")
 	}
 	same("a released 2-VC body's slabs", e, c)
 
 	// Codecs: F, under DI-COMP and then FP-VAXX, is released saturated,
 	// its codecs mid-stream and its DI notifications in flight; G of the
-	// same scheme must take every codec F had and replay H, which is built
-	// on a drained pool with codecs new from the constructors.
-	for _, s := range []struct {
-		scheme compress.Scheme
-		fresh  func(tile int) compress.Codec
-	}{
-		{compress.DIComp, func(tile int) compress.Codec {
-			c, _ := compress.NewDIComp(tile, compress.DefaultDictConfig(topo.Tiles()))
-			return c
-		}},
-		{compress.FPVaxx, func(int) compress.Codec {
-			c, _ := compress.NewFPVaxx(10)
-			return c
-		}},
-	} {
-		f := schemeNet(t, 4, 4, 2, s.scheme, 10)
+	// same scheme, built by the same arena, must take every codec F had
+	// and replay H, which New builds with new codecs.
+	for _, scheme := range []compress.Scheme{compress.DIComp, compress.FPVaxx} {
+		f := arenaNet(t, ar, 4, scheme, 10)
 		for f.Now() < 1500 {
 			saturate(f, r, src, blk)
 		}
@@ -232,20 +211,13 @@ func TestReleasedBodyReplaysIdentically(t *testing.T) {
 			fromF[ni.codec] = true
 		}
 		f.Release()
-		g := run(schemeNet(t, 4, 4, 2, s.scheme, 10))
-		if !RaceEnabled {
-			for i, ni := range g.n.nis {
-				if !fromF[ni.codec] {
-					t.Fatalf("%v: run G built tile %d's codec afresh instead of taking one of run F's", s.scheme, i)
-				}
+		g := run(arenaNet(t, ar, 4, scheme, 10))
+		for i, ni := range g.n.nis {
+			if !fromF[ni.codec] {
+				t.Fatalf("%v: run G built tile %d's codec afresh instead of taking one of run F's", scheme, i)
 			}
 		}
-		drainPool()
-		h, err := New(topo, DefaultConfig(), s.fresh)
-		if err != nil {
-			t.Fatal(err)
-		}
-		same(fmt.Sprintf("%v on a released network's codecs", s.scheme), g, run(h))
+		same(fmt.Sprintf("%v on a released network's codecs", scheme), g, run(schemeNet(t, 4, 4, 2, scheme, 10)))
 	}
 }
 
@@ -268,32 +240,29 @@ func (n *Network) holdsEveryList() bool {
 
 // TestNetworkBuildAllocs pins what a build on a released body costs: with
 // one codec shared by every tile, so the factory allocates nothing, a
-// network of a released network's shape must allocate its Network header
-// and nothing else, where a fresh build allocates every router, NI,
-// staging slice and sequence table.
+// network an arena builds on a released network of its shape must
+// allocate its Network header and nothing else, where New allocates every
+// router, NI, staging slice and sequence table.
 func TestNetworkBuildAllocs(t *testing.T) {
-	if RaceEnabled {
-		t.Skip("the race detector drops pooled bodies at random")
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	topo, err := topology.NewCMesh(4, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	codec := compress.NewBaseline()
-	build := func() *Network {
-		n, err := New(topo, DefaultConfig(), func(int) compress.Codec { return codec })
+	factory := func(int) compress.Codec { return codec }
+	fresh := testing.AllocsPerRun(5, func() {
+		if _, err := New(topo, DefaultConfig(), factory); err != nil {
+			t.Fatal(err)
+		}
+	})
+	ar := new(Arena)
+	reused := testing.AllocsPerRun(20, func() {
+		n, err := ar.New(topo, DefaultConfig(), factory)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return n
-	}
-	fresh := testing.AllocsPerRun(5, func() {
-		drainPool()
-		build()
+		n.Release()
 	})
-	reused := testing.AllocsPerRun(20, func() { build().Release() })
 	t.Logf("a fresh build allocates %.0f times, one on a released body %.0f", fresh, reused)
 	if reused != 1 {
 		t.Fatalf("a build on a released body allocated %.0f times, want 1 (the Network header)", reused)
@@ -303,27 +272,24 @@ func TestNetworkBuildAllocs(t *testing.T) {
 	}
 }
 
-// TestReleaseRecyclesCodecs pins what Release does with codecs: a DI-VAXX
-// network built on a released one's body and codecs allocates its Network
-// header and nothing else, and a codec that tiles share never goes back
-// to the factories, even one a factory made; a codec a wrapper holds goes
-// back as itself.
+// TestReleaseRecyclesCodecs pins what Release gives an arena back: a
+// DI-VAXX network the arena builds on a released one's body and codecs
+// allocates its Network header and nothing else; a codec enters the arena
+// once, however many tiles held it and however often the network is
+// released, and only if the arena's factory made it; and a codec a
+// wrapper holds goes back as itself.
 func TestReleaseRecyclesCodecs(t *testing.T) {
-	if RaceEnabled {
-		t.Skip("the race detector drops pooled bodies and codecs at random")
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	topo, err := topology.NewCMesh(4, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	factory, err := compress.FactoryFor(compress.DIVaxx, topo.Tiles(), 10)
+	ar := new(Arena)
+	factory, err := ar.Factory(compress.DIVaxx, compress.DefaultDictConfig(topo.Tiles()), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	build := func(factory func(int) compress.Codec) *Network {
-		n, err := New(topo, DefaultConfig(), factory)
+		n, err := ar.New(topo, DefaultConfig(), factory)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -333,22 +299,45 @@ func TestReleaseRecyclesCodecs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, func() { build(factory).Release() }); allocs != 1 {
 		t.Fatalf("a DI-VAXX build on a released network allocated %.0f times, want 1 (the Network header)", allocs)
 	}
-	shared := factory(0)
-	build(func(int) compress.Codec { return shared }).Release()
-	for i, ni := range build(factory).nis {
-		if ni.codec == shared {
-			t.Fatalf("tile %d took the codec every tile of a released network shared", i)
-		}
+	spares := func() int { return len(ar.spare[compress.DIVaxx]) }
+	if got := spares(); got != topo.Tiles() {
+		t.Fatalf("the arena holds %d DI-VAXX codecs after a %d-tile network's release, want %d", got, topo.Tiles(), topo.Tiles())
 	}
+
+	// A codec the arena's factory made that every tile shares goes back
+	// once, also when the network is released twice; one the arena did
+	// not make never enters.
+	shared := factory(0)
+	n := build(func(int) compress.Codec { return shared })
+	n.Release()
+	n.Release()
+	if got := spares(); got != topo.Tiles() {
+		t.Fatalf("the arena holds %d DI-VAXX codecs after a network whose tiles share one, want %d", got, topo.Tiles())
+	}
+	own := compress.NewBaseline()
+	build(func(int) compress.Codec { return own }).Release()
+	if len(ar.spare[compress.Baseline]) != 0 {
+		t.Fatal("a codec the arena did not make went back to it")
+	}
+	seen := map[compress.Codec]bool{}
+	for i, ni := range build(factory).nis {
+		if seen[ni.codec] {
+			t.Fatalf("tile %d took a codec another tile holds", i)
+		}
+		seen[ni.codec] = true
+	}
+
 	// A wrapped factory's network gives back the codecs inside the
-	// wrappers: the next codec the factory makes is one of them.
+	// wrappers: the next network's codecs are those.
 	adaptive := build(compress.AdaptiveFactory(factory))
 	inner := map[compress.Codec]bool{}
 	for _, ni := range adaptive.nis {
 		inner[ni.codec.(*compress.Adaptive).Unwrap()] = true
 	}
 	adaptive.Release()
-	if c := factory(0); !inner[c] {
-		t.Fatal("a released adaptive network's wrapped codecs did not go back to the factory")
+	for i, ni := range build(factory).nis {
+		if !inner[ni.codec] {
+			t.Fatalf("tile %d did not take a codec a released adaptive network's wrapper held", i)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package noc_test
 
 import (
 	"runtime"
-	"runtime/debug"
 	"testing"
 
 	"approxnoc/internal/compress"
@@ -20,8 +19,8 @@ import (
 // runs on streamcluster (sim_saturation). Like those workloads, each run
 // is a fresh network stepped for 4000 cycles, so a saturated NI queue
 // grows no further than it does there, and each run releases its network
-// before the next is built, so it takes the released packet slabs as an
-// experiment cell does. Allocations are reported per cycle; building and
+// into one arena before the next is built on it, so it takes the released
+// body and codecs as an experiment cell does. Allocations are reported per cycle; building and
 // releasing each network run with the timer stopped and are not counted.
 func BenchmarkStep(b *testing.B) {
 	const window = 4000
@@ -47,13 +46,14 @@ func BenchmarkStep(b *testing.B) {
 			b.ReportAllocs()
 			var net *noc.Network
 			var inj *traffic.Injector
+			arena := new(noc.Arena)
 			for i := 0; i < b.N; i++ {
 				if i%window == 0 {
 					b.StopTimer()
 					if net != nil {
 						net.Release()
 					}
-					net, inj = benchNet(b, bc.shape)
+					net, inj = benchNet(b, arena, bc.shape)
 					b.StartTimer()
 				}
 				if inj != nil {
@@ -78,10 +78,11 @@ func saturated() traffic.Config {
 // TestSaturatedRunAllocs bounds what a saturated run allocates per packet
 // sent: the saturated BenchmarkStep load, undrained for 4000 cycles, so NI
 // source queues grow all run. A warm-up run of the same shape is released
-// first, as every experiment cell releases its network, so the measured
-// run is built on the warm-up's body, and its queues, reorder lists and
-// decode FIFOs thread through the warm-up's slabs, handed over in order:
-// a slot that carried a data packet mostly carries one again, with
+// into an arena first, as every experiment cell releases its network, so
+// the measured run is built on the warm-up's body and codecs, and its
+// queues, reorder lists and decode FIFOs thread through the warm-up's
+// slabs, handed over in order: a slot that carried a data packet mostly
+// carries one again, with
 // payload capacity. What is left is a payload copy that outgrows its slot
 // and the DI-VAXX codecs' own growth. Building the network is not
 // counted. Per-run slabs, queue slices, reorder maps and decode slices
@@ -89,16 +90,12 @@ func saturated() traffic.Config {
 // slab-threaded lists, 0.137; whole bodies and allocation-free DI
 // evictions, 0.003.
 func TestSaturatedRunAllocs(t *testing.T) {
-	if noc.RaceEnabled {
-		t.Skip("the race detector drops pooled bodies at random")
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // two GCs would empty the body pool
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))  // one pool shard: the warm-up's body comes back
 	const cycles, limit = 4000, 0.02
-	warm, inj := benchNet(t, saturated)
+	arena := new(noc.Arena)
+	warm, inj := benchNet(t, arena, saturated)
 	traffic.Run(warm, inj, cycles, false)
 	warm.Release()
-	net, inj := benchNet(t, saturated)
+	net, inj := benchNet(t, arena, saturated)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	traffic.Run(net, inj, cycles, false)
@@ -114,16 +111,18 @@ func TestSaturatedRunAllocs(t *testing.T) {
 	}
 }
 
-func benchNet(b testing.TB, shape func() traffic.Config) (*noc.Network, *traffic.Injector) {
+// benchNet builds the Table 1 mesh under DI-VAXX 10% on arena, with the
+// injector of shape when it is not nil.
+func benchNet(b testing.TB, arena *noc.Arena, shape func() traffic.Config) (*noc.Network, *traffic.Injector) {
 	topo, err := topology.NewCMesh(4, 4, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
-	factory, err := compress.FactoryFor(compress.DIVaxx, topo.Tiles(), 10)
+	factory, err := arena.Factory(compress.DIVaxx, compress.DefaultDictConfig(topo.Tiles()), 10)
 	if err != nil {
 		b.Fatal(err)
 	}
-	net, err := noc.New(topo, noc.DefaultConfig(), factory)
+	net, err := arena.New(topo, noc.DefaultConfig(), factory)
 	if err != nil {
 		b.Fatal(err)
 	}

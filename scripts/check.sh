@@ -52,21 +52,22 @@ go test -race -run 'TestMapJobs|TestDriversParallelEquivalence' -short ./interna
 
 # Simulator cycle-kernel gates, uninstrumented. Flits are 32-bit values
 # naming their packet's slot, and packets come from slabs of 64 that
-# recycle on delivery and carry every NI list in their link words; on
-# Release a network hands its body (slabs, and routers, NIs, staging and
-# sequence storage to a network of its shape) to the next one built, and
-# its codecs to the codec factories of their scheme. The
-# hot path must stay allocation-free
+# recycle on delivery and carry every NI list in their link words; a
+# network a noc.Arena built hands its body (slabs, and routers, NIs,
+# staging and sequence storage to a network of its shape) and the codecs
+# the arena's factories made back to the arena on Release, for the next
+# network it builds. The hot path must stay allocation-free
 # in a control-packet steady state, free-flowing and under arbitration;
 # steady data traffic must allocate nothing under any scheme (packets,
 # payloads and the decoded block recycle) and recycled packets must keep
-# their own payloads; a run on a released network's body must replay a
+# their own payloads; a run on an arena's released body must replay a
 # fresh run bit for bit, a body of another shape must give up only its
 # slabs, a build on a released body must allocate only its header, also
-# when the factory's DI-VAXX codecs come from a released network, which
-# must keep a codec tiles share, and a
-# saturated run after a released
-# warm-up must stay within its allocations per packet sent; a slab must
+# with the arena's DI-VAXX codecs, and a codec must enter an arena once,
+# and only if the arena's factory made it; a saturated run after a
+# released warm-up must stay within its allocations per packet sent. None
+# of these skip under -race, so the -race -short pass above runs them
+# instrumented too. A slab must
 # cost at most 5 % over its Packets' bytes, so Packet stays inside its
 # size class; every list must hold each slot once and every flit must
 # name an in-flight packet, head to tail per VC; and the request-mask
@@ -99,6 +100,14 @@ go test -race -count=3 -run 'TestServerSlotReuse|TestClientDoRecyclesCallsUnderF
 echo '>> alloc budget (value blocks)'
 go test -run 'TestNewBlockOneAllocation' ./internal/value
 
+# Runner reuse gate: each mapJobs worker builds on an arena it owns, so
+# with the GC on, ten Fig. 9 passes must allocate within 1 % of their
+# median at Jobs 1 and 2 and GOMAXPROCS 1 and 2. The sim workloads'
+# allocs_per_op is a median of such passes. Uninstrumented; it skips
+# itself under -race.
+echo '>> alloc budget (experiment runner)'
+go test -run 'TestFig9PassAllocsSteady' ./internal/experiments
+
 # Workload alloc gate: a block source builds in four allocations, its
 # Zipf tables shared per pool size. The sim workloads build a source per
 # experiment cell, so this guards their allocs_per_op. Uninstrumented,
@@ -123,19 +132,16 @@ done
 # block in steady state on every scheme, an encoder-PMT update that
 # evicts and installs must not allocate on either dictionary scheme, nor
 # must a decoder eviction's invalidate/ack handshake, a 32-node DI-VAXX
-# codec must build within 10 allocations and 6 KiB and, made on a
-# recycled one, allocate nothing, and the AVCL per-word mask computation
-# must never allocate (see DESIGN.md §14). Uninstrumented for the same
-# heap-accounting reason, and because the race detector drops pooled
-# codecs: the recycling gate skips itself under -race.
+# codec must build within 10 allocations and 6 KiB and, made on a used
+# one, allocate nothing, and the AVCL per-word mask computation must
+# never allocate (see DESIGN.md §14). Uninstrumented for the same
+# heap-accounting reason.
 echo '>> alloc budget (codec encode/decode)'
 go test -run 'TestCompressZeroAllocs|TestCompressZeroAllocsDict|TestDecompressIntoZeroAllocs|TestFabricTransferSteadyAllocs|TestHandleUpdateEvictZeroAllocs|TestEvictionHandshakeZeroAllocs|TestDictCodecBuildAllocs|TestRecycledDictCodecBuildAllocs' ./internal/compress
 go test -run 'TestAVCLZeroAllocs' ./internal/approx
 
-# Codec reuse: a codec made on a recycled one must start in a new one's
-# state and replay every scheme's stream as a new one does. The test
-# calls the reuse path directly rather than through the pool, so it runs
-# instrumented too.
+# Codec reuse: a codec made on a used one must start in a new one's state
+# and replay every scheme's stream as a new one does.
 echo '>> go test -race (codec reuse)'
 go test -race -run 'TestRecycledCodecMatchesNew' ./internal/compress
 
