@@ -83,9 +83,8 @@ func (a *AVCL) Threshold() int { return a.thresholdPct }
 // Stats returns the operation counters.
 func (a *AVCL) Stats() Stats { return a.stats }
 
-// RestoreStats overwrites the operation counters — used when a codec
-// snapshot is restored so energy accounting continues from the
-// captured totals instead of resetting to zero.
+// RestoreStats overwrites the operation counters; a reused codec zeroes
+// them with it so its energy accounting starts where a new one's does.
 func (a *AVCL) RestoreStats(s Stats) { a.stats = s }
 
 // ErrorRange returns the largest absolute deviation allowed for a

@@ -74,8 +74,8 @@ func AdaptiveFactory(inner func(node int) Codec) func(node int) Codec {
 // Scheme reports the wrapped scheme.
 func (a *Adaptive) Scheme() Scheme { return a.inner.Scheme() }
 
-// Unwrap exposes the wrapped codec so capability probes (dictionary
-// introspection, snapshotting) can look through the controller.
+// Unwrap exposes the wrapped codec so capability probes (As: threshold
+// adjustment, dictionary introspection) can look through the controller.
 func (a *Adaptive) Unwrap() Codec { return a.inner }
 
 // On reports whether compression is currently enabled.

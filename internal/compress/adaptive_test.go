@@ -149,3 +149,19 @@ func TestAdaptiveOverDictionary(t *testing.T) {
 		t.Fatal("dictionary never learned through the wrapper")
 	}
 }
+
+// TestAsLooksThroughAdaptive pins the capability probe the oracle and
+// the gateway use: As finds an optional interface on the codec Adaptive
+// wraps, and does not find it on a codec that lacks it.
+func TestAsLooksThroughAdaptive(t *testing.T) {
+	a, err := NewAdaptive(NewCodec(DIComp, DefaultDictConfig(2), 0, 0), DefaultAdaptiveConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := As[DictIntrospector](a); !ok {
+		t.Fatal("As[DictIntrospector] does not unwrap Adaptive")
+	}
+	if _, ok := As[DictIntrospector](NewBaseline()); ok {
+		t.Fatal("the baseline codec claims to introspect a dictionary")
+	}
+}

@@ -168,12 +168,6 @@ type OpStats struct {
 	AVCLMaskHits      uint64 // AVCL masks with at least one don't-care bit
 	AVCLClips         uint64 // float masks clipped at the mantissa boundary
 	AVCLBypasses      uint64 // special floats bypassing approximation
-
-	// Dictionary GC lifecycle counters (the dict_gc_* metric families).
-	GCEpochs            uint64 // decoder aging epochs completed
-	GCAgeEvictions      uint64 // entries reclaimed by cold-pattern age-out
-	GCPressureEvictions uint64 // entries reclaimed by capacity-pressure sweeps
-	GCBlockedReclaims   uint64 // reclaims deferred by the pending-eviction cap
 }
 
 // Add accumulates other into s.
@@ -198,10 +192,6 @@ func (s *OpStats) Add(o OpStats) {
 	s.AVCLMaskHits += o.AVCLMaskHits
 	s.AVCLClips += o.AVCLClips
 	s.AVCLBypasses += o.AVCLBypasses
-	s.GCEpochs += o.GCEpochs
-	s.GCAgeEvictions += o.GCAgeEvictions
-	s.GCPressureEvictions += o.GCPressureEvictions
-	s.GCBlockedReclaims += o.GCBlockedReclaims
 }
 
 // CompressionRatio returns BitsIn / BitsOut (1.0 when nothing flowed).
@@ -357,7 +347,7 @@ func CompressTransient(c Codec, dst int, blk *value.Block) *Encoded {
 
 // As returns c as a T, looking through wrappers (e.g. Adaptive) that
 // expose Unwrap: the one capability probe for the optional codec
-// interfaces (ThresholdAdjuster, DictSnapshotter, DictIntrospector).
+// interfaces (ThresholdAdjuster, DictIntrospector).
 func As[T any](c Codec) (T, bool) {
 	for c != nil {
 		if t, ok := c.(T); ok {

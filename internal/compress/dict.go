@@ -23,23 +23,9 @@ type DictConfig struct {
 	PromoteThreshold int
 	// PendingCap bounds concurrent evictions awaiting invalidate acks.
 	PendingCap int
-	// AgingPeriod is how many decoded words make one decoder aging
-	// epoch (frequency halving plus any configured GC pass). 0 selects
-	// the default of 4096.
+	// AgingPeriod is how many decoded words pass between halvings of
+	// the decoder frequency counters. 0 selects the default of 4096.
 	AgingPeriod int
-	// GCAgeOutEpochs reclaims decoder entries that stay unreferenced
-	// (frequency at zero after halving) for this many consecutive aging
-	// epochs, through the same invalidate/ack handshake as a
-	// promotion eviction. 0 disables cold-pattern age-out.
-	GCAgeOutEpochs int
-	// GCPressureSweep bounds how many of the coldest decoder entries a
-	// capacity-pressure sweep may reclaim per aging epoch. 0 disables
-	// the sweep.
-	GCPressureSweep int
-	// GCPressureMin is how many promotions the cold-entry guard must
-	// block within one aging epoch before the sweep fires. 0 selects
-	// the default of 8 when GCPressureSweep is enabled.
-	GCPressureMin int
 }
 
 // DefaultDictConfig returns the Table 1 dictionary parameters for an
@@ -78,13 +64,6 @@ func (c *DictConfig) validate() error {
 	if c.AgingPeriod == 0 {
 		c.AgingPeriod = agingPeriod
 	}
-	if c.GCAgeOutEpochs < 0 || c.GCPressureSweep < 0 || c.GCPressureMin < 0 {
-		return fmt.Errorf("compress: dict GC knobs must be >= 0 (age-out %d, sweep %d, min %d)",
-			c.GCAgeOutEpochs, c.GCPressureSweep, c.GCPressureMin)
-	}
-	if c.GCPressureSweep > 0 && c.GCPressureMin == 0 {
-		c.GCPressureMin = 8
-	}
 	return nil
 }
 
@@ -114,10 +93,10 @@ type candidateTable struct {
 	// victim caches the index of the first count-1 entry, or -1 when
 	// unknown. Counts never decrease, so once established it stays the
 	// first count-1 index until that entry itself is bumped or indices
-	// shift (drop/restore), letting back-to-back replacements — the
-	// common case under a transient stream — skip the min scan. The
-	// replacement choice is identical with or without the cache, so
-	// snapshot/restore (which resets it to unknown) cannot diverge.
+	// shift (drop), letting back-to-back replacements — the common case
+	// under a transient stream — skip the min scan. The replacement
+	// choice is identical with or without the cache, so a reset (which
+	// makes it unknown) cannot change what the table does.
 	victim int
 }
 
@@ -137,11 +116,6 @@ func (t *candidateTable) init(buf []uint64) {
 func (t *candidateTable) reset() {
 	t.keys, t.count, t.victim = t.keys[:0], t.count[:0], -1
 }
-
-// pat and dtype unpack entry i (the snapshot codec keeps its wire format
-// in terms of the split fields).
-func (t *candidateTable) pat(i int) value.Word       { return value.Word(t.keys[i]) }
-func (t *candidateTable) dtype(i int) value.DataType { return value.DataType(t.keys[i] >> 32) }
 
 // bump records one sighting and returns the updated count. The key
 // search touches only the packed key slice — one load and compare per
@@ -213,22 +187,20 @@ type destRef struct {
 type decEntry struct {
 	freq    uint64
 	pattern value.Word
-	idle    uint32 // consecutive cold aging epochs, for GC age-out
 	dtype   value.DataType
 	valid   bool
 	locked  bool // eviction handshake in progress
 }
 
 // pendingInstall tracks an eviction awaiting invalidate acks before the
-// slot can be reused for a newly promoted pattern — or, for GC
-// reclaims, simply freed. The encoders it awaits are the slot's bits in
-// dictCodec.awaiting: a slot has at most one eviction in flight.
+// slot can be reused for a newly promoted pattern. The encoders it
+// awaits are the slot's bits in dictCodec.awaiting: a slot has at most
+// one eviction in flight.
 type pendingInstall struct {
 	slot      int
 	pattern   value.Word
 	dtype     value.DataType
-	requester int  // source node that triggered the promotion
-	gc        bool // reclaim only: free the slot, install nothing
+	requester int // source node that triggered the promotion
 }
 
 // bitset is a fixed set of node ids: bit i%64 of word i/64.
@@ -273,16 +245,6 @@ type dictCodec struct {
 	setWords  int
 	cands     candidateTable
 	pending   []pendingInstall // capacity PendingCap
-
-	// GC bookkeeping: the promotions the cold-entry guard blocked since
-	// the last epoch.
-	blockedPromotes uint64
-
-	// gen is the dictionary state version: it advances on every table
-	// mutation (installs, updates, invalidations, evictions, GC
-	// reclaims, aging epochs) and tags snapshots so replication can
-	// tell stale state from fresh (see DictSnapshotter).
-	gen uint64
 
 	scratch encodeScratch
 	// notifs is the storage of the last notification batch returned.
@@ -505,7 +467,7 @@ func (d *dictCodec) DecompressInto(dst *value.Block, src int, enc *Encoded) []No
 	d.stats.WordsDecoded += uint64(enc.NumWords)
 	period := uint64(d.cfg.AgingPeriod)
 	if before/period != d.stats.WordsDecoded/period {
-		out = d.runEpoch(out)
+		d.ageFrequencies()
 	}
 	return d.send(out)
 }
@@ -535,84 +497,6 @@ func (d *dictCodec) ageFrequencies() {
 	for slot := range d.dec {
 		d.dec[slot].freq /= 2
 	}
-}
-
-// runEpoch is one decoder aging epoch: the frequency halving that was
-// always there, plus the configured GC policies. It appends the
-// invalidate fanout any reclaims produced to the Decompress notification
-// batch out.
-func (d *dictCodec) runEpoch(out []Notification) []Notification {
-	d.stats.GCEpochs++
-	d.gen++
-	d.ageFrequencies()
-
-	// Cold-pattern age-out: entries whose halved frequency sits at zero
-	// accumulate idle epochs; at the configured bound they are reclaimed
-	// through the invalidate/ack handshake.
-	for slot := range d.dec {
-		e := &d.dec[slot]
-		if !e.valid || e.locked || e.freq > 0 {
-			e.idle = 0
-			continue
-		}
-		e.idle++
-		if d.cfg.GCAgeOutEpochs > 0 && e.idle >= uint32(d.cfg.GCAgeOutEpochs) {
-			out = d.reclaim(out, slot, false)
-		}
-	}
-
-	// Capacity-pressure sweep: when the cold-entry guard blocked enough
-	// promotions this epoch, free up to GCPressureSweep of the coldest
-	// unlocked entries so new candidates have somewhere to land.
-	if d.cfg.GCPressureSweep > 0 && d.blockedPromotes >= uint64(d.cfg.GCPressureMin) {
-		for n := 0; n < d.cfg.GCPressureSweep; n++ {
-			victim, best, found := 0, ^uint64(0), false
-			for slot := range d.dec {
-				e := &d.dec[slot]
-				if e.valid && !e.locked && e.freq < best {
-					victim, best, found = slot, e.freq, true
-				}
-			}
-			if !found {
-				break
-			}
-			out = d.reclaim(out, victim, true)
-		}
-	}
-	d.blockedPromotes = 0
-	return out
-}
-
-// reclaim frees decoder slot through the same invalidate/ack handshake a
-// promotion eviction uses, so encoder PMTs never reference a freed row.
-// Slots nobody mapped are freed immediately; otherwise the slot locks
-// behind a gc pendingInstall until every encoder acks. When the pending
-// table is full the reclaim is deferred to a later epoch.
-func (d *dictCodec) reclaim(out []Notification, slot int, pressure bool) []Notification {
-	e := &d.dec[slot]
-	if !e.valid || e.locked {
-		return out
-	}
-	if len(d.pending) >= d.cfg.PendingCap {
-		d.stats.GCBlockedReclaims++
-		return out
-	}
-	if pressure {
-		d.stats.GCPressureEvictions++
-	} else {
-		d.stats.GCAgeEvictions++
-	}
-	e.idle = 0
-	out, awaited := d.invalidate(out, slot)
-	d.gen++
-	if !awaited {
-		e.valid = false
-		e.freq = 0
-		return out
-	}
-	e.locked = true
-	d.pending = append(d.pending, pendingInstall{slot: slot, gc: true})
-	return out
 }
 
 // invalidate appends an invalidate of decoder slot for every encoder
@@ -686,7 +570,6 @@ func (d *dictCodec) promote(out []Notification, src int, word value.Word, dt val
 		return out
 	}
 	if best >= uint64(count) {
-		d.blockedPromotes++
 		return out // the candidate is not hotter than the coldest entry yet
 	}
 	d.cands.drop(word, dt)
@@ -697,7 +580,6 @@ func (d *dictCodec) promote(out []Notification, src int, word value.Word, dt val
 		return d.install(out, victim, src, word, dt)
 	}
 	d.dec[victim].locked = true
-	d.gen++
 	d.pending = append(d.pending, pendingInstall{
 		slot: victim, pattern: word, dtype: dt, requester: src,
 	})
@@ -711,11 +593,9 @@ func (d *dictCodec) install(out []Notification, slot, src int, word value.Word, 
 	e.pattern = word
 	e.dtype = dt
 	e.freq = 1
-	e.idle = 0
 	mapped := d.row(d.validBits, slot)
 	clear(mapped)
 	mapped.add(src)
-	d.gen++
 	d.stats.TableWrites++
 	return append(out, Notification{
 		From: d.node, To: src, Kind: NotifUpdate,
@@ -754,7 +634,6 @@ func (d *dictCodec) handleUpdate(n Notification) {
 		d.clearSlot(slot)
 	}
 	d.dests(slot)[n.From] = destRef{valid: true, idx: uint16(n.Index), orig: n.Pattern}
-	d.gen++
 	d.stats.TableWrites++
 }
 
@@ -769,7 +648,6 @@ func (d *dictCodec) handleInvalidate(n Notification) {
 		ref := &dests[n.From]
 		if ref.valid && int(ref.idx) == n.Index {
 			*ref = destRef{}
-			d.gen++
 			// Invalidate the whole encoder entry if no destination uses it.
 			inUse := false
 			for i := range dests {
@@ -799,16 +677,10 @@ func (d *dictCodec) handleAck(out []Notification, n Notification) []Notification
 		if !awaiting.empty() {
 			return out
 		}
-		slot, src, pat, dt, gc := p.slot, p.requester, p.pattern, p.dtype, p.gc
+		slot, src, pat, dt := p.slot, p.requester, p.pattern, p.dtype
 		d.pending = append(d.pending[:i], d.pending[i+1:]...)
 		d.dec[slot].valid = false
 		d.dec[slot].locked = false
-		if gc {
-			// GC reclaim: the slot is simply freed, nothing installs.
-			d.dec[slot].freq = 0
-			d.gen++
-			return out
-		}
 		return d.install(out, slot, src, pat, dt)
 	}
 	return out

@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -369,24 +370,18 @@ func TestFabricStatsAggregation(t *testing.T) {
 // Σ NotificationsRecv at quiescence — the count Fig. 15's NotifPJ term
 // and *_codec_notifications_total are read from. 2-entry PMTs under a
 // shifting hot set keep the eviction handshake (invalidate → ack →
-// deferred install) and, in the GC rows, epoch reclaims busy.
+// deferred install) busy.
 func TestDictNotificationsConserved(t *testing.T) {
 	const nodes, transfers = 4, 4000
 	for _, tc := range []struct {
 		name   string
 		scheme Scheme
-		gc     bool
 	}{
-		{"DI-COMP", DIComp, false},
-		{"DI-VAXX", DIVaxx, false},
-		{"DI-COMP gc", DIComp, true},
-		{"DI-VAXX gc", DIVaxx, true},
+		{"DI-COMP", DIComp},
+		{"DI-VAXX", DIVaxx},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DictConfig{Nodes: nodes, Entries: 2, CandidateCap: 16, PromoteThreshold: 2, PendingCap: 2}
-			if tc.gc {
-				cfg.AgingPeriod, cfg.GCAgeOutEpochs, cfg.GCPressureSweep = 64, 1, 1
-			}
 			f := NewFabric(nodes, func(node int) Codec { return NewCodec(tc.scheme, cfg, 10, node) })
 			rng := sim.NewRand(5)
 			for i := 0; i < transfers; i++ {
@@ -400,7 +395,7 @@ func TestDictNotificationsConserved(t *testing.T) {
 				f.Transfer(src, dst, value.BlockFromI32(words, tc.scheme == DIVaxx))
 			}
 			s := f.Stats()
-			if s.NotificationsSent == 0 || (tc.gc && s.GCEpochs == 0) {
+			if s.NotificationsSent == 0 {
 				t.Fatalf("no protocol traffic to conserve: %+v", s)
 			}
 			var evicted bool
@@ -409,7 +404,7 @@ func TestDictNotificationsConserved(t *testing.T) {
 				if len(d.pending) != 0 {
 					t.Fatalf("node %d: %d pending installs at quiescence", n, len(d.pending))
 				}
-				evicted = evicted || d.blockedPromotes > 0 || d.stats.TableWrites > uint64(cfg.Entries)
+				evicted = evicted || d.stats.TableWrites > uint64(cfg.Entries)
 			}
 			if !evicted {
 				t.Fatal("workload never put the PMTs under eviction pressure")
@@ -419,6 +414,59 @@ func TestDictNotificationsConserved(t *testing.T) {
 					s.NotificationsSent, s.NotificationsRecv)
 			}
 		})
+	}
+}
+
+// TestDecoderFrequenciesAgeEveryPeriod pins frequency aging: a decoder
+// halves every entry's frequency once per AgingPeriod decoded words, at
+// the block that crosses the boundary, and at no other block. Hot
+// traffic gives the entries their frequencies; cold unique words then
+// carry the decoder across the boundary without touching them.
+func TestDecoderFrequenciesAgeEveryPeriod(t *testing.T) {
+	cfg := DictConfig{Nodes: 2, Entries: 4, CandidateCap: 16, PromoteThreshold: 2, PendingCap: 2, AgingPeriod: 64}
+	factory, err := FactoryWithDict(DIComp, cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := NewFabric(cfg.Nodes, factory)
+	dec := f.Codec(1).(*dictCodec)
+	for i := 0; i < 5; i++ {
+		f.Transfer(0, 1, value.BlockFromI32([]int32{7, 7, 7, 9, 9, 7, 9, 9}, false))
+	}
+	freqs := func() []uint64 {
+		var out []uint64
+		for _, e := range dec.dec {
+			if e.valid {
+				out = append(out, e.freq)
+			}
+		}
+		return out
+	}
+	before := freqs()
+	if len(before) != 2 || before[0] < 2 || before[1] < 2 {
+		t.Fatalf("hot traffic left frequencies %v, want two entries at 2 or more", before)
+	}
+	halvings := 0
+	for cold := int32(1 << 20); dec.stats.WordsDecoded < 120; cold += 8 {
+		words := dec.stats.WordsDecoded
+		f.Transfer(0, 1, value.BlockFromI32([]int32{cold, cold + 1, cold + 2, cold + 3, cold + 4, cold + 5, cold + 6, cold + 7}, false))
+		crossed := words/64 != dec.stats.WordsDecoded/64
+		want := before
+		if crossed {
+			halvings++
+			want = slices.Clone(before)
+			for i := range want {
+				want[i] /= 2
+			}
+		}
+		after := freqs()
+		if !slices.Equal(after, want) {
+			t.Fatalf("after word %d: frequencies %v, want %v (from %v)", dec.stats.WordsDecoded, after, want, before)
+		}
+		before = after
+	}
+	if halvings != 1 {
+		t.Fatalf("%d aging boundaries crossed, want 1", halvings)
 	}
 }
 
@@ -457,15 +505,11 @@ func TestDictSearchCountsSplitByScheme(t *testing.T) {
 
 // TestDICompEntriesMaskNoBits pins what encodeWord's single path relies
 // on: a DI-COMP encoder-PMT entry masks no bit, so every hit is exact.
-// It must hold through encoder evictions and decoder GC reclaims, and in
-// a codec restored from a snapshot.
+// It must hold through encoder evictions.
 func TestDICompEntriesMaskNoBits(t *testing.T) {
 	cfg := DefaultDictConfig(3)
 	cfg.Entries = 4
 	cfg.AgingPeriod = 64
-	cfg.GCAgeOutEpochs = 1
-	cfg.GCPressureSweep = 2
-	cfg.GCPressureMin = 2
 	factory, err := FactoryWithDict(DIComp, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -473,17 +517,6 @@ func TestDICompEntriesMaskNoBits(t *testing.T) {
 	f := NewFabric(cfg.Nodes, factory)
 	enc := f.Codec(0).(*dictCodec)
 	installed := map[uint32]bool{}
-	check := func(d *dictCodec, when string) {
-		t.Helper()
-		for i := 0; i < cfg.Entries; i++ {
-			if e, _, ok := d.pmt.SlotState(i); ok {
-				if e.Mask != 0 {
-					t.Fatalf("%s: slot %d holds %+v, which masks bits", when, i, e)
-				}
-				installed[e.Value] = true
-			}
-		}
-	}
 	rng := testRand()
 	for i := 0; i < 600; i++ {
 		dst := 1 + i%2
@@ -492,25 +525,20 @@ func TestDICompEntriesMaskNoBits(t *testing.T) {
 		for j := range blk.Words {
 			blk.Words[j] = hot
 			if i%5 == 4 {
-				blk.Words[j] = rng.Uint32() // cold phases let the GC reclaim
+				blk.Words[j] = rng.Uint32() // cold phases between the hot ones
 			}
 		}
 		f.Transfer(0, dst, blk)
-		check(enc, "traffic")
+		for slot := 0; slot < cfg.Entries; slot++ {
+			if e, _, ok := enc.pmt.SlotState(slot); ok {
+				if e.Mask != 0 {
+					t.Fatalf("transfer %d: slot %d holds %+v, which masks bits", i, slot, e)
+				}
+				installed[e.Value] = true
+			}
+		}
 	}
 	if len(installed) <= cfg.Entries {
 		t.Fatalf("only %d distinct entries ever installed in %d slots: nothing was evicted", len(installed), cfg.Entries)
 	}
-	if s := f.Stats(); s.GCAgeEvictions+s.GCPressureEvictions == 0 {
-		t.Fatal("the decoders never reclaimed an entry")
-	}
-	img, err := enc.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored := NewCodec(DIComp, cfg, 0, 0)
-	if err := restored.(*dictCodec).Unmarshal(img); err != nil {
-		t.Fatal(err)
-	}
-	check(restored.(*dictCodec), "restored")
 }

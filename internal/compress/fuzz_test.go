@@ -159,89 +159,6 @@ func FuzzBDIRoundTrip(f *testing.F) {
 	})
 }
 
-// dictSnapSeed produces a genuine snapshot image for the fuzz corpus:
-// a two-node fabric driven with fixed traffic, node 0's state.
-func dictSnapSeed(divaxx bool) []byte {
-	cfg := compress.DefaultDictConfig(2)
-	var factory func(int) compress.Codec
-	if divaxx {
-		factory = func(node int) compress.Codec {
-			return compress.NewCodec(compress.DIVaxx, cfg, 5, node)
-		}
-	} else {
-		factory = func(node int) compress.Codec {
-			return compress.NewCodec(compress.DIComp, cfg, 0, node)
-		}
-	}
-	fab := compress.NewFabric(2, factory)
-	blk := &value.Block{Words: make([]value.Word, 8), DType: value.Int32}
-	for i := 0; i < 10; i++ {
-		for j := range blk.Words {
-			blk.Words[j] = value.Word(0xAB00 + i%3)
-		}
-		enc := fab.Codec(0).Compress(1, blk)
-		_, notifs := fab.Codec(1).Decompress(0, enc)
-		fab.Deliver(notifs)
-	}
-	s, _ := compress.As[compress.DictSnapshotter](fab.Codec(0))
-	img, err := s.Marshal()
-	if err != nil {
-		panic(err)
-	}
-	return img
-}
-
-// FuzzDictSnapshot hammers the snapshot decoder with arbitrary bytes:
-// it must never panic, never accept corrupt generation or slot data
-// (anything accepted re-marshals byte-identically — the image really
-// described a reachable state), and never commit partial state on a
-// rejected image.
-func FuzzDictSnapshot(f *testing.F) {
-	f.Add([]byte{}, false)
-	f.Add([]byte("PMTS"), true)
-	f.Add(dictSnapSeed(false), false)
-	f.Add(dictSnapSeed(true), true)
-	f.Fuzz(func(t *testing.T, data []byte, divaxx bool) {
-		codec := compress.NewCodec(compress.DIComp, compress.DefaultDictConfig(2), 0, 0)
-		if divaxx {
-			codec = compress.NewCodec(compress.DIVaxx, compress.DefaultDictConfig(2), 5, 0)
-		}
-		s, ok := compress.As[compress.DictSnapshotter](codec)
-		if !ok {
-			t.Fatal("dictionary codec lost its snapshot interface")
-		}
-		before, err := s.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if uerr := s.Unmarshal(data); uerr != nil {
-			// Rejected images must leave the codec untouched.
-			after, err := s.Marshal()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(before, after) {
-				t.Fatalf("rejected image mutated the codec: %v", uerr)
-			}
-			return
-		}
-		// Accepted images must be canonical: re-marshal reproduces the
-		// input bit for bit, and the restored state survives traffic.
-		again, err := s.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(data, again) {
-			t.Fatal("accepted image is not canonical (re-marshal differs)")
-		}
-		blk := &value.Block{Words: []value.Word{1, 2, 3, 4}, DType: value.Int32}
-		enc := codec.Compress(1, blk)
-		if enc == nil || enc.NumWords != 4 {
-			t.Fatal("restored codec cannot compress")
-		}
-	})
-}
-
 // FuzzDictRoundTrip drives traffic with recurring patterns through a
 // two-node dictionary fabric — DI-COMP exact and DI-VAXX at an arbitrary
 // threshold — and audits every transfer: round-trip identity / error

@@ -20,7 +20,7 @@ func TestGoldenVectors(t *testing.T) {
 	for _, s := range []struct {
 		name string
 		gen  func(w *bytes.Buffer, r *golden.Rand)
-	}{{"fpc", genFPC}, {"bdi", genBDI}, {"dict", genDict}, {"dictsnap", genDictSnap}} {
+	}{{"fpc", genFPC}, {"bdi", genBDI}, {"dict", genDict}} {
 		var buf bytes.Buffer
 		s.gen(&buf, golden.Suite(&buf, s.name))
 		golden.Check(t, filepath.Join("testdata", "golden_"+s.name+".txt"), buf.Bytes())
@@ -111,66 +111,6 @@ func genDict(w *bytes.Buffer, r *golden.Rand) {
 			nf.fab.Deliver(notifs)
 			fmt.Fprintf(w, "%s %d>%d words=%s bits=%d payload=%x decoded=%s\n",
 				nf.name, src, dst, wordsStr(blk.Words), enc.Bits, enc.Payload, wordsStr(out.Words))
-		}
-	}
-}
-
-// genDictSnap pins the PMT snapshot wire format (DESIGN.md §12): each
-// dictionary scheme runs deterministic traffic on a two-node fabric,
-// then both codecs marshal their full state. A diff means the v1
-// snapshot bytes changed — a version bump, not a silent edit.
-func genDictSnap(w *bytes.Buffer, r *golden.Rand) {
-	cfg := compress.DefaultDictConfig(2)
-	mks := []struct {
-		name string
-		mk   func(node int) compress.Codec
-	}{
-		{"dicomp", func(node int) compress.Codec {
-			return compress.NewCodec(compress.DIComp, cfg, 0, node)
-		}},
-		{"divaxx5", func(node int) compress.Codec {
-			return compress.NewCodec(compress.DIVaxx, cfg, 5, node)
-		}},
-		{"divaxx5w16", func(node int) compress.Codec {
-			c, err := compress.NewDIVaxxWindowed(node, cfg, 5, 16, 2)
-			if err != nil {
-				panic(err)
-			}
-			return c
-		}},
-	}
-	for _, m := range mks {
-		fab := compress.NewFabric(2, m.mk)
-		alpha := make([]value.Word, 5)
-		for i := range alpha {
-			alpha[i] = value.Word(r.Uint32())
-		}
-		for i := 0; i < 48; i++ {
-			blk := &value.Block{Words: make([]value.Word, 8), DType: value.Int32, Approximable: i%3 != 0}
-			for j := range blk.Words {
-				word := alpha[r.Intn(len(alpha))]
-				if r.Intn(6) == 0 {
-					word ^= 1 << uint(r.Intn(8)) // near-miss of a hot pattern
-				}
-				blk.Words[j] = word
-			}
-			src := r.Intn(2)
-			dst := 1 - src
-			enc := fab.Codec(src).Compress(dst, blk)
-			_, notifs := fab.Codec(dst).Decompress(src, enc)
-			fab.Deliver(notifs)
-		}
-		for node := 0; node < 2; node++ {
-			s, ok := compress.As[compress.DictSnapshotter](fab.Codec(node))
-			if !ok {
-				panic("dict codec does not snapshot")
-			}
-			img, err := s.Marshal()
-			if err != nil {
-				panic(err)
-			}
-			fmt.Fprintf(w, "%s node=%d gen=%d len=%d image=%x\n",
-				m.name, node, s.Generation(), len(img), img)
 		}
 	}
 }

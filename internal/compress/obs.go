@@ -6,8 +6,6 @@ import "approxnoc/internal/obs"
 // families under prefix — the one codec exporter, shared by the NoC
 // (aggregated NI codecs, prefix "noc") and the serve gateway (aggregated
 // shard pools, prefix "serve") so both layers expose the same shapes.
-// The dictionary-GC families predate the prefix scheme and keep their
-// bare names.
 func RegisterMetrics(reg *obs.Registry, prefix string, src func() OpStats) {
 	reg.Collector(prefix+"_codec_blocks_total", "blocks through the codecs, by direction",
 		obs.TypeCounter, []string{"dir"}, func() []obs.Sample {
@@ -62,22 +60,6 @@ func RegisterMetrics(reg *obs.Registry, prefix string, src func() OpStats) {
 				{LabelValues: []string{"recv"}, Value: float64(s.NotificationsRecv)},
 				{LabelValues: []string{"sent"}, Value: float64(s.NotificationsSent)},
 			}
-		})
-	reg.Collector("dict_gc_epochs_total", "decoder dictionary aging epochs completed",
-		obs.TypeCounter, nil, func() []obs.Sample {
-			return []obs.Sample{{Value: float64(src().GCEpochs)}}
-		})
-	reg.Collector("dict_gc_evictions_total", "decoder dictionary entries reclaimed by GC, by policy",
-		obs.TypeCounter, []string{"reason"}, func() []obs.Sample {
-			s := src()
-			return []obs.Sample{
-				{LabelValues: []string{"age"}, Value: float64(s.GCAgeEvictions)},
-				{LabelValues: []string{"pressure"}, Value: float64(s.GCPressureEvictions)},
-			}
-		})
-	reg.Collector("dict_gc_blocked_reclaims_total", "GC reclaims deferred by the pending-eviction cap",
-		obs.TypeCounter, nil, func() []obs.Sample {
-			return []obs.Sample{{Value: float64(src().GCBlockedReclaims)}}
 		})
 	reg.Collector(prefix+"_codec_compression_ratio", "uncompressed over encoded payload bits",
 		obs.TypeGauge, nil, func() []obs.Sample {

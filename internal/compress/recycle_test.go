@@ -25,7 +25,7 @@ type twin struct {
 
 // transfer sends blk from src to dst on both sets, settles the
 // dictionary protocol, and compares every encoding, decoded block,
-// notification batch, Stats and snapshot on the way.
+// notification batch, Stats and codec state on the way.
 func (w *twin) transfer(src, dst int, blk *value.Block) {
 	w.t.Helper()
 	w.steps++
@@ -59,28 +59,15 @@ func (w *twin) sameBatch(what string, f, r []Notification) {
 	}
 }
 
-// same compares node's Stats and, for a dictionary codec, its snapshot.
+// same compares node's Stats and its state.
 func (w *twin) same(node int) {
 	w.t.Helper()
 	f, r := w.fresh[node], w.recycled[node]
 	if fs, rs := f.Stats(), r.Stats(); fs != rs {
 		w.t.Fatalf("step %d: node %d stats differ: new %+v, recycled %+v", w.steps, node, fs, rs)
 	}
-	fd, ok := As[DictSnapshotter](f)
-	if !ok {
-		return
-	}
-	rd, _ := As[DictSnapshotter](r)
-	fb, err := fd.Marshal()
-	if err != nil {
-		w.t.Fatal(err)
-	}
-	rb, err := rd.Marshal()
-	if err != nil {
-		w.t.Fatal(err)
-	}
-	if !bytes.Equal(fb, rb) {
-		w.t.Fatalf("step %d: node %d snapshots differ", w.steps, node)
+	if !reflect.DeepEqual(state(f), state(r)) {
+		w.t.Fatalf("step %d: node %d states differ: new\n%+v\nrecycled\n%+v", w.steps, node, state(f), state(r))
 	}
 }
 
@@ -116,9 +103,8 @@ func dirty(t *testing.T, d *dictCodec) {
 		d.cands.bump(value.Word(0x5A000000+k), value.Int32)
 	}
 	d.decodeMismatch++
-	d.blockedPromotes++
-	if d.gen == 0 || d.pmt.Entries() == 0 || d.pmt.Stats().Searches == 0 || cap(d.notifs) == 0 || cap(d.scratch.w.buf) == 0 {
-		t.Fatalf("node %d never searched, installed or notified: gen %d, %d encoder entries", d.node, d.gen, d.pmt.Entries())
+	if d.pmt.Entries() == 0 || d.pmt.Stats().Searches == 0 || cap(d.notifs) == 0 || cap(d.scratch.w.buf) == 0 {
+		t.Fatalf("node %d never searched, installed or notified: %d encoder entries", d.node, d.pmt.Entries())
 	}
 }
 
@@ -153,8 +139,7 @@ func state(c Codec) any {
 // of another shape too) must start in the state new ones start in, and
 // replay a stream exactly as they do.
 func TestRecycledCodecMatchesNew(t *testing.T) {
-	dict := DictConfig{Nodes: 4, Entries: 4, CandidateCap: 8, PromoteThreshold: 2, PendingCap: 2,
-		AgingPeriod: 256, GCAgeOutEpochs: 2, GCPressureSweep: 1, GCPressureMin: 1}
+	dict := DictConfig{Nodes: 4, Entries: 4, CandidateCap: 8, PromoteThreshold: 2, PendingCap: 2, AgingPeriod: 256}
 	wide := dict
 	wide.Entries, wide.CandidateCap, wide.PendingCap = 8, 16, 4
 	cases := []struct {

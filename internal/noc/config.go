@@ -74,12 +74,6 @@ func (c Config) effectiveCompressLatencyFor(words int) int {
 	return l
 }
 
-// effectiveCompressLatency is the fixed-depth variant, retained for the
-// default 16-word blocks.
-func (c Config) effectiveCompressLatency() int {
-	return c.effectiveCompressLatencyFor(0)
-}
-
 // dataPacketFlits returns the flit count for a compressed payload of the
 // given byte size: one header flit plus the payload flits. The payload
 // suffers internal fragmentation to whole flits, the effect §5.2.1 notes.

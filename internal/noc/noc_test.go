@@ -375,7 +375,7 @@ func TestDecompressionLatencyAccounted(t *testing.T) {
 
 func TestCompressionLatencyVisibleWhenQueueEmpty(t *testing.T) {
 	// With an empty queue the compression overhead cannot be hidden: the
-	// FP-COMP packet must be injected effectiveCompressLatency cycles
+	// FP-COMP packet must be injected effectiveCompressLatencyFor cycles
 	// after an equivalent baseline packet.
 	queueLatency := func(n *Network) int {
 		got := deliveries(n)
@@ -385,7 +385,7 @@ func TestCompressionLatencyVisibleWhenQueueEmpty(t *testing.T) {
 		return int(got[id].QueueLatency())
 	}
 	diff := queueLatency(schemeNet(t, 4, 4, 1, compress.FPComp, 0)) - queueLatency(baselineNet(t, 4, 4, 1))
-	want := DefaultConfig().effectiveCompressLatency()
+	want := DefaultConfig().effectiveCompressLatencyFor(len(testBlock().Words))
 	if diff != want {
 		t.Fatalf("queue latency difference %d, want %d", diff, want)
 	}
@@ -674,12 +674,12 @@ func TestDataPacketFlitsFragmentation(t *testing.T) {
 
 func TestEffectiveCompressLatency(t *testing.T) {
 	cfg := DefaultConfig()
-	if cfg.effectiveCompressLatency() != 2 {
-		t.Fatalf("overlapped latency %d, want 2", cfg.effectiveCompressLatency())
+	if got := cfg.effectiveCompressLatencyFor(16); got != 2 {
+		t.Fatalf("overlapped latency %d, want 2", got)
 	}
 	cfg.OverlapVCArb = false
-	if cfg.effectiveCompressLatency() != 3 {
-		t.Fatalf("unoverlapped latency %d, want 3", cfg.effectiveCompressLatency())
+	if got := cfg.effectiveCompressLatencyFor(16); got != 3 {
+		t.Fatalf("unoverlapped latency %d, want 3", got)
 	}
 }
 

@@ -77,11 +77,10 @@ func TestObsDoesNotPerturbSimulation(t *testing.T) {
 		t.Fatalf("scrape shows %g packets sent, stats say %d", sent, obsStats.PacketsSent)
 	}
 	// The network exports the codec family set the gateway prefix gets:
-	// nine prefixed families and the three dict_gc ones, from the one
-	// exporter.
+	// nine prefixed families, from the one exporter.
 	serveReg := obs.NewRegistry()
 	compress.RegisterMetrics(serveReg, "serve", func() compress.OpStats { return compress.OpStats{} })
-	if got, want := codecFamilies(reg, "noc"), codecFamilies(serveReg, "serve"); len(got) != 12 || !slices.Equal(got, want) {
+	if got, want := codecFamilies(reg, "noc"), codecFamilies(serveReg, "serve"); len(got) != 9 || !slices.Equal(got, want) {
 		t.Fatalf("noc codec families %v differ from the serve set %v", got, want)
 	}
 }
@@ -93,8 +92,6 @@ func codecFamilies(reg *obs.Registry, prefix string) []string {
 	for _, f := range reg.Snapshot().Families {
 		if rest, ok := strings.CutPrefix(f.Name, prefix+"_codec_"); ok {
 			out = append(out, "codec_"+rest)
-		} else if strings.HasPrefix(f.Name, "dict_gc_") {
-			out = append(out, f.Name)
 		}
 	}
 	slices.Sort(out)

@@ -84,6 +84,9 @@ func TestAllocatorsMatchNaiveSweep(t *testing.T) {
 				for _, rate := range []float64{0.02, 0.9} {
 					name := fmt.Sprintf("vcs%d/c%d/%v/rate%g", vcs, conc, pattern, rate)
 					t.Run(name, func(t *testing.T) {
+						// Each case builds its own twin networks and shares
+						// nothing with the others.
+						t.Parallel()
 						diffRun(t, cycles, newDiffNet(t, vcs, conc, pattern, rate), newDiffNet(t, vcs, conc, pattern, rate))
 					})
 				}

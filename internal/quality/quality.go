@@ -123,22 +123,3 @@ func (w *Window) Threshold() float64 { return w.bound }
 
 // Spent returns the budget consumed in the current window (for tests).
 func (w *Window) Spent() float64 { return w.spent }
-
-// State exposes the window's running position for serialization: the
-// budget spent so far and the words seen in the current window.
-func (w *Window) State() (spent float64, seen int) { return w.spent, w.seen }
-
-// Restore overwrites the window's running position — the snapshot
-// codec's inverse of State. It rejects positions the window could not
-// have reached itself, so hostile snapshot bytes cannot smuggle in an
-// out-of-range budget.
-func (w *Window) Restore(spent float64, seen int) error {
-	if spent < 0 || spent != spent || spent > w.bound*float64(w.size)+1e-9 {
-		return fmt.Errorf("quality: restored spend %g outside window budget %g", spent, w.bound*float64(w.size))
-	}
-	if seen < 0 || seen >= w.size {
-		return fmt.Errorf("quality: restored position %d outside window of %d words", seen, w.size)
-	}
-	w.spent, w.seen = spent, seen
-	return nil
-}

@@ -17,8 +17,6 @@ func codecFamilies(reg *obs.Registry, prefix string) []string {
 	for _, f := range reg.Snapshot().Families {
 		if rest, ok := strings.CutPrefix(f.Name, prefix+"_codec_"); ok {
 			out = append(out, "codec_"+rest)
-		} else if strings.HasPrefix(f.Name, "dict_gc_") {
-			out = append(out, f.Name)
 		}
 	}
 	slices.Sort(out)
@@ -80,10 +78,10 @@ func TestGatewayMetricsAndTrace(t *testing.T) {
 		t.Fatalf("codec blocks = %g, stats say %d", got, cs.BlocksIn+cs.BlocksDecoded)
 	}
 	// The gateway exports the codec family set the NoC prefix gets: nine
-	// prefixed families and the three dict_gc ones, from the one exporter.
+	// prefixed families, from the one exporter.
 	nocReg := obs.NewRegistry()
 	compress.RegisterMetrics(nocReg, "noc", func() compress.OpStats { return compress.OpStats{} })
-	if got, want := codecFamilies(reg, "serve"), codecFamilies(nocReg, "noc"); len(got) != 12 || !slices.Equal(got, want) {
+	if got, want := codecFamilies(reg, "serve"), codecFamilies(nocReg, "noc"); len(got) != 9 || !slices.Equal(got, want) {
 		t.Fatalf("serve codec families %v differ from the noc set %v", got, want)
 	}
 

@@ -5,7 +5,7 @@ import "testing"
 // RestoreSlot edge cases, on entries that mask no bits (the binary-CAM
 // case) and on masked ones: restoring an invalid slot at the current hi
 // boundary must lower the scan bound, restoring a valid slot above hi
-// must raise it, and snapshot/restore round trips must rebuild the
+// must raise it, and SlotState/RestoreSlot round trips must rebuild the
 // bit-sliced planes so searches behave exactly as on the source table.
 
 func TestCAMRestoreSlotHiBoundary(t *testing.T) {
@@ -95,10 +95,9 @@ func TestCAMRestoreDuplicatePattern(t *testing.T) {
 }
 
 // TestSnapshotRestoreRoundTrip walks SlotState off a populated source
-// table into a fresh one via RestoreSlot — the snapshot codec's exact
-// access pattern — and verifies the rebuilt planes answer every probe
-// identically to the source, for masked entries and for entries that
-// mask no bits.
+// table into a fresh one via RestoreSlot and verifies the rebuilt
+// planes answer every probe identically to the source, for masked
+// entries and for entries that mask no bits.
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	masked := NewTCAM(64 + 5) // spans a full group plus a partial one
 	for i := 0; i < 40; i++ {

@@ -265,12 +265,13 @@ func (t *TCAM) InvalidateIndex(i int) {
 }
 
 // Entries returns the number of valid entries. The count is maintained
-// incrementally by Insert/InvalidateIndex/RestoreSlot, so metrics and GC
-// sweeps pay O(1) instead of rescanning the valid bits.
+// incrementally by Insert/InvalidateIndex/RestoreSlot, so metrics pay
+// O(1) instead of rescanning the valid bits.
 func (t *TCAM) Entries() int { return t.count }
 
-// SlotState returns slot i's raw replacement state for serialization:
-// the stored entry, its frequency counter, and the valid bit.
+// SlotState returns slot i's raw replacement state: the stored entry,
+// its frequency counter, and the valid bit. A reused codec reads it to
+// find the slots it must empty.
 func (t *TCAM) SlotState(i int) (e TEntry, freq uint64, valid bool) {
 	if i < 0 || i >= t.size || !t.valid[i] {
 		return TEntry{}, 0, false
@@ -278,8 +279,9 @@ func (t *TCAM) SlotState(i int) (e TEntry, freq uint64, valid bool) {
 	return t.ent[i], t.freq[i], true
 }
 
-// RestoreSlot overwrites slot i with serialized state, bypassing the
-// replacement policy — the snapshot codec's inverse of SlotState.
+// RestoreSlot overwrites slot i with the given state, bypassing the
+// replacement policy — the inverse of SlotState. A reused codec empties
+// its table with it.
 func (t *TCAM) RestoreSlot(i int, e TEntry, freq uint64, valid bool) {
 	if i < 0 || i >= t.size {
 		return
@@ -302,6 +304,6 @@ func (t *TCAM) RestoreSlot(i int, e TEntry, freq uint64, valid bool) {
 	t.refreshHi()
 }
 
-// RestoreStats overwrites the operation counters — used when restoring
-// a snapshot so energy accounting continues from the captured totals.
+// RestoreStats overwrites the operation counters; a reused codec zeroes
+// them with it so its energy accounting starts where a new one's does.
 func (t *TCAM) RestoreStats(s Stats) { t.stats = s }

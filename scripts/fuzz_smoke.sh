@@ -21,7 +21,6 @@ run_target ./internal/compress FuzzFPCRoundTrip
 run_target ./internal/compress FuzzFPCDecodeArbitrary
 run_target ./internal/compress FuzzDictRoundTrip
 run_target ./internal/compress FuzzBDIRoundTrip
-run_target ./internal/compress FuzzDictSnapshot
 run_target ./internal/approx FuzzVAXXErrorBound
 run_target ./internal/tcam FuzzTCAMEngine
 run_target ./internal/serve FuzzProtocolFrame
